@@ -13,89 +13,24 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The packages the parallel query router exercises concurrently, plus
-# the durability subsystem (group commit shares journal state across
-# writers), the store layer whose fault-matrix tests hammer the
-# retry/hedging/breaker machinery from concurrent clients, the arena
-# B+tree whose borrowed-slice reads the router runs in parallel, and
-# the network transport (pooled conns, server-side cursors and the
-# cancellation watchdog all cross goroutines), and replication (the
-# group-commit ingest path fans acks out across follower goroutines),
-# and the shard-pruning sketches (updated by writers while the router
-# probes them); their stress tests must stay race-clean.
-RACE_PKGS = ./internal/sharding/... ./internal/query/... ./internal/storage/... ./internal/wal/... ./internal/core/... ./internal/btree/... ./internal/wire/... ./internal/netconn/... ./internal/replication/... ./internal/sketch/...
-
-.PHONY: race
-race:
-	$(GO) test -race -timeout 300s $(RACE_PKGS)
-
-# Differential smoke of the real multi-process cluster: two stshardd
-# daemons plus one strouterd on localhost must answer the paper's
-# queries byte-identically to a single in-process store. Bounded by a
-# hard timeout so a wedged daemon fails the check instead of hanging
-# it.
-.PHONY: cluster-smoke
-cluster-smoke:
-	timeout 120 sh scripts/cluster-smoke.sh
-
-# Seeded deterministic chaos soak: SIGKILL/SIGTERM daemon cycling,
-# injected link faults and 4x overload bursts against the real
-# 2-daemon + router cluster, with every reply byte-verified or
-# explicitly partial/shed, restarts fingerprint-checked, and
-# cursor/in-flight/goroutine hygiene asserted at the end.
-.PHONY: chaos-soak
-chaos-soak:
-	timeout 300 sh scripts/chaos-soak.sh
-
-# Crash-safe continuous ingest against the real cluster: concurrent
-# idempotent write batches through the write-enabled router while
-# shard daemons are SIGKILLed mid-ingest and restarted from their
-# durable directories, with write bursts shed against a one-batch
-# ingest queue, every process fingerprint-converged to an in-process
-# reference, and whole replicas byte-verified over the wire read path.
-.PHONY: ingest-soak
-ingest-soak:
-	timeout 420 sh scripts/ingest-soak.sh
-
-# The canonical pre-commit check (also available as scripts/check.sh).
+# The canonical pre-commit check: tier-1 + vet, the race-detector run,
+# a 10 s slice of every fuzz target, then the multi-process
+# cluster-smoke, chaos-soak and ingest-soak. scripts/check.sh is the
+# one place the race package list, the fuzz target list and the step
+# timeouts are written down; the targets below run single steps of it.
 .PHONY: check
-check: build test vet race cluster-smoke chaos-soak ingest-soak
+check:
+	sh scripts/check.sh
 
-# A short shake of the fuzz targets: the BSON decoder must be total
-# (crash recovery feeds it torn and bit-flipped journal bytes), the
-# key encoding's byte order must agree with the logical BSON order
-# (every index range scan rests on it), journal recovery must never
-# panic or replay a corrupt frame whatever bytes are on disk, the
-# arena B+tree must stay step-for-step equivalent to a sorted-map
-# oracle under arbitrary operation streams, the wire protocol's
-# frame, message, insert-op and aggregate-op decoders must never panic
-# or over-allocate on hostile network bytes, and the counting-bloom
-# sketch must never report a false negative against an exact-set
-# oracle under arbitrary add/remove/merge streams.
+.PHONY: race cluster-smoke chaos-soak ingest-soak
+race cluster-smoke chaos-soak ingest-soak:
+	sh scripts/check.sh $@
+
+# The same fuzz targets as `make check`, 30 s each.
 .PHONY: fuzz-smoke
 fuzz-smoke:
-	$(GO) test ./internal/bson -fuzz FuzzDocumentRoundTrip -fuzztime 30s
-	$(GO) test ./internal/keyenc -fuzz FuzzKeyOrdering -fuzztime 30s
-	$(GO) test ./internal/wal -fuzz FuzzFrameRecover -fuzztime 30s
-	$(GO) test ./internal/btree -fuzz FuzzTreeOps -fuzztime 30s
-	$(GO) test ./internal/wire -fuzz FuzzFrameDecode -fuzztime 30s
-	$(GO) test ./internal/wire -fuzz FuzzInsertDecode -fuzztime 30s
-	$(GO) test ./internal/wire -fuzz FuzzAggregateDecode -fuzztime 30s
-	$(GO) test ./internal/sketch -fuzz FuzzSketch -fuzztime 30s
+	sh scripts/check.sh fuzz 30s
 
 .PHONY: bench
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-.PHONY: throughput
-throughput:
-	$(GO) run ./cmd/stbench -exp throughput
-
-# Allocation guard: compare two throughput reports cell-by-cell and
-# fail when the new one regresses allocs/op or bytes/op by more than
-# 20%. Usage: make benchdiff OLD=base.json NEW=BENCH_throughput.json
-OLD ?= /tmp/throughput-base.json
-NEW ?= BENCH_throughput.json
-.PHONY: benchdiff
-benchdiff:
-	$(GO) run ./cmd/benchdiff $(OLD) $(NEW)

@@ -4,26 +4,24 @@
 // Usage:
 //
 //	stbench [-exp id[,id...]] [-records n] [-shards n] [-runs n] [-list] [-quiet]
-//	        [-clients n,n,...] [-parallel n] [-out path] [-keys n,n,...]
-//	        [-faults spec] [-fault-seed n]
-//	        [-replicas n] [-read-pref p] [-write-concern w]
+//	        [-dir path] [-cpuprofile path] [-memprofile path]
 //
 // Examples:
 //
 //	stbench -list                 # show every experiment id
 //	stbench -exp fig6             # one figure at the default scale
 //	stbench -exp all -records 80000
-//	stbench -exp throughput -clients 1,4,16 -parallel 8
+//
+// End-to-end throughput and latency are measured by the repository's
+// benchmark (benchmark/, declared in BENCHMARK.json), not here.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -39,28 +37,6 @@ func main() {
 		list    = flag.Bool("list", false, "list experiment ids and exit")
 		quiet   = flag.Bool("quiet", false, "suppress progress output")
 		dir     = flag.String("dir", "", "persist loaded stores under this directory and reopen them on later runs")
-
-		// Throughput-experiment options (used by -exp throughput only).
-		clients     = flag.String("clients", "", "throughput: comma-separated client counts (default 1,4,16)")
-		parallel    = flag.Int("parallel", 0, "throughput: pool width of the parallel arm (default GOMAXPROCS)")
-		out         = flag.String("out", "", "throughput: JSON report path (default BENCH_throughput.json, '-' disables)")
-		faults      = flag.String("faults", "", "throughput: per-shard fault injection, e.g. '0:down,2:slow=2ms,3:flaky=1' (allow-partial policy)")
-		faultSeed   = flag.Int64("fault-seed", 1, "throughput: seed for the injected fault schedule")
-		replicas    = flag.Int("replicas", 0, "throughput: followers per shard primary (0 = no replication)")
-		readPref    = flag.String("read-pref", "", "throughput: primary | primaryPreferred | nearest[=maxLagLSN]")
-		concern     = flag.String("write-concern", "", "throughput: primary | majority | all")
-		limit       = flag.Int("limit", 0, "throughput: pushed-down result cap of the limited workload arm (default 100, negative disables)")
-		keys        = flag.String("keys", "", "throughput: comma-separated keys-per-shard counts for the index-scale arm, e.g. '1e5,1e6'")
-		addrs       = flag.String("addrs", "", "throughput: comma-separated stshardd addresses for the network arm (start them with -bench and matching -records/-shards)")
-		ops         = flag.Int("ops", 0, "throughput: queries per client per cell (default 24; raise to amortize tail noise)")
-		ingest      = flag.Bool("ingest", false, "throughput: add the continuous-write arm (ingest rate, shed rate, balance convergence, 4x overload burst; with -replicas also the lag observed under write load)")
-		ingestBatch = flag.Int("ingest-batch", 0, "throughput: documents per client batch in the ingest arm (default 64)")
-
-		// Aggregation-experiment options (used by -exp agg only; -out
-		// and -ops are shared with throughput).
-		aggCache    = flag.Int64("agg-cache", 0, "agg: result-cache budget in bytes (default 32 MiB, negative disables)")
-		aggDistinct = flag.String("agg-distinct", "", "agg: field of the distinct arm (default vehicleId)")
-		aggHeatmap  = flag.Int("agg-heatmap", 0, "agg: bits per dimension of the heatmap arm (default 8)")
 
 		// Profiling (any experiment).
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
@@ -95,17 +71,13 @@ func main() {
 
 	var selected []bench.Experiment
 	if *expIDs == "all" {
-		selected = bench.Experiments()
-		// The ablations rebuild large stores and the throughput
-		// experiment measures this machine rather than the paper; keep
-		// the default run to the paper's own tables and figures.
-		var core []bench.Experiment
-		for _, e := range selected {
-			if !strings.HasPrefix(e.ID, "abl-") && e.ID != "throughput" && e.ID != "agg" {
-				core = append(core, e)
+		// The ablations rebuild large stores; keep the default run to
+		// the paper's own tables and figures.
+		for _, e := range bench.Experiments() {
+			if !strings.HasPrefix(e.ID, "abl-") {
+				selected = append(selected, e)
 			}
 		}
-		selected = core
 	} else {
 		for _, id := range strings.Split(*expIDs, ",") {
 			id = strings.TrimSpace(id)
@@ -120,41 +92,6 @@ func main() {
 
 	fmt.Printf("stbench: %d shards, R=%d records, S=%d records, %d+%d runs/query\n\n",
 		scale.Shards, scale.RRecords, 2*scale.RRecords, scale.Warmup, scale.Runs)
-	topts := bench.ThroughputOptions{
-		Parallel: *parallel, OutPath: *out, Limit: *limit, OpsPerClient: *ops,
-		Faults: *faults, FaultSeed: *faultSeed,
-		Replicas: *replicas, ReadPref: *readPref, WriteConcern: *concern,
-		Ingest: *ingest, IngestBatchDocs: *ingestBatch,
-	}
-	if *addrs != "" {
-		for _, part := range strings.Split(*addrs, ",") {
-			if part = strings.TrimSpace(part); part != "" {
-				topts.Addrs = append(topts.Addrs, part)
-			}
-		}
-	}
-	if *clients != "" {
-		for _, part := range strings.Split(*clients, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n <= 0 {
-				fmt.Fprintf(os.Stderr, "stbench: bad -clients %q\n", *clients)
-				os.Exit(2)
-			}
-			topts.Clients = append(topts.Clients, n)
-		}
-	}
-	if *keys != "" {
-		for _, part := range strings.Split(*keys, ",") {
-			// Accept scientific notation ("1e6") alongside plain ints.
-			f, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-			if err != nil || f < 1 || f != float64(int(f)) {
-				fmt.Fprintf(os.Stderr, "stbench: bad -keys %q\n", *keys)
-				os.Exit(2)
-			}
-			topts.IndexKeys = append(topts.IndexKeys, int(f))
-		}
-	}
-
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -188,24 +125,7 @@ func main() {
 
 	for _, e := range selected {
 		start := time.Now()
-		run := e.Run
-		if e.ID == "throughput" {
-			run = func(env *bench.Env, w io.Writer) error {
-				return bench.RunThroughput(env, w, topts)
-			}
-		}
-		if e.ID == "agg" {
-			run = func(env *bench.Env, w io.Writer) error {
-				return bench.RunAgg(env, w, bench.AggOptions{
-					Ops:           *ops,
-					CacheBytes:    *aggCache,
-					DistinctField: *aggDistinct,
-					HeatmapBits:   *aggHeatmap,
-					OutPath:       *out,
-				})
-			}
-		}
-		if err := run(env, os.Stdout); err != nil {
+		if err := e.Run(env, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "stbench: %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}

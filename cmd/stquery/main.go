@@ -335,7 +335,7 @@ func runQueries(exec querier, file, rectStr, fromStr, toStr string, limit int, s
 		fatal("stquery: bad -to: %v", err)
 	}
 	q := withAgg(core.STQuery{Rect: rect, From: from, To: to, Limit: limit, Sort: sortOrder})
-	res := execQuery(exec, q)
+	res := exec.Query(q)
 	printResult("query", res)
 	if explainFn != nil {
 		explainFn(q)
@@ -402,12 +402,12 @@ func runQueryFile(exec querier, path string, limit int, sortOrder core.SortOrder
 	// The store path runs the whole file as one batch through the
 	// scatter-gather pool; the thin router client has no batch op.
 	var results []*core.QueryResult
-	if s, ok := exec.(*core.Store); ok && !qs[0].HasAgg() {
+	if s, ok := exec.(*core.Store); ok {
 		results = s.QueryBatch(qs)
 	} else {
 		results = make([]*core.QueryResult, len(qs))
 		for i, q := range qs {
-			results[i] = execQuery(exec, q)
+			results[i] = exec.Query(q)
 		}
 	}
 	elapsed := time.Since(start)
@@ -430,7 +430,7 @@ func runPaperQueries(exec querier, limit int, sortOrder core.SortOrder) {
 		names := bench.QueryNames(small)
 		for i, q := range ds.Queries(small) {
 			q.Limit, q.Sort = limit, sortOrder
-			printResult(names[i], execQuery(exec, withAgg(q)))
+			printResult(names[i], exec.Query(withAgg(q)))
 		}
 	}
 }
@@ -465,21 +465,10 @@ func withAgg(q core.STQuery) core.STQuery {
 	return q
 }
 
-// execQuery routes a query through the querier, taking the
-// validating aggregate path on a local store (the thin router client
-// carries the aggregate request inside the wire op itself).
-func execQuery(exec querier, q core.STQuery) *core.QueryResult {
-	if s, ok := exec.(*core.Store); ok && q.HasAgg() {
-		res, err := s.Aggregate(q)
-		if err != nil {
-			fatal("stquery: %v", err)
-		}
-		return res
-	}
-	return exec.Query(q)
-}
-
 func printResult(name string, res *core.QueryResult) {
+	if res.Err != nil {
+		fatal("stquery: %v", res.Err)
+	}
 	if digest {
 		h := sha256.New()
 		n := len(res.Docs)

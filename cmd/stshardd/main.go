@@ -28,7 +28,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/netconn"
@@ -44,7 +43,6 @@ func main() {
 		shards    = flag.Int("shards", 12, "number of shards in the cluster")
 		zones     = flag.Bool("zones", false, "configure zones after loading")
 		dir       = flag.String("dir", "", "reopen a durable store directory instead of loading")
-		benchMode = flag.Bool("bench", false, "construct the store exactly as 'stbench -exp throughput' does (for stbench -addrs)")
 		cursorTTL = flag.Duration("cursor-ttl", netconn.DefaultCursorTTL, "reap cursors idle longer than this")
 		maxBatch  = flag.Int("max-batch", netconn.DefaultMaxBatch, "cap on the per-reply batch size clients may request")
 
@@ -63,7 +61,7 @@ func main() {
 	)
 	flag.Parse()
 
-	s := buildStore(*dir, *approach, *records, *shards, *zones, *benchMode)
+	s := buildStore(*dir, *approach, *records, *shards, *zones)
 	ids, err := parseShardIDs(*serve)
 	if err != nil {
 		fatal("stshardd: bad -serve: %v", err)
@@ -149,7 +147,7 @@ func main() {
 // deployment agrees on: generated from the seeded data generator, or
 // recovered from a durable directory. The construction path must stay
 // identical to stquery's so the content fingerprints match.
-func buildStore(dir, approach string, records, shards int, zones, benchMode bool) *core.Store {
+func buildStore(dir, approach string, records, shards int, zones bool) *core.Store {
 	if dir != "" {
 		s, err := core.OpenDir(dir, core.Config{})
 		if err != nil {
@@ -160,20 +158,6 @@ func buildStore(dir, approach string, records, shards int, zones, benchMode bool
 	a, ok := parseApproach(approach)
 	if !ok {
 		fatal("stshardd: unknown approach %q", approach)
-	}
-	if benchMode {
-		// The throughput experiment builds its store through the bench
-		// env (extra payload fields, scaled chunk threshold); a daemon
-		// backing `stbench -addrs` must construct the identical one.
-		env := bench.NewEnv(bench.Scale{RRecords: records, Shards: shards})
-		env.Progress = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "stshardd: "+format+"\n", args...)
-		}
-		s, err := env.Store(env.DatasetR(), a, zones)
-		if err != nil {
-			fatal("stshardd: %v", err)
-		}
-		return s
 	}
 	fmt.Fprintf(os.Stderr, "stshardd: generating and loading %d records under %s...\n", records, a)
 	start := time.Now()

@@ -9,11 +9,11 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/adaptive"
+	"repro/examples/futurework/internal/adaptive"
+	"repro/examples/futurework/internal/traj"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/geo"
-	"repro/internal/traj"
 )
 
 func main() {

@@ -77,20 +77,6 @@ func Experiments() []Experiment {
 		Experiment{ID: "abl-hashed", Title: "Ablation: range vs hashed sharding", Run: runAblHashed},
 		Experiment{ID: "abl-zones", Title: "Ablation: zone count vs locality", Run: runAblZones},
 		Experiment{ID: "abl-sthash", Title: "Ablation: Hilbert vs ST-Hash encoding", Run: runAblSTHash},
-		Experiment{
-			ID:    "throughput",
-			Title: "Throughput: concurrent clients over the parallel router",
-			Run: func(e *Env, w io.Writer) error {
-				return RunThroughput(e, w, ThroughputOptions{})
-			},
-		},
-		Experiment{
-			ID:    "agg",
-			Title: "Aggregation pushdown: wire bytes, pruning, result cache",
-			Run: func(e *Env, w io.Writer) error {
-				return RunAgg(e, w, AggOptions{})
-			},
-		},
 	)
 	return exps
 }

@@ -43,11 +43,11 @@ func TestAggregateMatchesDocumentShipping(t *testing.T) {
 					if err != nil {
 						t.Fatalf("query %d: %v", qi, err)
 					}
-					aggSpec, err := s.aggSpec(q)
+					o, err := s.opts(q)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := query.AggregateDocs(shipped.Docs, aggSpec)
+					want := query.AggregateDocs(shipped.Docs, o.Agg)
 					if !want.Equal(res.Agg) {
 						t.Fatalf("query %d spec %+v: pushdown %+v != shipped %+v", qi, spec, res.Agg, want)
 					}
@@ -78,6 +78,59 @@ func TestAggregateValidation(t *testing.T) {
 	defer h.Close()
 	if _, err := h.Aggregate(STQuery{Rect: testExtent, From: testStart, To: week, HeatmapBits: 99}); err == nil {
 		t.Fatal("heatmap bits beyond the curve order should fail")
+	}
+}
+
+// TestAggregateFieldNeverShipsDocuments: every core entry point routes
+// a query with an aggregate field set down the aggregate path — the
+// answer is the aggregate (identical to Aggregate's) or a refusal in
+// Err, never a plain document result.
+func TestAggregateFieldNeverShipsDocuments(t *testing.T) {
+	s := openStore(t, Hil, 4)
+	defer s.Close()
+	if err := s.Load(testRecords(1500)); err != nil {
+		t.Fatal(err)
+	}
+	week := testStart.Add(7 * 24 * time.Hour)
+	base := STQuery{Rect: testExtent, From: testStart, To: week}
+	if n := len(s.Query(base).Docs); n == 0 {
+		t.Fatal("vacuous: the plain query matches nothing")
+	}
+	valid := []STQuery{base, base, base}
+	valid[0].Count = true
+	valid[1].Distinct = "vehicleId"
+	valid[2].HeatmapBits = 5
+	invalid := []STQuery{base, base}
+	invalid[0].Count, invalid[0].Distinct = true, "date"
+	invalid[1].HeatmapBits = 99
+
+	check := func(entry string, q STQuery, res *QueryResult) {
+		t.Helper()
+		if len(res.Docs) != 0 {
+			t.Fatalf("%s %+v: shipped %d documents", entry, q, len(res.Docs))
+		}
+		want, err := s.Aggregate(q)
+		if err != nil {
+			if res.Err == nil || res.Agg != nil {
+				t.Fatalf("%s %+v: want refusal %q, got agg=%v err=%v", entry, q, err, res.Agg, res.Err)
+			}
+			return
+		}
+		if res.Err != nil || !want.Agg.Equal(res.Agg) {
+			t.Fatalf("%s %+v: agg %+v err %v, want %+v", entry, q, res.Agg, res.Err, want.Agg)
+		}
+	}
+	all := append(append([]STQuery{}, valid...), invalid...)
+	for _, q := range all {
+		check("Query", q, s.Query(q))
+	}
+	// A batch mixes them with a plain query, which still ships documents.
+	batch := s.QueryBatch(append(all, base))
+	for i, q := range all {
+		check("QueryBatch", q, batch[i])
+	}
+	if last := batch[len(all)]; last.Err != nil || last.Agg != nil || len(last.Docs) == 0 {
+		t.Fatalf("QueryBatch: plain entry came back agg=%v err=%v docs=%d", last.Agg, last.Err, len(last.Docs))
 	}
 }
 

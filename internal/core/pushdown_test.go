@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/bson"
+	"repro/internal/geo"
 	"repro/internal/sharding"
 )
 
@@ -212,25 +213,40 @@ func TestStoreBatchMatchesSingles(t *testing.T) {
 }
 
 // TestQueryStatsPlanCacheCounters: core.QueryStats must surface the
-// cluster-wide plan-cache counters, and repeated identical queries
-// must turn into pure hits.
+// cluster-wide plan-cache counters from every read entry point, and
+// repeated identical queries must turn into pure hits.
 func TestQueryStatsPlanCacheCounters(t *testing.T) {
 	s := openStore(t, Hil, 4)
 	if err := s.Load(testRecords(1500)); err != nil {
 		t.Fatal(err)
 	}
 	q := pushdownQuery()
-	first := s.Query(q)
-	if first.Stats.PlanCacheMisses == 0 {
-		t.Fatal("cold query reports zero plan-cache misses")
+	r := q.Rect
+	poly, err := geo.NewPolygon(r.Min, geo.Point{Lon: r.Max.Lon, Lat: r.Min.Lat}, r.Max, geo.Point{Lon: r.Min.Lon, Lat: r.Max.Lat})
+	if err != nil {
+		t.Fatal(err)
 	}
-	second := s.Query(q)
-	if second.Stats.PlanCacheHits < first.Stats.PlanCacheHits+int64(second.Stats.Nodes) {
-		t.Fatalf("warm query gained %d hits over %d nodes",
-			second.Stats.PlanCacheHits-first.Stats.PlanCacheHits, second.Stats.Nodes)
-	}
-	if second.Stats.PlanCacheMisses != first.Stats.PlanCacheMisses {
-		t.Fatalf("warm query added misses: %d -> %d",
-			first.Stats.PlanCacheMisses, second.Stats.PlanCacheMisses)
+	pq := STPolygonQuery{Polygon: poly, From: q.From, To: q.To}
+	for _, entry := range []struct {
+		name string
+		run  func() *QueryResult
+	}{
+		{"Query", func() *QueryResult { return s.Query(q) }},
+		{"QueryPolygon", func() *QueryResult { return s.QueryPolygon(pq) }},
+	} {
+		name, run := entry.name, entry.run
+		first := run()
+		if first.Stats.PlanCacheMisses == 0 {
+			t.Fatalf("%s: cold query reports zero plan-cache misses", name)
+		}
+		second := run()
+		if second.Stats.PlanCacheHits < first.Stats.PlanCacheHits+int64(second.Stats.Nodes) {
+			t.Fatalf("%s: warm query gained %d hits over %d nodes", name,
+				second.Stats.PlanCacheHits-first.Stats.PlanCacheHits, second.Stats.Nodes)
+		}
+		if second.Stats.PlanCacheMisses != first.Stats.PlanCacheMisses {
+			t.Fatalf("%s: warm query added misses: %d -> %d", name,
+				first.Stats.PlanCacheMisses, second.Stats.PlanCacheMisses)
+		}
 	}
 }

@@ -81,6 +81,11 @@ type QueryResult struct {
 	Docs  []bson.Raw
 	Agg   *query.AggResult
 	Stats QueryStats
+	// Err reports a query that was refused before it ran — an aggregate
+	// request this store cannot serve (see Aggregate); everything else is
+	// zero then. Shard failures are not errors here: they degrade the
+	// answer and show in Stats.Partial / Stats.FailedShards.
+	Err error
 }
 
 // SortOrder selects the result ordering a query pushes down to the
@@ -115,7 +120,7 @@ type STQuery struct {
 	// Count, Distinct and HeatmapBits select a pushed-down aggregate
 	// instead of document shipping: shards compute partial aggregates
 	// inside their scans and the router merges them. At most one may
-	// be set; execute through Aggregate (Query ignores these fields).
+	// be set.
 	//
 	// Count returns only the number of matching documents. Distinct
 	// names a field whose distinct value set is returned. HeatmapBits
@@ -132,9 +137,12 @@ func (q STQuery) HasAgg() bool {
 	return q.Count || q.Distinct != "" || q.HeatmapBits > 0
 }
 
-// opts translates the query's limit/sort into the executor's
-// pushed-down options.
-func (q STQuery) opts() query.Opts {
+// opts translates the query into the executor's pushed-down options.
+// It is the one place that decides documents-vs-aggregate: a query
+// with an aggregate field set pushes the aggregate down (validated
+// against this store's approach) and can never come back as a plain
+// document result.
+func (s *Store) opts(q STQuery) (query.Opts, error) {
 	o := query.Opts{Limit: q.Limit}
 	switch q.Sort {
 	case SortDateAsc:
@@ -143,66 +151,54 @@ func (q STQuery) opts() query.Opts {
 		o.OrderBy = FieldDate
 		o.Desc = true
 	}
-	return o
-}
-
-// aggSpec resolves the query's aggregate request into the executor's
-// pushed-down spec, validating it against this store's approach.
-func (s *Store) aggSpec(q STQuery) (query.AggSpec, error) {
 	n := 0
 	if q.Count {
 		n++
+		o.Agg = query.AggSpec{Kind: query.AggCount}
 	}
 	if q.Distinct != "" {
 		n++
+		o.Agg = query.AggSpec{Kind: query.AggDistinct, Field: q.Distinct}
 	}
 	if q.HeatmapBits > 0 {
 		n++
-	}
-	switch {
-	case n == 0:
-		return query.AggSpec{}, fmt.Errorf("core: no aggregate requested")
-	case n > 1:
-		return query.AggSpec{}, fmt.Errorf("core: at most one of count/distinct/heatmap may be set")
-	case q.Count:
-		return query.AggSpec{Kind: query.AggCount}, nil
-	case q.Distinct != "":
-		return query.AggSpec{Kind: query.AggDistinct, Field: q.Distinct}, nil
-	default:
 		if s.grid == nil {
-			return query.AggSpec{}, fmt.Errorf("core: heatmap requires a Hilbert approach (no curve value to cell)")
+			return o, fmt.Errorf("core: heatmap requires a Hilbert approach (no curve value to cell)")
 		}
 		order := int(s.grid.Curve().Order())
 		if q.HeatmapBits > order {
-			return query.AggSpec{}, fmt.Errorf("core: heatmap bits %d exceed curve order %d", q.HeatmapBits, order)
+			return o, fmt.Errorf("core: heatmap bits %d exceed curve order %d", q.HeatmapBits, order)
 		}
 		// A b-bit heatmap cell is the top 2b bits of the 2·order-bit
 		// curve value: drop the low 2(order-b).
-		return query.AggSpec{
+		o.Agg = query.AggSpec{
 			Kind:  query.AggCellHist,
 			Field: FieldHilbert,
 			Shift: uint8(2 * (order - q.HeatmapBits)),
-		}, nil
+		}
 	}
+	if n > 1 {
+		return o, fmt.Errorf("core: at most one of count/distinct/heatmap may be set")
+	}
+	return o, nil
 }
 
 // Aggregate executes the query's pushed-down aggregate and reports
 // the same metrics as Query: shards return partial aggregates
 // (a count, a distinct set, a cell histogram) instead of documents,
 // and the router merges them. The merged result is byte-identical to
-// aggregating the shipped documents of the equivalent Query.
+// aggregating the shipped documents of the equivalent Query. It is
+// Query for callers that require an aggregate: a query without one,
+// or with one this store cannot serve, is an error.
 func (s *Store) Aggregate(q STQuery) (*QueryResult, error) {
-	spec, err := s.aggSpec(q)
-	if err != nil {
-		return nil, err
+	if !q.HasAgg() {
+		return nil, fmt.Errorf("core: no aggregate requested")
 	}
-	f, coverStats, coverTime := s.Filter(q)
-	o := q.opts()
-	o.Agg = spec
-	routed := s.cluster.QueryOpts(f, o)
-	out := assembleResult(routed, coverStats, coverTime)
-	s.fillPlanCache(&out.Stats)
-	return out, nil
+	res := s.Query(q)
+	if res.Err != nil {
+		return nil, res.Err
+	}
+	return res, nil
 }
 
 // Filter builds the approach's query filter. For the baselines it is
@@ -286,18 +282,45 @@ func HilbertConstraint(ranges []sfc.Range) query.Filter {
 	return query.NewOr(arms...)
 }
 
-// assembleResult folds a routed result plus the filter-construction
-// observables into the paper's per-query metrics.
-func assembleResult(routed *sharding.RoutedResult, coverStats sfc.RangeStats, coverTime time.Duration) *QueryResult {
+// planned is one query resolved into what the cluster executes, plus
+// the filter-construction observables its result reports.
+type planned struct {
+	f         query.Filter
+	opts      query.Opts
+	cover     sfc.RangeStats
+	coverTime time.Duration
+}
+
+// plan resolves a query's pushed-down options and builds its filter.
+func (s *Store) plan(q STQuery) (planned, error) {
+	o, err := s.opts(q)
+	if err != nil {
+		return planned{}, err
+	}
+	p := planned{opts: o}
+	p.f, p.cover, p.coverTime = s.Filter(q)
+	return p, nil
+}
+
+// run is the read path behind every single-query entry point: execute
+// the planned filter through the cluster and report the result.
+func (s *Store) run(p planned) *QueryResult {
+	return s.result(p, s.cluster.QueryOpts(p.f, p.opts))
+}
+
+// result folds a routed result plus the filter-construction
+// observables into the paper's per-query metrics, stamped with the
+// cluster-wide cumulative plan-cache counters.
+func (s *Store) result(p planned, routed *sharding.RoutedResult) *QueryResult {
 	stats := QueryStats{
 		Nodes:           routed.ShardsTargeted,
 		MaxKeysExamined: routed.MaxKeysExamined,
 		MaxDocsExamined: routed.MaxDocsExamined,
 		NReturned:       routed.TotalReturned,
 		Duration:        routed.Duration,
-		CoverDuration:   coverTime,
-		CoverRanges:     coverStats.Ranges - coverStats.Singles,
-		CoverCells:      coverStats.Singles,
+		CoverDuration:   p.coverTime,
+		CoverRanges:     p.cover.Ranges - p.cover.Singles,
+		CoverCells:      p.cover.Singles,
 		Broadcast:       routed.Broadcast,
 		Hedged:          routed.Hedged,
 		Partial:         routed.Partial,
@@ -314,23 +337,19 @@ func assembleResult(routed *sharding.RoutedResult, coverStats sfc.RangeStats, co
 	for _, st := range routed.PerShard {
 		stats.IndexesUsed = append(stats.IndexesUsed, st.IndexUsed)
 	}
+	stats.PlanCacheHits, stats.PlanCacheMisses = s.cluster.PlanCacheStats()
 	return &QueryResult{Docs: routed.Docs, Agg: routed.Agg, Stats: stats}
 }
 
-// fillPlanCache stamps the cluster-wide cumulative plan-cache
-// counters onto the stats.
-func (s *Store) fillPlanCache(st *QueryStats) {
-	st.PlanCacheHits, st.PlanCacheMisses = s.cluster.PlanCacheStats()
-}
-
-// Query executes the spatio-temporal query and reports the paper's
-// metrics.
+// Query executes the spatio-temporal query — documents, or the
+// pushed-down aggregate when the query requests one — and reports the
+// paper's metrics.
 func (s *Store) Query(q STQuery) *QueryResult {
-	f, coverStats, coverTime := s.Filter(q)
-	routed := s.cluster.QueryOpts(f, q.opts())
-	out := assembleResult(routed, coverStats, coverTime)
-	s.fillPlanCache(&out.Stats)
-	return out
+	p, err := s.plan(q)
+	if err != nil {
+		return &QueryResult{Err: err}
+	}
+	return s.run(p)
 }
 
 // QueryBatch executes independent spatio-temporal queries through the
@@ -339,19 +358,26 @@ func (s *Store) Query(q STQuery) *QueryResult {
 // even when each query touches few shards. Results are in input
 // order, each identical to what Query would have returned.
 func (s *Store) QueryBatch(qs []STQuery) []*QueryResult {
-	fs := make([]query.Filter, len(qs))
-	opts := make([]query.Opts, len(qs))
-	covers := make([]sfc.RangeStats, len(qs))
-	coverTimes := make([]time.Duration, len(qs))
-	for i, q := range qs {
-		fs[i], covers[i], coverTimes[i] = s.Filter(q)
-		opts[i] = q.opts()
-	}
-	routed := s.cluster.QueryBatchOpts(fs, opts)
 	out := make([]*QueryResult, len(qs))
-	for i, r := range routed {
-		out[i] = assembleResult(r, covers[i], coverTimes[i])
-		s.fillPlanCache(&out[i].Stats)
+	var (
+		at    []int // out index of each planned query
+		plans []planned
+		fs    []query.Filter
+		opts  []query.Opts
+	)
+	for i, q := range qs {
+		p, err := s.plan(q)
+		if err != nil {
+			out[i] = &QueryResult{Err: err}
+			continue
+		}
+		at = append(at, i)
+		plans = append(plans, p)
+		fs = append(fs, p.f)
+		opts = append(opts, p.opts)
+	}
+	for k, routed := range s.cluster.QueryBatchOpts(fs, opts) {
+		out[at[k]] = s.result(plans[k], routed)
 	}
 	return out
 }
@@ -407,7 +433,7 @@ func (s *Store) PolygonFilter(q STPolygonQuery) (query.Filter, sfc.RangeStats, t
 // QueryPolygon executes the polygon query and reports the same
 // metrics as Query.
 func (s *Store) QueryPolygon(q STPolygonQuery) *QueryResult {
-	f, coverStats, coverTime := s.PolygonFilter(q)
-	routed := s.cluster.Query(f)
-	return assembleResult(routed, coverStats, coverTime)
+	var p planned
+	p.f, p.cover, p.coverTime = s.PolygonFilter(q)
+	return s.run(p)
 }

@@ -2,6 +2,9 @@ package netconn
 
 import (
 	"bytes"
+	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -43,7 +46,7 @@ func assertSameAgg(t *testing.T, label string, want, got *query.AggResult) {
 // TestAggregateDifferentialOverTCP proves the pushed-down aggregate
 // path produces byte-identical merged results whether per-shard
 // executions run in process or travel the wire to real shard
-// daemons as single OpAggregate frames.
+// daemons inside the one read op.
 func TestAggregateDifferentialOverTCP(t *testing.T) {
 	router := openStore(t, core.Hil, 4, 3000)
 	backend := openStore(t, core.Hil, 4, 3000)
@@ -127,5 +130,205 @@ func TestAggregateThroughRouterDaemon(t *testing.T) {
 	// The connection must stay usable after the error frame.
 	if _, err := bcl.Query(core.STQuery{Rect: testRect, From: testStart, To: testStart.Add(time.Hour), Count: true}); err != nil {
 		t.Fatalf("count after failed heatmap: %v", err)
+	}
+}
+
+// frameTap is a TCP relay that parses the wire frames it forwards and
+// counts them by direction and op.
+type frameTap struct {
+	ln net.Listener
+	wg sync.WaitGroup
+
+	mu       sync.Mutex
+	requests map[byte]int
+	replies  map[byte]int
+}
+
+func newFrameTap(t *testing.T, target string) *frameTap {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := &frameTap{ln: ln, requests: map[byte]int{}, replies: map[byte]int{}}
+	relay := func(dst, src net.Conn, count map[byte]int) {
+		defer tap.wg.Done()
+		defer dst.Close()
+		for {
+			op, body, err := wire.ReadFrame(src)
+			if err != nil {
+				return
+			}
+			tap.mu.Lock()
+			count[op]++
+			tap.mu.Unlock()
+			if wire.WriteFrame(dst, op, body) != nil {
+				return
+			}
+		}
+	}
+	tap.wg.Add(1)
+	go func() {
+		defer tap.wg.Done()
+		for {
+			client, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			server, err := net.Dial("tcp", target)
+			if err != nil {
+				client.Close()
+				continue
+			}
+			tap.wg.Add(2)
+			go relay(server, client, tap.requests)
+			go relay(client, server, tap.replies)
+		}
+	}()
+	return tap
+}
+
+// snapshot returns the per-op request and reply frame counts so far.
+func (tap *frameTap) snapshot() (requests, replies map[byte]int) {
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	requests, replies = map[byte]int{}, map[byte]int{}
+	for op, n := range tap.requests {
+		requests[op] = n
+	}
+	for op, n := range tap.replies {
+		replies[op] = n
+	}
+	return requests, replies
+}
+
+// TestAggregateIsOneFrameEachWay: over TCP an aggregate costs exactly
+// one request frame and one reply frame per targeted shard — no
+// getMore, no cursor — even at a batch size of one document, while the
+// document query over the same window needs the getMore stream.
+func TestAggregateIsOneFrameEachWay(t *testing.T) {
+	router := openStore(t, core.Hil, 4, 3000)
+	backend := openStore(t, core.Hil, 4, 3000)
+	srv, err := NewShardServer(backend.Cluster(), nil, ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := newFrameTap(t, addr)
+	// Closing the server ends the relayed streams; then the tap drains.
+	t.Cleanup(tap.wg.Wait)
+	t.Cleanup(func() { tap.ln.Close() })
+	t.Cleanup(srv.Close)
+	rc := connectRemote(t, router, []string{tap.ln.Addr().String()}, Options{BatchSize: 1})
+	router.Cluster().SetConn(rc)
+	defer router.Cluster().SetConn(nil)
+
+	week := testStart.Add(7 * 24 * time.Hour)
+	for _, q := range []core.STQuery{
+		{Rect: testRect, From: testStart, To: week, Count: true},
+		{Rect: testRect, From: testStart, To: week, Distinct: "vehicleId"},
+		{Rect: testRect, From: testStart, To: week, HeatmapBits: 6},
+	} {
+		reqBefore, repBefore := tap.snapshot()
+		res, err := router.Aggregate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Agg == nil || res.Agg.Count == 0 || res.Stats.Nodes < 2 {
+			t.Fatalf("vacuous aggregate: %+v over %d nodes", res.Agg, res.Stats.Nodes)
+		}
+		req, rep := tap.snapshot()
+		for op := range req {
+			req[op] -= reqBefore[op]
+		}
+		for op := range rep {
+			rep[op] -= repBefore[op]
+		}
+		if req[wire.OpQuery] != res.Stats.Nodes || rep[wire.OpQueryReply] != res.Stats.Nodes {
+			t.Fatalf("%d nodes: %d query frames, %d reply frames", res.Stats.Nodes, req[wire.OpQuery], rep[wire.OpQueryReply])
+		}
+		if n := req[wire.OpGetMore] + req[wire.OpKillCursor] + rep[wire.OpError]; n != 0 {
+			t.Fatalf("aggregate cost %d extra frames (requests %v, replies %v)", n, req, rep)
+		}
+		if n := srv.OpenCursors(); n != 0 {
+			t.Fatalf("aggregate left %d cursors open", n)
+		}
+	}
+	// The tap is not vacuous: shipping the documents streams getMores.
+	before, _ := tap.snapshot()
+	if docs := router.Query(core.STQuery{Rect: testRect, From: testStart, To: week}); len(docs.Docs) < 2 {
+		t.Fatalf("document query returned %d docs", len(docs.Docs))
+	}
+	if after, _ := tap.snapshot(); after[wire.OpGetMore] == before[wire.OpGetMore] {
+		t.Fatal("document query at batch size 1 sent no getMore frames")
+	}
+	if n := srv.OpenCursors(); n != 0 {
+		t.Fatalf("drained document query left %d cursors open", n)
+	}
+}
+
+// TestVersion4PeerRefused: the handshake refuses a peer speaking the
+// previous protocol version in both directions, with an error that
+// names both versions.
+func TestVersion4PeerRefused(t *testing.T) {
+	const old = wire.ProtocolVersion - 1
+	store := openStore(t, core.Hil, 2, 100)
+	addrs := startServers(t, store, 1, ServerOptions{})
+
+	// An old client against this server: a structured error frame.
+	nc, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	_ = nc.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := wire.WriteFrame(nc, wire.OpHello, wire.Hello{Version: old, Nonce: wire.NewAuthNonce()}.Encode(nil)); err != nil {
+		t.Fatal(err)
+	}
+	op, body, err := wire.ReadFrame(nc)
+	if err != nil || op != wire.OpError {
+		t.Fatalf("old client got op %d err %v, want an error frame", op, err)
+	}
+	er, err := wire.DecodeErrorReply(body)
+	if err != nil || er.Transient || !strings.Contains(er.Message, "protocol version 4 not supported (want 5)") {
+		t.Fatalf("old client refusal = %+v (%v)", er, err)
+	}
+
+	// This client against an old server, which either answers the
+	// handshake with its own version or refuses ours the same way.
+	for want, answer := range map[string]func(net.Conn){
+		"speaks protocol 4, want 5": func(c net.Conn) {
+			_ = wire.WriteFrame(c, wire.OpHelloReply, wire.HelloReply{Version: old}.Encode(nil))
+		},
+		"refused connection: protocol version 5 not supported (want 4)": func(c net.Conn) {
+			_ = wire.WriteFrame(c, wire.OpError, wire.ErrorReply{Shard: -1,
+				Message: "protocol version 5 not supported (want 4)"}.Encode(nil))
+		},
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close()
+			if _, _, err := wire.ReadFrame(c); err == nil {
+				answer(c)
+			}
+		}()
+		_, err = Connect([]string{ln.Addr().String()}, Options{})
+		ln.Close()
+		<-done
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("connecting to an old server: %v, want %q", err, want)
+		}
 	}
 }

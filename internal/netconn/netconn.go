@@ -222,6 +222,29 @@ func (c *conn) roundTrip(ctx context.Context, op byte, body []byte) (byte, []byt
 	return rop, rbody, nil
 }
 
+// decodeReply interprets the reply frame a roundTrip returned: a `want`
+// frame through decode, a structured error frame as the returned
+// *wire.ErrorReply (the connection stays in sync). Anything else —
+// another op, a body that does not parse — means the stream cannot be
+// trusted: the conn is marked broken and the error returned.
+func decodeReply[T any](c *conn, rop byte, rbody []byte, want byte, decode func([]byte) (T, error)) (reply T, er *wire.ErrorReply, err error) {
+	switch rop {
+	case want:
+		reply, err = decode(rbody)
+	case wire.OpError:
+		var e wire.ErrorReply
+		if e, err = wire.DecodeErrorReply(rbody); err == nil {
+			return reply, &e, nil
+		}
+	default:
+		err = fmt.Errorf("netconn: unexpected op %d", rop)
+	}
+	if err != nil {
+		c.broken = true
+	}
+	return reply, nil, err
+}
+
 func (c *conn) close() { _ = c.nc.Close() }
 
 // ErrFingerprintChanged marks a re-dial that reached a server whose

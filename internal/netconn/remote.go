@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -118,30 +117,8 @@ func hardErr(shard int, err error) error {
 	return &sharding.ShardError{Shard: shard, Transient: false, Err: err}
 }
 
-// Query implements sharding.ShardConn. The filter and the pushed-down
-// options are serialized to the shard's server; result batches stream
-// back through a server-side cursor until drained. cfg is not sent:
-// planning configuration is owned by the server's own cluster (the
-// processes are constructed identically, so the configs agree).
-func (rc *RemoteConn) Query(ctx context.Context, shard *sharding.Shard, f query.Filter, cfg *query.Config, opts query.Opts) (*query.Result, error) {
-	p := rc.pools[shard.ID]
-	if p == nil {
-		return nil, hardErr(shard.ID, fmt.Errorf("netconn: no server for shard %d", shard.ID))
-	}
-	if opts.Agg.Active() {
-		return rc.aggregate(ctx, p, shard.ID, f, opts)
-	}
-	body, err := wire.Query{
-		Shard:     int32(shard.ID),
-		BatchSize: uint32(rc.opts.BatchSize),
-		Limit:     int64(opts.Limit),
-		OrderBy:   opts.OrderBy,
-		Desc:      opts.Desc,
-		Filter:    f,
-	}.Encode(nil)
-	if err != nil {
-		return nil, hardErr(shard.ID, err)
-	}
+// checkout takes a connection to p for a shard-side request.
+func checkout(ctx context.Context, p *pool, shard int) (*conn, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -150,89 +127,94 @@ func (rc *RemoteConn) Query(ctx context.Context, shard *sharding.Shard, f query.
 		// A re-dial that reaches a server with different content is a
 		// misassembled cluster, not a blip: retrying cannot fix it.
 		if errors.Is(err, ErrFingerprintChanged) {
-			return nil, hardErr(shard.ID, err)
+			return nil, hardErr(shard, err)
 		}
-		return nil, transientErr(shard.ID, err)
+		return nil, transientErr(shard, err)
+	}
+	return c, nil
+}
+
+// shardCall runs one request/reply exchange with a shard server. It is
+// the one place a failed exchange becomes a sharding.ShardError, the
+// vocabulary the router's retry machinery reads.
+func shardCall[T any](ctx context.Context, c *conn, shard int, op byte, body []byte, want byte, decode func([]byte) (T, error)) (T, error) {
+	var zero T
+	rop, rbody, err := c.roundTrip(ctx, op, body)
+	if err != nil {
+		// A cancellation-poisoned socket reports the ctx error, not
+		// the IO timeout it was induced through.
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return zero, ctxErr
+		}
+		// A frame torn by a connection loss is transient (a retry
+		// dials fresh); any other framing violation — bad length,
+		// checksum mismatch — means the peer is not speaking the
+		// protocol and is not worth retrying.
+		if isProtocolViolation(err) {
+			return zero, hardErr(shard, err)
+		}
+		return zero, transientErr(shard, err)
+	}
+	reply, er, err := decodeReply(c, rop, rbody, want, decode)
+	if err != nil {
+		return zero, hardErr(shard, err)
+	}
+	if er != nil {
+		// The server's transient/hard verdict survives the wire, and an
+		// overload/draining shed carries its retry-after hint; the
+		// router's retry schedule honours it as a floor.
+		return zero, &sharding.ShardError{
+			Shard:      int(er.Shard),
+			Transient:  er.Transient,
+			RetryAfter: time.Duration(er.RetryAfterNS),
+			Err:        fmt.Errorf("remote: %s", er.Message),
+		}
+	}
+	return reply, nil
+}
+
+// Query implements sharding.ShardConn. The filter and the pushed-down
+// options — limit, ordering, aggregate — are serialized to the shard's
+// server; result batches stream back through a server-side cursor
+// until drained (an aggregate's single frame has no documents and no
+// cursor, so its drain is one round trip). cfg is not sent: planning
+// configuration is owned by the server's own cluster (the processes
+// are constructed identically, so the configs agree).
+func (rc *RemoteConn) Query(ctx context.Context, shard *sharding.Shard, f query.Filter, cfg *query.Config, opts query.Opts) (*query.Result, error) {
+	p := rc.pools[shard.ID]
+	if p == nil {
+		return nil, hardErr(shard.ID, fmt.Errorf("netconn: no server for shard %d", shard.ID))
+	}
+	body, err := wire.Query{
+		Shard:     int32(shard.ID),
+		BatchSize: uint32(rc.opts.BatchSize),
+		Limit:     int64(opts.Limit),
+		OrderBy:   opts.OrderBy,
+		Desc:      opts.Desc,
+		Agg:       opts.Agg,
+		Filter:    f,
+	}.Encode(nil)
+	if err != nil {
+		return nil, hardErr(shard.ID, err)
+	}
+	c, err := checkout(ctx, p, shard.ID)
+	if err != nil {
+		return nil, err
 	}
 	res, err := rc.drain(ctx, c, shard.ID, body)
 	p.put(c)
 	return res, err
 }
 
-// aggregate runs the pushed-down aggregate as a single request/reply
-// round trip: no cursor, no getMore loop — the partial aggregate for
-// the whole shard comes back in one frame, which is exactly the
-// bytes-on-wire win the pushdown exists for. Error mapping mirrors
-// exchange: torn streams are transient, protocol violations and
-// server-reported hard errors are not.
-func (rc *RemoteConn) aggregate(ctx context.Context, p *pool, shard int, f query.Filter, opts query.Opts) (*query.Result, error) {
-	body, err := wire.Aggregate{
-		Shard:    int32(shard),
-		AggKind:  uint8(opts.Agg.Kind),
-		AggField: opts.Agg.Field,
-		AggShift: opts.Agg.Shift,
-		Filter:   f,
-	}.Encode(nil)
-	if err != nil {
-		return nil, hardErr(shard, err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	c, err := p.get()
-	if err != nil {
-		if errors.Is(err, ErrFingerprintChanged) {
-			return nil, hardErr(shard, err)
-		}
-		return nil, transientErr(shard, err)
-	}
-	defer p.put(c)
-	rop, rbody, err := c.roundTrip(ctx, wire.OpAggregate, body)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
-		if errors.Is(err, wire.ErrBadFrame) &&
-			!errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, hardErr(shard, err)
-		}
-		return nil, transientErr(shard, err)
-	}
-	switch rop {
-	case wire.OpAggregateReply:
-		reply, err := wire.DecodeAggregateReply(rbody)
-		if err != nil {
-			c.broken = true
-			return nil, hardErr(shard, err)
-		}
-		return &query.Result{Stats: reply.Stats(), Agg: reply.Agg}, nil
-	case wire.OpError:
-		er, err := wire.DecodeErrorReply(rbody)
-		if err != nil {
-			c.broken = true
-			return nil, hardErr(shard, err)
-		}
-		return nil, &sharding.ShardError{
-			Shard:      int(er.Shard),
-			Transient:  er.Transient,
-			RetryAfter: time.Duration(er.RetryAfterNS),
-			Err:        fmt.Errorf("remote: %s", er.Message),
-		}
-	default:
-		c.broken = true
-		return nil, hardErr(shard, fmt.Errorf("netconn: unexpected op %d", rop))
-	}
-}
-
 // drain runs the query round trip and getMore loop on one checked-out
 // connection, assembling the streamed batches into the executor-shaped
 // Result the router expects.
 func (rc *RemoteConn) drain(ctx context.Context, c *conn, shard int, queryBody []byte) (*query.Result, error) {
-	reply, err := rc.exchange(ctx, c, shard, wire.OpQuery, queryBody)
+	reply, err := shardCall(ctx, c, shard, wire.OpQuery, queryBody, wire.OpQueryReply, wire.DecodeQueryReply)
 	if err != nil {
 		return nil, err
 	}
-	res := &query.Result{Stats: reply.Stats()}
+	res := &query.Result{Stats: reply.Stats(), Agg: reply.Agg}
 	for {
 		for _, doc := range reply.Docs {
 			res.Docs = append(res.Docs, bson.Raw(doc))
@@ -250,59 +232,9 @@ func (rc *RemoteConn) drain(ctx context.Context, c *conn, shard int, queryBody [
 			return nil, err
 		}
 		body := wire.GetMore{Cursor: reply.Cursor, BatchSize: uint32(rc.opts.BatchSize)}.Encode(nil)
-		if reply, err = rc.exchange(ctx, c, shard, wire.OpGetMore, body); err != nil {
+		if reply, err = shardCall(ctx, c, shard, wire.OpGetMore, body, wire.OpQueryReply, wire.DecodeQueryReply); err != nil {
 			return nil, err
 		}
-	}
-}
-
-// exchange runs one request frame and decodes the QueryReply (or
-// server error) it answers with.
-func (rc *RemoteConn) exchange(ctx context.Context, c *conn, shard int, op byte, body []byte) (wire.QueryReply, error) {
-	rop, rbody, err := c.roundTrip(ctx, op, body)
-	if err != nil {
-		// A cancellation-poisoned socket reports the ctx error, not
-		// the IO timeout it was induced through.
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return wire.QueryReply{}, ctxErr
-		}
-		// A frame torn by a connection loss is transient (a retry
-		// dials fresh); any other framing violation — bad length,
-		// checksum mismatch — means the peer is not speaking the
-		// protocol and is not worth retrying.
-		if errors.Is(err, wire.ErrBadFrame) &&
-			!errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-			return wire.QueryReply{}, hardErr(shard, err)
-		}
-		return wire.QueryReply{}, transientErr(shard, err)
-	}
-	switch rop {
-	case wire.OpQueryReply:
-		reply, err := wire.DecodeQueryReply(rbody)
-		if err != nil {
-			c.broken = true
-			return wire.QueryReply{}, hardErr(shard, err)
-		}
-		return reply, nil
-	case wire.OpError:
-		// The structured error frame: the connection stays in sync,
-		// and the server's transient/hard verdict survives the wire.
-		er, err := wire.DecodeErrorReply(rbody)
-		if err != nil {
-			c.broken = true
-			return wire.QueryReply{}, hardErr(shard, err)
-		}
-		// An overload/draining shed carries the server's retry-after
-		// hint; the router's retry schedule honours it as a floor.
-		return wire.QueryReply{}, &sharding.ShardError{
-			Shard:      int(er.Shard),
-			Transient:  er.Transient,
-			RetryAfter: time.Duration(er.RetryAfterNS),
-			Err:        fmt.Errorf("remote: %s", er.Message),
-		}
-	default:
-		c.broken = true
-		return wire.QueryReply{}, hardErr(shard, fmt.Errorf("netconn: unexpected op %d", rop))
 	}
 }
 
@@ -360,52 +292,12 @@ func (rc *RemoteConn) InsertBatch(ctx context.Context, batchID string, docs []*b
 
 // insertOne runs the insert round trip against one daemon.
 func (rc *RemoteConn) insertOne(ctx context.Context, p *pool, body []byte) (wire.InsertReply, error) {
-	if err := ctx.Err(); err != nil {
+	c, err := checkout(ctx, p, -1)
+	if err != nil {
 		return wire.InsertReply{}, err
 	}
-	c, err := p.get()
-	if err != nil {
-		if errors.Is(err, ErrFingerprintChanged) {
-			return wire.InsertReply{}, hardErr(-1, err)
-		}
-		return wire.InsertReply{}, transientErr(-1, err)
-	}
 	defer p.put(c)
-	rop, rbody, err := c.roundTrip(ctx, wire.OpInsert, body)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return wire.InsertReply{}, ctxErr
-		}
-		if errors.Is(err, wire.ErrBadFrame) &&
-			!errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-			return wire.InsertReply{}, hardErr(-1, err)
-		}
-		return wire.InsertReply{}, transientErr(-1, err)
-	}
-	switch rop {
-	case wire.OpInsertReply:
-		reply, err := wire.DecodeInsertReply(rbody)
-		if err != nil {
-			c.broken = true
-			return wire.InsertReply{}, hardErr(-1, err)
-		}
-		return reply, nil
-	case wire.OpError:
-		er, err := wire.DecodeErrorReply(rbody)
-		if err != nil {
-			c.broken = true
-			return wire.InsertReply{}, hardErr(-1, err)
-		}
-		return wire.InsertReply{}, &sharding.ShardError{
-			Shard:      int(er.Shard),
-			Transient:  er.Transient,
-			RetryAfter: time.Duration(er.RetryAfterNS),
-			Err:        fmt.Errorf("remote: %s", er.Message),
-		}
-	default:
-		c.broken = true
-		return wire.InsertReply{}, hardErr(-1, fmt.Errorf("netconn: unexpected op %d", rop))
-	}
+	return shardCall(ctx, c, -1, wire.OpInsert, body, wire.OpInsertReply, wire.DecodeInsertReply)
 }
 
 // killCursor best-effort closes a server-side cursor after the caller

@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/query"
-	"repro/internal/sharding"
 	"repro/internal/wire"
 )
 
@@ -87,18 +86,7 @@ func (s *RouterServer) handleConn(nc net.Conn) {
 	}, s.AuthSecret) {
 		return
 	}
-	for {
-		op, body, err := wire.ReadFrame(h.br)
-		if err != nil {
-			if isProtocolViolation(err) {
-				h.replyErrCode(-1, false, wire.ErrCodeBadFrame, 0, err)
-			}
-			return
-		}
-		if !s.handleOp(h, op, body) {
-			return
-		}
-	}
+	h.serve(func(op byte, body []byte) bool { return s.handleOp(h, op, body) })
 }
 
 func (s *RouterServer) handleOp(h *connHandler, op byte, body []byte) bool {
@@ -106,35 +94,21 @@ func (s *RouterServer) handleOp(h *connHandler, op byte, body []byte) bool {
 	case wire.OpPing:
 		return h.reply(wire.OpPong, nil)
 	case wire.OpSTQuery:
-		msg, err := wire.DecodeSTQuery(body)
-		if err != nil {
-			return h.replyErr(-1, false, err)
-		}
-		if shed := s.gate.admit(); shed != nil {
-			return h.reply(wire.OpError, shed.Encode(nil))
-		}
-		defer s.gate.release()
-		q := stQueryFromWire(msg)
-		var res *core.QueryResult
-		if q.HasAgg() {
-			res, err = s.store.Aggregate(q)
-			if err != nil {
-				return h.replyErr(-1, false, err)
+		return gated(s.gate, h, body, wire.DecodeSTQuery, func(msg wire.STQuery) bool {
+			res := s.store.Query(stQueryFromWire(msg))
+			if res.Err != nil {
+				return h.replyErr(-1, false, res.Err)
 			}
-		} else {
-			res = s.store.Query(q)
-		}
-		return h.reply(wire.OpSTQueryReply, stReplyToWire(res).Encode(nil))
+			return h.reply(wire.OpSTQueryReply, stReplyToWire(res).Encode(nil))
+		})
 	case wire.OpInsert:
-		ins, err := wire.DecodeInsert(body)
-		if err != nil {
-			return h.replyErr(-1, false, err)
-		}
-		if shed := s.gate.admit(); shed != nil {
-			return h.reply(wire.OpError, shed.Encode(nil))
-		}
-		defer s.gate.release()
-		return s.runInsert(h, ins)
+		// The store's write path: the local group-commit batcher first,
+		// then the broadcast to every shard daemon when the store's conn
+		// is a RemoteConn. The client's batch ID makes the whole pipeline
+		// retry-safe end to end.
+		return gated(s.gate, h, body, wire.DecodeInsert, func(ins wire.Insert) bool {
+			return h.runInsert(context.Background(), s.gate, s.store, s.store.Cluster(), ins)
+		})
 	case wire.OpStats:
 		reply := wire.StatsReply{
 			State:     s.State(),
@@ -146,36 +120,6 @@ func (s *RouterServer) handleOp(h *connHandler, op byte, body []byte) bool {
 	default:
 		return h.replyErr(-1, false, fmt.Errorf("unsupported op %d on router", op))
 	}
-}
-
-// runInsert applies one idempotent client batch through the store's
-// write path: the local group-commit batcher first, then the broadcast
-// to every shard daemon when the store's conn is a RemoteConn. The
-// client's batch ID makes the whole pipeline retry-safe end to end.
-func (s *RouterServer) runInsert(h *connHandler, ins wire.Insert) bool {
-	docs := make([]*bson.Document, 0, len(ins.Docs))
-	for i, raw := range ins.Docs {
-		doc, err := bson.Unmarshal(raw)
-		if err != nil {
-			return h.replyErr(-1, false, fmt.Errorf("batch %q doc %d: %w", ins.BatchID, i, err))
-		}
-		docs = append(docs, doc)
-	}
-	applied, dup, err := s.store.InsertBatch(context.Background(), ins.BatchID, docs)
-	if err != nil {
-		var se *sharding.ShardError
-		if errors.As(err, &se) {
-			code := wire.ErrCodeGeneric
-			if errors.Is(err, sharding.ErrIngestOverload) {
-				code = wire.ErrCodeOverload
-				s.gate.shed.Add(1)
-			}
-			return h.replyErrCode(int32(se.Shard), se.Transient, code, se.RetryAfter, se.Err)
-		}
-		return h.replyErr(-1, false, err)
-	}
-	reply := wire.InsertReply{Applied: uint32(applied), Dup: dup, LastLSN: s.store.Cluster().LastLSN()}
-	return h.reply(wire.OpInsertReply, reply.Encode(nil))
 }
 
 func stQueryFromWire(m wire.STQuery) core.STQuery {
@@ -247,6 +191,33 @@ func (cl *Client) Fingerprint() (docs int, checksum uint64) {
 // Close closes the pooled connections.
 func (cl *Client) Close() { cl.pool.close() }
 
+// call runs one request/reply exchange with the router. It is the one
+// place a failed exchange enters the thin client's error vocabulary:
+// transport and protocol failures come back as plain errors, a
+// structured error frame as *ServerError with its code and retry hint.
+func call[T any](cl *Client, op byte, body []byte, want byte, decode func([]byte) (T, error)) (T, error) {
+	var zero T
+	c, err := cl.pool.get()
+	if err != nil {
+		return zero, err
+	}
+	defer cl.pool.put(c)
+	rop, rbody, err := c.roundTrip(nil, op, body)
+	if err != nil {
+		return zero, err
+	}
+	reply, er, err := decodeReply(c, rop, rbody, want, decode)
+	if er != nil {
+		return zero, &ServerError{
+			Code:       er.Code,
+			Transient:  er.Transient,
+			RetryAfter: time.Duration(er.RetryAfterNS),
+			Message:    er.Message,
+		}
+	}
+	return reply, err
+}
+
 // Query executes one spatio-temporal query on the router and returns
 // the routed result. Stats fields that only exist router-side (cover
 // timings, plan-cache counters) are zero.
@@ -255,8 +226,8 @@ func (cl *Client) Query(q core.STQuery) (*core.QueryResult, error) {
 		MinLon: q.Rect.Min.Lon, MinLat: q.Rect.Min.Lat,
 		MaxLon: q.Rect.Max.Lon, MaxLat: q.Rect.Max.Lat,
 		FromNS: q.From.UTC().UnixNano(), ToNS: q.To.UTC().UnixNano(),
-		Limit:  int64(q.Limit),
-		Sort:   uint8(q.Sort),
+		Limit: int64(q.Limit),
+		Sort:  uint8(q.Sort),
 	}
 	switch {
 	case q.Count:
@@ -268,58 +239,28 @@ func (cl *Client) Query(q core.STQuery) (*core.QueryResult, error) {
 		msg.AggKind = uint8(query.AggCellHist)
 		msg.AggBits = uint8(q.HeatmapBits)
 	}
-	c, err := cl.pool.get()
+	reply, err := call(cl, wire.OpSTQuery, msg.Encode(nil), wire.OpSTQueryReply, wire.DecodeSTQueryReply)
 	if err != nil {
 		return nil, err
 	}
-	defer cl.pool.put(c)
-	op, body, err := c.roundTrip(nil, wire.OpSTQuery, msg.Encode(nil))
-	if err != nil {
-		return nil, err
+	res := &core.QueryResult{}
+	res.Stats.Nodes = int(reply.Nodes)
+	res.Stats.MaxKeysExamined = int(reply.MaxKeysExamined)
+	res.Stats.MaxDocsExamined = int(reply.MaxDocsExamined)
+	res.Stats.NReturned = len(reply.Docs)
+	res.Stats.Duration = time.Duration(reply.DurationNS)
+	res.Stats.Broadcast = reply.Broadcast
+	res.Stats.Partial = reply.Partial
+	res.Stats.ShardsPruned = int(reply.ShardsPruned)
+	res.Stats.CacheHit = reply.CacheHit
+	res.Agg = reply.Agg
+	for _, id := range reply.FailedShards {
+		res.Stats.FailedShards = append(res.Stats.FailedShards, int(id))
 	}
-	switch op {
-	case wire.OpSTQueryReply:
-		reply, err := wire.DecodeSTQueryReply(body)
-		if err != nil {
-			c.broken = true
-			return nil, err
-		}
-		res := &core.QueryResult{}
-		res.Stats.Nodes = int(reply.Nodes)
-		res.Stats.MaxKeysExamined = int(reply.MaxKeysExamined)
-		res.Stats.MaxDocsExamined = int(reply.MaxDocsExamined)
-		res.Stats.NReturned = len(reply.Docs)
-		res.Stats.Duration = time.Duration(reply.DurationNS)
-		res.Stats.Broadcast = reply.Broadcast
-		res.Stats.Partial = reply.Partial
-		res.Stats.ShardsPruned = int(reply.ShardsPruned)
-		res.Stats.CacheHit = reply.CacheHit
-		if reply.HasAgg {
-			res.Agg = reply.Agg
-		}
-		for _, id := range reply.FailedShards {
-			res.Stats.FailedShards = append(res.Stats.FailedShards, int(id))
-		}
-		for _, doc := range reply.Docs {
-			res.Docs = append(res.Docs, bson.Raw(doc))
-		}
-		return res, nil
-	case wire.OpError:
-		er, err := wire.DecodeErrorReply(body)
-		if err != nil {
-			c.broken = true
-			return nil, err
-		}
-		return nil, &ServerError{
-			Code:       er.Code,
-			Transient:  er.Transient,
-			RetryAfter: time.Duration(er.RetryAfterNS),
-			Message:    er.Message,
-		}
-	default:
-		c.broken = true
-		return nil, fmt.Errorf("netconn: unexpected op %d", op)
+	for _, doc := range reply.Docs {
+		res.Docs = append(res.Docs, bson.Raw(doc))
 	}
+	return res, nil
 }
 
 // Insert sends one idempotent batch of raw BSON documents to the
@@ -329,38 +270,8 @@ func (cl *Client) Query(q core.STQuery) (*core.QueryResult, error) {
 // Clients that ingest should dial with Options.Mutable (the router's
 // fingerprint changes with every acked batch).
 func (cl *Client) Insert(batchID string, docs [][]byte) (wire.InsertReply, error) {
-	c, err := cl.pool.get()
-	if err != nil {
-		return wire.InsertReply{}, err
-	}
-	defer cl.pool.put(c)
-	op, body, err := c.roundTrip(nil, wire.OpInsert, wire.Insert{BatchID: batchID, Docs: docs}.Encode(nil))
-	if err != nil {
-		return wire.InsertReply{}, err
-	}
-	switch op {
-	case wire.OpInsertReply:
-		reply, err := wire.DecodeInsertReply(body)
-		if err != nil {
-			c.broken = true
-		}
-		return reply, err
-	case wire.OpError:
-		er, err := wire.DecodeErrorReply(body)
-		if err != nil {
-			c.broken = true
-			return wire.InsertReply{}, err
-		}
-		return wire.InsertReply{}, &ServerError{
-			Code:       er.Code,
-			Transient:  er.Transient,
-			RetryAfter: time.Duration(er.RetryAfterNS),
-			Message:    er.Message,
-		}
-	default:
-		c.broken = true
-		return wire.InsertReply{}, fmt.Errorf("netconn: unexpected op %d", op)
-	}
+	body := wire.Insert{BatchID: batchID, Docs: docs}.Encode(nil)
+	return call(cl, wire.OpInsert, body, wire.OpInsertReply, wire.DecodeInsertReply)
 }
 
 // ServerError is a structured error frame surfaced to a router

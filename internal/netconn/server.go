@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/bson"
-	"repro/internal/query"
 	"repro/internal/sharding"
 	"repro/internal/wire"
 )
@@ -208,6 +207,13 @@ func (s *ShardServer) handleConn(nc net.Conn) {
 	}, s.opts.AuthSecret) {
 		return
 	}
+	h.serve(func(op byte, body []byte) bool { return s.handleOp(h, op, body) })
+}
+
+// serve reads request frames and dispatches them until the peer goes
+// away or handle reports the conn poisoned; returning drops the conn
+// and its cursors.
+func (h *connHandler) serve(handle func(op byte, body []byte) bool) {
 	for {
 		op, body, err := wire.ReadFrame(h.br)
 		if err != nil {
@@ -218,9 +224,9 @@ func (s *ShardServer) handleConn(nc net.Conn) {
 			if isProtocolViolation(err) {
 				h.replyErrCode(-1, false, wire.ErrCodeBadFrame, 0, err)
 			}
-			return // drop conn and its cursors
+			return
 		}
-		if !s.handleOp(h, op, body) {
+		if !handle(op, body) {
 			return
 		}
 	}
@@ -234,58 +240,46 @@ func isProtocolViolation(err error) bool {
 		!errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF)
 }
 
+// gated decodes one request body and runs it under the admission gate:
+// a body that does not parse is answered with a structured error, a
+// request the gate sheds with the gate's overload/draining verdict.
+func gated[T any](g *gate, h *connHandler, body []byte, decode func([]byte) (T, error), run func(T) bool) bool {
+	msg, err := decode(body)
+	if err != nil {
+		return h.replyErr(-1, false, err)
+	}
+	if shed := g.admit(); shed != nil {
+		return h.reply(wire.OpError, shed.Encode(nil))
+	}
+	defer g.release()
+	return run(msg)
+}
+
 // handleOp dispatches one request frame; false poisons the conn.
-// Query and getMore pass through the admission gate; ping, stats and
-// killCursor are exempt so health checks and cursor cleanup keep
-// working on a saturated or draining server.
+// Query, getMore and insert pass through the admission gate; ping,
+// stats and killCursor are exempt so health checks and cursor cleanup
+// keep working on a saturated or draining server.
 func (s *ShardServer) handleOp(h *connHandler, op byte, body []byte) bool {
 	switch op {
 	case wire.OpPing:
 		return h.reply(wire.OpPong, nil)
 	case wire.OpQuery:
-		q, err := wire.DecodeQuery(body)
-		if err != nil {
-			return h.replyErr(-1, false, err)
-		}
-		if shed := s.gate.admit(); shed != nil {
-			return h.reply(wire.OpError, shed.Encode(nil))
-		}
-		defer s.gate.release()
-		return s.runQuery(h, q)
+		return gated(s.gate, h, body, wire.DecodeQuery, func(q wire.Query) bool { return s.runQuery(h, q) })
 	case wire.OpGetMore:
-		gm, err := wire.DecodeGetMore(body)
-		if err != nil {
-			return h.replyErr(-1, false, err)
-		}
-		if shed := s.gate.admit(); shed != nil {
-			return h.reply(wire.OpError, shed.Encode(nil))
-		}
-		defer s.gate.release()
-		cur := h.lookup(gm.Cursor)
-		if cur == nil {
-			return h.replyErr(-1, false, fmt.Errorf("cursor %d not found (expired or killed)", gm.Cursor))
-		}
-		return h.reply(wire.OpQueryReply, cur.batch(gm.Cursor, s.clampBatch(int(gm.BatchSize)), h).Encode(nil))
+		return gated(s.gate, h, body, wire.DecodeGetMore, func(gm wire.GetMore) bool {
+			cur := h.lookup(gm.Cursor)
+			if cur == nil {
+				return h.replyErr(-1, false, fmt.Errorf("cursor %d not found (expired or killed)", gm.Cursor))
+			}
+			return h.reply(wire.OpQueryReply, cur.batch(gm.Cursor, s.clampBatch(int(gm.BatchSize)), h).Encode(nil))
+		})
 	case wire.OpInsert:
-		ins, err := wire.DecodeInsert(body)
-		if err != nil {
-			return h.replyErr(-1, false, err)
-		}
-		if shed := s.gate.admit(); shed != nil {
-			return h.reply(wire.OpError, shed.Encode(nil))
-		}
-		defer s.gate.release()
-		return s.runInsert(h, ins)
-	case wire.OpAggregate:
-		ag, err := wire.DecodeAggregate(body)
-		if err != nil {
-			return h.replyErr(-1, false, err)
-		}
-		if shed := s.gate.admit(); shed != nil {
-			return h.reply(wire.OpError, shed.Encode(nil))
-		}
-		defer s.gate.release()
-		return s.runAggregate(h, ag)
+		// The server holds the FULL cluster (only query serving is
+		// subset-scoped), so every daemon that receives the same broadcast
+		// applies it identically and their fingerprints stay converged.
+		return gated(s.gate, h, body, wire.DecodeInsert, func(ins wire.Insert) bool {
+			return h.runInsert(s.ctx, s.gate, s.ingest, s.cluster, ins)
+		})
 	case wire.OpKillCursor:
 		kc, err := wire.DecodeKillCursor(body)
 		if err != nil {
@@ -311,12 +305,11 @@ func (s *ShardServer) handleOp(h *connHandler, op byte, body []byte) bool {
 	}
 }
 
-// runInsert applies one idempotent client batch through the server's
-// group-commit batcher. The server holds the FULL cluster (only query
-// serving is subset-scoped), so every daemon that receives the same
-// broadcast applies it identically and their fingerprints stay
-// converged. The reply carries the journal LSN the ack rests on.
-func (s *ShardServer) runInsert(h *connHandler, ins wire.Insert) bool {
+// runInsert applies one idempotent client batch through w (a server's
+// group-commit batcher, or a router's whole write path) and answers
+// with the journal LSN the ack rests on. An ingest-queue shed crosses
+// the wire as a structured overload error with its retry-after hint.
+func (h *connHandler) runInsert(ctx context.Context, g *gate, w sharding.BatchInserter, cluster *sharding.Cluster, ins wire.Insert) bool {
 	docs := make([]*bson.Document, 0, len(ins.Docs))
 	for i, raw := range ins.Docs {
 		doc, err := bson.Unmarshal(raw)
@@ -325,14 +318,14 @@ func (s *ShardServer) runInsert(h *connHandler, ins wire.Insert) bool {
 		}
 		docs = append(docs, doc)
 	}
-	applied, dup, err := s.ingest.InsertBatch(s.ctx, ins.BatchID, docs)
+	applied, dup, err := w.InsertBatch(ctx, ins.BatchID, docs)
 	if err != nil {
 		var se *sharding.ShardError
 		if errors.As(err, &se) {
 			code := wire.ErrCodeGeneric
 			if errors.Is(err, sharding.ErrIngestOverload) {
 				code = wire.ErrCodeOverload
-				s.gate.shed.Add(1)
+				g.shed.Add(1)
 			}
 			return h.replyErrCode(int32(se.Shard), se.Transient, code, se.RetryAfter, se.Err)
 		}
@@ -340,7 +333,7 @@ func (s *ShardServer) runInsert(h *connHandler, ins wire.Insert) bool {
 		// the client retries against the restarted daemon and dedups.
 		return h.replyErr(-1, errors.Is(err, context.Canceled), err)
 	}
-	reply := wire.InsertReply{Applied: uint32(applied), Dup: dup, LastLSN: s.cluster.LastLSN()}
+	reply := wire.InsertReply{Applied: uint32(applied), Dup: dup, LastLSN: cluster.LastLSN()}
 	return h.reply(wire.OpInsertReply, reply.Encode(nil))
 }
 
@@ -358,7 +351,9 @@ func (s *ShardServer) clampBatch(n int) int {
 }
 
 // runQuery executes the filter through the server's conn boundary and
-// streams the first batch, opening a cursor when more remains.
+// streams the first batch, opening a cursor when more remains. An
+// aggregate execution returns no documents, so its whole answer — the
+// shard's partial aggregate — is that first frame and no cursor opens.
 func (s *ShardServer) runQuery(h *connHandler, q wire.Query) bool {
 	shard := s.shards[int(q.Shard)]
 	if shard == nil {
@@ -400,47 +395,8 @@ func (s *ShardServer) runQuery(h *connHandler, q wire.Query) bool {
 	reply.NReturned = int64(res.Stats.NReturned)
 	reply.DurationNS = int64(res.Stats.Duration)
 	reply.IndexUsed = res.Stats.IndexUsed
+	reply.Agg = res.Agg
 	return h.reply(wire.OpQueryReply, reply.Encode(nil))
-}
-
-// runAggregate executes the pushed-down aggregate on one shard and
-// answers with the partial aggregate in a single frame — no cursor:
-// the reply is a handful of integers (or a bounded distinct set), the
-// whole point of shipping the aggregate instead of the documents.
-func (s *ShardServer) runAggregate(h *connHandler, ag wire.Aggregate) bool {
-	shard := s.shards[int(ag.Shard)]
-	if shard == nil {
-		return h.replyErr(ag.Shard, false, fmt.Errorf("shard %d not served here", ag.Shard))
-	}
-	ctx := s.ctx
-	if d := s.opts.Admit.QueryDeadline; d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	opts := query.Opts{Agg: ag.Spec()}
-	res, err := s.opts.Conn.Query(ctx, shard, ag.Filter, s.cluster.Options().QueryConfig, opts)
-	if err != nil {
-		if s.opts.Admit.QueryDeadline > 0 && ctx.Err() != nil && s.ctx.Err() == nil {
-			shed := s.gate.overloadReply(fmt.Sprintf(
-				"overloaded: aggregate exceeded server deadline %v", s.opts.Admit.QueryDeadline))
-			return h.reply(wire.OpError, shed.Encode(nil))
-		}
-		var se *sharding.ShardError
-		if errors.As(err, &se) {
-			return h.replyErr(int32(se.Shard), se.Transient, se.Err)
-		}
-		return h.replyErr(ag.Shard, errors.Is(err, context.DeadlineExceeded), err)
-	}
-	reply := wire.AggregateReply{
-		KeysExamined: int64(res.Stats.KeysExamined),
-		DocsExamined: int64(res.Stats.DocsExamined),
-		NReturned:    int64(res.Stats.NReturned),
-		DurationNS:   int64(res.Stats.Duration),
-		IndexUsed:    res.Stats.IndexUsed,
-		Agg:          res.Agg,
-	}
-	return h.reply(wire.OpAggregateReply, reply.Encode(nil))
 }
 
 // cursor is one open server-side result stream: the materialized

@@ -530,7 +530,7 @@ func TestQueryBatchPartialSemantics(t *testing.T) {
 	c.SetConn(fc)
 	defer func() { c.SetConn(nil); c.SetResilience(Resilience{}) }()
 
-	results, err := c.QueryBatchCtx(context.Background(), fs)
+	results, err := c.QueryBatchCtx(context.Background(), fs, nil)
 	if err != nil {
 		t.Fatalf("AllowPartial batch errored: %v", err)
 	}
@@ -558,7 +558,7 @@ func TestQueryBatchPartialSemantics(t *testing.T) {
 
 	// FailFast: the batch reports the failure.
 	c.SetResilience(testResilience(FailFast))
-	_, err = c.QueryBatchCtx(context.Background(), fs)
+	_, err = c.QueryBatchCtx(context.Background(), fs, nil)
 	if err == nil {
 		t.Fatal("FailFast batch with a down shard returned no error")
 	}

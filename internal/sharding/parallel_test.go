@@ -87,35 +87,98 @@ func TestParallelQueryIdenticalToSequential(t *testing.T) {
 }
 
 // TestQueryBatchMatchesIndividualQueries: the batch path must return,
-// per entry, exactly what the one-at-a-time path returns.
+// per entry, exactly what the one-at-a-time path returns — the guard
+// on the scatter/fold body the two share. Inputs: plain, limited,
+// top-k and aggregate options, on a healthy cluster and with a shard
+// down under both failure policies.
 func TestQueryBatchMatchesIndividualQueries(t *testing.T) {
 	c, _ := loadCluster(t, 2000, hilbertDateKey(), smallOpts())
 	fs := stressFilters()
-	c.SetParallel(1)
-	want := make([]*RoutedResult, len(fs))
-	for i, f := range fs {
-		want[i] = c.Query(f)
+	optSets := map[string]query.Opts{
+		"plain":     {},
+		"limit":     {Limit: 7},
+		"top-k":     {Limit: 5, OrderBy: "date"},
+		"top-k-rev": {Limit: 5, OrderBy: "date", Desc: true},
+		"count":     {Agg: query.AggSpec{Kind: query.AggCount}},
+		"distinct":  {Agg: query.AggSpec{Kind: query.AggDistinct, Field: "hilbertIndex"}},
+		"cells":     {Agg: query.AggSpec{Kind: query.AggCellHist, Field: "hilbertIndex", Shift: 6}},
 	}
-	for _, width := range []int{1, 4} {
-		c.SetParallel(width)
-		got := c.QueryBatch(fs)
-		if len(got) != len(fs) {
-			t.Fatalf("batch returned %d results for %d filters", len(got), len(fs))
-		}
-		for i := range fs {
-			if !reflect.DeepEqual(got[i].Docs, want[i].Docs) {
-				t.Fatalf("parallel=%d: batch entry %d doc stream differs", width, i)
+	// The down shard is one every broadcast entry targets.
+	down := c.Query(fs[3]).TargetedShards[0]
+	fc := NewFaultConn(nil, 11)
+	fc.SetFault(down, FaultSpec{Down: true})
+	defer func() { c.SetConn(nil); c.SetResilience(Resilience{}) }()
+
+	for _, mode := range []struct {
+		name   string
+		conn   ShardConn
+		policy Policy
+	}{
+		{"healthy", nil, FailFast},
+		{"down/partial", fc, AllowPartial},
+		{"down/failfast", fc, FailFast},
+	} {
+		c.SetConn(mode.conn)
+		c.SetResilience(testResilience(mode.policy))
+		for name, o := range optSets {
+			label := mode.name + "/" + name
+			c.SetParallel(1)
+			opts := make([]query.Opts, len(fs))
+			want := make([]*RoutedResult, len(fs))
+			degraded := 0
+			for i, f := range fs {
+				opts[i] = o
+				want[i] = c.QueryOpts(f, o)
+				if want[i].Partial {
+					degraded++
+				}
 			}
-			if got[i].TotalReturned != want[i].TotalReturned ||
-				got[i].MaxKeysExamined != want[i].MaxKeysExamined ||
-				got[i].MaxDocsExamined != want[i].MaxDocsExamined ||
-				!reflect.DeepEqual(got[i].TargetedShards, want[i].TargetedShards) {
-				t.Fatalf("parallel=%d: batch entry %d metrics differ", width, i)
+			if (degraded > 0) != (mode.conn != nil) {
+				t.Fatalf("%s: %d degraded entries", label, degraded)
+			}
+			for _, width := range []int{1, 4} {
+				c.SetParallel(width)
+				got := c.QueryBatchOpts(fs, opts)
+				if len(got) != len(fs) {
+					t.Fatalf("%s: batch returned %d results for %d filters", label, len(got), len(fs))
+				}
+				for i := range fs {
+					g, w := got[i], want[i]
+					// Under FailFast the batch is one operation: an entry
+					// the one-at-a-time path completes may instead have been
+					// cancelled by a sibling's failure (never the other way
+					// round), and which siblings a failure cancelled depends
+					// on completion order — but a failed entry is never
+					// silently short.
+					if g.Err != nil {
+						if mode.policy != FailFast || mode.conn == nil {
+							t.Fatalf("%s parallel=%d: batch entry %d failed: %v", label, width, i, g.Err)
+						}
+						if g.Docs != nil || g.Agg != nil || !g.Partial || len(g.FailedShards) == 0 {
+							t.Fatalf("%s parallel=%d: failed entry %d kept an answer", label, width, i)
+						}
+						continue
+					}
+					if !reflect.DeepEqual(g.Docs, w.Docs) {
+						t.Fatalf("%s parallel=%d: batch entry %d doc stream differs", label, width, i)
+					}
+					if (g.Agg == nil) != (w.Agg == nil) || (w.Agg != nil && !w.Agg.Equal(g.Agg)) {
+						t.Fatalf("%s parallel=%d: batch entry %d aggregate %+v, want %+v", label, width, i, g.Agg, w.Agg)
+					}
+					if g.TotalReturned != w.TotalReturned ||
+						g.MaxKeysExamined != w.MaxKeysExamined ||
+						g.MaxDocsExamined != w.MaxDocsExamined ||
+						g.Partial != w.Partial || (g.Err == nil) != (w.Err == nil) ||
+						!reflect.DeepEqual(g.FailedShards, w.FailedShards) ||
+						!reflect.DeepEqual(g.TargetedShards, w.TargetedShards) {
+						t.Fatalf("%s parallel=%d: batch entry %d metrics differ", label, width, i)
+					}
+				}
 			}
 		}
 	}
 	// An empty batch is legal.
-	if got := c.QueryBatch(nil); len(got) != 0 {
+	if got := c.QueryBatchOpts(nil, nil); len(got) != 0 {
 		t.Fatalf("empty batch returned %d results", len(got))
 	}
 }
@@ -162,7 +225,7 @@ func TestConcurrentQueryExplainMigrationStress(t *testing.T) {
 					// Planner path under concurrency.
 					c.Explain(fs[qi])
 				case i%5 == 4:
-					for bi, res := range c.QueryBatch(fs) {
+					for bi, res := range c.QueryBatchOpts(fs, nil) {
 						if got := idSetOf(res); !reflect.DeepEqual(got, baseline[bi]) {
 							t.Errorf("goroutine %d iter %d: batch entry %d diverged from baseline", g, i, bi)
 							return

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -113,43 +114,102 @@ func (r tupleRange) overlapsChunk(ch *Chunk) bool {
 
 // Query routes the filter to the shards owning potentially matching
 // chunks, executes it on each, and merges the results. It is
-// QueryCtx without a caller deadline; the terminal error (possible
-// only under fault injection or configured timeouts with Policy
-// FailFast) is carried in RoutedResult.Err.
-func (c *Cluster) Query(f query.Filter) *RoutedResult {
-	res, _ := c.QueryCtx(context.Background(), f)
-	return res
+// QueryOptsCtx without options or a caller deadline; the terminal
+// error (possible only under fault injection or configured timeouts
+// with Policy FailFast) is carried in RoutedResult.Err.
+func (c *Cluster) Query(f query.Filter) *RoutedResult { return c.QueryOpts(f, query.Opts{}) }
+
+// QueryCtx is QueryOptsCtx without pushed-down options.
+func (c *Cluster) QueryCtx(ctx context.Context, f query.Filter) (*RoutedResult, error) {
+	return c.QueryOptsCtx(ctx, f, query.Opts{})
 }
 
-// QueryOpts is Query with pushed-down execution options: the limit
-// (and ordering) travels through the ShardConn boundary so every
-// shard stops early or top-k-bounds its scan, and the router merge is
-// bounded by the limit instead of materializing every shard's full
-// result.
+// QueryOpts is QueryOptsCtx without a caller deadline.
 func (c *Cluster) QueryOpts(f query.Filter, opts query.Opts) *RoutedResult {
 	res, _ := c.QueryOptsCtx(context.Background(), f, opts)
 	return res
 }
 
-// QueryOptsCtx is QueryCtx with pushed-down execution options.
+// QueryOptsCtx is the full scatter-gather: route the filter, execute it
+// on every targeted shard through the cluster's ShardConn fault
+// boundary, and merge deterministically. The pushed-down options
+// travel through the ShardConn boundary, so every shard stops early,
+// top-k-bounds its scan or computes its partial aggregate, and the
+// router merge is bounded by the limit instead of materializing every
+// shard's full result. The per-shard executions fan out over a bounded
+// worker pool of Options.Parallel goroutines (1 = sequential); each
+// shard execution gets per-attempt deadlines, retries with capped
+// exponential backoff on transient failures, optional hedging for
+// stragglers, and a per-shard circuit breaker. ctx (tightened by
+// Resilience.QueryTimeout) cancels cooperatively mid-scan. A shard
+// that stays failed is handled per Resilience.Policy: FailFast aborts
+// the query (non-nil error, Docs dropped), AllowPartial returns the
+// healthy shards' merge with Partial=true and the failure listed in
+// FailedShards.
+//
+// It is the batch path at n = 1 plus the result cache: a complete
+// answer whose filter still routes to the same shards at unchanged
+// content epochs is served without touching a shard.
 func (c *Cluster) QueryOptsCtx(ctx context.Context, f query.Filter, opts query.Opts) (*RoutedResult, error) {
-	res, err := c.queryCtxLocked(ctx, f, opts)
-	c.promotePending()
-	return res, err
+	qs := []scatterQuery{{f: f, opts: opts}}
+	err := c.scatterGather(ctx, qs, true)
+	return qs[0].res, err
 }
 
-// QueryCtx is the full scatter-gather: route the filter, execute it
-// on every targeted shard through the cluster's ShardConn fault
-// boundary, and merge deterministically. The per-shard executions fan
-// out over a bounded worker pool of Options.Parallel goroutines (1 =
-// sequential); each shard execution gets per-attempt deadlines,
-// retries with capped exponential backoff on transient failures,
-// optional hedging for stragglers, and a per-shard circuit breaker.
-// ctx (tightened by Resilience.QueryTimeout) cancels cooperatively
-// mid-scan. A shard that stays failed is handled per
-// Resilience.Policy: FailFast aborts the query (non-nil error, Docs
-// dropped), AllowPartial returns the healthy shards' merge with
-// Partial=true and the failure listed in FailedShards.
+// QueryBatchOpts is QueryBatchCtx without a caller deadline.
+func (c *Cluster) QueryBatchOpts(fs []query.Filter, opts []query.Opts) []*RoutedResult {
+	results, _ := c.QueryBatchCtx(context.Background(), fs, opts)
+	return results
+}
+
+// QueryBatchCtx routes and executes independent filters through one
+// routing pass and one shared worker pool: every (query, shard)
+// execution is a pool task, so a batch of single-shard queries and a
+// single broadcast query parallelise equally well. opts must be nil
+// (no pushdown) or aligned with fs. Results are in input order; each
+// entry is merged deterministically exactly like QueryOptsCtx's, but
+// batches are throughput-oriented one-shot scans and do not consult
+// the result cache. cmd/stquery -f drives this.
+//
+// Fault handling is per entry (retries, hedging, breaker, partial
+// marking), but under Policy FailFast the batch is one operation: the
+// first unrecoverable shard failure cancels the whole batch, and the
+// returned error is the first entry's terminal error (each entry's
+// own is in its Err field). Resilience.QueryTimeout bounds the whole
+// batch.
+func (c *Cluster) QueryBatchCtx(ctx context.Context, fs []query.Filter, opts []query.Opts) ([]*RoutedResult, error) {
+	qs := make([]scatterQuery, len(fs))
+	for i, f := range fs {
+		qs[i].f = f
+		if opts != nil {
+			qs[i].opts = opts[i]
+		}
+	}
+	err := c.scatterGather(ctx, qs, false)
+	results := make([]*RoutedResult, len(qs))
+	for i := range qs {
+		results[i] = qs[i].res
+	}
+	return results, err
+}
+
+// scatterQuery is one filter's slot in a scatter-gather: the request,
+// its routed result, the per-shard outcomes the scatter fills (aligned
+// with res.TargetedShards), the index of its first task in the
+// scatter's flat task numbering, and the result-cache key to fill on a
+// complete answer ("" when the query bypasses the cache).
+type scatterQuery struct {
+	f        query.Filter
+	opts     query.Opts
+	res      *RoutedResult
+	outcomes []shardOutcome
+	first    int
+	cacheKey string
+}
+
+// scatterGather is the one scatter/fold body behind every query entry
+// point. It fills qs[i].res and returns the first entry's terminal
+// error.
 //
 // The cluster read-lock is held for the whole scatter-gather: queries
 // run concurrently with each other but never interleave with a chunk
@@ -157,15 +217,10 @@ func (c *Cluster) QueryOptsCtx(ctx context.Context, f query.Filter, opts query.O
 // applies to in-flight migrations. The merge is deterministic: docs
 // and per-shard stats are assembled in TargetedShards order, so the
 // output is byte-identical regardless of shard completion order.
-func (c *Cluster) QueryCtx(ctx context.Context, f query.Filter) (*RoutedResult, error) {
-	res, err := c.queryCtxLocked(ctx, f, query.Opts{})
+func (c *Cluster) scatterGather(ctx context.Context, qs []scatterQuery, cached bool) error {
 	// Failover promotions requested mid-scatter need the write lock;
-	// run them now that the read lock is released.
-	c.promotePending()
-	return res, err
-}
-
-func (c *Cluster) queryCtxLocked(ctx context.Context, f query.Filter, opts query.Opts) (*RoutedResult, error) {
+	// deferred first, this runs last — after the read lock is released.
+	defer c.promotePending()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if qt := c.opts.Resilience.QueryTimeout; qt > 0 {
@@ -175,132 +230,66 @@ func (c *Cluster) queryCtxLocked(ctx context.Context, f query.Filter, opts query
 	}
 	qctx, abort := context.WithCancel(ctx)
 	defer abort()
-	targets, broadcast, pruned := c.routeLocked(f)
 
-	// Result cache probe: valid only if the filter still routes to the
-	// same shard set and none of those shards' content epochs moved.
-	var cacheKey string
-	cacheable := false
-	if c.rcache != nil {
-		if k, ok := resultCacheKey(f, opts); ok {
-			cacheKey, cacheable = k, true
-			if hit := c.rcache.get(cacheKey, targets, c.epochsOfLocked(targets)); hit != nil {
-				hit.ShardsPruned = len(pruned)
-				return hit, hit.Err
+	tasks := 0
+	for i := range qs {
+		q := &qs[i]
+		q.first = tasks
+		targets, broadcast, pruned := c.routeLocked(q.f)
+		// Result cache probe: valid only if the filter still routes to
+		// the same shard set and none of those shards' content epochs
+		// moved.
+		if cached && c.rcache != nil {
+			if key, ok := resultCacheKey(q.f, q.opts); ok {
+				q.cacheKey = key
+				if hit := c.rcache.get(key, targets, c.epochsOfLocked(targets)); hit != nil {
+					hit.ShardsPruned = len(pruned)
+					q.res = hit
+					continue
+				}
 			}
 		}
-	}
-
-	res := &RoutedResult{
-		ShardsTargeted: len(targets),
-		TargetedShards: targets,
-		Broadcast:      broadcast,
-		ShardsPruned:   len(pruned),
-	}
-	outcomes := make([]shardOutcome, len(targets))
-	failFast := c.opts.Resilience.Policy == FailFast
-	c.scatterLocked(len(targets), func(i int) {
-		outcomes[i] = c.runShard(qctx, targets[i], f, opts)
-		if outcomes[i].err != nil && failFast {
-			abort() // cancel the in-flight sibling executions
-		}
-	})
-	c.foldLocked(res, outcomes, opts)
-
-	// Cache only complete primary-served answers: partial results,
-	// failed shards and replica reads (which may lag the epochs the
-	// entry would validate against) all bypass the fill.
-	if cacheable && res.Err == nil && !res.Partial && res.ReplicaReads == 0 && ctx.Err() == nil {
-		c.rcache.put(cacheKey, targets, c.epochsOfLocked(targets), res)
-	}
-	return res, res.Err
-}
-
-// QueryBatch routes and executes independent filters through one
-// routing pass and one shared worker pool: every (query, shard)
-// execution is a pool task, so a batch of single-shard queries and a
-// single broadcast query parallelise equally well. Results are in
-// input order; each entry is merged deterministically exactly like
-// Query's. The throughput experiment and cmd/stquery -f drive this.
-func (c *Cluster) QueryBatch(fs []query.Filter) []*RoutedResult {
-	results, _ := c.QueryBatchCtx(context.Background(), fs)
-	return results
-}
-
-// QueryBatchOpts is QueryBatch with per-entry pushed-down options;
-// opts must be nil (no pushdown) or aligned with fs.
-func (c *Cluster) QueryBatchOpts(fs []query.Filter, opts []query.Opts) []*RoutedResult {
-	results, _ := c.queryBatchCtxLocked(context.Background(), fs, opts)
-	c.promotePending()
-	return results
-}
-
-// QueryBatchCtx is QueryBatch under a caller context. Fault handling
-// is per entry (retries, hedging, breaker, partial marking), but
-// under Policy FailFast the batch is one operation: the first
-// unrecoverable shard failure cancels the whole batch, and the
-// returned error is the first entry's terminal error (each entry's
-// own is in its Err field). Resilience.QueryTimeout bounds the whole
-// batch.
-func (c *Cluster) QueryBatchCtx(ctx context.Context, fs []query.Filter) ([]*RoutedResult, error) {
-	results, err := c.queryBatchCtxLocked(ctx, fs, nil)
-	c.promotePending()
-	return results, err
-}
-
-func (c *Cluster) queryBatchCtxLocked(ctx context.Context, fs []query.Filter, opts []query.Opts) ([]*RoutedResult, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if qt := c.opts.Resilience.QueryTimeout; qt > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, qt)
-		defer cancel()
-	}
-	qctx, abort := context.WithCancel(ctx)
-	defer abort()
-	results := make([]*RoutedResult, len(fs))
-	outcomes := make([][]shardOutcome, len(fs))
-	type task struct{ q, t int }
-	var tasks []task
-	for qi, f := range fs {
-		// The batch path shares routing (and pruning) with the single-
-		// query path but does not consult the result cache: batches are
-		// throughput-oriented one-shot scans.
-		targets, broadcast, pruned := c.routeLocked(f)
-		results[qi] = &RoutedResult{
+		q.res = &RoutedResult{
 			ShardsTargeted: len(targets),
 			TargetedShards: targets,
 			Broadcast:      broadcast,
 			ShardsPruned:   len(pruned),
 		}
-		outcomes[qi] = make([]shardOutcome, len(targets))
-		for ti := range targets {
-			tasks = append(tasks, task{qi, ti})
-		}
+		q.outcomes = make([]shardOutcome, len(targets))
+		tasks += len(targets)
 	}
-	optAt := func(qi int) query.Opts {
-		if opts == nil {
-			return query.Opts{}
-		}
-		return opts[qi]
-	}
+
 	failFast := c.opts.Resilience.Policy == FailFast
-	c.scatterLocked(len(tasks), func(i int) {
-		qi, ti := tasks[i].q, tasks[i].t
-		sid := results[qi].TargetedShards[ti]
-		outcomes[qi][ti] = c.runShard(qctx, sid, fs[qi], optAt(qi))
-		if outcomes[qi][ti].err != nil && failFast {
-			abort()
+	c.scatterLocked(tasks, func(i int) {
+		// Task i belongs to the last query whose first task is <= i; a
+		// query without tasks (cache hit, empty route) shares its
+		// successor's first and so is never that one.
+		q := &qs[sort.Search(len(qs), func(k int) bool { return qs[k].first > i })-1]
+		ti := i - q.first
+		q.outcomes[ti] = c.runShard(qctx, q.res.TargetedShards[ti], q.f, q.opts)
+		if q.outcomes[ti].err != nil && failFast {
+			abort() // cancel the in-flight sibling executions
 		}
 	})
+
 	var firstErr error
-	for qi := range results {
-		c.foldLocked(results[qi], outcomes[qi], optAt(qi))
-		if firstErr == nil && results[qi].Err != nil {
-			firstErr = results[qi].Err
+	for i := range qs {
+		q := &qs[i]
+		if q.res.CacheHit {
+			continue
+		}
+		c.foldLocked(q.res, q.outcomes, q.opts)
+		// Cache only complete primary-served answers: partial results,
+		// failed shards and replica reads (which may lag the epochs the
+		// entry would validate against) all bypass the fill.
+		if q.cacheKey != "" && q.res.Err == nil && !q.res.Partial && q.res.ReplicaReads == 0 && ctx.Err() == nil {
+			c.rcache.put(q.cacheKey, q.res.TargetedShards, c.epochsOfLocked(q.res.TargetedShards), q.res)
+		}
+		if firstErr == nil {
+			firstErr = q.res.Err
 		}
 	}
-	return results, firstErr
+	return firstErr
 }
 
 // shardOutcome is one shard's fate within a scatter.
@@ -474,12 +463,10 @@ func (c *Cluster) attemptShard(ctx context.Context, sid int, f query.Filter, opt
 // Partial, Err per the policy) followed by the deterministic merge of
 // the healthy results.
 func (c *Cluster) foldLocked(res *RoutedResult, outcomes []shardOutcome, opts query.Opts) {
-	perShard := make([]*query.Result, len(outcomes))
 	anyRetries := false
 	for i, o := range outcomes {
-		if o.err == nil {
-			perShard[i] = o.res
-		} else {
+		if o.err != nil {
+			outcomes[i].res = nil
 			res.FailedShards = append(res.FailedShards, res.TargetedShards[i])
 		}
 		res.Hedged += o.hedged
@@ -502,7 +489,7 @@ func (c *Cluster) foldLocked(res *RoutedResult, outcomes []shardOutcome, opts qu
 			res.RetriesPerShard[i] = o.retries
 		}
 	}
-	mergeLocked(res, perShard, c.opts.Parallel, opts)
+	mergeLocked(res, outcomes, c.opts.Parallel, opts)
 	if len(res.FailedShards) == 0 {
 		return
 	}
@@ -572,7 +559,7 @@ func (c *Cluster) scatterLocked(n int, fn func(i int)) {
 }
 
 // mergeLocked folds the per-shard results into res in TargetedShards
-// order; a nil entry is a failed shard (zero stats, no docs). The
+// order; a nil result is a failed shard (zero stats, no docs). The
 // merge is bounded by the pushed-down options: a natural-order limit
 // concatenates only until the quota is met, and an ordered query runs
 // a k-way heap merge over the per-shard sorted streams, so a small
@@ -581,10 +568,11 @@ func (c *Cluster) scatterLocked(n int, fn func(i int)) {
 // of the per-shard execution times at the given width plus the
 // router's own merge time — order-independent, so identical at every
 // completion order.
-func mergeLocked(res *RoutedResult, perShard []*query.Result, width int, opts query.Opts) {
-	durs := make([]time.Duration, 0, len(perShard))
+func mergeLocked(res *RoutedResult, outcomes []shardOutcome, width int, opts query.Opts) {
+	durs := make([]time.Duration, 0, len(outcomes))
 	total := 0
-	for _, r := range perShard {
+	for _, o := range outcomes {
+		r := o.res
 		if r == nil {
 			continue
 		}
@@ -592,10 +580,11 @@ func mergeLocked(res *RoutedResult, perShard []*query.Result, width int, opts qu
 		total += len(r.Docs)
 	}
 	mergeStart := time.Now()
-	if len(perShard) > 0 {
-		res.PerShard = make([]query.ExecStats, 0, len(perShard))
+	if len(outcomes) > 0 {
+		res.PerShard = make([]query.ExecStats, 0, len(outcomes))
 	}
-	for _, r := range perShard {
+	for _, o := range outcomes {
+		r := o.res
 		if r == nil {
 			res.PerShard = append(res.PerShard, query.ExecStats{})
 			continue
@@ -614,9 +603,9 @@ func mergeLocked(res *RoutedResult, perShard []*query.Result, width int, opts qu
 		// is canonical, so the result is identical at every completion
 		// order; no documents ship.
 		agg := &query.AggResult{Kind: opts.Agg.Kind}
-		for _, r := range perShard {
-			if r != nil {
-				agg.Merge(r.Agg)
+		for _, o := range outcomes {
+			if o.res != nil {
+				agg.Merge(o.res.Agg)
 			}
 		}
 		res.Agg = agg
@@ -629,13 +618,14 @@ func mergeLocked(res *RoutedResult, perShard []*query.Result, width int, opts qu
 	if total > 0 {
 		res.Docs = make([]bson.Raw, 0, total)
 		if opts.OrderBy != "" {
-			mergeOrdered(res, perShard, opts, total)
+			mergeOrdered(res, outcomes, opts, total)
 		} else {
 			// Natural order: concatenate in TargetedShards order and
 			// stop at the quota — byte-identical to concatenating
 			// everything and truncating, since truncation only ever
 			// keeps a prefix of the concatenation.
-			for _, r := range perShard {
+			for _, o := range outcomes {
+				r := o.res
 				if r == nil {
 					continue
 				}
@@ -671,9 +661,10 @@ type mergeCursor struct {
 // (key, shardPos) yields exactly the stable sort of the concatenated
 // streams — the same order an unlimited single-stream sort-then-
 // truncate would produce.
-func mergeOrdered(res *RoutedResult, perShard []*query.Result, opts query.Opts, total int) {
-	heap := make([]mergeCursor, 0, len(perShard))
-	for i, r := range perShard {
+func mergeOrdered(res *RoutedResult, outcomes []shardOutcome, opts query.Opts, total int) {
+	heap := make([]mergeCursor, 0, len(outcomes))
+	for i, o := range outcomes {
+		r := o.res
 		if r == nil || len(r.Docs) == 0 {
 			continue
 		}

@@ -175,7 +175,7 @@ func TestQueryBatchEmpty(t *testing.T) {
 			c.SetResilience(r)
 			defer c.SetResilience(Resilience{})
 			for _, fs := range [][]query.Filter{nil, {}} {
-				results := c.QueryBatch(fs)
+				results := c.QueryBatchOpts(fs, nil)
 				if len(results) != 0 {
 					t.Fatalf("empty batch returned %d results", len(results))
 				}

@@ -1,103 +1,6 @@
 package wire
 
-import (
-	"time"
-
-	"repro/internal/query"
-)
-
-// Aggregate asks a shard server to execute a filter on one shard and
-// return the partial aggregate instead of documents. Unlike OpQuery
-// there is no cursor: aggregates are a handful of integers (or a
-// bounded distinct set), so the reply is always a single frame.
-type Aggregate struct {
-	Shard    int32
-	AggKind  uint8
-	AggField string
-	AggShift uint8
-	Filter   query.Filter
-}
-
-// Encode appends the message body to buf. Filter encoding can fail on
-// exotic filter types; everything else is total.
-func (m Aggregate) Encode(buf []byte) ([]byte, error) {
-	buf = appendU32(buf, uint32(m.Shard))
-	buf = appendU8(buf, m.AggKind)
-	buf = appendString(buf, m.AggField)
-	buf = appendU8(buf, m.AggShift)
-	return AppendFilter(buf, m.Filter)
-}
-
-// DecodeAggregate decodes an Aggregate body.
-func DecodeAggregate(b []byte) (Aggregate, error) {
-	d := &dec{b: b}
-	m := Aggregate{
-		Shard:    int32(d.u32("shard")),
-		AggKind:  d.u8("agg kind"),
-		AggField: d.string("agg field"),
-		AggShift: d.u8("agg shift"),
-	}
-	if d.err != nil {
-		return m, d.err
-	}
-	f, err := DecodeFilter(b[d.off:])
-	if err != nil {
-		return m, err
-	}
-	m.Filter = f
-	return m, nil
-}
-
-// Spec translates the pushed-down aggregate into the executor's form.
-func (m Aggregate) Spec() query.AggSpec {
-	return query.AggSpec{Kind: query.AggKind(m.AggKind), Field: m.AggField, Shift: m.AggShift}
-}
-
-// AggregateReply carries one shard's partial aggregate plus the
-// execution stats of the scan that produced it.
-type AggregateReply struct {
-	KeysExamined int64
-	DocsExamined int64
-	NReturned    int64
-	DurationNS   int64
-	IndexUsed    string
-	Agg          *query.AggResult
-}
-
-// Encode appends the message body to buf.
-func (m AggregateReply) Encode(buf []byte) []byte {
-	buf = appendI64(buf, m.KeysExamined)
-	buf = appendI64(buf, m.DocsExamined)
-	buf = appendI64(buf, m.NReturned)
-	buf = appendI64(buf, m.DurationNS)
-	buf = appendString(buf, m.IndexUsed)
-	return AppendAggResult(buf, m.Agg)
-}
-
-// DecodeAggregateReply decodes an AggregateReply body.
-func DecodeAggregateReply(b []byte) (AggregateReply, error) {
-	d := &dec{b: b}
-	m := AggregateReply{
-		KeysExamined: d.i64("keys examined"),
-		DocsExamined: d.i64("docs examined"),
-		NReturned:    d.i64("n returned"),
-		DurationNS:   d.i64("duration"),
-		IndexUsed:    d.string("index used"),
-	}
-	m.Agg = decodeAggResult(d)
-	return m, d.finish()
-}
-
-// Stats converts the wire counters into executor stats.
-func (m AggregateReply) Stats() query.ExecStats {
-	return query.ExecStats{
-		KeysExamined: int(m.KeysExamined),
-		DocsExamined: int(m.DocsExamined),
-		NReturned:    int(m.NReturned),
-		IndexUsed:    m.IndexUsed,
-		Duration:     time.Duration(m.DurationNS),
-	}
-}
+import "repro/internal/query"
 
 // AppendAggResult appends the canonical encoding of an aggregate:
 // kind, count, the sorted distinct values, the sorted cell histogram.

@@ -2,59 +2,119 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/query"
 )
 
-func TestAggregateRoundTrip(t *testing.T) {
+// TestQueryCarriesAggregate: the aggregate spec rides the one read
+// request among the other pushed-down options, and the shard's partial
+// aggregate rides the one reply.
+func TestQueryCarriesAggregate(t *testing.T) {
 	f := query.NewAnd(
 		query.Cmp{Field: "hilbertIndex", Op: query.OpGTE, Value: int64(100)},
 		query.Cmp{Field: "hilbertIndex", Op: query.OpLTE, Value: int64(900)},
 	)
-	m := Aggregate{Shard: 3, AggKind: uint8(query.AggCellHist), AggField: "hilbertIndex", AggShift: 12, Filter: f}
+	spec := query.AggSpec{Kind: query.AggCellHist, Field: "hilbertIndex", Shift: 12}
+	m := Query{Shard: 3, Limit: 7, Agg: spec, Filter: f}
 	body, err := m.Encode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeAggregate(body)
+	got, err := DecodeQuery(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Shard != m.Shard || got.AggKind != m.AggKind || got.AggField != m.AggField || got.AggShift != m.AggShift {
-		t.Fatalf("header mismatch: %+v vs %+v", got, m)
+	if got.Shard != m.Shard || got.Agg != spec || got.Filter.String() != f.String() {
+		t.Fatalf("mismatch: %+v vs %+v", got, m)
 	}
-	if got.Filter.String() != f.String() {
-		t.Fatalf("filter mismatch: %s vs %s", got.Filter, f)
+	if o := got.Opts(); o.Agg != spec || o.Limit != 7 {
+		t.Fatalf("Opts() = %+v", o)
 	}
-	spec := got.Spec()
-	if spec.Kind != query.AggCellHist || spec.Field != "hilbertIndex" || spec.Shift != 12 {
-		t.Fatalf("spec mismatch: %+v", spec)
-	}
-}
 
-func TestAggregateReplyRoundTrip(t *testing.T) {
 	for _, agg := range []*query.AggResult{
 		nil,
+		{},
 		{Kind: query.AggCount, Count: 42},
 		{Kind: query.AggDistinct, Count: 7, Distinct: [][]byte{[]byte("a"), []byte("bc")}},
 		{Kind: query.AggCellHist, Count: 5, Cells: []query.CellCount{{Cell: 1, Count: 2}, {Cell: 9, Count: 3}}},
 	} {
-		m := AggregateReply{KeysExamined: 10, DocsExamined: 9, NReturned: 5, DurationNS: 1234, IndexUsed: "ix", Agg: agg}
-		got, err := DecodeAggregateReply(m.Encode(nil))
+		r := QueryReply{KeysExamined: 10, DocsExamined: 9, NReturned: 0, DurationNS: 1234, IndexUsed: "ix", Agg: agg}
+		got, err := DecodeQueryReply(r.Encode(nil))
 		if err != nil {
 			t.Fatalf("agg %+v: %v", agg, err)
 		}
-		if got.KeysExamined != 10 || got.IndexUsed != "ix" {
-			t.Fatalf("stats mismatch: %+v", got)
+		if got.KeysExamined != 10 || got.IndexUsed != "ix" || got.Cursor != 0 || len(got.Docs) != 0 || got.Keys != nil {
+			t.Fatalf("reply mismatch: %+v", got)
 		}
-		want := agg
-		if want == nil {
-			want = &query.AggResult{}
+		if (agg == nil) != (got.Agg == nil) || (agg != nil && !got.Agg.Equal(agg)) {
+			t.Fatalf("agg mismatch: %+v vs %+v", got.Agg, agg)
 		}
-		if !got.Agg.Equal(want) {
-			t.Fatalf("agg mismatch: %+v vs %+v", got.Agg, want)
+	}
+}
+
+// TestV5GoldenBytes pins the version-5 encoding of the one read
+// request and its reply, with and without an aggregate. Any change to
+// these bytes is an incompatible codec change and must bump
+// ProtocolVersion.
+func TestV5GoldenBytes(t *testing.T) {
+	if ProtocolVersion != 5 {
+		t.Fatalf("ProtocolVersion = %d: re-pin these bytes for the new version", ProtocolVersion)
+	}
+	f := query.Cmp{Field: "h", Op: query.OpGTE, Value: int64(7)}
+	plain := Query{Shard: 3, BatchSize: 512, Limit: 10, OrderBy: "date", Desc: true, Filter: f}
+	agg := plain
+	agg.Agg = query.AggSpec{Kind: query.AggCellHist, Field: "h", Shift: 12}
+	const (
+		head = "03000000" + "00020000" + "0a00000000000000" + "04000000" + "64617465" + "01"
+		tail = "01" + "02" + "01000000" + "68" + "02" + "0700000000000000" // Cmp h >= int64(7)
+	)
+	for _, tc := range []struct {
+		name string
+		msg  Query
+		want string
+	}{
+		{"query", plain, head + "00" + tail},
+		{"query+agg", agg, head + "03" + "01000000" + "68" + "0c" + tail},
+	} {
+		got, err := tc.msg.Encode(nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if hex.EncodeToString(got) != tc.want {
+			t.Errorf("%s:\n got %x\nwant %s", tc.name, got, tc.want)
+		}
+	}
+
+	const stats = "0400000000000000" + "0300000000000000" // keys, docs examined
+	docs := QueryReply{Cursor: 9, KeysExamined: 4, DocsExamined: 3, NReturned: 2, DurationNS: 1, IndexUsed: "ix",
+		Docs: [][]byte{[]byte("d1"), []byte("d2")}, Keys: [][]byte{[]byte("k1"), []byte("k2")}}
+	part := QueryReply{KeysExamined: 4, DocsExamined: 3, DurationNS: 1, IndexUsed: "ix",
+		Agg: &query.AggResult{Kind: query.AggCellHist, Count: 5, Cells: []query.CellCount{{Cell: 1, Count: 2}, {Cell: 9, Count: 3}}}}
+	for _, tc := range []struct {
+		name string
+		msg  QueryReply
+		want string
+	}{
+		{"reply", docs, "0900000000000000" + stats + "0200000000000000" + "0100000000000000" + "02000000" + "6978" +
+			"02000000" + "02000000" + "6431" + "02000000" + "6432" + // docs
+			"01" + "02000000" + "6b31" + "02000000" + "6b32" + // keys
+			"00"}, // no aggregate
+		{"reply+agg", part, "0000000000000000" + stats + "0000000000000000" + "0100000000000000" + "02000000" + "6978" +
+			"00000000" + "00" + // no docs, no keys
+			"01" + "03" + "0500000000000000" + "00000000" + // aggregate: kind, count, no distincts
+			"02000000" + "0100000000000000" + "0200000000000000" + "0900000000000000" + "0300000000000000"},
+	} {
+		if got := tc.msg.Encode(nil); hex.EncodeToString(got) != tc.want {
+			t.Errorf("%s:\n got %x\nwant %s", tc.name, got, tc.want)
+		}
+	}
+	// The aggregate inside the reply is exactly the canonical digest
+	// encoding — the bytes stquery -digest and the result cache hash.
+	enc := part.Encode(nil)
+	if canon := AppendAggResult(nil, part.Agg); !bytes.HasSuffix(enc, canon) {
+		t.Fatalf("reply does not end in AppendAggResult bytes: %x vs %x", enc, canon)
 	}
 }
 

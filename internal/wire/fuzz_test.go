@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/query"
 )
 
 // FuzzFrameDecode throws arbitrary bytes at the frame and message
@@ -67,35 +69,54 @@ func FuzzFrameDecode(f *testing.F) {
 		DecodeSTQuery(msgBody)
 		DecodeSTQueryReply(msgBody)
 		DecodeFilter(msgBody)
-		DecodeAggregate(msgBody)
-		DecodeAggregateReply(msgBody)
 		DecodeAggResult(msgBody)
 	})
 }
 
-// FuzzAggregateDecode drills into the aggregation codecs: the
-// Aggregate, AggregateReply and canonical AggResult decoders must be
-// total on hostile bytes (no panic, allocation bounded by count
-// validation), and any aggregate body they accept must re-encode to a
-// stable canonical form — decode(encode(decode(x))) == decode(x) — the
-// property the digest differential and the result-cache key depend on.
+// FuzzAggregateDecode drills into the aggregation codecs: the read
+// request and reply decoders (which carry the aggregate spec and the
+// partial aggregate) and the canonical AggResult decoder must be total
+// on hostile bytes (no panic, allocation bounded by count validation),
+// and anything they accept must re-encode to a stable form —
+// decode(encode(decode(x))) == decode(x), canonical aggregate bytes a
+// fixed point — the property the digest differential and the
+// result-cache key depend on.
 func FuzzAggregateDecode(f *testing.F) {
-	aggBody, _ := Aggregate{Shard: 1, AggKind: 1}.Encode(nil)
+	filter := query.Cmp{Field: "h", Op: query.OpGTE, Value: int64(7)}
+	plainBody, _ := Query{Shard: 1, Limit: 3, Filter: filter}.Encode(nil)
+	aggBody, _ := Query{Shard: 1, Agg: query.AggSpec{Kind: query.AggDistinct, Field: "v"}, Filter: filter}.Encode(nil)
+	f.Add(plainBody)
 	f.Add(aggBody)
-	f.Add(AggregateReply{NReturned: 3}.Encode(nil))
+	f.Add(QueryReply{NReturned: 3, Docs: [][]byte{[]byte("d")}}.Encode(nil))
+	f.Add(QueryReply{IndexUsed: "ix", Agg: &query.AggResult{Kind: query.AggCount, Count: 3}}.Encode(nil))
 	f.Add(AppendAggResult(nil, nil))
-	f.Add(AggregateReply{IndexUsed: "ix"}.Encode(nil))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		DecodeAggregate(data)
-		if m, err := DecodeAggregateReply(data); err == nil {
-			re := m.Encode(nil)
-			m2, err2 := DecodeAggregateReply(re)
-			if err2 != nil {
-				t.Fatalf("re-encoded AggregateReply rejected: %v", err2)
+		if m, err := DecodeQuery(data); err == nil {
+			re, err := m.Encode(nil)
+			if err != nil {
+				t.Fatalf("decoded Query does not re-encode: %v", err)
 			}
-			if !m2.Agg.Equal(m.Agg) || m2.NReturned != m.NReturned {
-				t.Fatalf("AggregateReply unstable: %+v vs %+v", m, m2)
+			m2, err := DecodeQuery(re)
+			if err != nil {
+				t.Fatalf("re-encoded Query rejected: %v", err)
+			}
+			if m2.Agg != m.Agg || m2.Opts() != m.Opts() || m2.Shard != m.Shard || m2.Filter.String() != m.Filter.String() {
+				t.Fatalf("Query unstable: %+v vs %+v", m, m2)
+			}
+			if !m.Agg.Active() && (m.Agg.Field != "" || m.Agg.Shift != 0) {
+				t.Fatalf("inactive aggregate spec carries data: %+v", m.Agg)
+			}
+		}
+		if m, err := DecodeQueryReply(data); err == nil {
+			re := m.Encode(nil)
+			m2, err := DecodeQueryReply(re)
+			if err != nil {
+				t.Fatalf("re-encoded QueryReply rejected: %v", err)
+			}
+			if (m.Agg == nil) != (m2.Agg == nil) || (m.Agg != nil && !m2.Agg.Equal(m.Agg)) ||
+				m2.NReturned != m.NReturned || len(m2.Docs) != len(m.Docs) {
+				t.Fatalf("QueryReply unstable: %+v vs %+v", m, m2)
 			}
 			if len(re) > len(data) {
 				t.Fatal("re-encoding grew past the input")

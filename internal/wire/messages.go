@@ -163,16 +163,19 @@ func DecodeInsertReply(b []byte) (InsertReply, error) {
 	return m, d.finish()
 }
 
-// Query asks a shard server to execute a filter on one shard and
-// open a server-side cursor over the result. The pushed-down options
-// travel with it, so the shard bounds its scan exactly as the
-// in-process executor would.
+// Query is the one shard-facing read request: execute a filter on one
+// shard under the pushed-down options — limit, ordering, aggregate —
+// so the shard bounds its scan exactly as the in-process executor
+// would. A document query opens a server-side cursor over the result;
+// an aggregate query (Agg active) is answered by a single reply frame
+// carrying the shard's partial aggregate and no documents.
 type Query struct {
 	Shard     int32
 	BatchSize uint32
 	Limit     int64
 	OrderBy   string
 	Desc      bool
+	Agg       query.AggSpec
 	Filter    query.Filter
 }
 
@@ -184,6 +187,12 @@ func (m Query) Encode(buf []byte) ([]byte, error) {
 	buf = appendI64(buf, m.Limit)
 	buf = appendString(buf, m.OrderBy)
 	buf = appendBool(buf, m.Desc)
+	// The aggregate spec costs a document query one zero byte.
+	buf = appendU8(buf, uint8(m.Agg.Kind))
+	if m.Agg.Active() {
+		buf = appendString(buf, m.Agg.Field)
+		buf = appendU8(buf, m.Agg.Shift)
+	}
 	return AppendFilter(buf, m.Filter)
 }
 
@@ -196,6 +205,11 @@ func DecodeQuery(b []byte) (Query, error) {
 		Limit:     d.i64("limit"),
 		OrderBy:   d.string("order by"),
 		Desc:      d.bool("desc"),
+	}
+	m.Agg.Kind = query.AggKind(d.u8("agg kind"))
+	if m.Agg.Active() {
+		m.Agg.Field = d.string("agg field")
+		m.Agg.Shift = d.u8("agg shift")
 	}
 	if d.err != nil {
 		return m, d.err
@@ -210,7 +224,7 @@ func DecodeQuery(b []byte) (Query, error) {
 
 // Opts translates the pushed-down options into the executor's form.
 func (m Query) Opts() query.Opts {
-	return query.Opts{Limit: int(m.Limit), OrderBy: m.OrderBy, Desc: m.Desc}
+	return query.Opts{Limit: int(m.Limit), OrderBy: m.OrderBy, Desc: m.Desc, Agg: m.Agg}
 }
 
 // QueryReply carries one result batch. The first batch of a cursor
@@ -230,6 +244,9 @@ type QueryReply struct {
 	// only for ordered executions (the router's k-way merge needs
 	// them).
 	Keys [][]byte
+	// Agg is the shard's partial aggregate, present only when the query
+	// pushed one down (such a reply has no Docs, no Keys and Cursor 0).
+	Agg *query.AggResult
 }
 
 // Encode appends the message body to buf.
@@ -249,6 +266,10 @@ func (m QueryReply) Encode(buf []byte) []byte {
 		for _, k := range m.Keys {
 			buf = appendBytes(buf, k)
 		}
+	}
+	buf = appendBool(buf, m.Agg != nil)
+	if m.Agg != nil {
+		buf = AppendAggResult(buf, m.Agg)
 	}
 	return buf
 }
@@ -274,6 +295,9 @@ func DecodeQueryReply(b []byte) (QueryReply, error) {
 		for i := 0; i < len(m.Docs) && d.err == nil; i++ {
 			m.Keys = append(m.Keys, d.bytes("key"))
 		}
+	}
+	if d.bool("has agg") && d.err == nil {
+		m.Agg = decodeAggResult(d)
 	}
 	return m, d.finish()
 }

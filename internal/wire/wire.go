@@ -39,11 +39,14 @@ import (
 // handshake (nonce fields in Hello/HelloReply, OpAuth/OpAuthReply,
 // ErrCodeUnauthorized).
 //
-// Version 4 added aggregation pushdown: OpAggregate/OpAggregateReply
-// (per-shard partial aggregates instead of document batches) and the
-// aggregate fields appended to STQuery/STQueryReply for the router
-// daemon path.
-const ProtocolVersion = 4
+// Version 4 added aggregation pushdown to the router-facing op (the
+// aggregate fields appended to STQuery/STQueryReply).
+//
+// Version 5 made the shard-facing read one op: Query carries the
+// aggregate spec among its pushed-down options and QueryReply carries
+// the partial aggregate, replacing version 4's separate aggregate
+// frame pair (18 op codes, down from 20).
+const ProtocolVersion = 5
 
 // MaxFrameBody bounds a single frame body. Result batches are bounded
 // by the server's batch size, so real frames stay far below this; the
@@ -74,8 +77,6 @@ const (
 	OpInsertReply
 	OpAuth
 	OpAuthReply
-	OpAggregate
-	OpAggregateReply
 )
 
 // ErrorReply codes: the machine-readable classification riding next

@@ -1,50 +1,91 @@
 #!/bin/sh
-# The canonical check: tier-1 build+test, vet, and the race-detector
-# run over the packages the parallel query router stresses. Mirrors
-# `make check` for environments without make. Every test step carries
-# an explicit timeout so a hung scatter-gather (a deadlocked retry or
-# an unpropagated cancellation) fails the check instead of wedging it.
-set -eux
+# The canonical check, and the one place its lists live: the race
+# package list, the fuzz target list and every step's timeout. The
+# Makefile's check/race/fuzz-smoke/soak targets all call this script.
+#
+#   scripts/check.sh                 every step below, in order
+#   scripts/check.sh STEP [FUZZTIME] one step: tier1 | race | fuzz |
+#                                    cluster-smoke | chaos-soak | ingest-soak
+#
+# FUZZTIME (default 10s) is the slice each fuzz target runs for.
+# Every test step carries an explicit timeout so a hung scatter-gather
+# (a deadlocked retry or an unpropagated cancellation) fails the check
+# instead of wedging it.
+set -eu
 
-go build ./...
-go test -timeout 180s ./...
-go vet ./...
-go test -race -timeout 300s ./internal/sharding/... ./internal/query/... ./internal/storage/... ./internal/wal/... ./internal/core/... ./internal/btree/... ./internal/wire/... ./internal/netconn/... ./internal/replication/... ./internal/sketch/...
+# The packages the parallel query router exercises concurrently, plus
+# the durability subsystem (group commit shares journal state across
+# writers), the store layer whose fault-matrix tests hammer the
+# retry/hedging/breaker machinery from concurrent clients, the arena
+# B+tree whose borrowed-slice reads the router runs in parallel, the
+# network transport (pooled conns, server-side cursors and the
+# cancellation watchdog all cross goroutines), replication (the
+# group-commit ingest path fans acks out across follower goroutines),
+# and the shard-pruning sketches (updated by writers while the router
+# probes them); their stress tests must stay race-clean.
+RACE_PKGS="./internal/sharding/... ./internal/query/... ./internal/storage/... ./internal/wal/... ./internal/core/... ./internal/btree/... ./internal/wire/... ./internal/netconn/... ./internal/replication/... ./internal/sketch/..."
 
-# A 10-second slice of each fuzz target: BSON decoding is total, key
-# encoding preserves order, journal recovery never panics or replays
-# a corrupt frame, the arena B+tree matches a sorted-map oracle under
-# arbitrary operation streams, the wire protocol's decoders never
-# panic or over-allocate on hostile network bytes, and the counting-
-# bloom sketch never reports a false negative against an exact-set
-# oracle.
-go test -timeout 120s ./internal/bson -fuzz FuzzDocumentRoundTrip -fuzztime 10s
-go test -timeout 120s ./internal/keyenc -fuzz FuzzKeyOrdering -fuzztime 10s
-go test -timeout 120s ./internal/wal -fuzz FuzzFrameRecover -fuzztime 10s
-go test -timeout 120s ./internal/btree -fuzz FuzzTreeOps -fuzztime 10s
-go test -timeout 120s ./internal/wire -fuzz FuzzFrameDecode -fuzztime 10s
-go test -timeout 120s ./internal/wire -fuzz FuzzInsertDecode -fuzztime 10s
-go test -timeout 120s ./internal/wire -fuzz FuzzAggregateDecode -fuzztime 10s
-go test -timeout 120s ./internal/sketch -fuzz FuzzSketch -fuzztime 10s
+# package:target. BSON decoding is total (crash recovery feeds it torn
+# and bit-flipped journal bytes), key encoding preserves the logical
+# BSON order (every index range scan rests on it), journal recovery
+# never panics or replays a corrupt frame, the arena B+tree matches a
+# sorted-map oracle under arbitrary operation streams, the wire
+# protocol's frame, message, insert and aggregate decoders never panic
+# or over-allocate on hostile network bytes, and the counting-bloom
+# sketch never reports a false negative against an exact-set oracle.
+FUZZ_TARGETS="bson:FuzzDocumentRoundTrip keyenc:FuzzKeyOrdering wal:FuzzFrameRecover btree:FuzzTreeOps wire:FuzzFrameDecode wire:FuzzInsertDecode wire:FuzzAggregateDecode sketch:FuzzSketch"
 
-# Differential smoke of the real multi-process cluster: two stshardd
-# daemons + one strouterd must answer the paper's queries
-# byte-identically to a single in-process store.
-timeout 120 sh scripts/cluster-smoke.sh
+step() {
+    case "$1" in
+    tier1)
+        go build ./...
+        go test -timeout 180s ./...
+        go vet ./...
+        ;;
+    race)
+        # shellcheck disable=SC2086
+        go test -race -timeout 300s $RACE_PKGS
+        ;;
+    fuzz)
+        for t in $FUZZ_TARGETS; do
+            go test -timeout 120s "./internal/${t%%:*}" -fuzz "${t##*:}" -fuzztime "$FUZZTIME"
+        done
+        ;;
+    cluster-smoke)
+        # Differential smoke of the real multi-process cluster: two
+        # stshardd daemons + one strouterd must answer the paper's
+        # queries byte-identically to a single in-process store.
+        timeout 120 sh scripts/cluster-smoke.sh
+        ;;
+    chaos-soak)
+        # Seeded deterministic chaos soak: kill/restart daemon cycling,
+        # link faults and overload bursts, with every routed reply
+        # byte-verified or explicitly partial/shed and restarts
+        # fingerprint-checked.
+        timeout 300 sh scripts/chaos-soak.sh
+        ;;
+    ingest-soak)
+        # Crash-safe continuous ingest: idempotent write batches through
+        # the write-enabled router while daemons are SIGKILLed mid-ingest
+        # and recovered from their durable directories; bursts must shed,
+        # every process must fingerprint-converge to the in-process
+        # reference, and whole replicas are byte-verified over the wire
+        # read path.
+        timeout 420 sh scripts/ingest-soak.sh
+        ;;
+    *)
+        echo "check.sh: unknown step '$1'" >&2
+        exit 2
+        ;;
+    esac
+}
 
-# Seeded deterministic chaos soak: kill/restart daemon cycling, link
-# faults and overload bursts, with every routed reply byte-verified or
-# explicitly partial/shed and restarts fingerprint-checked.
-timeout 300 sh scripts/chaos-soak.sh
-
-# Crash-safe continuous ingest: idempotent write batches through the
-# write-enabled router while daemons are SIGKILLed mid-ingest and
-# recovered from their durable directories; bursts must shed, every
-# process must fingerprint-converge to the in-process reference, and
-# whole replicas are byte-verified over the wire read path.
-timeout 420 sh scripts/ingest-soak.sh
-
-# Not run here (needs a baseline report), but part of the perf
-# workflow: scripts/benchdiff.sh old.json new.json fails on a >20%
-# allocs/op or bytes/op regression between two `stbench -exp
-# throughput` reports. See `make benchdiff`.
+FUZZTIME=${2:-10s}
+set -x
+if [ $# -eq 0 ]; then
+    for s in tier1 race fuzz cluster-smoke chaos-soak ingest-soak; do
+        step "$s"
+    done
+else
+    step "$1"
+fi

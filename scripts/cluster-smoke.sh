@@ -66,8 +66,9 @@ diff "$TMP/local.out" "$TMP/router.out"
 
 # The aggregate pushdown differential: the merged aggregate's
 # canonical digest must be byte-identical whether shards compute their
-# partials in process, across the two shard daemons (single
-# OpAggregate frames), or behind the router daemon's client op.
+# partials in process, across the two shard daemons (one Query frame
+# carrying the aggregate spec, one QueryReply frame back), or behind the
+# router daemon's client op.
 for AGG in "-count" "-heatmap 6"; do
     # shellcheck disable=SC2086
     "$TMP/stquery" -records "$RECORDS" -shards "$SHARDS" $AGG -digest >"$TMP/agg-local.out" 2>>"$TMP/local.log"
