@@ -329,6 +329,10 @@ func canonicalClass(k Kind) int {
 // encoder.
 func CanonicalClass(v any) int { return canonicalClass(KindOf(v)) }
 
+// Class is the comparison class of values of this kind — what
+// CanonicalClass reports for them.
+func (k Kind) Class() int { return canonicalClass(k) }
+
 // NumericValue converts any numeric kind to float64 and reports
 // whether the value was numeric.
 func NumericValue(v any) (float64, bool) {

@@ -70,3 +70,16 @@ func BenchmarkCompare(b *testing.B) {
 		_ = Compare(x, y)
 	}
 }
+
+// BenchmarkRawGeoPoint measures the refine step's field read: finding
+// the location and reading its two coordinates from the encoded form.
+func BenchmarkRawGeoPoint(b *testing.B) {
+	raw := Raw(Marshal(benchDoc()))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		v, _ := raw.LookupRaw("location")
+		if _, _, ok := v.GeoPoint(); !ok {
+			b.Fatal("not a point")
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 )
 
@@ -62,7 +63,7 @@ func valueSize(v any) int {
 	case A:
 		n := 4 + 1
 		for i, x := range t {
-			n += 1 + len(itoaLen(i)) + 1 + valueSize(x)
+			n += 1 + decimalLen(i) + 1 + valueSize(x)
 		}
 		return n
 	default:
@@ -70,9 +71,16 @@ func valueSize(v any) int {
 	}
 }
 
-// itoaLen returns the decimal representation of i; array elements are
-// keyed by their index string, per the BSON spec.
-func itoaLen(i int) string { return fmt.Sprintf("%d", i) }
+// decimalLen returns the length of the decimal representation of the
+// non-negative i; array elements are keyed by their index string, per
+// the BSON spec.
+func decimalLen(i int) int {
+	n := 1
+	for ; i >= 10; i /= 10 {
+		n++
+	}
+	return n
+}
 
 func appendDocument(buf []byte, d *Document) []byte {
 	start := len(buf)
@@ -141,11 +149,14 @@ func appendElement(buf []byte, key string, v any) []byte {
 	case A:
 		buf = append(buf, tagArray)
 		buf = appendCString(buf, key)
-		arr := NewDocument()
+		start := len(buf)
+		buf = append(buf, 0, 0, 0, 0)
 		for i, x := range t {
-			arr.Set(itoaLen(i), x)
+			// strconv.Itoa does not allocate below 100.
+			buf = appendElement(buf, strconv.Itoa(i), x)
 		}
-		buf = appendDocument(buf, arr)
+		buf = append(buf, 0)
+		binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start))
 	default:
 		panic(fmt.Sprintf("bson: unsupported value type %T", v))
 	}

@@ -2,6 +2,7 @@ package bson
 
 import (
 	"encoding/binary"
+	"math"
 	"strings"
 )
 
@@ -28,8 +29,22 @@ func (r Raw) Get(path string) any {
 // Decode parses the full document.
 func (r Raw) Decode() (*Document, error) { return Unmarshal(r) }
 
-// Lookup implements Doc.
+// Lookup implements Doc: LookupRaw, then decode the one value found.
 func (r Raw) Lookup(path string) (any, bool) {
+	v, ok := r.LookupRaw(path)
+	if !ok {
+		return nil, false
+	}
+	return v.Value()
+}
+
+// LookupRaw resolves a (possibly dotted) path to the undecoded value
+// stored there. It allocates nothing; the typed readers on RawValue
+// then read scalars straight from the bytes. A value LookupRaw finds
+// may still be malformed inside (an unterminated string, a corrupt
+// embedded document): every reader checks what it reads and answers
+// "not ok" exactly where Lookup would have answered "not found".
+func (r Raw) LookupRaw(path string) (RawValue, bool) {
 	raw := []byte(r)
 	for {
 		dot := strings.IndexByte(path, '.')
@@ -39,25 +54,260 @@ func (r Raw) Lookup(path string) (any, bool) {
 		}
 		tag, value, ok := findRawField(raw, head)
 		if !ok {
-			return nil, false
+			return RawValue{}, false
 		}
 		if dot < 0 {
-			v, _, err := readValue(tag, value)
-			if err != nil {
-				return nil, false
-			}
-			return v, true
+			return RawValue{tag: tag, data: value}, true
 		}
 		if tag != tagDocument {
-			return nil, false
+			return RawValue{}, false
 		}
 		raw, path = value, path[dot+1:]
 	}
 }
 
+// RawValue is one element's value inside an encoded document: its
+// type tag and its bytes, sized by the lookup that produced it
+// (scalars have exactly their width; strings, documents and arrays
+// carry their length prefix). The zero RawValue reads as nothing.
+type RawValue struct {
+	tag  byte
+	data []byte
+}
+
+// Kind reports the value's kind.
+func (v RawValue) Kind() Kind {
+	switch v.tag {
+	case tagBool:
+		return KindBool
+	case tagInt32:
+		return KindInt32
+	case tagInt64:
+		return KindInt64
+	case tagFloat64:
+		return KindFloat64
+	case tagString:
+		return KindString
+	case tagDateTime:
+		return KindDateTime
+	case tagObjectID:
+		return KindObjectID
+	case tagArray:
+		return KindArray
+	case tagDocument:
+		return KindDocument
+	case tagMinKey:
+		return KindMinKey
+	case tagMaxKey:
+		return KindMaxKey
+	}
+	return KindNull
+}
+
+// Value decodes the value, like Raw.Lookup does for the path that led
+// here; ok is false when the bytes do not decode.
+func (v RawValue) Value() (any, bool) {
+	out, _, err := readValue(v.tag, v.data)
+	if err != nil {
+		return nil, false
+	}
+	return out, true
+}
+
+// Numeric reads any numeric kind as a float64, like NumericValue on
+// the decoded value.
+func (v RawValue) Numeric() (float64, bool) {
+	switch v.tag {
+	case tagFloat64:
+		return math.Float64frombits(binary.LittleEndian.Uint64(v.data)), true
+	case tagInt64:
+		return float64(int64(binary.LittleEndian.Uint64(v.data))), true
+	case tagInt32:
+		return float64(int32(binary.LittleEndian.Uint32(v.data))), true
+	}
+	return 0, false
+}
+
+// Int64 reads an int64 value (and only that kind).
+func (v RawValue) Int64() (int64, bool) {
+	if v.tag != tagInt64 {
+		return 0, false
+	}
+	return int64(binary.LittleEndian.Uint64(v.data)), true
+}
+
+// DateTimeMS reads a datetime as its stored milliseconds since the
+// epoch.
+func (v RawValue) DateTimeMS() (int64, bool) {
+	if v.tag != tagDateTime {
+		return 0, false
+	}
+	return int64(binary.LittleEndian.Uint64(v.data)), true
+}
+
+// Bool reads a boolean.
+func (v RawValue) Bool() (value, ok bool) {
+	if v.tag != tagBool {
+		return false, false
+	}
+	return v.data[0] != 0, true
+}
+
+// ObjectID reads an object id.
+func (v RawValue) ObjectID() (ObjectID, bool) {
+	var id ObjectID
+	if v.tag != tagObjectID {
+		return id, false
+	}
+	copy(id[:], v.data)
+	return id, true
+}
+
+// StringBytes reads a string as a view of its bytes inside the
+// document (no terminator); the view must not be modified.
+func (v RawValue) StringBytes() ([]byte, bool) {
+	if v.tag != tagString || !validValue(tagString, v.data) {
+		return nil, false
+	}
+	return v.data[4 : len(v.data)-1], true
+}
+
+// GeoPoint reads a GeoJSON point — an embedded document whose "type"
+// is the string "Point" and whose "coordinates" is an array of exactly
+// two numbers of any numeric kind, in any field order and with any
+// other fields beside them. It accepts exactly the values that
+// decoding the embedded document and reading those two fields accepts,
+// in one pass over the bytes.
+func (v RawValue) GeoPoint() (lon, lat float64, ok bool) {
+	if v.tag != tagDocument {
+		return 0, 0, false
+	}
+	body, ok := documentBody(v.data)
+	if !ok {
+		return 0, 0, false
+	}
+	// Like a decoded document's Get, the first element of a name wins.
+	var sawType, sawCoords bool
+	for len(body) > 0 {
+		tag, key, value, rest, ok := nextElement(body)
+		if !ok {
+			return 0, 0, false
+		}
+		body = rest
+		if !sawCoords && string(key) == "coordinates" {
+			sawCoords = true
+			if lon, lat, ok = coordinatePair(tag, value); !ok {
+				return 0, 0, false
+			}
+			continue
+		}
+		if !validValue(tag, value) {
+			return 0, 0, false
+		}
+		if !sawType && string(key) == "type" {
+			sawType = true
+			if tag != tagString || string(value[4:len(value)-1]) != "Point" {
+				return 0, 0, false
+			}
+		}
+	}
+	return lon, lat, sawType && sawCoords
+}
+
+// coordinatePair reads an array value of exactly two numbers, checking
+// the array as it goes (a number, once sized, always decodes; anything
+// else fails the pair whether or not it decodes). Element keys are
+// ignored, like the decoder ignores them.
+func coordinatePair(tag byte, arr []byte) (x, y float64, ok bool) {
+	if tag != tagArray {
+		return 0, 0, false
+	}
+	body, ok := documentBody(arr)
+	if !ok {
+		return 0, 0, false
+	}
+	n := 0
+	for ; len(body) > 0; n++ {
+		etag, _, value, rest, ok := nextElement(body)
+		if !ok || n == 2 {
+			return 0, 0, false
+		}
+		c, numeric := RawValue{tag: etag, data: value}.Numeric()
+		if !numeric {
+			return 0, 0, false
+		}
+		if n == 0 {
+			x = c
+		} else {
+			y = c
+		}
+		body = rest
+	}
+	return x, y, n == 2
+}
+
+// documentBody returns the element bytes of data when data is exactly
+// one length-prefixed, NUL-terminated document, as readDocument
+// requires.
+func documentBody(data []byte) ([]byte, bool) {
+	if len(data) < 5 {
+		return nil, false
+	}
+	total := int(binary.LittleEndian.Uint32(data))
+	if total != len(data) || data[total-1] != 0 {
+		return nil, false
+	}
+	return data[4 : total-1], true
+}
+
+// nextElement splits the first element off a document body: its tag,
+// its key (without the terminator), its value sized by rawValueSize,
+// and the elements after it.
+func nextElement(body []byte) (tag byte, key, value, rest []byte, ok bool) {
+	tag = body[0]
+	body = body[1:]
+	nul := -1
+	for i, c := range body {
+		if c == 0 {
+			nul = i
+			break
+		}
+	}
+	if nul < 0 {
+		return 0, nil, nil, nil, false
+	}
+	key, body = body[:nul], body[nul+1:]
+	size, ok := rawValueSize(tag, body)
+	if !ok {
+		return 0, nil, nil, nil, false
+	}
+	return tag, key, body[:size], body[size:], true
+}
+
+// validValue reports whether a value sized by rawValueSize also
+// decodes: a string must end in its terminator, an embedded document
+// or array must be well-formed throughout. Fixed-width kinds always
+// decode.
+func validValue(tag byte, value []byte) bool {
+	switch tag {
+	case tagString:
+		return value[len(value)-1] == 0
+	case tagDocument, tagArray:
+		body, ok := documentBody(value)
+		for ok && len(body) > 0 {
+			var etag byte
+			var evalue []byte
+			etag, _, evalue, body, ok = nextElement(body)
+			ok = ok && validValue(etag, evalue)
+		}
+		return ok
+	}
+	return true
+}
+
 // findRawField locates one element in an encoded document, returning
 // its tag and the bytes of its value (sized for scalar tags; the full
-// length-prefixed body for documents and arrays).
+// length-prefixed body for strings, documents and arrays).
 func findRawField(raw []byte, key string) (byte, []byte, bool) {
 	if len(raw) < 5 {
 		return 0, nil, false
@@ -68,29 +318,14 @@ func findRawField(raw []byte, key string) (byte, []byte, bool) {
 	}
 	body := raw[4 : total-1]
 	for len(body) > 0 {
-		tag := body[0]
-		body = body[1:]
-		// Key is a NUL-terminated cstring; compare without allocating.
-		nul := -1
-		for i, b := range body {
-			if b == 0 {
-				nul = i
-				break
-			}
-		}
-		if nul < 0 {
-			return 0, nil, false
-		}
-		match := nul == len(key) && string(body[:nul]) == key
-		body = body[nul+1:]
-		size, ok := rawValueSize(tag, body)
+		tag, name, value, rest, ok := nextElement(body)
 		if !ok {
 			return 0, nil, false
 		}
-		if match {
-			return tag, body[:size], true
+		if string(name) == key {
+			return tag, value, true
 		}
-		body = body[size:]
+		body = rest
 	}
 	return 0, nil, false
 }

@@ -158,3 +158,95 @@ func TestUnmarshalRobustToCorruption(t *testing.T) {
 		}()
 	}
 }
+
+// TestRawValueReadersMatchDecodedValues holds every typed reader to
+// the decoder: on each field of the sample document a reader either
+// returns what Lookup decodes there, or — for a kind it does not read
+// — says so.
+func TestRawValueReadersMatchDecodedValues(t *testing.T) {
+	doc := sampleDoc()
+	doc.Set("small", int32(-7)).Set("oid", NewObjectIDGen(5).New(time.Unix(1_531_000_000, 0)))
+	raw := Raw(Marshal(doc))
+	for _, e := range doc.Elems() {
+		v, ok := raw.LookupRaw(e.Key)
+		if !ok {
+			t.Fatalf("%s: LookupRaw found nothing", e.Key)
+		}
+		if got, want := v.Kind(), KindOf(e.Value); got != want {
+			t.Fatalf("%s: kind %v, want %v", e.Key, got, want)
+		}
+		decoded, ok := v.Value()
+		if !ok || Compare(decoded, e.Value) != 0 {
+			t.Fatalf("%s: Value() = %v, %v; want %v", e.Key, decoded, ok, e.Value)
+		}
+		wantNum, isNum := NumericValue(e.Value)
+		if got, ok := v.Numeric(); ok != isNum || got != wantNum {
+			t.Fatalf("%s: Numeric() = %v, %v; want %v, %v", e.Key, got, ok, wantNum, isNum)
+		}
+		wantInt, isInt := e.Value.(int64)
+		if got, ok := v.Int64(); ok != isInt || got != wantInt {
+			t.Fatalf("%s: Int64() = %v, %v; want %v, %v", e.Key, got, ok, wantInt, isInt)
+		}
+		wantTime, isTime := e.Value.(time.Time)
+		if got, ok := v.DateTimeMS(); ok != isTime || (isTime && got != wantTime.UnixMilli()) {
+			t.Fatalf("%s: DateTimeMS() = %v, %v; want %v, %v", e.Key, got, ok, wantTime, isTime)
+		}
+		wantStr, isStr := e.Value.(string)
+		if got, ok := v.StringBytes(); ok != isStr || string(got) != wantStr {
+			t.Fatalf("%s: StringBytes() = %q, %v; want %q, %v", e.Key, got, ok, wantStr, isStr)
+		}
+		wantBool, isBool := e.Value.(bool)
+		if got, ok := v.Bool(); ok != isBool || got != wantBool {
+			t.Fatalf("%s: Bool() = %v, %v; want %v, %v", e.Key, got, ok, wantBool, isBool)
+		}
+		wantID, isID := e.Value.(ObjectID)
+		if got, ok := v.ObjectID(); ok != isID || got != wantID {
+			t.Fatalf("%s: ObjectID() = %v, %v; want %v, %v", e.Key, got, ok, wantID, isID)
+		}
+		lon, lat, isPoint := v.GeoPoint()
+		if isPoint != (e.Key == "location") || (isPoint && (lon != 23.727539 || lat != 37.983810)) {
+			t.Fatalf("%s: GeoPoint() = %v, %v, %v", e.Key, lon, lat, isPoint)
+		}
+	}
+	if v, ok := raw.LookupRaw("nested.deep.leaf"); !ok {
+		t.Fatal("dotted path not resolved")
+	} else if n, ok := v.Int64(); !ok || n != 99 {
+		t.Fatalf("nested.deep.leaf = %v, %v", n, ok)
+	}
+	for _, path := range []string{"missing", "vehicle.sub", "tags.0", "nested.deep.leaf.too"} {
+		if _, ok := raw.LookupRaw(path); ok {
+			t.Fatalf("LookupRaw(%q) found something", path)
+		}
+	}
+}
+
+// TestRawReadersRejectWhatTheDecoderRejects damages a document inside
+// a value LookupRaw can still find, and checks the readers refuse it
+// the way Lookup does instead of reading past the damage.
+func TestRawReadersRejectWhatTheDecoderRejects(t *testing.T) {
+	enc := Marshal(sampleDoc())
+	for i := range enc {
+		dmg := append([]byte(nil), enc...)
+		dmg[i] ^= 0xFF
+		raw := Raw(dmg)
+		for _, path := range []string{"location", "vehicle", "nested.deep", "tags"} {
+			v, found := raw.LookupRaw(path)
+			_, decodes := raw.Lookup(path)
+			if decodes && !found {
+				t.Fatalf("byte %d: Lookup(%q) decodes a value LookupRaw does not find", i, path)
+			}
+			if !found {
+				continue
+			}
+			if _, ok := v.Value(); ok != decodes {
+				t.Fatalf("byte %d: %q: Value() ok=%v, Lookup ok=%v", i, path, ok, decodes)
+			}
+			if _, ok := v.StringBytes(); ok && !decodes {
+				t.Fatalf("byte %d: %q: StringBytes read a string Lookup rejects", i, path)
+			}
+			if _, _, ok := v.GeoPoint(); ok && !decodes {
+				t.Fatalf("byte %d: %q: GeoPoint read a document Lookup rejects", i, path)
+			}
+		}
+	}
+}

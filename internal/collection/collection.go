@@ -40,6 +40,9 @@ type Collection struct {
 	// by the query layer, stored here so its lifetime matches the
 	// collection's.
 	PlanCache sync.Map
+	// PlanCacheEntries counts the entries in PlanCache (a sync.Map has
+	// no length), so the query layer can cap it.
+	PlanCacheEntries atomic.Int64
 
 	// PlanCacheHits and PlanCacheMisses count lookups against
 	// PlanCache, maintained by the query layer and surfaced through
@@ -118,6 +121,20 @@ func (c *Collection) Index(name string) *index.Index {
 	defer c.mu.RUnlock()
 	for _, ix := range c.indexes {
 		if ix.Def().Name == name {
+			return ix
+		}
+	}
+	return nil
+}
+
+// IndexBySpec returns the first index whose definition renders as
+// spec (index.Index.Spec), or nil — how a cached plan, remembered by
+// its spec, finds its index again.
+func (c *Collection) IndexBySpec(spec string) *index.Index {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for _, ix := range c.indexes {
+		if ix.Spec() == spec {
 			return ix
 		}
 	}

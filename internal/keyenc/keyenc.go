@@ -93,6 +93,49 @@ func AppendValue(dst []byte, v any) []byte {
 	}
 }
 
+// AppendRaw appends the encoding of an undecoded document value: the
+// bytes AppendValue produces for the value decoded and normalised,
+// written straight from the stored form for every scalar kind.
+// Documents and arrays (never index or sort fields in this store)
+// take the decoding path. ok is false, and dst unchanged, for a value
+// that does not decode.
+func AppendRaw(dst []byte, v bson.RawValue) (out []byte, ok bool) {
+	switch v.Kind() {
+	case bson.KindNull:
+		return append(dst, classNull), true
+	case bson.KindMinKey:
+		return append(dst, classMinKey), true
+	case bson.KindMaxKey:
+		return append(dst, classMaxKey), true
+	case bson.KindBool:
+		b, _ := v.Bool()
+		if b {
+			return append(dst, classBool, 1), true
+		}
+		return append(dst, classBool, 0), true
+	case bson.KindInt32, bson.KindInt64, bson.KindFloat64:
+		f, _ := v.Numeric()
+		return appendNumber(dst, f), true
+	case bson.KindDateTime:
+		ms, _ := v.DateTimeMS()
+		return appendOrderedInt64(append(dst, classDateTime), ms), true
+	case bson.KindObjectID:
+		id, _ := v.ObjectID()
+		return append(append(dst, classObjectID), id[:]...), true
+	case bson.KindString:
+		s, ok := v.StringBytes()
+		if !ok {
+			return dst, false
+		}
+		return appendEscaped(append(dst, classString), s), true
+	}
+	decoded, ok := v.Value()
+	if !ok {
+		return dst, false
+	}
+	return AppendValue(dst, decoded), true
+}
+
 func appendEscapedField(dst []byte, key string) []byte {
 	return appendEscaped(dst, []byte(key))
 }

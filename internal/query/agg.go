@@ -166,13 +166,15 @@ func (a *aggAcc) accumulate(doc bson.Raw, spec AggSpec) {
 	a.count++
 	switch spec.Kind {
 	case AggDistinct:
-		v, ok := doc.Lookup(spec.Field)
+		v, ok := doc.LookupRaw(spec.Field)
 		if !ok {
 			// Missing fields contribute no distinct value (the usual
 			// distinct semantics); the document still counts.
 			return
 		}
-		a.valBuf = keyenc.AppendValue(a.valBuf[:0], bson.Normalize(v))
+		if a.valBuf, ok = keyenc.AppendRaw(a.valBuf[:0], v); !ok {
+			return
+		}
 		if a.distinct == nil {
 			a.distinct = make(map[string]struct{})
 		}
@@ -180,11 +182,11 @@ func (a *aggAcc) accumulate(doc bson.Raw, spec AggSpec) {
 			a.distinct[string(a.valBuf)] = struct{}{}
 		}
 	case AggCellHist:
-		v, ok := doc.Lookup(spec.Field)
+		v, ok := doc.LookupRaw(spec.Field)
 		if !ok {
 			return
 		}
-		iv, ok := bson.Normalize(v).(int64)
+		iv, ok := v.Int64()
 		if !ok {
 			return
 		}

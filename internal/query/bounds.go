@@ -10,8 +10,12 @@ type FieldBounds struct {
 	b bounds
 }
 
-// BoundsOf extracts per-field constraints from the filter.
+// BoundsOf returns the per-field constraints of the filter: those a
+// Prepared already holds, freshly extracted otherwise.
 func BoundsOf(f Filter) FieldBounds {
+	if p, ok := f.(*Prepared); ok {
+		return FieldBounds{b: p.bounds}
+	}
 	return FieldBounds{b: extractBounds(f)}
 }
 

@@ -116,10 +116,10 @@ func TestConcurrentReplanEviction(t *testing.T) {
 // that replaced it.
 func TestEvictPlanIsConditional(t *testing.T) {
 	c := newCollWithIndexes(t, 200)
-	f := NewAnd(
+	f := Prepare(NewAnd(
 		Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(0)},
 		Cmp{Field: "hilbertIndex", Op: OpLTE, Value: int64(1000)},
-	)
+	))
 	Execute(c, f, nil)
 	plan, _, stale, ok := cachedPlan(c, f, nil)
 	if !ok {

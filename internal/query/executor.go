@@ -101,9 +101,10 @@ func ExecuteOpts(coll *collection.Collection, f Filter, cfg *Config, opts Opts) 
 // selection ignores the options, so the scan order is the same.
 func ExecuteOptsCtx(ctx context.Context, coll *collection.Collection, f Filter, cfg *Config, opts Opts) (*Result, error) {
 	start := time.Now()
+	p := Prepare(f)
 	s := getScratch()
 	defer putScratch(s)
-	if plan, budget, entry, ok := cachedPlan(coll, f, cfg); ok {
+	if plan, budget, entry, ok := cachedPlan(coll, p, cfg); ok {
 		e := exec{ctx: ctx, coll: coll, p: plan, maxWorks: budget, collect: true, opts: opts, s: s}
 		completed := e.run()
 		if e.ctxErr != nil {
@@ -123,15 +124,15 @@ func ExecuteOptsCtx(ctx context.Context, coll *collection.Collection, f Filter, 
 		// like the server. The eviction is conditional on the entry we
 		// ran with, so concurrent trials of the same shape never evict
 		// each other's fresh winners.
-		evictPlan(coll, f, entry)
+		evictPlan(coll, p, entry)
 	}
-	plan, trials := ChoosePlan(coll, f, cfg)
+	plan, trials := ChoosePlan(coll, p, cfg)
 	e := exec{ctx: ctx, coll: coll, p: plan, collect: true, opts: opts, s: s}
 	e.run()
 	if e.ctxErr != nil {
 		return nil, e.ctxErr
 	}
-	rememberPlan(coll, f, plan, e.stats.KeysExamined+e.stats.DocsExamined)
+	rememberPlan(coll, p, plan, e.stats.KeysExamined+e.stats.DocsExamined)
 	res := s.buildResult(opts)
 	if !opts.Agg.Active() {
 		e.stats.NReturned = len(res.Docs)
@@ -327,7 +328,11 @@ func (e *exec) emitID(id storage.RecordID) bool {
 // are immutable, so matching and collection alias them without
 // copying.
 func (e *exec) emitRaw(id storage.RecordID, raw []byte) bool {
-	if e.p.Filter == nil || e.p.Filter.Matches(bson.Raw(raw)) {
+	// The filter sees the document through the scratch's *bson.Raw:
+	// converting the slice itself to bson.Doc would allocate per
+	// document.
+	e.s.doc = raw
+	if e.p.Filter == nil || e.p.Filter.Matches(&e.s.doc) {
 		e.stats.NReturned++
 		switch {
 		case e.ids != nil:

@@ -78,15 +78,16 @@ func explainPlan(p *Plan) PlanExplanation {
 // explanation. Unlike Execute it always reports the candidate set,
 // whether or not the plan cache would have short-circuited planning.
 func Explain(coll *collection.Collection, f Filter, cfg *Config) *Explanation {
+	p := Prepare(f)
 	ex := &Explanation{
 		Filter: f.String(),
-		Shape:  ShapeOf(f),
+		Shape:  ShapeOf(p),
 	}
 	defer func() {
 		ex.CacheHits = coll.PlanCacheHits.Load()
 		ex.CacheMisses = coll.PlanCacheMisses.Load()
 	}()
-	if plan, budget, entry, ok := cachedPlan(coll, f, cfg); ok {
+	if plan, budget, entry, ok := cachedPlan(coll, p, cfg); ok {
 		start := time.Now()
 		stats, completed := runPlan(coll, plan, budget)
 		if completed {
@@ -97,20 +98,20 @@ func Explain(coll *collection.Collection, f Filter, cfg *Config) *Explanation {
 			ex.Execution = stats
 			return ex
 		}
-		evictPlan(coll, f, entry)
+		evictPlan(coll, p, entry)
 	}
 	start := time.Now()
-	plan, trials := ChoosePlan(coll, f, cfg)
+	plan, trials := ChoosePlan(coll, p, cfg)
 	ex.Trials = trials
-	for _, p := range CandidatePlans(coll, f, cfg) {
-		if p.Name() == plan.Name() {
+	for _, cand := range CandidatePlans(coll, p, cfg) {
+		if cand.Name() == plan.Name() {
 			continue
 		}
-		ex.Rejected = append(ex.Rejected, explainPlan(p))
+		ex.Rejected = append(ex.Rejected, explainPlan(cand))
 	}
 	ex.Winning = explainPlan(plan)
 	stats, _ := runPlan(coll, plan, 0)
-	rememberPlan(coll, f, plan, stats.KeysExamined+stats.DocsExamined)
+	rememberPlan(coll, p, plan, stats.KeysExamined+stats.DocsExamined)
 	stats.Duration = time.Since(start)
 	stats.IndexUsed = plan.Name()
 	ex.Execution = stats

@@ -57,19 +57,23 @@ type Cmp struct {
 	Field string
 	Op    CmpOp
 	Value any
+	// k is Value classified once, set by compile; a Cmp built by
+	// literal has none and classifies its constant on every call.
+	k *operand
 }
 
 // Matches implements Filter.
 func (c Cmp) Matches(doc bson.Doc) bool {
-	v, ok := doc.Lookup(c.Field)
-	if !ok {
+	k := c.k
+	if k == nil {
+		classified := operandOf(c.Value)
+		k = &classified
+	}
+	v, ok := fieldOf(doc, c.Field)
+	if !ok || v.kind != k.kind {
 		return false
 	}
-	v = bson.Normalize(v)
-	if bson.CanonicalClass(v) != bson.CanonicalClass(bson.Normalize(c.Value)) {
-		return false
-	}
-	cmp := bson.Compare(v, c.Value)
+	cmp := v.compare(k)
 	switch c.Op {
 	case OpEQ:
 		return cmp == 0
@@ -96,17 +100,22 @@ func (c Cmp) String() string {
 type In struct {
 	Field  string
 	Values []any
+	// ks are Values classified once, set by compile (see Cmp.k).
+	ks []operand
 }
 
 // Matches implements Filter.
 func (in In) Matches(doc bson.Doc) bool {
-	v, ok := doc.Lookup(in.Field)
+	v, ok := fieldOf(doc, in.Field)
 	if !ok {
 		return false
 	}
-	v = bson.Normalize(v)
-	for _, want := range in.Values {
-		if bson.Compare(v, bson.Normalize(want)) == 0 {
+	ks := in.ks
+	if ks == nil {
+		ks = operandsOf(in.Values)
+	}
+	for i := range ks {
+		if k := &ks[i]; v.kind == k.kind && v.compare(k) == 0 {
 			return true
 		}
 	}
@@ -204,15 +213,27 @@ type GeoWithin struct {
 
 // Matches implements Filter.
 func (g GeoWithin) Matches(doc bson.Doc) bool {
-	v, ok := doc.Lookup(g.Field)
-	if !ok {
-		return false
+	p, ok := pointAt(doc, g.Field)
+	return ok && g.Rect.Contains(p)
+}
+
+// pointAt reads the GeoJSON point at a (dotted) path: straight from
+// the bytes of an encoded document, through the decoded value
+// otherwise.
+func pointAt(doc bson.Doc, path string) (geo.Point, bool) {
+	if raw, ok := rawOf(doc); ok {
+		v, ok := raw.LookupRaw(path)
+		if !ok {
+			return geo.Point{}, false
+		}
+		lon, lat, ok := v.GeoPoint()
+		return geo.Point{Lon: lon, Lat: lat}, ok
 	}
-	p, ok := geo.PointFromGeoJSON(v)
+	v, ok := doc.Lookup(path)
 	if !ok {
-		return false
+		return geo.Point{}, false
 	}
-	return g.Rect.Contains(p)
+	return geo.PointFromGeoJSON(v)
 }
 
 func (g GeoWithin) String() string {
@@ -232,19 +253,53 @@ type GeoWithinPolygon struct {
 
 // Matches implements Filter.
 func (g GeoWithinPolygon) Matches(doc bson.Doc) bool {
-	v, ok := doc.Lookup(g.Field)
-	if !ok {
-		return false
-	}
-	p, ok := geo.PointFromGeoJSON(v)
-	if !ok {
-		return false
-	}
-	return g.Polygon.Contains(p)
+	p, ok := pointAt(doc, g.Field)
+	return ok && g.Polygon.Contains(p)
 }
 
 func (g GeoWithinPolygon) String() string {
 	return fmt.Sprintf("{%s: {$geoWithin: {$geometry: %s}}}", g.Field, g.Polygon.GeoJSON())
+}
+
+// compile returns the filter with every comparison constant classified
+// once (Cmp.k, In.ks), so that matching a document reads no constant
+// through an interface. The result is the same filter: same types,
+// same rendering, same answers.
+func compile(f Filter) Filter {
+	switch t := f.(type) {
+	case Cmp:
+		if t.k == nil {
+			k := operandOf(t.Value)
+			t.k = &k
+		}
+		return t
+	case In:
+		if t.ks == nil {
+			t.ks = operandsOf(t.Values)
+		}
+		return t
+	case And:
+		return And{Children: compileAll(t.Children)}
+	case Or:
+		return Or{Children: compileAll(t.Children)}
+	}
+	return f
+}
+
+func operandsOf(vs []any) []operand {
+	out := make([]operand, len(vs))
+	for i, v := range vs {
+		out[i] = operandOf(v)
+	}
+	return out
+}
+
+func compileAll(fs []Filter) []Filter {
+	out := make([]Filter, len(fs))
+	for i, f := range fs {
+		out[i] = compile(f)
+	}
+	return out
 }
 
 // TimeRangeFilter is a convenience builder for the temporal constraint

@@ -1,11 +1,13 @@
 package query
 
 import (
-	"fmt"
-	"strings"
+	"reflect"
+	"slices"
+	"strconv"
 
 	"repro/internal/bson"
 	"repro/internal/collection"
+	"repro/internal/geo"
 )
 
 // The plan cache mirrors the server's: after a multi-plan trial, the
@@ -16,62 +18,84 @@ import (
 
 // ShapeOf renders the structural shape of a filter: operators, field
 // names and value type classes, but not the values.
-func ShapeOf(f Filter) string {
-	var b strings.Builder
-	writeShape(&b, f)
-	return b.String()
-}
+func ShapeOf(f Filter) string { return string(appendShape(nil, f)) }
 
-func writeShape(b *strings.Builder, f Filter) {
+func appendShape(b []byte, f Filter) []byte {
 	switch t := f.(type) {
 	case Cmp:
-		fmt.Fprintf(b, "%s:%s:%d", t.Field, t.Op, bson.CanonicalClass(bson.Normalize(t.Value)))
+		b = append(append(b, t.Field...), ':')
+		b = append(append(b, t.Op.String()...), ':')
+		return strconv.AppendInt(b, int64(bson.CanonicalClass(t.Value)), 10)
 	case In:
-		fmt.Fprintf(b, "%s:$in", t.Field)
+		return append(append(b, t.Field...), ":$in"...)
 	case GeoWithin:
 		// Geo predicates are not parameterized: the geometry is part
 		// of the cache key (as on the server, where geo queries are
 		// excluded from auto-parameterization). Distinct query
 		// rectangles therefore plan independently — the precondition
 		// for the per-query optimizer choices of Table 7.
-		fmt.Fprintf(b, "%s:$geoWithin[%v]", t.Field, t.Rect)
+		b = append(append(b, t.Field...), ":$geoWithin["...)
+		return append(appendRect(b, t.Rect), ']')
 	case GeoWithinPolygon:
-		fmt.Fprintf(b, "%s:$geoWithin:poly[%v]", t.Field, t.Polygon.BoundingRect())
+		b = append(append(b, t.Field...), ":$geoWithin:poly["...)
+		return append(appendRect(b, t.Polygon.BoundingRect()), ']')
 	case And:
-		b.WriteString("and(")
+		b = append(b, "and("...)
 		for i, c := range t.Children {
 			if i > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			writeShape(b, c)
+			b = appendShape(b, c)
 		}
-		b.WriteByte(')')
+		return append(b, ')')
 	case Or:
 		// Disjunction arm counts vary with constant values (e.g. the
 		// Hilbert cell ranges), so the shape keeps only the set of
-		// distinct arm shapes.
-		shapes := map[string]bool{}
+		// distinct arm shapes, in a deterministic order. Each arm is
+		// rendered at the tail of b and kept only if new.
+		mark := len(b)
+		var arms []string
 		for _, c := range t.Children {
-			var cb strings.Builder
-			writeShape(&cb, c)
-			shapes[cb.String()] = true
-		}
-		keys := make([]string, 0, len(shapes))
-		for k := range shapes {
-			keys = append(keys, k)
-		}
-		// Deterministic order.
-		for i := 1; i < len(keys); i++ {
-			for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-				keys[j], keys[j-1] = keys[j-1], keys[j]
+			b = appendShape(b, c)
+			seen := false
+			for _, arm := range arms {
+				seen = seen || arm == string(b[mark:])
 			}
+			if !seen {
+				arms = append(arms, string(b[mark:]))
+			}
+			b = b[:mark]
 		}
-		b.WriteString("or(")
-		b.WriteString(strings.Join(keys, ","))
-		b.WriteByte(')')
+		slices.Sort(arms)
+		b = append(b, "or("...)
+		for i, arm := range arms {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, arm...)
+		}
+		return append(b, ')')
+	case *Prepared:
+		return append(b, t.shape.(string)...)
+	case nil:
+		return append(b, "<nil>"...)
 	default:
-		fmt.Fprintf(b, "%T", f)
+		return append(b, reflect.TypeOf(f).String()...)
 	}
+}
+
+// appendRect renders a rectangle the way geo.Rect.String does — six
+// decimals per coordinate — which is what the cache key always held.
+func appendRect(b []byte, r geo.Rect) []byte {
+	b = append(b, "[("...)
+	b = strconv.AppendFloat(b, r.Min.Lon, 'f', 6, 64)
+	b = append(b, ", "...)
+	b = strconv.AppendFloat(b, r.Min.Lat, 'f', 6, 64)
+	b = append(b, "), ("...)
+	b = strconv.AppendFloat(b, r.Max.Lon, 'f', 6, 64)
+	b = append(b, ", "...)
+	b = strconv.AppendFloat(b, r.Max.Lat, 'f', 6, 64)
+	return append(b, ")]"...)
 }
 
 // cacheEntry is a remembered winner plus the work it took to win,
@@ -94,22 +118,28 @@ type cacheEntry struct {
 // execution budget, like the server's internalQueryCacheEvictionRatio.
 const replanFactor = 10
 
-// cachedPlan looks up the remembered winner for the filter shape and
-// rebuilds its bounds for the current constant values — only its
-// bounds: the losing candidates' segment building (geo coverings
-// included) is skipped entirely, which is most of what makes the warm
-// path cheap. The returned budget is the works allowance before the
+// planCacheCap bounds the remembered shapes per collection. A geo
+// predicate's rectangle is part of its shape, so a long-running
+// server meets an unbounded stream of distinct shapes; past the cap
+// the whole cache is dropped, which costs each live shape one
+// re-trial on its next execution and nothing else.
+const planCacheCap = 4096
+
+// cachedPlan looks up the remembered winner for the prepared filter's
+// shape and assembles its plan from the prepared access path: a cache
+// load, an index lookup by spec, one Plan. The losing candidates are
+// never built. The returned budget is the works allowance before the
 // plan must be evicted; the returned entry is what evictPlan needs
 // for its compare-and-delete.
-func cachedPlan(coll *collection.Collection, f Filter, cfg *Config) (*Plan, int, cacheEntry, bool) {
-	v, ok := coll.PlanCache.Load(ShapeOf(f))
+func cachedPlan(coll *collection.Collection, p *Prepared, cfg *Config) (*Plan, int, cacheEntry, bool) {
+	v, ok := coll.PlanCache.Load(p.shape)
 	if !ok {
 		coll.PlanCacheMisses.Add(1)
 		return nil, 0, cacheEntry{}, false
 	}
 	entry := v.(cacheEntry)
-	p := planByName(coll, f, cfg, entry.name)
-	if p == nil {
+	plan := planByName(coll, p, cfg, entry.name)
+	if plan == nil {
 		coll.PlanCacheMisses.Add(1)
 		return nil, 0, cacheEntry{}, false
 	}
@@ -118,22 +148,20 @@ func cachedPlan(coll *collection.Collection, f Filter, cfg *Config) (*Plan, int,
 	if budget < minReplanBudget {
 		budget = minReplanBudget
 	}
-	return p, budget, entry, true
+	return plan, budget, entry, true
 }
 
-// planByName rebuilds the single candidate plan with the given name,
-// or nil when the name no longer denotes a usable access path for
-// this filter. It mirrors CandidatePlans' construction exactly —
-// same bounds, segments and residual filter — without building the
-// other candidates.
-func planByName(coll *collection.Collection, f Filter, cfg *Config, name string) *Plan {
-	b := extractBounds(f)
-	if b.impossible {
-		p := &Plan{Index: coll.Index(collection.IDIndexName), Filter: f}
-		if p.Name() != name {
+// planByName builds the single candidate plan with the given name, or
+// nil when the name no longer denotes a usable access path for this
+// filter. It yields exactly the plan CandidatePlans would list under
+// that name.
+func planByName(coll *collection.Collection, p *Prepared, cfg *Config, name string) *Plan {
+	if p.bounds.impossible {
+		plan := emptyPlan(coll, p)
+		if plan.Name() != name {
 			return nil
 		}
-		return p
+		return plan
 	}
 	if name == CollScanName {
 		// A collection scan is a candidate only while no index is
@@ -141,23 +169,27 @@ func planByName(coll *collection.Collection, f Filter, cfg *Config, name string)
 		// (the shape), so a cached COLLSCAN stays valid unless an
 		// index was created since.
 		for _, ix := range coll.Indexes() {
-			if fieldIntervalSet(ix, ix.Def().Fields[0], b, cfg) != nil {
+			if p.path(ix, cfg).usable {
 				return nil
 			}
 		}
-		return &Plan{Filter: f}
+		return &Plan{Filter: p.whole()}
 	}
-	for _, ix := range coll.Indexes() {
-		if ix.Spec() != name {
-			continue
-		}
-		segs, covered, usable := planSegments(ix, b, cfg)
-		if !usable {
-			return nil
-		}
-		return &Plan{Index: ix, Segments: segs, Filter: residualFilter(f, covered)}
+	ix := coll.IndexBySpec(name)
+	if ix == nil {
+		return nil
 	}
-	return nil
+	ap := p.path(ix, cfg)
+	if !ap.usable {
+		return nil
+	}
+	return &Plan{Index: ix, Segments: ap.segments, Filter: ap.residual}
+}
+
+// emptyPlan is the plan of a provably unsatisfiable filter: an index
+// scan over no segments.
+func emptyPlan(coll *collection.Collection, p *Prepared) *Plan {
+	return &Plan{Index: coll.Index(collection.IDIndexName), Filter: p.filter}
 }
 
 // minReplanBudget keeps trivial cached runs (decision works near
@@ -168,24 +200,34 @@ const minReplanBudget = 200
 // works its winning execution consumed. Concurrent replans of the
 // same shape race last-writer-wins, which is safe: every writer
 // stores a winner it just validated against the live data, so any of
-// them is a correct cache entry.
-func rememberPlan(coll *collection.Collection, f Filter, p *Plan, works int) {
-	coll.PlanCache.Store(ShapeOf(f), cacheEntry{name: p.Name(), works: works})
+// them is a correct cache entry. A new shape that takes the cache
+// past planCacheCap empties it.
+func rememberPlan(coll *collection.Collection, p *Prepared, plan *Plan, works int) {
+	_, replaced := coll.PlanCache.Swap(p.shape, cacheEntry{name: plan.Name(), works: works})
+	if !replaced && coll.PlanCacheEntries.Add(1) > planCacheCap {
+		ClearPlanCache(coll)
+	}
 }
 
 // evictPlan drops the cached winner for the filter shape, but only if
 // it is still the entry the caller's execution ran with — a plain
 // Delete here could throw away the fresh winner a concurrently
 // replanning execution just remembered.
-func evictPlan(coll *collection.Collection, f Filter, seen cacheEntry) {
-	coll.PlanCache.CompareAndDelete(ShapeOf(f), seen)
+func evictPlan(coll *collection.Collection, p *Prepared, seen cacheEntry) {
+	if coll.PlanCache.CompareAndDelete(p.shape, seen) {
+		coll.PlanCacheEntries.Add(-1)
+	}
 }
 
-// ClearPlanCache drops the collection's cached plans (tests and
-// benchmarks use it to measure cold planning).
+// ClearPlanCache drops the collection's cached plans (the cap's
+// overflow; tests and benchmarks use it to measure cold planning).
+// Every entry is counted out as it goes, so the entry count stays
+// exact under concurrent remembers.
 func ClearPlanCache(coll *collection.Collection) {
 	coll.PlanCache.Range(func(k, _ any) bool {
-		coll.PlanCache.Delete(k)
+		if _, present := coll.PlanCache.LoadAndDelete(k); present {
+			coll.PlanCacheEntries.Add(-1)
+		}
 		return true
 	})
 }

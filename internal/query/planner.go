@@ -88,25 +88,21 @@ func (p *Plan) Name() string {
 // one plan per index whose leading field is constrained, plus a
 // collection scan when none is.
 func CandidatePlans(coll *collection.Collection, f Filter, cfg *Config) []*Plan {
-	b := extractBounds(f)
-	if b.impossible {
+	p := Prepare(f)
+	if p.bounds.impossible {
 		// A provably empty result: an empty index-scan plan.
-		return []*Plan{{Index: coll.Index(collection.IDIndexName), Filter: f}}
+		return []*Plan{emptyPlan(coll, p)}
 	}
 	var plans []*Plan
 	for _, ix := range coll.Indexes() {
-		segs, covered, usable := planSegments(ix, b, cfg)
-		if !usable {
+		ap := p.path(ix, cfg)
+		if !ap.usable {
 			continue
 		}
-		plans = append(plans, &Plan{
-			Index:    ix,
-			Segments: segs,
-			Filter:   residualFilter(f, covered),
-		})
+		plans = append(plans, &Plan{Index: ix, Segments: ap.segments, Filter: ap.residual})
 	}
 	if len(plans) == 0 {
-		plans = append(plans, &Plan{Filter: f})
+		plans = append(plans, &Plan{Filter: p.whole()})
 	}
 	return plans
 }

@@ -389,3 +389,156 @@ func TestThreeFieldCompoundComposition(t *testing.T) {
 		t.Fatalf("$in fan-out returned %d, want %d", got, want2)
 	}
 }
+
+type customFilter struct{ And }
+
+// TestShapeOfGolden pins the plan-cache keys byte for byte: they were
+// rendered through fmt before and are appended by hand now, and a
+// daemon's cache (and every explain output) must not notice.
+func TestShapeOfGolden(t *testing.T) {
+	poly, err := geo.NewPolygon(geo.Point{Lon: 1, Lat: 2}, geo.Point{Lon: 3.5, Lat: 2.25}, geo.Point{Lon: 2, Lat: 5.123456789})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		f    Filter
+		want string
+	}{
+		{NewAnd(
+			GeoWithin{Field: "location", Rect: geo.NewRect(23.606039, 38.023982, 24.0327544, 38.3539265)},
+			TimeRangeFilter("date", baseTime, baseTime.Add(time.Hour)),
+			NewOr(
+				NewAnd(Cmp{Field: "h", Op: OpGTE, Value: int64(5)}, Cmp{Field: "h", Op: OpLTE, Value: int64(9)}),
+				NewAnd(Cmp{Field: "h", Op: OpGTE, Value: int64(20)}, Cmp{Field: "h", Op: OpLTE, Value: int64(30)}),
+				In{Field: "h", Values: []any{int64(77)}},
+			),
+		), "and(location:$geoWithin[[(23.606039, 38.023982), (24.032754, 38.353927)]],date:$gte:8,date:$lte:8,or(and(h:$gte:2,h:$lte:2),h:$in))"},
+		{Cmp{Field: "s", Op: OpEQ, Value: "x"}, "s:$eq:3"},
+		{NewAnd(Cmp{Field: "n", Op: OpGT, Value: 5}, Cmp{Field: "b", Op: OpLT, Value: true}, Cmp{Field: "z", Op: OpEQ, Value: nil}),
+			"and(n:$gt:2,b:$lt:7,z:$eq:1)"},
+		{GeoWithinPolygon{Field: "loc", Polygon: poly}, "loc:$geoWithin:poly[[(1.000000, 2.000000), (3.500000, 5.123457)]]"},
+		{NewOr(), "or()"},
+		{NewAnd(), "and()"},
+		{GeoWithin{Field: "g", Rect: geo.NewRect(-179.9999999, -89.5, 0.0000004, 1e-7)},
+			"g:$geoWithin[[(-180.000000, -89.500000), (0.000000, 0.000000)]]"},
+		{customFilter{}, "query.customFilter"},
+		{NewOr(In{Field: "b", Values: nil}, Cmp{Field: "a", Op: OpLTE, Value: 1.5}, In{Field: "b", Values: nil}), "or(a:$lte:2,b:$in)"},
+	} {
+		if got := ShapeOf(tc.f); got != tc.want {
+			t.Errorf("ShapeOf(%s)\n got %s\nwant %s", tc.f, got, tc.want)
+		}
+		if got := ShapeOf(Prepare(tc.f)); got != tc.want {
+			t.Errorf("ShapeOf(Prepare(%s)) = %s, want %s", tc.f, got, tc.want)
+		}
+	}
+}
+
+// planCacheLen counts the cache's entries the slow way.
+func planCacheLen(c *collection.Collection) int {
+	n := 0
+	c.PlanCache.Range(func(_, _ any) bool { n++; return true })
+	return n
+}
+
+// TestPlanCacheIsCapped: a geo predicate's rectangle is part of its
+// shape, so a stream of distinct rectangles is a stream of distinct
+// cache keys. Ten times the cap of them must leave at most the cap
+// behind, with the entry counter exact, one miss counted per first
+// execution, one hit per repeat, and the same winner chosen as on a
+// collection that never overflowed.
+func TestPlanCacheIsCapped(t *testing.T) {
+	c, fresh := newCollWithIndexes(t, 60), newCollWithIndexes(t, 60)
+	rectFilter := func(i int) Filter {
+		lon := 23.5 + float64(i)*1e-5
+		return NewAnd(
+			GeoWithin{Field: "location", Rect: geo.NewRect(lon, 37.6, lon+0.4, 38.2)},
+			TimeRangeFilter("date", baseTime, baseTime.Add(10*24*time.Hour)),
+		)
+	}
+	const distinct = 10 * planCacheCap
+	for i := 0; i < distinct; i++ {
+		Execute(c, rectFilter(i), nil)
+		if i%1024 == 0 {
+			if n := planCacheLen(c); n > planCacheCap {
+				t.Fatalf("after %d distinct rectangles the cache holds %d entries, cap %d", i+1, n, planCacheCap)
+			}
+		}
+	}
+	if n, counted := planCacheLen(c), c.PlanCacheEntries.Load(); n > planCacheCap || int64(n) != counted {
+		t.Fatalf("cache holds %d entries (counter says %d), cap %d", n, counted, planCacheCap)
+	}
+	if hits, misses := c.PlanCacheHits.Load(), c.PlanCacheMisses.Load(); hits != 0 || misses != distinct {
+		t.Fatalf("%d distinct first executions counted %d hits and %d misses", distinct, hits, misses)
+	}
+	// The newest shapes survived the last overflow; repeating them hits,
+	// and answers what a never-overflowed collection answers.
+	for i := distinct - 8; i < distinct; i++ {
+		f := rectFilter(i)
+		got, want := Execute(c, f, nil), Execute(fresh, f, nil)
+		if got.Stats.IndexUsed != want.Stats.IndexUsed || got.Stats.NReturned != want.Stats.NReturned {
+			t.Fatalf("rectangle %d: %s returned %d after overflows, %s returned %d on a fresh collection",
+				i, got.Stats.IndexUsed, got.Stats.NReturned, want.Stats.IndexUsed, want.Stats.NReturned)
+		}
+	}
+	if hits, misses := c.PlanCacheHits.Load(), c.PlanCacheMisses.Load(); hits != 8 || misses != distinct {
+		t.Fatalf("8 repeats counted %d hits and %d misses (want 8 and %d)", hits, misses, distinct)
+	}
+	// An eviction keeps the counter exact too.
+	p := Prepare(rectFilter(distinct - 1))
+	_, _, entry, ok := cachedPlan(c, p, nil)
+	if !ok {
+		t.Fatal("newest shape not cached")
+	}
+	before := c.PlanCacheEntries.Load()
+	evictPlan(c, p, entry)
+	if after := c.PlanCacheEntries.Load(); after != before-1 || int64(planCacheLen(c)) != after {
+		t.Fatalf("eviction moved the entry count %d -> %d with %d entries present", before, after, planCacheLen(c))
+	}
+}
+
+// TestPreparedPlansOncePerQuery: a scatter prepares its filter once and
+// every shard execution reuses the bounds, segments and residual. With
+// warm plan caches, executing one prepared 13-range cover on six
+// collections must cost — beyond the first — only the per-execution
+// constant (plan, result, stats), a small fraction of what deriving
+// the plan from the bare filter costs each time.
+func TestPreparedPlansOncePerQuery(t *testing.T) {
+	docs := benchRawDocs(256)
+	colls := make([]*collection.Collection, 6)
+	for i := range colls {
+		colls[i] = benchHilbertColl(t, docs)
+	}
+	f := hilbertCover(geo.NewRect(23.7, 37.7, 24.3, 38.3), baseTime, baseTime.Add(24*time.Hour))
+	over := func(n int, prepare bool) float64 {
+		run := func() {
+			q := f
+			if prepare {
+				q = Prepare(f)
+			}
+			for _, c := range colls[:n] {
+				ExecuteOpts(c, q, nil, Opts{Limit: 1})
+			}
+		}
+		run()
+		return testing.AllocsPerRun(20, run)
+	}
+	perExtraPrepared := (over(6, true) - over(1, true)) / 5
+	perExtraBare := (over(6, false) - over(1, false)) / 5
+	t.Logf("allocations per additional shard: %.0f prepared, %.0f bare", perExtraPrepared, perExtraBare)
+	if perExtraPrepared > 12 {
+		t.Fatalf("each additional shard of a prepared query allocates %.0f objects: planning is not shared", perExtraPrepared)
+	}
+	if perExtraBare < 10*perExtraPrepared {
+		t.Fatalf("bare executions allocate %.0f per shard against %.0f prepared: the test no longer tells them apart",
+			perExtraBare, perExtraPrepared)
+	}
+	// Sharing the plan must not share the counters: one hit per execution.
+	p := Prepare(f)
+	for i, c := range colls {
+		before := c.PlanCacheHits.Load()
+		Execute(c, p, nil)
+		if got := c.PlanCacheHits.Load(); got != before+1 {
+			t.Fatalf("collection %d: plan-cache hits %d -> %d on one prepared execution", i, before, got)
+		}
+	}
+}

@@ -43,11 +43,12 @@ func (o Opts) ordered() bool { return o.OrderBy != "" }
 // index keys are encoded (missing fields as null, sorting first), so
 // ordering by a field agrees with an index over that field.
 func appendSortKey(dst []byte, doc bson.Raw, field string) []byte {
-	v, ok := doc.Lookup(field)
-	if !ok {
-		return keyenc.AppendValue(dst, nil)
+	if v, ok := doc.LookupRaw(field); ok {
+		if out, ok := keyenc.AppendRaw(dst, v); ok {
+			return out
+		}
 	}
-	return keyenc.AppendValue(dst, bson.Normalize(v))
+	return keyenc.AppendValue(dst, nil)
 }
 
 // topKItem is one retained candidate: its encoded sort key, the
@@ -179,6 +180,7 @@ func (t *topK) finish() []topKItem {
 type scratch struct {
 	it     btree.Iterator
 	resume []byte
+	doc    bson.Raw // the document being matched
 	docs   []bson.Raw
 	top    topK
 	keyBuf []byte
@@ -192,6 +194,7 @@ func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 func putScratch(s *scratch) {
 	// Drop document references (they pin store records otherwise);
 	// keep every byte buffer for reuse.
+	s.doc = nil
 	clear(s.docs)
 	s.docs = s.docs[:0]
 	s.top.reset(0, false)

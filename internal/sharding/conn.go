@@ -26,7 +26,10 @@ type ShardConn interface {
 	// error) once the context is cancelled, and the executor it drives
 	// must stop its scan cooperatively. opts is the pushed-down limit
 	// and ordering: the shard stops (or top-k-bounds) its scan so no
-	// more than opts.Limit documents cross this boundary.
+	// more than opts.Limit documents cross this boundary. The scatter
+	// passes the same *query.Prepared to every shard of a query, so an
+	// in-process execution plans nothing the first shard already did; a
+	// conn that serializes sends the filter inside it.
 	//
 	// This interface is also the ownership trust boundary: the
 	// Result's slices must be owned by the caller (the executor

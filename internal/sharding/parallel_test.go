@@ -38,6 +38,20 @@ func stressFilters() []query.Filter {
 	}
 }
 
+// pushdownOptSets is every kind of pushed-down execution: plain,
+// limited, top-k both ways, and each aggregate.
+func pushdownOptSets() map[string]query.Opts {
+	return map[string]query.Opts{
+		"plain":     {},
+		"limit":     {Limit: 7},
+		"top-k":     {Limit: 5, OrderBy: "date"},
+		"top-k-rev": {Limit: 5, OrderBy: "date", Desc: true},
+		"count":     {Agg: query.AggSpec{Kind: query.AggCount}},
+		"distinct":  {Agg: query.AggSpec{Kind: query.AggDistinct, Field: "hilbertIndex"}},
+		"cells":     {Agg: query.AggSpec{Kind: query.AggCellHist, Field: "hilbertIndex", Shift: 6}},
+	}
+}
+
 // idSetOf reduces a routed result to a sorted multiset of _id values,
 // the representation that is invariant under chunk migrations (which
 // reshuffle shard ownership and therefore merge order).
@@ -94,15 +108,7 @@ func TestParallelQueryIdenticalToSequential(t *testing.T) {
 func TestQueryBatchMatchesIndividualQueries(t *testing.T) {
 	c, _ := loadCluster(t, 2000, hilbertDateKey(), smallOpts())
 	fs := stressFilters()
-	optSets := map[string]query.Opts{
-		"plain":     {},
-		"limit":     {Limit: 7},
-		"top-k":     {Limit: 5, OrderBy: "date"},
-		"top-k-rev": {Limit: 5, OrderBy: "date", Desc: true},
-		"count":     {Agg: query.AggSpec{Kind: query.AggCount}},
-		"distinct":  {Agg: query.AggSpec{Kind: query.AggDistinct, Field: "hilbertIndex"}},
-		"cells":     {Agg: query.AggSpec{Kind: query.AggCellHist, Field: "hilbertIndex", Shift: 6}},
-	}
+	optSets := pushdownOptSets()
 	// The down shard is one every broadcast entry targets.
 	down := c.Query(fs[3]).TargetedShards[0]
 	fc := NewFaultConn(nil, 11)
@@ -180,6 +186,115 @@ func TestQueryBatchMatchesIndividualQueries(t *testing.T) {
 	// An empty batch is legal.
 	if got := c.QueryBatchOpts(nil, nil); len(got) != 0 {
 		t.Fatalf("empty batch returned %d results", len(got))
+	}
+}
+
+// TestPreparedExecutionMatchesBare: the scatter hands every shard one
+// query.Prepare'd filter; a shard handed the bare filter derives the
+// same plan on its own. For every filter and pushdown of the batch
+// test, both must produce identical results, stats, trials and
+// plan-cache counter movements on every shard — cold (each shard
+// plans and remembers), warm (each shard hits), when the cached plan
+// blows its budget and is evicted and replanned, and when one prepared
+// value is shared by concurrent executions (run under -race).
+func TestPreparedExecutionMatchesBare(t *testing.T) {
+	c, _ := loadCluster(t, 2000, hilbertDateKey(), smallOpts())
+	cfg := c.Options().QueryConfig
+	shards := c.Shards()
+	clearCaches := func() {
+		for _, sh := range shards {
+			query.ClearPlanCache(sh.Coll)
+		}
+	}
+	type outcome struct {
+		results      []*query.Result
+		hits, misses int64
+	}
+	onEveryShard := func(f query.Filter, o query.Opts, concurrent bool) outcome {
+		h0, m0 := c.PlanCacheStats()
+		out := outcome{results: make([]*query.Result, len(shards))}
+		var wg sync.WaitGroup
+		for i, sh := range shards {
+			run := func(i int, sh *Shard) { out.results[i] = query.ExecuteOpts(sh.Coll, f, cfg, o) }
+			if !concurrent {
+				run(i, sh)
+				continue
+			}
+			wg.Add(1)
+			go func(i int, sh *Shard) {
+				defer wg.Done()
+				run(i, sh)
+			}(i, sh)
+		}
+		wg.Wait()
+		h1, m1 := c.PlanCacheStats()
+		out.hits, out.misses = h1-h0, m1-m0
+		return out
+	}
+	compare := func(label string, bare, prepared outcome) {
+		t.Helper()
+		if bare.hits != prepared.hits || bare.misses != prepared.misses {
+			t.Fatalf("%s: plan cache moved %d hits/%d misses bare, %d/%d prepared",
+				label, bare.hits, bare.misses, prepared.hits, prepared.misses)
+		}
+		for i := range shards {
+			b, p := bare.results[i], prepared.results[i]
+			b.Stats.Duration, p.Stats.Duration = 0, 0
+			if !reflect.DeepEqual(b, p) {
+				t.Fatalf("%s: shard %d: prepared execution differs from bare\nbare     %+v\nprepared %+v", label, i, b.Stats, p.Stats)
+			}
+		}
+	}
+	// narrowTwin has the shape of the two range filters but touches
+	// almost nothing, so the plan it leaves cached has the minimum
+	// works budget — which those filters then blow on the bigger shards.
+	narrowTwin := map[int]query.Filter{
+		0: query.NewAnd(
+			query.Cmp{Field: "hilbertIndex", Op: query.OpGTE, Value: int64(100)},
+			query.Cmp{Field: "hilbertIndex", Op: query.OpLTE, Value: int64(100)},
+		),
+		5: query.NewAnd(
+			query.Cmp{Field: "hilbertIndex", Op: query.OpGTE, Value: int64(3000)},
+			query.Cmp{Field: "hilbertIndex", Op: query.OpLTE, Value: int64(3000)},
+			query.TimeRangeFilter("date", baseTime, baseTime.Add(time.Hour)),
+		),
+	}
+	replans := int64(0)
+	for fi, f := range stressFilters() {
+		for name, o := range pushdownOptSets() {
+			label := fmt.Sprintf("filter %d/%s", fi, name)
+			clearCaches()
+			coldBare := onEveryShard(f, o, false)
+			clearCaches()
+			compare(label+"/cold", coldBare, onEveryShard(query.Prepare(f), o, false))
+			if coldBare.misses != int64(len(shards)) {
+				t.Fatalf("%s: %d cold executions counted %d misses", label, len(shards), coldBare.misses)
+			}
+			warmBare := onEveryShard(f, o, false)
+			compare(label+"/warm", warmBare, onEveryShard(query.Prepare(f), o, false))
+			compare(label+"/shared", warmBare, onEveryShard(query.Prepare(f), o, true))
+			if warmBare.hits != int64(len(shards)) || warmBare.misses != 0 {
+				t.Fatalf("%s: %d warm executions counted %d hits, %d misses", label, len(shards), warmBare.hits, warmBare.misses)
+			}
+			if twin, ok := narrowTwin[fi]; ok {
+				seed := func() { clearCaches(); onEveryShard(twin, query.Opts{}, false) }
+				seed()
+				replanBare := onEveryShard(f, o, false)
+				seed()
+				compare(label+"/replan", replanBare, onEveryShard(query.Prepare(f), o, false))
+				for _, r := range replanBare.results {
+					// The twin's plan is cached with the minimum budget of
+					// 200 works; an execution that did more was cut off
+					// there, evicted the plan and ran again replanned.
+					if r.Stats.KeysExamined+r.Stats.DocsExamined > 200 {
+						replans++
+					}
+				}
+			}
+		}
+	}
+	if replans == 0 {
+		t.Fatal("no execution outran its seeded plan: the replan case was not exercised")
 	}
 }
 

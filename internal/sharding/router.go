@@ -235,6 +235,10 @@ func (c *Cluster) scatterGather(ctx context.Context, qs []scatterQuery, cached b
 	for i := range qs {
 		q := &qs[i]
 		q.first = tasks
+		// Shape, bounds and access paths are functions of the filter
+		// alone: derive them here once, for the route below and for
+		// every shard execution the scatter hands the filter to.
+		q.f = query.Prepare(q.f)
 		targets, broadcast, pruned := c.routeLocked(q.f)
 		// Result cache probe: valid only if the filter still routes to
 		// the same shard set and none of those shards' content epochs

@@ -1,9 +1,9 @@
 // Package storage implements the per-shard record store: documents
 // are kept in their binary encoding, addressed by record ids, exactly
-// like heap storage under a document store's B-tree indexes. Keeping
-// the encoded form (rather than decoded documents) makes the "fetch a
-// document" step of query execution carry a realistic decode cost,
-// which is what the docsExamined metric charges for.
+// like heap storage under a document store's B-tree indexes. A fetch
+// hands out the stored bytes themselves — no copy, no decode — and the
+// query layer matches, sorts and aggregates on that encoded form;
+// each fetch is one unit of the docsExamined metric.
 package storage
 
 import (
@@ -41,18 +41,14 @@ type Hook interface {
 // concurrent use.
 //
 // Concurrency: the records map is guarded by mu (writes exclusive,
-// reads shared). The size and fetch counters are atomics, NOT
-// mu-guarded fields — the fetch counter in particular mutates on the
-// *read* path (every Fetch/FetchRaw), which under the cluster's
-// parallel scatter-gather runs from many goroutines holding only read
-// locks; a plain field there would be a data race.
+// reads shared). The size counter is an atomic so Bytes never takes
+// the lock.
 type Store struct {
 	mu      sync.RWMutex
 	records map[RecordID][]byte
 	nextID  RecordID
 	hook    Hook
 	bytes   atomic.Int64
-	fetches atomic.Int64
 }
 
 // NewStore returns an empty record store.
@@ -132,7 +128,6 @@ func (s *Store) Fetch(id RecordID) (*bson.Document, error) {
 	s.mu.RLock()
 	raw, ok := s.records[id]
 	s.mu.RUnlock()
-	s.fetches.Add(1)
 	if !ok {
 		return nil, fmt.Errorf("storage: record %d not found", id)
 	}
@@ -145,7 +140,6 @@ func (s *Store) FetchRaw(id RecordID) ([]byte, bool) {
 	s.mu.RLock()
 	raw, ok := s.records[id]
 	s.mu.RUnlock()
-	s.fetches.Add(1)
 	return raw, ok
 }
 
@@ -176,14 +170,6 @@ func (s *Store) Len() int {
 // "data size" the Table 6 experiment reports.
 func (s *Store) Bytes() int64 {
 	return s.bytes.Load()
-}
-
-// Fetches returns the cumulative number of Fetch/FetchRaw calls — the
-// store's lifetime document-access counter (per-query docsExamined
-// lives in the executor's scan-local ExecStats; this is the
-// shard-level aggregate a server would expose in serverStatus).
-func (s *Store) Fetches() int64 {
-	return s.fetches.Load()
 }
 
 // Walk visits every live record in RecordID (insertion) order,

@@ -119,6 +119,9 @@ func AppendFilter(buf []byte, f query.Filter) ([]byte, error) {
 			buf = appendF64(buf, p.Lat)
 		}
 		return buf, nil
+	case *query.Prepared:
+		// Planning state is per process; the filter is what travels.
+		return AppendFilter(buf, f.Filter())
 	default:
 		return nil, fmt.Errorf("wire: unencodable filter %T", f)
 	}

@@ -223,6 +223,10 @@ func TestFilterRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(dec, f) {
 			t.Fatalf("%T round trip mismatch:\n in: %+v\nout: %+v", f, f, dec)
 		}
+		// A prepared filter travels as the filter inside it.
+		if prep, err := AppendFilter(nil, query.Prepare(f)); err != nil || !bytes.Equal(prep, enc) {
+			t.Fatalf("%T prepared encodes as %x (%v), bare as %x", f, prep, err, enc)
+		}
 	}
 }
 

@@ -31,9 +31,12 @@ RACE_PKGS="./internal/sharding/... ./internal/query/... ./internal/storage/... .
 # never panics or replays a corrupt frame, the arena B+tree matches a
 # sorted-map oracle under arbitrary operation streams, the wire
 # protocol's frame, message, insert and aggregate decoders never panic
-# or over-allocate on hostile network bytes, and the counting-bloom
-# sketch never reports a false negative against an exact-set oracle.
-FUZZ_TARGETS="bson:FuzzDocumentRoundTrip keyenc:FuzzKeyOrdering wal:FuzzFrameRecover btree:FuzzTreeOps wire:FuzzFrameDecode wire:FuzzInsertDecode wire:FuzzAggregateDecode sketch:FuzzSketch"
+# or over-allocate on hostile network bytes, the counting-bloom
+# sketch never reports a false negative against an exact-set oracle,
+# and the executor's typed reads of stored bytes — predicates, top-k
+# sort keys, aggregate keys — never panic on damaged documents and
+# answer exactly what decoding the document first answers.
+FUZZ_TARGETS="bson:FuzzDocumentRoundTrip keyenc:FuzzKeyOrdering wal:FuzzFrameRecover btree:FuzzTreeOps wire:FuzzFrameDecode wire:FuzzInsertDecode wire:FuzzAggregateDecode sketch:FuzzSketch query:FuzzRawMatch"
 
 step() {
     case "$1" in
