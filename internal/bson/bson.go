@@ -111,6 +111,10 @@ func FromD(d D) *Document {
 // NewDocument returns an empty document.
 func NewDocument() *Document { return &Document{} }
 
+// NewDocumentCap returns an empty document with room for n elements,
+// so a builder that knows its field count grows the element list once.
+func NewDocumentCap(n int) *Document { return &Document{elems: make([]Elem, 0, n)} }
+
 // Len returns the number of elements.
 func (d *Document) Len() int { return len(d.elems) }
 

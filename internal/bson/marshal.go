@@ -33,6 +33,16 @@ func Marshal(d *Document) []byte {
 	return appendDocument(buf, d)
 }
 
+// MarshalAll encodes a batch of documents, each into its own slice —
+// the one encoding a document gets on its way into the store.
+func MarshalAll(docs []*Document) [][]byte {
+	raws := make([][]byte, len(docs))
+	for i, d := range docs {
+		raws[i] = Marshal(d)
+	}
+	return raws
+}
+
 // RawSize returns the exact encoded size of the document in bytes
 // without encoding it. The storage layer uses this for chunk-size
 // accounting and for the Table 6 data-size experiment.

@@ -2,7 +2,9 @@ package bson
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -294,15 +296,84 @@ func validValue(tag byte, value []byte) bool {
 		return value[len(value)-1] == 0
 	case tagDocument, tagArray:
 		body, ok := documentBody(value)
-		for ok && len(body) > 0 {
-			var etag byte
-			var evalue []byte
-			etag, _, evalue, body, ok = nextElement(body)
-			ok = ok && validValue(etag, evalue)
+		if ok {
+			_, ok = validBody(body, false)
 		}
 		return ok
 	}
 	return true
+}
+
+// Validate walks an encoded document without decoding it and reports
+// whether Unmarshal would accept exactly these bytes: err is nil
+// exactly when it would. canonical adds that the bytes are what
+// Marshal writes for the decoded document, i.e. Marshal(Unmarshal(b))
+// equals b; the decoder is more lenient than the encoder in two places
+// (any non-zero bool byte reads as true, array element keys are
+// ignored), and a document using either is valid but not canonical.
+// Validate allocates nothing on valid input.
+func Validate(b []byte) (canonical bool, err error) {
+	body, ok := documentBody(b)
+	if !ok {
+		return false, errMalformed(b)
+	}
+	canonical, ok = validBody(body, false)
+	if !ok {
+		return false, errMalformed(b)
+	}
+	return canonical, nil
+}
+
+// errMalformed names what is wrong with a document Validate rejected.
+// The walk above only answers yes or no; the decoder knows why.
+func errMalformed(b []byte) error {
+	if _, err := Unmarshal(b); err != nil {
+		return err
+	}
+	return fmt.Errorf("bson: malformed document")
+}
+
+// validBody checks every element of a document or array body the way
+// readDocument does, and reports whether the body is in the encoder's
+// form: bool payloads 0 or 1 and, in an array, keys "0".."n-1".
+func validBody(body []byte, array bool) (canonical, ok bool) {
+	canonical = true
+	for i := 0; len(body) > 0; i++ {
+		tag, key, value, rest, ok := nextElement(body)
+		if !ok {
+			return false, false
+		}
+		body = rest
+		if array && !isIndexKey(key, i) {
+			canonical = false
+		}
+		switch tag {
+		case tagBool:
+			canonical = canonical && value[0] <= 1
+		case tagDocument, tagArray:
+			inner, ok := documentBody(value)
+			if !ok {
+				return false, false
+			}
+			c, ok := validBody(inner, tag == tagArray)
+			if !ok {
+				return false, false
+			}
+			canonical = canonical && c
+		default:
+			if !validValue(tag, value) {
+				return false, false
+			}
+		}
+	}
+	return canonical, true
+}
+
+// isIndexKey reports whether key is the decimal form of i, the key the
+// encoder gives the i'th array element.
+func isIndexKey(key []byte, i int) bool {
+	var buf [20]byte
+	return string(key) == string(strconv.AppendInt(buf[:0], int64(i), 10))
 }
 
 // findRawField locates one element in an encoded document, returning

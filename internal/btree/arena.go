@@ -45,9 +45,9 @@ func (t *Tree) page(pid pageID) []uint64 {
 	return t.pages[off : off+t.pageWords : off+t.pageWords]
 }
 
-func pageCount(p []uint64) int      { return int(p[0] & countMask) }
+func pageCount(p []uint64) int       { return int(p[0] & countMask) }
 func setPageCount(p []uint64, n int) { p[0] = p[0]&^uint64(countMask) | uint64(n) }
-func pageIsLeaf(p []uint64) bool    { return p[0]&leafBit != 0 }
+func pageIsLeaf(p []uint64) bool     { return p[0]&leafBit != 0 }
 
 // Leaf pages: word 1 is the next-leaf link that chains all leaves in
 // key order (what makes scans a pointer-free linear walk).

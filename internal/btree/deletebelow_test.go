@@ -126,7 +126,7 @@ func TestDeleteBelowFreesBlind(t *testing.T) {
 	const n = 200000
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < n; i++ {
-		tr.Set(key(rng.Intn(1 << 30)), uint64(i))
+		tr.Set(key(rng.Intn(1<<30)), uint64(i))
 	}
 	before := tr.Stats()
 	removed := tr.DeleteBelow(key(1 << 29)) // drop ~half the tree

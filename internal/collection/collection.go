@@ -3,6 +3,11 @@
 // mandatory _id index, keeps every index consistent on insert and
 // delete, and exposes the scan surface the query planner builds plans
 // against.
+//
+// Every write works on the encoded document: InsertRaw stores the
+// caller's bytes and builds each index key from them, Delete and the
+// index backfill read keys back out of the stored bytes. Insert is
+// Marshal followed by InsertRaw; no path decodes a document.
 package collection
 
 import (
@@ -87,16 +92,8 @@ func (c *Collection) CreateIndex(def index.Definition) (*index.Index, error) {
 	}
 	var backfillErr error
 	c.store.Walk(func(id storage.RecordID, raw []byte) bool {
-		doc, err := bson.Unmarshal(raw)
-		if err != nil {
-			backfillErr = err
-			return false
-		}
-		if err := ix.Insert(doc, id); err != nil {
-			backfillErr = err
-			return false
-		}
-		return true
+		backfillErr = ix.InsertRaw(raw, id)
+		return backfillErr == nil
 	})
 	if backfillErr != nil {
 		return nil, fmt.Errorf("collection %s: backfilling %q: %w", c.name, def.Name, backfillErr)
@@ -141,24 +138,32 @@ func (c *Collection) IndexBySpec(spec string) *index.Index {
 	return nil
 }
 
-// Insert stores the document and updates every index. The document
-// must already carry an _id field.
+// Insert encodes the document and stores it: InsertRaw on its
+// encoding. The document must already carry an _id field.
 func (c *Collection) Insert(doc *bson.Document) (storage.RecordID, error) {
-	if _, ok := doc.Lookup("_id"); !ok {
+	return c.InsertRaw(bson.Marshal(doc))
+}
+
+// InsertRaw stores the encoded document and adds it to every index,
+// building the keys from the bytes. The document must carry an _id
+// field. The collection owns raw afterwards (storage.Store.InsertRaw):
+// it must be a valid canonical encoding that the caller neither
+// modifies nor reuses. The store's hook sees the insert (and, should an
+// index reject the document, the delete that rolls it back) with
+// exactly these bytes.
+func (c *Collection) InsertRaw(raw []byte) (storage.RecordID, error) {
+	if _, ok := bson.Raw(raw).LookupRaw("_id"); !ok {
 		return 0, fmt.Errorf("collection %s: document missing _id", c.name)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	id := c.store.Insert(doc)
-	for _, ix := range c.indexes {
-		if err := ix.Insert(doc, id); err != nil {
+	id := c.store.InsertRaw(raw)
+	for i, ix := range c.indexes {
+		if err := ix.InsertRaw(raw, id); err != nil {
 			// Roll back what we did so the collection stays
 			// consistent.
-			for _, undo := range c.indexes {
-				if undo == ix {
-					break
-				}
-				_, _ = undo.Remove(doc, id)
+			for _, undo := range c.indexes[:i] {
+				_, _ = undo.RemoveRaw(raw, id)
 			}
 			c.store.Delete(id)
 			return 0, err
@@ -168,13 +173,14 @@ func (c *Collection) Insert(doc *bson.Document) (storage.RecordID, error) {
 }
 
 // RestoreRaw re-stores an encoded document under its original record
-// id and indexes it — the snapshot-restore path. Restores must run
-// before secondary indexes are recreated (CreateIndex backfills them
-// from the store), so typically only the _id index is live here; any
-// index that does exist is kept consistent.
+// id and indexes it — the snapshot-restore and follower-apply path.
+// Restores must run before secondary indexes are recreated
+// (CreateIndex backfills them from the store), so typically only the
+// _id index is live here; any index that does exist is kept
+// consistent. The bytes come from a snapshot or a replication stream,
+// so they are validated here; the collection owns them afterwards.
 func (c *Collection) RestoreRaw(id storage.RecordID, raw []byte) error {
-	doc, err := bson.Unmarshal(raw)
-	if err != nil {
+	if _, err := bson.Validate(raw); err != nil {
 		return fmt.Errorf("collection %s: restoring record %d: %w", c.name, id, err)
 	}
 	c.mu.Lock()
@@ -183,7 +189,7 @@ func (c *Collection) RestoreRaw(id storage.RecordID, raw []byte) error {
 		return fmt.Errorf("collection %s: %w", c.name, err)
 	}
 	for _, ix := range c.indexes {
-		if err := ix.Insert(doc, id); err != nil {
+		if err := ix.InsertRaw(raw, id); err != nil {
 			return fmt.Errorf("collection %s: restoring record %d into %q: %w",
 				c.name, id, ix.Def().Name, err)
 		}
@@ -191,26 +197,22 @@ func (c *Collection) RestoreRaw(id storage.RecordID, raw []byte) error {
 	return nil
 }
 
-// Delete removes the document at id from the store and all indexes.
+// Delete removes the document at id from the store and all indexes,
+// reading each index key back out of the stored bytes.
 func (c *Collection) Delete(id storage.RecordID) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	doc, err := c.store.Fetch(id)
-	if err != nil {
-		return err
+	raw, ok := c.store.FetchRaw(id)
+	if !ok {
+		return fmt.Errorf("collection %s: record %d not found", c.name, id)
 	}
 	for _, ix := range c.indexes {
-		if _, err := ix.Remove(doc, id); err != nil {
+		if _, err := ix.RemoveRaw(raw, id); err != nil {
 			return err
 		}
 	}
 	c.store.Delete(id)
 	return nil
-}
-
-// Fetch decodes the document at id.
-func (c *Collection) Fetch(id storage.RecordID) (*bson.Document, error) {
-	return c.store.Fetch(id)
 }
 
 // Len returns the number of documents.

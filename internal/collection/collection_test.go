@@ -44,9 +44,13 @@ func TestInsertFetchDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := c.Fetch(id)
+	raw, ok := c.Store().FetchRaw(id)
+	if !ok {
+		t.Fatal("FetchRaw of the inserted record failed")
+	}
+	doc, err := bson.Unmarshal(raw)
 	if err != nil || doc.Get("_id") != int64(1) {
-		t.Fatalf("Fetch: %v, %v", doc, err)
+		t.Fatalf("stored document: %v, %v", doc, err)
 	}
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d", c.Len())

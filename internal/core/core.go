@@ -401,7 +401,7 @@ func (s *Store) Document(rec Record) (*bson.Document, error) {
 	if !rec.Point.Valid() {
 		return nil, fmt.Errorf("core: invalid point %v", rec.Point)
 	}
-	doc := bson.NewDocument()
+	doc := bson.NewDocumentCap(4 + len(rec.Fields))
 	doc.Set(FieldID, s.idGen.New(rec.Time))
 	doc.Set(FieldLoc, geo.GeoJSONPoint(rec.Point))
 	doc.Set(FieldDate, rec.Time.UTC())

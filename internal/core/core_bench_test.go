@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/bson"
 	"repro/internal/geo"
 )
 
@@ -110,6 +112,28 @@ func BenchmarkConfigureZones(b *testing.B) {
 		}
 		b.StartTimer()
 		if err := s.ConfigureZones(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDocument measures building one stored document from a
+// record with the benchmark's sixteen payload fields — the client-side
+// half of the write path (core.encode_doc_us in the traced report).
+func BenchmarkDocument(b *testing.B) {
+	s, err := Open(Config{Approach: Hil, Shards: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := testRecords(1)[0]
+	rec.Fields = nil
+	for i := 0; i < 16; i++ {
+		rec.Fields = append(rec.Fields, bson.Elem{Key: fmt.Sprintf("payloadField%02d", i), Value: int64(i)})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Document(rec); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -57,20 +57,28 @@ func (s *Store) IngestStats() sharding.IngestStats {
 	return in.Stats()
 }
 
-// InsertBatch applies one idempotent client batch. The batch goes
-// through the local group-commit batcher first (journal + dedup window
-// live there), then — when the cluster's execution boundary is a
-// write-capable transport (netconn.RemoteConn) — it is broadcast to
-// every daemon under the same batchID. Any failure leaves the batch
-// retryable: every process that already applied it answers dup, so a
-// retry converges instead of double-applying.
+// InsertBatch encodes docs and applies them as one idempotent client
+// batch: InsertBatchRaw on their encodings.
 func (s *Store) InsertBatch(ctx context.Context, batchID string, docs []*bson.Document) (applied int, dup bool, err error) {
-	applied, dup, err = s.Ingester().InsertBatch(ctx, batchID, docs)
+	return s.InsertBatchRaw(ctx, batchID, bson.MarshalAll(docs))
+}
+
+// InsertBatchRaw applies one idempotent client batch of encoded
+// documents (sharding.BatchInserter says what they must be; the store
+// owns them afterwards). The batch goes through the local group-commit
+// batcher first (journal + dedup window live there), then — when the
+// cluster's execution boundary is a write-capable transport
+// (netconn.RemoteConn) — the same bytes are broadcast to every daemon
+// under the same batchID. Any failure leaves the batch retryable: every
+// process that already applied it answers dup, so a retry converges
+// instead of double-applying.
+func (s *Store) InsertBatchRaw(ctx context.Context, batchID string, docs [][]byte) (applied int, dup bool, err error) {
+	applied, dup, err = s.Ingester().InsertBatchRaw(ctx, batchID, docs)
 	if err != nil {
 		return 0, false, err
 	}
 	if bi, ok := s.cluster.Options().Conn.(sharding.BatchInserter); ok {
-		ra, rdup, rerr := bi.InsertBatch(ctx, batchID, docs)
+		ra, rdup, rerr := bi.InsertBatchRaw(ctx, batchID, docs)
 		if rerr != nil {
 			return 0, false, rerr
 		}
@@ -87,17 +95,20 @@ func (s *Store) InsertBatch(ctx context.Context, batchID string, docs []*bson.Do
 	return applied, dup, err
 }
 
-// InsertRecords builds the approach's documents for recs and applies
-// them as one idempotent batch — the record-level convenience the
-// in-process ingest drivers (bench, chaos reference) use.
+// InsertRecords builds and encodes the approach's documents for recs
+// and applies them as one idempotent batch — the record-level
+// convenience the in-process ingest drivers (bench, chaos reference)
+// use. Each document is encoded here, once.
 func (s *Store) InsertRecords(ctx context.Context, batchID string, recs []Record) (applied int, dup bool, err error) {
-	docs := make([]*bson.Document, len(recs))
+	raws := make([][]byte, len(recs))
 	for i := range recs {
-		if docs[i], err = s.Document(recs[i]); err != nil {
+		doc, err := s.Document(recs[i])
+		if err != nil {
 			return 0, false, fmt.Errorf("core: batch %q record %d: %w", batchID, i, err)
 		}
+		raws[i] = bson.Marshal(doc)
 	}
-	return s.InsertBatch(ctx, batchID, docs)
+	return s.InsertBatchRaw(ctx, batchID, raws)
 }
 
 // closeIngest stops the batcher (draining admitted batches) and the

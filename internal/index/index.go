@@ -148,9 +148,11 @@ func (ix *Index) FieldValue(f Field, doc *bson.Document) (any, error) {
 	return bson.Normalize(v), nil
 }
 
-// EntryKey builds the full tree key of a document: the encoded field
-// tuple followed by the record id, which makes keys unique without
-// changing tuple order.
+// EntryKey builds the full tree key of a decoded document: the encoded
+// field tuple followed by the record id, which makes keys unique
+// without changing tuple order. The write path never decodes (see
+// EntryKeyRaw); this is the reference it is fuzzed against and what
+// callers holding a decoded document use.
 func (ix *Index) EntryKey(doc *bson.Document, id storage.RecordID) ([]byte, error) {
 	var key []byte
 	for _, f := range ix.def.Fields {
@@ -163,6 +165,35 @@ func (ix *Index) EntryKey(doc *bson.Document, id storage.RecordID) ([]byte, erro
 	return binary.BigEndian.AppendUint64(key, uint64(id)), nil
 }
 
+// EntryKeyRaw is EntryKey over the encoded document: byte for byte the
+// key EntryKey builds for the decoded form, and an error exactly where
+// it errors, read from the stored bytes without decoding them
+// (FuzzEntryKeyRaw). raw must be a valid encoding.
+func (ix *Index) EntryKeyRaw(raw bson.Raw, id storage.RecordID) ([]byte, error) {
+	return ix.appendEntryKeyRaw(nil, raw, id)
+}
+
+// appendEntryKeyRaw appends the encoded document's full tree key to
+// dst.
+func (ix *Index) appendEntryKeyRaw(dst []byte, raw bson.Raw, id storage.RecordID) ([]byte, error) {
+	for _, f := range ix.def.Fields {
+		// A missing field yields the zero RawValue, which encodes as
+		// null — how missing fields index.
+		v, found := raw.LookupRaw(f.Name)
+		if found && f.Kind == Geo2DSphere {
+			lon, lat, ok := v.GeoPoint()
+			if !ok {
+				return nil, fmt.Errorf("index %s: field %q is not a GeoJSON point", ix.def.Name, f.Name)
+			}
+			hash := geohash.EncodeBits(geo.Point{Lon: lon, Lat: lat}, ix.def.geoBits())
+			dst = keyenc.AppendNumber(dst, float64(int64(hash)))
+			continue
+		}
+		dst, _ = keyenc.AppendRaw(dst, v)
+	}
+	return binary.BigEndian.AppendUint64(dst, uint64(id)), nil
+}
+
 // KeyPrefix strips the record-id suffix from a full tree key,
 // returning the encoded field tuple. Chunk management uses it to read
 // shard-key values back out of index entries.
@@ -173,9 +204,16 @@ func RecordIDOf(key []byte) storage.RecordID {
 	return storage.RecordID(binary.BigEndian.Uint64(key[len(key)-8:]))
 }
 
-// Insert adds the document to the index.
-func (ix *Index) Insert(doc *bson.Document, id storage.RecordID) error {
-	key, err := ix.EntryKey(doc, id)
+// entryKeyBuf is the stack buffer index keys are built in: the tree
+// copies a key into its arena on Set and only reads it on Delete, so
+// maintaining an index allocates nothing per document. Keys of the
+// store's indexes are 20-40 bytes; longer ones spill to the heap.
+type entryKeyBuf [64]byte
+
+// InsertRaw adds the encoded document to the index.
+func (ix *Index) InsertRaw(raw bson.Raw, id storage.RecordID) error {
+	var buf entryKeyBuf
+	key, err := ix.appendEntryKeyRaw(buf[:0], raw, id)
 	if err != nil {
 		return err
 	}
@@ -183,13 +221,25 @@ func (ix *Index) Insert(doc *bson.Document, id storage.RecordID) error {
 	return nil
 }
 
-// Remove deletes the document's entry, reporting whether it existed.
-func (ix *Index) Remove(doc *bson.Document, id storage.RecordID) (bool, error) {
-	key, err := ix.EntryKey(doc, id)
+// RemoveRaw deletes the encoded document's entry, reporting whether it
+// existed.
+func (ix *Index) RemoveRaw(raw bson.Raw, id storage.RecordID) (bool, error) {
+	var buf entryKeyBuf
+	key, err := ix.appendEntryKeyRaw(buf[:0], raw, id)
 	if err != nil {
 		return false, err
 	}
 	return ix.tree.Delete(key), nil
+}
+
+// Insert adds a decoded document: InsertRaw on its encoding.
+func (ix *Index) Insert(doc *bson.Document, id storage.RecordID) error {
+	return ix.InsertRaw(bson.Marshal(doc), id)
+}
+
+// Remove deletes a decoded document's entry: RemoveRaw on its encoding.
+func (ix *Index) Remove(doc *bson.Document, id storage.RecordID) (bool, error) {
+	return ix.RemoveRaw(bson.Marshal(doc), id)
 }
 
 // DropBelow removes every entry whose key sorts strictly below the

@@ -51,13 +51,13 @@ func AppendValue(dst []byte, v any) []byte {
 		}
 		return append(dst, 0)
 	case int32:
-		return appendNumber(dst, float64(t))
+		return AppendNumber(dst, float64(t))
 	case int64:
-		return appendNumber(dst, float64(t))
+		return AppendNumber(dst, float64(t))
 	case int:
-		return appendNumber(dst, float64(t))
+		return AppendNumber(dst, float64(t))
 	case float64:
-		return appendNumber(dst, t)
+		return AppendNumber(dst, t)
 	case string:
 		dst = append(dst, classString)
 		return appendEscaped(dst, []byte(t))
@@ -115,7 +115,7 @@ func AppendRaw(dst []byte, v bson.RawValue) (out []byte, ok bool) {
 		return append(dst, classBool, 0), true
 	case bson.KindInt32, bson.KindInt64, bson.KindFloat64:
 		f, _ := v.Numeric()
-		return appendNumber(dst, f), true
+		return AppendNumber(dst, f), true
 	case bson.KindDateTime:
 		ms, _ := v.DateTimeMS()
 		return appendOrderedInt64(append(dst, classDateTime), ms), true
@@ -140,12 +140,13 @@ func appendEscapedField(dst []byte, key string) []byte {
 	return appendEscaped(dst, []byte(key))
 }
 
-// appendNumber encodes a float64 such that bytewise order equals
-// numeric order: flip the sign bit for non-negative values, flip all
-// bits for negative values. Integers are routed through float64; the
-// store's numeric fields (Hilbert cells, epoch milliseconds,
-// coordinates) are all exactly representable.
-func appendNumber(dst []byte, f float64) []byte {
+// AppendNumber appends the encoding of a numeric value — what
+// AppendValue writes for any numeric kind, without boxing it — such
+// that bytewise order equals numeric order: flip the sign bit for
+// non-negative values, flip all bits for negative values. Integers are
+// routed through float64; the store's numeric fields (Hilbert cells,
+// epoch milliseconds, coordinates) are all exactly representable.
+func AppendNumber(dst []byte, f float64) []byte {
 	dst = append(dst, classNumber)
 	if f == 0 {
 		f = 0 // normalise -0.0 so equal numbers encode identically

@@ -1,6 +1,8 @@
 package netconn
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -15,7 +17,9 @@ import (
 	"repro/internal/geo"
 	"repro/internal/leakcheck"
 	"repro/internal/sharding"
+	"repro/internal/storage"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 var testSecret = []byte("st-cluster-secret")
@@ -115,7 +119,7 @@ func TestAuthRouterServer(t *testing.T) {
 	}
 }
 
-// TestRemoteInsertBroadcast: RemoteConn.InsertBatch reaches every
+// TestRemoteInsertBroadcast: RemoteConn.InsertBatchRaw reaches every
 // daemon, applies exactly once (per-daemon dedup absorbs the
 // broadcast fan-out and client retries), and the remote content ends
 // up fingerprint-identical to a store that applied the batch locally.
@@ -129,12 +133,12 @@ func TestRemoteInsertBroadcast(t *testing.T) {
 	recs := ingestRecords(71, 40)
 	docs := mustDocs(t, local, recs)
 
-	applied, dup, err := rc.InsertBatch(context.Background(), "net-b1", docs)
+	applied, dup, err := rc.InsertBatchRaw(context.Background(), "net-b1", bson.MarshalAll(docs))
 	if err != nil || dup || applied != len(docs) {
 		t.Fatalf("broadcast insert: applied=%d dup=%v err=%v", applied, dup, err)
 	}
 	// Client retry with the same batch ID: every daemon answers dup.
-	applied, dup, err = rc.InsertBatch(context.Background(), "net-b1", docs)
+	applied, dup, err = rc.InsertBatchRaw(context.Background(), "net-b1", bson.MarshalAll(docs))
 	if err != nil || !dup || applied != 0 {
 		t.Fatalf("broadcast retry: applied=%d dup=%v err=%v", applied, dup, err)
 	}
@@ -293,7 +297,7 @@ func TestWireInsertOverloadSheds(t *testing.T) {
 	}
 
 	// A batch larger than the queue is refused outright (permanent).
-	_, _, err = rc.InsertBatch(context.Background(), "too-big", mkBatch(9))
+	_, _, err = rc.InsertBatchRaw(context.Background(), "too-big", bson.MarshalAll(mkBatch(9)))
 	var se *sharding.ShardError
 	if !errors.As(err, &se) || se.Transient {
 		t.Fatalf("oversized batch over the wire: %v", err)
@@ -306,7 +310,7 @@ func TestWireInsertOverloadSheds(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for b := 0; b < 4; b++ {
-				_, _, err := rc.InsertBatch(context.Background(), fmt.Sprintf("ov%d/%d", w, b), mkBatch(4))
+				_, _, err := rc.InsertBatchRaw(context.Background(), fmt.Sprintf("ov%d/%d", w, b), bson.MarshalAll(mkBatch(4)))
 				if err != nil {
 					var se *sharding.ShardError
 					if !errors.As(err, &se) {
@@ -345,7 +349,7 @@ func TestWireInsertCancelConverges(t *testing.T) {
 	docs := mustDocs(t, local, ingestRecords(79, 32))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := rc.InsertBatch(ctx, "cx-b1", docs); err == nil {
+	if _, _, err := rc.InsertBatchRaw(ctx, "cx-b1", bson.MarshalAll(docs)); err == nil {
 		t.Log("batch won the race against cancellation")
 	}
 	// Retry until the batch is definitely in: daemons that applied it
@@ -354,7 +358,7 @@ func TestWireInsertCancelConverges(t *testing.T) {
 	var dup bool
 	var err error
 	for i := 0; i < 50; i++ {
-		applied, dup, err = rc.InsertBatch(context.Background(), "cx-b1", docs)
+		applied, dup, err = rc.InsertBatchRaw(context.Background(), "cx-b1", bson.MarshalAll(docs))
 		if err == nil {
 			break
 		}
@@ -368,5 +372,73 @@ func TestWireInsertCancelConverges(t *testing.T) {
 	}
 	if d, _ := backend.Fingerprint(); d != 300+len(docs) {
 		t.Fatalf("backend holds %d docs, want %d (exactly-once)", d, 300+len(docs))
+	}
+}
+
+// TestInsertHandlerOwnsItsBytes drives one insert frame through the
+// server's handler and then scribbles over the frame buffer, the way a
+// transport that reuses its read buffer would: what the stores hold must
+// not move, because the handler handed them copies. The batch also
+// carries a document from a more liberal encoder (a bool byte of 2, an
+// array keyed "7"); what is stored for it is Marshal's form.
+func TestInsertHandlerOwnsItsBytes(t *testing.T) {
+	leakcheck.Check(t)
+	backend := openStore(t, core.Hil, 3, 200)
+	srv, err := NewShardServer(backend.Cluster(), nil, ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	docs := bson.MarshalAll(mustDocs(t, backend, ingestRecords(73, 8)))
+	liberal := bson.Marshal(bson.FromD(bson.D{
+		{Key: "_id", Value: int64(7001)},
+		{Key: "hilbertIndex", Value: int64(5)},
+		{Key: "date", Value: testStart},
+		{Key: "flag", Value: true},
+		{Key: "arr", Value: bson.A{nil}},
+	}))
+	canonical := bytes.Clone(liberal)
+	liberal[bytes.Index(liberal, []byte("flag\x00"))+len("flag\x00")] = 2
+	liberal[bytes.Index(liberal, []byte("\x0A0\x00"))+1] = '7'
+	if isCanonical, err := bson.Validate(liberal); err != nil || isCanonical {
+		t.Fatalf("the liberal encoding validates as %v, %v", isCanonical, err)
+	}
+	body := wire.Insert{BatchID: "own-b1", Docs: append(docs, liberal)}.Encode(nil)
+
+	var out bytes.Buffer
+	h := &connHandler{bw: bufio.NewWriter(&out)}
+	if !srv.handleOp(h, wire.OpInsert, body) {
+		t.Fatal("insert handler poisoned the connection")
+	}
+	op, replyBody, err := wire.ReadFrame(bufio.NewReader(&out))
+	if err != nil || op != wire.OpInsertReply {
+		t.Fatalf("insert answered op %d, err %v: %s", op, err, replyBody)
+	}
+	if reply, err := wire.DecodeInsertReply(replyBody); err != nil || int(reply.Applied) != len(docs)+1 {
+		t.Fatalf("insert reply %+v, err %v", reply, err)
+	}
+
+	wantDocs, wantSum := backend.Fingerprint()
+	for i := range body {
+		body[i] ^= 0xA5
+	}
+	if gotDocs, gotSum := backend.Fingerprint(); gotDocs != wantDocs || gotSum != wantSum {
+		t.Fatalf("scribbling over the frame changed the store: %d/%016x, was %d/%016x", gotDocs, gotSum, wantDocs, wantSum)
+	}
+	stored := 0
+	for _, sh := range backend.Cluster().Shards() {
+		sh.Coll.Store().Walk(func(_ storage.RecordID, raw []byte) bool {
+			if isCanonical, err := bson.Validate(raw); err != nil || !isCanonical {
+				t.Errorf("stored document validates as %v, %v", isCanonical, err)
+			}
+			if bytes.Equal(raw, canonical) {
+				stored++
+			}
+			return true
+		})
+	}
+	if stored != 1 {
+		t.Fatalf("the liberal document is stored in Marshal's form %d times, want once", stored)
 	}
 }

@@ -238,26 +238,24 @@ func (rc *RemoteConn) drain(ctx context.Context, c *conn, shard int, queryBody [
 	}
 }
 
-// InsertBatch broadcasts one idempotent client batch to EVERY
+// InsertBatchRaw broadcasts one idempotent client batch to EVERY
 // connected daemon and waits for all of them to acknowledge. Each
 // daemon holds the full cluster, so identical application keeps their
 // content fingerprints converged; the batch ID makes the broadcast
 // safe to retry after any partial failure (daemons that already
 // applied it answer dup). It implements sharding.BatchInserter, so a
-// router's store can route writes through it exactly like queries.
+// router's store can route writes through it exactly like queries. The
+// encoded documents are framed as they are; nothing is re-encoded on
+// the way through a router.
 //
 // applied/dup reflect the freshest verdict: if any daemon newly
 // applied the batch the call reports that application; only when every
 // daemon answers dup is the batch reported as a duplicate.
-func (rc *RemoteConn) InsertBatch(ctx context.Context, batchID string, docs []*bson.Document) (applied int, dup bool, err error) {
+func (rc *RemoteConn) InsertBatchRaw(ctx context.Context, batchID string, docs [][]byte) (applied int, dup bool, err error) {
 	if len(docs) == 0 {
 		return 0, false, nil
 	}
-	raw := make([][]byte, len(docs))
-	for i, d := range docs {
-		raw[i] = bson.Marshal(d)
-	}
-	body := wire.Insert{BatchID: batchID, Docs: raw}.Encode(nil)
+	body := wire.Insert{BatchID: batchID, Docs: docs}.Encode(nil)
 	replies := make([]wire.InsertReply, len(rc.byAddr))
 	errs := make([]error, len(rc.byAddr))
 	var wg sync.WaitGroup

@@ -310,15 +310,23 @@ func (s *ShardServer) handleOp(h *connHandler, op byte, body []byte) bool {
 // with the journal LSN the ack rests on. An ingest-queue shed crosses
 // the wire as a structured overload error with its retry-after hint.
 func (h *connHandler) runInsert(ctx context.Context, g *gate, w sharding.BatchInserter, cluster *sharding.Cluster, ins wire.Insert) bool {
-	docs := make([]*bson.Document, 0, len(ins.Docs))
+	// This is the edge where documents enter: validate each once, then
+	// hand the bytes on — the frame decoder gave ins.Docs their own
+	// copies, which the stores will own. A well-formed document from an
+	// encoder more liberal than ours (a bool byte other than 0/1, array
+	// keys other than "0".."n-1") is re-encoded, so that what is stored
+	// is always exactly Marshal's output.
 	for i, raw := range ins.Docs {
-		doc, err := bson.Unmarshal(raw)
+		canonical, err := bson.Validate(raw)
 		if err != nil {
 			return h.replyErr(-1, false, fmt.Errorf("batch %q doc %d: %w", ins.BatchID, i, err))
 		}
-		docs = append(docs, doc)
+		if !canonical {
+			doc, _ := bson.Unmarshal(raw) // Validate passed: it decodes
+			ins.Docs[i] = bson.Marshal(doc)
+		}
 	}
-	applied, dup, err := w.InsertBatch(ctx, ins.BatchID, docs)
+	applied, dup, err := w.InsertBatchRaw(ctx, ins.BatchID, ins.Docs)
 	if err != nil {
 		var se *sharding.ShardError
 		if errors.As(err, &se) {

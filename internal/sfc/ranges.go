@@ -1,8 +1,8 @@
 package sfc
 
 import (
-	"fmt"
 	"cmp"
+	"fmt"
 	"slices"
 )
 

@@ -19,24 +19,12 @@ func (c *Cluster) BucketAuto(field string, n int) ([]any, error) {
 		return nil, fmt.Errorf("sharding: bucketAuto needs at least 2 buckets, got %d", n)
 	}
 	var values []any
-	var walkErr error
 	for _, s := range c.shards {
 		s.Coll.Store().Walk(func(_ storage.RecordID, raw []byte) bool {
-			doc, err := bson.Unmarshal(raw)
-			if err != nil {
-				walkErr = err
-				return false
-			}
-			v, ok := doc.Lookup(field)
-			if !ok {
-				v = nil
-			}
-			values = append(values, bson.Normalize(v))
+			// A missing field buckets as null.
+			values = append(values, bson.Raw(raw).Get(field))
 			return true
 		})
-		if walkErr != nil {
-			return nil, walkErr
-		}
 	}
 	if len(values) == 0 {
 		return nil, fmt.Errorf("sharding: bucketAuto over empty collection")

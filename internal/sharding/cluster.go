@@ -388,13 +388,19 @@ func (c *Cluster) CreateIndex(def index.Definition) error {
 	return c.journalMeta(opCreateIndex, encodeIndexDef(def))
 }
 
-// Insert routes the document to the chunk owning its shard-key tuple
-// and stores it there, splitting the chunk when it exceeds the size
+// Insert encodes the document and routes it to the chunk owning its
+// shard-key tuple, splitting the chunk when it exceeds the size
 // threshold and periodically running the balancer.
 func (c *Cluster) Insert(doc *bson.Document) error {
+	return c.insertRaw(bson.Marshal(doc))
+}
+
+// insertRaw is Insert for an encoded document the cluster takes
+// ownership of (journal replay hands it the journaled bytes).
+func (c *Cluster) insertRaw(raw []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.insertDocLocked(doc); err != nil {
+	if err := c.insertRawLocked(raw); err != nil {
 		// The storage hook journaled the insert and, via the
 		// collection's rollback, the matching delete; replay
 		// reproduces the same rollback.
@@ -409,31 +415,39 @@ func (c *Cluster) Insert(doc *bson.Document) error {
 	return c.replWaitLocked()
 }
 
-// insertDocLocked routes and stores one document, maintaining chunk
-// statistics, splits and the auto-balance cadence. It neither commits
-// the journals nor waits on replication — Insert and the batch path
-// (ingest.go) do that once per write operation.
-func (c *Cluster) insertDocLocked(doc *bson.Document) error {
+// tupleBuf is the stack buffer shard-key tuples are derived in: routing
+// only compares a tuple against chunk bounds, so deriving one allocates
+// nothing. The store's tuples are 9-20 bytes; longer ones spill.
+type tupleBuf [48]byte
+
+// insertRawLocked routes and stores one encoded document, maintaining
+// chunk statistics, splits and the auto-balance cadence. Everything it
+// needs — the shard-key tuple, the index keys, the sketch cell, the
+// size — is read from the bytes; the owning shard's store keeps the
+// slice itself. It neither commits the journals nor waits on
+// replication — Insert and the batch path (ingest.go) do that once per
+// write operation.
+func (c *Cluster) insertRawLocked(raw []byte) error {
 	if !c.sharded {
-		if _, err := c.shards[0].Coll.Insert(doc); err != nil {
+		if _, err := c.shards[0].Coll.InsertRaw(raw); err != nil {
 			return err
 		}
 		c.bumpEpochLocked(0)
 		return nil
 	}
-	tuple := c.key.TupleOf(doc)
-	ci := c.findChunk(tuple)
+	var buf tupleBuf
+	ci := c.findChunk(c.key.AppendTupleRaw(buf[:0], raw))
 	if ci < 0 {
 		return fmt.Errorf("sharding: no chunk for tuple (shard key %s)", c.key)
 	}
 	ch := c.chunks[ci]
-	if _, err := c.shards[ch.Shard].Coll.Insert(doc); err != nil {
+	if _, err := c.shards[ch.Shard].Coll.InsertRaw(raw); err != nil {
 		return err
 	}
 	ch.Docs++
-	ch.Bytes += int64(bson.RawSize(doc))
+	ch.Bytes += int64(len(raw))
 	c.bumpEpochLocked(ch.Shard)
-	c.summaryAddLocked(ch, doc)
+	c.summaryAddLocked(ch, raw)
 	if ch.Bytes > c.opts.ChunkMaxBytes {
 		c.splitChunkLocked(ci)
 	}
@@ -460,38 +474,44 @@ func (c *Cluster) findChunk(tuple []byte) int {
 	return -1
 }
 
-// chunkTuples returns the sorted shard-key tuples of the documents in
-// the chunk, read from the owning shard.
-func (c *Cluster) chunkTuples(ch *Chunk) [][]byte {
+// chunkInterval is the chunk's range of the shard-key index.
+func chunkInterval(ch *Chunk) index.Interval {
+	return index.Interval{Low: boundInclude(ch.Min), High: boundExclude(ch.Max)}
+}
+
+// chunkTuples returns a visitor over the shard-key tuples of the
+// chunk's documents in sorted order. The slices it hands out are
+// borrowed and stay valid until the owning shard is next written. A
+// range-sharded chunk is one interval of the shard-key index, whose
+// entries start with the tuple, so each visit is an index walk that
+// allocates nothing; a hashed collection's index holds raw values, not
+// hashes, so there the tuples are derived once, here, from the stored
+// bytes of every document on the shard.
+func (c *Cluster) chunkTuples(ch *Chunk) func(visit func(tuple []byte) bool) {
 	coll := c.shards[ch.Shard].Coll
-	var tuples [][]byte
 	if c.key.Strategy == RangeSharding {
 		ix := coll.Index(ShardKeyIndexName)
-		iv := index.Interval{
-			Low:  boundInclude(ch.Min),
-			High: boundExclude(ch.Max),
+		return func(visit func(tuple []byte) bool) {
+			ix.ScanInterval(chunkInterval(ch), func(key []byte, _ storage.RecordID) bool {
+				return visit(index.KeyPrefix(key))
+			})
 		}
-		ix.ScanInterval(iv, func(key []byte, _ storage.RecordID) bool {
-			tuples = append(tuples, bytes.Clone(index.KeyPrefix(key)))
-			return true
-		})
-		return tuples
 	}
-	// Hashed: the index holds raw values, so recompute hashed tuples
-	// from the documents.
+	var tuples [][]byte
 	coll.Store().Walk(func(_ storage.RecordID, raw []byte) bool {
-		doc, err := bson.Unmarshal(raw)
-		if err != nil {
-			return true
-		}
-		t := c.key.TupleOf(doc)
-		if ch.Contains(t) {
+		if t := c.key.AppendTupleRaw(nil, raw); ch.Contains(t) {
 			tuples = append(tuples, t)
 		}
 		return true
 	})
 	slices.SortFunc(tuples, bytes.Compare)
-	return tuples
+	return func(visit func(tuple []byte) bool) {
+		for _, t := range tuples {
+			if !visit(t) {
+				return
+			}
+		}
+	}
 }
 
 // chunkRecords returns the record ids of the chunk's documents on its
@@ -500,20 +520,16 @@ func (c *Cluster) chunkRecords(ch *Chunk) []storage.RecordID {
 	coll := c.shards[ch.Shard].Coll
 	var ids []storage.RecordID
 	if c.key.Strategy == RangeSharding {
-		ix := coll.Index(ShardKeyIndexName)
-		iv := index.Interval{Low: boundInclude(ch.Min), High: boundExclude(ch.Max)}
-		ix.ScanInterval(iv, func(key []byte, id storage.RecordID) bool {
+		ids = make([]storage.RecordID, 0, max(ch.Docs, 0))
+		coll.Index(ShardKeyIndexName).ScanInterval(chunkInterval(ch), func(_ []byte, id storage.RecordID) bool {
 			ids = append(ids, id)
 			return true
 		})
 		return ids
 	}
 	coll.Store().Walk(func(id storage.RecordID, raw []byte) bool {
-		doc, err := bson.Unmarshal(raw)
-		if err != nil {
-			return true
-		}
-		if ch.Contains(c.key.TupleOf(doc)) {
+		var buf tupleBuf
+		if ch.Contains(c.key.AppendTupleRaw(buf[:0], raw)) {
 			ids = append(ids, id)
 		}
 		return true
@@ -521,41 +537,65 @@ func (c *Cluster) chunkRecords(ch *Chunk) []storage.RecordID {
 	return ids
 }
 
+// splitPoint picks where a chunk holding n documents splits: the
+// median tuple — or, when the median equals the lowest tuple, the
+// first tuple above it, so both halves are non-empty — and how many
+// documents sort below it. each visits the chunk's tuples in sorted
+// order with borrowed slices that stay valid for the whole visit (the
+// index is not mutated meanwhile); the chosen tuple is the only one
+// copied. ok is false when every document shares one tuple.
+func splitPoint(n int, each func(visit func(tuple []byte) bool)) (split []byte, leftDocs int, ok bool) {
+	var run []byte // the tuple of the run of equal tuples being visited
+	runStart, i := 0, 0
+	each(func(tuple []byte) bool {
+		if i == 0 || !bytes.Equal(tuple, run) {
+			if i > n/2 {
+				// The median's run began at the low end; this is the
+				// first tuple above it.
+				split, leftDocs, ok = bytes.Clone(tuple), i, true
+				return false
+			}
+			run, runStart = tuple, i
+		}
+		if i == n/2 && runStart > 0 {
+			split, leftDocs, ok = bytes.Clone(tuple), runStart, true
+			return false
+		}
+		i++
+		return true
+	})
+	return split, leftDocs, ok
+}
+
 // splitChunkLocked splits chunk ci at the median shard-key value. A
 // chunk whose documents all share one tuple cannot be split — the
 // "jumbo" case the paper discusses for skewed Hilbert values (the
 // compound (hilbertIndex, date) key avoids it because dates have high
-// cardinality).
+// cardinality). It takes two passes over the chunk's tuples — count,
+// then walk to the median.
 func (c *Cluster) splitChunkLocked(ci int) {
 	ch := c.chunks[ci]
-	tuples := c.chunkTuples(ch)
-	if len(tuples) < 2 {
+	each := c.chunkTuples(ch)
+	n := 0
+	each(func([]byte) bool {
+		n++
+		return true
+	})
+	if n < 2 {
 		return
 	}
-	split := tuples[len(tuples)/2]
-	if bytes.Equal(split, tuples[0]) {
-		// Median equals the low end: advance to the first distinct
-		// tuple so both halves are non-empty.
-		i := sort.Search(len(tuples), func(i int) bool {
-			return bytes.Compare(tuples[i], split) > 0
-		})
-		if i == len(tuples) {
-			c.jumbo++
-			return
-		}
-		split = tuples[i]
+	split, leftDocs, ok := splitPoint(n, each)
+	if !ok {
+		c.jumbo++
+		return
 	}
-	split = bytes.Clone(split)
-	leftDocs := sort.Search(len(tuples), func(i int) bool {
-		return bytes.Compare(tuples[i], split) >= 0
-	})
 	perDoc := ch.Bytes / int64(max(ch.Docs, 1))
 	right := &Chunk{
 		Min:   split,
 		Max:   ch.Max,
 		Shard: ch.Shard,
-		Docs:  len(tuples) - leftDocs,
-		Bytes: perDoc * int64(len(tuples)-leftDocs),
+		Docs:  n - leftDocs,
+		Bytes: perDoc * int64(n-leftDocs),
 	}
 	ch.Max = split
 	ch.Docs = leftDocs
@@ -583,15 +623,15 @@ func (c *Cluster) Delete(f query.Filter) (int, error) {
 	for _, s := range c.shards {
 		ids := query.MatchingRecords(s.Coll, f, c.opts.QueryConfig)
 		for _, id := range ids {
-			doc, err := s.Coll.Fetch(id)
-			if err != nil {
+			raw, ok := s.Coll.Store().FetchRaw(id)
+			if !ok {
 				continue
 			}
 			if err := s.Coll.Delete(id); err != nil {
 				return deleted, err
 			}
 			deleted++
-			c.noteDeletedLocked(doc)
+			c.noteDeletedLocked(raw)
 		}
 	}
 	if err := c.commitDur(); err != nil {
@@ -601,21 +641,23 @@ func (c *Cluster) Delete(f query.Filter) (int, error) {
 }
 
 // noteDeletedLocked keeps the chunk metadata accurate after one
-// document left its shard (shared by Delete and journal replay).
-func (c *Cluster) noteDeletedLocked(doc *bson.Document) {
+// document — raw is the encoding it had — left its shard (shared by
+// Delete, retention drops and journal replay).
+func (c *Cluster) noteDeletedLocked(raw []byte) {
 	if !c.sharded {
 		c.bumpEpochLocked(0)
 		return
 	}
-	if ci := c.findChunk(c.key.TupleOf(doc)); ci >= 0 {
+	var buf tupleBuf
+	if ci := c.findChunk(c.key.AppendTupleRaw(buf[:0], raw)); ci >= 0 {
 		ch := c.chunks[ci]
 		ch.Docs--
-		ch.Bytes -= int64(bson.RawSize(doc))
+		ch.Bytes -= int64(len(raw))
 		if ch.Bytes < 0 {
 			ch.Bytes = 0
 		}
 		c.bumpEpochLocked(ch.Shard)
-		c.summaryRemoveLocked(ch, doc)
+		c.summaryRemoveLocked(ch, raw)
 	}
 }
 
@@ -755,8 +797,9 @@ func (c *Cluster) bestRecipientLocked(ch *Chunk, counts []int) int {
 	return best
 }
 
-// moveChunkLocked migrates the chunk's documents and reassigns
-// ownership.
+// moveChunkLocked migrates the chunk's documents — stored bytes in,
+// stored bytes out, index keys read from them on both sides — and
+// reassigns ownership.
 func (c *Cluster) moveChunkLocked(ch *Chunk, to int) {
 	from := ch.Shard
 	if from == to {
@@ -772,11 +815,17 @@ func (c *Cluster) moveChunkLocked(ch *Chunk, to int) {
 	ids := c.chunkRecords(ch)
 	src, dst := c.shards[from].Coll, c.shards[to].Coll
 	for _, id := range ids {
-		doc, err := src.Fetch(id)
-		if err != nil {
+		raw, ok := src.Store().FetchRaw(id)
+		if !ok {
 			continue
 		}
-		if _, err := dst.Insert(doc); err != nil {
+		// The recipient gets its own copy: ids arrive in shard-key
+		// order, so a moved chunk's records are allocated together in
+		// key order, which is where range scans then find them (almost
+		// every chunk is moved once by the balancer). Handing over the
+		// source's slice would keep records where their first insert
+		// scattered them.
+		if _, err := dst.InsertRaw(bytes.Clone(raw)); err != nil {
 			continue
 		}
 		_ = src.Delete(id)

@@ -13,9 +13,8 @@ package sharding
 // operation order, the recovered cluster's chunk map, per-chunk
 // statistics, record ids and index contents are byte-identical to the
 // pre-crash state. Record bodies for inserts are the raw BSON bytes
-// the storage layer stored; the bson codec's encode→decode→re-encode
-// byte identity (fuzz-guarded in internal/bson) is what makes replay
-// produce the same bytes again.
+// the storage layer stored, and replay stores those same bytes again —
+// validated (bson.Validate), never decoded.
 //
 // Layout: one journal file per shard for data ops (insert/delete,
 // captured by storage.Hook so the journaled bytes are exactly the
@@ -30,6 +29,7 @@ package sharding
 // a migration moves documents between shards.
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
 
@@ -427,14 +427,14 @@ func (c *Cluster) replay(recs []wal.Record) error {
 		case opBalance:
 			c.Balance()
 		case opInsert:
-			doc, err := bson.Unmarshal(rec.Body)
-			if err != nil {
+			if _, err := bson.Validate(rec.Body); err != nil {
 				return fmt.Errorf("sharding: replay lsn %d: corrupt document: %w", rec.LSN, err)
 			}
+			// The store keeps a copy, not a view of the journal image.
 			// An insert that failed (and rolled back) originally fails
 			// identically here; its rollback delete follows in the
 			// journal.
-			_ = c.Insert(doc)
+			_ = c.insertRaw(bytes.Clone(rec.Body))
 		case opDelete:
 			shard, id, err := decodeDelete(rec.Body)
 			if err != nil {
@@ -483,14 +483,14 @@ func (c *Cluster) applyJournaledDelete(shard int, id storage.RecordID) error {
 		return fmt.Errorf("sharding: delete names unknown shard %d", shard)
 	}
 	coll := c.shards[shard].Coll
-	doc, err := coll.Fetch(id)
-	if err != nil {
+	raw, ok := coll.Store().FetchRaw(id)
+	if !ok {
 		return nil // rolled-back insert: nothing to delete
 	}
 	if err := coll.Delete(id); err != nil {
 		return err
 	}
-	c.noteDeletedLocked(doc)
+	c.noteDeletedLocked(raw)
 	return nil
 }
 

@@ -27,6 +27,7 @@ package sharding
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -54,12 +55,18 @@ var ErrBatchTooLarge = errors.New("batch exceeds ingest queue capacity")
 const DefaultDedupWindow = 1024
 
 // BatchInserter is the write-path boundary: anything that can apply an
-// idempotent client batch. Ingester implements it in-process; the
-// network transport implements it by broadcasting the batch to every
-// daemon (each holds the full cluster, so identical application keeps
-// their fingerprints converged).
+// idempotent client batch of encoded documents. Ingester implements it
+// in-process; the network transport implements it by broadcasting the
+// batch to every daemon (each holds the full cluster, so identical
+// application keeps their fingerprints converged).
+//
+// Documents cross this boundary as bytes, encoded once where they
+// entered the system. Each must be a valid canonical encoding
+// (bson.Validate — what bson.Marshal writes); an implementation that
+// stores them takes ownership, so the caller neither modifies nor
+// reuses the slices afterwards.
 type BatchInserter interface {
-	InsertBatch(ctx context.Context, batchID string, docs []*bson.Document) (applied int, dup bool, err error)
+	InsertBatchRaw(ctx context.Context, batchID string, docs [][]byte) (applied int, dup bool, err error)
 }
 
 // dedupWindow remembers the most recent batch IDs in insertion order.
@@ -112,12 +119,20 @@ func (w *dedupWindow) entries() []string {
 	return out
 }
 
-// InsertBatch routes and stores docs as one atomic, idempotent batch.
-// The whole batch is framed into a single opInsertBatch journal
-// record before any document is applied, so recovery replays it
-// all-or-nothing; per-document journaling is suppressed for the
-// duration (replication still streams every stored document — the
-// stream has no replay to re-derive from).
+// InsertBatch encodes docs and applies them as one batch:
+// InsertBatchRaw on their encodings.
+func (c *Cluster) InsertBatch(batchID string, docs []*bson.Document) (applied int, dup bool, err error) {
+	return c.InsertBatchRaw(batchID, bson.MarshalAll(docs))
+}
+
+// InsertBatchRaw routes and stores encoded documents as one atomic,
+// idempotent batch. The whole batch is framed into a single
+// opInsertBatch journal record before any document is applied, so
+// recovery replays it all-or-nothing; per-document journaling is
+// suppressed for the duration (replication still streams every stored
+// document — the stream has no replay to re-derive from). The bytes the
+// record frames are the bytes the stores keep: docs must be valid
+// canonical encodings, and the cluster owns them afterwards.
 //
 // batchID is the client's idempotency token: a batch whose ID is in
 // the dedup window returns (0, true, nil) without applying anything.
@@ -126,7 +141,7 @@ func (w *dedupWindow) entries() []string {
 // applied counts the documents stored; err is the first per-document
 // failure (later documents are still attempted, and replay reproduces
 // the same partial outcome deterministically).
-func (c *Cluster) InsertBatch(batchID string, docs []*bson.Document) (applied int, dup bool, err error) {
+func (c *Cluster) InsertBatchRaw(batchID string, docs [][]byte) (applied int, dup bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	applied, dup, err = c.insertBatchLocked(batchID, docs)
@@ -141,7 +156,7 @@ func (c *Cluster) InsertBatch(batchID string, docs []*bson.Document) (applied in
 
 // insertBatchLocked journals and applies one batch; the caller holds
 // the write lock and commits the journals afterwards.
-func (c *Cluster) insertBatchLocked(batchID string, docs []*bson.Document) (int, bool, error) {
+func (c *Cluster) insertBatchLocked(batchID string, docs [][]byte) (int, bool, error) {
 	if batchID != "" && c.dedup.seen(batchID) {
 		return 0, true, nil
 	}
@@ -161,15 +176,15 @@ func (c *Cluster) insertBatchLocked(batchID string, docs []*bson.Document) (int,
 
 // applyBatchDocsLocked stores each document with per-document
 // journaling suppressed (the batch record already carries the bytes).
-func (c *Cluster) applyBatchDocsLocked(docs []*bson.Document) (int, error) {
+func (c *Cluster) applyBatchDocsLocked(docs [][]byte) (int, error) {
 	if c.dur != nil {
 		c.dur.suppress++
 		defer func() { c.dur.suppress-- }()
 	}
 	applied := 0
 	var firstErr error
-	for _, doc := range docs {
-		if err := c.insertDocLocked(doc); err != nil {
+	for _, raw := range docs {
+		if err := c.insertRawLocked(raw); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -180,34 +195,39 @@ func (c *Cluster) applyBatchDocsLocked(docs []*bson.Document) (int, error) {
 	return applied, firstErr
 }
 
-// encodeInsertBatch frames the batch ID and each document's marshaled
-// bytes. bson's encode→decode→re-encode byte identity (fuzz-guarded)
-// makes the journaled bytes equal the stored bytes, same as the
-// per-document hook path.
-func encodeInsertBatch(batchID string, docs []*bson.Document) []byte {
-	var b []byte
+// encodeInsertBatch frames the batch ID and each document's bytes —
+// the very bytes the stores keep, as on the per-document hook path.
+func encodeInsertBatch(batchID string, docs [][]byte) []byte {
+	size := len(batchID) + 2*binary.MaxVarintLen64
+	for _, raw := range docs {
+		size += len(raw) + binary.MaxVarintLen32
+	}
+	b := make([]byte, 0, size)
 	b = appendString(b, batchID)
 	b = appendUvarint(b, uint64(len(docs)))
-	for _, doc := range docs {
-		b = appendBytes(b, bson.Marshal(doc))
+	for _, raw := range docs {
+		b = appendBytes(b, raw)
 	}
 	return b
 }
 
-func decodeInsertBatch(body []byte) (batchID string, docs []*bson.Document, err error) {
+// decodeInsertBatch reads a batch record back for replay. Every
+// document is copied out of the record buffer — the stores will own
+// the copies, and must not pin the journal image they were read from —
+// and validated.
+func decodeInsertBatch(body []byte) (batchID string, docs [][]byte, err error) {
 	d := &decoder{buf: body}
 	batchID = d.string()
 	n := int(d.uvarint())
 	for i := 0; i < n; i++ {
-		raw := d.bytes()
+		raw := d.bytesCopy()
 		if d.err != nil {
 			break
 		}
-		doc, derr := bson.Unmarshal(raw)
-		if derr != nil {
-			return "", nil, derr
+		if _, verr := bson.Validate(raw); verr != nil {
+			return "", nil, verr
 		}
-		docs = append(docs, doc)
+		docs = append(docs, raw)
 	}
 	if d.err != nil {
 		return "", nil, d.err
@@ -262,7 +282,7 @@ type IngestStats struct {
 // ingestReq is one client batch waiting for its group commit.
 type ingestReq struct {
 	batchID string
-	docs    []*bson.Document
+	docs    [][]byte
 	done    chan struct{}
 	applied int
 	dup     bool
@@ -302,17 +322,24 @@ func NewIngester(c *Cluster, opts IngestOptions) *Ingester {
 	return in
 }
 
-// Insert enqueues one document (no idempotency token) and waits for
-// its group commit.
+// Insert encodes and enqueues one document (no idempotency token) and
+// waits for its group commit.
 func (in *Ingester) Insert(ctx context.Context, doc *bson.Document) error {
-	_, _, err := in.InsertBatch(ctx, "", []*bson.Document{doc})
+	_, _, err := in.InsertBatchRaw(ctx, "", [][]byte{bson.Marshal(doc)})
 	return err
 }
 
-// InsertBatch enqueues a client batch and waits for its commit. On
-// ctx cancellation the call returns early but the admitted batch
-// still commits; a retry with the same batchID is deduplicated.
+// InsertBatch encodes docs and enqueues them: InsertBatchRaw on their
+// encodings.
 func (in *Ingester) InsertBatch(ctx context.Context, batchID string, docs []*bson.Document) (applied int, dup bool, err error) {
+	return in.InsertBatchRaw(ctx, batchID, bson.MarshalAll(docs))
+}
+
+// InsertBatchRaw enqueues a client batch of encoded documents (see
+// BatchInserter for what they must be) and waits for its commit. On ctx
+// cancellation the call returns early but the admitted batch still
+// commits; a retry with the same batchID is deduplicated.
+func (in *Ingester) InsertBatchRaw(ctx context.Context, batchID string, docs [][]byte) (applied int, dup bool, err error) {
 	if len(docs) == 0 {
 		return 0, false, nil
 	}

@@ -82,14 +82,14 @@ func (c *Cluster) dropBelowLocked(prefix []byte) (int, error) {
 		// that) and clean up the store and the remaining indexes.
 		ix.DropBelow(prefix)
 		for _, id := range ids {
-			doc, err := s.Coll.Fetch(id)
-			if err != nil {
+			raw, ok := s.Coll.Store().FetchRaw(id)
+			if !ok {
 				continue
 			}
 			if err := s.Coll.Delete(id); err != nil {
 				return dropped, err
 			}
-			c.noteDeletedLocked(doc)
+			c.noteDeletedLocked(raw)
 			dropped++
 		}
 	}

@@ -91,14 +91,35 @@ func (k ShardKey) FieldValue(i int, doc *bson.Document) any {
 	return v
 }
 
-// TupleOf returns the encoded shard-key tuple of a document — the
-// byte string chunk ranges are defined over.
+// TupleOf returns the encoded shard-key tuple of a decoded document —
+// the byte string chunk ranges are defined over. The write path routes
+// on AppendTupleRaw; this is the reference it is fuzzed against.
 func (k ShardKey) TupleOf(doc *bson.Document) []byte {
 	var out []byte
 	for i := range k.Fields {
 		out = keyenc.AppendValue(out, k.FieldValue(i, doc))
 	}
 	return out
+}
+
+// AppendTupleRaw appends the shard-key tuple of an encoded document to
+// dst: byte for byte TupleOf of the decoded form, read from the bytes
+// without decoding them. Under range sharding it is the prefix of the
+// document's shard-key index entry. raw must be a valid encoding.
+func (k ShardKey) AppendTupleRaw(dst []byte, raw bson.Raw) []byte {
+	for i, f := range k.Fields {
+		// A missing field yields the zero RawValue, which encodes as
+		// null — how missing fields partition.
+		v, _ := raw.LookupRaw(f)
+		if i == 0 && k.Strategy == HashedSharding {
+			var buf [32]byte
+			enc, _ := keyenc.AppendRaw(buf[:0], v)
+			dst = keyenc.AppendNumber(dst, float64(hashEncoded(enc)))
+			continue
+		}
+		dst, _ = keyenc.AppendRaw(dst, v)
+	}
+	return dst
 }
 
 // MinTuple returns the encoded tuple that sorts before every document
@@ -123,9 +144,11 @@ func (k ShardKey) MaxTuple() []byte {
 
 // HashValue is the deterministic 64-bit hash used by hashed sharding,
 // returned as an int64 partitioning value.
-func HashValue(v any) int64 {
-	enc := keyenc.Encode(v)
-	var h uint64 = 14695981039346656037 // FNV-1a 64
+func HashValue(v any) int64 { return hashEncoded(keyenc.Encode(v)) }
+
+// hashEncoded hashes a value's key encoding (FNV-1a 64).
+func hashEncoded(enc []byte) int64 {
+	var h uint64 = 14695981039346656037
 	for _, b := range enc {
 		h ^= uint64(b)
 		h *= 1099511628211

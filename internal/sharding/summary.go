@@ -24,6 +24,7 @@ import (
 	"repro/internal/bson"
 	"repro/internal/query"
 	"repro/internal/sketch"
+	"repro/internal/storage"
 )
 
 // summaryExpectedCells sizes a fresh per-chunk sketch: the expected
@@ -60,15 +61,16 @@ func (c *Cluster) pruningOnLocked() bool {
 	return c.summariesOnLocked() && len(c.repl) == 0
 }
 
-// summaryCellLocked maps one document to its coarse cell. ok is false
-// when the leading shard-key value is missing or not an integer — such
-// a document cannot be summarised, and its chunk must never be pruned.
-func (c *Cluster) summaryCellLocked(doc *bson.Document) (uint64, bool) {
-	v, ok := doc.Lookup(c.key.Fields[0])
+// summaryCellLocked maps one encoded document to its coarse cell,
+// reading the leading shard-key value straight from the bytes. ok is
+// false when that value is missing or not a non-negative int64 — such a
+// document cannot be summarised, and its chunk must never be pruned.
+func (c *Cluster) summaryCellLocked(raw bson.Raw) (uint64, bool) {
+	v, ok := raw.LookupRaw(c.key.Fields[0])
 	if !ok {
 		return 0, false
 	}
-	iv, ok := bson.Normalize(v).(int64)
+	iv, ok := v.Int64()
 	if !ok || iv < 0 {
 		// Negative values break the uint64 shift's monotonicity; treat
 		// them as unsummarisable rather than risk a wrong cell.
@@ -78,7 +80,7 @@ func (c *Cluster) summaryCellLocked(doc *bson.Document) (uint64, bool) {
 }
 
 // summaryAddLocked folds one inserted document into its chunk's sketch.
-func (c *Cluster) summaryAddLocked(ch *Chunk, doc *bson.Document) {
+func (c *Cluster) summaryAddLocked(ch *Chunk, raw []byte) {
 	if !c.summariesOnLocked() {
 		return
 	}
@@ -86,7 +88,7 @@ func (c *Cluster) summaryAddLocked(ch *Chunk, doc *bson.Document) {
 		ch.sum = sketch.New(summaryExpectedCells)
 		ch.sumExact = true
 	}
-	cell, ok := c.summaryCellLocked(doc)
+	cell, ok := c.summaryCellLocked(raw)
 	if !ok {
 		// The chunk now holds a document the sketch cannot see: disable
 		// pruning for this chunk permanently (until a rebuild).
@@ -100,11 +102,11 @@ func (c *Cluster) summaryAddLocked(ch *Chunk, doc *bson.Document) {
 // sketch. Removing from a counting bloom filter is safe: saturated
 // slots are sticky, so the sketch over-approximates but never loses a
 // present cell.
-func (c *Cluster) summaryRemoveLocked(ch *Chunk, doc *bson.Document) {
+func (c *Cluster) summaryRemoveLocked(ch *Chunk, raw []byte) {
 	if ch.sum == nil {
 		return
 	}
-	if cell, ok := c.summaryCellLocked(doc); ok {
+	if cell, ok := c.summaryCellLocked(raw); ok {
 		ch.sum.Remove(cell)
 	}
 }
@@ -113,7 +115,8 @@ func (c *Cluster) summaryRemoveLocked(ch *Chunk, doc *bson.Document) {
 // shard and rebuilds the sketch from scratch — used after splits (both
 // halves inherit nothing), after recovery (snapshot restores bypass the
 // insert path) and after a failover promotion (the new primary may
-// disagree with the sketch the old one maintained).
+// disagree with the sketch the old one maintained). It reads one field
+// of each stored document and decodes none.
 func (c *Cluster) rebuildChunkSummaryLocked(ch *Chunk) {
 	if !c.summariesOnLocked() {
 		ch.sum = nil
@@ -121,18 +124,22 @@ func (c *Cluster) rebuildChunkSummaryLocked(ch *Chunk) {
 	}
 	ch.sum = sketch.New(summaryExpectedCells)
 	ch.sumExact = true
+	// Summaries are range-sharding only, so the chunk is one interval
+	// of the shard-key index.
 	coll := c.shards[ch.Shard].Coll
-	for _, id := range c.chunkRecords(ch) {
-		doc, err := coll.Fetch(id)
-		if err != nil {
-			continue
+	store := coll.Store()
+	coll.Index(ShardKeyIndexName).ScanInterval(chunkInterval(ch), func(_ []byte, id storage.RecordID) bool {
+		raw, ok := store.FetchRaw(id)
+		if !ok {
+			return true
 		}
-		if cell, ok := c.summaryCellLocked(doc); ok {
+		if cell, ok := c.summaryCellLocked(raw); ok {
 			ch.sum.Add(cell)
 		} else {
 			ch.sumExact = false
 		}
-	}
+		return true
+	})
 }
 
 // rebuildSummariesLocked rebuilds every chunk's sketch (recovery,

@@ -123,11 +123,12 @@ func (c *Cluster) splitAtLocked(boundary []byte) {
 // [lo, hi).
 func (c *Cluster) countRangeLocked(ch *Chunk, lo, hi []byte) int {
 	n := 0
-	for _, t := range c.chunkTuples(ch) {
+	c.chunkTuples(ch)(func(t []byte) bool {
 		if bytes.Compare(lo, t) <= 0 && bytes.Compare(t, hi) < 0 {
 			n++
 		}
-	}
+		return true
+	})
 	return n
 }
 

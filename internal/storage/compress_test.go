@@ -16,7 +16,7 @@ func TestCompressedBytesRepetitiveDataCompressesWell(t *testing.T) {
 			{Key: "weatherCondition", Value: "clear"},
 			{Key: "vehicle", Value: "GRC-1234"},
 		})
-		s.Insert(doc)
+		s.InsertRaw(bson.Marshal(doc))
 	}
 	comp := s.CompressedBytes()
 	if comp <= 0 {
@@ -37,7 +37,7 @@ func TestCompressedBytesRandomDataBarelyCompresses(t *testing.T) {
 			{Key: "_id", Value: i},
 			{Key: "blob", Value: string(buf)},
 		})
-		s.Insert(doc)
+		s.InsertRaw(bson.Marshal(doc))
 	}
 	comp := s.CompressedBytes()
 	if comp < s.Bytes()*5/10 {

@@ -17,7 +17,7 @@ func TestConcurrentFetchCounters(t *testing.T) {
 	ids := make([]RecordID, seed)
 	for i := 0; i < seed; i++ {
 		doc := bson.FromD(bson.D{{Key: "_id", Value: int64(i)}, {Key: "v", Value: int64(i * i)}})
-		ids[i] = s.Insert(doc)
+		ids[i] = s.InsertRaw(bson.Marshal(doc))
 	}
 
 	const readers = 6
@@ -35,7 +35,12 @@ func TestConcurrentFetchCounters(t *testing.T) {
 						// Concurrently deleted: legal outcome.
 						continue
 					}
-				} else if doc, err := s.Fetch(id); err == nil {
+				} else if raw, ok := s.FetchRaw(id); ok {
+					doc, err := bson.Unmarshal(raw)
+					if err != nil {
+						t.Errorf("stored document does not decode: %v", err)
+						return
+					}
 					if _, ok := doc.Lookup("v"); !ok {
 						t.Errorf("fetched document missing field v")
 						return
@@ -50,7 +55,7 @@ func TestConcurrentFetchCounters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters/4; i++ {
 				doc := bson.FromD(bson.D{{Key: "_id", Value: int64(1000*w + i)}})
-				id := s.Insert(doc)
+				id := s.InsertRaw(bson.Marshal(doc))
 				if i%3 == 0 {
 					s.Delete(id)
 				}

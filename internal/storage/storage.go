@@ -1,9 +1,13 @@
 // Package storage implements the per-shard record store: documents
 // are kept in their binary encoding, addressed by record ids, exactly
-// like heap storage under a document store's B-tree indexes. A fetch
-// hands out the stored bytes themselves — no copy, no decode — and the
-// query layer matches, sorts and aggregates on that encoded form;
-// each fetch is one unit of the docsExamined metric.
+// like heap storage under a document store's B-tree indexes. Bytes are
+// the only currency: a document is encoded once, where it enters the
+// system, and InsertRaw takes ownership of that encoding; a fetch hands
+// out the stored bytes themselves — no copy, no decode — and the query
+// layer matches, sorts and aggregates on that encoded form, as the
+// write path routes, indexes, splits, migrates and deletes on it.
+// Nothing here can decode a document; each fetch is one unit of the
+// docsExamined metric.
 package storage
 
 import (
@@ -11,8 +15,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/bson"
 )
 
 // RecordID identifies a stored document within one Store. Ids are
@@ -65,13 +67,11 @@ func (s *Store) SetHook(h Hook) {
 	s.hook = h
 }
 
-// Insert stores the document and returns its record id.
-func (s *Store) Insert(doc *bson.Document) RecordID {
-	return s.InsertRaw(bson.Marshal(doc))
-}
-
-// InsertRaw stores an already-encoded document. The caller guarantees
-// raw is a valid encoding and will not be modified afterwards.
+// InsertRaw stores an encoded document and returns its record id. The
+// store owns raw from here on and hands out that very slice on every
+// fetch: the caller guarantees it is a valid canonical encoding
+// (bson.Validate) and neither modifies nor reuses it afterwards — an
+// edge that reads frames into a reused buffer must pass a copy.
 func (s *Store) InsertRaw(raw []byte) RecordID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -121,17 +121,6 @@ func (s *Store) NextID() RecordID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.nextID
-}
-
-// Fetch decodes and returns the document at id.
-func (s *Store) Fetch(id RecordID) (*bson.Document, error) {
-	s.mu.RLock()
-	raw, ok := s.records[id]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("storage: record %d not found", id)
-	}
-	return bson.Unmarshal(raw)
 }
 
 // FetchRaw returns the encoded form of the document at id. The

@@ -13,12 +13,16 @@ func doc(i int64) *bson.Document {
 
 func TestInsertFetchDelete(t *testing.T) {
 	s := NewStore()
-	id1 := s.Insert(doc(1))
-	id2 := s.Insert(doc(2))
+	id1 := s.InsertRaw(bson.Marshal(doc(1)))
+	id2 := s.InsertRaw(bson.Marshal(doc(2)))
 	if id1 == id2 {
 		t.Fatal("duplicate record ids")
 	}
-	got, err := s.Fetch(id2)
+	raw, ok := s.FetchRaw(id2)
+	if !ok {
+		t.Fatal("FetchRaw of a live record failed")
+	}
+	got, err := bson.Unmarshal(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,8 +38,8 @@ func TestInsertFetchDelete(t *testing.T) {
 	if s.Delete(id1) {
 		t.Fatal("double Delete = true")
 	}
-	if _, err := s.Fetch(id1); err == nil {
-		t.Fatal("Fetch of deleted record succeeded")
+	if _, ok := s.FetchRaw(id1); ok {
+		t.Fatal("FetchRaw of deleted record succeeded")
 	}
 	if s.Len() != 1 {
 		t.Fatalf("Len after delete = %d", s.Len())
@@ -46,11 +50,11 @@ func TestBytesAccounting(t *testing.T) {
 	s := NewStore()
 	d := doc(1)
 	want := int64(len(bson.Marshal(d)))
-	id := s.Insert(d)
+	id := s.InsertRaw(bson.Marshal(d))
 	if s.Bytes() != want {
 		t.Fatalf("Bytes = %d, want %d", s.Bytes(), want)
 	}
-	s.Insert(doc(2))
+	s.InsertRaw(bson.Marshal(doc(2)))
 	s.Delete(id)
 	if s.Bytes() != want { // doc(2) is the same size
 		t.Fatalf("Bytes after delete = %d, want %d", s.Bytes(), want)
@@ -59,9 +63,9 @@ func TestBytesAccounting(t *testing.T) {
 
 func TestIDsNeverReused(t *testing.T) {
 	s := NewStore()
-	id1 := s.Insert(doc(1))
+	id1 := s.InsertRaw(bson.Marshal(doc(1)))
 	s.Delete(id1)
-	id2 := s.Insert(doc(2))
+	id2 := s.InsertRaw(bson.Marshal(doc(2)))
 	if id2 == id1 {
 		t.Fatal("record id reused after delete")
 	}
@@ -70,7 +74,7 @@ func TestIDsNeverReused(t *testing.T) {
 func TestWalkVisitsAllAndStopsEarly(t *testing.T) {
 	s := NewStore()
 	for i := int64(0); i < 50; i++ {
-		s.Insert(doc(i))
+		s.InsertRaw(bson.Marshal(doc(i)))
 	}
 	seen := 0
 	s.Walk(func(id RecordID, raw []byte) bool {
@@ -93,7 +97,7 @@ func TestWalkVisitsAllAndStopsEarly(t *testing.T) {
 func TestFetchRaw(t *testing.T) {
 	s := NewStore()
 	d := doc(7)
-	id := s.Insert(d)
+	id := s.InsertRaw(bson.Marshal(d))
 	raw, ok := s.FetchRaw(id)
 	if !ok {
 		t.Fatal("FetchRaw missed")
@@ -116,11 +120,11 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			var ids []RecordID
 			for i := 0; i < 200; i++ {
-				ids = append(ids, s.Insert(doc(int64(g*1000+i))))
+				ids = append(ids, s.InsertRaw(bson.Marshal(doc(int64(g*1000+i)))))
 			}
 			for _, id := range ids[:100] {
-				if _, err := s.Fetch(id); err != nil {
-					t.Errorf("Fetch: %v", err)
+				if _, ok := s.FetchRaw(id); !ok {
+					t.Errorf("FetchRaw(%d) of a live record failed", id)
 					return
 				}
 				s.Delete(id)

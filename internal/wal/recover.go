@@ -1,8 +1,8 @@
 package wal
 
 import (
-	"fmt"
 	"cmp"
+	"fmt"
 	"slices"
 	"strings"
 )

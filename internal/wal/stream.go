@@ -15,11 +15,11 @@ import "sync"
 // Records must arrive with strictly consecutive LSNs; the log trims
 // its head once it exceeds the configured capacity.
 type Log struct {
-	mu    sync.Mutex
-	recs  []Record // consecutive LSNs, recs[0] is the oldest retained
-	last  uint64   // last appended LSN; 0 before the first append
-	cap   int
-	subs  map[*Sub]struct{}
+	mu     sync.Mutex
+	recs   []Record // consecutive LSNs, recs[0] is the oldest retained
+	last   uint64   // last appended LSN; 0 before the first append
+	cap    int
+	subs   map[*Sub]struct{}
 	closed bool
 }
 

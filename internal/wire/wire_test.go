@@ -339,12 +339,12 @@ func TestDecodeRejectsHostileCounts(t *testing.T) {
 	// A QueryReply body claiming 2^31 docs in a handful of bytes must be
 	// rejected by count validation, not attempted as an allocation.
 	var body []byte
-	body = appendU64(body, 0)         // cursor
-	for i := 0; i < 4; i++ {          // four i64 counters
+	body = appendU64(body, 0) // cursor
+	for i := 0; i < 4; i++ {  // four i64 counters
 		body = appendI64(body, 0)
 	}
-	body = appendString(body, "")     // index used
-	body = appendU32(body, 1<<31-1)   // hostile doc count
+	body = appendString(body, "")   // index used
+	body = appendU32(body, 1<<31-1) // hostile doc count
 	if _, err := DecodeQueryReply(body); !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("hostile count: %v, want ErrBadMessage", err)
 	}

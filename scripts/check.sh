@@ -33,10 +33,16 @@ RACE_PKGS="./internal/sharding/... ./internal/query/... ./internal/storage/... .
 # protocol's frame, message, insert and aggregate decoders never panic
 # or over-allocate on hostile network bytes, the counting-bloom
 # sketch never reports a false negative against an exact-set oracle,
-# and the executor's typed reads of stored bytes — predicates, top-k
+# the executor's typed reads of stored bytes — predicates, top-k
 # sort keys, aggregate keys — never panic on damaged documents and
-# answer exactly what decoding the document first answers.
-FUZZ_TARGETS="bson:FuzzDocumentRoundTrip keyenc:FuzzKeyOrdering wal:FuzzFrameRecover btree:FuzzTreeOps wire:FuzzFrameDecode wire:FuzzInsertDecode wire:FuzzAggregateDecode sketch:FuzzSketch query:FuzzRawMatch"
+# answer exactly what decoding the document first answers, and the
+# write path, which never decodes either, rests on the same footing:
+# bson.Validate (all that stands between wire or journal bytes and the
+# store) accepts exactly what Unmarshal accepts and knows Marshal's form
+# from a liberal encoder's, and the index keys, shard-key tuples and
+# sketch cells read from stored bytes on insert, split, migration and
+# delete are byte for byte the ones built from the decoded document.
+FUZZ_TARGETS="bson:FuzzDocumentRoundTrip bson:FuzzValidate keyenc:FuzzKeyOrdering wal:FuzzFrameRecover btree:FuzzTreeOps wire:FuzzFrameDecode wire:FuzzInsertDecode wire:FuzzAggregateDecode sketch:FuzzSketch query:FuzzRawMatch index:FuzzEntryKeyRaw sharding:FuzzShardKeyRaw"
 
 step() {
     case "$1" in
@@ -44,6 +50,13 @@ step() {
         go build ./...
         go test -timeout 180s ./...
         go vet ./...
+        # The root module is gofmt-clean (benchmark/ is its own module).
+        unformatted=$(gofmt -l ./*.go cmd examples internal)
+        if [ -n "$unformatted" ]; then
+            echo "check.sh: gofmt -l prints:" >&2
+            echo "$unformatted" >&2
+            exit 1
+        fi
         ;;
     race)
         # shellcheck disable=SC2086
