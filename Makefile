@@ -31,6 +31,13 @@ race cluster-smoke chaos-soak ingest-soak:
 fuzz-smoke:
 	sh scripts/check.sh fuzz 30s
 
+# Rewrite the golden of the paper's deterministic counters (Figures 5
+# and 6) from this tree. Only for a change that is meant to move what a
+# query examines; EXPERIMENTS.md must say which cells moved and why.
+.PHONY: paper-golden
+paper-golden:
+	$(GO) test ./internal/bench -run TestPaperCountersGolden -update
+
 .PHONY: bench
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -174,6 +174,16 @@ func (v RawValue) StringBytes() ([]byte, bool) {
 	return v.data[4 : len(v.data)-1], true
 }
 
+// The canonical GeoJSON point's constant bytes: everything before the
+// first coordinate (bytes 0-39), between the two (48-50), and after the
+// second (59-60) of its 61.
+const (
+	pointFrameHead = "\x3d\x00\x00\x00" + "\x02type\x00\x06\x00\x00\x00Point\x00" +
+		"\x04coordinates\x00\x1b\x00\x00\x00" + "\x010\x00"
+	pointFrameMid  = "\x011\x00"
+	pointFrameTail = "\x00\x00"
+)
+
 // GeoPoint reads a GeoJSON point — an embedded document whose "type"
 // is the string "Point" and whose "coordinates" is an array of exactly
 // two numbers of any numeric kind, in any field order and with any
@@ -183,6 +193,16 @@ func (v RawValue) StringBytes() ([]byte, bool) {
 func (v RawValue) GeoPoint() (lon, lat float64, ok bool) {
 	if v.tag != tagDocument {
 		return 0, 0, false
+	}
+	// Every point this system stores is Marshal's encoding of
+	// {type: "Point", coordinates: [double, double]}: 61 bytes of which
+	// all but the two doubles are fixed. Read those in place; any other
+	// layout takes the general walk below, which answers the same for
+	// this one.
+	if d := v.data; len(d) == 61 &&
+		string(d[:40]) == pointFrameHead && string(d[48:51]) == pointFrameMid && string(d[59:]) == pointFrameTail {
+		return math.Float64frombits(binary.LittleEndian.Uint64(d[40:])),
+			math.Float64frombits(binary.LittleEndian.Uint64(d[51:])), true
 	}
 	body, ok := documentBody(v.data)
 	if !ok {

@@ -81,6 +81,118 @@ func FuzzTreeOps(f *testing.F) {
 	})
 }
 
+// FuzzIteratorSeek holds the iterator — Next interleaved with forward
+// Seeks, the executor's skip-scan pattern — to a sorted-slice oracle:
+// every Next must yield the oracle's next key and value (or stop where
+// the oracle stops), and Examined must count exactly the keys Next
+// inspected, the terminating out-of-bounds key included and seeks
+// excluded. build fills the tree (every fifth byte deletes); script
+// picks the degree (so leaves hold from 3 to 15 entries and a target
+// may lie in the cursor's leaf, the next one, or many leaves ahead),
+// the bounds, and then one Next or one Seek per step. Targets sort
+// after everything already returned — that is Seek's contract — and
+// include keys past the end of the tree; seeking an iterator that has
+// already hit its bound or the end of the tree repositions it like any
+// other.
+func FuzzIteratorSeek(f *testing.F) {
+	dense := make([]byte, 256)
+	for i := range dense {
+		dense[i] = byte(i * 37)
+	}
+	walk := []byte{0, 0, 0} // degree 2, unbounded
+	skip := []byte{6, 0, 0} // degree 8
+	for i := 0; i < 200; i++ {
+		walk = append(walk, byte(i%3), byte(i*5)) // Next, Next, Seek
+		skip = append(skip, 1, 2, byte(i*3), 3, byte(i*3+1))
+	}
+	f.Add(dense, walk)
+	f.Add(dense, skip)
+	f.Add(dense[:40], []byte{0, 0x45, 0x93, 0, 0, 2, 15, 0, 2, 200, 0, 0})
+	f.Add([]byte{}, []byte{1, 0, 0, 0, 2, 9, 0})
+
+	f.Fuzz(func(t *testing.T, build, script []byte) {
+		if len(script) < 3 {
+			return
+		}
+		tr := NewTree(2 + int(script[0]%7))
+		oracle := map[string]uint64{}
+		for i, b := range build {
+			if k := fuzzKey(b); i%5 == 4 {
+				tr.Delete(k)
+				delete(oracle, string(k))
+			} else {
+				tr.Set(k, uint64(i))
+				oracle[string(k)] = uint64(i)
+			}
+		}
+		keys := make([]string, 0, len(oracle))
+		for k := range oracle {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+
+		// Bounds: low two bits 0 = unbounded, 1 = inclusive, else exclusive.
+		bound := func(b byte) Bound {
+			switch b & 3 {
+			case 0:
+				return Unbounded()
+			case 1:
+				return Include(fuzzKey(b))
+			}
+			return Exclude(fuzzKey(b))
+		}
+		lo, hi := bound(script[1]), bound(script[2])
+		var it Iterator
+		it.Init(tr, lo, hi)
+
+		// The oracle cursor: pos indexes keys; dead is "Next said no".
+		pos := sort.SearchStrings(keys, string(lo.Key))
+		if !lo.open() && !lo.Inclusive && pos < len(keys) && keys[pos] == string(lo.Key) {
+			pos++
+		}
+		dead, examined := false, 0
+		floor := string(lo.Key) // seek targets must sort after this: the cursor never moves back
+		for i := 3; i < len(script); i++ {
+			if script[i]&3 >= 2 && i+1 < len(script) {
+				i++
+				target := fuzzKey(script[i])
+				if script[i]%16 == 15 {
+					target = []byte{0xff} // past every key
+				}
+				if string(target) <= floor {
+					continue // a backward seek: not supported
+				}
+				it.Seek(target)
+				pos, dead = sort.SearchStrings(keys, string(target)), false
+				floor = string(target)
+				continue
+			}
+			want := !dead && pos < len(keys)
+			if want {
+				k := keys[pos]
+				pos++
+				examined++
+				if !hi.open() && (k > string(hi.Key) || k == string(hi.Key) && !hi.Inclusive) {
+					want, dead = false, true
+				}
+			}
+			if got := it.Next(); got != want {
+				t.Fatalf("step %d: Next = %v, oracle %v", i, got, want)
+			}
+			if want {
+				k := keys[pos-1]
+				if string(it.Key()) != k || it.Value() != oracle[k] {
+					t.Fatalf("step %d: at %x=%d, oracle %x=%d", i, it.Key(), it.Value(), k, oracle[k])
+				}
+				floor = k
+			}
+			if it.Examined() != examined {
+				t.Fatalf("step %d: Examined = %d, oracle %d", i, it.Examined(), examined)
+			}
+		}
+	})
+}
+
 func compareWithOracle(t *testing.T, tr *Tree, oracle map[string]uint64) {
 	t.Helper()
 	if err := tr.check(); err != nil {

@@ -18,8 +18,10 @@ import "bytes"
 // Concurrency: an Iterator is a pure reader with iterator-local
 // state; like Scan it may run concurrently with other readers but not
 // with mutations, which is the regime the parallel query router
-// guarantees (queries hold read locks, writes hold the cluster write
-// lock).
+// guarantees: a query holds the cluster's read lock for the whole
+// scatter (taken once, by the router) and the record store's read lock
+// once per batch of fetched documents; writes hold the cluster's write
+// lock.
 type Iterator struct {
 	t        *Tree
 	hi       Bound
@@ -46,13 +48,30 @@ func (it *Iterator) Init(t *Tree, lo, hi Bound) {
 }
 
 // Seek repositions the iterator at the first key >= target without
-// resetting the examined count or the upper bound. Seeking backwards
-// is not supported: the executor only ever skips forward.
+// resetting the examined count or the upper bound (a seek examines
+// nothing). Seeking backwards is not supported: the executor only ever
+// skips forward — twice per distinct leading value of a skip-scan, and
+// almost always to a key of the leaf it is on or the one after. So
+// those two leaves are tried first, by one comparison against the
+// leaf's last key and a binary search of what lies ahead of the
+// cursor; only a target beyond them pays a descent from the root.
 func (it *Iterator) Seek(target []byte) {
-	if it.t == nil {
+	t := it.t
+	if t == nil {
 		return
 	}
-	it.pid, it.idx = it.t.seekLeaf(Include(target))
+	pid, from := it.pid, it.idx
+	for hop := 0; hop < 2 && pid != nilPage; hop++ {
+		p := t.page(pid)
+		refs := t.leafRefs(p)
+		if n := pageCount(p); n > 0 && bytes.Compare(target, t.keyBytes(refs[n-1])) <= 0 {
+			i, _ := t.findKey(refs[from:], n-from, target)
+			it.pid, it.idx = pid, from+i
+			return
+		}
+		pid, from = leafNext(p), 0
+	}
+	it.pid, it.idx = t.seekLeaf(Include(target))
 }
 
 // Next advances to the next key in the range, reporting whether one

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/bson"
+	"repro/internal/btree"
 	"repro/internal/collection"
 	"repro/internal/keyenc"
 	"repro/internal/storage"
@@ -254,8 +255,17 @@ func (e *exec) budgetLeft() bool {
 	return e.maxWorks == 0 || works < e.maxWorks
 }
 
-// scanSegment streams the segment through the pooled iterator. For
-// skip-scan segments (sub-bounds on the field after the leading
+// fetchBatch is how many examined documents the scan collects before it
+// looks them up, touches them and refines them. Large enough that one
+// lock acquisition and one round of overlapped cache misses are spread
+// over many documents, small enough that a limit or a budget running
+// out mid-batch wastes a handful of lookups and that a three-document
+// point query pays nothing for it.
+const fetchBatch = 32
+
+// scanSegment streams the segment through the pooled iterator, queuing
+// the record of every key that survives the bounds for the next batch.
+// For skip-scan segments (sub-bounds on the field after the leading
 // component) out-of-range keys trigger a Seek — forward to the
 // sub-range inside the same leading value, or to the next leading
 // value — instead of restarting the scan from the root as the old
@@ -265,63 +275,96 @@ func (e *exec) budgetLeft() bool {
 func (e *exec) scanSegment(seg Segment) {
 	it := &e.s.it
 	e.p.Index.IterInit(it, seg.Interval)
-	if seg.SubLo == nil {
-		for it.Next() {
-			if !e.emitID(storage.RecordID(it.Value())) {
-				break
-			}
-		}
-		e.stats.KeysExamined += it.Examined()
-		return
-	}
 	for it.Next() {
-		key := it.Key()
-		compLen, err := keyenc.ComponentLen(key)
-		if err != nil || len(key) < compLen+8 {
-			// Malformed key; fall back to emitting so no result can
-			// be lost.
-			if !e.emitID(storage.RecordID(it.Value())) {
-				break
+		if seg.SubLo != nil {
+			key := it.Key()
+			compLen, err := keyenc.ComponentLen(key)
+			// A malformed key falls through to be emitted, so no result
+			// can be lost.
+			if err == nil && len(key) >= compLen+8 {
+				rest := key[compLen : len(key)-8]
+				if keyenc.Compare(rest, seg.SubLo) < 0 {
+					// Below the sub-range: seek to it within this leading
+					// value.
+					e.s.resume = append(append(e.s.resume[:0], key[:compLen]...), seg.SubLo...)
+					it.Seek(e.s.resume)
+					continue
+				}
+				if keyenc.Compare(rest, seg.SubHiUpper) >= 0 {
+					// Past the sub-range: seek to the next leading value.
+					ub := keyenc.AppendPrefixUpperBound(e.s.resume[:0], key[:compLen])
+					if ub == nil {
+						// All-0xFF leading value: no next value exists.
+						break
+					}
+					e.s.resume = ub
+					it.Seek(ub)
+					continue
+				}
 			}
-			continue
 		}
-		rest := key[compLen : len(key)-8]
-		if keyenc.Compare(rest, seg.SubLo) < 0 {
-			// Below the sub-range: seek to it within this leading
-			// value.
-			e.s.resume = append(append(e.s.resume[:0], key[:compLen]...), seg.SubLo...)
-			it.Seek(e.s.resume)
-			continue
-		}
-		if keyenc.Compare(rest, seg.SubHiUpper) >= 0 {
-			// Past the sub-range: seek to the next leading value.
-			ub := keyenc.AppendPrefixUpperBound(e.s.resume[:0], key[:compLen])
-			if ub == nil {
-				// All-0xFF leading value: no next value exists.
-				break
-			}
-			e.s.resume = ub
-			it.Seek(ub)
-			continue
-		}
-		if !e.emitID(storage.RecordID(it.Value())) {
-			break
+		if !e.push(it) {
+			return // flush charged the keys up to the one that stopped it
 		}
 	}
-	e.stats.KeysExamined += it.Examined()
+	if e.flush() {
+		e.stats.KeysExamined += it.Examined()
+	}
 }
 
-// emitID fetches and processes one scanned record. It returns false
-// to stop the scan.
-func (e *exec) emitID(id storage.RecordID) bool {
-	e.stats.DocsExamined++
-	raw, ok := e.coll.Store().FetchRaw(id)
-	if !ok {
-		// An index entry pointing at a missing record means a
-		// concurrent delete; skip it like the server does.
-		return e.budgetLeft()
+// push queues the iterator's current entry — its record id and the
+// examined count as of its key — and processes the batch once it is
+// full. It returns false to stop the scan.
+func (e *exec) push(it *btree.Iterator) bool {
+	b := &e.s.batch
+	b.ids[b.n] = storage.RecordID(it.Value())
+	b.seen[b.n] = it.Examined()
+	b.n++
+	return b.n < fetchBatch || e.flush()
+}
+
+// flush processes the queued entries in three passes: look every record
+// up under one acquisition of the store's read lock; read a byte of
+// each record's first two cache lines — independent loads the core
+// overlaps, where fetching, parsing and missing one document at a time
+// pays every miss at full latency; then refine them in scan order.
+//
+// The counters are those of a one-document-at-a-time scan: a document
+// counts as examined when it is processed, not when it is looked up,
+// the budget and context gate runs after each one, and when a document
+// stops the scan (limit met, budget spent, context cancelled) the
+// segment's keys are charged as of that document's key — the lookahead
+// the iterator did to fill the batch is never reported. flush returns
+// false in that case, having charged the keys itself.
+func (e *exec) flush() bool {
+	b := &e.s.batch
+	n := b.n
+	if n == 0 {
+		return true
 	}
-	return e.emitRaw(id, raw)
+	b.n = 0
+	e.coll.Store().FetchRawBatch(b.ids[:n], b.raws[:n])
+	for _, raw := range b.raws[:n] {
+		if len(raw) > 64 {
+			b.sink += raw[0] + raw[64]
+		}
+	}
+	for i, raw := range b.raws[:n] {
+		e.stats.DocsExamined++
+		var more bool
+		if raw == nil {
+			// An index entry pointing at a missing record means a
+			// concurrent delete; skip it like the server does.
+			more = e.budgetLeft()
+		} else {
+			more = e.emitRaw(b.ids[i], raw)
+		}
+		if !more {
+			e.stats.KeysExamined += b.seen[i]
+			return false
+		}
+	}
+	return true
 }
 
 // emitRaw matches one document and accumulates it. The stored bytes

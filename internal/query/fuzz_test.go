@@ -2,6 +2,7 @@ package query
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"time"
 
@@ -201,6 +202,41 @@ func fuzzSeedDocs() [][]byte {
 	return out
 }
 
+// fuzzLocationField selects "location" in fuzzFields.
+const fuzzLocationField = uint8(8)
+
+// fuzzPointSeeds cover RawValue.GeoPoint's in-place read of the
+// canonical point and its boundary with the general walk: documents
+// whose location is exactly the stored frame — ordinary, extreme and
+// non-finite coordinates — and every one-bit neighbour of the frame's
+// constant bytes (a length, tag, key or terminator one bit off must
+// fall back to the walk and be judged exactly as the decoder judges it).
+func fuzzPointSeeds() [][]byte {
+	var out [][]byte
+	for _, p := range []geo.Point{
+		{Lon: 23.72, Lat: 37.98}, {Lon: 23.5, Lat: 37.5}, {Lon: -180, Lat: -90}, {},
+		{Lon: math.Copysign(0, -1), Lat: math.MaxFloat64},
+		{Lon: math.NaN(), Lat: 37.98}, {Lon: 23.72, Lat: math.NaN()},
+		{Lon: math.Inf(1), Lat: math.Inf(-1)}, {Lon: math.Inf(-1), Lat: 37.98},
+	} {
+		out = append(out, bson.Marshal(bson.FromD(bson.D{{Key: "location", Value: geo.GeoJSONPoint(p)}})))
+	}
+	// The frame starts after the outer length, the tag and "location\x00".
+	const frame = 4 + 1 + 9
+	base := out[0]
+	for i := 0; i < 61; i++ {
+		if i >= 40 && i < 48 || i >= 51 && i < 59 {
+			continue // the coordinates themselves
+		}
+		for bit := 0; bit < 8; bit++ {
+			dmg := bytes.Clone(base)
+			dmg[frame+i] ^= 1 << bit
+			out = append(out, dmg)
+		}
+	}
+	return out
+}
+
 // FuzzRawMatch is the differential behind the raw read layer. For any
 // bytes, any of the probed fields and any predicate constants:
 //
@@ -217,6 +253,12 @@ func FuzzRawMatch(f *testing.F) {
 		for i := range fuzzFields {
 			f.Add(seed, uint8(i), 23.72, int64(1_531_000_000_123), "αθήνα\x00nul", 23.0, 37.0, 1.0)
 		}
+	}
+	if fuzzFields[fuzzLocationField] != "location" {
+		f.Fatal("fuzzLocationField does not select location")
+	}
+	for _, seed := range fuzzPointSeeds() {
+		f.Add(seed, fuzzLocationField, 23.72, int64(1_531_000_000_123), "", 23.0, 37.0, 1.0)
 	}
 	f.Add([]byte{}, uint8(0), 0.0, int64(0), "", 0.0, 0.0, 0.0)
 	f.Fuzz(func(t *testing.T, data []byte, fieldSel uint8, num float64, n int64, s string, lon, lat, span float64) {

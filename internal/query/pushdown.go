@@ -8,6 +8,7 @@ import (
 	"repro/internal/bson"
 	"repro/internal/btree"
 	"repro/internal/keyenc"
+	"repro/internal/storage"
 )
 
 // Opts are the per-execution options the client pushes down into the
@@ -172,19 +173,31 @@ func (t *topK) finish() []topKItem {
 }
 
 // scratch is the pooled per-execution working set: the B-tree
-// iterator, the skip-scan resume buffer, the document accumulator,
-// the top-k heap and the sort-key scratch buffer. Executions take one
-// from the pool, run, copy the (exact-size) results out, and return
-// it, so a warm query performs no per-scan allocations beyond the
-// result itself.
+// iterator, the skip-scan resume buffer, the fetch batch, the document
+// accumulator, the top-k heap and the sort-key scratch buffer.
+// Executions take one from the pool, run, copy the (exact-size) results
+// out, and return it, so a warm query performs no per-scan allocations
+// beyond the result itself.
 type scratch struct {
 	it     btree.Iterator
 	resume []byte
+	batch  batch
 	doc    bson.Raw // the document being matched
 	docs   []bson.Raw
 	top    topK
 	keyBuf []byte
 	agg    aggAcc
+}
+
+// batch is the scan's queue of examined-but-unprocessed index entries
+// (see exec.flush): fixed arrays, 1.3 KB, so filling it allocates
+// nothing.
+type batch struct {
+	n    int
+	ids  [fetchBatch]storage.RecordID
+	seen [fetchBatch]int // the iterator's Examined() at each entry's key
+	raws [fetchBatch][]byte
+	sink byte // where the touch pass's loads land
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -195,6 +208,7 @@ func putScratch(s *scratch) {
 	// Drop document references (they pin store records otherwise);
 	// keep every byte buffer for reuse.
 	s.doc = nil
+	clear(s.batch.raws[:])
 	clear(s.docs)
 	s.docs = s.docs[:0]
 	s.top.reset(0, false)

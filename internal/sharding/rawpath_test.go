@@ -257,8 +257,10 @@ func TestInsertBatchEncodesOnce(t *testing.T) {
 	if err := c.ShardCollection(hilbertDateKey()); err != nil {
 		t.Fatal(err)
 	}
-	// Warm the indexes, the record map and the journal buffers.
-	if _, _, err := c.InsertBatch("warm", wideDocs(40, 4096)); err != nil {
+	// Warm the indexes, the record table and the journal buffers — with a
+	// count that leaves the table mid-page, so the counted batch is not
+	// the one in sixteen that opens a new 1 024-slot page.
+	if _, _, err := c.InsertBatch("warm", wideDocs(40, 4000)); err != nil {
 		t.Fatal(err)
 	}
 	docs := wideDocs(41, 64)

@@ -3,7 +3,6 @@ package storage
 import (
 	"compress/flate"
 	"io"
-	"slices"
 )
 
 // blockSize models the storage engine's leaf page: documents are
@@ -24,13 +23,6 @@ const sampleBudget = 4 << 20
 // full data size. The Table 6 experiment reports both raw and
 // compressed sizes.
 func (s *Store) CompressedBytes() int64 {
-	s.mu.RLock()
-	ids := make([]RecordID, 0, len(s.records))
-	for id := range s.records {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-
 	var (
 		block      []byte
 		sampledIn  int64
@@ -44,25 +36,19 @@ func (s *Store) CompressedBytes() int64 {
 		sampledOut += deflateLen(block)
 		block = block[:0]
 	}
-	for _, id := range ids {
-		raw := s.records[id]
+	s.Walk(func(_ RecordID, raw []byte) bool {
 		block = append(block, raw...)
 		if len(block) >= blockSize {
 			flush()
 		}
-		if sampledIn >= sampleBudget {
-			break
-		}
-	}
+		return sampledIn < sampleBudget
+	})
 	flush()
-	total := s.bytes.Load()
-	s.mu.RUnlock()
-
 	if sampledIn == 0 {
 		return 0
 	}
 	ratio := float64(sampledOut) / float64(sampledIn)
-	return int64(ratio * float64(total))
+	return int64(ratio * float64(s.bytes.Load()))
 }
 
 // deflateLen returns the deflate-compressed length of b.

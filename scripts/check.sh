@@ -29,7 +29,9 @@ RACE_PKGS="./internal/sharding/... ./internal/query/... ./internal/storage/... .
 # and bit-flipped journal bytes), key encoding preserves the logical
 # BSON order (every index range scan rests on it), journal recovery
 # never panics or replays a corrupt frame, the arena B+tree matches a
-# sorted-map oracle under arbitrary operation streams, the wire
+# sorted-map oracle under arbitrary operation streams and its iterator
+# — Next interleaved with forward Seeks that stay in the leaf, cross to
+# the next one or descend from the root — a sorted-slice one, the wire
 # protocol's frame, message, insert and aggregate decoders never panic
 # or over-allocate on hostile network bytes, the counting-bloom
 # sketch never reports a false negative against an exact-set oracle,
@@ -42,7 +44,7 @@ RACE_PKGS="./internal/sharding/... ./internal/query/... ./internal/storage/... .
 # from a liberal encoder's, and the index keys, shard-key tuples and
 # sketch cells read from stored bytes on insert, split, migration and
 # delete are byte for byte the ones built from the decoded document.
-FUZZ_TARGETS="bson:FuzzDocumentRoundTrip bson:FuzzValidate keyenc:FuzzKeyOrdering wal:FuzzFrameRecover btree:FuzzTreeOps wire:FuzzFrameDecode wire:FuzzInsertDecode wire:FuzzAggregateDecode sketch:FuzzSketch query:FuzzRawMatch index:FuzzEntryKeyRaw sharding:FuzzShardKeyRaw"
+FUZZ_TARGETS="bson:FuzzDocumentRoundTrip bson:FuzzValidate keyenc:FuzzKeyOrdering wal:FuzzFrameRecover btree:FuzzTreeOps btree:FuzzIteratorSeek wire:FuzzFrameDecode wire:FuzzInsertDecode wire:FuzzAggregateDecode sketch:FuzzSketch query:FuzzRawMatch index:FuzzEntryKeyRaw sharding:FuzzShardKeyRaw"
 
 step() {
     case "$1" in
