@@ -38,6 +38,12 @@ fuzz-smoke:
 paper-golden:
 	$(GO) test ./internal/bench -run TestPaperCountersGolden -update
 
+# Non-test Go lines per package outside benchmark/ (all lines, and lines
+# that are neither blank nor comment) — the figure simplicity PRs quote.
+.PHONY: loc
+loc:
+	sh scripts/loc.sh
+
 .PHONY: bench
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -1,7 +1,7 @@
 package core
 
 // Durable stores: a store directory holds the cluster's write-ahead
-// journals and checkpoint snapshots (internal/wal via the sharding
+// journal and checkpoint snapshots (internal/wal via the sharding
 // layer) plus a store.json manifest recording the structural half of
 // the Config — the part that determines what the journaled operations
 // mean (approach, curve, shard count, seed, ...). Reopening the
@@ -204,14 +204,14 @@ func OpenDir(dir string, runtime Config) (*Store, error) {
 func (s *Store) Durable() bool { return s.cluster.Durable() }
 
 // Checkpoint snapshots the durable store's full state and resets the
-// journals, bounding recovery time. It fails on an in-memory store.
+// journal, bounding recovery time. It fails on an in-memory store.
 func (s *Store) Checkpoint() error { return s.cluster.Checkpoint() }
 
 // Sync forces buffered journal frames to stable storage.
 func (s *Store) Sync() error { return s.cluster.Sync() }
 
 // Close stops the ingest batcher and retention loop (draining
-// admitted batches), then syncs and closes the journals; journal-less
+// admitted batches), then syncs and closes the journal; journal-less
 // stores just stop the background work.
 func (s *Store) Close() error {
 	s.closeIngest()

@@ -341,7 +341,7 @@ func (h *connHandler) runInsert(ctx context.Context, g *gate, w sharding.BatchIn
 		// the client retries against the restarted daemon and dedups.
 		return h.replyErr(-1, errors.Is(err, context.Canceled), err)
 	}
-	reply := wire.InsertReply{Applied: uint32(applied), Dup: dup, LastLSN: cluster.LastLSN()}
+	reply := wire.InsertReply{Applied: uint32(applied), Dup: dup, LastLSN: cluster.LSN()}
 	return h.reply(wire.OpInsertReply, reply.Encode(nil))
 }
 

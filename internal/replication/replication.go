@@ -71,7 +71,7 @@ func ParseWriteConcern(s string) (WriteConcern, error) {
 	return 0, fmt.Errorf("replication: unknown write concern %q (want primary|majority|all)", s)
 }
 
-// Replication stream opcodes. Unlike the journal's opInsert (raw body
+// Replication stream opcodes. Unlike the journal's insert records (raw bodies
 // only — replay re-runs routing), the stream carries the record id
 // explicitly so a follower stores every record under the identical id
 // and a promoted follower keeps assigning the same ids the old

@@ -358,7 +358,7 @@ func (c *Cluster) ShardCollection(key ShardKey) error {
 	c.key = key
 	c.chunks = []*Chunk{{Min: key.MinTuple(), Max: key.MaxTuple(), Shard: 0}}
 	c.sharded = true
-	return c.journalMeta(opShardCollection, encodeShardKey(key))
+	return c.journalCommit(opShardCollection, encodeShardKey(key))
 }
 
 // ShardKeyOf returns the shard key; ok is false when the collection
@@ -385,34 +385,16 @@ func (c *Cluster) CreateIndex(def index.Definition) error {
 			}
 		}
 	}
-	return c.journalMeta(opCreateIndex, encodeIndexDef(def))
+	return c.journalCommit(opCreateIndex, encodeIndexDef(def))
 }
 
 // Insert encodes the document and routes it to the chunk owning its
 // shard-key tuple, splitting the chunk when it exceeds the size
-// threshold and periodically running the balancer.
+// threshold and periodically running the balancer: a batch of one with
+// no batch id (see InsertBatchRaw).
 func (c *Cluster) Insert(doc *bson.Document) error {
-	return c.insertRaw(bson.Marshal(doc))
-}
-
-// insertRaw is Insert for an encoded document the cluster takes
-// ownership of (journal replay hands it the journaled bytes).
-func (c *Cluster) insertRaw(raw []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.insertRawLocked(raw); err != nil {
-		// The storage hook journaled the insert and, via the
-		// collection's rollback, the matching delete; replay
-		// reproduces the same rollback.
-		if cerr := c.commitDur(); cerr != nil {
-			return cerr
-		}
-		return err
-	}
-	if err := c.commitDur(); err != nil {
-		return err
-	}
-	return c.replWaitLocked()
+	_, _, err := c.InsertBatchRaw("", [][]byte{bson.Marshal(doc)})
+	return err
 }
 
 // tupleBuf is the stack buffer shard-key tuples are derived in: routing
@@ -424,9 +406,8 @@ type tupleBuf [48]byte
 // chunk statistics, splits and the auto-balance cadence. Everything it
 // needs — the shard-key tuple, the index keys, the sketch cell, the
 // size — is read from the bytes; the owning shard's store keeps the
-// slice itself. It neither commits the journals nor waits on
-// replication — Insert and the batch path (ingest.go) do that once per
-// write operation.
+// slice itself. It neither journals, commits nor waits on replication —
+// commitIngest (ingest.go) does that once per write operation.
 func (c *Cluster) insertRawLocked(raw []byte) error {
 	if !c.sharded {
 		if _, err := c.shards[0].Coll.InsertRaw(raw); err != nil {
@@ -613,40 +594,55 @@ func (c *Cluster) splitChunkLocked(ci int) {
 }
 
 // Delete removes every document matching the filter, keeping the
-// chunk metadata accurate, and returns the number deleted. The write
-// lock is held throughout, so deletes never interleave with splits,
-// migrations or queries.
+// chunk metadata accurate, and returns the number deleted. Each removed
+// document is one opDelete journal record; the write lock is held
+// throughout, so deletes never interleave with splits, migrations or
+// queries.
 func (c *Cluster) Delete(f query.Filter) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	deleted, err := c.deleteMatchingLocked(f)
+	return deleted, c.finishWriteLocked(err)
+}
+
+func (c *Cluster) deleteMatchingLocked(f query.Filter) (int, error) {
 	deleted := 0
-	for _, s := range c.shards {
-		ids := query.MatchingRecords(s.Coll, f, c.opts.QueryConfig)
-		for _, id := range ids {
-			raw, ok := s.Coll.Store().FetchRaw(id)
-			if !ok {
-				continue
-			}
-			if err := s.Coll.Delete(id); err != nil {
+	for i, s := range c.shards {
+		for _, id := range query.MatchingRecords(s.Coll, f, c.opts.QueryConfig) {
+			if err := c.deleteRecordLocked(i, id); err != nil {
 				return deleted, err
 			}
 			deleted++
-			c.noteDeletedLocked(raw)
 		}
 	}
-	if err := c.commitDur(); err != nil {
-		return deleted, err
-	}
-	return deleted, c.replWaitLocked()
+	return deleted, nil
 }
 
-// noteDeletedLocked keeps the chunk metadata accurate after one
-// document — raw is the encoding it had — left its shard (shared by
-// Delete, retention drops and journal replay).
-func (c *Cluster) noteDeletedLocked(raw []byte) {
+// deleteRecordLocked removes one record from its shard and journals the
+// delete — Cluster.Delete's unit of work, and what replaying an opDelete
+// record re-executes (the journal is detached then).
+func (c *Cluster) deleteRecordLocked(shard int, id storage.RecordID) error {
+	if shard < 0 || shard >= len(c.shards) {
+		return fmt.Errorf("sharding: delete names unknown shard %d", shard)
+	}
+	if err := c.removeLocked(c.shards[shard].Coll, id); err != nil {
+		return err
+	}
+	c.journal(opDelete, encodeDelete(shard, id))
+	return nil
+}
+
+// removeLocked deletes one record from a shard's collection and keeps
+// the chunk metadata accurate (shared by Delete, retention drops and
+// journal replay).
+func (c *Cluster) removeLocked(coll *collection.Collection, id storage.RecordID) error {
+	raw, _ := coll.Store().FetchRaw(id) // a missing record fails the Delete below
+	if err := coll.Delete(id); err != nil {
+		return err
+	}
 	if !c.sharded {
 		c.bumpEpochLocked(0)
-		return
+		return nil
 	}
 	var buf tupleBuf
 	if ci := c.findChunk(c.key.AppendTupleRaw(buf[:0], raw)); ci >= 0 {
@@ -659,6 +655,7 @@ func (c *Cluster) noteDeletedLocked(raw []byte) {
 		c.bumpEpochLocked(ch.Shard)
 		c.summaryRemoveLocked(ch, raw)
 	}
+	return nil
 }
 
 // bumpEpochLocked advances one shard's content epoch, invalidating
@@ -723,8 +720,8 @@ func (c *Cluster) Balance() {
 	defer c.mu.Unlock()
 	c.balanceLocked()
 	// One journal record re-derives the whole run during replay; the
-	// individual migrations are suppressed in moveChunkLocked.
-	_ = c.journalMeta(opBalance, nil)
+	// individual migrations are not journaled.
+	_ = c.journalCommit(opBalance, nil)
 	// Migrations ARE streamed to followers (unlike the journal, the
 	// stream has no re-derivation); hold the write until they applied.
 	_ = c.replWaitLocked()
@@ -799,18 +796,12 @@ func (c *Cluster) bestRecipientLocked(ch *Chunk, counts []int) int {
 
 // moveChunkLocked migrates the chunk's documents — stored bytes in,
 // stored bytes out, index keys read from them on both sides — and
-// reassigns ownership.
+// reassigns ownership. Nothing is journaled: replay re-derives
+// migrations from the balance, zone and insert records that caused them.
 func (c *Cluster) moveChunkLocked(ch *Chunk, to int) {
 	from := ch.Shard
 	if from == to {
 		return
-	}
-	// Migrations are not journaled — replay re-derives them from the
-	// balance/zone records — so silence the storage hooks while
-	// documents move between shards.
-	if c.dur != nil {
-		c.dur.suppress++
-		defer func() { c.dur.suppress-- }()
 	}
 	ids := c.chunkRecords(ch)
 	src, dst := c.shards[from].Coll, c.shards[to].Coll

@@ -5,35 +5,36 @@ package sharding
 // MongoDB deployment (journaled writes, periodic checkpoints, crash
 // recovery).
 //
-// Design. The journal records *logical cluster operations* — insert,
-// per-document delete, shardCollection, createIndex, setZones,
-// balance — not physical page changes. Recovery replays them through
-// the exact code paths that produced them, and because routing, chunk
-// splitting and balancing are deterministic functions of the
-// operation order, the recovered cluster's chunk map, per-chunk
-// statistics, record ids and index contents are byte-identical to the
-// pre-crash state. Record bodies for inserts are the raw BSON bytes
-// the storage layer stored, and replay stores those same bytes again —
-// validated (bson.Validate), never decoded.
+// Design. The journal records *logical cluster operations* — insert
+// batch, per-document delete, retention drop, shardCollection,
+// createIndex, setZones, balance — not physical page changes. Recovery
+// replays them through the exact code paths that produced them, and
+// because routing, chunk splitting and balancing are deterministic
+// functions of the operation order, the recovered cluster's chunk map,
+// per-chunk statistics, record ids and index contents are
+// byte-identical to the pre-crash state. Record bodies for inserts are
+// the raw BSON bytes the storage layer stored, and replay stores those
+// same bytes again — validated (bson.Validate), never decoded.
 //
-// Layout: one journal file per shard for data ops (insert/delete,
-// captured by storage.Hook so the journaled bytes are exactly the
-// stored bytes) plus meta.wal for DDL and balance ops. A global LSN
-// orders records across files; wal.Recover merges them and keeps the
-// longest consecutive prefix, so a torn tail in any one file cleanly
-// rolls the whole cluster back to the last consistent operation.
+// Layout: a store directory holds one journal file. Every record is
+// appended by the cluster operation that decided it, under the cluster
+// write lock, which also serialises LSN assignment; records are
+// consecutive in file order, so a torn or corrupt frame rolls the whole
+// cluster back to the last complete operation before it.
 //
 // Durability boundary: the journal fsync (per Options.Sync) is the
-// commit point. Balancer chunk migrations are NOT journaled — they
-// are re-derived during replay — so the hook suppresses itself while
-// a migration moves documents between shards.
+// commit point, taken once at the end of each write operation. What an
+// operation causes deterministically — chunk splits, the auto-balance
+// cadence, balancer and zone migrations, the rollback of a document an
+// index rejected — is not journaled: replay re-derives it.
 
 import (
-	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"strings"
 
-	"repro/internal/bson"
 	"repro/internal/index"
 	"repro/internal/storage"
 	"repro/internal/wal"
@@ -46,117 +47,74 @@ const (
 	opCreateIndex     uint8 = 3 // secondary index definition
 	opSetZones        uint8 = 4 // zone ranges
 	opBalance         uint8 = 5 // explicit balancer run
-	opInsert          uint8 = 6 // raw BSON document (body = stored bytes)
+	opInsert          uint8 = 6 // reserved: the per-shard journal layout's single insert; never written, refused on replay
 	opDelete          uint8 = 7 // shard + record id
-	opInsertBatch     uint8 = 8 // idempotent batch: id + raw documents (see ingest.go)
+	opInsertBatch     uint8 = 8 // batch id + raw documents (see ingest.go)
 	opDropBelow       uint8 = 9 // retention drop below a shard-key prefix (see retention.go)
 )
 
-// metaJournal is the journal file for DDL and balance records.
-const metaJournal = "meta.wal"
+// journalName is the one journal file of a store directory.
+const journalName = "journal.wal"
 
-func shardJournalName(shard int) string { return fmt.Sprintf("shard%03d.wal", shard) }
+// errOldLayout refuses a store directory written before the journal was
+// one file: DDL in meta.wal, inserts and deletes in one shardNNN.wal
+// per shard, merged by LSN at recovery.
+var errOldLayout = errors.New("store directory uses the per-shard journal layout (meta.wal + shardNNN.wal, single inserts as op 6), which this version does not read; load the data into a new directory")
 
 // durability is the cluster's journaling state; nil on an in-memory
-// cluster.
+// cluster and while recovery replays.
 type durability struct {
-	fs       wal.FS
-	meta     *wal.Journal
-	shardJ   []*wal.Journal
-	lsn      uint64 // last assigned LSN
-	suppress int    // >0 while mutations must not be journaled (migrations)
+	fs  wal.FS
+	j   *wal.Journal
+	lsn uint64 // last assigned LSN
 }
 
-func (d *durability) nextLSN() uint64 {
-	d.lsn++
-	return d.lsn
-}
-
-// commit flushes every journal's buffered frames and applies the sync
-// policy — the group-commit point at the end of each cluster write
-// operation.
-func (d *durability) commit() error {
-	if err := d.meta.Commit(); err != nil {
-		return err
-	}
-	for _, j := range d.shardJ {
-		if err := j.Commit(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// syncAll forces every journal to stable storage (checkpoint and
-// close paths).
-func (d *durability) syncAll() error {
-	if err := d.meta.Sync(); err != nil {
-		return err
-	}
-	for _, j := range d.shardJ {
-		if err := j.Sync(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// shardHook is the storage.Hook of one shard's record store: it
-// frames the exact stored/deleted bytes into that shard's journal and
-// fans the same logical op into the shard's replication stream. It
-// runs under the cluster write lock (all cluster mutations hold it),
-// which also serialises LSN assignment.
-//
-// The two sinks differ on migrations: the journal suppresses them
-// (replay re-derives migrations from the balance records), but the
-// stream has no re-derivation — a follower only stays identical to
-// its primary by seeing every op — so replication always streams.
-type shardHook struct {
-	c     *Cluster
-	shard int
-}
-
-// Inserted implements storage.Hook.
-func (h *shardHook) Inserted(id storage.RecordID, raw []byte) {
-	if g := h.c.replGroupLocked(h.shard); g != nil {
-		g.StreamInsert(id, raw)
-	}
-	d := h.c.dur
-	if d == nil || d.suppress > 0 {
+// journal appends the record of the operation the caller — holding the
+// cluster write lock — is applying; it reaches the file at the
+// operation's commit. A no-op without durability.
+func (c *Cluster) journal(op uint8, body []byte) {
+	if c.dur == nil {
 		return
 	}
-	d.shardJ[h.shard].Append(wal.Record{LSN: d.nextLSN(), Op: opInsert, Body: raw})
+	c.dur.lsn++
+	c.dur.j.Append(wal.Record{LSN: c.dur.lsn, Op: op, Body: body})
 }
 
-// Deleted implements storage.Hook.
-func (h *shardHook) Deleted(id storage.RecordID, raw []byte) {
-	if g := h.c.replGroupLocked(h.shard); g != nil {
-		g.StreamDelete(id)
-	}
-	d := h.c.dur
-	if d == nil || d.suppress > 0 {
-		return
-	}
-	var body []byte
-	body = appendUvarint(body, uint64(h.shard))
-	body = appendUvarint(body, uint64(id))
-	d.shardJ[h.shard].Append(wal.Record{LSN: d.nextLSN(), Op: opDelete, Body: body})
-}
-
-// journalMeta appends one DDL/balance record and commits. Callers
-// hold the cluster write lock.
-func (c *Cluster) journalMeta(op uint8, body []byte) error {
+// commitDur writes the operation's buffered records through and applies
+// the sync policy — the commit point at the end of each cluster write
+// operation; a no-op on in-memory clusters.
+func (c *Cluster) commitDur() error {
 	if c.dur == nil {
 		return nil
 	}
-	c.dur.meta.Append(wal.Record{LSN: c.dur.nextLSN(), Op: op, Body: body})
-	return c.dur.commit()
+	return c.dur.j.Commit()
 }
 
-// LastLSN reports the last journal LSN the cluster assigned (0 on an
-// in-memory cluster). Write replies carry it so clients can correlate
-// an ack with the journal position that made it durable.
-func (c *Cluster) LastLSN() uint64 {
+// journalCommit appends one DDL/balance record and commits. Callers
+// hold the cluster write lock.
+func (c *Cluster) journalCommit(op uint8, body []byte) error {
+	c.journal(op, body)
+	return c.commitDur()
+}
+
+// finishWriteLocked ends a data operation: commit the journal, then
+// hold the caller until the write concern is met. The operation's own
+// error, if any, wins.
+func (c *Cluster) finishWriteLocked(opErr error) error {
+	if err := c.commitDur(); opErr == nil {
+		opErr = err
+	}
+	if opErr != nil {
+		return opErr
+	}
+	return c.replWaitLocked()
+}
+
+// LSN reports the last journal LSN the cluster assigned (0 on an
+// in-memory cluster): the recovery point a reopened cluster resumed
+// from, and the journal position write replies carry so a client can
+// correlate an ack with what made it durable.
+func (c *Cluster) LSN() uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if c.dur == nil {
@@ -165,24 +123,16 @@ func (c *Cluster) LastLSN() uint64 {
 	return c.dur.lsn
 }
 
-// commitDur flushes journals after a data operation; a no-op on
-// in-memory clusters.
-func (c *Cluster) commitDur() error {
-	if c.dur == nil {
-		return nil
-	}
-	return c.dur.commit()
-}
-
 // OpenCluster opens (or creates) a durable cluster rooted at
 // opts.Dir: it recovers the newest snapshot, replays the consistent
 // journal tail — truncating at the first torn or corrupt frame — and
 // leaves the journal open for further writes. An empty directory
-// yields a fresh, journaled cluster. Structural options (shard count,
-// chunk threshold, collection name, balance cadence) are recorded in
-// the store directory and take precedence over the caller's on
-// reopen; runtime options (Parallel, QueryConfig) always come from
-// the caller.
+// yields a fresh, journaled cluster; a directory in the per-shard
+// journal layout is refused before anything in it is changed.
+// Structural options (shard count, chunk threshold, collection name,
+// balance cadence) are recorded in the store directory and take
+// precedence over the caller's on reopen; runtime options (Parallel,
+// QueryConfig) always come from the caller.
 func OpenCluster(opts Options) (*Cluster, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("sharding: OpenCluster requires Options.Dir")
@@ -190,7 +140,7 @@ func OpenCluster(opts Options) (*Cluster, error) {
 	opts = opts.withDefaults()
 	// Followers are re-seeded from the recovered primaries at the end
 	// of the open — creating them earlier would miss the snapshot
-	// restore, which bypasses the storage hooks.
+	// restore, which bypasses the replication stream.
 	replicas := opts.Replicas
 	opts.Replicas = 0
 	fs := opts.FS
@@ -200,7 +150,16 @@ func OpenCluster(opts Options) (*Cluster, error) {
 	if err := fs.MkdirAll("."); err != nil {
 		return nil, fmt.Errorf("sharding: creating %s: %w", opts.Dir, err)
 	}
-	res, err := wal.Recover(fs, true)
+	names, err := fs.List(".")
+	if err != nil {
+		return nil, fmt.Errorf("sharding: listing %s: %w", opts.Dir, err)
+	}
+	for _, name := range names {
+		if strings.HasSuffix(name, ".wal") && name != journalName {
+			return nil, fmt.Errorf("sharding: %s holds %s: %w", opts.Dir, name, errOldLayout)
+		}
+	}
+	res, err := wal.Recover(fs, journalName)
 	if err != nil {
 		return nil, fmt.Errorf("sharding: recovering %s: %w", opts.Dir, err)
 	}
@@ -221,7 +180,7 @@ func OpenCluster(opts Options) (*Cluster, error) {
 			return nil, fmt.Errorf("sharding: journal in %s does not start with init record (op %d)",
 				opts.Dir, first.Op)
 		}
-		structural, err := decodeInit(first.Body)
+		structural, err := decodeInitBody(&decoder{buf: first.Body})
 		if err != nil {
 			return nil, err
 		}
@@ -232,14 +191,19 @@ func OpenCluster(opts Options) (*Cluster, error) {
 	}
 
 	// Replay with no durability attached: the ops mutate the cluster
-	// without re-journaling themselves.
+	// without re-journaling themselves. Nothing on disk has changed yet;
+	// only a journal whose every record replayed has its torn tail cut.
 	if err := c.replay(res.Records); err != nil {
 		return nil, err
 	}
-
-	if err := c.attachDurability(fs, opts, res.NextLSN-1); err != nil {
+	if err := res.TruncateTail(fs); err != nil {
 		return nil, err
 	}
+	j, err := wal.OpenJournal(fs, journalName, wal.JournalOptions{Sync: opts.Sync, BatchBytes: opts.SyncBatchBytes})
+	if err != nil {
+		return nil, err
+	}
+	c.dur = &durability{fs: fs, j: j, lsn: res.NextLSN - 1}
 	// Snapshot restore loads documents without going through the insert
 	// path, so the per-chunk sketches are rebuilt from the recovered
 	// data in one pass.
@@ -250,9 +214,9 @@ func OpenCluster(opts Options) (*Cluster, error) {
 	}
 	if fresh {
 		c.mu.Lock()
-		err := c.journalMeta(opInit, encodeInit(c.opts))
+		err := c.journalCommit(opInit, encodeInitBody(c.opts))
 		if err == nil {
-			err = c.dur.syncAll() // make the init record durable immediately
+			err = c.dur.j.Sync() // make the init record durable immediately
 		}
 		c.mu.Unlock()
 		if err != nil {
@@ -287,42 +251,6 @@ func mergeRuntime(structural, caller Options) Options {
 	return structural
 }
 
-// attachDurability opens the journals for appending and installs the
-// storage hooks. The journal files were already truncated to the
-// recovered prefix by wal.Recover.
-func (c *Cluster) attachDurability(fs wal.FS, opts Options, lastLSN uint64) error {
-	jopts := wal.JournalOptions{Sync: opts.Sync, BatchBytes: opts.SyncBatchBytes}
-	meta, err := wal.OpenJournal(fs, metaJournal, jopts)
-	if err != nil {
-		return err
-	}
-	d := &durability{fs: fs, meta: meta, lsn: lastLSN}
-	for i := range c.shards {
-		j, err := wal.OpenJournal(fs, shardJournalName(i), jopts)
-		if err != nil {
-			return err
-		}
-		d.shardJ = append(d.shardJ, j)
-	}
-	c.dur = d
-	for i, s := range c.shards {
-		s.Coll.Store().SetHook(&shardHook{c: c, shard: i})
-	}
-	return nil
-}
-
-// LSN returns the last journaled sequence number (0 on in-memory
-// clusters). It identifies the recovery point a reopened cluster
-// resumed from.
-func (c *Cluster) LSN() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.dur == nil {
-		return 0
-	}
-	return c.dur.lsn
-}
-
 // Durable reports whether the cluster journals to a directory.
 func (c *Cluster) Durable() bool { return c.dur != nil }
 
@@ -334,11 +262,11 @@ func (c *Cluster) Sync() error {
 	if c.dur == nil {
 		return nil
 	}
-	return c.dur.syncAll()
+	return c.dur.j.Sync()
 }
 
 // Close stops the replica groups, then syncs and closes the
-// journals. The cluster remains usable for reads; further writes on a
+// journal. The cluster remains usable for reads; further writes on a
 // closed durable cluster fail.
 func (c *Cluster) Close() error {
 	c.mu.Lock()
@@ -347,20 +275,12 @@ func (c *Cluster) Close() error {
 	if c.dur == nil {
 		return nil
 	}
-	if err := c.dur.meta.Close(); err != nil {
-		return err
-	}
-	for _, j := range c.dur.shardJ {
-		if err := j.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.dur.j.Close()
 }
 
 // Checkpoint writes a snapshot of the full cluster state — store
 // contents, chunk map, zones, shard key and index definitions — and
-// resets the journals, bounding both recovery time and journal size.
+// resets the journal, bounding both recovery time and journal size.
 // The write is atomic (temp file + rename); a crash at any point
 // leaves either the old snapshot + full journal or the new snapshot +
 // a journal whose stale records recovery skips by LSN.
@@ -370,30 +290,25 @@ func (c *Cluster) Checkpoint() error {
 	if c.dur == nil {
 		return fmt.Errorf("sharding: Checkpoint on an in-memory cluster")
 	}
-	if err := c.dur.syncAll(); err != nil {
+	if err := c.dur.j.Sync(); err != nil {
 		return err
 	}
 	payload := c.encodeSnapshotLocked()
 	if err := wal.WriteSnapshot(c.dur.fs, c.dur.lsn, payload); err != nil {
 		return err
 	}
-	// The snapshot covers every journaled record: empty the journals.
-	if err := c.dur.meta.Reset(); err != nil {
+	// The snapshot covers every journaled record: empty the journal.
+	if err := c.dur.j.Reset(); err != nil {
 		return err
-	}
-	for _, j := range c.dur.shardJ {
-		if err := j.Reset(); err != nil {
-			return err
-		}
 	}
 	return wal.RemoveSnapshotsBelow(c.dur.fs, c.dur.lsn)
 }
 
 // replay applies recovered journal records through the normal cluster
 // operations. It runs before durability is attached, so nothing
-// re-journals. Op-level errors that the original execution also
-// produced (an insert that was rolled back, a delete of a rolled-back
-// record) are tolerated; structural decode failures are not.
+// re-journals. A per-document failure the original execution also
+// produced (a batch document an index rejected) is tolerated;
+// structural decode failures are not.
 func (c *Cluster) replay(recs []wal.Record) error {
 	for _, rec := range recs {
 		switch rec.Op {
@@ -427,20 +342,16 @@ func (c *Cluster) replay(recs []wal.Record) error {
 		case opBalance:
 			c.Balance()
 		case opInsert:
-			if _, err := bson.Validate(rec.Body); err != nil {
-				return fmt.Errorf("sharding: replay lsn %d: corrupt document: %w", rec.LSN, err)
-			}
-			// The store keeps a copy, not a view of the journal image.
-			// An insert that failed (and rolled back) originally fails
-			// identically here; its rollback delete follows in the
-			// journal.
-			_ = c.insertRaw(bytes.Clone(rec.Body))
+			return fmt.Errorf("sharding: replay lsn %d: %w", rec.LSN, errOldLayout)
 		case opDelete:
 			shard, id, err := decodeDelete(rec.Body)
 			if err != nil {
 				return fmt.Errorf("sharding: replay lsn %d: %w", rec.LSN, err)
 			}
-			if err := c.applyJournaledDelete(shard, id); err != nil {
+			c.mu.Lock()
+			err = c.deleteRecordLocked(shard, id)
+			c.mu.Unlock()
+			if err != nil {
 				return fmt.Errorf("sharding: replay lsn %d: %w", rec.LSN, err)
 			}
 		case opInsertBatch:
@@ -450,9 +361,7 @@ func (c *Cluster) replay(recs []wal.Record) error {
 			}
 			// Per-document failures replay identically to the original
 			// execution; the batch's dedup mark is re-established.
-			c.mu.Lock()
-			_, _, _ = c.insertBatchLocked(batchID, docs)
-			c.mu.Unlock()
+			c.commitIngest([]*ingestReq{{batchID: batchID, docs: docs}})
 		case opDropBelow:
 			prefix, err := decodeDropBelow(rec.Body)
 			if err != nil {
@@ -468,29 +377,6 @@ func (c *Cluster) replay(recs []wal.Record) error {
 			return fmt.Errorf("sharding: replay lsn %d: unknown op %d", rec.LSN, rec.Op)
 		}
 	}
-	return nil
-}
-
-// applyJournaledDelete re-executes one journaled per-document delete:
-// remove the record from its shard and keep the chunk statistics
-// accurate, exactly as Cluster.Delete did originally. A missing
-// record is skipped — it was the rollback of a failed insert, which
-// the replayed insert already rolled back.
-func (c *Cluster) applyJournaledDelete(shard int, id storage.RecordID) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if shard < 0 || shard >= len(c.shards) {
-		return fmt.Errorf("sharding: delete names unknown shard %d", shard)
-	}
-	coll := c.shards[shard].Coll
-	raw, ok := coll.Store().FetchRaw(id)
-	if !ok {
-		return nil // rolled-back insert: nothing to delete
-	}
-	if err := coll.Delete(id); err != nil {
-		return err
-	}
-	c.noteDeletedLocked(raw)
 	return nil
 }
 
@@ -529,8 +415,8 @@ const snapshotVersion = 2
 // hold the write lock (or have exclusive access).
 func (c *Cluster) encodeSnapshotLocked() []byte {
 	var b []byte
-	b = appendUvarint(b, snapshotVersion)
-	b = appendUvarint(b, c.dur.lsn)
+	b = binary.AppendUvarint(b, snapshotVersion)
+	b = binary.AppendUvarint(b, c.dur.lsn)
 	b = append(b, encodeInitBody(c.opts)...)
 
 	if c.sharded {
@@ -540,23 +426,23 @@ func (c *Cluster) encodeSnapshotLocked() []byte {
 		b = append(b, 0)
 	}
 
-	b = appendUvarint(b, uint64(len(c.chunks)))
+	b = binary.AppendUvarint(b, uint64(len(c.chunks)))
 	for _, ch := range c.chunks {
 		b = appendBytes(b, ch.Min)
 		b = appendBytes(b, ch.Max)
-		b = appendUvarint(b, uint64(ch.Shard))
-		b = appendVarint(b, int64(ch.Docs))
-		b = appendVarint(b, ch.Bytes)
+		b = binary.AppendUvarint(b, uint64(ch.Shard))
+		b = binary.AppendVarint(b, int64(ch.Docs))
+		b = binary.AppendVarint(b, ch.Bytes)
 	}
 
 	b = appendBytes(b, encodeZones(c.zones))
 
-	b = appendVarint(b, int64(c.sinceBalance))
-	b = appendVarint(b, int64(c.splits))
-	b = appendVarint(b, int64(c.migrations))
-	b = appendVarint(b, int64(c.jumbo))
+	b = binary.AppendVarint(b, int64(c.sinceBalance))
+	b = binary.AppendVarint(b, int64(c.splits))
+	b = binary.AppendVarint(b, int64(c.migrations))
+	b = binary.AppendVarint(b, int64(c.jumbo))
 
-	b = appendUvarint(b, uint64(len(c.shards)))
+	b = binary.AppendUvarint(b, uint64(len(c.shards)))
 	for _, s := range c.shards {
 		// Secondary index definitions in creation order (the _id index
 		// is implicit).
@@ -566,16 +452,16 @@ func (c *Cluster) encodeSnapshotLocked() []byte {
 				defs = append(defs, ix.Def())
 			}
 		}
-		b = appendUvarint(b, uint64(len(defs)))
+		b = binary.AppendUvarint(b, uint64(len(defs)))
 		for _, def := range defs {
 			b = appendBytes(b, encodeIndexDef(def))
 		}
 
 		store := s.Coll.Store()
-		b = appendUvarint(b, uint64(store.NextID()))
-		b = appendUvarint(b, uint64(store.Len()))
+		b = binary.AppendUvarint(b, uint64(store.NextID()))
+		b = binary.AppendUvarint(b, uint64(store.Len()))
 		store.Walk(func(id storage.RecordID, raw []byte) bool {
-			b = appendUvarint(b, uint64(id))
+			b = binary.AppendUvarint(b, uint64(id))
 			b = appendBytes(b, raw)
 			return true
 		})
@@ -584,7 +470,7 @@ func (c *Cluster) encodeSnapshotLocked() []byte {
 	// v2: the dedup window, so idempotent retries survive a
 	// checkpoint's journal reset.
 	ids := c.dedup.entries()
-	b = appendUvarint(b, uint64(len(ids)))
+	b = binary.AppendUvarint(b, uint64(len(ids)))
 	for _, id := range ids {
 		b = appendString(b, id)
 	}
@@ -614,7 +500,7 @@ func clusterFromSnapshot(payload []byte, caller Options) (*Cluster, error) {
 		c.sharded = true
 	}
 
-	nchunks := int(d.uvarint())
+	nchunks := d.count(5) // two bounds, shard, docs, bytes
 	c.chunks = make([]*Chunk, 0, nchunks)
 	for i := 0; i < nchunks; i++ {
 		ch := &Chunk{
@@ -647,7 +533,7 @@ func clusterFromSnapshot(payload []byte, caller Options) (*Cluster, error) {
 			nshards, len(c.shards))
 	}
 	for _, s := range c.shards {
-		ndefs := int(d.uvarint())
+		ndefs := d.count(1)
 		defs := make([]index.Definition, 0, ndefs)
 		for i := 0; i < ndefs; i++ {
 			def, err := decodeIndexDef(d.bytes())
@@ -658,7 +544,7 @@ func clusterFromSnapshot(payload []byte, caller Options) (*Cluster, error) {
 		}
 
 		nextID := storage.RecordID(d.uvarint())
-		nrecs := int(d.uvarint())
+		nrecs := d.count(2) // id, length-prefixed bytes
 		if d.err != nil {
 			return nil, fmt.Errorf("sharding: corrupt snapshot: %w", d.err)
 		}
@@ -682,7 +568,7 @@ func clusterFromSnapshot(payload []byte, caller Options) (*Cluster, error) {
 		s.Coll.Store().SetNextID(nextID)
 	}
 	if version >= 2 {
-		nids := int(d.uvarint())
+		nids := d.count(1)
 		for i := 0; i < nids; i++ {
 			c.dedup.add(d.string())
 		}
@@ -695,22 +581,15 @@ func clusterFromSnapshot(payload []byte, caller Options) (*Cluster, error) {
 
 // --- op body codecs -------------------------------------------------
 
-// encodeInit frames the structural options; encodeInitBody is shared
-// with the snapshot payload.
-func encodeInit(opts Options) []byte { return encodeInitBody(opts) }
-
+// encodeInitBody frames the structural options: the opInit record's
+// body and a section of the snapshot payload.
 func encodeInitBody(opts Options) []byte {
 	var b []byte
-	b = appendUvarint(b, uint64(opts.Shards))
-	b = appendVarint(b, opts.ChunkMaxBytes)
-	b = appendVarint(b, int64(opts.AutoBalanceEvery))
+	b = binary.AppendUvarint(b, uint64(opts.Shards))
+	b = binary.AppendVarint(b, opts.ChunkMaxBytes)
+	b = binary.AppendVarint(b, int64(opts.AutoBalanceEvery))
 	b = appendString(b, opts.CollectionName)
 	return b
-}
-
-func decodeInit(body []byte) (Options, error) {
-	d := &decoder{buf: body}
-	return decodeInitBody(d)
 }
 
 func decodeInitBody(d *decoder) (Options, error) {
@@ -728,7 +607,7 @@ func decodeInitBody(d *decoder) (Options, error) {
 func encodeShardKey(key ShardKey) []byte {
 	var b []byte
 	b = append(b, byte(key.Strategy))
-	b = appendUvarint(b, uint64(len(key.Fields)))
+	b = binary.AppendUvarint(b, uint64(len(key.Fields)))
 	for _, f := range key.Fields {
 		b = appendString(b, f)
 	}
@@ -739,7 +618,7 @@ func decodeShardKey(body []byte) (ShardKey, error) {
 	d := &decoder{buf: body}
 	var key ShardKey
 	key.Strategy = Strategy(d.byte())
-	n := int(d.uvarint())
+	n := d.count(1)
 	for i := 0; i < n; i++ {
 		key.Fields = append(key.Fields, d.string())
 	}
@@ -752,8 +631,8 @@ func decodeShardKey(body []byte) (ShardKey, error) {
 func encodeIndexDef(def index.Definition) []byte {
 	var b []byte
 	b = appendString(b, def.Name)
-	b = appendUvarint(b, uint64(def.GeoBits))
-	b = appendUvarint(b, uint64(len(def.Fields)))
+	b = binary.AppendUvarint(b, uint64(def.GeoBits))
+	b = binary.AppendUvarint(b, uint64(len(def.Fields)))
 	for _, f := range def.Fields {
 		b = appendString(b, f.Name)
 		b = append(b, byte(f.Kind))
@@ -766,7 +645,7 @@ func decodeIndexDef(body []byte) (index.Definition, error) {
 	var def index.Definition
 	def.Name = d.string()
 	def.GeoBits = uint(d.uvarint())
-	n := int(d.uvarint())
+	n := d.count(2) // name, kind
 	for i := 0; i < n; i++ {
 		name := d.string()
 		kind := index.FieldKind(d.byte())
@@ -780,19 +659,19 @@ func decodeIndexDef(body []byte) (index.Definition, error) {
 
 func encodeZones(zones []Zone) []byte {
 	var b []byte
-	b = appendUvarint(b, uint64(len(zones)))
+	b = binary.AppendUvarint(b, uint64(len(zones)))
 	for _, z := range zones {
 		b = appendString(b, z.Name)
 		b = appendBytes(b, z.Min)
 		b = appendBytes(b, z.Max)
-		b = appendUvarint(b, uint64(z.Shard))
+		b = binary.AppendUvarint(b, uint64(z.Shard))
 	}
 	return b
 }
 
 func decodeZones(body []byte) ([]Zone, error) {
 	d := &decoder{buf: body}
-	n := int(d.uvarint())
+	n := d.count(4) // name, two bounds, shard
 	zones := make([]Zone, 0, n)
 	for i := 0; i < n; i++ {
 		zones = append(zones, Zone{
@@ -808,6 +687,10 @@ func decodeZones(body []byte) ([]Zone, error) {
 	return zones, nil
 }
 
+func encodeDelete(shard int, id storage.RecordID) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(nil, uint64(shard)), uint64(id))
+}
+
 func decodeDelete(body []byte) (shard int, id storage.RecordID, err error) {
 	d := &decoder{buf: body}
 	shard = int(d.uvarint())
@@ -820,26 +703,13 @@ func decodeDelete(body []byte) (shard int, id storage.RecordID, err error) {
 
 // --- little encoding helpers ---------------------------------------
 
-func appendUvarint(b []byte, v uint64) []byte {
-	for v >= 0x80 {
-		b = append(b, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(b, byte(v))
-}
-
-func appendVarint(b []byte, v int64) []byte {
-	// ZigZag.
-	return appendUvarint(b, uint64(v<<1)^uint64(v>>63))
-}
-
 func appendBytes(b, v []byte) []byte {
-	b = appendUvarint(b, uint64(len(v)))
+	b = binary.AppendUvarint(b, uint64(len(v)))
 	return append(b, v...)
 }
 
 func appendString(b []byte, s string) []byte {
-	b = appendUvarint(b, uint64(len(s)))
+	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
 
@@ -866,26 +736,30 @@ func (d *decoder) byte() byte {
 }
 
 func (d *decoder) uvarint() uint64 {
-	var v uint64
-	var shift uint
-	for i := 0; ; i++ {
-		if d.err != nil || len(d.buf) == 0 || i == 10 {
-			d.fail()
-			return 0
-		}
-		c := d.buf[0]
-		d.buf = d.buf[1:]
-		v |= uint64(c&0x7F) << shift
-		if c < 0x80 {
-			return v
-		}
-		shift += 7
+	v, n := binary.Uvarint(d.buf)
+	if d.err != nil || n <= 0 {
+		d.fail()
+		return 0
 	}
+	d.buf = d.buf[n:]
+	return v
 }
 
 func (d *decoder) varint() int64 {
-	u := d.uvarint()
+	u := d.uvarint() // zigzag, as binary.AppendVarint writes it
 	return int64(u>>1) ^ -int64(u&1)
+}
+
+// count reads an element count and validates it against the bytes that
+// remain (each element encodes to at least minSize bytes), so a corrupt
+// count can neither size an allocation nor bound a loop.
+func (d *decoder) count(minSize int) int {
+	n := d.uvarint()
+	if d.err != nil || n > uint64(len(d.buf)/minSize) {
+		d.fail()
+		return 0
+	}
+	return int(n)
 }
 
 func (d *decoder) bytes() []byte {

@@ -1,6 +1,7 @@
 package sharding
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/bson"
 	"repro/internal/geo"
+	"repro/internal/index"
 	"repro/internal/query"
 	"repro/internal/wal"
 )
@@ -23,16 +25,88 @@ import (
 // bug, not workload noise.
 type durOp func(c *Cluster) error
 
-// durWorkload builds a deterministic operation sequence: the DDL
-// first, then inserts with occasional range deletes. Documents are
-// generated once, so every cluster stores byte-identical records.
+// durBatch is the durOp of one InsertBatchRaw: the documents are
+// encoded afresh for every cluster (each owns the bytes it stores), and
+// the outcome must be exactly the one named — unless the store crashed
+// under it, which the crash matrices detect on the next operation.
+func durBatch(id string, docs []*bson.Document, wantApplied int, wantDup bool) durOp {
+	return func(c *Cluster) error {
+		applied, dup, err := c.InsertBatchRaw(id, bson.MarshalAll(docs))
+		if errors.Is(err, wal.ErrCrashed) {
+			return err
+		}
+		if applied != wantApplied || dup != wantDup || (err == nil) != (wantApplied == len(docs) || wantDup) {
+			return fmt.Errorf("batch %q: applied=%d dup=%v err=%v, want applied=%d dup=%v",
+				id, applied, dup, err, wantApplied, wantDup)
+		}
+		return nil
+	}
+}
+
+// durWorkload builds a deterministic operation sequence that crosses
+// every record kind of the journal: the DDL first (shard key, then a
+// 2dsphere index), then single inserts with occasional range deletes
+// and batches, and — once each, at fixed fractions of n — an explicit
+// balance, a batch holding a document the 2dsphere index rejects (it is
+// stored, fails and rolls back inside the batch, consuming a record id;
+// this store has no unique index, so a duplicate _id would not fail), a
+// checkpoint, the retry of an already-applied batch id, and a zone
+// change.
+// Documents are generated once, so every cluster stores byte-identical
+// records.
 func durWorkload(n int, seed int64) []durOp {
 	rng := rand.New(rand.NewSource(seed))
 	gen := bson.NewObjectIDGen(uint64(seed))
+	newDoc := func() *bson.Document {
+		p := geo.Point{Lon: 23 + rng.Float64(), Lat: 37 + rng.Float64()}
+		at := baseTime.Add(time.Duration(rng.Int63n(int64(30 * 24 * time.Hour))))
+		return stDoc(gen, p, at, int64(rng.Intn(4096)))
+	}
+	newDocs := func(k int) []*bson.Document {
+		docs := make([]*bson.Document, k)
+		for i := range docs {
+			docs[i] = newDoc()
+		}
+		return docs
+	}
+	first := newDocs(5) // the batch that is later retried under its id
+	geoIndex := index.Definition{
+		Name:   "location_2dsphere",
+		Fields: []index.Field{{Name: "location", Kind: index.Geo2DSphere}},
+	}
 	ops := []durOp{
 		func(c *Cluster) error { return c.ShardCollection(hilbertDateKey()) },
+		func(c *Cluster) error { return c.CreateIndex(geoIndex) },
 	}
 	for len(ops) < n {
+		switch len(ops) {
+		case n / 4:
+			ops = append(ops, durBatch("dur/first", first, len(first), false))
+			continue
+		case n/4 + 1:
+			ops = append(ops, func(c *Cluster) error { c.Balance(); return nil })
+			continue
+		case n / 3:
+			docs := newDocs(3)
+			docs[1].Set("location", "not a point")
+			ops = append(ops, durBatch("dur/rejected", docs, 2, false))
+			continue
+		case n / 2:
+			ops = append(ops, func(c *Cluster) error {
+				if !c.Durable() {
+					return nil // the in-memory reference has nothing to checkpoint
+				}
+				return c.Checkpoint()
+			})
+			continue
+		case n/2 + 3:
+			ops = append(ops, durBatch("dur/first", first, 0, true))
+			continue
+		case 2 * n / 3:
+			zones := ZonesFromSplits("hilbertIndex", []any{int64(1024), int64(2048), int64(3072)}, 4)
+			ops = append(ops, func(c *Cluster) error { return c.SetZones(zones) })
+			continue
+		}
 		if len(ops) > 10 && rng.Intn(16) == 0 {
 			lo := int64(rng.Intn(4096))
 			f := query.NewAnd(
@@ -42,9 +116,12 @@ func durWorkload(n int, seed int64) []durOp {
 			ops = append(ops, func(c *Cluster) error { _, err := c.Delete(f); return err })
 			continue
 		}
-		p := geo.Point{Lon: 23 + rng.Float64(), Lat: 37 + rng.Float64()}
-		at := baseTime.Add(time.Duration(rng.Int63n(int64(30 * 24 * time.Hour))))
-		doc := stDoc(gen, p, at, int64(rng.Intn(4096)))
+		if rng.Intn(16) == 0 {
+			docs := newDocs(1 + rng.Intn(8))
+			ops = append(ops, durBatch(fmt.Sprintf("dur/%d", len(ops)), docs, len(docs), false))
+			continue
+		}
+		doc := newDoc()
 		ops = append(ops, func(c *Cluster) error { return c.Insert(doc) })
 	}
 	return ops
@@ -193,6 +270,10 @@ func TestDurableFreshOpenEmptyDir(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// Every record kind went to the one journal of the directory.
+	if wals, err := filepath.Glob(filepath.Join(dir, "*.wal")); err != nil || len(wals) != 1 || filepath.Base(wals[0]) != journalName {
+		t.Fatalf("store directory journals = %v (err %v), want exactly %s", wals, err, journalName)
+	}
 
 	r := openDurable(t, durOpts(dir, nil))
 	requireStateEqual(t, "reopen", captureState(r), want)
@@ -248,10 +329,8 @@ func TestDurableSnapshotOnlyRecovery(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{metaJournal, shardJournalName(0)} {
-		if size, err := wal.NewOSFS(dir).Size(name); err != nil || size != 0 {
-			t.Fatalf("journal %s not reset after checkpoint: size=%d err=%v", name, size, err)
-		}
+	if size, err := wal.NewOSFS(dir).Size(journalName); err != nil || size != 0 {
+		t.Fatalf("journal not reset after checkpoint: size=%d err=%v", size, err)
 	}
 
 	r := openDurable(t, durOpts(dir, nil))
@@ -293,15 +372,11 @@ func TestDurableMidCheckpointCrashReplaysOnce(t *testing.T) {
 	c := openDurable(t, durOpts(dir, ffs))
 	applyOps(t, c, ops)
 
-	// Fail the second journal re-creation: the snapshot is installed,
-	// meta.wal is reset, but every shard journal still carries its
-	// full record history.
-	resets := 0
+	// Fail the journal's re-creation: the snapshot is installed, but
+	// the journal still carries its full record history.
 	ffs.Before(func(op wal.Op, name string) error {
-		if op == wal.OpCreate && strings.HasSuffix(name, ".wal") {
-			if resets++; resets > 1 {
-				return errors.New("injected crash during journal reset")
-			}
+		if op == wal.OpCreate && name == journalName {
+			return errors.New("injected crash during journal reset")
 		}
 		return nil
 	})
@@ -330,7 +405,7 @@ func TestDurableMidCheckpointCrashReplaysOnce(t *testing.T) {
 }
 
 // TestDurableBitFlipRollsBackToPrefix: one flipped bit in the middle
-// of a shard journal must roll the whole cluster back to the last
+// of the journal must roll the whole cluster back to the last
 // consistent operation before the corrupt frame — never a torn or
 // reordered state.
 func TestDurableBitFlipRollsBackToPrefix(t *testing.T) {
@@ -357,19 +432,13 @@ func TestDurableBitFlipRollsBackToPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Corrupt the middle of the fullest shard journal.
+	// Corrupt the middle of the journal.
 	ffs := wal.NewFaultFS(wal.NewOSFS(dir))
-	var name string
-	var size int64
-	for i := 0; i < durOpts("", nil).Shards; i++ {
-		if s, err := ffs.Size(shardJournalName(i)); err == nil && s > size {
-			name, size = shardJournalName(i), s
-		}
+	size, err := ffs.Size(journalName)
+	if err != nil || size == 0 {
+		t.Fatalf("journal holds no records: size=%d err=%v", size, err)
 	}
-	if size == 0 {
-		t.Fatal("no shard journal has any records")
-	}
-	if err := ffs.FlipBit(name, size/2, 5); err != nil {
+	if err := ffs.FlipBit(journalName, size/2, 5); err != nil {
 		t.Fatal(err)
 	}
 
@@ -555,4 +624,55 @@ func TestDurableUnshardedCluster(t *testing.T) {
 		t.Fatalf("recovered %d/%016x, want %d/%016x", rdocs, rsum, docs, sum)
 	}
 	r.Close()
+}
+
+// TestOpenRefusesPerShardJournalLayout: a directory written before the
+// journal was one file — a shardNNN.wal beside the journal, or a
+// per-document insert record inside it — is refused with an error that
+// names the layout, and not one byte of it changes (the torn tail a
+// normal open would cut is still there afterwards).
+func TestOpenRefusesPerShardJournalLayout(t *testing.T) {
+	initRec := wal.Record{LSN: 1, Op: opInit, Body: encodeInitBody(durOpts("", nil).withDefaults())}
+	doc := bson.Marshal(ingestDocs(3, 1)[0])
+	torn := []byte{0xde, 0xad} // an incomplete frame header
+	cases := map[string]map[string][]byte{
+		"shard journal beside the journal": {
+			journalName:    append(wal.AppendFrame(nil, initRec), torn...),
+			"shard000.wal": wal.AppendFrame(nil, wal.Record{LSN: 2, Op: opInsert, Body: doc}),
+		},
+		"meta.wal and shard journals": {
+			"meta.wal":     wal.AppendFrame(nil, initRec),
+			"shard003.wal": append(wal.AppendFrame(nil, wal.Record{LSN: 2, Op: opInsert, Body: doc}), torn...),
+		},
+		"per-document insert record in the journal": {
+			journalName: append(wal.AppendFrame(wal.AppendFrame(nil, initRec),
+				wal.Record{LSN: 2, Op: opInsert, Body: doc}), torn...),
+		},
+	}
+	for name, files := range cases {
+		dir := t.TempDir()
+		for f, data := range files {
+			if err := os.WriteFile(filepath.Join(dir, f), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c, err := OpenCluster(durOpts(dir, nil))
+		if err == nil {
+			c.Close()
+			t.Fatalf("%s: OpenCluster accepted the directory", name)
+		}
+		if !errors.Is(err, errOldLayout) || !strings.Contains(err.Error(), "per-shard journal layout") {
+			t.Fatalf("%s: error does not name the layout: %v", name, err)
+		}
+		entries, rerr := os.ReadDir(dir)
+		if rerr != nil || len(entries) != len(files) {
+			t.Fatalf("%s: directory now holds %d entries (err %v), want %d", name, len(entries), rerr, len(files))
+		}
+		for f, data := range files {
+			got, rerr := os.ReadFile(filepath.Join(dir, f))
+			if rerr != nil || !bytes.Equal(got, data) {
+				t.Fatalf("%s: %s changed (%d bytes, was %d; err %v)", name, f, len(got), len(data), rerr)
+			}
+		}
+	}
 }

@@ -7,18 +7,22 @@ package sharding
 // is a store that ingests continuously from many clients. Two pieces
 // close that gap here:
 //
-//   - Cluster.InsertBatch applies a client-identified batch of
-//     documents as ONE journal record (opInsertBatch in meta.wal).
-//     The record is CRC-framed, so a crash mid-append truncates it
-//     whole: after recovery the batch is either fully applied or
-//     fully absent, never torn. The batch ID enters a bounded dedup
-//     window that is itself rebuilt from the journal (and carried by
-//     snapshots), so a retried batch — a client that never saw its
-//     ack, before or after a crash — applies exactly once.
+//   - Every insert is a batch. commitIngest is the one body the write
+//     path runs — Cluster.Insert (a batch of one with no id),
+//     Cluster.InsertBatchRaw, the Ingester's coalesced groups and
+//     journal replay alike: take the write lock, append ONE
+//     opInsertBatch journal record per batch, apply its documents,
+//     commit, wait for the write concern. The record is CRC-framed, so
+//     a crash mid-append truncates it whole: after recovery the batch
+//     is either fully applied or fully absent, never torn. The batch ID
+//     enters a bounded dedup window that is itself rebuilt from the
+//     journal (and carried by snapshots), so a retried batch — a client
+//     that never saw its ack, before or after a crash — applies exactly
+//     once.
 //
-//   - Ingester coalesces concurrent Insert/InsertBatch callers into
-//     bounded batches: one cluster write-lock acquisition and one
-//     journal group commit per coalesced batch. Its queue is bounded
+//   - Ingester coalesces concurrent InsertBatchRaw callers into
+//     bounded groups: one cluster write-lock acquisition and one
+//     journal group commit per coalesced group. Its queue is bounded
 //     in documents; when full, callers wait at most AdmissionWait and
 //     are then shed with a structured transient ShardError carrying a
 //     RetryAfter hint — the same overload semantics the network
@@ -34,7 +38,6 @@ import (
 	"time"
 
 	"repro/internal/bson"
-	"repro/internal/wal"
 )
 
 // ErrIngestOverload marks an ingest shed: the batcher's queue stayed
@@ -128,8 +131,7 @@ func (c *Cluster) InsertBatch(batchID string, docs []*bson.Document) (applied in
 // InsertBatchRaw routes and stores encoded documents as one atomic,
 // idempotent batch. The whole batch is framed into a single
 // opInsertBatch journal record before any document is applied, so
-// recovery replays it all-or-nothing; per-document journaling is
-// suppressed for the duration (replication still streams every stored
+// recovery replays it all-or-nothing (replication streams every stored
 // document — the stream has no replay to re-derive from). The bytes the
 // record frames are the bytes the stores keep: docs must be valid
 // canonical encodings, and the cluster owns them afterwards.
@@ -142,61 +144,56 @@ func (c *Cluster) InsertBatch(batchID string, docs []*bson.Document) (applied in
 // failure (later documents are still attempted, and replay reproduces
 // the same partial outcome deterministically).
 func (c *Cluster) InsertBatchRaw(batchID string, docs [][]byte) (applied int, dup bool, err error) {
+	r := ingestReq{batchID: batchID, docs: docs}
+	c.commitIngest([]*ingestReq{&r})
+	return r.applied, r.dup, r.err
+}
+
+// commitIngest is the write path's one body: it applies a group of
+// batches under one write-lock acquisition, one journal group commit
+// and one replication wait, and leaves each batch's outcome in its
+// request. Replay calls it with the journal detached.
+func (c *Cluster) commitIngest(reqs []*ingestReq) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	applied, dup, err = c.insertBatchLocked(batchID, docs)
-	if cerr := c.commitDur(); err == nil {
-		err = cerr
+	for _, r := range reqs {
+		r.applied, r.dup, r.err = c.insertBatchLocked(r.batchID, r.docs)
 	}
-	if err == nil {
-		err = c.replWaitLocked()
+	if err := c.finishWriteLocked(nil); err != nil {
+		for _, r := range reqs {
+			if r.err == nil {
+				r.err = err
+			}
+		}
 	}
-	return applied, dup, err
 }
 
 // insertBatchLocked journals and applies one batch; the caller holds
-// the write lock and commits the journals afterwards.
-func (c *Cluster) insertBatchLocked(batchID string, docs [][]byte) (int, bool, error) {
+// the write lock and commits the journal afterwards.
+func (c *Cluster) insertBatchLocked(batchID string, docs [][]byte) (applied int, dup bool, err error) {
 	if batchID != "" && c.dedup.seen(batchID) {
 		return 0, true, nil
 	}
-	if c.dur != nil && c.dur.suppress == 0 && len(docs) > 0 {
-		c.dur.meta.Append(wal.Record{
-			LSN:  c.dur.nextLSN(),
-			Op:   opInsertBatch,
-			Body: encodeInsertBatch(batchID, docs),
-		})
+	if c.dur != nil && len(docs) > 0 {
+		c.journal(opInsertBatch, encodeInsertBatch(batchID, docs))
 	}
-	applied, err := c.applyBatchDocsLocked(docs)
+	for _, raw := range docs {
+		if derr := c.insertRawLocked(raw); derr != nil {
+			if err == nil {
+				err = derr
+			}
+			continue
+		}
+		applied++
+	}
 	if batchID != "" {
 		c.dedup.add(batchID)
 	}
 	return applied, false, err
 }
 
-// applyBatchDocsLocked stores each document with per-document
-// journaling suppressed (the batch record already carries the bytes).
-func (c *Cluster) applyBatchDocsLocked(docs [][]byte) (int, error) {
-	if c.dur != nil {
-		c.dur.suppress++
-		defer func() { c.dur.suppress-- }()
-	}
-	applied := 0
-	var firstErr error
-	for _, raw := range docs {
-		if err := c.insertRawLocked(raw); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		applied++
-	}
-	return applied, firstErr
-}
-
 // encodeInsertBatch frames the batch ID and each document's bytes —
-// the very bytes the stores keep, as on the per-document hook path.
+// the very bytes the stores keep.
 func encodeInsertBatch(batchID string, docs [][]byte) []byte {
 	size := len(batchID) + 2*binary.MaxVarintLen64
 	for _, raw := range docs {
@@ -204,7 +201,7 @@ func encodeInsertBatch(batchID string, docs [][]byte) []byte {
 	}
 	b := make([]byte, 0, size)
 	b = appendString(b, batchID)
-	b = appendUvarint(b, uint64(len(docs)))
+	b = binary.AppendUvarint(b, uint64(len(docs)))
 	for _, raw := range docs {
 		b = appendBytes(b, raw)
 	}
@@ -218,7 +215,7 @@ func encodeInsertBatch(batchID string, docs [][]byte) []byte {
 func decodeInsertBatch(body []byte) (batchID string, docs [][]byte, err error) {
 	d := &decoder{buf: body}
 	batchID = d.string()
-	n := int(d.uvarint())
+	n := d.count(1)
 	for i := 0; i < n; i++ {
 		raw := d.bytesCopy()
 		if d.err != nil {
@@ -320,19 +317,6 @@ func NewIngester(c *Cluster, opts IngestOptions) *Ingester {
 	}
 	go in.run()
 	return in
-}
-
-// Insert encodes and enqueues one document (no idempotency token) and
-// waits for its group commit.
-func (in *Ingester) Insert(ctx context.Context, doc *bson.Document) error {
-	_, _, err := in.InsertBatchRaw(ctx, "", [][]byte{bson.Marshal(doc)})
-	return err
-}
-
-// InsertBatch encodes docs and enqueues them: InsertBatchRaw on their
-// encodings.
-func (in *Ingester) InsertBatch(ctx context.Context, batchID string, docs []*bson.Document) (applied int, dup bool, err error) {
-	return in.InsertBatchRaw(ctx, batchID, bson.MarshalAll(docs))
 }
 
 // InsertBatchRaw enqueues a client batch of encoded documents (see
@@ -468,31 +452,6 @@ func (in *Ingester) commitGroup(reqs []*ingestReq, docs int) {
 	}
 	for _, r := range reqs {
 		close(r.done)
-	}
-}
-
-// commitIngest applies a coalesced group of batches: one write-lock
-// acquisition, one journal group commit, one replication wait.
-func (c *Cluster) commitIngest(reqs []*ingestReq) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, r := range reqs {
-		r.applied, r.dup, r.err = c.insertBatchLocked(r.batchID, r.docs)
-	}
-	if err := c.commitDur(); err != nil {
-		for _, r := range reqs {
-			if r.err == nil {
-				r.err = err
-			}
-		}
-		return
-	}
-	if err := c.replWaitLocked(); err != nil {
-		for _, r := range reqs {
-			if r.err == nil {
-				r.err = err
-			}
-		}
 	}
 }
 

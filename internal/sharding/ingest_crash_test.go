@@ -217,7 +217,7 @@ func TestIngesterCrashConvergence(t *testing.T) {
 			defer wg.Done()
 			for b := 0; b < perWriter; b++ {
 				id, docs := batch(w, b)
-				if _, _, err := in.InsertBatch(context.Background(), id, docs); err != nil {
+				if _, _, err := insertDocs(context.Background(), in, id, docs); err != nil {
 					return // the crash: this and later batches are unacked
 				}
 			}
@@ -237,7 +237,7 @@ func TestIngesterCrashConvergence(t *testing.T) {
 			defer wg.Done()
 			for b := 0; b < perWriter; b++ {
 				id, docs := batch(w, b)
-				applied, dup, err := rin.InsertBatch(context.Background(), id, docs)
+				applied, dup, err := insertDocs(context.Background(), rin, id, docs)
 				if err != nil {
 					t.Errorf("retry %s: %v", id, err)
 					return

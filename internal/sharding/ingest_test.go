@@ -29,6 +29,12 @@ func ingestDocs(seed int64, n int) []*bson.Document {
 	return docs
 }
 
+// insertDocs is the tests' one encoding step: it marshals docs and hands
+// them to the write-path boundary, which takes bytes only.
+func insertDocs(ctx context.Context, in BatchInserter, batchID string, docs []*bson.Document) (applied int, dup bool, err error) {
+	return in.InsertBatchRaw(ctx, batchID, bson.MarshalAll(docs))
+}
+
 func shardedCluster(t testing.TB, opts Options) *Cluster {
 	t.Helper()
 	c := NewCluster(opts)
@@ -170,12 +176,12 @@ func TestIngesterGroupCommit(t *testing.T) {
 			defer wg.Done()
 			for b, docs := range all[w] {
 				id := fmt.Sprintf("w%d/%d", w, b)
-				if _, dup, err := in.InsertBatch(context.Background(), id, docs); err != nil || dup {
+				if _, dup, err := insertDocs(context.Background(), in, id, docs); err != nil || dup {
 					errs <- fmt.Errorf("w%d/%d: dup=%v err=%v", w, b, dup, err)
 					return
 				}
 				// Every batch retried once: the window must absorb it.
-				if _, dup, err := in.InsertBatch(context.Background(), id, docs); err != nil || !dup {
+				if _, dup, err := insertDocs(context.Background(), in, id, docs); err != nil || !dup {
 					errs <- fmt.Errorf("w%d/%d retry: dup=%v err=%v", w, b, dup, err)
 					return
 				}
@@ -252,7 +258,7 @@ func TestIngesterOverloadSheds(t *testing.T) {
 	defer in.Close()
 
 	// A batch larger than the whole queue can never be admitted.
-	_, _, err := in.InsertBatch(context.Background(), "huge", ingestDocs(200, 9))
+	_, _, err := insertDocs(context.Background(), in, "huge", ingestDocs(200, 9))
 	if !errors.Is(err, ErrBatchTooLarge) {
 		t.Fatalf("oversized batch: %v", err)
 	}
@@ -272,7 +278,7 @@ func TestIngesterOverloadSheds(t *testing.T) {
 			defer wg.Done()
 			for b := 0; b < 4; b++ {
 				docs := ingestDocs(int64(300+w*4+b), 4)
-				_, _, err := in.InsertBatch(context.Background(), fmt.Sprintf("o%d/%d", w, b), docs)
+				_, _, err := insertDocs(context.Background(), in, fmt.Sprintf("o%d/%d", w, b), docs)
 				if err != nil {
 					shed <- err
 				}
@@ -310,7 +316,7 @@ func TestIngesterCancelMidBatch(t *testing.T) {
 	docs := ingestDocs(400, 16)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // poisoned before the call: covers the ctx.Done select arms
-	_, _, err := in.InsertBatch(ctx, "cancelled", docs)
+	_, _, err := insertDocs(ctx, in, "cancelled", docs)
 	if err == nil {
 		// The race between admission and cancellation may legitimately
 		// admit and commit first; then the call reports success.
@@ -320,7 +326,7 @@ func TestIngesterCancelMidBatch(t *testing.T) {
 	}
 	// Whatever the early return said, the batch either fully applied
 	// or was never admitted; the retry converges on applied-exactly-once.
-	applied, dup, err := in.InsertBatch(context.Background(), "cancelled", docs)
+	applied, dup, err := insertDocs(context.Background(), in, "cancelled", docs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +341,7 @@ func TestIngesterCancelMidBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Writes after Close are refused.
-	if _, _, err := in.InsertBatch(context.Background(), "late", docs); !errors.Is(err, ErrIngesterClosed) {
+	if _, _, err := insertDocs(context.Background(), in, "late", docs); !errors.Is(err, ErrIngesterClosed) {
 		t.Fatalf("post-close enqueue: %v", err)
 	}
 }
@@ -371,7 +377,7 @@ func TestIngesterCancelDuringSplitPressure(t *testing.T) {
 			defer wg.Done()
 			for b := 0; b < 20; b++ {
 				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(b%3)*time.Millisecond)
-				_, _, err := in.InsertBatch(ctx, fmt.Sprintf("s%d/%d", w, b), ingestDocs(int64(500+w*20+b), 16))
+				_, _, err := insertDocs(ctx, in, fmt.Sprintf("s%d/%d", w, b), ingestDocs(int64(500+w*20+b), 16))
 				cancel()
 				if err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) && !errors.Is(err, ErrIngestOverload) {
 					t.Errorf("s%d/%d: %v", w, b, err)

@@ -263,7 +263,7 @@ func TestBalanceConcurrentWithIngestAndQueries(t *testing.T) {
 			for b := 0; b < perWriter; b++ {
 				docs := ingestDocs(int64(7000+w*perWriter+b), batchDocs)
 				id := fmt.Sprintf("bal-w%d/%d", w, b)
-				if _, dup, err := in.InsertBatch(context.Background(), id, docs); err != nil || dup {
+				if _, dup, err := insertDocs(context.Background(), in, id, docs); err != nil || dup {
 					t.Errorf("ingest %s: dup=%v err=%v", id, dup, err)
 					return
 				}

@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"repro/internal/replication"
+	"repro/internal/storage"
 )
 
 // ReadMode selects the router's per-shard read target.
@@ -75,6 +76,32 @@ func ParseReadPref(s string) (ReadPref, error) {
 	return ReadPref{}, fmt.Errorf("sharding: unknown read preference %q (want primary|primaryPreferred|nearest[=lag])", s)
 }
 
+// shardHook is the storage.Hook of one replicated shard's primary
+// store: it fans every stored and deleted record into the shard's
+// replication stream — migrations included, because a follower only
+// stays identical to its primary by seeing every op (the journal, by
+// contrast, re-derives them on replay). It runs under the cluster write
+// lock, like every cluster mutation. A shard without replicas has no
+// hook.
+type shardHook struct {
+	c     *Cluster
+	shard int
+}
+
+// Inserted implements storage.Hook.
+func (h *shardHook) Inserted(id storage.RecordID, raw []byte) {
+	if g := h.c.replGroupLocked(h.shard); g != nil {
+		g.StreamInsert(id, raw)
+	}
+}
+
+// Deleted implements storage.Hook.
+func (h *shardHook) Deleted(id storage.RecordID, _ []byte) {
+	if g := h.c.replGroupLocked(h.shard); g != nil {
+		g.StreamDelete(id)
+	}
+}
+
 // replGroupLocked returns shard sid's replica group (nil when
 // replication is off). Callers hold c.mu in either mode, or have
 // exclusive access (construction).
@@ -103,14 +130,12 @@ func (c *Cluster) setReplicasLocked(n int) error {
 		}
 	}
 	c.repl = nil
+	// The hooks exist only to feed the stream: rebuilt with the groups.
+	for _, s := range c.shards {
+		s.Coll.Store().SetHook(nil)
+	}
 	if n <= 0 {
 		c.opts.Replicas = 0
-		if c.dur == nil {
-			// The hooks existed only to feed the stream; drop them.
-			for _, s := range c.shards {
-				s.Coll.Store().SetHook(nil)
-			}
-		}
 		return nil
 	}
 	c.opts.Replicas = n
@@ -133,11 +158,9 @@ func (c *Cluster) setReplicasLocked(n int) error {
 			return err
 		}
 		c.repl[i] = g
-		// The storage hook feeds both the journal and the stream; a
-		// purely in-memory cluster needs it installed here.
-		if c.dur == nil {
-			s.Coll.Store().SetHook(&shardHook{c: c, shard: i})
-		}
+	}
+	for i, s := range c.shards {
+		s.Coll.Store().SetHook(&shardHook{c: c, shard: i})
 	}
 	return nil
 }
@@ -275,8 +298,8 @@ func (c *Cluster) promotePending() {
 // promoteLocked swaps shard sid's primary for its best follower:
 // highest applied LSN wins, lowest follower ID breaks ties, and the
 // promoted follower replays any stream tail it missed first. The old
-// primary's hook is detached, the new primary gets it (so journaling
-// and streaming continue in the same LSN space), the shard's epoch
+// primary's hook is detached, the new primary gets it (so streaming
+// continues in the same LSN space), the shard's epoch
 // bumps (releasing FaultConn programs bound to the dead primary), and
 // the breaker resets.
 func (c *Cluster) promoteLocked(sid int) error {

@@ -6,13 +6,12 @@ package sharding
 // the same cluster write lock every write takes, so it serializes
 // with inserts, splits and migrations.
 //
-// Durability follows the batch-insert pattern: ONE opDropBelow meta
-// record carrying the cutoff prefix is journaled before anything is
-// dropped, and per-document journaling is suppressed while the drop
-// runs. The drop is a deterministic function of cluster state, so
-// replaying the record reproduces the exact deletions and chunk-map
-// prune; replication still streams every individual delete (the
-// stream has no replay to re-derive from).
+// Durability follows the batch-insert pattern: ONE opDropBelow record
+// carrying the cutoff prefix is journaled before anything is dropped.
+// The drop is a deterministic function of cluster state, so replaying
+// the record reproduces the exact deletions and chunk-map prune;
+// replication still streams every individual delete (the stream has no
+// replay to re-derive from).
 
 import (
 	"bytes"
@@ -20,7 +19,6 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/storage"
-	"repro/internal/wal"
 )
 
 // DropBelowShardKey removes every document whose shard-key tuple
@@ -38,17 +36,11 @@ func (c *Cluster) DropBelowShardKey(prefix []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	dropped, err := c.dropBelowLocked(prefix)
-	if err != nil {
-		return dropped, err
-	}
-	if err := c.commitDur(); err != nil {
-		return dropped, err
-	}
-	return dropped, c.replWaitLocked()
+	return dropped, c.finishWriteLocked(err)
 }
 
 // dropBelowLocked journals and applies one retention drop; the caller
-// holds the write lock and commits the journals afterwards.
+// holds the write lock and commits the journal afterwards.
 func (c *Cluster) dropBelowLocked(prefix []byte) (int, error) {
 	if !c.sharded {
 		return 0, fmt.Errorf("sharding: DropBelowShardKey on an unsharded collection")
@@ -56,15 +48,7 @@ func (c *Cluster) dropBelowLocked(prefix []byte) (int, error) {
 	if c.key.Strategy != RangeSharding {
 		return 0, fmt.Errorf("sharding: DropBelowShardKey requires range sharding (key %s)", c.key)
 	}
-	if c.dur != nil && c.dur.suppress == 0 {
-		c.dur.meta.Append(wal.Record{
-			LSN:  c.dur.nextLSN(),
-			Op:   opDropBelow,
-			Body: appendBytes(nil, prefix),
-		})
-		c.dur.suppress++
-		defer func() { c.dur.suppress-- }()
-	}
+	c.journal(opDropBelow, appendBytes(nil, prefix))
 	dropped := 0
 	for _, s := range c.shards {
 		ix := s.Coll.Index(ShardKeyIndexName)
@@ -82,14 +66,9 @@ func (c *Cluster) dropBelowLocked(prefix []byte) (int, error) {
 		// that) and clean up the store and the remaining indexes.
 		ix.DropBelow(prefix)
 		for _, id := range ids {
-			raw, ok := s.Coll.Store().FetchRaw(id)
-			if !ok {
-				continue
-			}
-			if err := s.Coll.Delete(id); err != nil {
+			if err := c.removeLocked(s.Coll, id); err != nil {
 				return dropped, err
 			}
-			c.noteDeletedLocked(raw)
 			dropped++
 		}
 	}

@@ -153,11 +153,7 @@ func BenchmarkReplayBatch(b *testing.B) {
 	docs := wideDocs(6, batches*batchDocs)
 	recs := make([]wal.Record, batches)
 	for k := range recs {
-		body := appendString(nil, fmt.Sprintf("b%07d", k))
-		body = appendUvarint(body, batchDocs)
-		for _, d := range docs[k*batchDocs : (k+1)*batchDocs] {
-			body = appendBytes(body, bson.Marshal(d))
-		}
+		body := encodeInsertBatch(fmt.Sprintf("b%07d", k), bson.MarshalAll(docs[k*batchDocs:(k+1)*batchDocs]))
 		recs[k] = wal.Record{LSN: uint64(k + 1), Op: opInsertBatch, Body: body}
 	}
 	fresh := make([]*Cluster, b.N)

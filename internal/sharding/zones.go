@@ -63,9 +63,9 @@ func (c *Cluster) SetZones(zones []Zone) error {
 			c.moveChunkLocked(ch, home)
 		}
 	}
-	// The homing migrations above are suppressed; replaying this one
+	// The homing migrations above are not journaled; replaying this one
 	// record re-derives them.
-	return c.journalMeta(opSetZones, encodeZones(sorted))
+	return c.journalCommit(opSetZones, encodeZones(sorted))
 }
 
 // Zones returns the installed zones.

@@ -26,10 +26,11 @@ import (
 type RecordID uint64
 
 // Hook observes the store's mutations with the exact bytes that were
-// stored — the journaling seam of the durability subsystem. The
-// sharding layer installs one hook per shard store so every
-// insert/delete is framed into that shard's write-ahead journal
-// before the enclosing cluster operation returns.
+// stored — the replication seam. The sharding layer installs one hook
+// on each replicated shard's primary store so every insert/delete is
+// fanned into that shard's replication stream; a store without
+// followers has none (the durability journal is written by the cluster
+// operations themselves, not from here).
 //
 // Hook methods run while the store's write lock is held, so they see
 // mutations in exactly the order they are applied; they must be cheap
@@ -90,8 +91,8 @@ func NewStore() *Store {
 }
 
 // SetHook installs (or clears, with nil) the mutation hook. Writers
-// must be quiescent while the hook changes — in the cluster the
-// durable-open path installs hooks before any write runs.
+// must be quiescent while the hook changes — the cluster swaps hooks
+// under its write lock, which every writer holds.
 func (s *Store) SetHook(h Hook) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

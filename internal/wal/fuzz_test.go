@@ -106,10 +106,10 @@ func FuzzFrameRecover(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fs := newMemFS()
-		if err := fs.WriteFile("shard000.wal", data); err != nil {
+		if err := fs.WriteFile("journal.wal", data); err != nil {
 			t.Fatal(err)
 		}
-		recs, info, err := ScanJournal(fs, "shard000.wal")
+		recs, info, err := ScanJournal(fs, "journal.wal")
 		if err != nil {
 			t.Fatalf("ScanJournal: %v", err)
 		}
@@ -129,9 +129,12 @@ func FuzzFrameRecover(f *testing.F) {
 				info.Truncated, info.ValidSize, len(data))
 		}
 
-		res, err := Recover(fs, true)
+		res, err := Recover(fs, "journal.wal")
 		if err != nil {
 			t.Fatalf("Recover: %v", err)
+		}
+		if err := res.TruncateTail(fs); err != nil {
+			t.Fatalf("TruncateTail: %v", err)
 		}
 		// Recovery keeps a consecutive LSN run drawn from the scanned
 		// prefix and truncates the file back to a clean scan.
@@ -143,7 +146,7 @@ func FuzzFrameRecover(f *testing.F) {
 		if res.NextLSN == 0 {
 			t.Fatal("NextLSN must be at least 1")
 		}
-		if _, info2, err := ScanJournal(fs, "shard000.wal"); err != nil || info2.Truncated {
+		if _, info2, err := ScanJournal(fs, "journal.wal"); err != nil || info2.Truncated {
 			t.Fatalf("journal not clean after recovery: %v truncated=%v", err, info2.Truncated)
 		}
 	})

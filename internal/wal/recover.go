@@ -1,11 +1,6 @@
 package wal
 
-import (
-	"cmp"
-	"fmt"
-	"slices"
-	"strings"
-)
+import "fmt"
 
 // RecoverResult is what a store directory yields after crash
 // recovery: the newest usable snapshot plus the longest consistent
@@ -24,129 +19,66 @@ type RecoverResult struct {
 	// NextLSN is the sequence number the journal writer continues at.
 	NextLSN uint64
 
-	// TornTail reports whether any journal bytes were discarded — a
-	// torn/corrupt frame or records beyond the first LSN gap.
+	// TornTail reports whether the journal holds bytes past the last
+	// replayable record — a torn or corrupt frame, or frames beyond an
+	// LSN gap. TruncateTail removes them.
 	TornTail bool
+
+	journal string
+	keep    int64 // byte length of the journal up to the last replayable record
 }
 
-// scannedFile is one journal file's valid frames plus the byte offset
-// at which each frame ends, so the tail beyond a chosen LSN cutoff
-// can be truncated precisely.
-type scannedFile struct {
-	name     string
-	recs     []Record
-	ends     []int64 // ends[i] = offset just past recs[i]'s frame
-	validEnd int64
-	torn     bool
-}
-
-func scanFile(fs FS, name string) (scannedFile, error) {
-	sf := scannedFile{name: name}
-	data, err := fs.ReadFile(name)
-	if err != nil {
-		return sf, nil // absent file = empty journal
-	}
-	var off int64
-	for int(off) < len(data) {
-		rec, size, ok := decodeFrame(data[off:])
-		if !ok {
-			sf.torn = true
-			break
-		}
-		rec.Body = append([]byte(nil), rec.Body...)
-		off += int64(size)
-		sf.recs = append(sf.recs, rec)
-		sf.ends = append(sf.ends, off)
-	}
-	sf.validEnd = off
-	return sf, nil
-}
-
-// Recover scans every "*.wal" journal in the store directory together
-// with the snapshots, reassembles the journal records into global LSN
-// order, and keeps the longest strictly consecutive run above the
-// snapshot's LSN. Records at or below the snapshot LSN are skipped —
-// that is what makes replay idempotent when a crash hit between
-// writing a checkpoint and resetting the journals.
+// Recover reads the newest snapshot and the one journal file of a store
+// directory and keeps the journal's longest replayable prefix: frames
+// are taken in file order up to the first torn or corrupt one, records
+// at or below the snapshot LSN are skipped — that is what makes replay
+// idempotent when a crash hit between writing a checkpoint and
+// resetting the journal — and the run ends at the first record that
+// does not continue the sequence (the writer assigns consecutive LSNs,
+// so a gap inside the file is a corrupt tail like any other).
 //
-// When truncate is true the journal files are also cut back on disk:
-// torn tails go, and so do frames beyond the chosen cutoff in *other*
-// files (a record is only replayable if every earlier record
-// survived, so anything past the first gap is unreachable and must
-// not linger once the writer continues at NextLSN).
-func Recover(fs FS, truncate bool) (*RecoverResult, error) {
-	res := &RecoverResult{}
-	snapLSN, payload, ok, err := LatestSnapshot(fs)
+// Recover changes nothing on disk. Once the caller has accepted the
+// records it calls TruncateTail, so the writer continues at NextLSN on
+// a file that ends at the last replayed frame.
+func Recover(fs FS, journal string) (*RecoverResult, error) {
+	res := &RecoverResult{journal: journal}
+	var err error
+	res.SnapshotLSN, res.SnapshotPayload, res.HasSnapshot, err = LatestSnapshot(fs)
 	if err != nil {
 		return nil, err
 	}
-	if ok {
-		res.HasSnapshot = true
-		res.SnapshotLSN = snapLSN
-		res.SnapshotPayload = payload
-	}
-
-	names, err := fs.List(".")
+	recs, info, err := ScanJournal(fs, journal)
 	if err != nil {
 		return nil, err
 	}
-	var files []scannedFile
-	var all []Record
-	for _, n := range names {
-		if !strings.HasSuffix(n, ".wal") {
-			continue
-		}
-		sf, err := scanFile(fs, n)
-		if err != nil {
-			return nil, err
-		}
-		if sf.torn {
-			res.TornTail = true
-		}
-		files = append(files, sf)
-		all = append(all, sf.recs...)
-	}
-
-	slices.SortStableFunc(all, func(a, b Record) int { return cmp.Compare(a.LSN, b.LSN) })
-	cutoff := res.SnapshotLSN
-	for _, rec := range all {
-		if rec.LSN <= cutoff {
-			continue // already covered by the snapshot (or a duplicate)
-		}
-		if rec.LSN != cutoff+1 {
-			res.TornTail = true // gap: a sibling journal lost its tail
-			break
-		}
-		res.Records = append(res.Records, rec)
-		cutoff = rec.LSN
-	}
-	res.NextLSN = cutoff + 1
-
-	if truncate {
-		for _, sf := range files {
-			// Keep the frames up to the first one beyond the cutoff
-			// (frames within a file are appended in LSN order).
-			end := sf.validEnd
-			for i, rec := range sf.recs {
-				if rec.LSN > cutoff {
-					if i == 0 {
-						end = 0
-					} else {
-						end = sf.ends[i-1]
-					}
-					break
-				}
+	res.TornTail = info.Truncated
+	res.keep = info.ValidSize
+	last := res.SnapshotLSN
+	var off int64
+	for _, rec := range recs {
+		if rec.LSN > res.SnapshotLSN {
+			if rec.LSN != last+1 {
+				res.TornTail = true
+				res.keep = off
+				break
 			}
-			size, serr := fs.Size(sf.name)
-			if serr != nil {
-				continue // absent file: nothing to truncate
-			}
-			if end < size {
-				if err := fs.Truncate(sf.name, end); err != nil {
-					return nil, fmt.Errorf("wal: truncating %s: %w", sf.name, err)
-				}
-			}
+			res.Records = append(res.Records, rec)
+			last = rec.LSN
 		}
+		off += int64(FrameSize(rec))
 	}
+	res.NextLSN = last + 1
 	return res, nil
+}
+
+// TruncateTail cuts the journal file back to the replayable prefix
+// Recover found; a journal without a torn tail is left alone.
+func (r *RecoverResult) TruncateTail(fs FS) error {
+	if !r.TornTail {
+		return nil
+	}
+	if err := fs.Truncate(r.journal, r.keep); err != nil {
+		return fmt.Errorf("wal: truncating %s: %w", r.journal, err)
+	}
+	return nil
 }

@@ -1,7 +1,7 @@
 // Package wal implements the durability substrate of the simulated
 // cluster: a write-ahead journal of length-prefixed, CRC32C-framed
 // records, checkpoint snapshots written atomically, and the recovery
-// scan that reassembles a consistent operation prefix from snapshot +
+// scan that yields a consistent operation prefix from snapshot +
 // journal tail. It substitutes for what WiredTiger gives the paper's
 // MongoDB deployment for free — journaled writes and periodic
 // checkpoints, so a loaded cluster survives process restarts.
@@ -13,12 +13,12 @@
 // format and its failure semantics:
 //
 //   - Every frame is covered by a CRC32C (Castagnoli) checksum.
-//     Recovery truncates each journal at the first torn or corrupt
+//     Recovery keeps the journal up to the first torn or corrupt
 //     frame — a partial tail write never corrupts the prefix.
-//   - Records carry a global, strictly increasing LSN, so a journal
-//     may be split across several files (one per shard plus one for
-//     metadata ops) and recovery merges them back into total order,
-//     keeping only the longest contiguous LSN prefix.
+//   - A store directory holds one journal file. Records carry a
+//     strictly increasing LSN, consecutive in file order; recovery
+//     keeps the longest consecutive run and treats the first record
+//     that breaks it as the start of a corrupt tail.
 //   - Snapshots are written to a temporary name and renamed into
 //     place, so a crash mid-checkpoint leaves the previous snapshot
 //     intact; each snapshot records the LSN it covers, and recovery

@@ -198,26 +198,14 @@ func TestSnapshotRoundTripAndFallback(t *testing.T) {
 	}
 }
 
-func TestRecoverMergesShardJournalsByLSN(t *testing.T) {
+func TestRecoverReadsTheOneJournalInOrder(t *testing.T) {
 	fs := NewOSFS(t.TempDir())
-	// Interleave LSNs 1..12 across meta + two shard files the way the
-	// cluster writes them.
-	var meta, s0, s1 []Record
-	for _, rec := range testRecords(12, 1) {
-		switch rec.LSN % 3 {
-		case 0:
-			meta = append(meta, rec)
-		case 1:
-			s0 = append(s0, rec)
-		default:
-			s1 = append(s1, rec)
-		}
-	}
-	writeJournal(t, fs, "meta.wal", meta, JournalOptions{Sync: SyncAlways})
-	writeJournal(t, fs, "shard00.wal", s0, JournalOptions{Sync: SyncAlways})
-	writeJournal(t, fs, "shard01.wal", s1, JournalOptions{Sync: SyncAlways})
+	writeJournal(t, fs, "journal.wal", testRecords(12, 1), JournalOptions{Sync: SyncAlways})
+	// A second *.wal in the directory is not the store's journal:
+	// recovery reads exactly the file it was given.
+	writeJournal(t, fs, "other.wal", testRecords(3, 13), JournalOptions{Sync: SyncAlways})
 
-	res, err := Recover(fs, false)
+	res, err := Recover(fs, "journal.wal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,25 +222,19 @@ func TestRecoverMergesShardJournalsByLSN(t *testing.T) {
 	}
 }
 
-func TestRecoverStopsAtGapAndTruncatesSiblings(t *testing.T) {
+// A gap inside the file is a corrupt tail: recovery keeps LSN 1..3,
+// drops everything from the record that skips ahead, and changes the
+// file only when TruncateTail is called.
+func TestRecoverStopsAtGapAndTruncatesTail(t *testing.T) {
 	fs := NewOSFS(t.TempDir())
-	// shard00 holds LSN 1,3,5; shard01 holds 2,4,6. Tear shard01's
-	// tail (LSN 6 stays, 4 is torn → wait: tear the middle by
-	// rewriting the file with frame 4 corrupted).
-	r := testRecords(6, 1)
-	writeJournal(t, fs, "shard00.wal", []Record{r[0], r[2], r[4]}, JournalOptions{Sync: SyncAlways})
-	writeJournal(t, fs, "shard01.wal", []Record{r[1], r[3], r[5]}, JournalOptions{Sync: SyncAlways})
-
-	// Corrupt shard01's second frame (LSN 4): its valid prefix is
-	// only LSN 2, so the global contiguous run is 1,2,3 — LSN 5 in
-	// shard00 must be truncated away as unreachable.
-	var off int64 = int64(FrameSize(r[1]))
-	ffs := NewFaultFS(fs)
-	if err := ffs.FlipBit("shard01.wal", off+frameHeaderSize+2, 0); err != nil {
+	r := testRecords(7, 1)
+	writeJournal(t, fs, "journal.wal", []Record{r[0], r[1], r[2], r[4], r[5], r[6]}, JournalOptions{Sync: SyncAlways})
+	full, err := fs.Size("journal.wal")
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	res, err := Recover(fs, true)
+	res, err := Recover(fs, "journal.wal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,23 +244,37 @@ func TestRecoverStopsAtGapAndTruncatesSiblings(t *testing.T) {
 	if len(res.Records) != 3 || res.NextLSN != 4 {
 		t.Fatalf("got %d records, next %d; want 3, 4", len(res.Records), res.NextLSN)
 	}
-	// Both files must now hold only the surviving prefix.
-	for name, wantLSNs := range map[string][]uint64{
-		"shard00.wal": {1, 3},
-		"shard01.wal": {2},
-	} {
-		recs, info, err := ScanJournal(fs, name)
-		if err != nil || info.Truncated {
-			t.Fatalf("%s: err=%v truncated=%v", name, err, info.Truncated)
-		}
-		if len(recs) != len(wantLSNs) {
-			t.Fatalf("%s: %d records, want %d", name, len(recs), len(wantLSNs))
-		}
-		for i, rec := range recs {
-			if rec.LSN != wantLSNs[i] {
-				t.Fatalf("%s[%d]: LSN %d want %d", name, i, rec.LSN, wantLSNs[i])
-			}
-		}
+	if size, _ := fs.Size("journal.wal"); size != full {
+		t.Fatalf("Recover changed the journal: %d bytes, was %d", size, full)
+	}
+	if err := res.TruncateTail(fs); err != nil {
+		t.Fatal(err)
+	}
+	recs, info, err := ScanJournal(fs, "journal.wal")
+	if err != nil || info.Truncated {
+		t.Fatalf("after truncate: err=%v truncated=%v", err, info.Truncated)
+	}
+	if len(recs) != 3 || recs[2].LSN != 3 {
+		t.Fatalf("after truncate: %d records, last LSN %d; want 3, 3", len(recs), recs[len(recs)-1].LSN)
+	}
+	// A bit flip is the same tail by another cause: the frame of LSN 2
+	// stops the scan, LSN 3 behind it is unreachable.
+	ffs := NewFaultFS(fs)
+	if err := ffs.FlipBit("journal.wal", int64(FrameSize(r[0]))+frameHeaderSize+2, 0); err != nil {
+		t.Fatal(err)
+	}
+	res, err = Recover(fs, "journal.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.TornTail || len(res.Records) != 1 || res.NextLSN != 2 {
+		t.Fatalf("bit flip: torn=%v records=%d next=%d; want true, 1, 2", res.TornTail, len(res.Records), res.NextLSN)
+	}
+	if err := res.TruncateTail(fs); err != nil {
+		t.Fatal(err)
+	}
+	if size, _ := fs.Size("journal.wal"); size != int64(FrameSize(r[0])) {
+		t.Fatalf("journal holds %d bytes after truncate, want the first frame's %d", size, FrameSize(r[0]))
 	}
 }
 
@@ -286,11 +282,11 @@ func TestRecoverSkipsRecordsCoveredBySnapshot(t *testing.T) {
 	fs := NewOSFS(t.TempDir())
 	// Journal holds LSN 1..10; snapshot covers through 7 but the
 	// journal was never reset (crash between checkpoint and reset).
-	writeJournal(t, fs, "meta.wal", testRecords(10, 1), JournalOptions{Sync: SyncAlways})
+	writeJournal(t, fs, "journal.wal", testRecords(10, 1), JournalOptions{Sync: SyncAlways})
 	if err := WriteSnapshot(fs, 7, []byte("snap")); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Recover(fs, false)
+	res, err := Recover(fs, "journal.wal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +300,7 @@ func TestRecoverSkipsRecordsCoveredBySnapshot(t *testing.T) {
 
 func TestJournalResetAfterCheckpoint(t *testing.T) {
 	fs := NewOSFS(t.TempDir())
-	j, err := OpenJournal(fs, "meta.wal", JournalOptions{Sync: SyncBatch})
+	j, err := OpenJournal(fs, "journal.wal", JournalOptions{Sync: SyncBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +313,7 @@ func TestJournalResetAfterCheckpoint(t *testing.T) {
 	if err := j.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	if size, _ := fs.Size("meta.wal"); size != 0 {
+	if size, _ := fs.Size("journal.wal"); size != 0 {
 		t.Fatalf("journal size after reset: %d", size)
 	}
 	// The writer keeps working after a reset, continuing the LSN run.
@@ -330,7 +326,7 @@ func TestJournalResetAfterCheckpoint(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, info, err := ScanJournal(fs, "meta.wal")
+	recs, info, err := ScanJournal(fs, "journal.wal")
 	if err != nil || info.Truncated {
 		t.Fatalf("scan: err=%v info=%+v", err, info)
 	}
