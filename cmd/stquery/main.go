@@ -26,14 +26,6 @@
 //
 //	stquery -faults "0:down,2:slow=2ms" -rect ... -from ... -to ...
 //
-// With -replicas N every shard becomes a replica group: a downed
-// primary fails over to a follower (and promotes it), so the same
-// query that printed PARTIAL now returns complete results and prints
-// failover/replica-read counters. -read-pref and -write-concern tune
-// the read path and write acknowledgement:
-//
-//	stquery -replicas 2 -faults "1:down" -rect ... -from ... -to ...
-//
 // With -addrs, the store's per-shard executions travel over TCP to
 // stshardd daemons instead of running in-process: this process
 // becomes a query router, and every daemon must have been started
@@ -71,7 +63,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/netconn"
 	"repro/internal/query"
-	"repro/internal/replication"
 	"repro/internal/sharding"
 	"repro/internal/wire"
 )
@@ -93,9 +84,6 @@ func main() {
 		parallel = flag.Int("parallel", 0, "scatter-gather pool width (0 = GOMAXPROCS, 1 = sequential)")
 		dir      = flag.String("dir", "", "reopen a durable store directory instead of loading")
 		faults   = flag.String("faults", "", "per-shard fault injection, e.g. '0:down,2:slow=2ms' (allow-partial policy)")
-		replicas = flag.Int("replicas", 0, "followers per shard primary (0 = no replication)")
-		readPref = flag.String("read-pref", "", "primary | primaryPreferred | nearest[=maxLagLSN]")
-		concern  = flag.String("write-concern", "", "primary | majority | all")
 		addrs    = flag.String("addrs", "", "comma-separated stshardd addresses: run per-shard executions over the network")
 		router   = flag.String("router", "", "strouterd address: thin-client mode, no local store")
 		stats    = flag.String("stats", "", "daemon address: print its health state and admission counters, then exit")
@@ -127,18 +115,9 @@ func main() {
 		fatal("stquery: bad -sort: %v", err)
 	}
 
-	pref, err := sharding.ParseReadPref(*readPref)
-	if err != nil {
-		fatal("stquery: bad -read-pref: %v", err)
-	}
-	wc, err := replication.ParseWriteConcern(*concern)
-	if err != nil {
-		fatal("stquery: bad -write-concern: %v", err)
-	}
-
 	if *router != "" {
-		if *explain || *faults != "" || *replicas > 0 || *addrs != "" {
-			fatal("stquery: -router is the thin-client mode; -explain/-faults/-replicas/-addrs need a local store")
+		if *explain || *faults != "" || *addrs != "" {
+			fatal("stquery: -router is the thin-client mode; -explain/-faults/-addrs need a local store")
 		}
 		cl, err := netconn.DialRouter(*router, netconn.Options{WaitReady: 5 * time.Second, AuthSecret: secretBytes(*secret)})
 		if err != nil {
@@ -214,18 +193,6 @@ func main() {
 		remote = rc
 	}
 
-	if *replicas > 0 {
-		// Replication is enabled after the load: followers clone the
-		// loaded primaries once instead of replaying every insert.
-		if err := s.Cluster().SetReplicas(*replicas); err != nil {
-			fatal("stquery: -replicas: %v", err)
-		}
-		s.Cluster().SetWriteConcern(wc)
-		fmt.Fprintf(os.Stderr, "replication: %d followers per shard (write concern %s, read pref %s)\n",
-			*replicas, wc, pref)
-	}
-	s.Cluster().SetReadPref(pref)
-
 	if *faults != "" {
 		specs, err := sharding.ParseFaultSpec(*faults)
 		if err != nil {
@@ -254,41 +221,6 @@ func main() {
 		}
 	}
 	runQueries(s, *file, *rectStr, *fromStr, *toStr, *limit, sortOrder, *verbose, explainFn)
-	if *replicas > 0 {
-		printReplicationStatus(s.Cluster())
-	}
-}
-
-// printReplicationStatus renders each shard's replica group with both
-// lag dimensions: LSNs behind, and — while behind — for how long. The
-// age is what distinguishes a stalled follower from an idle shard
-// whose followers simply have nothing to apply.
-func printReplicationStatus(c *sharding.Cluster) {
-	sts := c.ReplicationStatus()
-	if len(sts) == 0 {
-		return
-	}
-	fmt.Fprintln(os.Stderr, "replication status:")
-	for _, st := range sts {
-		line := fmt.Sprintf("  shard%02d: lastLSN=%d promotions=%d", st.Shard, st.LastLSN, st.Promotions)
-		if st.MaxLagAge > 0 {
-			line += fmt.Sprintf(" maxLagAge=%v", st.MaxLagAge.Round(time.Millisecond))
-		}
-		for _, fs := range st.Followers {
-			line += fmt.Sprintf(" [f%d applied=%d lag=%d", fs.ID, fs.Applied, fs.Lag)
-			if fs.LagAge > 0 {
-				line += fmt.Sprintf(" lagAge=%v", fs.LagAge.Round(time.Millisecond))
-			}
-			if fs.Stopped {
-				line += " STOPPED"
-			}
-			if fs.NeedsResync {
-				line += " RESYNC"
-			}
-			line += "]"
-		}
-		fmt.Fprintln(os.Stderr, line)
-	}
 }
 
 // querier is the execution surface shared by a store (with whatever
@@ -512,12 +444,6 @@ func printResult(name string, res *core.QueryResult) {
 	}
 	if st.Partial {
 		fmt.Printf(" PARTIAL failed=%v", st.FailedShards)
-	}
-	if st.FailedOver > 0 {
-		fmt.Printf(" failedOver=%d", st.FailedOver)
-	}
-	if st.ReplicaReads > 0 {
-		fmt.Printf(" replicaReads=%d maxLag=%d", st.ReplicaReads, st.MaxLagLSN)
 	}
 	if st.Retries > 0 {
 		fmt.Printf(" retries=%d", st.Retries)

@@ -148,9 +148,7 @@ func (c *Collection) Insert(doc *bson.Document) (storage.RecordID, error) {
 // building the keys from the bytes. The document must carry an _id
 // field. The collection owns raw afterwards (storage.Store.InsertRaw):
 // it must be a valid canonical encoding that the caller neither
-// modifies nor reuses. The store's hook sees the insert (and, should an
-// index reject the document, the delete that rolls it back) with
-// exactly these bytes.
+// modifies nor reuses.
 func (c *Collection) InsertRaw(raw []byte) (storage.RecordID, error) {
 	if _, ok := bson.Raw(raw).LookupRaw("_id"); !ok {
 		return 0, fmt.Errorf("collection %s: document missing _id", c.name)
@@ -173,12 +171,12 @@ func (c *Collection) InsertRaw(raw []byte) (storage.RecordID, error) {
 }
 
 // RestoreRaw re-stores an encoded document under its original record
-// id and indexes it — the snapshot-restore and follower-apply path.
+// id and indexes it — the snapshot-restore path.
 // Restores must run before secondary indexes are recreated
 // (CreateIndex backfills them from the store), so typically only the
 // _id index is live here; any index that does exist is kept
-// consistent. The bytes come from a snapshot or a replication stream,
-// so they are validated here; the collection owns them afterwards.
+// consistent. The bytes come from a snapshot, so they are validated
+// here; the collection owns them afterwards.
 func (c *Collection) RestoreRaw(id storage.RecordID, raw []byte) error {
 	if _, err := bson.Validate(raw); err != nil {
 		return fmt.Errorf("collection %s: restoring record %d: %w", c.name, id, err)

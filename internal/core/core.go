@@ -28,7 +28,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/index"
 	"repro/internal/query"
-	"repro/internal/replication"
 	"repro/internal/sfc"
 	"repro/internal/sharding"
 	"repro/internal/sthash"
@@ -131,17 +130,6 @@ type Config struct {
 	// into a network router whose shard executions travel to stshardd
 	// processes; it can also be swapped later via Cluster().SetConn.
 	Conn sharding.ShardConn
-	// Replicas is the number of in-process followers per shard
-	// primary (0 disables replication). Followers receive the
-	// primary's streamed WAL records, serve reads per ReadPref, and
-	// one is promoted on failover so a down shard keeps answering.
-	Replicas int
-	// WriteConcern is how many replica-group members must apply a
-	// write before it returns (primary/majority/all).
-	WriteConcern replication.WriteConcern
-	// ReadPref selects the router's per-shard read target (primary /
-	// primaryPreferred / nearest-within-lag).
-	ReadPref sharding.ReadPref
 	// SummaryShift tunes the per-chunk coarse-cell sketch summaries
 	// that let the router skip provably-empty shards. 0 means the
 	// approach default: enabled for the Hilbert approaches (whose
@@ -245,9 +233,6 @@ func (c Config) clusterOptions() sharding.Options {
 		QueryConfig:      c.QueryConfig,
 		Resilience:       c.Resilience,
 		Conn:             c.Conn,
-		Replicas:         c.Replicas,
-		WriteConcern:     c.WriteConcern,
-		ReadPref:         c.ReadPref,
 		Dir:              c.Dir,
 		Sync:             c.Sync,
 		SyncBatchBytes:   c.SyncBatchBytes,

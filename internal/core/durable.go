@@ -5,9 +5,9 @@ package core
 // layer) plus a store.json manifest recording the structural half of
 // the Config — the part that determines what the journaled operations
 // mean (approach, curve, shard count, seed, ...). Reopening the
-// directory reads the manifest, recovers the cluster and merges the
-// caller's runtime-only settings (Parallel, QueryConfig, sync
-// policy), so `stquery -dir d` needs no approach flags at all.
+// directory reads the manifest, recovers the cluster and keeps every
+// other setting of the caller's Config, so `stquery -dir d` needs no
+// approach flags at all.
 
 import (
 	"encoding/json"
@@ -73,27 +73,22 @@ func manifestOf(cfg Config) (manifest, error) {
 	return m, nil
 }
 
-// config rebuilds a Config from the manifest, overlaying the caller's
-// runtime-only fields.
-func (m manifest) config(runtime Config) (Config, error) {
-	cfg := Config{
-		Shards:           m.Shards,
-		ChunkMaxBytes:    m.ChunkMaxBytes,
-		HilbertOrder:     m.HilbertOrder,
-		GeoHashBits:      m.GeoHashBits,
-		MaxQueryRanges:   m.MaxQueryRanges,
-		Hashed:           m.Hashed,
-		AutoBalanceEvery: m.AutoBalanceEvery,
-		Seed:             m.Seed,
-		STHashChars:      m.STHashChars,
-
-		Parallel:       runtime.Parallel,
-		QueryConfig:    runtime.QueryConfig,
-		Dir:            runtime.Dir,
-		Sync:           runtime.Sync,
-		SyncBatchBytes: runtime.SyncBatchBytes,
-		FS:             runtime.FS,
-	}
+// config overwrites the caller's Config with every field the manifest
+// records; the rest — Parallel, QueryConfig, Resilience, Conn,
+// SummaryShift, ResultCacheBytes, Dir, Sync, FS — stay the caller's.
+// SummaryShift is runtime because recovery rebuilds the sketches from
+// the recovered data.
+func (m manifest) config(cfg Config) (Config, error) {
+	cfg.Shards = m.Shards
+	cfg.ChunkMaxBytes = m.ChunkMaxBytes
+	cfg.HilbertOrder = m.HilbertOrder
+	cfg.GeoHashBits = m.GeoHashBits
+	cfg.MaxQueryRanges = m.MaxQueryRanges
+	cfg.Hashed = m.Hashed
+	cfg.AutoBalanceEvery = m.AutoBalanceEvery
+	cfg.Seed = m.Seed
+	cfg.STHashChars = m.STHashChars
+	cfg.Curve, cfg.DataExtent = nil, geo.Rect{}
 	found := false
 	for _, a := range AllApproaches() {
 		if a.String() == m.Approach {
@@ -189,15 +184,16 @@ func openDurable(cfg Config) (*Store, error) {
 
 // OpenDir reopens an existing durable store directory, recovering its
 // contents. The structural configuration comes from the directory's
-// manifest; runtime carries only runtime settings (Parallel,
-// QueryConfig, Sync). It fails if dir was not created by a durable
-// Open — use Open with Config.Dir to create one.
-func OpenDir(dir string, runtime Config) (*Store, error) {
+// manifest and overrides those fields of cfg; every other field of cfg
+// (Parallel, Resilience, Conn, ResultCacheBytes, Sync, ...) applies as
+// given. It fails if dir was not created by a durable Open — use Open
+// with Config.Dir to create one.
+func OpenDir(dir string, cfg Config) (*Store, error) {
 	if _, err := os.Stat(filepath.Join(dir, ManifestName)); err != nil {
 		return nil, fmt.Errorf("core: %s is not a store directory: %w", dir, err)
 	}
-	runtime.Dir = dir
-	return Open(runtime)
+	cfg.Dir = dir
+	return Open(cfg)
 }
 
 // Durable reports whether the store journals to a directory.

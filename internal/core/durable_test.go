@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/geo"
+	"repro/internal/sharding"
 )
 
 func testQueries() []STQuery {
@@ -107,6 +108,62 @@ func TestDurableStoreMatchesInMemory(t *testing.T) {
 			r2.Close()
 		})
 	}
+}
+
+// TestOpenDirKeepsRuntimeFields: a reopened store takes the structural
+// configuration from its manifest and every other field from the
+// caller's Config — none of them is dropped on the way, whether the
+// directory recovers from the journal alone or from a snapshot.
+func TestOpenDirKeepsRuntimeFields(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Approach: Hil, Shards: 3, DataExtent: testExtent, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Load(testRecords(500)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	conn := sharding.NewFaultConn(nil, 1)
+	reopen := func(stage string) *Store {
+		t.Helper()
+		r, err := OpenDir(dir, Config{
+			Shards:           7, // structural: the manifest's 3 wins
+			ResultCacheBytes: 1 << 20,
+			Resilience:       sharding.Resilience{Policy: sharding.AllowPartial},
+			Conn:             conn,
+			SummaryShift:     -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := r.Cluster().Options()
+		if opts.Shards != 3 || r.Config().Approach != Hil {
+			t.Fatalf("%s: structural config not from the manifest: shards %d, approach %v",
+				stage, opts.Shards, r.Config().Approach)
+		}
+		if opts.ResultCacheBytes != 1<<20 || opts.Resilience.Policy != sharding.AllowPartial ||
+			opts.Conn != sharding.ShardConn(conn) || opts.SummaryShift != 0 {
+			t.Fatalf("%s: runtime fields dropped: cache %d, policy %v, conn %T, summary shift %d",
+				stage, opts.ResultCacheBytes, opts.Resilience.Policy, opts.Conn, opts.SummaryShift)
+		}
+		q := testQueries()[2]
+		r.Query(q)
+		if !r.Query(q).Stats.CacheHit {
+			t.Fatalf("%s: repeated query missed the result cache", stage)
+		}
+		return r
+	}
+	r := reopen("journal-only reopen")
+	if err := r.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopen("snapshot reopen").Close()
 }
 
 func equalInts(a, b []int) bool {

@@ -50,18 +50,8 @@ type QueryStats struct {
 	// FailedShards lists the shards that contributed nothing, in
 	// ascending order.
 	FailedShards []int
-	// FailedOver counts shards whose primary was unreachable and
-	// whose answer came from a replica — complete results, not in
-	// FailedShards.
-	FailedOver int
-	// ReplicaReads counts shards answered by a replica (by read
-	// preference or by failover).
-	ReplicaReads int
-	// MaxLagLSN is the highest replication lag among the replicas
-	// that served this query, in LSNs behind their primaries.
-	MaxLagLSN uint64
 	// PlanCacheHits and PlanCacheMisses are the cluster-wide
-	// cumulative plan-cache counters (summed over the primary shard
+	// cumulative plan-cache counters (summed over the shard
 	// collections) at the time the query completed — how often the
 	// warm trial-free planning path was taken.
 	PlanCacheHits   int64
@@ -325,9 +315,6 @@ func (s *Store) result(p planned, routed *sharding.RoutedResult) *QueryResult {
 		Hedged:          routed.Hedged,
 		Partial:         routed.Partial,
 		FailedShards:    routed.FailedShards,
-		FailedOver:      routed.FailedOver,
-		ReplicaReads:    routed.ReplicaReads,
-		MaxLagLSN:       routed.MaxLagLSN,
 		ShardsPruned:    routed.ShardsPruned,
 		CacheHit:        routed.CacheHit,
 	}

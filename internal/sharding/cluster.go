@@ -8,13 +8,11 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/bson"
 	"repro/internal/collection"
 	"repro/internal/index"
 	"repro/internal/query"
-	"repro/internal/replication"
 	"repro/internal/sketch"
 	"repro/internal/storage"
 	"repro/internal/wal"
@@ -46,10 +44,6 @@ type Shard struct {
 	ID   int
 	Name string
 	Coll *collection.Collection
-	// Epoch increments on every failover promotion. A FaultConn fault
-	// program binds to the epoch it was armed against, so a promoted
-	// replica is not subject to the faults that killed its predecessor.
-	Epoch int
 }
 
 // Options configures a cluster.
@@ -89,22 +83,6 @@ type Options struct {
 	// (the in-process call). Tests and benchmarks install a FaultConn
 	// here to inject shard-level failures.
 	Conn ShardConn
-	// Replicas is the number of in-process followers per shard
-	// primary (0 disables replication — the PR 3 behaviour). Each
-	// follower applies the primary's streamed WAL records; the router
-	// can read from one (ReadPref) and promote one on failover.
-	Replicas int
-	// WriteConcern is how many replica-group members must apply a
-	// write before the cluster operation returns (primary / majority /
-	// all). Ignored when Replicas is 0.
-	WriteConcern replication.WriteConcern
-	// ReadPref selects the router's per-shard read target. The zero
-	// value (primary-preferred, unbounded staleness on failover) makes
-	// a cluster without replicas behave exactly like one built before
-	// replication existed.
-	ReadPref ReadPref
-	// AckTimeout bounds write-concern waits (default 2s).
-	AckTimeout time.Duration
 	// DedupWindow is how many recent ingest batch IDs the cluster
 	// remembers for idempotent retries (default DefaultDedupWindow;
 	// negative disables by keeping a 1-entry window). See ingest.go.
@@ -204,13 +182,9 @@ type Cluster struct {
 	// IDs (see ingest.go); always non-nil.
 	dedup *dedupWindow
 
-	// repl holds one replica group per shard (nil entries — and a nil
-	// slice — when replication is off). See replicas.go.
-	repl []*replication.Group
-
 	// epochs are the per-shard content epochs, indexed by shard id:
 	// every operation that can change what a shard's queries return
-	// (insert, delete, retention drop, split, migration, promotion)
+	// (insert, delete, retention drop, split, migration)
 	// bumps the owning shards' entries under the write lock. The result
 	// cache validates hits against them; queries read them under the
 	// read lock, so they are stable for the whole scatter-gather.
@@ -236,10 +210,6 @@ func NewCluster(opts Options) *Cluster {
 			Coll: collection.New(opts.CollectionName),
 		})
 		c.breakers = append(c.breakers, newBreaker(opts.Resilience))
-	}
-	if opts.Replicas > 0 {
-		// Cloning empty collections cannot fail.
-		_ = c.setReplicasLocked(opts.Replicas)
 	}
 	return c
 }
@@ -298,7 +268,7 @@ func (c *Cluster) Shards() []*Shard {
 }
 
 // PlanCacheStats sums the cumulative plan-cache hit/miss counters
-// across every primary shard collection.
+// across every shard collection.
 func (c *Cluster) PlanCacheStats() (hits, misses int64) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -344,15 +314,10 @@ func (c *Cluster) ShardCollection(key ShardKey) error {
 	for i, f := range key.Fields {
 		fields[i] = index.Field{Name: f, Kind: index.Ascending}
 	}
-	for i, s := range c.shards {
-		def := index.Definition{Name: ShardKeyIndexName, Fields: fields}
+	def := index.Definition{Name: ShardKeyIndexName, Fields: fields}
+	for _, s := range c.shards {
 		if _, err := s.Coll.CreateIndex(def); err != nil {
 			return err
-		}
-		if g := c.replGroupLocked(i); g != nil {
-			if err := g.CreateIndex(def); err != nil {
-				return err
-			}
 		}
 	}
 	c.key = key
@@ -369,20 +334,13 @@ func (c *Cluster) ShardKeyOf() (ShardKey, bool) {
 	return c.key, c.sharded
 }
 
-// CreateIndex creates a secondary index on every shard (and on every
-// follower — DDL is not part of the record stream, so it is applied
-// group-wide here under the write lock).
+// CreateIndex creates a secondary index on every shard.
 func (c *Cluster) CreateIndex(def index.Definition) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, s := range c.shards {
+	for _, s := range c.shards {
 		if _, err := s.Coll.CreateIndex(def); err != nil {
 			return err
-		}
-		if g := c.replGroupLocked(i); g != nil {
-			if err := g.CreateIndex(def); err != nil {
-				return err
-			}
 		}
 	}
 	return c.journalCommit(opCreateIndex, encodeIndexDef(def))
@@ -406,8 +364,8 @@ type tupleBuf [48]byte
 // chunk statistics, splits and the auto-balance cadence. Everything it
 // needs — the shard-key tuple, the index keys, the sketch cell, the
 // size — is read from the bytes; the owning shard's store keeps the
-// slice itself. It neither journals, commits nor waits on replication —
-// commitIngest (ingest.go) does that once per write operation.
+// slice itself. It neither journals nor commits — commitIngest
+// (ingest.go) does that once per write operation.
 func (c *Cluster) insertRawLocked(raw []byte) error {
 	if !c.sharded {
 		if _, err := c.shards[0].Coll.InsertRaw(raw); err != nil {
@@ -722,9 +680,6 @@ func (c *Cluster) Balance() {
 	// One journal record re-derives the whole run during replay; the
 	// individual migrations are not journaled.
 	_ = c.journalCommit(opBalance, nil)
-	// Migrations ARE streamed to followers (unlike the journal, the
-	// stream has no re-derivation); hold the write until they applied.
-	_ = c.replWaitLocked()
 }
 
 func (c *Cluster) balanceLocked() {

@@ -136,7 +136,7 @@ func TestDecodersRefuseHugeCounts(t *testing.T) {
 	d := &decoder{buf: payload}
 	d.uvarint() // version
 	d.uvarint() // lsn
-	if _, err := decodeInitBody(d); err != nil {
+	if _, err := decodeInitBody(d, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	d.byte()  // sharded

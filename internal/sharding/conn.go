@@ -129,11 +129,6 @@ type faultState struct {
 	spec     FaultSpec
 	attempts int
 	rng      *rand.Rand
-	// epoch pins the fault program to the shard epoch it first fired
-	// against (-1 until then). A failover promotion bumps the shard's
-	// epoch, so faults that killed the old primary do not follow the
-	// promoted replica — the program turns into a passthrough.
-	epoch int
 }
 
 // NewFaultConn wraps inner (nil means LocalConn) with no faults armed.
@@ -150,9 +145,8 @@ func (fc *FaultConn) SetFault(shard int, spec FaultSpec) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
 	fc.shards[shard] = &faultState{
-		spec:  spec,
-		rng:   rand.New(rand.NewSource(fc.seed ^ int64(shard)*0x9E3779B9)),
-		epoch: -1,
+		spec: spec,
+		rng:  rand.New(rand.NewSource(fc.seed ^ int64(shard)*0x9E3779B9)),
 	}
 }
 
@@ -172,13 +166,6 @@ func (fc *FaultConn) Query(ctx context.Context, shard *Shard, f query.Filter, cf
 	fc.mu.Lock()
 	st := fc.shards[shard.ID]
 	if st == nil {
-		fc.mu.Unlock()
-		return fc.inner.Query(ctx, shard, f, cfg, opts)
-	}
-	if st.epoch < 0 {
-		st.epoch = shard.Epoch
-	} else if st.epoch != shard.Epoch {
-		// The faulted primary was replaced by a promoted replica.
 		fc.mu.Unlock()
 		return fc.inner.Query(ctx, shard, f, cfg, opts)
 	}

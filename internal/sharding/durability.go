@@ -97,17 +97,13 @@ func (c *Cluster) journalCommit(op uint8, body []byte) error {
 	return c.commitDur()
 }
 
-// finishWriteLocked ends a data operation: commit the journal, then
-// hold the caller until the write concern is met. The operation's own
-// error, if any, wins.
+// finishWriteLocked ends a data operation: commit the journal. The
+// operation's own error, if any, wins.
 func (c *Cluster) finishWriteLocked(opErr error) error {
 	if err := c.commitDur(); opErr == nil {
 		opErr = err
 	}
-	if opErr != nil {
-		return opErr
-	}
-	return c.replWaitLocked()
+	return opErr
 }
 
 // LSN reports the last journal LSN the cluster assigned (0 on an
@@ -131,18 +127,13 @@ func (c *Cluster) LSN() uint64 {
 // journal layout is refused before anything in it is changed.
 // Structural options (shard count, chunk threshold, collection name,
 // balance cadence) are recorded in the store directory and take
-// precedence over the caller's on reopen; runtime options (Parallel,
-// QueryConfig) always come from the caller.
+// precedence over the caller's on reopen; every other option comes from
+// the caller.
 func OpenCluster(opts Options) (*Cluster, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("sharding: OpenCluster requires Options.Dir")
 	}
 	opts = opts.withDefaults()
-	// Followers are re-seeded from the recovered primaries at the end
-	// of the open — creating them earlier would miss the snapshot
-	// restore, which bypasses the replication stream.
-	replicas := opts.Replicas
-	opts.Replicas = 0
 	fs := opts.FS
 	if fs == nil {
 		fs = wal.NewOSFS(opts.Dir)
@@ -180,11 +171,11 @@ func OpenCluster(opts Options) (*Cluster, error) {
 			return nil, fmt.Errorf("sharding: journal in %s does not start with init record (op %d)",
 				opts.Dir, first.Op)
 		}
-		structural, err := decodeInitBody(&decoder{buf: first.Body})
+		recorded, err := decodeInitBody(&decoder{buf: first.Body}, opts)
 		if err != nil {
 			return nil, err
 		}
-		c = NewCluster(mergeRuntime(structural, opts))
+		c = NewCluster(recorded)
 	default:
 		fresh = true
 		c = NewCluster(opts)
@@ -223,32 +214,7 @@ func OpenCluster(opts Options) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	if replicas > 0 {
-		if err := c.SetReplicas(replicas); err != nil {
-			return nil, err
-		}
-	}
 	return c, nil
-}
-
-// mergeRuntime overlays the caller's runtime-only options onto the
-// recovered structural ones. Replication is runtime: followers are
-// volatile clones re-seeded on every open, never recovered from disk.
-func mergeRuntime(structural, caller Options) Options {
-	structural.Parallel = caller.Parallel
-	structural.QueryConfig = caller.QueryConfig
-	structural.Dir = caller.Dir
-	structural.FS = caller.FS
-	structural.Sync = caller.Sync
-	structural.SyncBatchBytes = caller.SyncBatchBytes
-	structural.Replicas = caller.Replicas
-	structural.WriteConcern = caller.WriteConcern
-	structural.ReadPref = caller.ReadPref
-	structural.AckTimeout = caller.AckTimeout
-	structural.DedupWindow = caller.DedupWindow
-	structural.SummaryShift = caller.SummaryShift
-	structural.ResultCacheBytes = caller.ResultCacheBytes
-	return structural
 }
 
 // Durable reports whether the cluster journals to a directory.
@@ -265,13 +231,11 @@ func (c *Cluster) Sync() error {
 	return c.dur.j.Sync()
 }
 
-// Close stops the replica groups, then syncs and closes the
-// journal. The cluster remains usable for reads; further writes on a
-// closed durable cluster fail.
+// Close syncs and closes the journal. The cluster remains usable for
+// reads; further writes on a closed durable cluster fail.
 func (c *Cluster) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.closeReplicasLocked()
 	if c.dur == nil {
 		return nil
 	}
@@ -485,11 +449,11 @@ func clusterFromSnapshot(payload []byte, caller Options) (*Cluster, error) {
 		return nil, fmt.Errorf("sharding: snapshot version %d not supported", version)
 	}
 	d.uvarint() // snapshot LSN (recovery tracks it via the file name)
-	structural, err := decodeInitBody(d)
+	recorded, err := decodeInitBody(d, caller)
 	if err != nil {
 		return nil, err
 	}
-	c := NewCluster(mergeRuntime(structural, caller))
+	c := NewCluster(recorded)
 
 	if d.byte() == 1 {
 		key, err := decodeShardKey(d.bytes())
@@ -592,8 +556,10 @@ func encodeInitBody(opts Options) []byte {
 	return b
 }
 
-func decodeInitBody(d *decoder) (Options, error) {
-	var opts Options
+// decodeInitBody reads the structural options an init record (or a
+// snapshot header) carries over opts, the caller's: the recorded fields
+// win, every other one stays the caller's.
+func decodeInitBody(d *decoder, opts Options) (Options, error) {
 	opts.Shards = int(d.uvarint())
 	opts.ChunkMaxBytes = d.varint()
 	opts.AutoBalanceEvery = int(d.varint())

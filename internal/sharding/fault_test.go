@@ -443,6 +443,66 @@ func TestBreakerStopsHammeringFailedShard(t *testing.T) {
 	}
 }
 
+// TestBreakerProbeReleasedOnAbort: a half-open probe whose attempt is
+// cancelled by a FailFast sibling abort gives no verdict on its shard,
+// but it must hand the probe slot back — otherwise the breaker stays
+// half-open with a probe "in flight" forever and rejects every later
+// attempt on a healthy shard.
+func TestBreakerProbeReleasedOnAbort(t *testing.T) {
+	c, _ := loadCluster(t, 1000, hilbertDateKey(), smallOpts())
+	f := query.GeoWithin{Field: "location", Rect: geo.NewRect(23, 37, 24, 38)}
+	targets := c.Query(f).TargetedShards
+	if len(targets) < 2 {
+		t.Fatalf("need two targeted shards, got %v", targets)
+	}
+	a, b := targets[0], targets[1]
+	c.SetParallel(len(targets))
+
+	const cooldown = 30 * time.Millisecond
+	r := testResilience(FailFast)
+	r.MaxAttempts = 1
+	r.BreakerThreshold = 1
+	r.BreakerCooldown = cooldown
+	c.SetResilience(r)
+	defer func() { c.SetConn(nil); c.SetResilience(Resilience{}) }()
+
+	// Trip A's breaker.
+	fc := NewFaultConn(nil, 1)
+	fc.SetFault(a, FaultSpec{AlwaysFail: true})
+	c.SetConn(fc)
+	if _, err := c.QueryCtx(context.Background(), f); err == nil {
+		t.Fatal("failing shard produced no error")
+	}
+	if got := c.BreakerStates()[a]; got != "open" {
+		t.Fatalf("breaker state = %s, want open", got)
+	}
+
+	// After the cooldown A's probe straggles while B fails: the FailFast
+	// abort cancels the probe mid-attempt.
+	time.Sleep(cooldown + 10*time.Millisecond)
+	fc = NewFaultConn(nil, 1)
+	fc.SetFault(a, FaultSpec{Latency: 2 * time.Second})
+	fc.SetFault(b, FaultSpec{Latency: 50 * time.Millisecond, AlwaysFail: true})
+	c.SetConn(fc)
+	if _, err := c.QueryCtx(context.Background(), f); err == nil {
+		t.Fatal("failing sibling produced no error")
+	}
+
+	// Faults cleared and B's own breaker cooled down: the cluster is
+	// healthy again, so every query must complete.
+	c.SetConn(nil)
+	time.Sleep(cooldown + 10*time.Millisecond)
+	for i := 0; i < 3; i++ {
+		res, err := c.QueryCtx(context.Background(), f)
+		if err != nil || res.Partial {
+			t.Fatalf("query %d after recovery: err=%v partial=%v (breakers %v)", i, err, res.Partial, c.BreakerStates())
+		}
+	}
+	if got := c.BreakerStates()[a]; got != "closed" {
+		t.Fatalf("breaker state after recovery = %s, want closed", got)
+	}
+}
+
 // TestFaultConnDeterministic: two clusters with identically seeded
 // rate-based FaultConns observe identical fault schedules.
 func TestFaultConnDeterministic(t *testing.T) {

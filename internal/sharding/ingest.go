@@ -12,7 +12,7 @@ package sharding
 //     Cluster.InsertBatchRaw, the Ingester's coalesced groups and
 //     journal replay alike: take the write lock, append ONE
 //     opInsertBatch journal record per batch, apply its documents,
-//     commit, wait for the write concern. The record is CRC-framed, so
+//     commit. The record is CRC-framed, so
 //     a crash mid-append truncates it whole: after recovery the batch
 //     is either fully applied or fully absent, never torn. The batch ID
 //     enters a bounded dedup window that is itself rebuilt from the
@@ -131,9 +131,7 @@ func (c *Cluster) InsertBatch(batchID string, docs []*bson.Document) (applied in
 // InsertBatchRaw routes and stores encoded documents as one atomic,
 // idempotent batch. The whole batch is framed into a single
 // opInsertBatch journal record before any document is applied, so
-// recovery replays it all-or-nothing (replication streams every stored
-// document — the stream has no replay to re-derive from). The bytes the
-// record frames are the bytes the stores keep: docs must be valid
+// recovery replays it all-or-nothing. The bytes the record frames are the bytes the stores keep: docs must be valid
 // canonical encodings, and the cluster owns them afterwards.
 //
 // batchID is the client's idempotency token: a batch whose ID is in
@@ -150,9 +148,8 @@ func (c *Cluster) InsertBatchRaw(batchID string, docs [][]byte) (applied int, du
 }
 
 // commitIngest is the write path's one body: it applies a group of
-// batches under one write-lock acquisition, one journal group commit
-// and one replication wait, and leaves each batch's outcome in its
-// request. Replay calls it with the journal detached.
+// batches under one write-lock acquisition and one journal group
+// commit, and leaves each batch's outcome in its request. Replay calls it with the journal detached.
 func (c *Cluster) commitIngest(reqs []*ingestReq) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -218,6 +218,21 @@ func (b *breaker) onSuccess() {
 	b.note(false)
 }
 
+// onAbandon records an attempt the query gave up on before the shard
+// answered (a FailFast sibling abort, a caller cancel): no verdict on
+// the shard, but a half-open probe's slot is handed back, so the next
+// attempt probes instead of every later one being rejected.
+func (b *breaker) onAbandon() {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == breakerHalfOpen {
+		b.probing = false
+	}
+}
+
 // onFailure records a failed attempt.
 func (b *breaker) onFailure() {
 	if b == nil {

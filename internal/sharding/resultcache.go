@@ -7,12 +7,10 @@ package sharding
 // key identically. A hit is valid only if (a) the filter still routes
 // to the exact shard set the entry was computed from and (b) none of
 // those shards' content epochs moved; every applied write batch, chunk
-// split, migration, retention drop and failover promotion bumps the
-// owning shards' epochs under the cluster write lock, so a cached
-// result can never be served across a content change (zero stale
-// hits). Only complete primary-read results are cached: partial
-// answers, failed shards and replica reads (which may lag the epochs)
-// all bypass the cache.
+// split, migration and retention drop bumps the owning shards' epochs
+// under the cluster write lock, so a cached result can never be served
+// across a content change (zero stale hits). Only complete results are
+// cached: partial answers and failed shards bypass the cache.
 
 import (
 	"container/list"

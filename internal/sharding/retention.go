@@ -9,9 +9,7 @@ package sharding
 // Durability follows the batch-insert pattern: ONE opDropBelow record
 // carrying the cutoff prefix is journaled before anything is dropped.
 // The drop is a deterministic function of cluster state, so replaying
-// the record reproduces the exact deletions and chunk-map prune;
-// replication still streams every individual delete (the stream has no
-// replay to re-derive from).
+// the record reproduces the exact deletions and chunk-map prune.
 
 import (
 	"bytes"
@@ -27,8 +25,8 @@ import (
 // cutoff date. The shard-key index is trimmed with one blind
 // DropBelow per shard (O(height + dropped pages)); the affected
 // records are then deleted through the normal collection path so the
-// store, the remaining indexes, the chunk statistics and the
-// replication stream all stay consistent.
+// store, the remaining indexes and the chunk statistics all stay
+// consistent.
 //
 // It returns the number of documents dropped. Only range-sharded
 // collections support it: hashed tuples do not order by time.

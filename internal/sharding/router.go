@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/bson"
-	"repro/internal/collection"
 	"repro/internal/keyenc"
 	"repro/internal/query"
 )
@@ -82,17 +81,6 @@ type RoutedResult struct {
 	// CacheHit reports that the whole result was served from the
 	// router's epoch-validated result cache without touching a shard.
 	CacheHit bool
-
-	// FailedOver counts targeted shards whose primary was unreachable
-	// and whose answer came from a replica instead (the shard does NOT
-	// appear in FailedShards — the result is complete).
-	FailedOver int
-	// ReplicaReads counts targeted shards answered by a replica,
-	// whether by read preference or by failover.
-	ReplicaReads int
-	// MaxLagLSN is the highest replication lag (in LSNs behind the
-	// primary) among the replicas that served this query.
-	MaxLagLSN uint64
 }
 
 // tupleRange is a half-open range [Lo, Hi) over encoded shard-key
@@ -218,9 +206,6 @@ type scatterQuery struct {
 // and per-shard stats are assembled in TargetedShards order, so the
 // output is byte-identical regardless of shard completion order.
 func (c *Cluster) scatterGather(ctx context.Context, qs []scatterQuery, cached bool) error {
-	// Failover promotions requested mid-scatter need the write lock;
-	// deferred first, this runs last — after the read lock is released.
-	defer c.promotePending()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if qt := c.opts.Resilience.QueryTimeout; qt > 0 {
@@ -283,10 +268,8 @@ func (c *Cluster) scatterGather(ctx context.Context, qs []scatterQuery, cached b
 			continue
 		}
 		c.foldLocked(q.res, q.outcomes, q.opts)
-		// Cache only complete primary-served answers: partial results,
-		// failed shards and replica reads (which may lag the epochs the
-		// entry would validate against) all bypass the fill.
-		if q.cacheKey != "" && q.res.Err == nil && !q.res.Partial && q.res.ReplicaReads == 0 && ctx.Err() == nil {
+		// Cache only complete answers.
+		if q.cacheKey != "" && q.res.Err == nil && !q.res.Partial && ctx.Err() == nil {
 			c.rcache.put(q.cacheKey, q.res.TargetedShards, c.epochsOfLocked(q.res.TargetedShards), q.res)
 		}
 		if firstErr == nil {
@@ -302,79 +285,14 @@ type shardOutcome struct {
 	retries int
 	hedged  int
 	err     error
-	// replica marks a result served by a follower (lag is its LSN
-	// distance behind the primary at selection time); failedOver marks
-	// the involuntary case — the primary was unreachable.
-	replica    bool
-	failedOver bool
-	lag        uint64
 }
 
-// runShard executes the filter on one shard, honouring the read
-// preference. ReadNearest tries an in-bounds replica first; otherwise
-// the primary runs through the full fault boundary (runPrimary), and
-// if it stays unreachable — breaker open, hard-down, retries
-// exhausted — the freshest replica answers instead (ReadPrimary
-// excepted) and a promotion is requested so writes resume. A
-// successful failover keeps the shard out of FailedShards entirely:
-// the merge is complete.
+// runShard executes the filter on one shard through the fault
+// boundary: circuit-breaker admission, up to Resilience.MaxAttempts
+// attempts with capped exponential backoff (deterministic jitter)
+// between transient failures, per-attempt deadlines and hedging inside
+// attemptShard.
 func (c *Cluster) runShard(ctx context.Context, sid int, f query.Filter, opts query.Opts) shardOutcome {
-	g := c.replGroupLocked(sid)
-	pref := c.opts.ReadPref
-	if g == nil {
-		return c.runPrimary(ctx, sid, f, opts)
-	}
-	if pref.Mode == ReadNearest {
-		if out, ok := c.replicaRead(ctx, sid, f, opts, pref.MaxLagLSN); ok {
-			return out
-		}
-	}
-	out := c.runPrimary(ctx, sid, f, opts)
-	if out.err == nil || pref.Mode == ReadPrimary || ctx.Err() != nil {
-		return out
-	}
-	maxLag := ^uint64(0)
-	if pref.Mode == ReadNearest {
-		maxLag = pref.MaxLagLSN
-	}
-	if rout, ok := c.replicaRead(ctx, sid, f, opts, maxLag); ok {
-		rout.retries = out.retries
-		rout.hedged = out.hedged
-		rout.failedOver = true
-		g.RequestPromote()
-		return rout
-	}
-	return out
-}
-
-// replicaRead serves the filter from shard sid's freshest follower
-// within maxLag, under the follower's read lock. ok is false when no
-// in-bounds replica exists or the execution failed (the caller falls
-// back to the primary path's outcome).
-func (c *Cluster) replicaRead(ctx context.Context, sid int, f query.Filter, opts query.Opts, maxLag uint64) (shardOutcome, bool) {
-	g := c.replGroupLocked(sid)
-	idx, lag, ok := g.BestReplica(maxLag)
-	if !ok {
-		return shardOutcome{}, false
-	}
-	var res *query.Result
-	err := g.View(idx, func(coll *collection.Collection) error {
-		r, err := query.ExecuteOptsCtx(ctx, coll, f, c.opts.QueryConfig, opts)
-		res = r
-		return err
-	})
-	if err != nil {
-		return shardOutcome{}, false
-	}
-	return shardOutcome{res: res, replica: true, lag: lag}, true
-}
-
-// runPrimary executes the filter on one shard's primary through the
-// fault boundary: circuit-breaker admission, up to
-// Resilience.MaxAttempts attempts with capped exponential backoff
-// (deterministic jitter) between transient failures, per-attempt
-// deadlines and hedging inside attemptShard.
-func (c *Cluster) runPrimary(ctx context.Context, sid int, f query.Filter, opts query.Opts) shardOutcome {
 	r := c.opts.Resilience
 	brk := c.breakers[sid]
 	var out shardOutcome
@@ -394,11 +312,14 @@ func (c *Cluster) runPrimary(ctx context.Context, sid int, f query.Filter, opts 
 			out.res = res
 			return out
 		}
-		if !errors.Is(err, context.Canceled) {
+		if errors.Is(err, context.Canceled) {
 			// A query aborted elsewhere (FailFast sibling failure,
-			// caller cancel) is not this shard's fault; everything
-			// else — injected faults, per-attempt timeouts — feeds the
-			// breaker's failure tracking.
+			// caller cancel) is not this shard's fault, but the attempt
+			// may have held the half-open probe slot: hand it back.
+			brk.onAbandon()
+		} else {
+			// Everything else — injected faults, per-attempt timeouts —
+			// feeds the breaker's failure tracking.
 			brk.onFailure()
 		}
 		if !IsTransient(err) || attempt+1 >= r.MaxAttempts {
@@ -476,15 +397,6 @@ func (c *Cluster) foldLocked(res *RoutedResult, outcomes []shardOutcome, opts qu
 		res.Hedged += o.hedged
 		if o.retries > 0 {
 			anyRetries = true
-		}
-		if o.replica {
-			res.ReplicaReads++
-			if o.lag > res.MaxLagLSN {
-				res.MaxLagLSN = o.lag
-			}
-		}
-		if o.failedOver {
-			res.FailedOver++
 		}
 	}
 	if anyRetries {
@@ -837,7 +749,7 @@ func (c *Cluster) routeLocked(f query.Filter) (shards []int, broadcast bool, pru
 	} else {
 		var cells []cellRange
 		consult := false
-		if c.pruningOnLocked() {
+		if c.summariesOnLocked() {
 			if set, ok := b.Intervals(c.key.Fields[0]); ok && len(set) > 0 {
 				cells, consult = c.pruneCellRangesLocked(set)
 			}

@@ -46,19 +46,11 @@ type cellRange struct {
 }
 
 // summariesOnLocked reports whether per-chunk summaries are being
-// maintained: explicitly enabled, sharded, and range-sharded (hashed
-// tuples scatter cells, so there is nothing coherent to summarise).
+// maintained — and so whether the router prunes on them: explicitly
+// enabled, sharded, and range-sharded (hashed tuples scatter cells, so
+// there is nothing coherent to summarise).
 func (c *Cluster) summariesOnLocked() bool {
 	return c.opts.SummaryShift > 0 && c.sharded && c.key.Strategy == RangeSharding
-}
-
-// pruningOnLocked reports whether the router may act on the summaries.
-// Replica reads can serve documents the primary-tracked summaries no
-// longer count (a follower lagging behind a delete), so pruning is
-// withheld while replication is configured — the summaries stay
-// maintained, only the routing decision ignores them.
-func (c *Cluster) pruningOnLocked() bool {
-	return c.summariesOnLocked() && len(c.repl) == 0
 }
 
 // summaryCellLocked maps one encoded document to its coarse cell,
@@ -113,10 +105,9 @@ func (c *Cluster) summaryRemoveLocked(ch *Chunk, raw []byte) {
 
 // rebuildChunkSummaryLocked rescans the chunk's documents on its owning
 // shard and rebuilds the sketch from scratch — used after splits (both
-// halves inherit nothing), after recovery (snapshot restores bypass the
-// insert path) and after a failover promotion (the new primary may
-// disagree with the sketch the old one maintained). It reads one field
-// of each stored document and decodes none.
+// halves inherit nothing) and after recovery (snapshot restores bypass
+// the insert path). It reads one field of each stored document and
+// decodes none.
 func (c *Cluster) rebuildChunkSummaryLocked(ch *Chunk) {
 	if !c.summariesOnLocked() {
 		ch.sum = nil
@@ -143,7 +134,7 @@ func (c *Cluster) rebuildChunkSummaryLocked(ch *Chunk) {
 }
 
 // rebuildSummariesLocked rebuilds every chunk's sketch (recovery,
-// enable, promotion).
+// enable).
 func (c *Cluster) rebuildSummariesLocked() {
 	if !c.summariesOnLocked() {
 		for _, ch := range c.chunks {
@@ -153,19 +144,6 @@ func (c *Cluster) rebuildSummariesLocked() {
 	}
 	for _, ch := range c.chunks {
 		c.rebuildChunkSummaryLocked(ch)
-	}
-}
-
-// rebuildShardSummariesLocked rebuilds the sketches of the chunks owned
-// by one shard (failover promotion: only that shard's content changed).
-func (c *Cluster) rebuildShardSummariesLocked(sid int) {
-	if !c.summariesOnLocked() {
-		return
-	}
-	for _, ch := range c.chunks {
-		if ch.Shard == sid {
-			c.rebuildChunkSummaryLocked(ch)
-		}
 	}
 }
 

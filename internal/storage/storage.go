@@ -25,25 +25,6 @@ import (
 // never reused; a deleted slot stays dead.
 type RecordID uint64
 
-// Hook observes the store's mutations with the exact bytes that were
-// stored — the replication seam. The sharding layer installs one hook
-// on each replicated shard's primary store so every insert/delete is
-// fanned into that shard's replication stream; a store without
-// followers has none (the durability journal is written by the cluster
-// operations themselves, not from here).
-//
-// Hook methods run while the store's write lock is held, so they see
-// mutations in exactly the order they are applied; they must be cheap
-// and must not call back into the store.
-type Hook interface {
-	// Inserted fires after a record is stored; raw is the stored
-	// encoding and must not be modified or retained past the call.
-	Inserted(id RecordID, raw []byte)
-	// Deleted fires after a record is removed; raw is the encoding it
-	// had.
-	Deleted(id RecordID, raw []byte)
-}
-
 // pageSlots is the number of record slots in one table page: 24 KiB of
 // slice headers, small enough that growth never copies more than the
 // page directory and that a page whose records all died is worth
@@ -81,22 +62,12 @@ type Store struct {
 	pages  []*page // pages[i] covers ids i*pageSlots+1 .. (i+1)*pageSlots; nil = no live record
 	live   int
 	nextID RecordID
-	hook   Hook
 	bytes  atomic.Int64
 }
 
 // NewStore returns an empty record store.
 func NewStore() *Store {
 	return &Store{}
-}
-
-// SetHook installs (or clears, with nil) the mutation hook. Writers
-// must be quiescent while the hook changes — the cluster swaps hooks
-// under its write lock, which every writer holds.
-func (s *Store) SetHook(h Hook) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.hook = h
 }
 
 // slot returns the record stored at id, nil when there is none (id 0,
@@ -148,17 +119,13 @@ func (s *Store) InsertRaw(raw []byte) RecordID {
 	s.nextID++
 	id := s.nextID
 	s.put(id, raw)
-	if s.hook != nil {
-		s.hook.Inserted(id, raw)
-	}
 	return id
 }
 
 // PutRaw stores an encoded document under a specific record id — the
 // snapshot-restore path, which must reproduce the exact ids the
-// journal refers to. It fails if the id is taken, advances nextID
-// past id, and does not fire the hook (restored records were already
-// journaled in their first life).
+// journal refers to. It fails if the id is taken and advances nextID
+// past id.
 func (s *Store) PutRaw(id RecordID, raw []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -233,9 +200,6 @@ func (s *Store) Delete(id RecordID) bool {
 	}
 	s.live--
 	s.bytes.Add(-int64(len(raw)))
-	if s.hook != nil {
-		s.hook.Deleted(id, raw)
-	}
 	return true
 }
 

@@ -19,11 +19,10 @@ set -eu
 # retry/hedging/breaker machinery from concurrent clients, the arena
 # B+tree whose borrowed-slice reads the router runs in parallel, the
 # network transport (pooled conns, server-side cursors and the
-# cancellation watchdog all cross goroutines), replication (the
-# group-commit ingest path fans acks out across follower goroutines),
-# and the shard-pruning sketches (updated by writers while the router
-# probes them); their stress tests must stay race-clean.
-RACE_PKGS="./internal/sharding/... ./internal/query/... ./internal/storage/... ./internal/wal/... ./internal/core/... ./internal/btree/... ./internal/wire/... ./internal/netconn/... ./internal/replication/... ./internal/sketch/..."
+# cancellation watchdog all cross goroutines), and the shard-pruning
+# sketches (updated by writers while the router probes them); their
+# stress tests must stay race-clean.
+RACE_PKGS="./internal/sharding/... ./internal/query/... ./internal/storage/... ./internal/wal/... ./internal/core/... ./internal/btree/... ./internal/wire/... ./internal/netconn/... ./internal/sketch/..."
 
 # package:target. BSON decoding is total (crash recovery feeds it torn
 # and bit-flipped journal bytes), key encoding preserves the logical

@@ -17,10 +17,14 @@ fi
 printf '%-28s %7s %7s\n' package lines code
 total=0 totalcode=0
 for pkg in "$@"; do
-	files=$(find "$pkg" -maxdepth 1 -name '*.go' ! -name '*_test.go')
-	[ -n "$files" ] || continue
-	lines=$(cat $files | wc -l)
-	code=$(cat $files | grep -cv '^[[:space:]]*\(//.*\)\{0,1\}$' || true)
+	# A package that does not exist (deleted, or not yet written) is a
+	# zero row, so a before/after comparison can name it on both sides.
+	files=$(find "$pkg" -maxdepth 1 -name '*.go' ! -name '*_test.go' 2>/dev/null || true)
+	lines=0 code=0
+	if [ -n "$files" ]; then
+		lines=$(cat $files | wc -l)
+		code=$(cat $files | grep -cv '^[[:space:]]*\(//.*\)\{0,1\}$' || true)
+	fi
 	printf '%-28s %7d %7d\n' "$pkg" "$lines" "$code"
 	total=$((total + lines))
 	totalcode=$((totalcode + code))
