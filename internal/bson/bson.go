@@ -374,22 +374,19 @@ func Int64Value(v any) (int64, bool) {
 // negative number, zero, or a positive number as a sorts before, equal
 // to, or after b.
 func Compare(a, b any) int {
+	// Two numbers — every curve-cell bound and numeric class bracket a
+	// query plans and routes on — compare without classifying either.
+	if fa, ok := NumericValue(a); ok {
+		if fb, ok := NumericValue(b); ok {
+			return compareFloats(fa, fb)
+		}
+	}
 	ca, cb := canonicalClass(KindOf(a)), canonicalClass(KindOf(b))
 	if ca != cb {
 		return ca - cb
 	}
 	switch ca {
 	case 0, 1, 9: // minKey, null, maxKey: all equal within class
-		return 0
-	case 2:
-		fa, _ := NumericValue(a)
-		fb, _ := NumericValue(b)
-		switch {
-		case fa < fb:
-			return -1
-		case fa > fb:
-			return 1
-		}
 		return 0
 	case 3:
 		return strings.Compare(a.(string), b.(string))
@@ -426,6 +423,18 @@ func Compare(a, b any) int {
 			return 1
 		}
 		return 0
+	}
+	return 0
+}
+
+// compareFloats orders numbers as the numeric class does: through
+// float64, with NaN equal to everything.
+func compareFloats(fa, fb float64) int {
+	switch {
+	case fa < fb:
+		return -1
+	case fa > fb:
+		return 1
 	}
 	return 0
 }

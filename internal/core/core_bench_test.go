@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bson"
 	"repro/internal/geo"
+	"repro/internal/query"
 )
 
 // BenchmarkQueryApproaches measures one spatio-temporal query
@@ -72,27 +73,98 @@ func BenchmarkInsert(b *testing.B) {
 	}
 }
 
-// BenchmarkFilterBuild measures query-filter construction, including
-// the Hilbert cover for the hil approaches (the Table 8 cost).
+// Stage-budget store shape: the benchmark harness's 12 shards and about
+// its 73 chunks, with the result cache on.
+const (
+	stageRecords    = 20000
+	stageChunkBytes = 52 << 10
+)
+
+// stageQueries are the paper's small (Q^s-sized, ~2 cover ranges) and
+// big (Q^b-sized, ~20 cover ranges on hil) rectangles over the stage
+// store.
+var stageQueries = []struct {
+	name string
+	q    STQuery
+}{
+	{"point", STQuery{
+		Rect: geo.NewRect(23.71, 37.95, 23.71+0.0095, 37.95+0.0057),
+		From: testStart, To: testStart.Add(24 * time.Hour), Count: true,
+	}},
+	{"scan", STQuery{
+		Rect: geo.NewRect(23.6, 38.0, 23.6+0.4267, 38.0+0.33),
+		From: testStart, To: testStart.Add(7 * 24 * time.Hour), Count: true,
+	}},
+}
+
+// openStageStore loads the stage-budget store for one approach.
+func openStageStore(tb testing.TB, a Approach) *Store {
+	tb.Helper()
+	s, err := Open(Config{
+		Approach:         a,
+		Shards:           12,
+		ChunkMaxBytes:    stageChunkBytes,
+		DataExtent:       testExtent,
+		ResultCacheBytes: 1 << 20,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := s.Load(testRecords(stageRecords)); err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// Sinks keep the compiler from discarding the measured calls.
+var (
+	sinkFilter  query.Filter
+	sinkTargets []int
+	sinkResult  *QueryResult
+)
+
+// BenchmarkFilterBuild is the router's per-query front end, stage by
+// stage, for a point and a scan rectangle under each approach: filter
+// (the curve cover and the filter around it, Table 8's cost), prepare
+// (bounds extraction), route (shard targeting and sketch pruning over
+// the chunk map) and hit (a warm result-cache hit through Store.Query:
+// every stage above plus the cache probe, with no shard visited).
 func BenchmarkFilterBuild(b *testing.B) {
-	for _, tc := range []struct {
-		a    Approach
-		rect geo.Rect
-	}{
-		{BslST, geo.NewRect(23.6, 38.0, 24.0, 38.35)},
-		{Hil, geo.NewRect(23.6, 38.0, 24.0, 38.35)},
-		{HilStar, geo.NewRect(23.6, 38.0, 24.0, 38.35)},
-	} {
-		b.Run(tc.a.String(), func(b *testing.B) {
-			s, err := Open(Config{Approach: tc.a, Shards: 2, DataExtent: testExtent})
-			if err != nil {
-				b.Fatal(err)
-			}
-			q := STQuery{Rect: tc.rect, From: testStart, To: testStart.Add(time.Hour)}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, _, _ = s.Filter(q)
+	for _, a := range []Approach{BslST, Hil, HilStar} {
+		b.Run(a.String(), func(b *testing.B) {
+			s := openStageStore(b, a)
+			for _, sq := range stageQueries {
+				q := sq.q
+				f, _, _ := s.Filter(q)
+				b.Run(sq.name+"/filter", func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						sinkFilter, _, _ = s.Filter(q)
+					}
+				})
+				b.Run(sq.name+"/prepare", func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						sinkFilter = query.Prepare(f)
+					}
+				})
+				p := query.Prepare(f)
+				b.Run(sq.name+"/route", func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						sinkTargets, _, _ = s.Cluster().Route(p)
+					}
+				})
+				s.Query(q) // fill the result cache
+				b.Run(sq.name+"/hit", func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						sinkResult = s.Query(q)
+					}
+					if !sinkResult.Stats.CacheHit {
+						b.Fatal("warm query missed the result cache")
+					}
+				})
 			}
 		})
 	}

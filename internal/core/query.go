@@ -247,29 +247,40 @@ func STHashConstraint(ranges []sthash.Range) query.Filter {
 // hilbertIndex constraint: consecutive values become $gte/$lte pairs,
 // single cells collect into one $in.
 func HilbertConstraint(ranges []sfc.Range) query.Filter {
-	var arms []query.Filter
-	var singles []any
-	for _, r := range ranges {
-		if r.Lo == r.Hi {
-			singles = append(singles, int64(r.Lo))
-			continue
-		}
-		arms = append(arms, query.NewAnd(
-			query.Cmp{Field: FieldHilbert, Op: query.OpGTE, Value: int64(r.Lo)},
-			query.Cmp{Field: FieldHilbert, Op: query.OpLTE, Value: int64(r.Hi)},
-		))
-	}
-	if len(singles) > 0 {
-		arms = append(arms, query.In{Field: FieldHilbert, Values: singles})
-	}
-	if len(arms) == 0 {
+	if len(ranges) == 0 {
 		// An empty cover matches nothing: an impossible point pair.
 		return query.NewAnd(
 			query.Cmp{Field: FieldHilbert, Op: query.OpGT, Value: int64(0)},
 			query.Cmp{Field: FieldHilbert, Op: query.OpLT, Value: int64(0)},
 		)
 	}
-	return query.NewOr(arms...)
+	singles := 0
+	for _, r := range ranges {
+		if r.Lo == r.Hi {
+			singles++
+		}
+	}
+	pairs := len(ranges) - singles
+	// One backing array holds the arms and, after them, each range
+	// arm's two comparisons.
+	nodes := make([]query.Filter, pairs+1+2*pairs)
+	arms, cmps := nodes[:0:pairs+1], nodes[pairs+1:]
+	in := make([]any, 0, singles)
+	for _, r := range ranges {
+		if r.Lo == r.Hi {
+			in = append(in, int64(r.Lo))
+			continue
+		}
+		pair := cmps[:2:2]
+		cmps = cmps[2:]
+		pair[0] = query.Cmp{Field: FieldHilbert, Op: query.OpGTE, Value: int64(r.Lo)}
+		pair[1] = query.Cmp{Field: FieldHilbert, Op: query.OpLTE, Value: int64(r.Hi)}
+		arms = append(arms, query.And{Children: pair})
+	}
+	if singles > 0 {
+		arms = append(arms, query.In{Field: FieldHilbert, Values: in})
+	}
+	return query.Or{Children: arms}
 }
 
 // planned is one query resolved into what the cluster executes, plus

@@ -233,6 +233,22 @@ func AppendPrefixUpperBound(dst, k []byte) []byte {
 	return nil
 }
 
+// Buf lays many keys out in one flat buffer, so building a query's
+// scan or routing bounds costs one allocation instead of a few per key.
+// Each key Append returns is a capacity-capped window of the buffer, so
+// no key can grow into its neighbour; when the buffer grows, later keys
+// land in a new array and the earlier ones stay valid in the old.
+type Buf []byte
+
+// Append appends one key — prefix followed by the encoding of v — and
+// returns it. AppendPrefixUpperBound(k[:0], k) turns a returned key k
+// into its prefix upper bound in place.
+func (b *Buf) Append(prefix []byte, v any) []byte {
+	start := len(*b)
+	*b = AppendValue(append(*b, prefix...), v)
+	return (*b)[start:len(*b):len(*b)]
+}
+
 // Compare is bytes.Compare, re-exported so callers of this package do
 // not need to also import bytes for key comparisons.
 func Compare(a, b []byte) int { return bytes.Compare(a, b) }

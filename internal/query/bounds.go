@@ -25,12 +25,15 @@ func (fb FieldBounds) Impossible() bool { return fb.b.impossible }
 // Intervals returns the disjunctive interval set constraining the
 // field, and whether the field is constrained at all.
 func (fb FieldBounds) Intervals(field string) ([]ValueInterval, bool) {
-	set, ok := fb.b.intervals[field]
-	return set, ok
+	return fb.b.set(field)
 }
+
+// Exact reports whether the field's interval set represents every
+// predicate on the field precisely — an index scan over it needs no
+// residual re-check of them.
+func (fb FieldBounds) Exact(field string) bool { return fb.b.isExact(field) }
 
 // GeoRect returns the rectangle constraining a geo field, if any.
 func (fb FieldBounds) GeoRect(field string) (geo.Rect, bool) {
-	r, ok := fb.b.geoRects[field]
-	return r, ok
+	return fb.b.rect(field)
 }

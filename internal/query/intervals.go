@@ -59,12 +59,12 @@ func (iv ValueInterval) String() string {
 // interval represents its predicate exactly, which lets the planner
 // drop the predicate from the residual filter (a covered predicate);
 // other classes fall back to the key-space sentinels and keep their
-// residual.
+// residual. They are boxed once here: every prepared comparison reads
+// them.
 var (
-	minDateTime = time.UnixMilli(-(1 << 61)).UTC()
-	maxDateTime = time.UnixMilli(1 << 61).UTC()
-	minObjectID = bson.ObjectID{}
-	maxObjectID = bson.ObjectID{
+	minNumber, maxNumber     any = math.Inf(-1), math.Inf(1)
+	minDateTime, maxDateTime any = time.UnixMilli(-(1 << 61)).UTC(), time.UnixMilli(1 << 61).UTC()
+	minObjectID, maxObjectID any = bson.ObjectID{}, bson.ObjectID{
 		0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
 		0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
 	}
@@ -75,7 +75,7 @@ var (
 func classExtremes(v any) (lo, hi any, ok bool) {
 	switch bson.KindOf(v) {
 	case bson.KindInt32, bson.KindInt64, bson.KindFloat64:
-		return math.Inf(-1), math.Inf(1), true
+		return minNumber, maxNumber, true
 	case bson.KindDateTime:
 		return minDateTime, maxDateTime, true
 	case bson.KindObjectID:
@@ -122,8 +122,26 @@ func intervalFromCmp(c Cmp) (ValueInterval, bool) {
 	return FullInterval(), false
 }
 
+// compareLo orders intervals by their lower end, inclusive first.
+func compareLo(a, b ValueInterval) int {
+	if c := bson.Compare(a.Lo, b.Lo); c != 0 {
+		return c
+	}
+	switch {
+	case a.LoIncl == b.LoIncl:
+		return 0
+	case a.LoIncl:
+		return -1
+	default:
+		return 1
+	}
+}
+
 // normalizeIntervals sorts the intervals and merges overlapping or
-// touching ones, dropping empty intervals.
+// touching ones, dropping empty intervals. It sorts in place, and
+// skips the sort when the lower ends already ascend strictly — then
+// every sort leaves the order as it is, and only then: equal lower
+// ends keep whatever order the sort gives them, as they always have.
 func normalizeIntervals(ivs []ValueInterval) []ValueInterval {
 	live := ivs[:0]
 	for _, iv := range ivs {
@@ -134,19 +152,12 @@ func normalizeIntervals(ivs []ValueInterval) []ValueInterval {
 	if len(live) <= 1 {
 		return live
 	}
-	slices.SortFunc(live, func(a, b ValueInterval) int {
-		if c := bson.Compare(a.Lo, b.Lo); c != 0 {
-			return c
+	for i := 1; i < len(live); i++ {
+		if compareLo(live[i-1], live[i]) >= 0 {
+			slices.SortFunc(live, compareLo)
+			break
 		}
-		switch {
-		case a.LoIncl == b.LoIncl:
-			return 0
-		case a.LoIncl:
-			return -1
-		default:
-			return 1
-		}
-	})
+	}
 	out := live[:1]
 	for _, iv := range live[1:] {
 		last := &out[len(out)-1]
@@ -200,17 +211,82 @@ func intersectSets(a, b []ValueInterval) []ValueInterval {
 	return out
 }
 
+// intersectWith is intersectSets(set, normalizeIntervals([iv])),
+// written over set's own storage.
+func intersectWith(set []ValueInterval, iv ValueInterval) []ValueInterval {
+	if iv.Empty() {
+		return set[:0]
+	}
+	out := set[:0]
+	for _, s := range set {
+		x := intersectInterval(s, iv)
+		c := bson.Compare(s.Hi, iv.Hi)
+		if !x.Empty() {
+			out = append(out, x)
+		}
+		if c >= 0 && (c != 0 || s.HiIncl) {
+			break
+		}
+	}
+	return out
+}
+
 // bounds holds the per-field constraints extracted from a filter for
 // index-bounds planning: a disjunctive interval set per field and a
-// rectangle per geo field. exact records whether the interval set
-// represents every contributing predicate precisely, which is the
-// precondition for treating those predicates as covered by the index
-// bounds and dropping them from the residual filter.
+// rectangle per geo field. A filter constrains a handful of fields, so
+// both are short slices searched by name.
 type bounds struct {
-	intervals  map[string][]ValueInterval
-	exact      map[string]bool
-	geoRects   map[string]geo.Rect
+	fields     []fieldBounds
+	geoRects   []geoBounds
 	impossible bool // a constraint is unsatisfiable (e.g. disjoint rects)
+}
+
+// fieldBounds is one field's normalized interval set. exact records
+// whether the set represents every contributing predicate precisely,
+// which is the precondition for treating those predicates as covered by
+// the index bounds and dropping them from the residual filter.
+type fieldBounds struct {
+	field string
+	set   []ValueInterval
+	exact bool
+}
+
+type geoBounds struct {
+	field string
+	rect  geo.Rect
+}
+
+func (b *bounds) lookup(field string) *fieldBounds {
+	for i := range b.fields {
+		if b.fields[i].field == field {
+			return &b.fields[i]
+		}
+	}
+	return nil
+}
+
+// set returns the field's interval set, and whether it is constrained.
+func (b *bounds) set(field string) ([]ValueInterval, bool) {
+	if fb := b.lookup(field); fb != nil {
+		return fb.set, true
+	}
+	return nil, false
+}
+
+// isExact reports whether the field's interval set is exact.
+func (b *bounds) isExact(field string) bool {
+	fb := b.lookup(field)
+	return fb != nil && fb.exact
+}
+
+// rect returns the rectangle constraining a geo field.
+func (b *bounds) rect(field string) (geo.Rect, bool) {
+	for _, g := range b.geoRects {
+		if g.field == field {
+			return g.rect, true
+		}
+	}
+	return geo.Rect{}, false
 }
 
 // extractBounds derives index-usable constraints from a filter. It
@@ -220,25 +296,35 @@ type bounds struct {
 // ranges, Section 4.2.2). Anything else contributes no bounds and is
 // handled by the residual filter.
 func extractBounds(f Filter) bounds {
-	b := bounds{
-		intervals: make(map[string][]ValueInterval),
-		exact:     make(map[string]bool),
-		geoRects:  make(map[string]geo.Rect),
-	}
+	b := bounds{fields: make([]fieldBounds, 0, 4)}
 	b.addConjunct(f)
 	return b
 }
 
 func (b *bounds) constrain(field string, set []ValueInterval, strict bool) {
 	set = normalizeIntervals(set)
-	if cur, ok := b.intervals[field]; ok {
-		set = intersectSets(cur, set)
-		b.exact[field] = b.exact[field] && strict
+	if fb := b.lookup(field); fb != nil {
+		fb.set = intersectSets(fb.set, set)
+		fb.exact = fb.exact && strict
+		set = fb.set
 	} else {
-		b.exact[field] = strict
+		b.fields = append(b.fields, fieldBounds{field: field, set: set, exact: strict})
 	}
-	b.intervals[field] = set
 	if len(set) == 0 {
+		b.impossible = true
+	}
+}
+
+// constrainOne is constrain with the one-interval set of a comparison.
+func (b *bounds) constrainOne(field string, iv ValueInterval, strict bool) {
+	fb := b.lookup(field)
+	if fb == nil {
+		b.constrain(field, []ValueInterval{iv}, strict)
+		return
+	}
+	fb.set = intersectWith(fb.set, iv)
+	fb.exact = fb.exact && strict
+	if len(fb.set) == 0 {
 		b.impossible = true
 	}
 }
@@ -251,12 +337,9 @@ func (b *bounds) addConjunct(f Filter) {
 		}
 	case Cmp:
 		iv, strict := intervalFromCmp(t)
-		b.constrain(t.Field, []ValueInterval{iv}, strict)
+		b.constrainOne(t.Field, iv, strict)
 	case In:
-		set := make([]ValueInterval, 0, len(t.Values))
-		for _, v := range t.Values {
-			set = append(set, PointInterval(v))
-		}
+		set, _ := appendIntervals(nil, t)
 		b.constrain(t.Field, set, true)
 	case GeoWithin:
 		b.constrainGeo(t.Field, t.Rect)
@@ -265,101 +348,168 @@ func (b *bounds) addConjunct(f Filter) {
 		// always re-checked by the residual filter.
 		b.constrainGeo(t.Field, t.Polygon.BoundingRect())
 	case Or:
-		if field, set, strict, ok := singleFieldIntervals(t); ok {
+		if field, ok := singleField(t); ok {
+			set, strict := appendIntervals(nil, t)
 			b.constrain(field, set, strict)
 		}
 	}
 }
 
 func (b *bounds) constrainGeo(field string, rect geo.Rect) {
-	if cur, ok := b.geoRects[field]; ok {
-		inter, any := cur.Intersection(rect)
+	for i := range b.geoRects {
+		g := &b.geoRects[i]
+		if g.field != field {
+			continue
+		}
+		inter, any := g.rect.Intersection(rect)
 		if !any {
 			b.impossible = true
 			return
 		}
-		b.geoRects[field] = inter
+		g.rect = inter
 		return
 	}
-	b.geoRects[field] = rect
+	b.geoRects = append(b.geoRects, geoBounds{field: field, rect: rect})
 }
 
-// singleFieldIntervals recognises filters that constrain exactly one
-// field and returns that field's disjunctive interval set, plus
-// whether the set represents the filter exactly.
-func singleFieldIntervals(f Filter) (string, []ValueInterval, bool, bool) {
+// singleField reports the one field a filter constrains: a comparison
+// or $in, or a non-empty $and / $or of such filters over one field.
+// Only such filters have a field interval set (appendIntervals).
+func singleField(f Filter) (string, bool) {
+	switch t := f.(type) {
+	case Cmp:
+		return t.Field, true
+	case In:
+		return t.Field, true
+	case And:
+		return commonField(t.Children)
+	case Or:
+		return commonField(t.Children)
+	}
+	return "", false
+}
+
+func commonField(children []Filter) (string, bool) {
+	if len(children) == 0 {
+		return "", false
+	}
+	field := ""
+	for _, c := range children {
+		cf, ok := singleField(c)
+		if !ok {
+			return "", false
+		}
+		if field == "" {
+			field = cf
+		} else if field != cf {
+			return "", false
+		}
+	}
+	return field, true
+}
+
+// appendIntervals appends the disjunctive interval set of a
+// single-field filter (see singleField) to dst, and reports whether
+// the set represents the filter exactly. A comparison or $in appends
+// its raw intervals; an $and or $or appends its set normalized.
+func appendIntervals(dst []ValueInterval, f Filter) ([]ValueInterval, bool) {
 	switch t := f.(type) {
 	case Cmp:
 		iv, strict := intervalFromCmp(t)
-		return t.Field, []ValueInterval{iv}, strict, true
+		return append(dst, iv), strict
 	case In:
-		set := make([]ValueInterval, 0, len(t.Values))
+		dst = slices.Grow(dst, len(t.Values))
 		for _, v := range t.Values {
-			set = append(set, PointInterval(v))
+			dst = append(dst, PointInterval(v))
 		}
-		return t.Field, set, true, true
+		return dst, true
 	case And:
-		if len(t.Children) == 0 {
-			return "", nil, false, false
+		if iv, strict, empty, ok := cmpRange(t.Children); ok {
+			if !empty {
+				dst = append(dst, iv)
+			}
+			return dst, strict
 		}
-		field := ""
+		// A conjunct is not a comparison: intersect the conjuncts'
+		// sets.
 		strict := true
-		allCmpSameClass := true
-		cmpClass := -1
 		set := []ValueInterval{FullInterval()}
 		for _, c := range t.Children {
-			cf, cset, cstrict, ok := singleFieldIntervals(c)
-			if !ok {
-				return "", nil, false, false
-			}
-			if field == "" {
-				field = cf
-			} else if field != cf {
-				return "", nil, false, false
-			}
+			cset, cstrict := appendIntervals(nil, c)
 			strict = strict && cstrict
-			if cmp, isCmp := c.(Cmp); isCmp {
-				cl := bson.CanonicalClass(bson.Normalize(cmp.Value))
-				if cmpClass == -1 {
-					cmpClass = cl
-				} else if cmpClass != cl {
-					allCmpSameClass = false
-				}
-			} else {
-				allCmpSameClass = false
-			}
 			set = intersectSets(normalizeIntervals(set), normalizeIntervals(cset))
 		}
-		if !strict && allCmpSameClass && len(set) == 1 && realSameClassEnds(set[0]) {
-			// A conjunction of comparisons against one class whose
-			// intersection closed both ends represents the predicate
-			// exactly even for classes without bracketing sentinels
-			// (e.g. {s: {$gte: "a", $lte: "m"}}): only values of that
-			// class can lie between two real same-class endpoints.
-			strict = true
-		}
-		return field, set, strict, true
+		return append(dst, set...), strict
 	case Or:
-		if len(t.Children) == 0 {
-			return "", nil, false, false
-		}
-		field := ""
+		// The arms' intervals collect into one set, sized up front.
+		start := len(dst)
+		dst = slices.Grow(dst, intervalCount(t))
 		strict := true
-		var set []ValueInterval
 		for _, c := range t.Children {
-			cf, cset, cstrict, ok := singleFieldIntervals(c)
-			if !ok {
-				return "", nil, false, false
-			}
-			if field == "" {
-				field = cf
-			} else if field != cf {
-				return "", nil, false, false
-			}
+			var cstrict bool
+			dst, cstrict = appendIntervals(dst, c)
 			strict = strict && cstrict
-			set = append(set, cset...)
 		}
-		return field, normalizeIntervals(set), strict, true
+		return dst[:start+len(normalizeIntervals(dst[start:]))], strict
 	}
-	return "", nil, false, false
+	return dst, false
+}
+
+// cmpRange folds a conjunction of comparisons into its one interval:
+// what the general conjunction path derives with a set per conjunct,
+// normalized and intersected, without the sets. ok is false when a
+// conjunct is not a comparison.
+func cmpRange(children []Filter) (iv ValueInterval, strict, empty, ok bool) {
+	strict = true
+	sameClass, class := true, -1
+	for i, c := range children {
+		cmp, isCmp := c.(Cmp)
+		if !isCmp {
+			return iv, false, false, false
+		}
+		civ, cstrict := intervalFromCmp(cmp)
+		strict = strict && cstrict
+		if cl := bson.CanonicalClass(cmp.Value); class == -1 {
+			class = cl
+		} else if class != cl {
+			sameClass = false
+		}
+		switch {
+		case empty:
+		case civ.Empty():
+			empty = true
+		case i == 0:
+			// The full interval intersected with civ is civ.
+			iv = civ
+		default:
+			iv = intersectInterval(iv, civ)
+			empty = iv.Empty()
+		}
+	}
+	if !strict && sameClass && !empty && realSameClassEnds(iv) {
+		// A conjunction of comparisons against one class whose
+		// intersection closed both ends represents the predicate
+		// exactly even for classes without bracketing sentinels
+		// (e.g. {s: {$gte: "a", $lte: "m"}}): only values of that
+		// class can lie between two real same-class endpoints.
+		strict = true
+	}
+	return iv, strict, empty, true
+}
+
+// intervalCount is how many intervals appendIntervals appends for f
+// before normalizing: exact for comparisons, $in and conjunctions of
+// comparisons, an estimate otherwise.
+func intervalCount(f Filter) int {
+	switch t := f.(type) {
+	case In:
+		return len(t.Values)
+	case Or:
+		n := 0
+		for _, c := range t.Children {
+			n += intervalCount(c)
+		}
+		return n
+	}
+	return 1
 }

@@ -1,6 +1,8 @@
 package query
 
 import (
+	"math"
+	"math/bits"
 	"reflect"
 	"slices"
 	"strconv"
@@ -76,7 +78,7 @@ func appendShape(b []byte, f Filter) []byte {
 		}
 		return append(b, ')')
 	case *Prepared:
-		return append(b, t.shape.(string)...)
+		return append(b, t.cacheKey().(string)...)
 	case nil:
 		return append(b, "<nil>"...)
 	default:
@@ -88,14 +90,45 @@ func appendShape(b []byte, f Filter) []byte {
 // decimals per coordinate — which is what the cache key always held.
 func appendRect(b []byte, r geo.Rect) []byte {
 	b = append(b, "[("...)
-	b = strconv.AppendFloat(b, r.Min.Lon, 'f', 6, 64)
+	b = appendCoord(b, r.Min.Lon)
 	b = append(b, ", "...)
-	b = strconv.AppendFloat(b, r.Min.Lat, 'f', 6, 64)
+	b = appendCoord(b, r.Min.Lat)
 	b = append(b, "), ("...)
-	b = strconv.AppendFloat(b, r.Max.Lon, 'f', 6, 64)
+	b = appendCoord(b, r.Max.Lon)
 	b = append(b, ", "...)
-	b = strconv.AppendFloat(b, r.Max.Lat, 'f', 6, 64)
+	b = appendCoord(b, r.Max.Lat)
 	return append(b, ")]"...)
+}
+
+// appendCoord appends strconv.AppendFloat(b, x, 'f', 6, 64), which
+// takes strconv's multiprecision path for every value. For
+// 2⁻¹¹ ≤ |x| < 2⁴² — every coordinate but those within 0.0005 of zero
+// — it computes the same digits exactly in integers instead: x is
+// m·2⁻ˢ with 11 ≤ s ≤ 63, so x·10⁶ rounded half to even is the 73-bit
+// product m·10⁶ shifted right by s with its remainder rounding.
+func appendCoord(b []byte, x float64) []byte {
+	xb := math.Float64bits(x)
+	shift := 1075 - int(xb>>52&0x7FF)
+	if shift < 11 || shift > 63 {
+		return strconv.AppendFloat(b, x, 'f', 6, 64)
+	}
+	hi, lo := bits.Mul64(xb&(1<<52-1)|1<<52, 1e6)
+	q := hi<<(64-shift) | lo>>shift
+	rem, half := lo&(1<<shift-1), uint64(1)<<(shift-1)
+	if rem > half || rem == half && q&1 == 1 {
+		q++
+	}
+	if xb>>63 == 1 {
+		b = append(b, '-')
+	}
+	b = strconv.AppendUint(b, q/1e6, 10)
+	frac := q % 1e6
+	b = append(b, '.', 0, 0, 0, 0, 0, 0)
+	for i := len(b) - 1; i > len(b)-7; i-- {
+		b[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	return b
 }
 
 // cacheEntry is a remembered winner plus the work it took to win,
@@ -132,7 +165,7 @@ const planCacheCap = 4096
 // plan must be evicted; the returned entry is what evictPlan needs
 // for its compare-and-delete.
 func cachedPlan(coll *collection.Collection, p *Prepared, cfg *Config) (*Plan, int, cacheEntry, bool) {
-	v, ok := coll.PlanCache.Load(p.shape)
+	v, ok := coll.PlanCache.Load(p.cacheKey())
 	if !ok {
 		coll.PlanCacheMisses.Add(1)
 		return nil, 0, cacheEntry{}, false
@@ -203,7 +236,7 @@ const minReplanBudget = 200
 // them is a correct cache entry. A new shape that takes the cache
 // past planCacheCap empties it.
 func rememberPlan(coll *collection.Collection, p *Prepared, plan *Plan, works int) {
-	_, replaced := coll.PlanCache.Swap(p.shape, cacheEntry{name: plan.Name(), works: works})
+	_, replaced := coll.PlanCache.Swap(p.cacheKey(), cacheEntry{name: plan.Name(), works: works})
 	if !replaced && coll.PlanCacheEntries.Add(1) > planCacheCap {
 		ClearPlanCache(coll)
 	}
@@ -214,7 +247,7 @@ func rememberPlan(coll *collection.Collection, p *Prepared, plan *Plan, works in
 // Delete here could throw away the fresh winner a concurrently
 // replanning execution just remembered.
 func evictPlan(coll *collection.Collection, p *Prepared, seen cacheEntry) {
-	if coll.PlanCache.CompareAndDelete(p.shape, seen) {
+	if coll.PlanCache.CompareAndDelete(p.cacheKey(), seen) {
 		coll.PlanCacheEntries.Add(-1)
 	}
 }

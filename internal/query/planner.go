@@ -118,7 +118,7 @@ func residualFilter(f Filter, covered map[string]bool) Filter {
 		return f
 	}
 	droppable := func(c Filter) bool {
-		field, _, _, ok := singleFieldIntervals(c)
+		field, ok := singleField(c)
 		return ok && covered[field]
 	}
 	and, isAnd := f.(And)
@@ -156,6 +156,9 @@ func planSegments(ix *index.Index, b bounds, cfg *Config) (segs []Segment, cover
 	if set0 == nil {
 		return nil, nil, false
 	}
+	// Every key below is a window of one buffer, sized for a pair of
+	// numeric or date keys per interval.
+	keys := make(keyenc.Buf, 0, 32*(len(set0)+1))
 	// Skip-scan sub-bounds apply when the leading field is Ascending
 	// and the second field is a constrained Ascending field.
 	var subLo, subHiUpper []byte
@@ -167,12 +170,13 @@ func planSegments(ix *index.Index, b bounds, cfg *Config) (segs []Segment, cover
 			// inclusive interval, in which case the bound is exact.
 			lo := nextSet[0]
 			hi := nextSet[len(nextSet)-1]
-			subLo = keyenc.Encode(lo.Lo)
-			subHiUpper = keyenc.PrefixUpperBound(keyenc.Encode(hi.Hi))
+			subLo = keys.Append(nil, lo.Lo)
+			subHiUpper = keys.Append(nil, hi.Hi)
+			subHiUpper = keyenc.AppendPrefixUpperBound(subHiUpper[:0], subHiUpper)
 			subExact = len(nextSet) == 1 && lo.LoIncl && hi.HiIncl
 		}
 	}
-	var out []Segment
+	out := make([]Segment, 0, len(set0))
 	anyRangeSegments := false
 	var compose func(fieldIdx int, prefix []byte, set []ValueInterval)
 	compose = func(fieldIdx int, prefix []byte, set []ValueInterval) {
@@ -180,11 +184,11 @@ func planSegments(ix *index.Index, b bounds, cfg *Config) (segs []Segment, cover
 		for _, iv := range set {
 			if iv.IsPoint() && next < len(fields) {
 				if nextSet := fieldIntervalSet(ix, fields[next], b, cfg); nextSet != nil {
-					compose(next, keyenc.AppendValue(cloneBytes(prefix), iv.Lo), nextSet)
+					compose(next, keys.Append(prefix, iv.Lo), nextSet)
 					continue
 				}
 			}
-			kiv, ok := byteInterval(prefix, iv)
+			kiv, ok := byteInterval(&keys, prefix, iv)
 			if !ok {
 				continue
 			}
@@ -205,9 +209,9 @@ func planSegments(ix *index.Index, b bounds, cfg *Config) (segs []Segment, cover
 	// point composition encoded its full set (which compose does by
 	// construction).
 	covered = make(map[string]bool)
-	if fields[0].Kind == index.Ascending && b.exact[fields[0].Name] {
+	if fields[0].Kind == index.Ascending && b.isExact(fields[0].Name) {
 		covered[fields[0].Name] = true
-		if len(fields) > 1 && fields[1].Kind == index.Ascending && b.exact[fields[1].Name] {
+		if len(fields) > 1 && fields[1].Kind == index.Ascending && b.isExact(fields[1].Name) {
 			if !anyRangeSegments || (subLo != nil && subExact) {
 				covered[fields[1].Name] = true
 			}
@@ -222,7 +226,7 @@ func planSegments(ix *index.Index, b bounds, cfg *Config) (segs []Segment, cover
 // hash values.
 func fieldIntervalSet(ix *index.Index, f index.Field, b bounds, cfg *Config) []ValueInterval {
 	if f.Kind == index.Geo2DSphere {
-		rect, ok := b.geoRects[f.Name]
+		rect, ok := b.rect(f.Name)
 		if !ok {
 			return nil
 		}
@@ -241,41 +245,30 @@ func fieldIntervalSet(ix *index.Index, f index.Field, b bounds, cfg *Config) []V
 		}
 		return normalizeIntervals(set)
 	}
-	set, ok := b.intervals[f.Name]
-	if !ok {
-		return nil
-	}
+	set, _ := b.set(f.Name)
 	return set
 }
 
 // byteInterval translates a value interval under a tuple prefix into
-// encoded-key scan bounds. ok is false when the interval is
-// unsatisfiable in key space.
-func byteInterval(prefix []byte, iv ValueInterval) (index.Interval, bool) {
-	loKey := keyenc.AppendValue(cloneBytes(prefix), iv.Lo)
-	hiKey := keyenc.AppendValue(cloneBytes(prefix), iv.Hi)
+// encoded-key scan bounds, written into keys. ok is false when the
+// interval is unsatisfiable in key space.
+func byteInterval(keys *keyenc.Buf, prefix []byte, iv ValueInterval) (index.Interval, bool) {
 	var out index.Interval
-	if iv.LoIncl {
-		out.Low = index.IntervalFromTuples(loKey, nil).Low
-	} else {
-		ub := keyenc.PrefixUpperBound(loKey)
-		if ub == nil {
+	loKey := keys.Append(prefix, iv.Lo)
+	if !iv.LoIncl {
+		if loKey = keyenc.AppendPrefixUpperBound(loKey[:0], loKey); loKey == nil {
 			return out, false
 		}
-		out.Low = index.IntervalFromTuples(ub, nil).Low
 	}
+	out.Low = index.IntervalFromTuples(loKey, nil).Low
+	hiKey := keys.Append(prefix, iv.Hi)
 	if iv.HiIncl {
-		out.High = index.IntervalFromTuples(nil, hiKey).High
-	} else {
-		out.High = index.UpperBoundExclusive(hiKey)
+		// Every key extending hi: below its prefix upper bound, or
+		// unbounded when there is none.
+		hiKey = keyenc.AppendPrefixUpperBound(hiKey[:0], hiKey)
 	}
+	out.High = index.UpperBoundExclusive(hiKey)
 	return out, true
-}
-
-func cloneBytes(b []byte) []byte {
-	out := make([]byte, len(b), len(b)+16)
-	copy(out, b)
-	return out
 }
 
 // TrialResult records how one candidate performed during plan

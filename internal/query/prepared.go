@@ -20,10 +20,14 @@ import (
 // for the concurrent executions of one scatter.
 type Prepared struct {
 	filter Filter
-	// shape is ShapeOf(filter) boxed once: the plan cache is a
-	// sync.Map, and boxing the key per load would allocate.
-	shape  any
 	bounds bounds
+
+	// shape is ShapeOf(filter), boxed once (the plan cache is a
+	// sync.Map, and boxing the key per load would allocate) and only
+	// when a shard first consults its plan cache: a query the router
+	// answers from its result cache never renders it.
+	shapeOnce sync.Once
+	shape     any
 
 	mu    sync.Mutex
 	paths []accessPath
@@ -50,7 +54,13 @@ func Prepare(f Filter) *Prepared {
 	if p, ok := f.(*Prepared); ok {
 		return p
 	}
-	return &Prepared{filter: f, shape: ShapeOf(f), bounds: extractBounds(f)}
+	return &Prepared{filter: f, bounds: extractBounds(f)}
+}
+
+// cacheKey returns the filter's plan-cache key, its boxed shape.
+func (p *Prepared) cacheKey() any {
+	p.shapeOnce.Do(func() { p.shape = ShapeOf(p.filter) })
+	return p.shape
 }
 
 // Filter returns the filter that was prepared.

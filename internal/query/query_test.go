@@ -167,15 +167,15 @@ func TestExtractBoundsHilbertShape(t *testing.T) {
 	if b.impossible {
 		t.Fatal("bounds impossible")
 	}
-	hset := b.intervals["hilbertIndex"]
+	hset, _ := b.set("hilbertIndex")
 	if len(hset) != 4 {
 		t.Fatalf("hilbertIndex intervals = %v", hset)
 	}
-	dset := b.intervals["date"]
+	dset, _ := b.set("date")
 	if len(dset) != 1 || !dset[0].LoIncl || !dset[0].HiIncl {
 		t.Fatalf("date intervals = %v", dset)
 	}
-	if _, ok := b.geoRects["location"]; !ok {
+	if _, ok := b.rect("location"); !ok {
 		t.Fatal("geo rect not extracted")
 	}
 }
@@ -203,8 +203,8 @@ func TestExtractBoundsMixedOrIgnored(t *testing.T) {
 		Cmp{Field: "b", Op: OpEQ, Value: int64(2)},
 	)
 	b := extractBounds(f)
-	if len(b.intervals) != 0 {
-		t.Fatalf("multi-field $or produced bounds: %v", b.intervals)
+	if len(b.fields) != 0 {
+		t.Fatalf("multi-field $or produced bounds: %v", b.fields)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -350,20 +351,42 @@ func TestResultCacheKeyDistinguishesOpts(t *testing.T) {
 		{Agg: query.AggSpec{Kind: query.AggCellHist, Field: "hilbertIndex", Shift: 6}},
 		{Agg: query.AggSpec{Kind: query.AggCellHist, Field: "hilbertIndex", Shift: 8}},
 	} {
-		k, ok := resultCacheKey(f, o)
+		k, ok := resultCacheKey(nil, f, o)
 		if !ok {
 			t.Fatalf("opts %+v: key not encodable", o)
 		}
-		if keys[k] {
+		if keys[string(k)] {
 			t.Fatalf("opts %+v: key collides", o)
 		}
-		keys[k] = true
+		keys[string(k)] = true
 	}
 	// And the same (filter, opts) twice is the same key.
-	k1, _ := resultCacheKey(f, query.Opts{Limit: 5})
-	k2, _ := resultCacheKey(hilbertRange(0, 100), query.Opts{Limit: 5})
-	if k1 != k2 {
+	k1, _ := resultCacheKey(nil, f, query.Opts{Limit: 5})
+	k2, _ := resultCacheKey(nil, hilbertRange(0, 100), query.Opts{Limit: 5})
+	if !bytes.Equal(k1, k2) {
 		t.Fatal("identical queries keyed differently")
+	}
+}
+
+// TestResultCacheKeyStringsAreLengthPrefixed: a document query ordered
+// by a 256-byte field name and a count whose (unused) field is 256
+// bytes must key apart. With one-byte string lengths their keys were
+// the same bytes, and whichever ran second was served the other's
+// cached answer.
+func TestResultCacheKeyStringsAreLengthPrefixed(t *testing.T) {
+	opts := smallOpts()
+	opts.ResultCacheBytes = 16 << 20
+	c, _ := loadCluster(t, 300, hilbertDateKey(), opts)
+	f := hilbertRange(0, 4096)
+	v := strings.Repeat("v", 252)
+	docs := c.QueryOpts(f, query.Opts{OrderBy: "\x00\x01\x00\x00" + v})
+	count := c.QueryOpts(f, query.Opts{Agg: query.AggSpec{Kind: query.AggCount, Field: v + "\x00\x00\x00\x00"}})
+	if docs.Err != nil || count.Err != nil || len(docs.Docs) == 0 {
+		t.Fatalf("queries failed: %v, %v, %d docs", docs.Err, count.Err, len(docs.Docs))
+	}
+	if count.CacheHit || count.Agg == nil || count.Agg.Count != int64(len(docs.Docs)) {
+		t.Fatalf("count query answered from the document query's entry: hit=%v agg=%+v docs=%d",
+			count.CacheHit, count.Agg, len(count.Docs))
 	}
 }
 

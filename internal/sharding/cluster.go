@@ -624,16 +624,17 @@ func (c *Cluster) bumpEpochLocked(sid int) {
 	}
 }
 
-// epochsOfLocked snapshots the content epochs of the given shard ids,
-// in order. The caller holds at least the read lock.
-func (c *Cluster) epochsOfLocked(sids []int) []uint64 {
-	out := make([]uint64, len(sids))
-	for i, sid := range sids {
+// epochsOfLocked appends the content epochs of the given shard ids to
+// dst, in order. The caller holds at least the read lock.
+func (c *Cluster) epochsOfLocked(dst []uint64, sids []int) []uint64 {
+	for _, sid := range sids {
+		var e uint64
 		if sid >= 0 && sid < len(c.epochs) {
-			out[i] = c.epochs[sid]
+			e = c.epochs[sid]
 		}
+		dst = append(dst, e)
 	}
-	return out
+	return dst
 }
 
 // ShardEpochs returns a snapshot of every shard's content epoch —

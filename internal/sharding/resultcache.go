@@ -2,19 +2,20 @@ package sharding
 
 // Epoch-invalidated result cache: a fixed-memory, power-of-two-sharded
 // cache sitting in front of the router's scatter-gather. The key is the
-// canonical wire encoding of (filter, pushed-down opts) — the same
-// bytes the network protocol ships, so two logically identical queries
-// key identically. A hit is valid only if (a) the filter still routes
-// to the exact shard set the entry was computed from and (b) none of
-// those shards' content epochs moved; every applied write batch, chunk
-// split, migration and retention drop bumps the owning shards' epochs
-// under the cluster write lock, so a cached result can never be served
-// across a content change (zero stale hits). Only complete results are
-// cached: partial answers and failed shards bypass the cache.
+// canonical wire encoding of (filter, pushed-down opts) — the bytes of
+// the shard-facing wire.Query, so two logically identical queries key
+// identically and two different ones never do. A hit is valid only if
+// (a) the filter still routes to the exact shard set the entry was
+// computed from and (b) none of those shards' content epochs moved;
+// every applied write batch, chunk split, migration and retention drop
+// bumps the owning shards' epochs under the cluster write lock, so a
+// cached result can never be served across a content change (zero
+// stale hits). Only complete results are cached: partial answers and
+// failed shards bypass the cache.
 
 import (
 	"container/list"
-	"encoding/binary"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 
@@ -47,13 +48,14 @@ type rcShard struct {
 
 type resultCache struct {
 	shards      [resultCacheWays]rcShard
+	seed        maphash.Seed
 	maxPerShard int64
 	hits        atomic.Int64
 	misses      atomic.Int64
 }
 
 func newResultCache(maxBytes int64) *resultCache {
-	c := &resultCache{maxPerShard: maxBytes / resultCacheWays}
+	c := &resultCache{seed: maphash.MakeSeed(), maxPerShard: maxBytes / resultCacheWays}
 	if c.maxPerShard < 1 {
 		c.maxPerShard = 1
 	}
@@ -64,49 +66,54 @@ func newResultCache(maxBytes int64) *resultCache {
 	return c
 }
 
-// rcHash is FNV-1a over the key — only shard selection depends on it.
-func rcHash(s string) uint64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
+// shardFor picks the key's cache way; only shard selection depends on
+// the hash, so a per-cache random seed is fine.
+func (c *resultCache) shardFor(key []byte) *rcShard {
+	return &c.shards[maphash.Bytes(c.seed, key)&(resultCacheWays-1)]
 }
 
-func (c *resultCache) shardFor(key string) *rcShard {
-	return &c.shards[rcHash(key)&(resultCacheWays-1)]
+// resultCacheKey appends the canonical cache key for (filter, opts) to
+// dst: the encoding of the shard-facing wire.Query carrying them, with
+// its length-prefixed strings. ok is false for filters the wire codec
+// cannot encode — those queries simply bypass the cache.
+func resultCacheKey(dst []byte, f query.Filter, opts query.Opts) ([]byte, bool) {
+	msg := wire.Query{Limit: int64(opts.Limit), OrderBy: opts.OrderBy, Desc: opts.Desc, Agg: opts.Agg, Filter: f}
+	b, err := msg.Encode(dst)
+	return b, err == nil
 }
 
-// resultCacheKey builds the canonical cache key for (filter, opts).
-// ok is false for filters the wire codec cannot encode — those queries
-// simply bypass the cache.
-func resultCacheKey(f query.Filter, opts query.Opts) (string, bool) {
-	b, err := wire.AppendFilter(nil, f)
-	if err != nil {
-		return "", false
+// keyBufs recycles the buffers probe builds keys in, so a hit
+// allocates no key. A fresh one holds a dashboard query's (~0.9 KB).
+var keyBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 1<<10)
+	return &b
+}}
+
+// probe looks (f, opts) up for the current route and epochs. On a miss
+// it also returns the key a complete answer is to be put under ("" for
+// a filter the wire codec cannot encode).
+func (c *resultCache) probe(f query.Filter, opts query.Opts, targets []int, epochs []uint64) (*RoutedResult, string) {
+	buf := keyBufs.Get().(*[]byte)
+	defer keyBufs.Put(buf)
+	key, ok := resultCacheKey((*buf)[:0], f, opts)
+	if !ok {
+		return nil, ""
 	}
-	b = binary.LittleEndian.AppendUint64(b, uint64(opts.Limit))
-	b = append(b, byte(len(opts.OrderBy)))
-	b = append(b, opts.OrderBy...)
-	if opts.Desc {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
+	*buf = key
+	if hit := c.get(key, targets, epochs); hit != nil {
+		return hit, ""
 	}
-	b = append(b, byte(opts.Agg.Kind), opts.Agg.Shift, byte(len(opts.Agg.Field)))
-	b = append(b, opts.Agg.Field...)
-	return string(b), true
+	return nil, string(key)
 }
 
 // get returns a copy of the cached result when the entry exists and is
 // still valid against the current route and epochs; nil otherwise. An
 // entry whose epochs moved is deleted — epochs are monotonic, so it
 // can never validate again.
-func (c *resultCache) get(key string, targets []int, epochs []uint64) *RoutedResult {
+func (c *resultCache) get(key []byte, targets []int, epochs []uint64) *RoutedResult {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
-	el, ok := sh.entries[key]
+	el, ok := sh.entries[string(key)]
 	if !ok {
 		sh.mu.Unlock()
 		c.misses.Add(1)
@@ -115,7 +122,7 @@ func (c *resultCache) get(key string, targets []int, epochs []uint64) *RoutedRes
 	e := el.Value.(*rcEntry)
 	if !intsEqual(e.targets, targets) || !epochsEqual(e.epochs, epochs) {
 		sh.lru.Remove(el)
-		delete(sh.entries, key)
+		delete(sh.entries, e.key)
 		sh.bytes -= e.size
 		sh.mu.Unlock()
 		c.misses.Add(1)
@@ -131,11 +138,11 @@ func (c *resultCache) get(key string, targets []int, epochs []uint64) *RoutedRes
 
 // peek reports whether get would hit, without touching LRU order or
 // the hit/miss counters (Explain's probe).
-func (c *resultCache) peek(key string, targets []int, epochs []uint64) bool {
+func (c *resultCache) peek(key []byte, targets []int, epochs []uint64) bool {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	el, ok := sh.entries[key]
+	el, ok := sh.entries[string(key)]
 	if !ok {
 		return false
 	}
@@ -156,7 +163,7 @@ func (c *resultCache) put(key string, targets []int, epochs []uint64, res *Route
 		proto:   copyResult(res),
 	}
 	e.size = entrySize(e)
-	sh := c.shardFor(key)
+	sh := &c.shards[maphash.String(c.seed, key)&(resultCacheWays-1)] // shardFor's way
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if el, ok := sh.entries[key]; ok {

@@ -229,14 +229,14 @@ func (c *Cluster) scatterGather(ctx context.Context, qs []scatterQuery, cached b
 		// the same shard set and none of those shards' content epochs
 		// moved.
 		if cached && c.rcache != nil {
-			if key, ok := resultCacheKey(q.f, q.opts); ok {
-				q.cacheKey = key
-				if hit := c.rcache.get(key, targets, c.epochsOfLocked(targets)); hit != nil {
-					hit.ShardsPruned = len(pruned)
-					q.res = hit
-					continue
-				}
+			var epochs [16]uint64
+			hit, key := c.rcache.probe(q.f, q.opts, targets, c.epochsOfLocked(epochs[:0], targets))
+			if hit != nil {
+				hit.ShardsPruned = len(pruned)
+				q.res = hit
+				continue
 			}
+			q.cacheKey = key
 		}
 		q.res = &RoutedResult{
 			ShardsTargeted: len(targets),
@@ -270,7 +270,7 @@ func (c *Cluster) scatterGather(ctx context.Context, qs []scatterQuery, cached b
 		c.foldLocked(q.res, q.outcomes, q.opts)
 		// Cache only complete answers.
 		if q.cacheKey != "" && q.res.Err == nil && !q.res.Partial && ctx.Err() == nil {
-			c.rcache.put(q.cacheKey, q.res.TargetedShards, c.epochsOfLocked(q.res.TargetedShards), q.res)
+			c.rcache.put(q.cacheKey, q.res.TargetedShards, c.epochsOfLocked(nil, q.res.TargetedShards), q.res)
 		}
 		if firstErr == nil {
 			firstErr = q.res.Err
@@ -690,8 +690,8 @@ func (c *Cluster) ExplainOpts(f query.Filter, opts query.Opts) (targets []int, e
 	var hits, misses int64
 	if c.rcache != nil {
 		cacheState = "miss"
-		if key, ok := resultCacheKey(f, opts); ok &&
-			c.rcache.peek(key, executed, c.epochsOfLocked(executed)) {
+		if key, ok := resultCacheKey(nil, f, opts); ok &&
+			c.rcache.peek(key, executed, c.epochsOfLocked(nil, executed)) {
 			cacheState = "hit"
 		}
 		hits, misses = c.rcache.stats()
@@ -714,6 +714,15 @@ func (c *Cluster) ExplainOpts(f query.Filter, opts query.Opts) (targets []int, e
 	return append(executed, pruned...), exps
 }
 
+// Route returns the routing decision a scatter-gather makes for the
+// filter, without executing anything: the target shards, whether the
+// route is a broadcast, and the sketch-pruned shards (both ascending).
+func (c *Cluster) Route(f query.Filter) (targets []int, broadcast bool, pruned []int) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.routeLocked(f)
+}
+
 // routeLocked computes the target shard ids for a filter; the caller
 // holds at least the cluster read-lock. It mirrors mongos: extract
 // the filter's bounds on the shard-key fields, map them to tuple
@@ -729,6 +738,9 @@ func (c *Cluster) ExplainOpts(f query.Filter, opts query.Opts) (targets []int, e
 // (ascending) the overlap test targeted but every overlapping chunk
 // of which proved empty; pruning is prove-empty only, so a pruned
 // shard could not have contributed a document.
+//
+// The overlap test is one merge walk over the chunk map, ascending by
+// Min, and the tuple ranges, ascending by Lo: O(chunks + ranges).
 func (c *Cluster) routeLocked(f query.Filter) (shards []int, broadcast bool, pruned []int) {
 	if !c.sharded {
 		return []int{0}, false, nil
@@ -737,117 +749,139 @@ func (c *Cluster) routeLocked(f query.Filter) (shards []int, broadcast bool, pru
 	if b.Impossible() {
 		return nil, false, nil
 	}
+	// marks holds, per shard id, what the walk found: an overlapping
+	// chunk (routeCandidate) and one the sketches could not rule out
+	// (routeTarget).
+	var stack [64]uint8
+	marks := stack[:0]
+	if n := len(c.shards); n <= len(stack) {
+		marks = stack[:n]
+	} else {
+		marks = make([]uint8, n)
+	}
 	ranges := c.shardKeyRanges(b)
-	target := make(map[int]bool)
 	if ranges == nil {
 		broadcast = true
 		for _, ch := range c.chunks {
 			if ch.Docs > 0 {
-				target[ch.Shard] = true
+				marks[ch.Shard] |= routeTarget
 			}
 		}
-	} else {
-		var cells []cellRange
-		consult := false
-		if c.summariesOnLocked() {
-			if set, ok := b.Intervals(c.key.Fields[0]); ok && len(set) > 0 {
-				cells, consult = c.pruneCellRangesLocked(set)
-			}
-		}
-		var candidate map[int]bool
-		if consult {
-			candidate = make(map[int]bool)
-		}
-		for _, ch := range c.chunks {
-			if ch.Docs == 0 {
-				continue
-			}
-			for _, r := range ranges {
-				if !r.overlapsChunk(ch) {
-					continue
-				}
-				if consult {
-					candidate[ch.Shard] = true
-					if !chunkMayMatchLocked(ch, cells) {
-						break
-					}
-				}
-				target[ch.Shard] = true
-				break
-			}
-		}
-		for sid := range candidate {
-			if !target[sid] {
-				pruned = append(pruned, sid)
-			}
-		}
-		slices.Sort(pruned)
+		return markedShards(marks, routeTarget, 0), broadcast, nil
 	}
-	for sid := range target {
-		shards = append(shards, sid)
+	var cells []cellRange
+	consult := false
+	if c.summariesOnLocked() {
+		if set, ok := b.Intervals(c.key.Fields[0]); ok && len(set) > 0 {
+			cells, consult = c.pruneCellRangesLocked(set)
+		}
 	}
-	slices.Sort(shards)
-	return shards, broadcast, pruned
+	if !slices.IsSortedFunc(ranges, compareLo) {
+		slices.SortFunc(ranges, compareLo)
+	}
+	j := 0
+	for _, ch := range c.chunks {
+		// A range that ends at or before this chunk's Min ends before
+		// every later chunk's too. The first range still open decides:
+		// if it starts at or past this chunk's Max, so does every later
+		// one.
+		for j < len(ranges) && ranges[j].Hi != nil && bytes.Compare(ranges[j].Hi, ch.Min) <= 0 {
+			j++
+		}
+		if j == len(ranges) {
+			break
+		}
+		if ch.Docs == 0 || !ranges[j].overlapsChunk(ch) {
+			continue
+		}
+		marks[ch.Shard] |= routeCandidate
+		if !consult || chunkMayMatchLocked(ch, cells) {
+			marks[ch.Shard] |= routeTarget
+		}
+	}
+	return markedShards(marks, routeTarget, 0), false, markedShards(marks, routeCandidate, routeTarget)
 }
 
+// Route marks, per shard id.
+const (
+	routeCandidate uint8 = 1 << iota
+	routeTarget
+)
+
+// markedShards lists, ascending, the shard ids whose marks include
+// every bit of want and none of unwanted; nil when there are none.
+func markedShards(marks []uint8, want, unwanted uint8) []int {
+	n := 0
+	for _, m := range marks {
+		if m&want == want && m&unwanted == 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]int, 0, n)
+	for sid, m := range marks {
+		if m&want == want && m&unwanted == 0 {
+			out = append(out, sid)
+		}
+	}
+	return out
+}
+
+func compareLo(a, b tupleRange) int { return bytes.Compare(a.Lo, b.Lo) }
+
 // shardKeyRanges translates the filter bounds into tuple ranges; nil
-// means the shard key is unconstrained (broadcast).
+// means the shard key is unconstrained (broadcast). Every tuple key is
+// a window of one buffer.
 func (c *Cluster) shardKeyRanges(b query.FieldBounds) []tupleRange {
 	set, ok := b.Intervals(c.key.Fields[0])
 	if !ok || len(set) == 0 {
 		return nil
 	}
+	// Sized for a pair of numeric keys per interval.
+	keys := make(keyenc.Buf, 0, 20*len(set))
+	out := make([]tupleRange, 0, len(set))
 	if c.key.Strategy == HashedSharding {
 		// Only equality predicates route under hashed sharding; any
-		// range forces a broadcast.
-		var out []tupleRange
+		// range forces a broadcast. Each point covers every tuple
+		// extending its hash's encoding.
 		for _, iv := range set {
 			if !iv.IsPoint() {
 				return nil
 			}
-			enc := keyenc.Encode(HashValue(iv.Lo))
-			out = append(out, prefixRange(enc))
+			var h any = HashValue(iv.Lo)
+			hi := keys.Append(nil, h)
+			out = append(out, tupleRange{Lo: keys.Append(nil, h), Hi: keyenc.AppendPrefixUpperBound(hi[:0], hi)})
 		}
 		return out
 	}
-	var out []tupleRange
 	for _, iv := range set {
 		// For a point on the leading field, the next field's bounds
 		// can narrow the range further (compound shard keys).
 		if iv.IsPoint() && len(c.key.Fields) > 1 {
 			if nextSet, ok := b.Intervals(c.key.Fields[1]); ok && len(nextSet) > 0 {
-				prefix := keyenc.Encode(iv.Lo)
+				prefix := keys.Append(nil, iv.Lo)
 				for _, niv := range nextSet {
-					out = append(out, composeRange(prefix, niv))
+					out = append(out, composeRange(&keys, prefix, niv))
 				}
 				continue
 			}
 		}
-		out = append(out, composeRange(nil, iv))
+		out = append(out, composeRange(&keys, nil, iv))
 	}
 	return out
 }
 
 // composeRange builds the [Lo, Hi) byte range of one value interval
-// under an encoded tuple prefix.
-func composeRange(prefix []byte, iv query.ValueInterval) tupleRange {
-	loKey := keyenc.AppendValue(append([]byte{}, prefix...), iv.Lo)
-	hiKey := keyenc.AppendValue(append([]byte{}, prefix...), iv.Hi)
-	var r tupleRange
-	if iv.LoIncl {
-		r.Lo = loKey
-	} else {
-		r.Lo = keyenc.PrefixUpperBound(loKey)
+// under an encoded tuple prefix, writing its keys into keys.
+func composeRange(keys *keyenc.Buf, prefix []byte, iv query.ValueInterval) tupleRange {
+	r := tupleRange{Lo: keys.Append(prefix, iv.Lo), Hi: keys.Append(prefix, iv.Hi)}
+	if !iv.LoIncl {
+		r.Lo = keyenc.AppendPrefixUpperBound(r.Lo[:0], r.Lo)
 	}
 	if iv.HiIncl {
-		r.Hi = keyenc.PrefixUpperBound(hiKey)
-	} else {
-		r.Hi = hiKey
+		r.Hi = keyenc.AppendPrefixUpperBound(r.Hi[:0], r.Hi)
 	}
 	return r
-}
-
-// prefixRange covers every tuple extending the encoded prefix.
-func prefixRange(prefix []byte) tupleRange {
-	return tupleRange{Lo: prefix, Hi: keyenc.PrefixUpperBound(prefix)}
 }

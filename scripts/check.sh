@@ -42,8 +42,11 @@ RACE_PKGS="./internal/sharding/... ./internal/query/... ./internal/storage/... .
 # store) accepts exactly what Unmarshal accepts and knows Marshal's form
 # from a liberal encoder's, and the index keys, shard-key tuples and
 # sketch cells read from stored bytes on insert, split, migration and
-# delete are byte for byte the ones built from the decoded document.
-FUZZ_TARGETS="bson:FuzzDocumentRoundTrip bson:FuzzValidate keyenc:FuzzKeyOrdering wal:FuzzFrameRecover btree:FuzzTreeOps btree:FuzzIteratorSeek wire:FuzzFrameDecode wire:FuzzInsertDecode wire:FuzzAggregateDecode sketch:FuzzSketch query:FuzzRawMatch index:FuzzEntryKeyRaw sharding:FuzzShardKeyRaw"
+# delete are byte for byte the ones built from the decoded document. The
+# router's per-query front end — bounds, plan-cache shape, segments and
+# residuals, targets and pruned shards — answers exactly what the
+# implementation it replaced answers.
+FUZZ_TARGETS="bson:FuzzDocumentRoundTrip bson:FuzzValidate keyenc:FuzzKeyOrdering wal:FuzzFrameRecover btree:FuzzTreeOps btree:FuzzIteratorSeek wire:FuzzFrameDecode wire:FuzzInsertDecode wire:FuzzAggregateDecode sketch:FuzzSketch query:FuzzRawMatch index:FuzzEntryKeyRaw sharding:FuzzShardKeyRaw sharding:FuzzFrontEnd"
 
 step() {
     case "$1" in
