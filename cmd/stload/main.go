@@ -119,7 +119,7 @@ func main() {
 		if err != nil {
 			fatal("stload: reading CSV: %v", err)
 		}
-		a, ok := parseApproach(*approach)
+		a, ok := core.ParseApproach(*approach)
 		if !ok {
 			fatal("stload: unknown approach %q", *approach)
 		}
@@ -201,7 +201,7 @@ func (st *followStats) sample(d time.Duration) {
 // the duration elapses or a signal arrives, then prints the ingest
 // summary (rates, shed/retry counts, ack-latency percentiles).
 func runFollow(cfg followConfig) {
-	a, ok := parseApproach(cfg.approach)
+	a, ok := core.ParseApproach(cfg.approach)
 	if !ok {
 		fatal("stload: unknown approach %q", cfg.approach)
 	}
@@ -351,15 +351,6 @@ func errAsServerError(err error) (*netconn.ServerError, bool) {
 		return se, true
 	}
 	return nil, false
-}
-
-func parseApproach(s string) (core.Approach, bool) {
-	for _, a := range core.AllApproaches() {
-		if a.String() == s {
-			return a, true
-		}
-	}
-	return 0, false
 }
 
 func fatal(format string, args ...any) {

@@ -22,7 +22,7 @@
 //
 // With -faults, queries run behind a seeded fault-injecting shard
 // boundary under the allow-partial policy; degraded results print
-// PARTIAL with the failed shards plus retry/hedge counters:
+// PARTIAL with the failed shards plus the retry counter:
 //
 //	stquery -faults "0:down,2:slow=2ms" -rect ... -from ... -to ...
 //
@@ -141,7 +141,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "recovered %d documents under %s from %s (lsn %d, fingerprint %016x)\n",
 			docs, s.Config().Approach, *dir, s.Cluster().LSN(), sum)
 	} else {
-		a, ok := parseApproach(*approach)
+		a, ok := core.ParseApproach(*approach)
 		if !ok {
 			fatal("stquery: unknown approach %q", *approach)
 		}
@@ -448,9 +448,6 @@ func printResult(name string, res *core.QueryResult) {
 	if st.Retries > 0 {
 		fmt.Printf(" retries=%d", st.Retries)
 	}
-	if st.Hedged > 0 {
-		fmt.Printf(" hedged=%d", st.Hedged)
-	}
 	fmt.Printf(" idx=%s\n", summarizeIndexes(st.IndexesUsed))
 }
 
@@ -480,15 +477,6 @@ func parseRect(s string) (geo.Rect, error) {
 		v[i] = f
 	}
 	return geo.NewRect(v[0], v[1], v[2], v[3]), nil
-}
-
-func parseApproach(s string) (core.Approach, bool) {
-	for _, a := range core.AllApproaches() {
-		if a.String() == s {
-			return a, true
-		}
-	}
-	return 0, false
 }
 
 func secretBytes(s string) []byte {

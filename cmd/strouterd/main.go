@@ -155,7 +155,7 @@ func buildStore(dir, approach string, records, shards int, zones bool, parallel 
 		}
 		return s
 	}
-	a, ok := parseApproach(approach)
+	a, ok := core.ParseApproach(approach)
 	if !ok {
 		fatal("strouterd: unknown approach %q", approach)
 	}
@@ -189,15 +189,6 @@ func splitAddrs(s string) []string {
 		}
 	}
 	return out
-}
-
-func parseApproach(s string) (core.Approach, bool) {
-	for _, a := range core.AllApproaches() {
-		if a.String() == s {
-			return a, true
-		}
-	}
-	return 0, false
 }
 
 // secretBytes maps the flag onto the wire secret (empty = auth off).

@@ -155,7 +155,7 @@ func buildStore(dir, approach string, records, shards int, zones bool) *core.Sto
 		}
 		return s
 	}
-	a, ok := parseApproach(approach)
+	a, ok := core.ParseApproach(approach)
 	if !ok {
 		fatal("stshardd: unknown approach %q", approach)
 	}
@@ -206,15 +206,6 @@ func describeServe(ids []int, shards int) string {
 		parts[i] = strconv.Itoa(id)
 	}
 	return strings.Join(parts, ",")
-}
-
-func parseApproach(s string) (core.Approach, bool) {
-	for _, a := range core.AllApproaches() {
-		if a.String() == s {
-			return a, true
-		}
-	}
-	return 0, false
 }
 
 // secretBytes maps the flag onto the wire secret (empty = auth off).

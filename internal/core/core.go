@@ -27,7 +27,6 @@ import (
 	"repro/internal/bson"
 	"repro/internal/geo"
 	"repro/internal/index"
-	"repro/internal/query"
 	"repro/internal/sfc"
 	"repro/internal/sharding"
 	"repro/internal/sthash"
@@ -73,6 +72,17 @@ func Approaches() []Approach { return []Approach{BslST, BslTS, Hil, HilStar} }
 // encoding.
 func AllApproaches() []Approach { return append(Approaches(), STHash) }
 
+// ParseApproach is the inverse of Approach.String over AllApproaches:
+// the name a flag or a manifest gives, back to the approach.
+func ParseApproach(s string) (Approach, bool) {
+	for _, a := range AllApproaches() {
+		if a.String() == s {
+			return a, true
+		}
+	}
+	return 0, false
+}
+
 // Document field names.
 const (
 	FieldID      = "_id"
@@ -94,9 +104,6 @@ type Config struct {
 	// HilbertOrder is the curve's bits per dimension (default 13, the
 	// paper's setting).
 	HilbertOrder uint
-	// GeoHashBits is the 2dsphere precision (default 26, the server
-	// default the paper uses).
-	GeoHashBits uint
 	// DataExtent is the data set's bounding rectangle; required for
 	// HilStar, ignored otherwise.
 	DataExtent geo.Rect
@@ -119,11 +126,9 @@ type Config struct {
 	// sequential execution the paper-metric experiments are defined
 	// on (the metrics themselves are identical at every width).
 	Parallel int
-	// QueryConfig tunes per-shard planning.
-	QueryConfig *query.Config
-	// Resilience configures the scatter-gather fault handling
-	// (deadlines, retries, hedging, circuit breaker, partial-result
-	// policy). The zero value is the fail-fast default with retries.
+	// Resilience configures the scatter-gather fault handling: the
+	// partial-result policy and the per-shard attempt deadline. The
+	// zero value fails fast; retries and the circuit breaker always run.
 	Resilience sharding.Resilience
 	// Conn is the per-shard execution boundary (nil means the
 	// in-process LocalConn). A netconn.RemoteConn here turns the store
@@ -153,10 +158,8 @@ type Config struct {
 	// the structural fields of this Config.
 	Dir string
 	// Sync is the journal fsync policy for a durable store (default
-	// wal.SyncBatch, group commit); SyncBatchBytes overrides the
-	// group-commit threshold.
-	Sync           wal.SyncPolicy
-	SyncBatchBytes int
+	// wal.SyncBatch, group commit).
+	Sync wal.SyncPolicy
 	// FS overrides the durable store's filesystem (default: the OS
 	// filesystem rooted at Dir). A wal.FaultFS here injects journal
 	// faults or latency — how the tests crash mid-commit and how the
@@ -230,12 +233,10 @@ func (c Config) clusterOptions() sharding.Options {
 		ResultCacheBytes: c.ResultCacheBytes,
 		AutoBalanceEvery: c.AutoBalanceEvery,
 		Parallel:         c.Parallel,
-		QueryConfig:      c.QueryConfig,
 		Resilience:       c.Resilience,
 		Conn:             c.Conn,
 		Dir:              c.Dir,
 		Sync:             c.Sync,
-		SyncBatchBytes:   c.SyncBatchBytes,
 		FS:               c.FS,
 	}
 }
@@ -321,7 +322,6 @@ func (s *Store) createDDL() error {
 				{Name: FieldLoc, Kind: index.Geo2DSphere},
 				{Name: FieldDate, Kind: index.Ascending},
 			},
-			GeoBits: cfg.GeoHashBits,
 		})
 	case BslTS:
 		if err := s.cluster.ShardCollection(sharding.ShardKey{Fields: []string{FieldDate}, Strategy: strategy}); err != nil {
@@ -333,7 +333,6 @@ func (s *Store) createDDL() error {
 				{Name: FieldDate, Kind: index.Ascending},
 				{Name: FieldLoc, Kind: index.Geo2DSphere},
 			},
-			GeoBits: cfg.GeoHashBits,
 		})
 	case Hil, HilStar:
 		// The shard key {hilbertIndex, date} creates the compound

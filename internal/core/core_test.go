@@ -103,6 +103,19 @@ func TestApproachNames(t *testing.T) {
 	}
 }
 
+// TestParseApproachRoundTrip: every approach's name parses back to it,
+// and a name no approach has is refused.
+func TestParseApproachRoundTrip(t *testing.T) {
+	for _, a := range AllApproaches() {
+		if got, ok := ParseApproach(a.String()); !ok || got != a {
+			t.Errorf("ParseApproach(%q) = %v, %v; want %v, true", a, got, ok, a)
+		}
+	}
+	if _, ok := ParseApproach("hilbert"); ok {
+		t.Error(`ParseApproach("hilbert") accepted an unknown name`)
+	}
+}
+
 func TestDocumentShape(t *testing.T) {
 	rec := Record{
 		Point:  geo.Point{Lon: 23.73, Lat: 37.98},

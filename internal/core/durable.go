@@ -33,7 +33,6 @@ type manifest struct {
 	Shards           int         `json:"shards"`
 	ChunkMaxBytes    int64       `json:"chunk_max_bytes,omitempty"`
 	HilbertOrder     uint        `json:"hilbert_order,omitempty"`
-	GeoHashBits      uint        `json:"geohash_bits,omitempty"`
 	Curve            string      `json:"curve,omitempty"`       // "hilbert" (default) or "zorder"
 	DataExtent       *[4]float64 `json:"data_extent,omitempty"` // minLon, minLat, maxLon, maxLat
 	MaxQueryRanges   int         `json:"max_query_ranges,omitempty"`
@@ -50,7 +49,6 @@ func manifestOf(cfg Config) (manifest, error) {
 		Shards:           cfg.Shards,
 		ChunkMaxBytes:    cfg.ChunkMaxBytes,
 		HilbertOrder:     cfg.HilbertOrder,
-		GeoHashBits:      cfg.GeoHashBits,
 		MaxQueryRanges:   cfg.MaxQueryRanges,
 		Hashed:           cfg.Hashed,
 		AutoBalanceEvery: cfg.AutoBalanceEvery,
@@ -74,7 +72,7 @@ func manifestOf(cfg Config) (manifest, error) {
 }
 
 // config overwrites the caller's Config with every field the manifest
-// records; the rest — Parallel, QueryConfig, Resilience, Conn,
+// records; the rest — Parallel, Resilience, Conn,
 // SummaryShift, ResultCacheBytes, Dir, Sync, FS — stay the caller's.
 // SummaryShift is runtime because recovery rebuilds the sketches from
 // the recovered data.
@@ -82,21 +80,14 @@ func (m manifest) config(cfg Config) (Config, error) {
 	cfg.Shards = m.Shards
 	cfg.ChunkMaxBytes = m.ChunkMaxBytes
 	cfg.HilbertOrder = m.HilbertOrder
-	cfg.GeoHashBits = m.GeoHashBits
 	cfg.MaxQueryRanges = m.MaxQueryRanges
 	cfg.Hashed = m.Hashed
 	cfg.AutoBalanceEvery = m.AutoBalanceEvery
 	cfg.Seed = m.Seed
 	cfg.STHashChars = m.STHashChars
 	cfg.Curve, cfg.DataExtent = nil, geo.Rect{}
-	found := false
-	for _, a := range AllApproaches() {
-		if a.String() == m.Approach {
-			cfg.Approach, found = a, true
-			break
-		}
-	}
-	if !found {
+	var ok bool
+	if cfg.Approach, ok = ParseApproach(m.Approach); !ok {
 		return cfg, fmt.Errorf("core: manifest names unknown approach %q", m.Approach)
 	}
 	switch m.Curve {

@@ -24,7 +24,7 @@ func TestQueryStatsSurfaceFaults(t *testing.T) {
 		To:   testStart.Add(2000 * time.Minute),
 	}
 	base := s.Query(q)
-	if base.Stats.Partial || base.Stats.Retries != 0 || base.Stats.Hedged != 0 ||
+	if base.Stats.Partial || base.Stats.Retries != 0 ||
 		base.Stats.FailedShards != nil {
 		t.Fatalf("healthy query carries fault counters: %+v", base.Stats)
 	}
@@ -35,10 +35,7 @@ func TestQueryStatsSurfaceFaults(t *testing.T) {
 	fc := sharding.NewFaultConn(nil, 1)
 	fc.SetFault(0, sharding.FaultSpec{Down: true})
 	s.Cluster().SetConn(fc)
-	s.Cluster().SetResilience(sharding.Resilience{
-		Policy:       sharding.AllowPartial,
-		RetryBackoff: 200 * time.Microsecond,
-	})
+	s.Cluster().SetResilience(sharding.Resilience{Policy: sharding.AllowPartial})
 	defer func() {
 		s.Cluster().SetConn(nil)
 		s.Cluster().SetResilience(sharding.Resilience{})

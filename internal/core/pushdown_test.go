@@ -131,10 +131,7 @@ func TestStoreLimitUnderFaults(t *testing.T) {
 	fc := sharding.NewFaultConn(nil, 1)
 	fc.SetFault(1, sharding.FaultSpec{Down: true})
 	s.Cluster().SetConn(fc)
-	s.Cluster().SetResilience(sharding.Resilience{
-		Policy:       sharding.AllowPartial,
-		RetryBackoff: 100 * time.Microsecond,
-	})
+	s.Cluster().SetResilience(sharding.Resilience{Policy: sharding.AllowPartial})
 	partialFull := s.Query(q)
 	if !partialFull.Stats.Partial {
 		t.Fatal("down shard not marked partial")

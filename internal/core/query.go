@@ -42,8 +42,6 @@ type QueryStats struct {
 	// Retries is the total number of per-shard retry attempts the
 	// scatter-gather needed (zero on a healthy cluster).
 	Retries int
-	// Hedged counts duplicate attempts launched against stragglers.
-	Hedged int
 	// Partial reports that at least one shard failed; with Policy
 	// AllowPartial the documents cover only the healthy shards.
 	Partial bool
@@ -323,14 +321,11 @@ func (s *Store) result(p planned, routed *sharding.RoutedResult) *QueryResult {
 		CoverRanges:     p.cover.Ranges - p.cover.Singles,
 		CoverCells:      p.cover.Singles,
 		Broadcast:       routed.Broadcast,
-		Hedged:          routed.Hedged,
+		Retries:         routed.Retries,
 		Partial:         routed.Partial,
 		FailedShards:    routed.FailedShards,
 		ShardsPruned:    routed.ShardsPruned,
 		CacheHit:        routed.CacheHit,
-	}
-	for _, r := range routed.RetriesPerShard {
-		stats.Retries += r
 	}
 	for _, st := range routed.PerShard {
 		stats.IndexesUsed = append(stats.IndexesUsed, st.IndexUsed)

@@ -62,7 +62,7 @@ func waitFor(t testing.TB, what string, cond func() bool) {
 func TestCursorKillAndUnknownGetMore(t *testing.T) {
 	s := openStore(t, core.Hil, 2, 800)
 	srv, addr := startOneServer(t, s, ServerOptions{})
-	c, err := dial(addr, Options{DialTimeout: DefaultDialTimeout})
+	c, err := dial(addr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestCursorKillAndUnknownGetMore(t *testing.T) {
 func TestCursorTTLReap(t *testing.T) {
 	s := openStore(t, core.Hil, 2, 800)
 	srv, addr := startOneServer(t, s, ServerOptions{CursorTTL: 80 * time.Millisecond})
-	c, err := dial(addr, Options{DialTimeout: DefaultDialTimeout})
+	c, err := dial(addr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestCursorTTLReap(t *testing.T) {
 func TestCursorDroppedOnDisconnect(t *testing.T) {
 	s := openStore(t, core.Hil, 2, 800)
 	srv, addr := startOneServer(t, s, ServerOptions{})
-	c, err := dial(addr, Options{DialTimeout: DefaultDialTimeout})
+	c, err := dial(addr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestReaperVsGetMoreRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := dial(addr, Options{DialTimeout: DefaultDialTimeout})
+			c, err := dial(addr, Options{})
 			if err != nil {
 				errs <- err
 				return

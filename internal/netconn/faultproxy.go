@@ -95,7 +95,7 @@ func (p *Proxy) accept() {
 		if err != nil {
 			return
 		}
-		up, err := net.DialTimeout("tcp", p.target, DefaultDialTimeout)
+		up, err := net.DialTimeout("tcp", p.target, dialTimeout)
 		if err != nil {
 			nc.Close()
 			continue

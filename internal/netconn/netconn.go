@@ -19,26 +19,20 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"sync"
 	"time"
 
+	"repro/internal/sharding"
 	"repro/internal/wire"
 )
 
 // Options configures the client side of the transport.
 type Options struct {
-	// DialTimeout bounds each TCP dial + handshake (default 3s).
-	DialTimeout time.Duration
 	// WaitReady keeps re-dialing a refused address for this long
 	// during Connect — daemons that are still coming up answer as
 	// soon as they bind (default 0: fail on first refusal).
 	WaitReady time.Duration
-	// MaxIdlePerHost caps the idle connections kept per address
-	// (default 4). A checkout beyond the idle set dials a fresh
-	// connection; returns beyond the cap close it.
-	MaxIdlePerHost int
 	// BatchSize is the cursor batch size requested per reply frame
 	// (default 512 documents).
 	BatchSize int
@@ -56,20 +50,23 @@ type Options struct {
 	Mutable bool
 }
 
-// Defaults for Options.
+// DefaultBatchSize is Options.BatchSize's default.
+const DefaultBatchSize = 512
+
+// The transport's fixed tuning.
 const (
-	DefaultDialTimeout    = 3 * time.Second
-	DefaultMaxIdlePerHost = 4
-	DefaultBatchSize      = 512
+	// dialTimeout bounds each TCP dial + handshake.
+	dialTimeout = 3 * time.Second
+	// maxIdlePerHost caps the idle connections kept per address. A
+	// checkout beyond the idle set dials a fresh connection; returns
+	// beyond the cap close it.
+	maxIdlePerHost = 4
+	// Redials back off from dialBackoffBase, doubling to dialBackoffMax.
+	dialBackoffBase = 5 * time.Millisecond
+	dialBackoffMax  = 250 * time.Millisecond
 )
 
 func (o Options) withDefaults() Options {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = DefaultDialTimeout
-	}
-	if o.MaxIdlePerHost <= 0 {
-		o.MaxIdlePerHost = DefaultMaxIdlePerHost
-	}
 	if o.BatchSize <= 0 {
 		o.BatchSize = DefaultBatchSize
 	}
@@ -93,9 +90,8 @@ type conn struct {
 // dial establishes and handshakes one connection, running the HMAC
 // challenge when opts.AuthSecret is set.
 func dial(addr string, opts Options) (*conn, error) {
-	timeout := opts.DialTimeout
-	deadline := time.Now().Add(timeout)
-	nc, err := net.DialTimeout("tcp", addr, timeout)
+	deadline := time.Now().Add(dialTimeout)
+	nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +321,7 @@ func (p *pool) checkPin(c *conn) error {
 }
 
 // put returns a connection after a request. Broken conns and overflow
-// beyond MaxIdlePerHost are closed. The first conn a pool sees pins
+// beyond maxIdlePerHost are closed. The first conn a pool sees pins
 // the fingerprint (Connect and DialRouter seed pools this way).
 func (p *pool) put(c *conn) {
 	if c.broken {
@@ -337,7 +333,7 @@ func (p *pool) put(c *conn) {
 		return
 	}
 	p.mu.Lock()
-	if p.closed || len(p.idle) >= p.opts.MaxIdlePerHost {
+	if p.closed || len(p.idle) >= maxIdlePerHost {
 		p.mu.Unlock()
 		c.close()
 		return
@@ -360,10 +356,9 @@ func (p *pool) close() {
 
 // dialReady dials + handshakes, retrying refused connections until
 // opts.WaitReady elapses — the daemon-startup race absorber. Retries
-// back off with the same capped exponential + deterministic FNV
-// jitter schedule the router's retry path uses, so a fleet of
-// clients waiting on one restarting daemon does not thunder at a
-// fixed cadence.
+// back off with the router's capped exponential + deterministic FNV
+// jitter (sharding.Backoff), so a fleet of clients waiting on one
+// restarting daemon does not thunder at a fixed cadence.
 func dialReady(addr string, opts Options) (*conn, error) {
 	deadline := time.Now().Add(opts.WaitReady)
 	for attempt := 0; ; attempt++ {
@@ -375,24 +370,11 @@ func dialReady(addr string, opts Options) (*conn, error) {
 	}
 }
 
-// dialBackoff is the delay before redial attempt (0-based): 5ms base
-// doubling to a 250ms cap, jittered into [50%, 100%) by an FNV hash
-// of (addr, attempt) — deterministic per (addr, attempt) so tests
-// replay identically, yet different clients and attempts spread out.
+// dialBackoff is the delay before redial attempt (0-based), jittered
+// per (addr, attempt): deterministic so tests replay identically, yet
+// different clients and attempts spread out.
 func dialBackoff(addr string, attempt int) time.Duration {
-	const (
-		base     = 5 * time.Millisecond
-		maxDelay = 250 * time.Millisecond
-	)
-	d := base << uint(attempt)
-	if d > maxDelay || d <= 0 {
-		d = maxDelay
-	}
-	h := fnv.New32a()
-	h.Write([]byte(addr))
-	h.Write([]byte{byte(attempt)})
-	frac := 0.5 + float64(h.Sum32()%1024)/2048 // [0.5, 1.0)
-	return time.Duration(float64(d) * frac)
+	return sharding.Backoff(dialBackoffBase, dialBackoffMax, []byte(addr), attempt)
 }
 
 // Probe dials addr once (honouring opts.WaitReady), fetches the
@@ -407,7 +389,7 @@ func Probe(addr string, opts Options) (wire.HelloReply, wire.StatsReply, error) 
 		return wire.HelloReply{}, wire.StatsReply{}, err
 	}
 	defer c.close()
-	_ = c.nc.SetDeadline(time.Now().Add(opts.DialTimeout))
+	_ = c.nc.SetDeadline(time.Now().Add(dialTimeout))
 	op, body, err := c.roundTrip(nil, wire.OpStats, nil)
 	if err != nil {
 		return c.hello, wire.StatsReply{}, err

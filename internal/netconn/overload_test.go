@@ -40,12 +40,12 @@ func TestAdmissionShedsWithOverloadCode(t *testing.T) {
 		t.Fatalf("State = %s, want ready", wire.StateName(got))
 	}
 
-	a, err := dial(addr, Options{DialTimeout: DefaultDialTimeout})
+	a, err := dial(addr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.close()
-	b, err := dial(addr, Options{DialTimeout: DefaultDialTimeout})
+	b, err := dial(addr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,28 +99,23 @@ func TestAdmissionShedsWithOverloadCode(t *testing.T) {
 // TestOverloadRetryAfterFeedsRouterBackoff: a router hammering a
 // single-slot server gets shed, honours the retry-after floor through
 // the existing retry machinery, and still converges on complete
-// results — overload degrades into latency, not partial answers.
+// results — overload degrades into latency, not partial answers. The
+// router runs at its default resilience. The server admits about two
+// queued requests, so a burst's tail is shed, and it asks for a retry
+// after several service times, so the shed requests come back to a
+// drained queue within the router's three attempts.
 func TestOverloadRetryAfterFeedsRouterBackoff(t *testing.T) {
 	leakcheck.Check(t)
 	router := openStore(t, core.Hil, 2, 800)
 	backend := openStore(t, core.Hil, 2, 800)
 	_, addr := slowServer(t, backend, 20*time.Millisecond, AdmitOptions{
 		MaxInFlight:    1,
-		AdmissionWait:  5 * time.Millisecond,
-		RetryAfterHint: 5 * time.Millisecond,
+		AdmissionWait:  30 * time.Millisecond,
+		RetryAfterHint: 100 * time.Millisecond,
 	})
 	rc := connectRemote(t, router, []string{addr}, Options{})
 	router.Cluster().SetConn(rc)
 	defer router.Cluster().SetConn(nil)
-	router.Cluster().SetResilience(sharding.Resilience{
-		MaxAttempts:  12,
-		RetryBackoff: 2 * time.Millisecond,
-		MaxBackoff:   100 * time.Millisecond,
-		// The breaker must not amplify intentional sheds into an open
-		// circuit mid-test.
-		BreakerThreshold: -1,
-	})
-	defer router.Cluster().SetResilience(sharding.Resilience{})
 
 	want := len(openStore(t, core.Hil, 2, 800).Query(core.STQuery{
 		Rect: testRect, From: testStart, To: testStart.Add(24 * time.Hour),
@@ -172,11 +167,11 @@ func TestConnCapShedsAndRecovers(t *testing.T) {
 	s := openStore(t, core.Hil, 2, 500)
 	_, addr := startOneServer(t, s, ServerOptions{Admit: AdmitOptions{MaxConns: 1}})
 
-	first, err := dial(addr, Options{DialTimeout: DefaultDialTimeout})
+	first, err := dial(addr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dial(addr, Options{DialTimeout: DefaultDialTimeout}); err == nil {
+	if _, err := dial(addr, Options{}); err == nil {
 		t.Fatal("expected the over-cap dial to be refused")
 	}
 
@@ -195,7 +190,7 @@ func TestConnCapShedsAndRecovers(t *testing.T) {
 func TestMemWatermarkSheds(t *testing.T) {
 	s := openStore(t, core.Hil, 2, 500)
 	_, addr := startOneServer(t, s, ServerOptions{Admit: AdmitOptions{MemWatermark: 1}})
-	c, err := dial(addr, Options{DialTimeout: DefaultDialTimeout})
+	c, err := dial(addr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,12 +220,12 @@ func TestDrainFinishesInFlight(t *testing.T) {
 	s := openStore(t, core.Hil, 2, 800)
 	srv, addr := slowServer(t, s, 250*time.Millisecond, AdmitOptions{})
 
-	a, err := dial(addr, Options{DialTimeout: DefaultDialTimeout})
+	a, err := dial(addr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.close()
-	b, err := dial(addr, Options{DialTimeout: DefaultDialTimeout})
+	b, err := dial(addr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +264,7 @@ func TestDrainFinishesInFlight(t *testing.T) {
 	}
 
 	// New dials are refused outright: the listener is gone.
-	if _, err := dial(addr, Options{DialTimeout: time.Second}); err == nil {
+	if _, err := dial(addr, Options{}); err == nil {
 		t.Fatal("expected dial after drain to fail")
 	}
 }
@@ -284,7 +279,7 @@ func TestBadFrameGetsStructuredError(t *testing.T) {
 
 	expectBadFrameReply := func(name string, raw []byte) {
 		t.Helper()
-		c, err := dial(addr, Options{DialTimeout: DefaultDialTimeout})
+		c, err := dial(addr, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +315,7 @@ func TestBadFrameGetsStructuredError(t *testing.T) {
 	expectBadFrameReply("checksum mismatch", corrupt)
 
 	// A torn stream gets no goodbye: the writer vanished.
-	c, err := dial(addr, Options{DialTimeout: DefaultDialTimeout})
+	c, err := dial(addr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +389,7 @@ func TestQueryDeadlineShedsAsOverload(t *testing.T) {
 	_, addr := slowServer(t, s, 300*time.Millisecond, AdmitOptions{
 		QueryDeadline: 50 * time.Millisecond,
 	})
-	c, err := dial(addr, Options{DialTimeout: DefaultDialTimeout})
+	c, err := dial(addr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

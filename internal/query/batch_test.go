@@ -265,7 +265,7 @@ func TestBatchedScanMatchesOneAtATime(t *testing.T) {
 	stopped := map[string]int{}
 	for collName, coll := range map[string]*collection.Collection{"intact": intact, "holed": holed} {
 		for fi, f := range batchFilters() {
-			plans := append(CandidatePlans(coll, f, nil), &Plan{Filter: f}) // + COLLSCAN
+			plans := append(CandidatePlans(coll, f), &Plan{Filter: f}) // + COLLSCAN
 			for _, p := range plans {
 				for _, tc := range batchCases() {
 					got, want := runCase((*exec).run, coll, p, tc), runCase(refRun, coll, p, tc)
@@ -301,7 +301,7 @@ func TestBatchedScanMatchesOneAtATime(t *testing.T) {
 func TestScratchDropsBatchRecords(t *testing.T) {
 	c := newCollWithIndexes(t, 500)
 	s := getScratch()
-	e := exec{ctx: context.Background(), coll: c, p: CandidatePlans(c, scanSizedFilter(90000), nil)[0], collect: true, s: s}
+	e := exec{ctx: context.Background(), coll: c, p: CandidatePlans(c, scanSizedFilter(90000))[0], collect: true, s: s}
 	if !e.run() || e.stats.DocsExamined == 0 {
 		t.Fatalf("scan examined %d documents", e.stats.DocsExamined)
 	}

@@ -148,16 +148,16 @@ func BenchmarkWarmPlan(b *testing.B) {
 	b.Run("bare", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			benchPlan, _, _, _ = cachedPlan(c, Prepare(f), nil)
+			benchPlan, _, _, _ = cachedPlan(c, Prepare(f))
 		}
 	})
 	b.Run("prepared", func(b *testing.B) {
 		p := Prepare(f)
-		cachedPlan(c, p, nil)
+		cachedPlan(c, p)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			benchPlan, _, _, _ = cachedPlan(c, p, nil)
+			benchPlan, _, _, _ = cachedPlan(c, p)
 		}
 	})
 }

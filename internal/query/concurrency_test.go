@@ -121,7 +121,7 @@ func TestEvictPlanIsConditional(t *testing.T) {
 		Cmp{Field: "hilbertIndex", Op: OpLTE, Value: int64(1000)},
 	))
 	Execute(c, f, nil)
-	plan, _, stale, ok := cachedPlan(c, f, nil)
+	plan, _, stale, ok := cachedPlan(c, f)
 	if !ok {
 		t.Fatal("no cached plan after execution")
 	}
@@ -129,13 +129,13 @@ func TestEvictPlanIsConditional(t *testing.T) {
 	rememberPlan(c, f, plan, stale.works+999)
 	// The stale eviction must now be a no-op.
 	evictPlan(c, f, stale)
-	if _, _, fresh, ok := cachedPlan(c, f, nil); !ok {
+	if _, _, fresh, ok := cachedPlan(c, f); !ok {
 		t.Fatal("stale eviction removed the fresh entry")
 	} else if fresh.works != stale.works+999 {
 		t.Fatalf("cache holds works=%d, want the fresh %d", fresh.works, stale.works+999)
 	}
 	// With the matching entry the eviction does fire.
-	_, _, cur, _ := cachedPlan(c, f, nil)
+	_, _, cur, _ := cachedPlan(c, f)
 	evictPlan(c, f, cur)
 	if _, ok := c.PlanCache.Load(ShapeOf(f)); ok {
 		t.Fatal("matching eviction left the entry in place")

@@ -105,7 +105,7 @@ func ExecuteOptsCtx(ctx context.Context, coll *collection.Collection, f Filter, 
 	p := Prepare(f)
 	s := getScratch()
 	defer putScratch(s)
-	if plan, budget, entry, ok := cachedPlan(coll, p, cfg); ok {
+	if plan, budget, entry, ok := cachedPlan(coll, p); ok {
 		e := exec{ctx: ctx, coll: coll, p: plan, maxWorks: budget, collect: true, opts: opts, s: s}
 		completed := e.run()
 		if e.ctxErr != nil {

@@ -87,7 +87,7 @@ func Explain(coll *collection.Collection, f Filter, cfg *Config) *Explanation {
 		ex.CacheHits = coll.PlanCacheHits.Load()
 		ex.CacheMisses = coll.PlanCacheMisses.Load()
 	}()
-	if plan, budget, entry, ok := cachedPlan(coll, p, cfg); ok {
+	if plan, budget, entry, ok := cachedPlan(coll, p); ok {
 		start := time.Now()
 		stats, completed := runPlan(coll, plan, budget)
 		if completed {
@@ -103,7 +103,7 @@ func Explain(coll *collection.Collection, f Filter, cfg *Config) *Explanation {
 	start := time.Now()
 	plan, trials := ChoosePlan(coll, p, cfg)
 	ex.Trials = trials
-	for _, cand := range CandidatePlans(coll, p, cfg) {
+	for _, cand := range CandidatePlans(coll, p) {
 		if cand.Name() == plan.Name() {
 			continue
 		}

@@ -164,14 +164,14 @@ const planCacheCap = 4096
 // never built. The returned budget is the works allowance before the
 // plan must be evicted; the returned entry is what evictPlan needs
 // for its compare-and-delete.
-func cachedPlan(coll *collection.Collection, p *Prepared, cfg *Config) (*Plan, int, cacheEntry, bool) {
+func cachedPlan(coll *collection.Collection, p *Prepared) (*Plan, int, cacheEntry, bool) {
 	v, ok := coll.PlanCache.Load(p.cacheKey())
 	if !ok {
 		coll.PlanCacheMisses.Add(1)
 		return nil, 0, cacheEntry{}, false
 	}
 	entry := v.(cacheEntry)
-	plan := planByName(coll, p, cfg, entry.name)
+	plan := planByName(coll, p, entry.name)
 	if plan == nil {
 		coll.PlanCacheMisses.Add(1)
 		return nil, 0, cacheEntry{}, false
@@ -188,7 +188,7 @@ func cachedPlan(coll *collection.Collection, p *Prepared, cfg *Config) (*Plan, i
 // nil when the name no longer denotes a usable access path for this
 // filter. It yields exactly the plan CandidatePlans would list under
 // that name.
-func planByName(coll *collection.Collection, p *Prepared, cfg *Config, name string) *Plan {
+func planByName(coll *collection.Collection, p *Prepared, name string) *Plan {
 	if p.bounds.impossible {
 		plan := emptyPlan(coll, p)
 		if plan.Name() != name {
@@ -202,7 +202,7 @@ func planByName(coll *collection.Collection, p *Prepared, cfg *Config, name stri
 		// (the shape), so a cached COLLSCAN stays valid unless an
 		// index was created since.
 		for _, ix := range coll.Indexes() {
-			if p.path(ix, cfg).usable {
+			if p.path(ix).usable {
 				return nil
 			}
 		}
@@ -212,7 +212,7 @@ func planByName(coll *collection.Collection, p *Prepared, cfg *Config, name stri
 	if ix == nil {
 		return nil
 	}
-	ap := p.path(ix, cfg)
+	ap := p.path(ix)
 	if !ap.usable {
 		return nil
 	}

@@ -11,29 +11,19 @@ import (
 
 // Config tunes planning and execution.
 type Config struct {
-	// GeoCoverMaxCells caps the geohash covering of a $geoWithin
-	// predicate when planning a 2dsphere index scan; larger coverings
-	// are coarsened (over-covering, never under-covering). 0 means
-	// DefaultGeoCoverMaxCells.
-	GeoCoverMaxCells int
 	// TrialWorks is the work budget (keys examined + documents
 	// fetched) each candidate plan gets during the plan-selection
 	// trial. 0 means DefaultTrialWorks.
 	TrialWorks int
 }
 
-// Tuning defaults.
-const (
-	DefaultGeoCoverMaxCells = 64
-	DefaultTrialWorks       = 2000
-)
+// DefaultTrialWorks is Config.TrialWorks's default.
+const DefaultTrialWorks = 2000
 
-func (c *Config) geoCoverMaxCells() int {
-	if c == nil || c.GeoCoverMaxCells == 0 {
-		return DefaultGeoCoverMaxCells
-	}
-	return c.GeoCoverMaxCells
-}
+// geoCoverMaxCells caps the geohash covering of a $geoWithin predicate
+// when planning a 2dsphere index scan; larger coverings are coarsened
+// (over-covering, never under-covering).
+const geoCoverMaxCells = 64
 
 func (c *Config) trialWorks() int {
 	if c == nil || c.TrialWorks == 0 {
@@ -87,7 +77,7 @@ func (p *Plan) Name() string {
 // CandidatePlans enumerates every usable access path for the filter:
 // one plan per index whose leading field is constrained, plus a
 // collection scan when none is.
-func CandidatePlans(coll *collection.Collection, f Filter, cfg *Config) []*Plan {
+func CandidatePlans(coll *collection.Collection, f Filter) []*Plan {
 	p := Prepare(f)
 	if p.bounds.impossible {
 		// A provably empty result: an empty index-scan plan.
@@ -95,7 +85,7 @@ func CandidatePlans(coll *collection.Collection, f Filter, cfg *Config) []*Plan 
 	}
 	var plans []*Plan
 	for _, ix := range coll.Indexes() {
-		ap := p.path(ix, cfg)
+		ap := p.path(ix)
 		if !ap.usable {
 			continue
 		}
@@ -150,9 +140,9 @@ func residualFilter(f Filter, covered map[string]bool) Filter {
 // sub-bounds. A 2dsphere component's cell ranges scan flat, without
 // trailing-field pruning — the behaviour the paper observes for the
 // baseline's built-in spatial index.
-func planSegments(ix *index.Index, b bounds, cfg *Config) (segs []Segment, covered map[string]bool, usable bool) {
+func planSegments(ix *index.Index, b bounds) (segs []Segment, covered map[string]bool, usable bool) {
 	fields := ix.Def().Fields
-	set0 := fieldIntervalSet(ix, fields[0], b, cfg)
+	set0 := fieldIntervalSet(ix, fields[0], b)
 	if set0 == nil {
 		return nil, nil, false
 	}
@@ -164,7 +154,7 @@ func planSegments(ix *index.Index, b bounds, cfg *Config) (segs []Segment, cover
 	var subLo, subHiUpper []byte
 	subExact := false
 	if len(fields) > 1 && fields[0].Kind == index.Ascending && fields[1].Kind == index.Ascending {
-		if nextSet := fieldIntervalSet(ix, fields[1], b, cfg); len(nextSet) > 0 {
+		if nextSet := fieldIntervalSet(ix, fields[1], b); len(nextSet) > 0 {
 			// Bound by the set's envelope, widened to inclusive. The
 			// envelope equals the set when there is a single
 			// inclusive interval, in which case the bound is exact.
@@ -183,7 +173,7 @@ func planSegments(ix *index.Index, b bounds, cfg *Config) (segs []Segment, cover
 		next := fieldIdx + 1
 		for _, iv := range set {
 			if iv.IsPoint() && next < len(fields) {
-				if nextSet := fieldIntervalSet(ix, fields[next], b, cfg); nextSet != nil {
+				if nextSet := fieldIntervalSet(ix, fields[next], b); nextSet != nil {
 					compose(next, keys.Append(prefix, iv.Lo), nextSet)
 					continue
 				}
@@ -224,7 +214,7 @@ func planSegments(ix *index.Index, b bounds, cfg *Config) (segs []Segment, cover
 // one index field, or nil when the field is unconstrained. Geo fields
 // translate their rectangle into geohash cell ranges over the indexed
 // hash values.
-func fieldIntervalSet(ix *index.Index, f index.Field, b bounds, cfg *Config) []ValueInterval {
+func fieldIntervalSet(ix *index.Index, f index.Field, b bounds) []ValueInterval {
 	if f.Kind == index.Geo2DSphere {
 		rect, ok := b.rect(f.Name)
 		if !ok {
@@ -234,7 +224,7 @@ func fieldIntervalSet(ix *index.Index, f index.Field, b bounds, cfg *Config) []V
 		if bits == 0 {
 			bits = geohash.DefaultBits
 		}
-		cells := geohash.Cover(rect, bits, cfg.geoCoverMaxCells())
+		cells := geohash.Cover(rect, bits, geoCoverMaxCells)
 		set := make([]ValueInterval, 0, len(cells))
 		for _, c := range cells {
 			lo, hi := c.Range(bits)
@@ -300,7 +290,7 @@ func (t TrialResult) String() string {
 // deployment sometimes prefers the plain date index over the
 // spatio-temporal compound index.
 func ChoosePlan(coll *collection.Collection, f Filter, cfg *Config) (*Plan, []TrialResult) {
-	plans := CandidatePlans(coll, f, cfg)
+	plans := CandidatePlans(coll, f)
 	if len(plans) == 1 {
 		return plans[0], nil
 	}

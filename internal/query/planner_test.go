@@ -39,7 +39,7 @@ func TestSkipScanEquivalentToFlatScan(t *testing.T) {
 		Cmp{Field: "hilbertIndex", Op: OpLTE, Value: int64(30)},
 		TimeRangeFilter("date", baseTime.Add(24*time.Hour), baseTime.Add(48*time.Hour)),
 	)
-	plans := CandidatePlans(c, f, nil)
+	plans := CandidatePlans(c, f)
 	if len(plans) != 1 {
 		t.Fatalf("got %d plans", len(plans))
 	}
@@ -127,7 +127,7 @@ func TestCoveredPredicatesDropped(t *testing.T) {
 			In{Field: "hilbertIndex", Values: []any{int64(70000)}},
 		),
 	)
-	for _, p := range CandidatePlans(c, f, nil) {
+	for _, p := range CandidatePlans(c, f) {
 		res, ok := p.Filter.(And)
 		if !ok {
 			continue
@@ -304,7 +304,7 @@ func TestCandidatePlanForEachUsableIndex(t *testing.T) {
 		TimeRangeFilter("date", baseTime, baseTime.Add(time.Hour)),
 		Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(0)},
 	)
-	plans := CandidatePlans(c, f, nil)
+	plans := CandidatePlans(c, f)
 	names := map[string]bool{}
 	for _, p := range plans {
 		names[p.Name()] = true
@@ -509,7 +509,7 @@ func TestPlanCacheIsCapped(t *testing.T) {
 	}
 	// An eviction keeps the counter exact too.
 	p := Prepare(rectFilter(distinct - 1))
-	_, _, entry, ok := cachedPlan(c, p, nil)
+	_, _, entry, ok := cachedPlan(c, p)
 	if !ok {
 		t.Fatal("newest shape not cached")
 	}

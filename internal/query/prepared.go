@@ -37,11 +37,10 @@ type Prepared struct {
 }
 
 // accessPath is the shard-independent part of a plan through one
-// index definition under one planning configuration.
+// index definition.
 type accessPath struct {
-	spec     string
-	geoBits  uint
-	maxCells int
+	spec    string
+	geoBits uint
 
 	segments []Segment
 	residual Filter
@@ -74,19 +73,18 @@ func (p *Prepared) String() string { return p.filter.String() }
 
 // path returns the access path through the index, deriving it on
 // first use.
-func (p *Prepared) path(ix *index.Index, cfg *Config) accessPath {
-	def := ix.Def()
-	spec, geoBits, maxCells := ix.Spec(), def.GeoBits, cfg.geoCoverMaxCells()
+func (p *Prepared) path(ix *index.Index) accessPath {
+	spec, geoBits := ix.Spec(), ix.Def().GeoBits
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, ap := range p.paths {
-		if ap.spec == spec && ap.geoBits == geoBits && ap.maxCells == maxCells {
+		if ap.spec == spec && ap.geoBits == geoBits {
 			return ap
 		}
 	}
-	ap := accessPath{spec: spec, geoBits: geoBits, maxCells: maxCells}
+	ap := accessPath{spec: spec, geoBits: geoBits}
 	var covered map[string]bool
-	ap.segments, covered, ap.usable = planSegments(ix, p.bounds, cfg)
+	ap.segments, covered, ap.usable = planSegments(ix, p.bounds)
 	if ap.usable {
 		ap.residual = compile(residualFilter(p.filter, covered))
 	}

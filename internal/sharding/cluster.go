@@ -74,19 +74,15 @@ type Options struct {
 	// nodes, result counts, the modelled max-duration) are
 	// order-independent and identical at every pool width.
 	Parallel int
-	// Resilience configures the router's fault handling: per-query
-	// and per-shard deadlines, retry/backoff, hedging, circuit
-	// breakers, and the FailFast/AllowPartial policy. The zero value
-	// is filled with defaults (fail fast, 3 attempts, no timeouts).
+	// Resilience configures the router's fault handling: the
+	// FailFast/AllowPartial policy and the per-shard attempt deadline.
+	// The zero value fails fast with no deadline; retries and circuit
+	// breakers always run with fixed tuning (resilience.go).
 	Resilience Resilience
 	// Conn is the per-shard execution boundary; nil means LocalConn
 	// (the in-process call). Tests and benchmarks install a FaultConn
 	// here to inject shard-level failures.
 	Conn ShardConn
-	// DedupWindow is how many recent ingest batch IDs the cluster
-	// remembers for idempotent retries (default DefaultDedupWindow;
-	// negative disables by keeping a 1-entry window). See ingest.go.
-	DedupWindow int
 	// Dir, when non-empty, makes the cluster durable: every write is
 	// framed into a write-ahead journal under this directory and
 	// Checkpoint() snapshots the full state there. Durable clusters
@@ -98,9 +94,8 @@ type Options struct {
 	// file system rooted at Dir.
 	FS wal.FS
 	// Sync is the journal fsync policy (default wal.SyncBatch, group
-	// commit); SyncBatchBytes overrides the group-commit threshold.
-	Sync           wal.SyncPolicy
-	SyncBatchBytes int
+	// commit at wal.DefaultBatchBytes).
+	Sync wal.SyncPolicy
 	// SummaryShift enables per-chunk coarse-cell sketches when > 0:
 	// each document's leading shard-key value (which must be a
 	// non-negative integer, e.g. a Hilbert d-value) is right-shifted by
@@ -137,7 +132,6 @@ func (o Options) withDefaults() Options {
 	if o.Parallel <= 0 {
 		o.Parallel = runtime.GOMAXPROCS(0)
 	}
-	o.Resilience = o.Resilience.withDefaults()
 	if o.Conn == nil {
 		o.Conn = LocalConn{}
 	}
@@ -170,7 +164,7 @@ type Cluster struct {
 
 	// conn is the per-shard execution boundary (Options.Conn,
 	// defaulted to LocalConn) and breakers the per-shard circuit
-	// breakers, indexed by shard id (entries nil when disabled).
+	// breakers, indexed by shard id.
 	conn     ShardConn
 	breakers []*breaker
 
@@ -198,7 +192,7 @@ type Cluster struct {
 // NewCluster creates the shards.
 func NewCluster(opts Options) *Cluster {
 	opts = opts.withDefaults()
-	c := &Cluster{opts: opts, conn: opts.Conn, dedup: newDedupWindow(opts.DedupWindow)}
+	c := &Cluster{opts: opts, conn: opts.Conn, dedup: newDedupWindow(dedupWindowSize)}
 	c.epochs = make([]uint64, opts.Shards)
 	if opts.ResultCacheBytes > 0 {
 		c.rcache = newResultCache(opts.ResultCacheBytes)
@@ -209,7 +203,7 @@ func NewCluster(opts Options) *Cluster {
 			Name: fmt.Sprintf("shard%02d", i),
 			Coll: collection.New(opts.CollectionName),
 		})
-		c.breakers = append(c.breakers, newBreaker(opts.Resilience))
+		c.breakers = append(c.breakers, newBreaker())
 	}
 	return c
 }
@@ -232,20 +226,19 @@ func (c *Cluster) SetConn(conn ShardConn) {
 	c.mu.Unlock()
 }
 
-// SetResilience replaces the fault-handling configuration (defaults
-// filled) and resets every shard's circuit breaker to match.
+// SetResilience replaces the fault-handling configuration and resets
+// every shard's circuit breaker.
 func (c *Cluster) SetResilience(r Resilience) {
-	r = r.withDefaults()
 	c.mu.Lock()
 	c.opts.Resilience = r
 	for i := range c.breakers {
-		c.breakers[i] = newBreaker(r)
+		c.breakers[i] = newBreaker()
 	}
 	c.mu.Unlock()
 }
 
 // BreakerStates reports each shard's circuit-breaker state
-// ("closed", "open", "half-open", or "disabled"), keyed by shard id —
+// ("closed", "open" or "half-open"), keyed by shard id —
 // observability for the CLIs. The map is a fresh defensive copy:
 // callers may mutate or retain it while queries keep running.
 func (c *Cluster) BreakerStates() map[int]string {

@@ -94,10 +94,6 @@ type FaultSpec struct {
 	// Latency is added before the shard executes (cancellable by the
 	// attempt's context, so per-shard timeouts cut it short).
 	Latency time.Duration
-	// LatencyAttempts limits the added latency to the first N attempts
-	// on the shard; 0 slows every attempt. Hedging tests use it: the
-	// primary attempt straggles, the hedge runs at full speed.
-	LatencyAttempts int
 	// FailFirst makes the first N attempts fail with a transient
 	// error, then the shard recovers — the retry path's happy case.
 	FailFirst int
@@ -181,7 +177,7 @@ func (fc *FaultConn) Query(ctx context.Context, shard *Shard, f query.Filter, cf
 	if spec.Down {
 		return nil, &ShardError{Shard: shard.ID, Err: ErrShardDown}
 	}
-	if spec.Latency > 0 && (spec.LatencyAttempts == 0 || attempt <= spec.LatencyAttempts) {
+	if spec.Latency > 0 {
 		t := time.NewTimer(spec.Latency)
 		defer t.Stop()
 		select {

@@ -190,7 +190,7 @@ func OpenCluster(opts Options) (*Cluster, error) {
 	if err := res.TruncateTail(fs); err != nil {
 		return nil, err
 	}
-	j, err := wal.OpenJournal(fs, journalName, wal.JournalOptions{Sync: opts.Sync, BatchBytes: opts.SyncBatchBytes})
+	j, err := wal.OpenJournal(fs, journalName, wal.JournalOptions{Sync: opts.Sync})
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,14 +14,14 @@ import (
 	"repro/internal/query"
 )
 
-// testResilience is the fast-retry configuration the fault tests run
-// under: real policy machinery, microsecond backoffs.
-func testResilience(p Policy) Resilience {
-	return Resilience{
-		Policy:       p,
-		MaxAttempts:  3,
-		RetryBackoff: 200 * time.Microsecond,
-		MaxBackoff:   2 * time.Millisecond,
+// setBreakers replaces every shard's circuit breaker with one of the
+// given tuning, for tests that need other than the fixed constants.
+// SetResilience restores the defaults.
+func setBreakers(c *Cluster, threshold int, cooldown time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := range c.breakers {
+		c.breakers[i] = &breaker{threshold: threshold, cooldown: cooldown}
 	}
 }
 
@@ -67,7 +68,7 @@ func TestFaultMatrix(t *testing.T) {
 		recoverable bool
 	}{
 		{"latency", FaultSpec{Latency: 3 * time.Millisecond}, true},
-		{"transient", FaultSpec{FailFirst: 2}, true}, // recovers within MaxAttempts
+		{"transient", FaultSpec{FailFirst: 2}, true}, // recovers within maxAttempts
 		{"repeated", FaultSpec{AlwaysFail: true}, false},
 		{"down", FaultSpec{Down: true}, false},
 	}
@@ -94,7 +95,7 @@ func TestFaultMatrix(t *testing.T) {
 						sid := base.TargetedShards[0]
 						fc := NewFaultConn(nil, 42)
 						fc.SetFault(sid, fault.spec)
-						c.SetResilience(testResilience(policy))
+						c.SetResilience(Resilience{Policy: policy})
 						c.SetConn(fc)
 						defer func() {
 							c.SetConn(nil)
@@ -171,7 +172,7 @@ func TestRetryRecoversAndCounts(t *testing.T) {
 
 	fc := NewFaultConn(nil, 7)
 	fc.SetFault(sid, FaultSpec{FailFirst: 2})
-	c.SetResilience(testResilience(AllowPartial))
+	c.SetResilience(Resilience{Policy: AllowPartial})
 	c.SetConn(fc)
 	defer func() { c.SetConn(nil); c.SetResilience(Resilience{}) }()
 
@@ -182,30 +183,22 @@ func TestRetryRecoversAndCounts(t *testing.T) {
 	if !reflect.DeepEqual(res.Docs, base.Docs) {
 		t.Fatal("recovered docs differ from baseline")
 	}
-	if res.RetriesPerShard == nil {
-		t.Fatal("RetriesPerShard not recorded")
-	}
-	for i, target := range res.TargetedShards {
-		want := 0
-		if target == sid {
-			want = 2
-		}
-		if res.RetriesPerShard[i] != want {
-			t.Fatalf("RetriesPerShard[%d] = %d, want %d", i, res.RetriesPerShard[i], want)
-		}
+	// Only the faulted shard retried, twice.
+	if res.Retries != 2 {
+		t.Fatalf("Retries = %d, want 2", res.Retries)
 	}
 	if got := fc.Attempts(sid); got != 3 {
 		t.Fatalf("shard saw %d attempts, want 3", got)
 	}
 	// A healthy re-run reports no retries at all.
 	res2 := c.Query(f)
-	if res2.RetriesPerShard != nil || res2.Hedged != 0 {
+	if res2.Retries != 0 {
 		t.Fatalf("healthy run carries fault counters: %+v", res2)
 	}
 }
 
 // TestDownShardReturnsWithinDeadline is the acceptance scenario: one
-// hard-down shard, a configured query deadline, AllowPartial — the
+// hard-down shard, a caller deadline on the query, AllowPartial — the
 // query must come back well within the deadline, marked partial, with
 // the down shard listed.
 func TestDownShardReturnsWithinDeadline(t *testing.T) {
@@ -216,20 +209,21 @@ func TestDownShardReturnsWithinDeadline(t *testing.T) {
 
 	fc := NewFaultConn(nil, 1)
 	fc.SetFault(sid, FaultSpec{Down: true})
-	r := testResilience(AllowPartial)
-	r.QueryTimeout = 5 * time.Second
-	c.SetResilience(r)
+	c.SetResilience(Resilience{Policy: AllowPartial})
 	c.SetConn(fc)
 	defer func() { c.SetConn(nil); c.SetResilience(Resilience{}) }()
 
+	const deadline = 5 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
 	start := time.Now()
-	res, err := c.QueryCtx(context.Background(), f)
+	res, err := c.QueryCtx(ctx, f)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("AllowPartial errored: %v", err)
 	}
-	if elapsed >= r.QueryTimeout {
-		t.Fatalf("query took %v, deadline %v", elapsed, r.QueryTimeout)
+	if elapsed >= deadline {
+		t.Fatalf("query took %v, deadline %v", elapsed, deadline)
 	}
 	if !res.Partial || !reflect.DeepEqual(res.FailedShards, []int{sid}) {
 		t.Fatalf("partial=%v failed=%v, want partial with shard %d", res.Partial, res.FailedShards, sid)
@@ -251,10 +245,7 @@ func TestShardTimeoutCutsStragglers(t *testing.T) {
 
 	fc := NewFaultConn(nil, 1)
 	fc.SetFault(sid, FaultSpec{Latency: 10 * time.Second})
-	r := testResilience(AllowPartial)
-	r.MaxAttempts = 2
-	r.ShardTimeout = 25 * time.Millisecond
-	c.SetResilience(r)
+	c.SetResilience(Resilience{Policy: AllowPartial, ShardTimeout: 25 * time.Millisecond})
 	c.SetConn(fc)
 	defer func() { c.SetConn(nil); c.SetResilience(Resilience{}) }()
 
@@ -267,48 +258,13 @@ func TestShardTimeoutCutsStragglers(t *testing.T) {
 	if !reflect.DeepEqual(res.FailedShards, []int{sid}) {
 		t.Fatalf("FailedShards = %v", res.FailedShards)
 	}
-	// Two attempts × 25ms + backoff: anything near the injected 10s
+	// Three attempts × 25ms + backoff: anything near the injected 10s
 	// means cancellation did not propagate.
 	if elapsed > 2*time.Second {
 		t.Fatalf("straggler held the query for %v", elapsed)
 	}
-	if res.RetriesPerShard == nil {
+	if res.Retries == 0 {
 		t.Fatal("timeout retries not recorded")
-	}
-}
-
-// TestHedgedRequestBeatsStraggler: the first attempt straggles, the
-// hedge launched after HedgeAfter runs at full speed and wins; the
-// result is complete and the hedge is counted.
-func TestHedgedRequestBeatsStraggler(t *testing.T) {
-	c, _ := loadCluster(t, 2000, hilbertDateKey(), smallOpts())
-	f := query.GeoWithin{Field: "location", Rect: geo.NewRect(23.0, 37.0, 24.0, 38.0)}
-	base := c.Query(f)
-	sid := base.TargetedShards[0]
-
-	straggle := time.Second
-	fc := NewFaultConn(nil, 1)
-	fc.SetFault(sid, FaultSpec{Latency: straggle, LatencyAttempts: 1})
-	r := testResilience(FailFast)
-	r.HedgeAfter = 20 * time.Millisecond
-	c.SetResilience(r)
-	c.SetConn(fc)
-	defer func() { c.SetConn(nil); c.SetResilience(Resilience{}) }()
-
-	start := time.Now()
-	res, err := c.QueryCtx(context.Background(), f)
-	elapsed := time.Since(start)
-	if err != nil || res.Partial {
-		t.Fatalf("hedged query failed: err=%v partial=%v", err, res.Partial)
-	}
-	if res.Hedged < 1 {
-		t.Fatal("no hedge launched for the straggler")
-	}
-	if elapsed >= straggle {
-		t.Fatalf("hedge did not win: %v >= %v straggle", elapsed, straggle)
-	}
-	if !reflect.DeepEqual(res.Docs, base.Docs) {
-		t.Fatal("hedged result differs from baseline")
 	}
 }
 
@@ -333,7 +289,7 @@ func TestCancelledContextAbortsScatter(t *testing.T) {
 // TestBreakerStateMachine drives one breaker through
 // closed → open → half-open → closed and the re-open path.
 func TestBreakerStateMachine(t *testing.T) {
-	b := newBreaker(Resilience{BreakerThreshold: 3, BreakerCooldown: 20 * time.Millisecond}.withDefaults())
+	b := &breaker{threshold: 3, cooldown: 20 * time.Millisecond}
 	if !b.allow() || b.snapshotState() != "closed" {
 		t.Fatal("fresh breaker not closed")
 	}
@@ -373,7 +329,7 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatalf("failed probe left state %s", b.snapshotState())
 	}
 	// Failure-rate trip: every other attempt fails.
-	rate := newBreaker(Resilience{BreakerThreshold: 4, BreakerCooldown: time.Minute}.withDefaults())
+	rate := &breaker{threshold: 4, cooldown: time.Minute}
 	for i := 0; i < 8 && rate.snapshotState() == "closed"; i++ {
 		if i%2 == 0 {
 			rate.onFailure()
@@ -384,13 +340,6 @@ func TestBreakerStateMachine(t *testing.T) {
 	if rate.snapshotState() != "open" {
 		t.Fatal("50% failure rate never tripped the breaker")
 	}
-	// Disabled breaker is a no-op.
-	var off *breaker
-	if !off.allow() || off.snapshotState() != "disabled" {
-		t.Fatal("nil breaker must always allow")
-	}
-	off.onFailure()
-	off.onSuccess()
 }
 
 // TestBreakerStopsHammeringFailedShard: once a persistently failing
@@ -404,15 +353,12 @@ func TestBreakerStopsHammeringFailedShard(t *testing.T) {
 
 	fc := NewFaultConn(nil, 3)
 	fc.SetFault(sid, FaultSpec{AlwaysFail: true})
-	r := testResilience(AllowPartial)
-	r.MaxAttempts = 2
-	r.BreakerThreshold = 3
-	r.BreakerCooldown = time.Minute // stays open for the whole test
-	c.SetResilience(r)
+	c.SetResilience(Resilience{Policy: AllowPartial})
+	setBreakers(c, 3, time.Minute) // stays open for the whole test
 	c.SetConn(fc)
 	defer func() { c.SetConn(nil); c.SetResilience(Resilience{}) }()
 
-	// Trip the breaker: 2 failed attempts per query.
+	// Trip the breaker: the first query's three failed attempts do it.
 	for i := 0; i < 2; i++ {
 		res, err := c.QueryCtx(context.Background(), f)
 		if err != nil || !res.Partial {
@@ -459,11 +405,8 @@ func TestBreakerProbeReleasedOnAbort(t *testing.T) {
 	c.SetParallel(len(targets))
 
 	const cooldown = 30 * time.Millisecond
-	r := testResilience(FailFast)
-	r.MaxAttempts = 1
-	r.BreakerThreshold = 1
-	r.BreakerCooldown = cooldown
-	c.SetResilience(r)
+	c.SetResilience(Resilience{Policy: FailFast})
+	setBreakers(c, 1, cooldown)
 	defer func() { c.SetConn(nil); c.SetResilience(Resilience{}) }()
 
 	// Trip A's breaker.
@@ -503,6 +446,72 @@ func TestBreakerProbeReleasedOnAbort(t *testing.T) {
 	}
 }
 
+// shedConn answers like LocalConn, except that the first `left`
+// attempts on one shard are shed the way an admission-controlled server
+// sheds them: a transient ShardError carrying a retry-after hint.
+type shedConn struct {
+	shard int
+
+	mu       sync.Mutex
+	left     int
+	attempts int
+}
+
+func (sc *shedConn) Query(ctx context.Context, shard *Shard, f query.Filter, cfg *query.Config, opts query.Opts) (*query.Result, error) {
+	if shard.ID == sc.shard {
+		sc.mu.Lock()
+		sc.attempts++
+		shed := sc.left > 0
+		if shed {
+			sc.left--
+		}
+		sc.mu.Unlock()
+		if shed {
+			return nil, &ShardError{Shard: shard.ID, Transient: true, RetryAfter: time.Millisecond,
+				Err: errors.New("overloaded")}
+		}
+	}
+	return LocalConn{}.Query(ctx, shard, f, cfg, opts)
+}
+
+// TestShedIsNotABreakerFailure: a shed is backpressure from a busy but
+// healthy server, not a shard failure. A shard that sheds six attempts
+// in a row — more than the breaker threshold, spread over two queries
+// that each exhaust their retries — keeps its breaker closed, and the
+// next query reaches the shard and completes.
+func TestShedIsNotABreakerFailure(t *testing.T) {
+	c, _ := loadCluster(t, 1000, hilbertDateKey(), smallOpts())
+	c.SetParallel(1)
+	f := query.GeoWithin{Field: "location", Rect: geo.NewRect(23, 37, 24, 38)}
+	base := c.Query(f)
+	sid := base.TargetedShards[0]
+
+	sc := &shedConn{shard: sid, left: 6}
+	c.SetResilience(Resilience{Policy: AllowPartial})
+	c.SetConn(sc)
+	defer func() { c.SetConn(nil); c.SetResilience(Resilience{}) }()
+
+	for i := 0; i < 2; i++ {
+		res, err := c.QueryCtx(context.Background(), f)
+		if err != nil || !reflect.DeepEqual(res.FailedShards, []int{sid}) {
+			t.Fatalf("query %d: err=%v failed=%v, want shard %d shed out", i, err, res.FailedShards, sid)
+		}
+	}
+	if got := c.BreakerStates()[sid]; got != "closed" {
+		t.Fatalf("breaker state after sheds = %s, want closed", got)
+	}
+	res, err := c.QueryCtx(context.Background(), f)
+	if err != nil || res.Partial {
+		t.Fatalf("query after the sheds: err=%v partial=%v (breakers %v)", err, res.Partial, c.BreakerStates())
+	}
+	if !reflect.DeepEqual(res.Docs, base.Docs) {
+		t.Fatal("result after the sheds differs from baseline")
+	}
+	if sc.attempts != 7 {
+		t.Fatalf("shard saw %d attempts, want 6 shed + 1 answered", sc.attempts)
+	}
+}
+
 // TestFaultConnDeterministic: two clusters with identically seeded
 // rate-based FaultConns observe identical fault schedules.
 func TestFaultConnDeterministic(t *testing.T) {
@@ -513,9 +522,8 @@ func TestFaultConnDeterministic(t *testing.T) {
 		sid := c.Query(f).TargetedShards[0]
 		fc := NewFaultConn(nil, 99)
 		fc.SetFault(sid, FaultSpec{TransientRate: 0.5})
-		r := testResilience(AllowPartial)
-		r.BreakerThreshold = -1 // isolate the RNG schedule from breaker state
-		c.SetResilience(r)
+		c.SetResilience(Resilience{Policy: AllowPartial})
+		setBreakers(c, 1<<20, time.Minute) // isolate the RNG schedule from breaker state
 		c.SetConn(fc)
 		var partials []bool
 		for i := 0; i < 12; i++ {
@@ -539,7 +547,7 @@ func TestZeroFaultsByteIdentical(t *testing.T) {
 	for _, f := range stressFilters() {
 		base := c.Query(f)
 		c.SetConn(NewFaultConn(nil, 5))
-		c.SetResilience(Resilience{Policy: AllowPartial, HedgeAfter: 50 * time.Millisecond})
+		c.SetResilience(Resilience{Policy: AllowPartial, ShardTimeout: time.Minute})
 		got, err := c.QueryCtx(context.Background(), f)
 		c.SetConn(nil)
 		c.SetResilience(Resilience{})
@@ -549,8 +557,7 @@ func TestZeroFaultsByteIdentical(t *testing.T) {
 		if !reflect.DeepEqual(got.Docs, base.Docs) {
 			t.Fatalf("docs differ for %v", f)
 		}
-		if got.Partial || got.Err != nil || got.FailedShards != nil ||
-			got.RetriesPerShard != nil || got.Hedged != 0 {
+		if got.Partial || got.Err != nil || got.FailedShards != nil || got.Retries != 0 {
 			t.Fatalf("healthy query carries fault state: %+v", got)
 		}
 		if got.TotalReturned != base.TotalReturned ||
@@ -586,7 +593,7 @@ func TestQueryBatchPartialSemantics(t *testing.T) {
 
 	fc := NewFaultConn(nil, 11)
 	fc.SetFault(sid, FaultSpec{Down: true})
-	c.SetResilience(testResilience(AllowPartial))
+	c.SetResilience(Resilience{Policy: AllowPartial})
 	c.SetConn(fc)
 	defer func() { c.SetConn(nil); c.SetResilience(Resilience{}) }()
 
@@ -617,7 +624,7 @@ func TestQueryBatchPartialSemantics(t *testing.T) {
 	}
 
 	// FailFast: the batch reports the failure.
-	c.SetResilience(testResilience(FailFast))
+	c.SetResilience(Resilience{Policy: FailFast})
 	_, err = c.QueryBatchCtx(context.Background(), fs, nil)
 	if err == nil {
 		t.Fatal("FailFast batch with a down shard returned no error")

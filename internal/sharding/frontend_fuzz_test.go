@@ -287,7 +287,7 @@ func (fx *frontEndFixture) checkFrontEnd(t *testing.T, f query.Filter) {
 		t.Fatalf("prepared shape\n got %s\nwant %s", got, want)
 	}
 
-	plans := query.CandidatePlans(fx.coll, f, nil)
+	plans := query.CandidatePlans(fx.coll, f)
 	if ref.impossible {
 		if len(plans) != 1 || len(plans[0].Segments) != 0 {
 			t.Fatalf("%s: an impossible filter planned %d plans", f, len(plans))
@@ -300,7 +300,7 @@ func (fx *frontEndFixture) checkFrontEnd(t *testing.T, f query.Filter) {
 		}
 		var wantPlans []refPlan
 		for _, ix := range fx.coll.Indexes() {
-			if segs, covered, usable := refPlanSegments(ix, ref, nil); usable {
+			if segs, covered, usable := refPlanSegments(ix, ref); usable {
 				wantPlans = append(wantPlans, refPlan{ix.Spec(), segs, refResidualFilter(f, covered).String()})
 			}
 		}

@@ -21,14 +21,8 @@ import (
 	"repro/internal/query"
 )
 
-// refGeoCoverMaxCells is query.Config's geo cover cap, which the
-// reference planner reads.
-func refGeoCoverMaxCells(cfg *query.Config) int {
-	if cfg == nil || cfg.GeoCoverMaxCells == 0 {
-		return query.DefaultGeoCoverMaxCells
-	}
-	return cfg.GeoCoverMaxCells
-}
+// refGeoCoverMaxCells is the planner's geo cover cap.
+const refGeoCoverMaxCells = 64
 
 // Class extremes used to type-bracket open-ended comparisons on the
 // classes the store's range predicates actually target. A bracketed
@@ -465,9 +459,9 @@ func refResidualFilter(f query.Filter, covered map[string]bool) query.Filter {
 // sub-bounds. A 2dsphere component's cell ranges scan flat, without
 // trailing-field pruning — the behaviour the paper observes for the
 // baseline's built-in spatial index.
-func refPlanSegments(ix *index.Index, b refBounds, cfg *query.Config) (segs []query.Segment, covered map[string]bool, usable bool) {
+func refPlanSegments(ix *index.Index, b refBounds) (segs []query.Segment, covered map[string]bool, usable bool) {
 	fields := ix.Def().Fields
-	set0 := refFieldIntervalSet(ix, fields[0], b, cfg)
+	set0 := refFieldIntervalSet(ix, fields[0], b)
 	if set0 == nil {
 		return nil, nil, false
 	}
@@ -476,7 +470,7 @@ func refPlanSegments(ix *index.Index, b refBounds, cfg *query.Config) (segs []qu
 	var subLo, subHiUpper []byte
 	subExact := false
 	if len(fields) > 1 && fields[0].Kind == index.Ascending && fields[1].Kind == index.Ascending {
-		if nextSet := refFieldIntervalSet(ix, fields[1], b, cfg); len(nextSet) > 0 {
+		if nextSet := refFieldIntervalSet(ix, fields[1], b); len(nextSet) > 0 {
 			// Bound by the set's envelope, widened to inclusive. The
 			// envelope equals the set when there is a single
 			// inclusive interval, in which case the bound is exact.
@@ -494,7 +488,7 @@ func refPlanSegments(ix *index.Index, b refBounds, cfg *query.Config) (segs []qu
 		next := fieldIdx + 1
 		for _, iv := range set {
 			if iv.IsPoint() && next < len(fields) {
-				if nextSet := refFieldIntervalSet(ix, fields[next], b, cfg); nextSet != nil {
+				if nextSet := refFieldIntervalSet(ix, fields[next], b); nextSet != nil {
 					compose(next, keyenc.AppendValue(refCloneBytes(prefix), iv.Lo), nextSet)
 					continue
 				}
@@ -535,7 +529,7 @@ func refPlanSegments(ix *index.Index, b refBounds, cfg *query.Config) (segs []qu
 // one index field, or nil when the field is unconstrained. Geo fields
 // translate their rectangle into geohash cell ranges over the indexed
 // hash values.
-func refFieldIntervalSet(ix *index.Index, f index.Field, b refBounds, cfg *query.Config) []query.ValueInterval {
+func refFieldIntervalSet(ix *index.Index, f index.Field, b refBounds) []query.ValueInterval {
 	if f.Kind == index.Geo2DSphere {
 		rect, ok := b.geoRects[f.Name]
 		if !ok {
@@ -545,7 +539,7 @@ func refFieldIntervalSet(ix *index.Index, f index.Field, b refBounds, cfg *query
 		if bits == 0 {
 			bits = geohash.DefaultBits
 		}
-		cells := geohash.Cover(rect, bits, refGeoCoverMaxCells(cfg))
+		cells := geohash.Cover(rect, bits, refGeoCoverMaxCells)
 		set := make([]query.ValueInterval, 0, len(cells))
 		for _, c := range cells {
 			lo, hi := c.Range(bits)

@@ -53,9 +53,9 @@ var ErrIngesterClosed = errors.New("ingester closed")
 // answer (and it is not transient — a retry cannot succeed either).
 var ErrBatchTooLarge = errors.New("batch exceeds ingest queue capacity")
 
-// DefaultDedupWindow is the number of recent batch IDs remembered for
-// idempotent retries (Options.DedupWindow overrides).
-const DefaultDedupWindow = 1024
+// dedupWindowSize is the number of recent batch IDs remembered for
+// idempotent retries: the retry horizon of a client batch.
+const dedupWindowSize = 1024
 
 // BatchInserter is the write-path boundary: anything that can apply an
 // idempotent client batch of encoded documents. Ingester implements it
@@ -85,12 +85,6 @@ type dedupWindow struct {
 }
 
 func newDedupWindow(capacity int) *dedupWindow {
-	if capacity == 0 {
-		capacity = DefaultDedupWindow
-	}
-	if capacity < 0 {
-		capacity = 1
-	}
 	return &dedupWindow{cap: capacity, ids: make(map[string]struct{}, capacity)}
 }
 

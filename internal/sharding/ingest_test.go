@@ -80,9 +80,8 @@ func TestInsertBatchIdempotent(t *testing.T) {
 // TestDedupWindowEviction: the window is a bounded retry horizon —
 // IDs older than its capacity are forgotten and re-apply.
 func TestDedupWindowEviction(t *testing.T) {
-	opts := smallOpts()
-	opts.DedupWindow = 4
-	c := shardedCluster(t, opts)
+	c := shardedCluster(t, smallOpts())
+	c.dedup = newDedupWindow(4)
 
 	for i := 0; i < 6; i++ {
 		docs := ingestDocs(int64(10+i), 2)

@@ -125,7 +125,7 @@ func TestQueryBatchMatchesIndividualQueries(t *testing.T) {
 		{"down/failfast", fc, FailFast},
 	} {
 		c.SetConn(mode.conn)
-		c.SetResilience(testResilience(mode.policy))
+		c.SetResilience(Resilience{Policy: mode.policy})
 		for name, o := range optSets {
 			label := mode.name + "/" + name
 			c.SetParallel(1)

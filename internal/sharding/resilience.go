@@ -32,85 +32,61 @@ func (p Policy) String() string {
 	return "fail-fast"
 }
 
-// Resilience configures the router's fault handling. The zero value
-// (filled by withDefaults) retries transient failures and fails fast;
-// with the production LocalConn and no timeouts the whole machinery
-// reduces to nil checks on the happy path.
+// Resilience configures the router's fault handling: what to do with
+// a shard that stays failed, and how long one attempt may take. The
+// zero value fails fast with no per-attempt deadline. Retries and the
+// circuit breaker are always on, with fixed tuning (the constants
+// below); a caller bounds a whole scatter-gather with its own context.
 type Resilience struct {
 	// Policy is FailFast (default) or AllowPartial.
 	Policy Policy
-	// MaxAttempts bounds attempts per shard, first try included
-	// (default 3; 1 disables retries). Only transient failures are
-	// retried.
-	MaxAttempts int
-	// RetryBackoff is the base delay before the first retry; each
-	// further retry doubles it, capped at MaxBackoff. The actual
-	// delay applies a deterministic jitter in [50%, 100%] derived
-	// from (shard, attempt), so retries across shards de-synchronise
-	// identically on every run. Defaults 1ms / 50ms.
-	RetryBackoff time.Duration
-	MaxBackoff   time.Duration
 	// ShardTimeout bounds one per-shard attempt; expiry counts as a
 	// transient failure (the straggler may answer on retry). 0 = none.
 	ShardTimeout time.Duration
-	// QueryTimeout bounds the whole scatter-gather. 0 = none.
-	QueryTimeout time.Duration
-	// HedgeAfter launches one duplicate attempt against a shard whose
-	// attempt has not answered within this delay, keeping whichever
-	// response arrives first. 0 disables hedging.
-	HedgeAfter time.Duration
-	// BreakerThreshold trips a shard's circuit breaker after this
-	// many consecutive failures, or after a ≥50% failure rate over a
-	// window of the same size (default 5; negative disables the
-	// breaker).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker rejects before
-	// letting one half-open probe through (default 250ms).
-	BreakerCooldown time.Duration
 }
 
-// Defaults for Resilience.
+// The router's fixed retry and breaker tuning.
 const (
-	DefaultMaxAttempts      = 3
-	DefaultRetryBackoff     = time.Millisecond
-	DefaultMaxBackoff       = 50 * time.Millisecond
-	DefaultBreakerThreshold = 5
-	DefaultBreakerCooldown  = 250 * time.Millisecond
+	// maxAttempts bounds attempts per shard, first try included; only
+	// transient failures are retried. Three attempts absorb a transient
+	// fault or a shed burst without letting a dead shard cost a query
+	// more than three per-attempt timeouts.
+	maxAttempts = 3
+	// retryBackoff is the delay before the first retry; each further
+	// retry doubles it, capped at maxBackoff (see Backoff for the
+	// jitter).
+	retryBackoff = time.Millisecond
+	maxBackoff   = 50 * time.Millisecond
+	// breakerThreshold trips a shard's breaker after this many
+	// consecutive failures, or a >=50% failure rate over a window of the
+	// same size; breakerCooldown is how long it then rejects before
+	// admitting one half-open probe.
+	breakerThreshold = 5
+	breakerCooldown  = 250 * time.Millisecond
 )
 
-func (r Resilience) withDefaults() Resilience {
-	if r.MaxAttempts <= 0 {
-		r.MaxAttempts = DefaultMaxAttempts
-	}
-	if r.RetryBackoff <= 0 {
-		r.RetryBackoff = DefaultRetryBackoff
-	}
-	if r.MaxBackoff <= 0 {
-		r.MaxBackoff = DefaultMaxBackoff
-	}
-	if r.BreakerThreshold == 0 {
-		r.BreakerThreshold = DefaultBreakerThreshold
-	}
-	if r.BreakerCooldown <= 0 {
-		r.BreakerCooldown = DefaultBreakerCooldown
-	}
-	return r
-}
-
-// backoffDelay is the capped exponential backoff before retry
-// `retry` (0-based) on the shard, with deterministic jitter: the
-// delay is scaled into [50%, 100%] by an FNV hash of (shard, retry),
-// so the schedule is reproducible run to run yet different shards
-// never thunder in lockstep.
-func backoffDelay(r Resilience, shard, retry int) time.Duration {
-	d := r.RetryBackoff << uint(retry)
-	if d > r.MaxBackoff || d <= 0 {
-		d = r.MaxBackoff
+// Backoff is the capped exponential delay before retry `attempt`
+// (0-based): base doubled per attempt up to maxDelay, scaled into
+// [50%, 100%) by an FNV hash of key and the attempt number, so a
+// schedule is reproducible run to run yet different keys (shards,
+// addresses) never retry in lockstep. The router's shard retries and
+// netconn's redials both use it, each with its own constants.
+func Backoff(base, maxDelay time.Duration, key []byte, attempt int) time.Duration {
+	d := base << uint(attempt)
+	if d > maxDelay || d <= 0 {
+		d = maxDelay
 	}
 	h := fnv.New32a()
-	h.Write([]byte{byte(shard), byte(shard >> 8), byte(retry)})
+	h.Write(key)
+	h.Write([]byte{byte(attempt)})
 	frac := 0.5 + float64(h.Sum32()%1024)/2048 // [0.5, 1.0)
 	return time.Duration(float64(d) * frac)
+}
+
+// backoffDelay is the router's backoff before retry `retry` on the
+// shard, jittered per (shard, retry).
+func backoffDelay(shard, retry int) time.Duration {
+	return Backoff(retryBackoff, maxBackoff, []byte{byte(shard), byte(shard >> 8)}, retry)
 }
 
 // retryDelay is backoffDelay, floored by the server's retry-after
@@ -119,13 +95,23 @@ func backoffDelay(r Resilience, shard, retry int) time.Duration {
 // it wants to see the request again, but the jittered exponential
 // still wins once it has grown past the hint (so repeated sheds keep
 // de-synchronising).
-func retryDelay(r Resilience, shard, retry int, err error) time.Duration {
-	d := backoffDelay(r, shard, retry)
-	var se *ShardError
-	if errors.As(err, &se) && se.RetryAfter > d {
-		d = se.RetryAfter
+func retryDelay(shard, retry int, err error) time.Duration {
+	d := backoffDelay(shard, retry)
+	if ra := retryAfter(err); ra > d {
+		d = ra
 	}
 	return d
+}
+
+// retryAfter is the server's backoff hint carried by a shed (an
+// admission-control overload or draining refusal); 0 for every other
+// error.
+func retryAfter(err error) time.Duration {
+	var se *ShardError
+	if errors.As(err, &se) {
+		return se.RetryAfter
+	}
+	return 0
 }
 
 // sleepCtx sleeps d or until the context is cancelled; it reports
@@ -168,18 +154,12 @@ type breaker struct {
 	probing     bool      // a half-open probe is in flight
 }
 
-func newBreaker(r Resilience) *breaker {
-	if r.BreakerThreshold < 0 {
-		return nil
-	}
-	return &breaker{threshold: r.BreakerThreshold, cooldown: r.BreakerCooldown}
+func newBreaker() *breaker {
+	return &breaker{threshold: breakerThreshold, cooldown: breakerCooldown}
 }
 
 // allow reports whether an attempt may proceed.
 func (b *breaker) allow() bool {
-	if b == nil {
-		return true
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -203,9 +183,6 @@ func (b *breaker) allow() bool {
 
 // onSuccess records a successful attempt.
 func (b *breaker) onSuccess() {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.consecutive = 0
@@ -218,14 +195,13 @@ func (b *breaker) onSuccess() {
 	b.note(false)
 }
 
-// onAbandon records an attempt the query gave up on before the shard
-// answered (a FailFast sibling abort, a caller cancel): no verdict on
-// the shard, but a half-open probe's slot is handed back, so the next
-// attempt probes instead of every later one being rejected.
+// onAbandon records an attempt that says nothing about the shard's
+// health: one the query gave up on before the shard answered (a
+// FailFast sibling abort, a caller cancel), or one the shard's server
+// shed under admission control (backpressure from a busy but healthy
+// server). No verdict, but a half-open probe's slot is handed back, so
+// the next attempt probes instead of every later one being rejected.
 func (b *breaker) onAbandon() {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state == breakerHalfOpen {
@@ -235,9 +211,6 @@ func (b *breaker) onAbandon() {
 
 // onFailure records a failed attempt.
 func (b *breaker) onFailure() {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state == breakerHalfOpen {
@@ -281,9 +254,6 @@ func (b *breaker) trip() {
 // snapshotState reports the breaker state for observability ("closed",
 // "open", "half-open").
 func (b *breaker) snapshotState() string {
-	if b == nil {
-		return "disabled"
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {

@@ -200,7 +200,7 @@ func copyResult(res *RoutedResult) RoutedResult {
 	out.TargetedShards = append([]int(nil), res.TargetedShards...)
 	out.PerShard = append([]query.ExecStats(nil), res.PerShard...)
 	out.FailedShards = nil
-	out.RetriesPerShard = nil
+	out.Retries = 0
 	if len(res.Docs) > 0 {
 		flat := 0
 		for _, d := range res.Docs {

@@ -52,13 +52,9 @@ type RoutedResult struct {
 	// produced no result — exhausted retries, hard-down, circuit
 	// breaker open, or deadline expiry. Empty on the healthy path.
 	FailedShards []int
-	// RetriesPerShard counts the retry attempts (beyond the first try)
-	// per targeted shard, aligned with TargetedShards; nil when no
-	// shard was retried.
-	RetriesPerShard []int
-	// Hedged counts the hedged (duplicate straggler) attempts the
-	// router launched for this query.
-	Hedged int
+	// Retries counts the retry attempts (beyond the first try) over
+	// all targeted shards; 0 on the healthy path.
+	Retries int
 	// Partial reports a degraded answer: at least one targeted shard
 	// failed. Under Policy AllowPartial the merged Docs hold every
 	// healthy shard's results; under FailFast Docs are dropped and
@@ -127,13 +123,12 @@ func (c *Cluster) QueryOpts(f query.Filter, opts query.Opts) *RoutedResult {
 // shard's full result. The per-shard executions fan out over a bounded
 // worker pool of Options.Parallel goroutines (1 = sequential); each
 // shard execution gets per-attempt deadlines, retries with capped
-// exponential backoff on transient failures, optional hedging for
-// stragglers, and a per-shard circuit breaker. ctx (tightened by
-// Resilience.QueryTimeout) cancels cooperatively mid-scan. A shard
-// that stays failed is handled per Resilience.Policy: FailFast aborts
-// the query (non-nil error, Docs dropped), AllowPartial returns the
-// healthy shards' merge with Partial=true and the failure listed in
-// FailedShards.
+// exponential backoff on transient failures, and a per-shard circuit
+// breaker. ctx bounds the whole scatter-gather and cancels
+// cooperatively mid-scan. A shard that stays failed is handled per
+// Resilience.Policy: FailFast aborts the query (non-nil error, Docs
+// dropped), AllowPartial returns the healthy shards' merge with
+// Partial=true and the failure listed in FailedShards.
 //
 // It is the batch path at n = 1 plus the result cache: a complete
 // answer whose filter still routes to the same shards at unchanged
@@ -159,12 +154,11 @@ func (c *Cluster) QueryBatchOpts(fs []query.Filter, opts []query.Opts) []*Routed
 // batches are throughput-oriented one-shot scans and do not consult
 // the result cache. cmd/stquery -f drives this.
 //
-// Fault handling is per entry (retries, hedging, breaker, partial
-// marking), but under Policy FailFast the batch is one operation: the
-// first unrecoverable shard failure cancels the whole batch, and the
+// Fault handling is per entry (retries, breaker, partial marking),
+// but under Policy FailFast the batch is one operation: the first
+// unrecoverable shard failure cancels the whole batch, and the
 // returned error is the first entry's terminal error (each entry's
-// own is in its Err field). Resilience.QueryTimeout bounds the whole
-// batch.
+// own is in its Err field). ctx bounds the whole batch.
 func (c *Cluster) QueryBatchCtx(ctx context.Context, fs []query.Filter, opts []query.Opts) ([]*RoutedResult, error) {
 	qs := make([]scatterQuery, len(fs))
 	for i, f := range fs {
@@ -208,11 +202,6 @@ type scatterQuery struct {
 func (c *Cluster) scatterGather(ctx context.Context, qs []scatterQuery, cached bool) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if qt := c.opts.Resilience.QueryTimeout; qt > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, qt)
-		defer cancel()
-	}
 	qctx, abort := context.WithCancel(ctx)
 	defer abort()
 
@@ -283,17 +272,16 @@ func (c *Cluster) scatterGather(ctx context.Context, qs []scatterQuery, cached b
 type shardOutcome struct {
 	res     *query.Result
 	retries int
-	hedged  int
 	err     error
 }
 
 // runShard executes the filter on one shard through the fault
-// boundary: circuit-breaker admission, up to Resilience.MaxAttempts
-// attempts with capped exponential backoff (deterministic jitter)
-// between transient failures, per-attempt deadlines and hedging inside
-// attemptShard.
+// boundary: circuit-breaker admission, then up to maxAttempts
+// attempts, each bounded by Resilience.ShardTimeout when one is set,
+// with capped exponential backoff (deterministic jitter, floored by a
+// shed's retry-after hint) between transient failures.
 func (c *Cluster) runShard(ctx context.Context, sid int, f query.Filter, opts query.Opts) shardOutcome {
-	r := c.opts.Resilience
+	timeout := c.opts.Resilience.ShardTimeout
 	brk := c.breakers[sid]
 	var out shardOutcome
 	for attempt := 0; ; attempt++ {
@@ -305,105 +293,50 @@ func (c *Cluster) runShard(ctx context.Context, sid int, f query.Filter, opts qu
 			out.err = &ShardError{Shard: sid, Err: ErrBreakerOpen}
 			return out
 		}
-		res, hedged, err := c.attemptShard(ctx, sid, f, opts)
-		out.hedged += hedged
-		if err == nil {
+		actx, cancel := ctx, func() {}
+		if timeout > 0 {
+			actx, cancel = context.WithTimeout(ctx, timeout)
+		}
+		res, err := c.conn.Query(actx, c.shards[sid], f, c.opts.QueryConfig, opts)
+		cancel()
+		switch {
+		case err == nil:
 			brk.onSuccess()
 			out.res = res
 			return out
-		}
-		if errors.Is(err, context.Canceled) {
-			// A query aborted elsewhere (FailFast sibling failure,
-			// caller cancel) is not this shard's fault, but the attempt
-			// may have held the half-open probe slot: hand it back.
+		case errors.Is(err, context.Canceled) || retryAfter(err) > 0:
+			// No verdict on the shard: the query was aborted elsewhere
+			// (FailFast sibling failure, caller cancel), or a busy server
+			// shed the attempt as backpressure. Either may have held the
+			// half-open probe slot: hand it back.
 			brk.onAbandon()
-		} else {
+		default:
 			// Everything else — injected faults, per-attempt timeouts —
 			// feeds the breaker's failure tracking.
 			brk.onFailure()
 		}
-		if !IsTransient(err) || attempt+1 >= r.MaxAttempts {
+		if !IsTransient(err) || attempt+1 >= maxAttempts {
 			out.err = err
 			return out
 		}
 		out.retries++
-		if !sleepCtx(ctx, retryDelay(r, sid, attempt, err)) {
+		if !sleepCtx(ctx, retryDelay(sid, attempt, err)) {
 			out.err = ctx.Err()
 			return out
 		}
 	}
 }
 
-// attemptShard runs a single (possibly hedged) attempt under the
-// per-shard deadline. With hedging enabled, a duplicate execution
-// launches once the first has been silent for Resilience.HedgeAfter,
-// and whichever response lands first wins; the loser's scan stops at
-// the shared attempt context's cancellation.
-func (c *Cluster) attemptShard(ctx context.Context, sid int, f query.Filter, opts query.Opts) (*query.Result, int, error) {
-	r := c.opts.Resilience
-	var cancel context.CancelFunc
-	if r.ShardTimeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, r.ShardTimeout)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
-	}
-	defer cancel()
-	shard := c.shards[sid]
-	if r.HedgeAfter <= 0 {
-		res, err := c.conn.Query(ctx, shard, f, c.opts.QueryConfig, opts)
-		return res, 0, err
-	}
-	type reply struct {
-		res *query.Result
-		err error
-	}
-	ch := make(chan reply, 2)
-	launch := func() {
-		go func() {
-			res, err := c.conn.Query(ctx, shard, f, c.opts.QueryConfig, opts)
-			ch <- reply{res, err}
-		}()
-	}
-	launch()
-	timer := time.NewTimer(r.HedgeAfter)
-	defer timer.Stop()
-	select {
-	case rep := <-ch:
-		return rep.res, 0, rep.err
-	case <-ctx.Done():
-		return nil, 0, ctx.Err()
-	case <-timer.C:
-	}
-	launch()
-	select {
-	case rep := <-ch:
-		return rep.res, 1, rep.err
-	case <-ctx.Done():
-		return nil, 1, ctx.Err()
-	}
-}
-
 // foldLocked turns the per-shard outcomes into the routed result:
-// failure bookkeeping (FailedShards, RetriesPerShard, Hedged,
-// Partial, Err per the policy) followed by the deterministic merge of
-// the healthy results.
+// failure bookkeeping (FailedShards, Retries, Partial, Err per the
+// policy) followed by the deterministic merge of the healthy results.
 func (c *Cluster) foldLocked(res *RoutedResult, outcomes []shardOutcome, opts query.Opts) {
-	anyRetries := false
 	for i, o := range outcomes {
 		if o.err != nil {
 			outcomes[i].res = nil
 			res.FailedShards = append(res.FailedShards, res.TargetedShards[i])
 		}
-		res.Hedged += o.hedged
-		if o.retries > 0 {
-			anyRetries = true
-		}
-	}
-	if anyRetries {
-		res.RetriesPerShard = make([]int, len(outcomes))
-		for i, o := range outcomes {
-			res.RetriesPerShard[i] = o.retries
-		}
+		res.Retries += o.retries
 	}
 	mergeLocked(res, outcomes, c.opts.Parallel, opts)
 	if len(res.FailedShards) == 0 {

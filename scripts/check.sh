@@ -16,7 +16,7 @@ set -eu
 # The packages the parallel query router exercises concurrently, plus
 # the durability subsystem (group commit shares journal state across
 # writers), the store layer whose fault-matrix tests hammer the
-# retry/hedging/breaker machinery from concurrent clients, the arena
+# retry/breaker machinery from concurrent clients, the arena
 # B+tree whose borrowed-slice reads the router runs in parallel, the
 # network transport (pooled conns, server-side cursors and the
 # cancellation watchdog all cross goroutines), and the shard-pruning
@@ -61,6 +61,12 @@ step() {
             echo "$unformatted" >&2
             exit 1
         fi
+        # The benchmark module compiles against product APIs
+        # (Options().QueryConfig, RoutedResult.ShardsPruned,
+        # query.ExecuteOpts, RemoteConn.Query, Cluster.InsertBatch, ...):
+        # a product change that breaks one fails here, not in the
+        # benchmark pipeline.
+        (cd benchmark && GOWORK=off go vet ./... && GOWORK=off go test -timeout 120s ./...)
         ;;
     race)
         # shellcheck disable=SC2086
