@@ -97,7 +97,7 @@ func (t *Tree) allocPage(leaf bool) pageID {
 }
 
 // freePage returns a page to the free list without touching its
-// contents — the whole-page drop primitive DeleteBelow builds on.
+// contents.
 func (t *Tree) freePage(pid pageID) { t.free = append(t.free, pid) }
 
 // addKey appends key bytes to the key arena and returns the packed
@@ -169,22 +169,14 @@ func (t *Tree) compactPage(pid pageID, buf []byte) []byte {
 }
 
 // ArenaStats is the arena-level instrumentation tests and tools read:
-// page accounting, the DeleteBelow blind-free counters, and key-arena
-// occupancy.
+// page accounting and key-arena occupancy.
 type ArenaStats struct {
 	// Pages is the total number of page slots in the arena; FreePages
 	// of them are on the free list.
 	Pages     int
 	FreePages int
-	// PagesFreedBlind counts pages DeleteBelow freed without decoding
-	// any of their entries (whole dropped leaves); PagesFreedVisited
-	// counts dropped pages whose contents had to be read (the
-	// internal pages enumerating children). The acceptance bar for
-	// the fast drop is Blind/(Blind+Visited) >= 0.9.
-	PagesFreedBlind   int
-	PagesFreedVisited int
 	// KeyArenaBytes is the key arena's current length; KeyArenaDead
-	// the (estimated) dead bytes awaiting compaction.
+	// the dead bytes awaiting compaction.
 	KeyArenaBytes int
 	KeyArenaDead  int
 }
@@ -192,11 +184,9 @@ type ArenaStats struct {
 // Stats returns the current arena instrumentation.
 func (t *Tree) Stats() ArenaStats {
 	return ArenaStats{
-		Pages:             len(t.pages) / t.pageWords,
-		FreePages:         len(t.free),
-		PagesFreedBlind:   t.freedBlind,
-		PagesFreedVisited: t.freedVisited,
-		KeyArenaBytes:     len(t.keys),
-		KeyArenaDead:      t.dead,
+		Pages:         len(t.pages) / t.pageWords,
+		FreePages:     len(t.free),
+		KeyArenaBytes: len(t.keys),
+		KeyArenaDead:  t.dead,
 	}
 }

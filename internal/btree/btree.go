@@ -35,7 +35,7 @@ const DefaultDegree = 32
 //
 // Concurrency: Get, Scan, Min, Max, Height, SizeEstimate and Stats
 // are pure reads — any number of goroutines may call them
-// concurrently as long as no mutation (Set/Delete/DeleteBelow) runs,
+// concurrently as long as no mutation (Set/Delete) runs,
 // which is the regime the parallel query router operates in
 // (mutations only happen under the cluster write lock). Scan
 // statistics are scan-local by construction: the examined counter
@@ -70,10 +70,6 @@ type Tree struct {
 	maxSeen    []byte
 	appends    int
 	nonAppends int
-
-	// DeleteBelow instrumentation (see ArenaStats).
-	freedBlind   int
-	freedVisited int
 }
 
 // NewTree returns an empty tree with the given degree (minimum number

@@ -147,9 +147,6 @@ type Config struct {
 	ResultCacheBytes int64
 	// Seed drives deterministic _id generation (default 1).
 	Seed uint64
-	// STHashChars is the spatial precision of the STHash approach
-	// (default sthash.DefaultSpatialChars).
-	STHashChars int
 	// Dir, when non-empty, makes the store durable: every write is
 	// journaled under this directory, Checkpoint() snapshots the full
 	// state there, and reopening the same directory recovers the store
@@ -195,12 +192,10 @@ type Store struct {
 	idGen   *bson.ObjectIDGen
 
 	// Continuous-ingest state (see ingest.go): the lazily-started
-	// group-commit batcher and the background TTL retention loop.
-	ingestMu       sync.Mutex
-	ingester       *sharding.Ingester
-	ingestOpts     sharding.IngestOptions
-	retention      *retentionLoop
-	retentionFinal RetentionStats
+	// group-commit batcher.
+	ingestMu   sync.Mutex
+	ingester   *sharding.Ingester
+	ingestOpts sharding.IngestOptions
 }
 
 // Open creates the cluster, shards the collection and creates the
@@ -295,7 +290,7 @@ func newStore(cfg Config) (*Store, error) {
 		}
 		s.grid = grid
 	case STHash:
-		s.sth = &sthash.Encoder{SpatialChars: cfg.STHashChars}
+		s.sth = &sthash.Encoder{SpatialChars: sthash.DefaultSpatialChars}
 	default:
 		return nil, fmt.Errorf("core: unknown approach %d", int(cfg.Approach))
 	}

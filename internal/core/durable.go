@@ -39,7 +39,6 @@ type manifest struct {
 	Hashed           bool        `json:"hashed,omitempty"`
 	AutoBalanceEvery int         `json:"auto_balance_every,omitempty"`
 	Seed             uint64      `json:"seed,omitempty"`
-	STHashChars      int         `json:"sthash_chars,omitempty"`
 }
 
 // manifestOf captures the structural fields of an effective config.
@@ -53,7 +52,6 @@ func manifestOf(cfg Config) (manifest, error) {
 		Hashed:           cfg.Hashed,
 		AutoBalanceEvery: cfg.AutoBalanceEvery,
 		Seed:             cfg.Seed,
-		STHashChars:      cfg.STHashChars,
 	}
 	switch c := cfg.Curve.(type) {
 	case nil:
@@ -84,7 +82,6 @@ func (m manifest) config(cfg Config) (Config, error) {
 	cfg.Hashed = m.Hashed
 	cfg.AutoBalanceEvery = m.AutoBalanceEvery
 	cfg.Seed = m.Seed
-	cfg.STHashChars = m.STHashChars
 	cfg.Curve, cfg.DataExtent = nil, geo.Rect{}
 	var ok bool
 	if cfg.Approach, ok = ParseApproach(m.Approach); !ok {
@@ -197,9 +194,9 @@ func (s *Store) Checkpoint() error { return s.cluster.Checkpoint() }
 // Sync forces buffered journal frames to stable storage.
 func (s *Store) Sync() error { return s.cluster.Sync() }
 
-// Close stops the ingest batcher and retention loop (draining
-// admitted batches), then syncs and closes the journal; journal-less
-// stores just stop the background work.
+// Close stops the ingest batcher (draining admitted batches), then
+// syncs and closes the journal; journal-less stores just stop the
+// batcher.
 func (s *Store) Close() error {
 	s.closeIngest()
 	return s.cluster.Close()

@@ -1,6 +1,6 @@
 package core
 
-// Continuous ingest and retention at the store level.
+// Continuous ingest at the store level.
 //
 // The paper's pipeline is load-then-query; this file is the north
 // star's continuous half. Writes enter through InsertBatch: an
@@ -8,18 +8,13 @@ package core
 // cluster first and then — when the cluster's conn is a write-capable
 // network transport — broadcast to every daemon, so the whole
 // deployment applies the identical batch and the per-process content
-// fingerprints stay converged. Retention is the other half: a
-// background loop that drops documents older than a TTL through the
-// cluster's journaled shard-key range drop.
+// fingerprints stay converged.
 
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/bson"
-	"repro/internal/keyenc"
 	"repro/internal/sharding"
 )
 
@@ -111,10 +106,9 @@ func (s *Store) InsertRecords(ctx context.Context, batchID string, recs []Record
 	return s.InsertBatchRaw(ctx, batchID, raws)
 }
 
-// closeIngest stops the batcher (draining admitted batches) and the
-// retention loop; called from Store.Close before the cluster closes.
+// closeIngest stops the batcher, draining admitted batches; called
+// from Store.Close before the cluster closes.
 func (s *Store) closeIngest() {
-	s.StopRetention()
 	s.ingestMu.Lock()
 	in := s.ingester
 	s.ingestMu.Unlock()
@@ -143,135 +137,3 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 
 // Document builds the stored document for one record.
 func (e *Encoder) Document(rec Record) (*bson.Document, error) { return e.s.Document(rec) }
-
-// --- TTL retention ----------------------------------------------------
-
-// RetentionStats counts the background retention loop's work.
-type RetentionStats struct {
-	Runs    uint64 `json:"runs"`    // completed retention sweeps
-	Dropped uint64 `json:"dropped"` // documents dropped across all sweeps
-	Errors  uint64 `json:"errors"`  // sweeps that failed
-}
-
-// retentionLoop is the background TTL reaper's state.
-type retentionLoop struct {
-	stop chan struct{}
-	done chan struct{}
-
-	runs, dropped, errs atomic.Uint64
-}
-
-// retentionSupported reports whether the approach's shard key can
-// express "older than": retention drops below a shard-key prefix, so
-// the key must lead with the date under range sharding. The Hilbert
-// and ST-Hash keys lead with space — their retention would need a
-// secondary-index scan, which this store does not implement.
-func (s *Store) retentionSupported() error {
-	switch s.cfg.Approach {
-	case BslST, BslTS:
-	default:
-		return fmt.Errorf("core: retention requires a date-leading shard key (approach %s)", s.cfg.Approach)
-	}
-	if s.cfg.Hashed {
-		return fmt.Errorf("core: retention requires range sharding (hashed keys scatter the time order)")
-	}
-	return nil
-}
-
-// DropBefore drops every document whose date sorts strictly below
-// cutoff, as one journaled operation. It returns the documents
-// dropped.
-func (s *Store) DropBefore(cutoff time.Time) (int, error) {
-	if err := s.retentionSupported(); err != nil {
-		return 0, err
-	}
-	prefix := keyenc.Encode(bson.Normalize(cutoff.UTC()))
-	return s.cluster.DropBelowShardKey(prefix)
-}
-
-// StartRetention launches the background TTL loop: every sweep
-// interval it drops documents older than ttl. every <= 0 defaults to
-// ttl/4 clamped into [1s, 60s]. Idempotent start is an error (stop
-// first); StopRetention (and Store.Close) end the loop.
-func (s *Store) StartRetention(ttl, every time.Duration) error {
-	if ttl <= 0 {
-		return fmt.Errorf("core: retention ttl must be positive")
-	}
-	if err := s.retentionSupported(); err != nil {
-		return err
-	}
-	if every <= 0 {
-		every = ttl / 4
-		if every < time.Second {
-			every = time.Second
-		}
-		if every > time.Minute {
-			every = time.Minute
-		}
-	}
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	if s.retention != nil {
-		return fmt.Errorf("core: retention loop already running")
-	}
-	loop := &retentionLoop{stop: make(chan struct{}), done: make(chan struct{})}
-	s.retention = loop
-	go func() {
-		defer close(loop.done)
-		tick := time.NewTicker(every)
-		defer tick.Stop()
-		for {
-			select {
-			case <-loop.stop:
-				return
-			case now := <-tick.C:
-				n, err := s.DropBefore(now.Add(-ttl))
-				if err != nil {
-					loop.errs.Add(1)
-					continue
-				}
-				loop.runs.Add(1)
-				loop.dropped.Add(uint64(n))
-			}
-		}
-	}()
-	return nil
-}
-
-// StopRetention stops the TTL loop and waits for its current sweep to
-// finish. Safe to call when no loop is running.
-func (s *Store) StopRetention() {
-	s.ingestMu.Lock()
-	loop := s.retention
-	s.retention = nil
-	s.ingestMu.Unlock()
-	if loop == nil {
-		return
-	}
-	close(loop.stop)
-	<-loop.done
-	s.ingestMu.Lock()
-	s.retentionFinal = RetentionStats{
-		Runs:    loop.runs.Load(),
-		Dropped: loop.dropped.Load(),
-		Errors:  loop.errs.Load(),
-	}
-	s.ingestMu.Unlock()
-}
-
-// RetentionStats snapshots the TTL loop's counters — the running
-// loop's if one is active, otherwise the final counters of the last
-// stopped loop.
-func (s *Store) RetentionStats() RetentionStats {
-	s.ingestMu.Lock()
-	loop, last := s.retention, s.retentionFinal
-	s.ingestMu.Unlock()
-	if loop == nil {
-		return last
-	}
-	return RetentionStats{
-		Runs:    loop.runs.Load(),
-		Dropped: loop.dropped.Load(),
-		Errors:  loop.errs.Load(),
-	}
-}

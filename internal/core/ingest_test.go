@@ -69,119 +69,3 @@ func TestStoreInsertBatchCancel(t *testing.T) {
 		t.Fatalf("store holds %d docs, want %d (exactly-once)", docs, len(recs))
 	}
 }
-
-// TestDropBefore: retention drops exactly the documents older than
-// the cutoff, only on date-leading range shard keys.
-func TestDropBefore(t *testing.T) {
-	s := openStore(t, BslST, 3)
-	defer s.Close()
-	recs := testRecords(2000)
-	if err := s.Load(recs); err != nil {
-		t.Fatal(err)
-	}
-	cutoff := testStart.Add(1200 * time.Minute) // first 1200 records expire
-	dropped, err := s.DropBefore(cutoff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dropped != 1200 {
-		t.Fatalf("dropped %d docs, want 1200", dropped)
-	}
-	if docs, _ := s.Fingerprint(); docs != 800 {
-		t.Fatalf("store holds %d docs, want 800", docs)
-	}
-	// Survivors still answer queries; expired ones are gone.
-	if got := s.Count(STQuery{Rect: testExtent, From: testStart, To: testStart.Add(2000 * time.Minute)}); got != 800 {
-		t.Fatalf("count after retention %d, want 800", got)
-	}
-
-	// Space-leading and hashed keys cannot express "older than".
-	for _, a := range []Approach{Hil, STHash} {
-		u := openStore(t, a, 3)
-		if _, err := u.DropBefore(cutoff); err == nil {
-			t.Fatalf("%s: DropBefore should be unsupported", a)
-		}
-		u.Close()
-	}
-}
-
-// TestDropBeforeDurable: the retention drop is one journaled op; a
-// reopened store agrees byte for byte.
-func TestDropBeforeDurable(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(Config{
-		Approach: BslST, Shards: 3, ChunkMaxBytes: 8 << 10,
-		DataExtent: testExtent, Dir: dir,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Load(testRecords(1000)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.DropBefore(testStart.Add(400 * time.Minute)); err != nil {
-		t.Fatal(err)
-	}
-	wantDocs, wantSum := s.Fingerprint()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := OpenDir(dir, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if docs, sum := r.Fingerprint(); docs != wantDocs || sum != wantSum {
-		t.Fatalf("recovered %d/%016x, want %d/%016x", docs, sum, wantDocs, wantSum)
-	}
-}
-
-// TestRetentionLoop: the background reaper sweeps on its interval,
-// its counters survive StopRetention, and double starts are refused.
-func TestRetentionLoop(t *testing.T) {
-	leakcheck.Check(t)
-	s := openStore(t, BslST, 3)
-	defer s.Close()
-	const n = 800
-	if err := s.Load(testRecords(n)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Everything in the store is 2018-dated: any wall-clock TTL expires
-	// it all, so the loop's first sweeps drain the store.
-	if err := s.StartRetention(time.Hour, 10*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.StartRetention(time.Hour, 10*time.Millisecond); err == nil {
-		t.Fatal("double StartRetention should fail")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if docs, _ := s.Fingerprint(); docs == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("retention loop never drained the store: %+v", s.RetentionStats())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	s.StopRetention()
-	st := s.RetentionStats()
-	if st.Runs == 0 || st.Dropped != n {
-		t.Fatalf("retention stats after stop: %+v", st)
-	}
-	// Stop is idempotent; a fresh loop may start after.
-	s.StopRetention()
-	if err := s.StartRetention(time.Hour, 50*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	s.StopRetention()
-
-	// Unsupported approach refuses to start at all.
-	h := openStore(t, Hil, 3)
-	defer h.Close()
-	if err := h.StartRetention(time.Hour, time.Second); err == nil {
-		t.Fatal("Hil StartRetention should fail")
-	}
-}

@@ -242,19 +242,6 @@ func (ix *Index) Remove(doc *bson.Document, id storage.RecordID) (bool, error) {
 	return ix.RemoveRaw(bson.Marshal(doc), id)
 }
 
-// DropBelow removes every entry whose key sorts strictly below the
-// encoded tuple prefix, returning how many were removed. It rides the
-// tree's blind subtree drop — O(height + dropped pages), never
-// visiting the dropped entries — which is what makes retention trims
-// and chunk-range evictions cheap on million-entry shard indexes.
-// Correctness of the prefix as a threshold relies on keyenc encoding:
-// distinct encoded tuples are never byte-prefixes of each other, so
-// every full key (tuple + record id) sorts strictly below the prefix
-// exactly when its tuple does.
-func (ix *Index) DropBelow(prefix []byte) int {
-	return ix.tree.DeleteBelow(prefix)
-}
-
 // Interval is one contiguous key range of an index scan, expressed
 // over encoded field-tuple prefixes. The record-id suffix on stored
 // keys means prefix bounds behave like value bounds: an inclusive

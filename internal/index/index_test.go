@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/bson"
-	"repro/internal/btree"
 	"repro/internal/geo"
 	"repro/internal/geohash"
 	"repro/internal/keyenc"
@@ -94,44 +93,6 @@ func TestInsertScanRemove(t *testing.T) {
 	})
 	if len(got) != 9 {
 		t.Fatalf("scan after remove returned %d ids", len(got))
-	}
-}
-
-func TestDropBelow(t *testing.T) {
-	ix, err := New(Definition{Name: "date_1", Fields: []Field{{Name: "date", Kind: Ascending}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := time.Date(2018, 7, 1, 0, 0, 0, 0, time.UTC)
-	for i := int64(0); i < 200; i++ {
-		doc := stDoc(i, 23.7, 37.9, base.Add(time.Duration(i)*time.Hour), i)
-		if err := ix.Insert(doc, storage.RecordID(i+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Retention trim: drop everything before hour 120. The threshold
-	// is an encoded tuple prefix; every full key under an earlier
-	// tuple sorts below it, every key at or after it does not.
-	cutoff := keyenc.Encode(base.Add(120 * time.Hour))
-	if got := ix.DropBelow(cutoff); got != 120 {
-		t.Fatalf("DropBelow removed %d entries, want 120", got)
-	}
-	if ix.Len() != 80 {
-		t.Fatalf("Len after trim = %d", ix.Len())
-	}
-	var got []storage.RecordID
-	ix.ScanInterval(Interval{Low: btree.Unbounded(), High: btree.Unbounded()},
-		func(key []byte, id storage.RecordID) bool {
-			got = append(got, id)
-			return true
-		})
-	if len(got) != 80 || got[0] != storage.RecordID(121) || got[79] != storage.RecordID(200) {
-		t.Fatalf("surviving ids wrong: %d entries, first %v, last %v",
-			len(got), got[0], got[len(got)-1])
-	}
-	// A second trim at the same threshold is a no-op.
-	if got := ix.DropBelow(cutoff); got != 0 {
-		t.Fatalf("repeated DropBelow removed %d entries", got)
 	}
 }
 

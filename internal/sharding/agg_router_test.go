@@ -165,7 +165,7 @@ func TestSketchPruningSkipsProvablyEmptyShards(t *testing.T) {
 	}
 }
 
-// TestPruningSurvivesRetentionAndDeletes: after deleting every document
+// TestPruningSurvivesDeletes: after deleting every document
 // of a cell range, queries over it still answer correctly (the counting
 // filter may over-approximate, never under-approximate).
 func TestPruningSurvivesDeletes(t *testing.T) {

@@ -178,7 +178,7 @@ type Cluster struct {
 
 	// epochs are the per-shard content epochs, indexed by shard id:
 	// every operation that can change what a shard's queries return
-	// (insert, delete, retention drop, split, migration)
+	// (insert, delete, split, migration)
 	// bumps the owning shards' entries under the write lock. The result
 	// cache validates hits against them; queries read them under the
 	// read lock, so they are stable for the whole scatter-gather.
@@ -187,6 +187,13 @@ type Cluster struct {
 	// rcache is the epoch-invalidated result cache (nil when
 	// Options.ResultCacheBytes is 0). See resultcache.go.
 	rcache *resultCache
+
+	// fpDocs and fpSum are the content fingerprint (ContentFingerprint):
+	// insertRawLocked adds each stored document's docChecksum,
+	// removeLocked subtracts it, a migration changes neither, and a
+	// snapshot restore sums the restored records once.
+	fpDocs int
+	fpSum  uint64
 }
 
 // NewCluster creates the shards.
@@ -364,6 +371,8 @@ func (c *Cluster) insertRawLocked(raw []byte) error {
 		if _, err := c.shards[0].Coll.InsertRaw(raw); err != nil {
 			return err
 		}
+		c.fpDocs++
+		c.fpSum += docChecksum(raw)
 		c.bumpEpochLocked(0)
 		return nil
 	}
@@ -376,6 +385,8 @@ func (c *Cluster) insertRawLocked(raw []byte) error {
 	if _, err := c.shards[ch.Shard].Coll.InsertRaw(raw); err != nil {
 		return err
 	}
+	c.fpDocs++
+	c.fpSum += docChecksum(raw)
 	ch.Docs++
 	ch.Bytes += int64(len(raw))
 	c.bumpEpochLocked(ch.Shard)
@@ -584,13 +595,15 @@ func (c *Cluster) deleteRecordLocked(shard int, id storage.RecordID) error {
 }
 
 // removeLocked deletes one record from a shard's collection and keeps
-// the chunk metadata accurate (shared by Delete, retention drops and
-// journal replay).
+// the chunk metadata and the content fingerprint accurate. It is the
+// one body that drops a document (Delete and its journal replay).
 func (c *Cluster) removeLocked(coll *collection.Collection, id storage.RecordID) error {
 	raw, _ := coll.Store().FetchRaw(id) // a missing record fails the Delete below
 	if err := coll.Delete(id); err != nil {
 		return err
 	}
+	c.fpDocs--
+	c.fpSum -= docChecksum(raw)
 	if !c.sharded {
 		c.bumpEpochLocked(0)
 		return nil

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/bson"
 	"repro/internal/index"
-	"repro/internal/keyenc"
 	"repro/internal/query"
 )
 
@@ -43,7 +42,6 @@ func journalBytes(t *testing.T) map[string]string {
 		"delete":          hex.EncodeToString(encodeDelete(3, 300)),
 		"insertBatch":     hex.EncodeToString(encodeInsertBatch("golden/1", bson.MarshalAll(docs[:2]))),
 		"insertBatchNoID": hex.EncodeToString(encodeInsertBatch("", bson.MarshalAll(docs[2:3]))),
-		"dropBelow":       hex.EncodeToString(appendBytes(nil, keyenc.Encode(int64(700)))),
 	}
 
 	// The snapshot of a small durable cluster that split, moved chunks

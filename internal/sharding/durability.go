@@ -6,9 +6,9 @@ package sharding
 // recovery).
 //
 // Design. The journal records *logical cluster operations* — insert
-// batch, per-document delete, retention drop, shardCollection,
-// createIndex, setZones, balance — not physical page changes. Recovery
-// replays them through the exact code paths that produced them, and
+// batch, per-document delete, shardCollection, createIndex, setZones,
+// balance — not physical page changes. Recovery replays them through
+// the exact code paths that produced them, and
 // because routing, chunk splitting and balancing are deterministic
 // functions of the operation order, the recovered cluster's chunk map,
 // per-chunk statistics, record ids and index contents are
@@ -50,7 +50,7 @@ const (
 	opInsert          uint8 = 6 // reserved: the per-shard journal layout's single insert; never written, refused on replay
 	opDelete          uint8 = 7 // shard + record id
 	opInsertBatch     uint8 = 8 // batch id + raw documents (see ingest.go)
-	opDropBelow       uint8 = 9 // retention drop below a shard-key prefix (see retention.go)
+	opDropBelow       uint8 = 9 // reserved: TTL retention's drop below a shard-key prefix; never written, refused on replay
 )
 
 // journalName is the one journal file of a store directory.
@@ -60,6 +60,10 @@ const journalName = "journal.wal"
 // one file: DDL in meta.wal, inserts and deletes in one shardNNN.wal
 // per shard, merged by LSN at recovery.
 var errOldLayout = errors.New("store directory uses the per-shard journal layout (meta.wal + shardNNN.wal, single inserts as op 6), which this version does not read; load the data into a new directory")
+
+// errRetentionRecord refuses a journal holding an op-9 record: a drop
+// below a shard-key prefix, written only by the TTL retention loop.
+var errRetentionRecord = errors.New("journal holds a retention drop (op 9): this store used TTL retention, which was removed after f528198; load the data into a new directory")
 
 // durability is the cluster's journaling state; nil on an in-memory
 // cluster and while recovery replays.
@@ -327,16 +331,7 @@ func (c *Cluster) replay(recs []wal.Record) error {
 			// execution; the batch's dedup mark is re-established.
 			c.commitIngest([]*ingestReq{{batchID: batchID, docs: docs}})
 		case opDropBelow:
-			prefix, err := decodeDropBelow(rec.Body)
-			if err != nil {
-				return fmt.Errorf("sharding: replay lsn %d: %w", rec.LSN, err)
-			}
-			c.mu.Lock()
-			_, derr := c.dropBelowLocked(prefix)
-			c.mu.Unlock()
-			if derr != nil {
-				return fmt.Errorf("sharding: replay lsn %d: %w", rec.LSN, derr)
-			}
+			return fmt.Errorf("sharding: replay lsn %d: %w", rec.LSN, errRetentionRecord)
 		default:
 			return fmt.Errorf("sharding: replay lsn %d: unknown op %d", rec.LSN, rec.Op)
 		}
@@ -348,24 +343,25 @@ func (c *Cluster) replay(recs []wal.Record) error {
 // shard: the live document count and an order-independent checksum of
 // their raw bytes. Two clusters holding the same documents fingerprint
 // identically regardless of shard placement, which makes the value a
-// dataset identity for benchmark reports and a cheap recovery check.
+// dataset identity for benchmark reports, the handshake and a cheap
+// recovery check. The pair is maintained by the bodies that store and
+// drop documents, so reading it is O(1).
 func (c *Cluster) ContentFingerprint() (docs int, checksum uint64) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	table := crc32.MakeTable(crc32.Castagnoli)
-	for _, s := range c.shards {
-		s.Coll.Store().Walk(func(_ storage.RecordID, raw []byte) bool {
-			docs++
-			// Mix each document's CRC through SplitMix64 so the
-			// commutative sum still reacts to multiplicity and value.
-			x := uint64(crc32.Checksum(raw, table)) + 0x9E3779B97F4A7C15
-			x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-			x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-			checksum += x ^ (x >> 31)
-			return true
-		})
-	}
-	return docs, checksum
+	return c.fpDocs, c.fpSum
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// docChecksum is one document's term of the fingerprint's sum: its
+// CRC32C mixed through SplitMix64, so the commutative sum still reacts
+// to multiplicity and value.
+func docChecksum(raw []byte) uint64 {
+	x := uint64(crc32.Checksum(raw, castagnoli)) + 0x9E3779B97F4A7C15
+	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+	return x ^ (x >> 31)
 }
 
 // --- snapshot codec -------------------------------------------------
@@ -523,6 +519,8 @@ func clusterFromSnapshot(payload []byte, caller Options) (*Cluster, error) {
 			if err := s.Coll.RestoreRaw(id, raw); err != nil {
 				return nil, err
 			}
+			c.fpDocs++
+			c.fpSum += docChecksum(raw)
 		}
 		for _, def := range defs {
 			if _, err := s.Coll.CreateIndex(def); err != nil {

@@ -15,7 +15,9 @@ import (
 	"repro/internal/bson"
 	"repro/internal/geo"
 	"repro/internal/index"
+	"repro/internal/keyenc"
 	"repro/internal/query"
+	"repro/internal/storage"
 	"repro/internal/wal"
 )
 
@@ -180,7 +182,27 @@ type clusterState struct {
 	counts []int
 }
 
-func captureState(c *Cluster) clusterState {
+// walkFingerprint is the reference for the maintained content
+// fingerprint: every stored document's docChecksum, summed by a walk
+// of every shard's store.
+func walkFingerprint(c *Cluster) (docs int, checksum uint64) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for _, s := range c.shards {
+		s.Coll.Store().Walk(func(_ storage.RecordID, raw []byte) bool {
+			docs++
+			checksum += docChecksum(raw)
+			return true
+		})
+	}
+	return docs, checksum
+}
+
+// captureState also holds the maintained content fingerprint to the
+// walk, so every state a test captures — live, reference or recovered —
+// checks it.
+func captureState(t testing.TB, c *Cluster) clusterState {
+	t.Helper()
 	st := clusterState{stats: c.ClusterStats(), chunks: c.Chunks()}
 	// Index size estimates depend on the tree's insertion history
 	// (fill-factor bookkeeping), which a snapshot restore legitimately
@@ -196,6 +218,9 @@ func captureState(c *Cluster) clusterState {
 		}
 	}
 	st.docs, st.sum = c.ContentFingerprint()
+	if wd, ws := walkFingerprint(c); wd != st.docs || ws != st.sum {
+		t.Fatalf("maintained fingerprint %d/%016x, walk %d/%016x", st.docs, st.sum, wd, ws)
+	}
 	return st
 }
 
@@ -266,7 +291,7 @@ func TestDurableFreshOpenEmptyDir(t *testing.T) {
 	}
 	ops := durWorkload(60, 3)
 	applyOps(t, c, ops)
-	want := captureState(c)
+	want := captureState(t, c)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +301,7 @@ func TestDurableFreshOpenEmptyDir(t *testing.T) {
 	}
 
 	r := openDurable(t, durOpts(dir, nil))
-	requireStateEqual(t, "reopen", captureState(r), want)
+	requireStateEqual(t, "reopen", captureState(t, r), want)
 	// The reopened cluster keeps accepting writes.
 	gen := bson.NewObjectIDGen(99)
 	if err := r.Insert(stDoc(gen, geo.Point{Lon: 23.5, Lat: 37.5}, baseTime, 100)); err != nil {
@@ -302,11 +327,11 @@ func TestDurableJournalOnlyRecovery(t *testing.T) {
 	c.Balance()
 	// Simulated crash: the cluster is abandoned without Close or Sync
 	// (the OS writes all went through; SyncNever only skips fsync).
-	want := captureState(ref)
-	requireStateEqual(t, "pre-crash", captureState(c), want)
+	want := captureState(t, ref)
+	requireStateEqual(t, "pre-crash", captureState(t, c), want)
 
 	r := openDurable(t, durOpts(dir, nil))
-	requireStateEqual(t, "journal-only recovery", captureState(r), want)
+	requireStateEqual(t, "journal-only recovery", captureState(t, r), want)
 	if r.LSN() == 0 {
 		t.Fatal("recovered cluster reports LSN 0")
 	}
@@ -334,7 +359,7 @@ func TestDurableSnapshotOnlyRecovery(t *testing.T) {
 	}
 
 	r := openDurable(t, durOpts(dir, nil))
-	requireStateEqual(t, "snapshot-only recovery", captureState(r), captureState(ref))
+	requireStateEqual(t, "snapshot-only recovery", captureState(t, r), captureState(t, ref))
 	r.Close()
 }
 
@@ -354,7 +379,7 @@ func TestDurableSnapshotPlusTailRecovery(t *testing.T) {
 	// Crash without Close.
 
 	r := openDurable(t, durOpts(dir, nil))
-	requireStateEqual(t, "snapshot+tail recovery", captureState(r), captureState(ref))
+	requireStateEqual(t, "snapshot+tail recovery", captureState(t, r), captureState(t, ref))
 	r.Close()
 }
 
@@ -384,9 +409,9 @@ func TestDurableMidCheckpointCrashReplaysOnce(t *testing.T) {
 		t.Fatal("Checkpoint succeeded despite injected reset failure")
 	}
 
-	want := captureState(ref)
+	want := captureState(t, ref)
 	r := openDurable(t, durOpts(dir, nil))
-	requireStateEqual(t, "mid-checkpoint recovery", captureState(r), want)
+	requireStateEqual(t, "mid-checkpoint recovery", captureState(t, r), want)
 
 	// The reopened cluster must stay consistent through further writes
 	// and a clean checkpoint.
@@ -400,7 +425,7 @@ func TestDurableMidCheckpointCrashReplaysOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	r2 := openDurable(t, durOpts(dir, nil))
-	requireStateEqual(t, "post-recovery checkpoint", captureState(r2), captureState(ref))
+	requireStateEqual(t, "post-recovery checkpoint", captureState(t, r2), captureState(t, ref))
 	r2.Close()
 }
 
@@ -416,12 +441,12 @@ func TestDurableBitFlipRollsBackToPrefix(t *testing.T) {
 	// k+2: opInit, opShardCollection, then one record per insert).
 	ref := NewCluster(durOpts("", nil))
 	expected := make([]clusterState, 0, len(ops)+1)
-	expected = append(expected, captureState(ref))
+	expected = append(expected, captureState(t, ref))
 	for _, op := range ops {
 		if err := op(ref); err != nil {
 			t.Fatal(err)
 		}
-		expected = append(expected, captureState(ref))
+		expected = append(expected, captureState(t, ref))
 	}
 
 	dir := t.TempDir()
@@ -451,7 +476,7 @@ func TestDurableBitFlipRollsBackToPrefix(t *testing.T) {
 		t.Fatalf("recovered LSN %d lost the DDL prefix", lsn)
 	}
 	requireStateEqual(t, fmt.Sprintf("bit flip (lsn %d)", lsn),
-		captureState(r), expected[lsn-1])
+		captureState(t, r), expected[lsn-1])
 	r.Close()
 }
 
@@ -465,12 +490,12 @@ func TestDurableCrashMatrixGenesis(t *testing.T) {
 	// Reference pass: expected state after each op.
 	ref := NewCluster(durOpts("", nil))
 	expected := make([]clusterState, 0, len(ops)+1)
-	expected = append(expected, captureState(ref))
+	expected = append(expected, captureState(t, ref))
 	for _, op := range ops {
 		if err := op(ref); err != nil {
 			t.Fatal(err)
 		}
-		expected = append(expected, captureState(ref))
+		expected = append(expected, captureState(t, ref))
 	}
 
 	// Clean durable pass: cumulative journal bytes after each op are
@@ -513,7 +538,7 @@ func TestDurableCrashMatrixGenesis(t *testing.T) {
 
 		r := openDurable(t, durOpts(dir, nil))
 		requireStateEqual(t, fmt.Sprintf("boundary %d/%d", i, len(ops)),
-			captureState(r), expected[i])
+			captureState(t, r), expected[i])
 		r.Close()
 	}
 }
@@ -547,12 +572,12 @@ func TestDurableCrashMatrixCheckpointTail(t *testing.T) {
 		t.Fatalf("base recovered %d docs, want %d", docs, baseDocs)
 	}
 	expected := make([]clusterState, 0, len(tail)+1)
-	expected = append(expected, captureState(oracle))
+	expected = append(expected, captureState(t, oracle))
 	for i, op := range tail {
 		if err := op(oracle); err != nil {
 			t.Fatalf("tail op %d: %v", i, err)
 		}
-		expected = append(expected, captureState(oracle))
+		expected = append(expected, captureState(t, oracle))
 	}
 	oracle.Close()
 
@@ -597,7 +622,7 @@ func TestDurableCrashMatrixCheckpointTail(t *testing.T) {
 
 		r := openDurable(t, durOpts(dir, nil))
 		requireStateEqual(t, fmt.Sprintf("tail boundary %d/%d", i, len(tail)),
-			captureState(r), expected[i])
+			captureState(t, r), expected[i])
 		r.Close()
 	}
 }
@@ -674,5 +699,40 @@ func TestOpenRefusesPerShardJournalLayout(t *testing.T) {
 				t.Fatalf("%s: %s changed (%d bytes, was %d; err %v)", name, f, len(got), len(data), rerr)
 			}
 		}
+	}
+}
+
+// TestOpenRefusesRetentionRecord: a journal holding an op-9 record — a
+// drop below a shard-key prefix, which only the removed TTL retention
+// loop wrote — is refused with an error that names it, and not one byte
+// of the directory changes.
+func TestOpenRefusesRetentionRecord(t *testing.T) {
+	opts := durOpts("", nil).withDefaults()
+	var journal []byte
+	for _, rec := range []wal.Record{
+		{LSN: 1, Op: opInit, Body: encodeInitBody(opts)},
+		{LSN: 2, Op: opShardCollection, Body: encodeShardKey(hilbertDateKey())},
+		{LSN: 3, Op: opInsertBatch, Body: encodeInsertBatch("b1", bson.MarshalAll(ingestDocs(3, 4)))},
+		{LSN: 4, Op: opDropBelow, Body: appendBytes(nil, keyenc.Encode(int64(700)))},
+	} {
+		journal = wal.AppendFrame(journal, rec)
+	}
+	journal = append(journal, 0xde, 0xad) // a torn tail a normal open would cut
+	dir := t.TempDir()
+	path := filepath.Join(dir, journalName)
+	if err := os.WriteFile(path, journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenCluster(durOpts(dir, nil))
+	if err == nil {
+		c.Close()
+		t.Fatal("OpenCluster replayed a retention drop")
+	}
+	if !errors.Is(err, errRetentionRecord) || !strings.Contains(err.Error(), "TTL retention") {
+		t.Fatalf("error does not name the retention record: %v", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil || !bytes.Equal(got, journal) {
+		t.Fatalf("journal changed (%d bytes, was %d; err %v)", len(got), len(journal), err)
 	}
 }

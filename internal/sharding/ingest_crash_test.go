@@ -8,19 +8,17 @@ import (
 	"testing"
 
 	"repro/internal/bson"
-	"repro/internal/keyenc"
 	"repro/internal/wal"
 )
 
 // ingestStep is one mutation of the ingest crash workload, tagged so
 // boundaries map back to the crash classes the matrix must cover:
-// batches (lost-before-journal / journaled / acked), balances
-// (mid-split) and retention drops.
+// batches (lost-before-journal / journaled / acked) and balances
+// (mid-split).
 type ingestStep struct {
-	kind    string // "ddl" | "batch" | "balance" | "drop"
+	kind    string // "ddl" | "batch" | "balance"
 	batchID string
 	docs    []*bson.Document
-	cutoff  []byte
 }
 
 func (s ingestStep) apply(c *Cluster) error {
@@ -33,16 +31,13 @@ func (s ingestStep) apply(c *Cluster) error {
 	case "balance":
 		c.Balance()
 		return nil
-	case "drop":
-		_, err := c.DropBelowShardKey(s.cutoff)
-		return err
 	}
 	panic("unknown ingest step " + s.kind)
 }
 
 // ingestCrashWorkload: the DDL, then batches interleaved with
-// explicit balances (splits + migrations) and one retention drop, so
-// the byte matrix crosses every journaled ingest op.
+// explicit balances (splits + migrations), so the byte matrix crosses
+// every journaled ingest op.
 func ingestCrashWorkload() []ingestStep {
 	steps := []ingestStep{{kind: "ddl"}}
 	for i := 0; i < 30; i++ {
@@ -53,9 +48,6 @@ func ingestCrashWorkload() []ingestStep {
 		})
 		if i%6 == 5 {
 			steps = append(steps, ingestStep{kind: "balance"})
-		}
-		if i == 17 {
-			steps = append(steps, ingestStep{kind: "drop", cutoff: keyenc.Encode(int64(700))})
 		}
 	}
 	return steps
@@ -71,7 +63,7 @@ func ingestCrashWorkload() []ingestStep {
 //     the batch in full;
 //  3. torn mid-record — every ingest op is ONE journal record, so a
 //     crash inside it rolls back atomically (no partial batch, no
-//     half-migrated split, no partial retention drop);
+//     half-migrated split);
 //  4. pre-ack retry — retrying the last persisted batch ID against
 //     the recovered cluster answers dup and changes nothing;
 //  5. resume — retrying the first unpersisted batch applies it and
@@ -82,12 +74,12 @@ func TestIngestCrashMatrix(t *testing.T) {
 	// Reference pass: expected state after each step.
 	ref := NewCluster(durOpts("", nil))
 	expected := make([]clusterState, 0, len(steps)+1)
-	expected = append(expected, captureState(ref))
+	expected = append(expected, captureState(t, ref))
 	for _, s := range steps {
 		if err := s.apply(ref); err != nil {
 			t.Fatal(err)
 		}
-		expected = append(expected, captureState(ref))
+		expected = append(expected, captureState(t, ref))
 	}
 
 	// Clean durable pass: cumulative journal bytes per boundary.
@@ -134,7 +126,7 @@ func TestIngestCrashMatrix(t *testing.T) {
 	for i := 0; i <= len(steps); i += step {
 		label := fmt.Sprintf("boundary %d/%d", i, len(steps))
 		r := recoverAt(bytesAfter[i], label)
-		requireStateEqual(t, label, captureState(r), expected[i])
+		requireStateEqual(t, label, captureState(t, r), expected[i])
 
 		// Pre-ack retry: the batch whose record JUST persisted answers
 		// dup from the recovered dedup window without re-applying.
@@ -143,7 +135,7 @@ func TestIngestCrashMatrix(t *testing.T) {
 			if err != nil || !dup || applied != 0 {
 				t.Fatalf("%s: persisted-batch retry: applied=%d dup=%v err=%v", label, applied, dup, err)
 			}
-			requireStateEqual(t, label+" after dup retry", captureState(r), expected[i])
+			requireStateEqual(t, label+" after dup retry", captureState(t, r), expected[i])
 		}
 		// Resume: the batch that was lost in the crash applies cleanly
 		// and reproduces the next reference state exactly.
@@ -152,19 +144,18 @@ func TestIngestCrashMatrix(t *testing.T) {
 			if err != nil || dup || applied != len(steps[i].docs) {
 				t.Fatalf("%s: lost-batch retry: applied=%d dup=%v err=%v", label, applied, dup, err)
 			}
-			requireStateEqual(t, label+" after resume", captureState(r), expected[i+1])
+			requireStateEqual(t, label+" after resume", captureState(t, r), expected[i+1])
 		}
 		r.Close()
 
 		// Torn mid-record: a budget strictly inside the op's journal
 		// bytes must recover the PRE-op state — batch atomicity for
-		// inserts, split/migration atomicity for balances, sweep
-		// atomicity for retention drops.
+		// inserts, split/migration atomicity for balances.
 		if i < len(steps) && bytesAfter[i+1]-bytesAfter[i] >= 2 {
 			mid := bytesAfter[i] + (bytesAfter[i+1]-bytesAfter[i])/2
 			tl := fmt.Sprintf("torn %s @%d/%d", steps[i].kind, i, len(steps))
 			r := recoverAt(mid, tl)
-			requireStateEqual(t, tl, captureState(r), expected[i])
+			requireStateEqual(t, tl, captureState(t, r), expected[i])
 			r.Close()
 		}
 	}

@@ -114,20 +114,20 @@ func TestInsertBatchDurable(t *testing.T) {
 			t.Fatalf("batch %d: dup=%v err=%v", i, dup, err)
 		}
 	}
-	want = captureState(c)
+	want = captureState(t, c)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Journal replay.
 	r := openDurable(t, durOpts(dir, nil))
-	requireStateEqual(t, "journal replay", captureState(r), want)
+	requireStateEqual(t, "journal replay", captureState(t, r), want)
 	for i := range batches {
 		if _, dup, err := r.InsertBatch(fmt.Sprintf("b%d", i), batches[i]); err != nil || !dup {
 			t.Fatalf("replayed window lost b%d: dup=%v err=%v", i, dup, err)
 		}
 	}
-	requireStateEqual(t, "after dup retries", captureState(r), want)
+	requireStateEqual(t, "after dup retries", captureState(t, r), want)
 
 	// Snapshot restore (checkpoint truncates the journal; the window
 	// must ride in the snapshot payload).
@@ -138,7 +138,7 @@ func TestInsertBatchDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	r2 := openDurable(t, durOpts(dir, nil))
-	requireStateEqual(t, "snapshot restore", captureState(r2), want)
+	requireStateEqual(t, "snapshot restore", captureState(t, r2), want)
 	for i := range batches {
 		if _, dup, err := r2.InsertBatch(fmt.Sprintf("b%d", i), batches[i]); err != nil || !dup {
 			t.Fatalf("snapshot window lost b%d: dup=%v err=%v", i, dup, err)

@@ -7,8 +7,8 @@ package sharding
 // identically and two different ones never do. A hit is valid only if
 // (a) the filter still routes to the exact shard set the entry was
 // computed from and (b) none of those shards' content epochs moved;
-// every applied write batch, chunk split, migration and retention drop
-// bumps the owning shards' epochs under the cluster write lock, so a
+// every applied write batch, delete, chunk split and migration bumps
+// the owning shards' epochs under the cluster write lock, so a
 // cached result can never be served across a content change (zero
 // stale hits). Only complete results are cached: partial answers and
 // failed shards bypass the cache.

@@ -3,7 +3,7 @@ package sharding
 // Per-chunk sketch summaries: the router's prove-empty pruning layer.
 //
 // Every chunk of a range-sharded collection carries a small sketch
-// (counting bloom filter + count-min, internal/sketch) over the coarse
+// (a counting bloom filter, internal/sketch) over the coarse
 // cells of its documents' leading shard-key values — for the paper's
 // Hilbert approaches the cell is the order-k curve cell, obtained by
 // right-shifting the d-value (Hilbert indices are hierarchical, so the
@@ -133,8 +133,7 @@ func (c *Cluster) rebuildChunkSummaryLocked(ch *Chunk) {
 	})
 }
 
-// rebuildSummariesLocked rebuilds every chunk's sketch (recovery,
-// enable).
+// rebuildSummariesLocked rebuilds every chunk's sketch (recovery).
 func (c *Cluster) rebuildSummariesLocked() {
 	if !c.summariesOnLocked() {
 		for _, ch := range c.chunks {
@@ -145,21 +144,6 @@ func (c *Cluster) rebuildSummariesLocked() {
 	for _, ch := range c.chunks {
 		c.rebuildChunkSummaryLocked(ch)
 	}
-}
-
-// SetSummaryShift enables (shift > 0) or disables (0) the per-chunk
-// summaries at the given coarse-cell shift and rebuilds them from the
-// current data. Callers pick the shift so that cells are meaningful
-// for the shard key — for a Hilbert d-value of curve order n,
-// shift = 2*(n-k) summarises at order-k cells.
-func (c *Cluster) SetSummaryShift(shift int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if shift < 0 {
-		shift = 0
-	}
-	c.opts.SummaryShift = shift
-	c.rebuildSummariesLocked()
 }
 
 // pruneCellRangesLocked derives the query's coarse-cell ranges from its

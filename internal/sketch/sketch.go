@@ -1,11 +1,9 @@
 // Package sketch provides the compact per-chunk summaries the router
 // planner prunes shards with: a counting bloom filter over coarse
 // space-filling-curve cells (membership with a bounded false-positive
-// rate and no false negatives) plus a count-min sketch (per-cell
-// cardinality upper bounds). Both structures only ever over-approximate
-// the set they summarize, which is the property pruning rests on: a
-// summary can prove a shard empty for a query's cell set, never prove
-// it non-empty.
+// rate and no false negatives). It only ever over-approximates the set
+// it summarizes, which is the property pruning rests on: a summary can
+// prove a shard empty for a query's cell set, never prove it non-empty.
 package sketch
 
 // Summary is one chunk's (or shard's) cell summary. It is not
@@ -16,41 +14,25 @@ package sketch
 // exact and a saturated counter is a permanent over-count. That keeps
 // MayContain free of false negatives whatever mix of adds and removes
 // preceded it — at the price of precision, which the owner restores by
-// rebuilding the summary from the data (Saturated reports when that is
-// worth doing).
+// rebuilding the summary from the data.
 type Summary struct {
-	bloom   []uint8
-	mask    uint64
-	hashes  int
-	cm      []uint32
-	cmMask  uint64
-	cmDepth int
-	n       int64
-	sat     bool
+	bloom  []uint8
+	mask   uint64
+	hashes int
 }
-
-// cmDepthDefault is the count-min depth: two independent rows keep the
-// estimate's error bound tight enough for planner heuristics while the
-// sketch stays a few cache lines per chunk.
-const cmDepthDefault = 2
 
 // New sizes a summary for roughly expectedCells distinct cells: the
 // bloom gets 8 counters per expected cell (≈2.7% false-positive rate
-// at 3 hashes), the count-min 2 slots per cell per row. Sizes are
-// rounded up to powers of two so indexing is a mask.
+// at 3 hashes), rounded up to a power of two so indexing is a mask.
 func New(expectedCells int) *Summary {
 	if expectedCells < 32 {
 		expectedCells = 32
 	}
 	bloomSize := ceilPow2(uint64(expectedCells) * 8)
-	cmWidth := ceilPow2(uint64(expectedCells) * 2)
 	return &Summary{
-		bloom:   make([]uint8, bloomSize),
-		mask:    bloomSize - 1,
-		hashes:  3,
-		cm:      make([]uint32, cmWidth*cmDepthDefault),
-		cmMask:  cmWidth - 1,
-		cmDepth: cmDepthDefault,
+		bloom:  make([]uint8, bloomSize),
+		mask:   bloomSize - 1,
+		hashes: 3,
 	}
 }
 
@@ -80,28 +62,15 @@ func (s *Summary) slot(cell uint64, i int) uint64 {
 	return (h1 + uint64(i)*h2) & s.mask
 }
 
-func (s *Summary) cmSlot(cell uint64, row int) uint64 {
-	h := mix(cell + uint64(row)*0xbf58476d1ce4e5b9)
-	return uint64(row)*(s.cmMask+1) + (h & s.cmMask)
-}
-
 // Add records one document in the given cell.
 func (s *Summary) Add(cell uint64) {
 	for i := 0; i < s.hashes; i++ {
 		j := s.slot(cell, i)
 		if s.bloom[j] == 255 {
-			s.sat = true
 			continue
 		}
 		s.bloom[j]++
 	}
-	for r := 0; r < s.cmDepth; r++ {
-		j := s.cmSlot(cell, r)
-		if s.cm[j] < ^uint32(0) {
-			s.cm[j]++
-		}
-	}
-	s.n++
 }
 
 // Remove erases one previously-added document from the cell. Saturated
@@ -118,15 +87,6 @@ func (s *Summary) Remove(cell uint64) {
 		}
 		s.bloom[j]--
 	}
-	for r := 0; r < s.cmDepth; r++ {
-		j := s.cmSlot(cell, r)
-		if s.cm[j] > 0 && s.cm[j] < ^uint32(0) {
-			s.cm[j]--
-		}
-	}
-	if s.n > 0 {
-		s.n--
-	}
 }
 
 // MayContain reports whether the cell might hold live documents. False
@@ -138,18 +98,6 @@ func (s *Summary) MayContain(cell uint64) bool {
 		}
 	}
 	return true
-}
-
-// Estimate returns a count-min upper bound on the number of documents
-// in the cell. Like the bloom, it only over-approximates.
-func (s *Summary) Estimate(cell uint64) int64 {
-	min := ^uint32(0)
-	for r := 0; r < s.cmDepth; r++ {
-		if v := s.cm[s.cmSlot(cell, r)]; v < min {
-			min = v
-		}
-	}
-	return int64(min)
 }
 
 // MayContainRange reports whether any cell in [lo, hi] might hold
@@ -171,19 +119,4 @@ func (s *Summary) MayContainRange(lo, hi uint64, maxProbe int) bool {
 			return false
 		}
 	}
-}
-
-// Len is the number of live documents the summary covers.
-func (s *Summary) Len() int64 { return s.n }
-
-// Saturated reports whether any bloom slot has stuck at 255, i.e. the
-// summary has permanently lost precision and a rebuild would help.
-func (s *Summary) Saturated() bool { return s.sat }
-
-// Reset clears the summary for a rebuild.
-func (s *Summary) Reset() {
-	clear(s.bloom)
-	clear(s.cm)
-	s.n = 0
-	s.sat = false
 }

@@ -25,9 +25,6 @@ func TestNoFalseNegatives(t *testing.T) {
 		if n > 0 && !s.MayContain(cell) {
 			t.Fatalf("cell %d has %d live docs but MayContain says empty", cell, n)
 		}
-		if n > 0 && s.Estimate(cell) < int64(n) {
-			t.Fatalf("cell %d estimate %d below true count %d", cell, s.Estimate(cell), n)
-		}
 	}
 }
 
@@ -65,17 +62,14 @@ func TestProveEmpty(t *testing.T) {
 	}
 }
 
-// TestSaturationStaysConservative: pushing a slot past 255 must flag
-// saturation and never produce a false negative afterwards, even when
-// every add is removed again.
+// TestSaturationStaysConservative: pushing a slot past 255 must never
+// produce a false negative afterwards, even when every add is removed
+// again.
 func TestSaturationStaysConservative(t *testing.T) {
 	s := New(32)
 	const cell = uint64(42)
 	for i := 0; i < 300; i++ {
 		s.Add(cell)
-	}
-	if !s.Saturated() {
-		t.Fatalf("300 adds of one cell should saturate 8-bit counters")
 	}
 	for i := 0; i < 300; i++ {
 		s.Remove(cell)
@@ -85,20 +79,5 @@ func TestSaturationStaysConservative(t *testing.T) {
 		// the cell stays "maybe present" forever, which is the safe
 		// direction.
 		t.Fatalf("saturated slot decremented to a false negative")
-	}
-	s.Reset()
-	if s.Saturated() || s.MayContain(cell) || s.Len() != 0 {
-		t.Fatalf("Reset did not clear the summary")
-	}
-}
-
-func TestLenTracking(t *testing.T) {
-	s := New(64)
-	for i := uint64(0); i < 10; i++ {
-		s.Add(i)
-	}
-	s.Remove(3)
-	if s.Len() != 9 {
-		t.Fatalf("Len = %d, want 9", s.Len())
 	}
 }

@@ -46,7 +46,7 @@ type page struct {
 // InsertRaw was handed. A lookup is two array indexings — no hash, no
 // bucket probe — and the pages are the only per-record overhead (one
 // slice header per id ever assigned on a live page). A page whose last
-// record is deleted is dropped, so retention drops and chunk migrations
+// record is deleted is dropped, so range deletes and chunk migrations
 // hand their table memory back; PutRaw at an arbitrary id allocates
 // only the page it lands on. What the table relies on is that density:
 // the directory has one pointer per pageSlots ids up to the largest id
