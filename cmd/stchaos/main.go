@@ -14,9 +14,9 @@
 //     restarted daemon announces the identical content fingerprint;
 //   - overload bursts are shed with structured overload errors
 //     carrying retry hints, while admitted requests stay bounded;
-//   - after the soak, no cursors or in-flight requests linger on any
-//     daemon, heap stays bounded, and the orchestrator itself leaks
-//     no goroutines.
+//   - after the soak, no in-flight requests linger on any daemon,
+//     heap stays bounded, and the orchestrator itself leaks no
+//     goroutines.
 //
 // The fault/kill/burst schedule derives entirely from -seed, so a
 // failing run replays with the same flags.
@@ -128,7 +128,6 @@ func main() {
 		"-approach", "hil",
 		"-records", fmt.Sprint(*records),
 		"-shards", fmt.Sprint(*shards),
-		"-cursor-ttl", "2s",
 		"-max-inflight", fmt.Sprint(*maxInflight),
 		// On an unloaded in-memory store ops finish in microseconds and
 		// admission control would never engage; 2ms of injected
@@ -178,7 +177,7 @@ func main() {
 	ch.router = &daemon{name: "routerd", bin: *routerdBin, addr: routerAddr, args: append([]string{
 		"-addr", routerAddr,
 		"-addrs", ch.proxies[0].Addr() + "," + ch.proxies[1].Addr(),
-	}, common[:6]...)} // approach/records/shards; router has no cursor flags
+	}, common[:6]...)} // approach/records/shards; the rest tune the shard daemons
 	if err := ch.router.start(); err != nil {
 		fatal("routerd: %v", err)
 	}
@@ -205,8 +204,8 @@ func main() {
 	stopLoad()
 	wg.Wait()
 
-	// Post-soak hygiene: no in-flight work or cursors may linger once
-	// load stops (cursor TTL is 2s), and heap stays bounded.
+	// Post-soak hygiene: no in-flight work may linger once load stops,
+	// and heap stays bounded.
 	for _, d := range ch.daemons {
 		ch.awaitQuiesce(d)
 	}
@@ -332,13 +331,12 @@ func (ch *chaos) awaitReady(d *daemon) error {
 	}
 }
 
-// awaitQuiesce waits for a daemon's in-flight and cursor counters to
-// hit zero (cursor TTL is 2s, so 10s covers reap lag).
+// awaitQuiesce waits for a daemon's in-flight counter to hit zero.
 func (ch *chaos) awaitQuiesce(d *daemon) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		_, stats, err := netconn.Probe(d.addr, netconn.Options{})
-		if err == nil && stats.InFlight == 0 && stats.Cursors == 0 {
+		if err == nil && stats.InFlight == 0 {
 			if stats.HeapInuse > 1<<30 {
 				ch.violate("%s heap-in-use %d after soak (> 1GiB)", d.name, stats.HeapInuse)
 			}

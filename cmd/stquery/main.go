@@ -105,8 +105,8 @@ func main() {
 		}
 		fmt.Printf("%s: state=%s docs=%d fingerprint=%016x shards=%v\n",
 			*stats, wire.StateName(st.State), hello.Docs, hello.Checksum, hello.ShardIDs)
-		fmt.Printf("  inFlight=%d shed=%d cursors=%d heapInuse=%d\n",
-			st.InFlight, st.Shed, st.Cursors, st.HeapInuse)
+		fmt.Printf("  inFlight=%d shed=%d heapInuse=%d\n",
+			st.InFlight, st.Shed, st.HeapInuse)
 		return
 	}
 

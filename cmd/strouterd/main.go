@@ -41,7 +41,6 @@ func main() {
 		dir       = flag.String("dir", "", "reopen a durable store directory instead of loading")
 		parallel  = flag.Int("parallel", 0, "scatter-gather pool width (0 = GOMAXPROCS)")
 		waitReady = flag.Duration("wait-ready", 10*time.Second, "keep re-dialing refused shard servers for this long")
-		batch     = flag.Int("batch", netconn.DefaultBatchSize, "cursor batch size requested from shard servers")
 
 		maxConns      = flag.Int("max-conns", netconn.DefaultMaxConns, "cap on concurrently open client connections")
 		maxInFlight   = flag.Int("max-inflight", 0, "cap on concurrently executing queries (0 = 4x GOMAXPROCS)")
@@ -65,7 +64,6 @@ func main() {
 	list := splitAddrs(*addrs)
 	rc, err := netconn.Connect(list, netconn.Options{
 		WaitReady:  *waitReady,
-		BatchSize:  *batch,
 		AuthSecret: secretBytes(*authSecret),
 		Mutable:    *writes,
 	})

@@ -1,8 +1,8 @@
 // Command stshardd is the shard server daemon: it constructs the
 // cluster deterministically (same flags as stquery — or the same
 // durable directory) and serves a subset of its shards over the wire
-// protocol, answering per-shard query/getMore/killCursor/stats ops
-// from routers.
+// protocol, answering per-shard query, insert, ping and stats ops
+// from routers; a query's answer streams back in one exchange.
 //
 // There is no config-server protocol: every process in a deployment
 // builds the identical cluster from the same inputs, and the
@@ -36,15 +36,13 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", "127.0.0.1:7701", "listen address")
-		serve     = flag.String("serve", "", "comma-separated shard ids to serve (empty = all)")
-		approach  = flag.String("approach", "hil", "bslST | bslTS | hil | hil* | sthash")
-		records   = flag.Int("records", 40000, "R-like records to generate and load")
-		shards    = flag.Int("shards", 12, "number of shards in the cluster")
-		zones     = flag.Bool("zones", false, "configure zones after loading")
-		dir       = flag.String("dir", "", "reopen a durable store directory instead of loading")
-		cursorTTL = flag.Duration("cursor-ttl", netconn.DefaultCursorTTL, "reap cursors idle longer than this")
-		maxBatch  = flag.Int("max-batch", netconn.DefaultMaxBatch, "cap on the per-reply batch size clients may request")
+		addr     = flag.String("addr", "127.0.0.1:7701", "listen address")
+		serve    = flag.String("serve", "", "comma-separated shard ids to serve (empty = all)")
+		approach = flag.String("approach", "hil", "bslST | bslTS | hil | hil* | sthash")
+		records  = flag.Int("records", 40000, "R-like records to generate and load")
+		shards   = flag.Int("shards", 12, "number of shards in the cluster")
+		zones    = flag.Bool("zones", false, "configure zones after loading")
+		dir      = flag.String("dir", "", "reopen a durable store directory instead of loading")
 
 		maxConns      = flag.Int("max-conns", netconn.DefaultMaxConns, "cap on concurrently open connections")
 		maxInFlight   = flag.Int("max-inflight", 0, "cap on concurrently executing requests (0 = 4x GOMAXPROCS)")
@@ -81,8 +79,6 @@ func main() {
 	}
 
 	srv, err := netconn.NewShardServer(s.Cluster(), ids, netconn.ServerOptions{
-		CursorTTL:  *cursorTTL,
-		MaxBatch:   *maxBatch,
 		Conn:       conn,
 		AuthSecret: secretBytes(*authSecret),
 		Ingest: sharding.IngestOptions{

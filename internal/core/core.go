@@ -135,13 +135,6 @@ type Config struct {
 	// into a network router whose shard executions travel to stshardd
 	// processes; it can also be swapped later via Cluster().SetConn.
 	Conn sharding.ShardConn
-	// SummaryShift tunes the per-chunk coarse-cell sketch summaries
-	// that let the router skip provably-empty shards. 0 means the
-	// approach default: enabled for the Hilbert approaches (whose
-	// leading shard-key field is the integer curve value the sketches
-	// need), disabled for the rest. A positive value forces that
-	// shift; a negative value disables the summaries entirely.
-	SummaryShift int
 	// ResultCacheBytes bounds the router's epoch-invalidated result
 	// cache; 0 disables caching.
 	ResultCacheBytes int64
@@ -236,18 +229,13 @@ func (c Config) clusterOptions() sharding.Options {
 	}
 }
 
-// summaryShift resolves the effective sketch-summary shift: the
-// configured value, or for the Hilbert approaches a default that
-// groups the 2·order-bit curve values into roughly 2^16 coarse cells.
-// Negative disables; non-Hilbert approaches (string or time shard
-// keys the sketches cannot cell) default to off.
+// summaryShift is the shift of the per-chunk coarse-cell sketch
+// summaries that let the router skip provably-empty shards. The
+// Hilbert approaches, whose leading shard-key field is the integer
+// curve value the sketches need, group the 2·order-bit curve values
+// into roughly 2^16 coarse cells; the rest (string or time shard keys
+// the sketches cannot cell) keep no summaries.
 func (c Config) summaryShift() int {
-	if c.SummaryShift < 0 {
-		return 0
-	}
-	if c.SummaryShift > 0 {
-		return c.SummaryShift
-	}
 	switch c.Approach {
 	case Hil, HilStar:
 		if s := 2*int(c.HilbertOrder) - 16; s > 0 {

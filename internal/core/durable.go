@@ -70,10 +70,9 @@ func manifestOf(cfg Config) (manifest, error) {
 }
 
 // config overwrites the caller's Config with every field the manifest
-// records; the rest — Parallel, Resilience, Conn,
-// SummaryShift, ResultCacheBytes, Dir, Sync, FS — stay the caller's.
-// SummaryShift is runtime because recovery rebuilds the sketches from
-// the recovered data.
+// records; the rest — Parallel, Resilience, Conn, ResultCacheBytes,
+// Dir, Sync, FS — stay the caller's. The sketch summaries are not
+// recorded either: recovery rebuilds them from the recovered data.
 func (m manifest) config(cfg Config) (Config, error) {
 	cfg.Shards = m.Shards
 	cfg.ChunkMaxBytes = m.ChunkMaxBytes

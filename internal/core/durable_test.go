@@ -134,7 +134,6 @@ func TestOpenDirKeepsRuntimeFields(t *testing.T) {
 			ResultCacheBytes: 1 << 20,
 			Resilience:       sharding.Resilience{Policy: sharding.AllowPartial},
 			Conn:             conn,
-			SummaryShift:     -1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -145,9 +144,9 @@ func TestOpenDirKeepsRuntimeFields(t *testing.T) {
 				stage, opts.Shards, r.Config().Approach)
 		}
 		if opts.ResultCacheBytes != 1<<20 || opts.Resilience.Policy != sharding.AllowPartial ||
-			opts.Conn != sharding.ShardConn(conn) || opts.SummaryShift != 0 {
-			t.Fatalf("%s: runtime fields dropped: cache %d, policy %v, conn %T, summary shift %d",
-				stage, opts.ResultCacheBytes, opts.Resilience.Policy, opts.Conn, opts.SummaryShift)
+			opts.Conn != sharding.ShardConn(conn) {
+			t.Fatalf("%s: runtime fields dropped: cache %d, policy %v, conn %T",
+				stage, opts.ResultCacheBytes, opts.Resilience.Policy, opts.Conn)
 		}
 		q := testQueries()[2]
 		r.Query(q)

@@ -23,9 +23,10 @@ type AdmitOptions struct {
 	// error, and closed — they never reach the accept map.
 	MaxConns int
 	// MaxInFlight caps concurrently executing requests (default
-	// 4×GOMAXPROCS). Query and getMore frames take a slot; ping,
-	// stats and killCursor stay exempt so observability and cleanup
-	// keep working on a saturated server.
+	// 4×GOMAXPROCS). Query and insert frames take a slot, held by a
+	// query until the last frame of its answer is written; ping and
+	// stats stay exempt so observability keeps working on a saturated
+	// server.
 	MaxInFlight int
 	// AdmissionWait is how long a request may wait for a free slot
 	// before being shed (default 100ms): a short deadline-aware queue

@@ -51,7 +51,8 @@ func TestAggregateDifferentialOverTCP(t *testing.T) {
 	router := openStore(t, core.Hil, 4, 3000)
 	backend := openStore(t, core.Hil, 4, 3000)
 	addrs := startServers(t, backend, 2, ServerOptions{})
-	rc := connectRemote(t, router, addrs, Options{BatchSize: 7})
+	rc := connectRemote(t, router, addrs, Options{})
+	rc.batch = 7
 
 	queries := aggMatrix()
 	local := make([]*core.QueryResult, len(queries))
@@ -142,6 +143,19 @@ type frameTap struct {
 	mu       sync.Mutex
 	requests map[byte]int
 	replies  map[byte]int
+	// stallOp and stallFire arm stallAfter's one-shot stall.
+	stallOp   byte
+	stallFire func()
+}
+
+// stallAfter arms a one-shot stall: once the next reply frame with op
+// has been forwarded, fire runs and that connection's later reply
+// frames are read but never forwarded — the client has the first
+// frame of an answer, then silence.
+func (tap *frameTap) stallAfter(op byte, fire func()) {
+	tap.mu.Lock()
+	tap.stallOp, tap.stallFire = op, fire
+	tap.mu.Unlock()
 }
 
 func newFrameTap(t *testing.T, target string) *frameTap {
@@ -151,19 +165,30 @@ func newFrameTap(t *testing.T, target string) *frameTap {
 		t.Fatal(err)
 	}
 	tap := &frameTap{ln: ln, requests: map[byte]int{}, replies: map[byte]int{}}
-	relay := func(dst, src net.Conn, count map[byte]int) {
+	relay := func(dst, src net.Conn, count map[byte]int, replies bool) {
 		defer tap.wg.Done()
 		defer dst.Close()
-		for {
+		for stalled := false; ; {
 			op, body, err := wire.ReadFrame(src)
 			if err != nil {
 				return
 			}
 			tap.mu.Lock()
 			count[op]++
+			var fire func()
+			if replies && !stalled && tap.stallFire != nil && op == tap.stallOp {
+				fire, tap.stallFire = tap.stallFire, nil
+			}
 			tap.mu.Unlock()
+			if stalled {
+				continue
+			}
 			if wire.WriteFrame(dst, op, body) != nil {
 				return
+			}
+			if fire != nil {
+				fire()
+				stalled = true
 			}
 		}
 	}
@@ -181,11 +206,27 @@ func newFrameTap(t *testing.T, target string) *frameTap {
 				continue
 			}
 			tap.wg.Add(2)
-			go relay(server, client, tap.requests)
-			go relay(client, server, tap.replies)
+			go relay(server, client, tap.requests, false)
+			go relay(client, server, tap.replies, true)
 		}
 	}()
 	return tap
+}
+
+// since returns the per-op request and reply frame counts after a
+// snapshot, leaving out ops with no new frames and the handshake of
+// any conn the pool dialled meanwhile.
+func (tap *frameTap) since(requests, replies map[byte]int) (map[byte]int, map[byte]int) {
+	nowReq, nowRep := tap.snapshot()
+	diff := func(now, before map[byte]int) map[byte]int {
+		for op, n := range now {
+			if now[op] = n - before[op]; now[op] == 0 || op == wire.OpHello || op == wire.OpHelloReply {
+				delete(now, op)
+			}
+		}
+		return now
+	}
+	return diff(nowReq, requests), diff(nowRep, replies)
 }
 
 // snapshot returns the per-op request and reply frame counts so far.
@@ -203,9 +244,10 @@ func (tap *frameTap) snapshot() (requests, replies map[byte]int) {
 }
 
 // TestAggregateIsOneFrameEachWay: over TCP an aggregate costs exactly
-// one request frame and one reply frame per targeted shard — no
-// getMore, no cursor — even at a batch size of one document, while the
-// document query over the same window needs the getMore stream.
+// one request frame and one reply frame per targeted shard, even at a
+// frame size of one document, while the document query over the same
+// window sends one request frame per shard and streams more than one
+// reply frame back.
 func TestAggregateIsOneFrameEachWay(t *testing.T) {
 	router := openStore(t, core.Hil, 4, 3000)
 	backend := openStore(t, core.Hil, 4, 3000)
@@ -222,7 +264,8 @@ func TestAggregateIsOneFrameEachWay(t *testing.T) {
 	t.Cleanup(tap.wg.Wait)
 	t.Cleanup(func() { tap.ln.Close() })
 	t.Cleanup(srv.Close)
-	rc := connectRemote(t, router, []string{tap.ln.Addr().String()}, Options{BatchSize: 1})
+	rc := connectRemote(t, router, []string{tap.ln.Addr().String()}, Options{})
+	rc.batch = 1
 	router.Cluster().SetConn(rc)
 	defer router.Cluster().SetConn(nil)
 
@@ -240,40 +283,30 @@ func TestAggregateIsOneFrameEachWay(t *testing.T) {
 		if res.Agg == nil || res.Agg.Count == 0 || res.Stats.Nodes < 2 {
 			t.Fatalf("vacuous aggregate: %+v over %d nodes", res.Agg, res.Stats.Nodes)
 		}
-		req, rep := tap.snapshot()
-		for op := range req {
-			req[op] -= reqBefore[op]
-		}
-		for op := range rep {
-			rep[op] -= repBefore[op]
-		}
-		if req[wire.OpQuery] != res.Stats.Nodes || rep[wire.OpQueryReply] != res.Stats.Nodes {
-			t.Fatalf("%d nodes: %d query frames, %d reply frames", res.Stats.Nodes, req[wire.OpQuery], rep[wire.OpQueryReply])
-		}
-		if n := req[wire.OpGetMore] + req[wire.OpKillCursor] + rep[wire.OpError]; n != 0 {
-			t.Fatalf("aggregate cost %d extra frames (requests %v, replies %v)", n, req, rep)
-		}
-		if n := srv.OpenCursors(); n != 0 {
-			t.Fatalf("aggregate left %d cursors open", n)
+		req, rep := tap.since(reqBefore, repBefore)
+		if req[wire.OpQuery] != res.Stats.Nodes || rep[wire.OpQueryReply] != res.Stats.Nodes || len(req) != 1 || len(rep) != 1 {
+			t.Fatalf("%d nodes: aggregate sent requests %v, got replies %v, want one query frame each way per node", res.Stats.Nodes, req, rep)
 		}
 	}
-	// The tap is not vacuous: shipping the documents streams getMores.
-	before, _ := tap.snapshot()
-	if docs := router.Query(core.STQuery{Rect: testRect, From: testStart, To: week}); len(docs.Docs) < 2 {
-		t.Fatalf("document query returned %d docs", len(docs.Docs))
+	// The tap is not vacuous: shipping the documents streams frames.
+	reqBefore, repBefore := tap.snapshot()
+	res := router.Query(core.STQuery{Rect: testRect, From: testStart, To: week})
+	if len(res.Docs) < 2 {
+		t.Fatalf("document query returned %d docs", len(res.Docs))
 	}
-	if after, _ := tap.snapshot(); after[wire.OpGetMore] == before[wire.OpGetMore] {
-		t.Fatal("document query at batch size 1 sent no getMore frames")
+	req, rep := tap.since(reqBefore, repBefore)
+	if req[wire.OpQuery] != res.Stats.Nodes || len(req) != 1 {
+		t.Fatalf("%d nodes: document query sent requests %v, want one query frame per node", res.Stats.Nodes, req)
 	}
-	if n := srv.OpenCursors(); n != 0 {
-		t.Fatalf("drained document query left %d cursors open", n)
+	if rep[wire.OpQueryReply] <= res.Stats.Nodes || len(rep) != 1 {
+		t.Fatalf("%d nodes: document query at frame size 1 got replies %v, want more than one query reply per node", res.Stats.Nodes, rep)
 	}
 }
 
-// TestVersion4PeerRefused: the handshake refuses a peer speaking the
-// previous protocol version in both directions, with an error that
-// names both versions.
-func TestVersion4PeerRefused(t *testing.T) {
+// TestPreviousVersionPeerRefused: the handshake refuses a peer
+// speaking the previous protocol version in both directions, with an
+// error that names both versions.
+func TestPreviousVersionPeerRefused(t *testing.T) {
 	const old = wire.ProtocolVersion - 1
 	store := openStore(t, core.Hil, 2, 100)
 	addrs := startServers(t, store, 1, ServerOptions{})
@@ -293,19 +326,19 @@ func TestVersion4PeerRefused(t *testing.T) {
 		t.Fatalf("old client got op %d err %v, want an error frame", op, err)
 	}
 	er, err := wire.DecodeErrorReply(body)
-	if err != nil || er.Transient || !strings.Contains(er.Message, "protocol version 4 not supported (want 5)") {
+	if err != nil || er.Transient || !strings.Contains(er.Message, "protocol version 5 not supported (want 6)") {
 		t.Fatalf("old client refusal = %+v (%v)", er, err)
 	}
 
 	// This client against an old server, which either answers the
 	// handshake with its own version or refuses ours the same way.
 	for want, answer := range map[string]func(net.Conn){
-		"speaks protocol 4, want 5": func(c net.Conn) {
+		"speaks protocol 5, want 6": func(c net.Conn) {
 			_ = wire.WriteFrame(c, wire.OpHelloReply, wire.HelloReply{Version: old}.Encode(nil))
 		},
-		"refused connection: protocol version 5 not supported (want 4)": func(c net.Conn) {
+		"refused connection: protocol version 6 not supported (want 5)": func(c net.Conn) {
 			_ = wire.WriteFrame(c, wire.OpError, wire.ErrorReply{Shard: -1,
-				Message: "protocol version 5 not supported (want 4)"}.Encode(nil))
+				Message: "protocol version 6 not supported (want 5)"}.Encode(nil))
 		},
 	} {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -33,9 +33,6 @@ type Options struct {
 	// during Connect — daemons that are still coming up answer as
 	// soon as they bind (default 0: fail on first refusal).
 	WaitReady time.Duration
-	// BatchSize is the cursor batch size requested per reply frame
-	// (default 512 documents).
-	BatchSize int
 	// AuthSecret, when non-empty, runs the mutual HMAC challenge at
 	// every handshake: the client verifies the server's proof before
 	// trusting it and answers the server's challenge before any op. A
@@ -50,7 +47,8 @@ type Options struct {
 	Mutable bool
 }
 
-// DefaultBatchSize is Options.BatchSize's default.
+// DefaultBatchSize is the documents a RemoteConn asks a shard server
+// to put in each reply frame of an answer.
 const DefaultBatchSize = 512
 
 // The transport's fixed tuning.
@@ -65,13 +63,6 @@ const (
 	dialBackoffBase = 5 * time.Millisecond
 	dialBackoffMax  = 250 * time.Millisecond
 )
-
-func (o Options) withDefaults() Options {
-	if o.BatchSize <= 0 {
-		o.BatchSize = DefaultBatchSize
-	}
-	return o
-}
 
 // conn is one established, handshaken connection. A conn is owned by
 // exactly one request at a time (checkout/return through its pool);
@@ -103,7 +94,7 @@ func dial(addr string, opts Options) (*conn, error) {
 	// HelloReply (not a refusal) so it can report "configure a secret"
 	// instead of a bare protocol error.
 	hello := wire.Hello{Version: wire.ProtocolVersion, Nonce: wire.NewAuthNonce()}
-	op, body, err := c.roundTrip(nil, wire.OpHello, hello.Encode(nil))
+	op, body, err := c.roundTrip(wire.OpHello, hello.Encode(nil))
 	if err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("netconn: handshake with %s: %w", addr, err)
@@ -159,7 +150,7 @@ func (c *conn) authenticate(addr string, secret, clientNonce []byte, reply wire.
 		return fmt.Errorf("netconn: %s failed the server authentication challenge (secret mismatch?)", addr)
 	}
 	proof := wire.AuthProof(secret, wire.AuthRoleClient, reply.Nonce)
-	op, body, err := c.roundTrip(nil, wire.OpAuth, wire.Auth{Proof: proof}.Encode(nil))
+	op, body, err := c.roundTrip(wire.OpAuth, wire.Auth{Proof: proof}.Encode(nil))
 	if err != nil {
 		return fmt.Errorf("netconn: auth with %s: %w", addr, err)
 	}
@@ -176,12 +167,13 @@ func (c *conn) authenticate(addr string, secret, clientNonce []byte, reply wire.
 	}
 }
 
-// roundTrip writes one frame and reads one reply frame. When ctx is
-// cancelled mid-IO a watchdog poisons the socket deadline so the
-// blocked read or write returns immediately; the conn is then broken
-// (its stream state is unknown) and the caller must not reuse it.
-func (c *conn) roundTrip(ctx context.Context, op byte, body []byte) (byte, []byte, error) {
-	if ctx != nil && ctx.Done() != nil {
+// exchange writes one request frame and hands each reply frame to
+// next until next reports the exchange complete. When ctx is cancelled
+// mid-exchange a watchdog poisons the socket deadline so the blocked
+// read or write returns immediately; the conn is then broken (its
+// stream state is unknown) and the caller must not reuse it.
+func (c *conn) exchange(ctx context.Context, op byte, body []byte, next func(op byte, body []byte) bool) error {
+	if ctx.Done() != nil {
 		stop := make(chan struct{})
 		done := make(chan struct{})
 		go func() {
@@ -204,21 +196,35 @@ func (c *conn) roundTrip(ctx context.Context, op byte, body []byte) (byte, []byt
 	}
 	if err := wire.WriteFrame(c.bw, op, body); err != nil {
 		c.broken = true
-		return 0, nil, err
+		return err
 	}
 	if err := c.bw.Flush(); err != nil {
 		c.broken = true
-		return 0, nil, err
+		return err
 	}
-	rop, rbody, err := wire.ReadFrame(c.br)
-	if err != nil {
-		c.broken = true
-		return 0, nil, err
+	for {
+		rop, rbody, err := wire.ReadFrame(c.br)
+		if err != nil {
+			c.broken = true
+			return err
+		}
+		if !next(rop, rbody) {
+			return nil
+		}
 	}
-	return rop, rbody, nil
 }
 
-// decodeReply interprets the reply frame a roundTrip returned: a `want`
+// roundTrip writes one frame and reads one reply frame, with no
+// cancellation watchdog.
+func (c *conn) roundTrip(op byte, body []byte) (rop byte, rbody []byte, err error) {
+	err = c.exchange(context.Background(), op, body, func(op byte, body []byte) bool {
+		rop, rbody = op, body
+		return false
+	})
+	return rop, rbody, err
+}
+
+// decodeReply interprets one reply frame: a `want`
 // frame through decode, a structured error frame as the returned
 // *wire.ErrorReply (the connection stays in sync). Anything else —
 // another op, a body that does not parse — means the stream cannot be
@@ -381,16 +387,15 @@ func dialBackoff(addr string, attempt int) time.Duration {
 // server's handshake identity and health stats, and hangs up. It is
 // the readiness / ops primitive: scripts and the chaos orchestrator
 // use it to wait for "ready", verify fingerprints after a restart,
-// and read the shed/in-flight/cursor counters.
+// and read the shed/in-flight counters.
 func Probe(addr string, opts Options) (wire.HelloReply, wire.StatsReply, error) {
-	opts = opts.withDefaults()
 	c, err := dialReady(addr, opts)
 	if err != nil {
 		return wire.HelloReply{}, wire.StatsReply{}, err
 	}
 	defer c.close()
 	_ = c.nc.SetDeadline(time.Now().Add(dialTimeout))
-	op, body, err := c.roundTrip(nil, wire.OpStats, nil)
+	op, body, err := c.roundTrip(wire.OpStats, nil)
 	if err != nil {
 		return c.hello, wire.StatsReply{}, err
 	}

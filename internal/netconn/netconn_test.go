@@ -137,15 +137,16 @@ func assertSameDocs(t *testing.T, label string, want, got []bson.Raw) {
 // router whose per-shard executions travel through two real TCP shard
 // servers must return byte-identical results to the in-process
 // LocalConn path, for the full range/limit/top-k matrix, across many
-// cursor batch boundaries.
+// reply-frame boundaries.
 func TestRemoteDifferentialMatrix(t *testing.T) {
 	for _, a := range []core.Approach{core.Hil, core.BslST} {
 		t.Run(a.String(), func(t *testing.T) {
 			router := openStore(t, a, 4, 3000)
 			backend := openStore(t, a, 4, 3000)
 			addrs := startServers(t, backend, 2, ServerOptions{})
-			// BatchSize 7 forces dozens of getMore round trips per shard.
-			rc := connectRemote(t, router, addrs, Options{BatchSize: 7})
+			// A frame size of 7 streams dozens of reply frames per shard.
+			rc := connectRemote(t, router, addrs, Options{})
+			rc.batch = 7
 
 			queries := queryMatrix()
 			local := make([]*core.QueryResult, len(queries))
@@ -205,13 +206,14 @@ func TestTransientErrorCrossesWire(t *testing.T) {
 // TestFaultConnWrapsRemote proves the router-side fault matrix
 // composes with the network transport: a FaultConn whose inner conn
 // is a RemoteConn injects the fault before the wire, and the retry
-// that follows re-executes the full network query (the
-// getMore-after-retry path).
+// that follows re-executes the full network query, streamed in
+// several frames.
 func TestFaultConnWrapsRemote(t *testing.T) {
 	router := openStore(t, core.Hil, 3, 1200)
 	backend := openStore(t, core.Hil, 3, 1200)
 	addrs := startServers(t, backend, 1, ServerOptions{})
-	rc := connectRemote(t, router, addrs, Options{BatchSize: 5})
+	rc := connectRemote(t, router, addrs, Options{})
+	rc.batch = 5
 
 	fc := sharding.NewFaultConn(rc, 42)
 	fc.SetFault(0, sharding.FaultSpec{FailFirst: 1})

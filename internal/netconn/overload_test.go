@@ -58,12 +58,12 @@ func TestAdmissionShedsWithOverloadCode(t *testing.T) {
 	}
 	aDone := make(chan replyT, 1)
 	go func() {
-		op, body, err := a.roundTrip(nil, wire.OpQuery, rawQueryBody(t, s, 1000))
+		op, body, err := a.roundTrip(wire.OpQuery, rawQueryBody(t, s, 1000))
 		aDone <- replyT{op, body, err}
 	}()
 	time.Sleep(80 * time.Millisecond) // a holds the only slot by now
 
-	op, body, err := b.roundTrip(nil, wire.OpQuery, rawQueryBody(t, s, 1000))
+	op, body, err := b.roundTrip(wire.OpQuery, rawQueryBody(t, s, 1000))
 	if err != nil || op != wire.OpError {
 		t.Fatalf("saturated query: op %d, err %v", op, err)
 	}
@@ -178,7 +178,7 @@ func TestConnCapShedsAndRecovers(t *testing.T) {
 	// Free the slot, then a WaitReady dial must eventually succeed
 	// (the conns map is pruned asynchronously after close).
 	first.close()
-	c, err := dialReady(addr, Options{WaitReady: 5 * time.Second}.withDefaults())
+	c, err := dialReady(addr, Options{WaitReady: 5 * time.Second})
 	if err != nil {
 		t.Fatalf("dial after slot freed: %v", err)
 	}
@@ -195,7 +195,7 @@ func TestMemWatermarkSheds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.close()
-	op, body, err := c.roundTrip(nil, wire.OpQuery, rawQueryBody(t, s, 1000))
+	op, body, err := c.roundTrip(wire.OpQuery, rawQueryBody(t, s, 1000))
 	if err != nil || op != wire.OpError {
 		t.Fatalf("op %d, err %v", op, err)
 	}
@@ -207,7 +207,7 @@ func TestMemWatermarkSheds(t *testing.T) {
 		t.Fatalf("want overload shed, got %+v", er)
 	}
 	// Pings stay exempt: health stays observable above the watermark.
-	if op, _, err := c.roundTrip(nil, wire.OpPing, nil); err != nil || op != wire.OpPong {
+	if op, _, err := c.roundTrip(wire.OpPing, nil); err != nil || op != wire.OpPong {
 		t.Fatalf("ping above watermark: op %d, err %v", op, err)
 	}
 }
@@ -237,7 +237,7 @@ func TestDrainFinishesInFlight(t *testing.T) {
 	}
 	aDone := make(chan replyT, 1)
 	go func() {
-		op, _, err := a.roundTrip(nil, wire.OpQuery, rawQueryBody(t, s, 1000))
+		op, _, err := a.roundTrip(wire.OpQuery, rawQueryBody(t, s, 1000))
 		aDone <- replyT{op, err}
 	}()
 	time.Sleep(80 * time.Millisecond) // a's query is in flight
@@ -247,7 +247,7 @@ func TestDrainFinishesInFlight(t *testing.T) {
 	waitFor(t, "draining state", func() bool { return srv.State() == wire.StateDraining })
 
 	// New work on an existing conn is refused with the draining code.
-	op, body, err := b.roundTrip(nil, wire.OpQuery, rawQueryBody(t, s, 1000))
+	op, body, err := b.roundTrip(wire.OpQuery, rawQueryBody(t, s, 1000))
 	if err != nil || op != wire.OpError {
 		t.Fatalf("query during drain: op %d, err %v", op, err)
 	}
@@ -394,7 +394,7 @@ func TestQueryDeadlineShedsAsOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.close()
-	op, body, err := c.roundTrip(nil, wire.OpQuery, rawQueryBody(t, s, 1000))
+	op, body, err := c.roundTrip(wire.OpQuery, rawQueryBody(t, s, 1000))
 	if err != nil || op != wire.OpError {
 		t.Fatalf("op %d, err %v", op, err)
 	}

@@ -23,13 +23,15 @@ import (
 // not, and a server-reported transient error crosses the wire with
 // its Transient bit intact.
 type RemoteConn struct {
-	opts  Options
 	addrs []string
 	// pools maps shard id → the pool of the address serving it.
 	pools    map[int]*pool
 	byAddr   []*pool
 	docs     uint64
 	checksum uint64
+	// batch is the documents asked for per reply frame:
+	// DefaultBatchSize, or less in tests that cross frame boundaries.
+	batch uint32
 }
 
 // Connect dials every address, handshakes, and builds the shard →
@@ -39,8 +41,7 @@ type RemoteConn struct {
 // misassembled cluster and fail loudly here rather than as wrong
 // query results later.
 func Connect(addrs []string, opts Options) (*RemoteConn, error) {
-	opts = opts.withDefaults()
-	rc := &RemoteConn{opts: opts, addrs: addrs, pools: map[int]*pool{}}
+	rc := &RemoteConn{addrs: addrs, pools: map[int]*pool{}, batch: DefaultBatchSize}
 	for _, addr := range addrs {
 		c, err := dialReady(addr, opts)
 		if err != nil {
@@ -134,12 +135,21 @@ func checkout(ctx context.Context, p *pool, shard int) (*conn, error) {
 	return c, nil
 }
 
-// shardCall runs one request/reply exchange with a shard server. It is
+// shardCall runs one exchange with a shard server: the request frame,
+// then reply frames until more reports the last one (nil more means a
+// single reply) or the server answers with a structured error. It is
 // the one place a failed exchange becomes a sharding.ShardError, the
 // vocabulary the router's retry machinery reads.
-func shardCall[T any](ctx context.Context, c *conn, shard int, op byte, body []byte, want byte, decode func([]byte) (T, error)) (T, error) {
-	var zero T
-	rop, rbody, err := c.roundTrip(ctx, op, body)
+func shardCall[T any](ctx context.Context, c *conn, shard int, op byte, body []byte, want byte, decode func([]byte) (T, error), more func(T) bool) (T, error) {
+	var (
+		zero, reply T
+		er          *wire.ErrorReply
+		derr        error
+	)
+	err := c.exchange(ctx, op, body, func(rop byte, rbody []byte) bool {
+		reply, er, derr = decodeReply(c, rop, rbody, want, decode)
+		return derr == nil && er == nil && more != nil && more(reply)
+	})
 	if err != nil {
 		// A cancellation-poisoned socket reports the ctx error, not
 		// the IO timeout it was induced through.
@@ -155,9 +165,8 @@ func shardCall[T any](ctx context.Context, c *conn, shard int, op byte, body []b
 		}
 		return zero, transientErr(shard, err)
 	}
-	reply, er, err := decodeReply(c, rop, rbody, want, decode)
-	if err != nil {
-		return zero, hardErr(shard, err)
+	if derr != nil {
+		return zero, hardErr(shard, derr)
 	}
 	if er != nil {
 		// The server's transient/hard verdict survives the wire, and an
@@ -175,11 +184,12 @@ func shardCall[T any](ctx context.Context, c *conn, shard int, op byte, body []b
 
 // Query implements sharding.ShardConn. The filter and the pushed-down
 // options — limit, ordering, aggregate — are serialized to the shard's
-// server; result batches stream back through a server-side cursor
-// until drained (an aggregate's single frame has no documents and no
-// cursor, so its drain is one round trip). cfg is not sent: planning
-// configuration is owned by the server's own cluster (the processes
-// are constructed identically, so the configs agree).
+// server, which streams its answer back as reply frames in the same
+// exchange (an aggregate's answer is one frame with no documents).
+// The ctx watchdog covers the whole exchange: a cancellation mid-stream
+// discards the connection. cfg is not sent: planning configuration is
+// owned by the server's own cluster (the processes are constructed
+// identically, so the configs agree).
 func (rc *RemoteConn) Query(ctx context.Context, shard *sharding.Shard, f query.Filter, cfg *query.Config, opts query.Opts) (*query.Result, error) {
 	p := rc.pools[shard.ID]
 	if p == nil {
@@ -187,7 +197,7 @@ func (rc *RemoteConn) Query(ctx context.Context, shard *sharding.Shard, f query.
 	}
 	body, err := wire.Query{
 		Shard:     int32(shard.ID),
-		BatchSize: uint32(rc.opts.BatchSize),
+		BatchSize: rc.batch,
 		Limit:     int64(opts.Limit),
 		OrderBy:   opts.OrderBy,
 		Desc:      opts.Desc,
@@ -201,41 +211,24 @@ func (rc *RemoteConn) Query(ctx context.Context, shard *sharding.Shard, f query.
 	if err != nil {
 		return nil, err
 	}
-	res, err := rc.drain(ctx, c, shard.ID, body)
-	p.put(c)
-	return res, err
-}
-
-// drain runs the query round trip and getMore loop on one checked-out
-// connection, assembling the streamed batches into the executor-shaped
-// Result the router expects.
-func (rc *RemoteConn) drain(ctx context.Context, c *conn, shard int, queryBody []byte) (*query.Result, error) {
-	reply, err := shardCall(ctx, c, shard, wire.OpQuery, queryBody, wire.OpQueryReply, wire.DecodeQueryReply)
-	if err != nil {
-		return nil, err
-	}
-	res := &query.Result{Stats: reply.Stats(), Agg: reply.Agg}
-	for {
+	var res *query.Result
+	_, err = shardCall(ctx, c, shard.ID, wire.OpQuery, body, wire.OpQueryReply, wire.DecodeQueryReply, func(reply wire.QueryReply) bool {
+		if res == nil {
+			res = &query.Result{Stats: reply.Stats(), Agg: reply.Agg}
+		}
 		for _, doc := range reply.Docs {
 			res.Docs = append(res.Docs, bson.Raw(doc))
 		}
 		if reply.Keys != nil {
 			res.Keys = append(res.Keys, reply.Keys...)
 		}
-		if reply.Cursor == 0 {
-			return res, nil
-		}
-		// Between batches is the cooperative cancellation point: tell
-		// the server to drop the cursor, keep the connection healthy.
-		if err := ctx.Err(); err != nil {
-			rc.killCursor(c, reply.Cursor)
-			return nil, err
-		}
-		body := wire.GetMore{Cursor: reply.Cursor, BatchSize: uint32(rc.opts.BatchSize)}.Encode(nil)
-		if reply, err = shardCall(ctx, c, shard, wire.OpGetMore, body, wire.OpQueryReply, wire.DecodeQueryReply); err != nil {
-			return nil, err
-		}
+		return reply.More
+	})
+	p.put(c)
+	if err != nil {
+		return nil, err
 	}
+	return res, nil
 }
 
 // InsertBatchRaw broadcasts one idempotent client batch to EVERY
@@ -295,20 +288,5 @@ func (rc *RemoteConn) insertOne(ctx context.Context, p *pool, body []byte) (wire
 		return wire.InsertReply{}, err
 	}
 	defer p.put(c)
-	return shardCall(ctx, c, -1, wire.OpInsert, body, wire.OpInsertReply, wire.DecodeInsertReply)
-}
-
-// killCursor best-effort closes a server-side cursor after the caller
-// abandoned the result. It runs under its own short deadline (the
-// caller's ctx is already cancelled) so an unresponsive server cannot
-// stall the cancellation path; failure just breaks the conn, and the
-// server's disconnect cleanup drops the cursor anyway.
-func (rc *RemoteConn) killCursor(c *conn, cursor uint64) {
-	_ = c.nc.SetDeadline(time.Now().Add(time.Second))
-	op, _, err := c.roundTrip(nil, wire.OpKillCursor, wire.KillCursor{Cursor: cursor}.Encode(nil))
-	if err != nil || op != wire.OpKillReply {
-		c.broken = true
-		return
-	}
-	_ = c.nc.SetDeadline(time.Time{})
+	return shardCall(ctx, c, -1, wire.OpInsert, body, wire.OpInsertReply, wire.DecodeInsertReply, nil)
 }

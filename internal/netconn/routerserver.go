@@ -173,7 +173,6 @@ type Client struct {
 
 // DialRouter connects (and handshakes) to a router daemon.
 func DialRouter(addr string, opts Options) (*Client, error) {
-	opts = opts.withDefaults()
 	c, err := dialReady(addr, opts)
 	if err != nil {
 		return nil, err
@@ -202,7 +201,7 @@ func call[T any](cl *Client, op byte, body []byte, want byte, decode func([]byte
 		return zero, err
 	}
 	defer cl.pool.put(c)
-	rop, rbody, err := c.roundTrip(nil, op, body)
+	rop, rbody, err := c.roundTrip(op, body)
 	if err != nil {
 		return zero, err
 	}

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bson"
@@ -23,13 +22,6 @@ type ServerOptions struct {
 	// injected shard faults travel the wire as structured error
 	// frames.
 	Conn sharding.ShardConn
-	// CursorTTL reaps cursors idle longer than this (default 60s):
-	// a client that vanished without killCursor — or a router whose
-	// retry abandoned the conn — cannot pin result memory forever.
-	CursorTTL time.Duration
-	// MaxBatch caps the per-reply batch size a client may request
-	// (default 4096 documents).
-	MaxBatch int
 	// Admit is the server's admission control (conn cap, in-flight
 	// semaphore, shedding, drain budget).
 	Admit AdmitOptions
@@ -43,21 +35,13 @@ type ServerOptions struct {
 	Ingest sharding.IngestOptions
 }
 
-// Defaults for ServerOptions.
-const (
-	DefaultCursorTTL = 60 * time.Second
-	DefaultMaxBatch  = 4096
-)
+// maxFrameDocs caps the documents per reply frame a client may ask
+// for in Query.BatchSize.
+const maxFrameDocs = 4096
 
 func (o ServerOptions) withDefaults() ServerOptions {
 	if o.Conn == nil {
 		o.Conn = sharding.LocalConn{}
-	}
-	if o.CursorTTL <= 0 {
-		o.CursorTTL = DefaultCursorTTL
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = DefaultMaxBatch
 	}
 	return o
 }
@@ -79,19 +63,15 @@ type ShardServer struct {
 	cancel    context.CancelFunc
 	drainOnce sync.Once
 	drained   bool
-
-	mu       sync.Mutex
-	handlers map[*connHandler]struct{}
 }
 
 // NewShardServer wraps the cluster, serving the given shard ids (nil
 // means every shard).
 func NewShardServer(cluster *sharding.Cluster, serve []int, opts ServerOptions) (*ShardServer, error) {
 	s := &ShardServer{
-		cluster:  cluster,
-		shards:   map[int]*sharding.Shard{},
-		opts:     opts.withDefaults(),
-		handlers: map[*connHandler]struct{}{},
+		cluster: cluster,
+		shards:  map[int]*sharding.Shard{},
+		opts:    opts.withDefaults(),
 	}
 	all := cluster.Shards()
 	if serve == nil {
@@ -121,8 +101,6 @@ func (s *ShardServer) Listen(addr string) (string, error) {
 		return "", err
 	}
 	s.lst.start(ln, s.handleConn, s.opts.Admit.MaxConns, s.gate)
-	s.lst.wg.Add(1)
-	go s.reap()
 	s.gate.state.Store(uint32(wire.StateReady))
 	return ln.Addr().String(), nil
 }
@@ -134,9 +112,9 @@ func (s *ShardServer) State() uint8 { return uint8(s.gate.state.Load()) }
 // Drain shuts the server down gracefully: stop accepting, refuse new
 // requests with a draining error, wait (up to budget; <=0 means the
 // configured DrainTimeout) for in-flight requests to finish, then
-// drop cursors and close every connection. It reports whether the
-// in-flight work finished inside the budget. Subsequent calls (and
-// Close) wait for the same drain.
+// close every connection. It reports whether the in-flight work
+// finished inside the budget. Subsequent calls (and Close) wait for
+// the same drain.
 func (s *ShardServer) Drain(budget time.Duration) bool {
 	s.drainOnce.Do(func() {
 		if budget <= 0 {
@@ -155,49 +133,11 @@ func (s *ShardServer) Drain(budget time.Duration) bool {
 }
 
 // Close drains under the configured budget, then closes every open
-// connection (dropping their cursors) and waits for the handlers.
+// connection and waits for the handlers.
 func (s *ShardServer) Close() { s.Drain(0) }
 
-// OpenCursors reports the live cursor count across all connections.
-func (s *ShardServer) OpenCursors() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for h := range s.handlers {
-		n += h.cursorCount()
-	}
-	return n
-}
-
-// reap expires idle cursors until the server closes.
-func (s *ShardServer) reap() {
-	defer s.lst.wg.Done()
-	tick := time.NewTicker(s.opts.CursorTTL / 4)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.ctx.Done():
-			return
-		case now := <-tick.C:
-			s.mu.Lock()
-			for h := range s.handlers {
-				h.expire(now.Add(-s.opts.CursorTTL))
-			}
-			s.mu.Unlock()
-		}
-	}
-}
-
 func (s *ShardServer) handleConn(nc net.Conn) {
-	h := &connHandler{nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc), cursors: map[uint64]*cursor{}}
-	s.mu.Lock()
-	s.handlers[h] = struct{}{}
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.handlers, h)
-		s.mu.Unlock()
-	}()
+	h := &connHandler{nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}
 	docs, checksum := s.cluster.ContentFingerprint()
 	if !h.handshake(wire.HelloReply{
 		Version:  wire.ProtocolVersion,
@@ -211,8 +151,7 @@ func (s *ShardServer) handleConn(nc net.Conn) {
 }
 
 // serve reads request frames and dispatches them until the peer goes
-// away or handle reports the conn poisoned; returning drops the conn
-// and its cursors.
+// away or handle reports the conn poisoned; returning drops the conn.
 func (h *connHandler) serve(handle func(op byte, body []byte) bool) {
 	for {
 		op, body, err := wire.ReadFrame(h.br)
@@ -256,23 +195,15 @@ func gated[T any](g *gate, h *connHandler, body []byte, decode func([]byte) (T, 
 }
 
 // handleOp dispatches one request frame; false poisons the conn.
-// Query, getMore and insert pass through the admission gate; ping,
-// stats and killCursor are exempt so health checks and cursor cleanup
-// keep working on a saturated or draining server.
+// Query and insert pass through the admission gate; ping and stats
+// are exempt so health checks keep working on a saturated or draining
+// server.
 func (s *ShardServer) handleOp(h *connHandler, op byte, body []byte) bool {
 	switch op {
 	case wire.OpPing:
 		return h.reply(wire.OpPong, nil)
 	case wire.OpQuery:
 		return gated(s.gate, h, body, wire.DecodeQuery, func(q wire.Query) bool { return s.runQuery(h, q) })
-	case wire.OpGetMore:
-		return gated(s.gate, h, body, wire.DecodeGetMore, func(gm wire.GetMore) bool {
-			cur := h.lookup(gm.Cursor)
-			if cur == nil {
-				return h.replyErr(-1, false, fmt.Errorf("cursor %d not found (expired or killed)", gm.Cursor))
-			}
-			return h.reply(wire.OpQueryReply, cur.batch(gm.Cursor, s.clampBatch(int(gm.BatchSize)), h).Encode(nil))
-		})
 	case wire.OpInsert:
 		// The server holds the FULL cluster (only query serving is
 		// subset-scoped), so every daemon that receives the same broadcast
@@ -280,16 +211,8 @@ func (s *ShardServer) handleOp(h *connHandler, op byte, body []byte) bool {
 		return gated(s.gate, h, body, wire.DecodeInsert, func(ins wire.Insert) bool {
 			return h.runInsert(s.ctx, s.gate, s.ingest, s.cluster, ins)
 		})
-	case wire.OpKillCursor:
-		kc, err := wire.DecodeKillCursor(body)
-		if err != nil {
-			return h.replyErr(-1, false, err)
-		}
-		h.kill(kc.Cursor)
-		return h.reply(wire.OpKillReply, nil)
 	case wire.OpStats:
 		reply := wire.StatsReply{
-			Cursors:   uint32(s.OpenCursors()),
 			State:     s.State(),
 			InFlight:  uint32(s.gate.inFlight()),
 			Shed:      s.gate.shed.Load(),
@@ -348,20 +271,24 @@ func (h *connHandler) runInsert(ctx context.Context, g *gate, w sharding.BatchIn
 // IngestStats snapshots the write batcher's counters.
 func (s *ShardServer) IngestStats() sharding.IngestStats { return s.ingest.Stats() }
 
-func (s *ShardServer) clampBatch(n int) int {
-	if n <= 0 {
+// frameDocs resolves a query's requested documents per reply frame.
+func frameDocs(n uint32) int {
+	switch {
+	case n == 0:
 		return DefaultBatchSize
+	case n > maxFrameDocs:
+		return maxFrameDocs
 	}
-	if n > s.opts.MaxBatch {
-		return s.opts.MaxBatch
-	}
-	return n
+	return int(n)
 }
 
 // runQuery executes the filter through the server's conn boundary and
-// streams the first batch, opening a cursor when more remains. An
-// aggregate execution returns no documents, so its whole answer — the
-// shard's partial aggregate — is that first frame and no cursor opens.
+// streams the answer back as consecutive reply frames of at most the
+// requested batch size, written back to back under the admission slot
+// the query took; the last frame has More unset. The first frame
+// carries the execution stats. An aggregate execution returns no
+// documents, so its whole answer — the shard's partial aggregate — is
+// that one frame.
 func (s *ShardServer) runQuery(h *connHandler, q wire.Query) bool {
 	shard := s.shards[int(q.Shard)]
 	if shard == nil {
@@ -390,74 +317,45 @@ func (s *ShardServer) runQuery(h *connHandler, q wire.Query) bool {
 		// A per-attempt deadline expiry is retryable by convention.
 		return h.replyErr(q.Shard, errors.Is(err, context.DeadlineExceeded), err)
 	}
-	cur := &cursor{}
-	cur.touch()
-	cur.docs = make([][]byte, len(res.Docs))
+	docs := make([][]byte, len(res.Docs))
 	for i, d := range res.Docs {
-		cur.docs[i] = d
+		docs[i] = d
 	}
-	cur.keys = res.Keys
-	reply := cur.batch(0, s.clampBatch(int(q.BatchSize)), h)
-	reply.KeysExamined = int64(res.Stats.KeysExamined)
-	reply.DocsExamined = int64(res.Stats.DocsExamined)
-	reply.NReturned = int64(res.Stats.NReturned)
-	reply.DurationNS = int64(res.Stats.Duration)
-	reply.IndexUsed = res.Stats.IndexUsed
-	reply.Agg = res.Agg
-	return h.reply(wire.OpQueryReply, reply.Encode(nil))
-}
-
-// cursor is one open server-side result stream: the materialized
-// (already limit/top-k-bounded) execution result plus a position.
-// Cursors are conn-owned — registered in their connection's handler,
-// advanced only by that connection's frames, dropped wholesale on
-// disconnect.
-type cursor struct {
-	docs [][]byte
-	keys [][]byte
-	pos  int
-	// used is the last-touched unix-nano timestamp, atomic because
-	// the reaper reads it concurrently with the conn's handler.
-	used atomic.Int64
-}
-
-func (c *cursor) touch() { c.used.Store(time.Now().UnixNano()) }
-
-// batch builds the next reply batch. id is the cursor's registered id
-// (0 when not yet registered); registration happens lazily on the
-// first partial batch.
-func (c *cursor) batch(id uint64, n int, h *connHandler) wire.QueryReply {
-	end := c.pos + n
-	if end > len(c.docs) {
-		end = len(c.docs)
+	reply := wire.QueryReply{
+		KeysExamined: int64(res.Stats.KeysExamined),
+		DocsExamined: int64(res.Stats.DocsExamined),
+		NReturned:    int64(res.Stats.NReturned),
+		DurationNS:   int64(res.Stats.Duration),
+		IndexUsed:    res.Stats.IndexUsed,
+		Agg:          res.Agg,
 	}
-	reply := wire.QueryReply{Docs: c.docs[c.pos:end]}
-	if c.keys != nil {
-		reply.Keys = c.keys[c.pos:end]
-	}
-	c.pos = end
-	if c.pos < len(c.docs) {
-		if id == 0 {
-			id = h.register(c)
+	n := frameDocs(q.BatchSize)
+	var body []byte
+	for pos := 0; ; {
+		end := min(pos+n, len(docs))
+		reply.Docs = docs[pos:end]
+		if res.Keys != nil {
+			reply.Keys = res.Keys[pos:end]
 		}
-		c.touch()
-		reply.Cursor = id
-	} else if id != 0 {
-		h.kill(id)
+		reply.More = end < len(docs)
+		body = reply.Encode(body[:0])
+		if wire.WriteFrame(h.bw, wire.OpQueryReply, body) != nil {
+			return false
+		}
+		if !reply.More {
+			return h.bw.Flush() == nil
+		}
+		pos = end
+		reply = wire.QueryReply{}
 	}
-	return reply
 }
 
-// connHandler is the per-connection server state: buffered stream and
-// the connection's cursor table.
+// connHandler is the per-connection server state: the buffered
+// stream.
 type connHandler struct {
 	nc net.Conn
 	br *bufio.Reader
 	bw *bufio.Writer
-
-	mu      sync.Mutex
-	cursors map[uint64]*cursor
-	nextID  uint64
 }
 
 func (h *connHandler) handshake(reply wire.HelloReply, secret []byte) bool {
@@ -546,44 +444,6 @@ func (h *connHandler) replyErrCode(shard int32, transient bool, code uint8, retr
 		RetryAfterNS: int64(retryAfter), Message: err.Error(),
 	}.Encode(nil)
 	return h.reply(wire.OpError, body)
-}
-
-func (h *connHandler) register(c *cursor) uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.nextID++
-	id := h.nextID
-	h.cursors[id] = c
-	return id
-}
-
-func (h *connHandler) lookup(id uint64) *cursor {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.cursors[id]
-}
-
-func (h *connHandler) kill(id uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	delete(h.cursors, id)
-}
-
-func (h *connHandler) cursorCount() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.cursors)
-}
-
-// expire drops cursors last used before the cutoff.
-func (h *connHandler) expire(cutoff time.Time) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for id, c := range h.cursors {
-		if c.used.Load() < cutoff.UnixNano() {
-			delete(h.cursors, id)
-		}
-	}
 }
 
 // listenState is the shared accept-loop plumbing: tracked conns

@@ -643,27 +643,6 @@ func (c *Cluster) epochsOfLocked(dst []uint64, sids []int) []uint64 {
 	return dst
 }
 
-// ShardEpochs returns a snapshot of every shard's content epoch —
-// observability for tests and CLIs.
-func (c *Cluster) ShardEpochs() []uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return append([]uint64(nil), c.epochs...)
-}
-
-// EnableResultCache installs (maxBytes > 0) or removes (<= 0) the
-// router's epoch-invalidated result cache.
-func (c *Cluster) EnableResultCache(maxBytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.opts.ResultCacheBytes = maxBytes
-	if maxBytes > 0 {
-		c.rcache = newResultCache(maxBytes)
-	} else {
-		c.rcache = nil
-	}
-}
-
 // ResultCacheStats returns the cache's cumulative hit/miss counters
 // (zeros when the cache is disabled).
 func (c *Cluster) ResultCacheStats() (hits, misses int64) {

@@ -45,7 +45,7 @@ func TestQueryCarriesAggregate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("agg %+v: %v", agg, err)
 		}
-		if got.KeysExamined != 10 || got.IndexUsed != "ix" || got.Cursor != 0 || len(got.Docs) != 0 || got.Keys != nil {
+		if got.KeysExamined != 10 || got.IndexUsed != "ix" || got.More || len(got.Docs) != 0 || got.Keys != nil {
 			t.Fatalf("reply mismatch: %+v", got)
 		}
 		if (agg == nil) != (got.Agg == nil) || (agg != nil && !got.Agg.Equal(agg)) {
@@ -54,12 +54,13 @@ func TestQueryCarriesAggregate(t *testing.T) {
 	}
 }
 
-// TestV5GoldenBytes pins the version-5 encoding of the one read
+// TestV6GoldenBytes pins the version-6 encoding of the one read
 // request and its reply, with and without an aggregate. Any change to
 // these bytes is an incompatible codec change and must bump
-// ProtocolVersion.
-func TestV5GoldenBytes(t *testing.T) {
-	if ProtocolVersion != 5 {
+// ProtocolVersion. The request bytes are version 5's; the reply's
+// leading cursor id became the one-byte More flag.
+func TestV6GoldenBytes(t *testing.T) {
+	if ProtocolVersion != 6 {
 		t.Fatalf("ProtocolVersion = %d: re-pin these bytes for the new version", ProtocolVersion)
 	}
 	f := query.Cmp{Field: "h", Op: query.OpGTE, Value: int64(7)}
@@ -88,7 +89,7 @@ func TestV5GoldenBytes(t *testing.T) {
 	}
 
 	const stats = "0400000000000000" + "0300000000000000" // keys, docs examined
-	docs := QueryReply{Cursor: 9, KeysExamined: 4, DocsExamined: 3, NReturned: 2, DurationNS: 1, IndexUsed: "ix",
+	docs := QueryReply{More: true, KeysExamined: 4, DocsExamined: 3, NReturned: 2, DurationNS: 1, IndexUsed: "ix",
 		Docs: [][]byte{[]byte("d1"), []byte("d2")}, Keys: [][]byte{[]byte("k1"), []byte("k2")}}
 	part := QueryReply{KeysExamined: 4, DocsExamined: 3, DurationNS: 1, IndexUsed: "ix",
 		Agg: &query.AggResult{Kind: query.AggCellHist, Count: 5, Cells: []query.CellCount{{Cell: 1, Count: 2}, {Cell: 9, Count: 3}}}}
@@ -97,11 +98,11 @@ func TestV5GoldenBytes(t *testing.T) {
 		msg  QueryReply
 		want string
 	}{
-		{"reply", docs, "0900000000000000" + stats + "0200000000000000" + "0100000000000000" + "02000000" + "6978" +
+		{"reply", docs, "01" + stats + "0200000000000000" + "0100000000000000" + "02000000" + "6978" +
 			"02000000" + "02000000" + "6431" + "02000000" + "6432" + // docs
 			"01" + "02000000" + "6b31" + "02000000" + "6b32" + // keys
 			"00"}, // no aggregate
-		{"reply+agg", part, "0000000000000000" + stats + "0000000000000000" + "0100000000000000" + "02000000" + "6978" +
+		{"reply+agg", part, "00" + stats + "0000000000000000" + "0100000000000000" + "02000000" + "6978" +
 			"00000000" + "00" + // no docs, no keys
 			"01" + "03" + "0500000000000000" + "00000000" + // aggregate: kind, count, no distincts
 			"02000000" + "0100000000000000" + "0200000000000000" + "0900000000000000" + "0300000000000000"},

@@ -16,8 +16,8 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(AppendFrame(nil, OpPing, nil))
 	f.Add(AppendFrame(nil, OpHello, Hello{Version: ProtocolVersion}.Encode(nil)))
 	f.Add(AppendFrame(nil, OpHelloReply, HelloReply{Version: 1, Docs: 10, Checksum: 99, ShardIDs: []int32{0, 1}}.Encode(nil)))
-	f.Add(AppendFrame(nil, OpGetMore, GetMore{Cursor: 7, BatchSize: 100}.Encode(nil)))
-	f.Add(AppendFrame(nil, OpQueryReply, QueryReply{Cursor: 1, Docs: [][]byte{[]byte("d")}}.Encode(nil)))
+	f.Add(AppendFrame(nil, OpQueryReply, QueryReply{More: true, Docs: [][]byte{[]byte("d")}}.Encode(nil)))
+	f.Add(AppendFrame(nil, OpQueryReply, QueryReply{Docs: [][]byte{[]byte("e")}, Keys: [][]byte{[]byte("k")}}.Encode(nil)))
 	f.Add(AppendFrame(nil, OpError, ErrorReply{Shard: 1, Transient: true, Message: "x"}.Encode(nil)))
 	f.Add(AppendFrame(nil, OpSTQuery, STQuery{MinLon: 1, MaxLon: 2, Limit: 5}.Encode(nil)))
 	f.Add(AppendFrame(nil, OpInsert, Insert{BatchID: "b1", Docs: [][]byte{[]byte("doc")}}.Encode(nil)))
@@ -62,8 +62,6 @@ func FuzzFrameDecode(f *testing.F) {
 		DecodeInsertReply(msgBody)
 		DecodeQuery(msgBody)
 		DecodeQueryReply(msgBody)
-		DecodeGetMore(msgBody)
-		DecodeKillCursor(msgBody)
 		DecodeStatsReply(msgBody)
 		DecodeErrorReply(msgBody)
 		DecodeSTQuery(msgBody)

@@ -166,9 +166,10 @@ func DecodeInsertReply(b []byte) (InsertReply, error) {
 // Query is the one shard-facing read request: execute a filter on one
 // shard under the pushed-down options — limit, ordering, aggregate —
 // so the shard bounds its scan exactly as the in-process executor
-// would. A document query opens a server-side cursor over the result;
-// an aggregate query (Agg active) is answered by a single reply frame
-// carrying the shard's partial aggregate and no documents.
+// would. BatchSize caps the documents per reply frame of a document
+// query's answer; an aggregate query (Agg active) is answered by a
+// single reply frame carrying the shard's partial aggregate and no
+// documents.
 type Query struct {
 	Shard     int32
 	BatchSize uint32
@@ -227,13 +228,13 @@ func (m Query) Opts() query.Opts {
 	return query.Opts{Limit: int(m.Limit), OrderBy: m.OrderBy, Desc: m.Desc, Agg: m.Agg}
 }
 
-// QueryReply carries one result batch. The first batch of a cursor
-// also carries the execution stats (they are complete once the scan
-// ran — the cursor streams an already-bounded materialized result);
-// getMore batches leave them zero. Cursor is non-zero while more
-// batches remain; the final batch carries Cursor 0.
+// QueryReply carries one frame of a shard's answer. The server sends
+// the frames of one answer back to back; the first also carries the
+// execution stats (they are complete once the scan ran — the answer
+// is already limit/top-k-bounded), later ones leave them zero. More is
+// set on every frame but the last.
 type QueryReply struct {
-	Cursor       uint64
+	More         bool
 	KeysExamined int64
 	DocsExamined int64
 	NReturned    int64
@@ -245,13 +246,14 @@ type QueryReply struct {
 	// them).
 	Keys [][]byte
 	// Agg is the shard's partial aggregate, present only when the query
-	// pushed one down (such a reply has no Docs, no Keys and Cursor 0).
+	// pushed one down (such a reply is a single frame with no Docs and
+	// no Keys).
 	Agg *query.AggResult
 }
 
 // Encode appends the message body to buf.
 func (m QueryReply) Encode(buf []byte) []byte {
-	buf = appendU64(buf, m.Cursor)
+	buf = appendBool(buf, m.More)
 	buf = appendI64(buf, m.KeysExamined)
 	buf = appendI64(buf, m.DocsExamined)
 	buf = appendI64(buf, m.NReturned)
@@ -278,7 +280,7 @@ func (m QueryReply) Encode(buf []byte) []byte {
 func DecodeQueryReply(b []byte) (QueryReply, error) {
 	d := &dec{b: b}
 	m := QueryReply{
-		Cursor:       d.u64("cursor"),
+		More:         d.bool("more"),
 		KeysExamined: d.i64("keys examined"),
 		DocsExamined: d.i64("docs examined"),
 		NReturned:    d.i64("n returned"),
@@ -313,49 +315,13 @@ func (m QueryReply) Stats() query.ExecStats {
 	}
 }
 
-// GetMore requests the next batch of an open cursor.
-type GetMore struct {
-	Cursor    uint64
-	BatchSize uint32
-}
-
-// Encode appends the message body to buf.
-func (m GetMore) Encode(buf []byte) []byte {
-	return appendU32(appendU64(buf, m.Cursor), m.BatchSize)
-}
-
-// DecodeGetMore decodes a GetMore body.
-func DecodeGetMore(b []byte) (GetMore, error) {
-	d := &dec{b: b}
-	m := GetMore{Cursor: d.u64("cursor"), BatchSize: d.u32("batch size")}
-	return m, d.finish()
-}
-
-// KillCursor closes an open cursor without draining it (the client's
-// cooperative cancellation path). The server answers OpKillReply with
-// an empty body.
-type KillCursor struct {
-	Cursor uint64
-}
-
-// Encode appends the message body to buf.
-func (m KillCursor) Encode(buf []byte) []byte {
-	return appendU64(buf, m.Cursor)
-}
-
-// DecodeKillCursor decodes a KillCursor body.
-func DecodeKillCursor(b []byte) (KillCursor, error) {
-	d := &dec{b: b}
-	m := KillCursor{Cursor: d.u64("cursor")}
-	return m, d.finish()
-}
-
 // StatsReply reports the server's served shards and their live
 // document counts, plus the health/admission observables the ops
 // tooling and the chaos orchestrator watch: the
-// starting/ready/draining state, live cursor and in-flight request
-// counts, the running total of shed requests, and the sampled
-// heap-in-use (OpStats carries an empty request body).
+// starting/ready/draining state, the in-flight request count, the
+// running total of shed requests, and the sampled heap-in-use (OpStats
+// carries an empty request body). Cursors is always 0: no server has
+// kept a cursor since version 6.
 type StatsReply struct {
 	ShardIDs  []int32
 	Docs      []int64

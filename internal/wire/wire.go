@@ -46,10 +46,17 @@ import (
 // aggregate spec among its pushed-down options and QueryReply carries
 // the partial aggregate, replacing version 4's separate aggregate
 // frame pair (18 op codes, down from 20).
-const ProtocolVersion = 5
+//
+// Version 6 retired server-side cursors: a shard streams its answer as
+// consecutive QueryReply frames in one exchange, whose leading More
+// flag replaced the cursor id. The three cursor op codes, 5–7, stay
+// reserved, so every other op keeps its number and a version-5 peer
+// still reads the handshake refusal as OpError.
+const ProtocolVersion = 6
 
-// MaxFrameBody bounds a single frame body. Result batches are bounded
-// by the server's batch size, so real frames stay far below this; the
+// MaxFrameBody bounds a single frame body. A shard's answer is split
+// into frames of a bounded document count, so real frames stay far
+// below this; the
 // cap exists so a corrupt or hostile length field cannot make a
 // reader attempt a giant allocation.
 const MaxFrameBody = 32 << 20
@@ -63,9 +70,9 @@ const (
 	OpHelloReply
 	OpQuery
 	OpQueryReply
-	OpGetMore
-	OpKillCursor
-	OpKillReply
+	_ // 5–7: the cursor ops, retired in version 6
+	_
+	_
 	OpStats
 	OpStatsReply
 	OpSTQuery

@@ -246,7 +246,7 @@ func TestFilterDepthCap(t *testing.T) {
 
 func TestQueryReplyRoundTrip(t *testing.T) {
 	in := QueryReply{
-		Cursor:       42,
+		More:         true,
 		KeysExamined: 10,
 		DocsExamined: 9,
 		NReturned:    8,
@@ -260,7 +260,7 @@ func TestQueryReplyRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Empty byte strings decode as nil slices; compare element-wise.
-	if out.Cursor != in.Cursor || out.IndexUsed != in.IndexUsed || len(out.Docs) != len(in.Docs) || len(out.Keys) != len(in.Keys) {
+	if out.More != in.More || out.IndexUsed != in.IndexUsed || len(out.Docs) != len(in.Docs) || len(out.Keys) != len(in.Keys) {
 		t.Fatalf("got %+v", out)
 	}
 	for i := range in.Docs {
@@ -285,14 +285,6 @@ func TestQueryReplyRoundTrip(t *testing.T) {
 }
 
 func TestSmallMessageRoundTrips(t *testing.T) {
-	gm := GetMore{Cursor: 99, BatchSize: 1000}
-	if out, err := DecodeGetMore(gm.Encode(nil)); err != nil || out != gm {
-		t.Fatalf("GetMore: %+v, %v", out, err)
-	}
-	kc := KillCursor{Cursor: 77}
-	if out, err := DecodeKillCursor(kc.Encode(nil)); err != nil || out != kc {
-		t.Fatalf("KillCursor: %+v, %v", out, err)
-	}
 	er := ErrorReply{Shard: 4, Transient: true, Message: "shard 4: replica offline"}
 	if out, err := DecodeErrorReply(er.Encode(nil)); err != nil || out != er {
 		t.Fatalf("ErrorReply: %+v, %v", out, err)
@@ -339,8 +331,8 @@ func TestDecodeRejectsHostileCounts(t *testing.T) {
 	// A QueryReply body claiming 2^31 docs in a handful of bytes must be
 	// rejected by count validation, not attempted as an allocation.
 	var body []byte
-	body = appendU64(body, 0) // cursor
-	for i := 0; i < 4; i++ {  // four i64 counters
+	body = appendBool(body, false) // more
+	for i := 0; i < 4; i++ {       // four i64 counters
 		body = appendI64(body, 0)
 	}
 	body = appendString(body, "")   // index used

@@ -9,7 +9,7 @@
 # stchaos exits non-zero on any invariant violation: a complete-looking
 # wrong reply, a dirty SIGTERM exit, a restarted daemon with a
 # different content fingerprint, an unshed burst, an unbounded admitted
-# latency, or leaked cursors/in-flight/goroutines after the soak.
+# latency, or leaked in-flight requests/goroutines after the soak.
 #
 # The whole schedule derives from SEED, so a failure replays exactly;
 # override SEED/CYCLES/RECORDS/SHARDS/PORT to vary the run.

@@ -18,7 +18,7 @@ set -eu
 # writers), the store layer whose fault-matrix tests hammer the
 # retry/breaker machinery from concurrent clients, the arena
 # B+tree whose borrowed-slice reads the router runs in parallel, the
-# network transport (pooled conns, server-side cursors and the
+# network transport (pooled conns, streamed replies and the
 # cancellation watchdog all cross goroutines), and the shard-pruning
 # sketches (updated by writers while the router probes them); their
 # stress tests must stay race-clean.
