@@ -73,3 +73,41 @@ func BenchmarkRemoteQuery(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRouterQuery is one Client.Query through the router hop:
+// Client → RouterServer → RemoteConn → two ShardServers, all on
+// loopback, for a 1 000-document answer.
+func BenchmarkRouterQuery(b *testing.B) {
+	const docs = 1000
+	router := openStore(b, core.Hil, 2, 2*docs)
+	backend := openStore(b, core.Hil, 2, 2*docs)
+	rc := connectRemote(b, router, startServers(b, backend, 2, ServerOptions{}), Options{})
+	router.Cluster().SetConn(rc)
+	b.Cleanup(func() { router.Cluster().SetConn(nil) })
+	rs := NewRouterServer(router, AdmitOptions{})
+	addr, err := rs.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(rs.Close)
+	cl, err := DialRouter(addr, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(cl.Close)
+	q := core.STQuery{Rect: testExtent, From: testStart, To: testStart.Add(docs*time.Minute - time.Second)}
+	res, err := cl.Query(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(res.Docs) != docs {
+		b.Fatalf("answer holds %d docs, want %d", len(res.Docs), docs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cl.Query(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -189,7 +189,8 @@ func shardCall[T any](ctx context.Context, c *conn, shard int, op byte, body []b
 // The ctx watchdog covers the whole exchange: a cancellation mid-stream
 // discards the connection. cfg is not sent: planning configuration is
 // owned by the server's own cluster (the processes are constructed
-// identically, so the configs agree).
+// identically, so the configs agree). The returned documents and keys
+// are views of their reply frames, which nothing else holds.
 func (rc *RemoteConn) Query(ctx context.Context, shard *sharding.Shard, f query.Filter, cfg *query.Config, opts query.Opts) (*query.Result, error) {
 	p := rc.pools[shard.ID]
 	if p == nil {

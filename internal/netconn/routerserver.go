@@ -99,7 +99,13 @@ func (s *RouterServer) handleOp(h *connHandler, op byte, body []byte) bool {
 			if res.Err != nil {
 				return h.replyErr(-1, false, res.Err)
 			}
-			return h.reply(wire.OpSTQueryReply, stReplyToWire(res).Encode(nil))
+			reply := stReplyToWire(res)
+			// An answer no client could read is refused before it is
+			// encoded; the connection stays in sync.
+			if err := reply.CheckSize(); err != nil {
+				return h.replyErr(-1, false, err)
+			}
+			return h.reply(wire.OpSTQueryReply, reply.Encode(nil))
 		})
 	case wire.OpInsert:
 		// The store's write path: the local group-commit batcher first,
@@ -154,11 +160,17 @@ func stReplyToWire(res *core.QueryResult) wire.STQueryReply {
 		ShardsPruned:    int32(res.Stats.ShardsPruned),
 		CacheHit:        res.Stats.CacheHit,
 	}
-	for _, id := range res.Stats.FailedShards {
-		reply.FailedShards = append(reply.FailedShards, int32(id))
+	if n := len(res.Stats.FailedShards); n > 0 {
+		reply.FailedShards = make([]int32, n)
+		for i, id := range res.Stats.FailedShards {
+			reply.FailedShards[i] = int32(id)
+		}
 	}
-	for _, doc := range res.Docs {
-		reply.Docs = append(reply.Docs, doc)
+	if n := len(res.Docs); n > 0 {
+		reply.Docs = make([][]byte, n)
+		for i, doc := range res.Docs {
+			reply.Docs[i] = doc
+		}
 	}
 	return reply
 }
@@ -219,7 +231,9 @@ func call[T any](cl *Client, op byte, body []byte, want byte, decode func([]byte
 
 // Query executes one spatio-temporal query on the router and returns
 // the routed result. Stats fields that only exist router-side (cover
-// timings, plan-cache counters) are zero.
+// timings, plan-cache counters) are zero. The returned documents are
+// views of the reply frame, which nothing else holds: a caller that
+// keeps one document keeps the whole frame alive.
 func (cl *Client) Query(q core.STQuery) (*core.QueryResult, error) {
 	msg := wire.STQuery{
 		MinLon: q.Rect.Min.Lon, MinLat: q.Rect.Min.Lat,
@@ -253,11 +267,17 @@ func (cl *Client) Query(q core.STQuery) (*core.QueryResult, error) {
 	res.Stats.ShardsPruned = int(reply.ShardsPruned)
 	res.Stats.CacheHit = reply.CacheHit
 	res.Agg = reply.Agg
-	for _, id := range reply.FailedShards {
-		res.Stats.FailedShards = append(res.Stats.FailedShards, int(id))
+	if n := len(reply.FailedShards); n > 0 {
+		res.Stats.FailedShards = make([]int, n)
+		for i, id := range reply.FailedShards {
+			res.Stats.FailedShards[i] = int(id)
+		}
 	}
-	for _, doc := range reply.Docs {
-		res.Docs = append(res.Docs, bson.Raw(doc))
+	if n := len(reply.Docs); n > 0 {
+		res.Docs = make([]bson.Raw, n)
+		for i, doc := range reply.Docs {
+			res.Docs[i] = doc
+		}
 	}
 	return res, nil
 }

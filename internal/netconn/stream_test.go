@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/bson"
 	"repro/internal/core"
 	"repro/internal/leakcheck"
 	"repro/internal/query"
@@ -375,6 +377,55 @@ func TestRouterDaemonDifferential(t *testing.T) {
 		if got.Stats.NReturned != want.Stats.NReturned || got.Stats.Nodes != want.Stats.Nodes {
 			t.Fatalf("query %d: stats diverge: %+v vs %+v", i, got.Stats, want.Stats)
 		}
+	}
+}
+
+// TestRouterRefusesOversizedAnswer: an answer larger than one frame
+// can carry comes back as a structured error, not a frame the client
+// cannot read, and the same connection then serves the next query.
+func TestRouterRefusesOversizedAnswer(t *testing.T) {
+	const blob = 7 << 20
+	recs := testRecords(6)
+	for i := range recs {
+		recs[i].Fields = append(recs[i].Fields, bson.Elem{Key: "blob", Value: strings.Repeat(string(rune('a'+i)), blob)})
+	}
+	store, err := core.Open(core.Config{Approach: core.Hil, Shards: 2, DataExtent: testExtent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Load(recs); err != nil {
+		t.Fatal(err)
+	}
+	rs := NewRouterServer(store, AdmitOptions{})
+	addr, err := rs.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	cl, err := DialRouter(addr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	all := core.STQuery{Rect: testExtent, From: testStart, To: testStart.Add(time.Hour)}
+	_, err = cl.Query(all)
+	var se *ServerError
+	if !errors.As(err, &se) || errors.Is(err, wire.ErrBadFrame) || !strings.Contains(se.Message, "6 documents") {
+		t.Fatalf("oversized answer: %v, want a *ServerError naming 6 documents", err)
+	}
+	if n := len(cl.pool.idle); n != 1 {
+		t.Fatalf("%d idle connections after the refusal, want the one that carried it", n)
+	}
+
+	one := core.STQuery{Rect: testExtent, From: testStart, To: testStart.Add(time.Hour), Limit: 1, Sort: core.SortDateAsc}
+	got, err := cl.Query(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameDocs(t, "after the refusal", store.Query(one).Docs, got.Docs)
+	if len(got.Docs) != 1 || len(got.Docs[0]) < blob {
+		t.Fatalf("small query returned %d docs", len(got.Docs))
 	}
 }
 

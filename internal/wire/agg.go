@@ -26,6 +26,14 @@ func AppendAggResult(buf []byte, a *query.AggResult) []byte {
 	return buf
 }
 
+// aggResultSize is the length AppendAggResult appends for a.
+func aggResultSize(a *query.AggResult) int {
+	if a == nil {
+		return 1 + 8 + 4 + 4
+	}
+	return 1 + 8 + 4 + bytesListSize(a.Distinct) + 4 + 16*len(a.Cells)
+}
+
 // DecodeAggResult decodes a canonical aggregate encoding.
 func DecodeAggResult(b []byte) (*query.AggResult, error) {
 	d := &dec{b: b}

@@ -46,6 +46,28 @@ func appendString(b []byte, v string) []byte {
 	return append(b, v...)
 }
 
+// grow returns b with room for exactly n more bytes: the one
+// allocation of an encoder that knows its size, at exactly that
+// size. A buffer that already has the room is returned as it is.
+func grow(b []byte, n int) []byte {
+	if cap(b)-len(b) >= n {
+		return b
+	}
+	g := make([]byte, len(b), len(b)+n)
+	copy(g, b)
+	return g
+}
+
+// bytesListSize is the encoded size of the byte strings in l, each
+// with its u32 length prefix.
+func bytesListSize(l [][]byte) int {
+	n := 4 * len(l)
+	for _, v := range l {
+		n += len(v)
+	}
+	return n
+}
+
 // dec is a bounds-checked cursor over one message body. The first
 // failed read latches err; subsequent reads return zero values, so
 // message decoders read every field unconditionally and check err
@@ -103,8 +125,17 @@ func (d *dec) u64(what string) uint64 {
 func (d *dec) i64(what string) int64   { return int64(d.u64(what)) }
 func (d *dec) f64(what string) float64 { return math.Float64frombits(d.u64(what)) }
 
-// bytes reads a u32-length-prefixed byte string as a copy (wire
-// buffers are transient; decoded messages own their bytes).
+// A decoded byte string is either a view or a copy, by one rule:
+//   - reply documents and sort keys are views (view): the reply is
+//     read and passed up within one exchange, and ReadFrame gives every
+//     frame a fresh buffer that nothing reuses, so a view costs no copy
+//     and can go stale only if its holder writes into the frame;
+//   - anything that is stored or outlives the exchange is a copy
+//     (bytes): an inserted document, a handshake nonce or proof, an
+//     aggregate's distinct value. A stored view would pin its whole
+//     frame.
+
+// bytes reads a u32-length-prefixed byte string as a copy.
 func (d *dec) bytes(what string) []byte {
 	n := int(d.u32(what))
 	v := d.take(n, what)
@@ -112,6 +143,15 @@ func (d *dec) bytes(what string) []byte {
 		return nil
 	}
 	return append([]byte(nil), v...)
+}
+
+// view reads a u32-length-prefixed byte string as a view of the
+// body. Its capacity is capped at its length, so appending to one view
+// reallocates instead of overwriting the bytes after it.
+func (d *dec) view(what string) []byte {
+	n := int(d.u32(what))
+	v := d.take(n, what)
+	return v[:len(v):len(v)]
 }
 
 func (d *dec) string(what string) string {

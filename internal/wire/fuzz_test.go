@@ -20,6 +20,9 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(AppendFrame(nil, OpQueryReply, QueryReply{Docs: [][]byte{[]byte("e")}, Keys: [][]byte{[]byte("k")}}.Encode(nil)))
 	f.Add(AppendFrame(nil, OpError, ErrorReply{Shard: 1, Transient: true, Message: "x"}.Encode(nil)))
 	f.Add(AppendFrame(nil, OpSTQuery, STQuery{MinLon: 1, MaxLon: 2, Limit: 5}.Encode(nil)))
+	f.Add(AppendFrame(nil, OpSTQueryReply, STQueryReply{Nodes: 2, Partial: true, FailedShards: []int32{3},
+		Docs: [][]byte{[]byte("d1"), {}}, HasAgg: true,
+		Agg: &query.AggResult{Kind: query.AggCellHist, Count: 2, Cells: []query.CellCount{{Cell: 5, Count: 2}}}}.Encode(nil)))
 	f.Add(AppendFrame(nil, OpInsert, Insert{BatchID: "b1", Docs: [][]byte{[]byte("doc")}}.Encode(nil)))
 	// Corrupt variants: flipped payload byte, truncated tail, huge length.
 	good := AppendFrame(nil, OpQuery, []byte("payload"))
@@ -61,14 +64,36 @@ func FuzzFrameDecode(f *testing.F) {
 		DecodeInsert(msgBody)
 		DecodeInsertReply(msgBody)
 		DecodeQuery(msgBody)
-		DecodeQueryReply(msgBody)
+		if m, err := DecodeQueryReply(msgBody); err == nil {
+			checkViews(t, "QueryReply doc", m.Docs)
+			checkViews(t, "QueryReply key", m.Keys)
+			if n := len(m.Encode(nil)); n != m.size() {
+				t.Fatalf("QueryReply re-encodes to %d bytes, size() %d", n, m.size())
+			}
+		}
 		DecodeStatsReply(msgBody)
 		DecodeErrorReply(msgBody)
 		DecodeSTQuery(msgBody)
-		DecodeSTQueryReply(msgBody)
+		if m, err := DecodeSTQueryReply(msgBody); err == nil {
+			checkViews(t, "STQueryReply doc", m.Docs)
+			if n := len(m.Encode(nil)); n != m.size() {
+				t.Fatalf("STQueryReply re-encodes to %d bytes, size() %d", n, m.size())
+			}
+		}
 		DecodeFilter(msgBody)
 		DecodeAggResult(msgBody)
 	})
+}
+
+// checkViews fails unless every decoded byte string's capacity is
+// capped at its length, so no append can run into its neighbour.
+func checkViews(t *testing.T, what string, l [][]byte) {
+	t.Helper()
+	for i, v := range l {
+		if cap(v) != len(v) {
+			t.Fatalf("%s %d: cap %d, len %d", what, i, cap(v), len(v))
+		}
+	}
 }
 
 // FuzzAggregateDecode drills into the aggregation codecs: the read

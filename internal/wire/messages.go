@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/query"
@@ -251,8 +252,22 @@ type QueryReply struct {
 	Agg *query.AggResult
 }
 
-// Encode appends the message body to buf.
+// size is the exact length Encode appends.
+func (m QueryReply) size() int {
+	n := 1 + 4*8 + 4 + len(m.IndexUsed) + 4 + bytesListSize(m.Docs) + 1
+	if m.Keys != nil {
+		n += bytesListSize(m.Keys)
+	}
+	n++
+	if m.Agg != nil {
+		n += aggResultSize(m.Agg)
+	}
+	return n
+}
+
+// Encode appends the message body to buf, growing it at most once.
 func (m QueryReply) Encode(buf []byte) []byte {
+	buf = grow(buf, m.size())
 	buf = appendBool(buf, m.More)
 	buf = appendI64(buf, m.KeysExamined)
 	buf = appendI64(buf, m.DocsExamined)
@@ -290,12 +305,12 @@ func DecodeQueryReply(b []byte) (QueryReply, error) {
 	n := d.count(4, "docs")
 	m.Docs = make([][]byte, 0, n)
 	for i := 0; i < n && d.err == nil; i++ {
-		m.Docs = append(m.Docs, d.bytes("doc"))
+		m.Docs = append(m.Docs, d.view("doc"))
 	}
 	if d.bool("has keys") && d.err == nil {
 		m.Keys = make([][]byte, 0, len(m.Docs))
 		for i := 0; i < len(m.Docs) && d.err == nil; i++ {
-			m.Keys = append(m.Keys, d.bytes("key"))
+			m.Keys = append(m.Keys, d.view("key"))
 		}
 	}
 	if d.bool("has agg") && d.err == nil {
@@ -470,8 +485,29 @@ type STQueryReply struct {
 	CacheHit     bool
 }
 
-// Encode appends the message body to buf.
+// size is the exact length Encode appends.
+func (m STQueryReply) size() int {
+	n := 4 + 3*8 + 2 + 4 + 4*len(m.FailedShards) + 4 + bytesListSize(m.Docs) + 1
+	if m.HasAgg {
+		n += aggResultSize(m.Agg)
+	}
+	return n + 4 + 1
+}
+
+// CheckSize returns nil when the encoded reply fits in one frame, and
+// otherwise an error giving its document count and size — without
+// encoding it. No peer's ReadFrame accepts a larger frame.
+func (m STQueryReply) CheckSize() error {
+	if n := m.size(); n > MaxFrameBody {
+		return fmt.Errorf("wire: reply too large for one frame: %d documents encode to %d bytes, over the %d-byte limit",
+			len(m.Docs), n, MaxFrameBody)
+	}
+	return nil
+}
+
+// Encode appends the message body to buf, growing it at most once.
 func (m STQueryReply) Encode(buf []byte) []byte {
+	buf = grow(buf, m.size())
 	buf = appendU32(buf, uint32(m.Nodes))
 	buf = appendI64(buf, m.MaxKeysExamined)
 	buf = appendI64(buf, m.MaxDocsExamined)
@@ -513,7 +549,7 @@ func DecodeSTQueryReply(b []byte) (STQueryReply, error) {
 	nd := d.count(4, "docs")
 	m.Docs = make([][]byte, 0, nd)
 	for i := 0; i < nd && d.err == nil; i++ {
-		m.Docs = append(m.Docs, d.bytes("doc"))
+		m.Docs = append(m.Docs, d.view("doc"))
 	}
 	m.HasAgg = d.bool("has agg")
 	if m.HasAgg && d.err == nil {

@@ -347,3 +347,64 @@ func TestDecodeRejectsHostileCounts(t *testing.T) {
 		t.Fatalf("trailing bytes: %v, want ErrBadMessage", err)
 	}
 }
+
+// TestReplyEncodersSizeOnce holds both reply encoders to their size:
+// Encode appends exactly size() bytes into a buffer of exactly that
+// capacity, in one allocation.
+func TestReplyEncodersSizeOnce(t *testing.T) {
+	docs := [][]byte{[]byte("doc-one"), {}, bytes.Repeat([]byte{7}, 300)}
+	keys := [][]byte{[]byte("k1"), []byte("k2"), {}}
+	agg := &query.AggResult{Kind: query.AggDistinct, Count: 4, Distinct: [][]byte{[]byte("a"), []byte("bc")},
+		Cells: []query.CellCount{{Cell: 1, Count: 2}, {Cell: 9, Count: 3}}}
+	type encoder interface {
+		size() int
+		Encode([]byte) []byte
+	}
+	for _, tc := range []struct {
+		name string
+		msg  encoder
+	}{
+		{"reply docs", QueryReply{More: true, NReturned: 3, IndexUsed: "ix", Docs: docs}},
+		{"reply docs+keys", QueryReply{KeysExamined: 9, IndexUsed: "ix", Docs: docs, Keys: keys}},
+		{"reply agg", QueryReply{IndexUsed: "ix", Agg: agg}},
+		{"st failed shards", STQueryReply{Nodes: 3, Partial: true, FailedShards: []int32{1, 4}}},
+		{"st docs", STQueryReply{Nodes: 2, Docs: docs, ShardsPruned: 1, CacheHit: true}},
+		{"st agg", STQueryReply{Nodes: 2, HasAgg: true, Agg: agg}},
+		{"st agg nil", STQueryReply{HasAgg: true}},
+	} {
+		b := tc.msg.Encode(nil)
+		if len(b) != tc.msg.size() || cap(b) != len(b) {
+			t.Errorf("%s: len %d, cap %d, size() %d", tc.name, len(b), cap(b), tc.msg.size())
+		}
+		if allocs := testing.AllocsPerRun(50, func() { tc.msg.Encode(nil) }); allocs != 1 {
+			t.Errorf("%s: Encode(nil) makes %v allocations, want 1", tc.name, allocs)
+		}
+	}
+}
+
+// TestReplyDocsAreCappedViews checks that decoded reply documents and
+// keys alias their frame body, with capacity capped at their length so
+// that appending to one cannot overwrite the next.
+func TestReplyDocsAreCappedViews(t *testing.T) {
+	docs := [][]byte{[]byte("d1"), []byte("d2")}
+	body := QueryReply{Docs: docs, Keys: [][]byte{[]byte("k1"), []byte("k2")}}.Encode(nil)
+	qr, err := DecodeQueryReply(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := DecodeSTQueryReply(STQueryReply{Docs: docs}.Encode(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkViews(t, "QueryReply doc", qr.Docs)
+	checkViews(t, "QueryReply key", qr.Keys)
+	checkViews(t, "STQueryReply doc", st.Docs)
+	_ = append(qr.Docs[0], 'X')
+	if !bytes.Equal(qr.Docs[1], []byte("d2")) {
+		t.Fatalf("appending to doc 0 overwrote doc 1: %q", qr.Docs[1])
+	}
+	body[bytes.Index(body, []byte("d1"))] = 'z'
+	if string(qr.Docs[0]) != "z1" {
+		t.Fatalf("doc 0 = %q: not a view of its frame", qr.Docs[0])
+	}
+}
