@@ -41,7 +41,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/bson"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/geo"
@@ -73,13 +72,12 @@ type ingestCfg struct {
 	secret     string
 }
 
-// ingestBatch is one pre-encoded idempotent client batch: the parsed
-// documents for the reference store and the raw bytes for the wire —
-// the identical content, encoded exactly once.
+// ingestBatch is one pre-encoded idempotent client batch: the same
+// bytes go to the wire and, on ack, into the reference store — the
+// identical content, encoded exactly once.
 type ingestBatch struct {
-	id   string
-	docs []*bson.Document
-	raw  [][]byte
+	id  string
+	raw [][]byte
 
 	mu    sync.Mutex
 	acked bool
@@ -148,7 +146,7 @@ func runIngestSoak(cfg ingestCfg) int {
 	fmt.Fprintf(os.Stderr, "stchaos: reference fingerprint %016x (%d docs)\n", refSum, refDocs)
 
 	// Pre-encode the stream once: these exact bytes go to the wire,
-	// these exact documents go into the reference on ack.
+	// and into the reference on ack.
 	encCfg := storeCfg
 	encCfg.Seed = ingestEncoderSeed
 	enc, err := core.NewEncoder(encCfg)
@@ -159,12 +157,11 @@ func runIngestSoak(cfg ingestCfg) int {
 		end := min(i+ingestBatchDocs, len(fresh))
 		b := &ingestBatch{id: fmt.Sprintf("soak-b%d", len(is.stream))}
 		for _, rec := range fresh[i:end] {
-			doc, err := enc.Document(rec)
+			raw, err := enc.Encode(rec)
 			if err != nil {
 				fatal("encoding stream record: %v", err)
 			}
-			b.docs = append(b.docs, doc)
-			b.raw = append(b.raw, bson.Marshal(doc))
+			b.raw = append(b.raw, raw)
 		}
 		is.stream = append(is.stream, b)
 	}
@@ -351,7 +348,7 @@ func (is *ingestSoak) ack(b *ingestBatch) {
 	if already {
 		return
 	}
-	if _, _, err := is.ref.InsertBatch(context.Background(), b.id, b.docs); err != nil {
+	if _, _, err := is.ref.InsertBatchRaw(context.Background(), b.id, b.raw); err != nil {
 		is.violate("reference apply %s: %v", b.id, err)
 		return
 	}

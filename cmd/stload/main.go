@@ -40,7 +40,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/bson"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/geo"
@@ -296,12 +295,12 @@ func followWorker(ctx context.Context, w int, cfg followConfig, a core.Approach,
 		}
 		raw := make([][]byte, 0, cfg.batch)
 		for i := 0; i < cfg.batch; i++ {
-			doc, err := enc.Document(recs[next%len(recs)])
+			doc, err := enc.Encode(recs[next%len(recs)])
 			next++
 			if err != nil {
 				return err
 			}
-			raw = append(raw, bson.Marshal(doc))
+			raw = append(raw, doc)
 		}
 		batchID := fmt.Sprintf("w%d/%d", w, seq)
 		sent := time.Now()

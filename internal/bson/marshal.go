@@ -54,6 +54,12 @@ func RawSize(d *Document) int {
 	return n
 }
 
+// ValueSize returns the encoded size of v as an element's value: what
+// the element occupies after its tag byte and NUL-terminated key. With
+// AppendElement it lets a caller that writes some fields itself encode
+// the rest exactly as Marshal would, into a buffer sized once.
+func ValueSize(v any) int { return valueSize(v) }
+
 func valueSize(v any) int {
 	switch t := v.(type) {
 	case nil, minKey, maxKey:
@@ -102,6 +108,10 @@ func appendDocument(buf []byte, d *Document) []byte {
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start))
 	return buf
 }
+
+// AppendElement appends one element — tag, NUL-terminated key, value —
+// in Marshal's encoding. The key must not contain a NUL byte.
+func AppendElement(buf []byte, key string, v any) []byte { return appendElement(buf, key, v) }
 
 func appendElement(buf []byte, key string, v any) []byte {
 	switch t := v.(type) {

@@ -361,45 +361,48 @@ type Record struct {
 	Fields bson.D
 }
 
-// Document builds the stored document for the record under this
-// store's approach: _id, the GeoJSON location, the date, the
-// hilbertIndex (Hilbert approaches only), then the payload fields.
-func (s *Store) Document(rec Record) (*bson.Document, error) {
-	if !rec.Point.Valid() {
-		return nil, fmt.Errorf("core: invalid point %v", rec.Point)
-	}
-	doc := bson.NewDocumentCap(4 + len(rec.Fields))
-	doc.Set(FieldID, s.idGen.New(rec.Time))
-	doc.Set(FieldLoc, geo.GeoJSONPoint(rec.Point))
-	doc.Set(FieldDate, rec.Time.UTC())
-	if s.grid != nil {
-		doc.Set(FieldHilbert, int64(s.grid.Encode(rec.Point)))
-	}
-	if s.sth != nil {
-		doc.Set(FieldSTHash, s.sth.Encode(rec.Point, rec.Time))
-	}
-	for _, e := range rec.Fields {
-		doc.Set(e.Key, bson.Normalize(e.Value))
-	}
-	return doc, nil
-}
-
 // Insert stores one record.
 func (s *Store) Insert(rec Record) error {
-	doc, err := s.Document(rec)
+	raw, err := s.encode(rec)
 	if err != nil {
 		return err
 	}
-	return s.cluster.Insert(doc)
+	_, _, err = s.cluster.InsertBatchRaw("", [][]byte{raw})
+	return err
 }
+
+// loadSlice is how many records Load encodes before applying them as
+// one batch: one cluster lock acquisition (and, on a durable store, one
+// journal record) per slice instead of per record.
+const loadSlice = 256
 
 // Load bulk-inserts records and runs a final balancing round, like
 // the paper's loading procedure (bulk insertion through the query
-// routers with the balancer running in the background).
+// routers with the balancer running in the background). Documents are
+// applied one at a time in record order, so splits and balancing
+// rounds fall where inserting each record alone would put them. A
+// record that fails to encode stops the load after the records before
+// it are applied.
 func (s *Store) Load(recs []Record) error {
-	for i := range recs {
-		if err := s.Insert(recs[i]); err != nil {
-			return fmt.Errorf("core: loading record %d: %w", i, err)
+	raws := make([][]byte, 0, min(loadSlice, len(recs)))
+	for start := 0; start < len(recs); start += loadSlice {
+		raws = raws[:0]
+		var encErr error
+		for i := start; i < min(start+loadSlice, len(recs)); i++ {
+			raw, err := s.encode(recs[i])
+			if err != nil {
+				encErr = fmt.Errorf("core: loading record %d: %w", i, err)
+				break
+			}
+			raws = append(raws, raw)
+		}
+		if len(raws) > 0 {
+			if _, _, err := s.cluster.InsertBatchRaw("", raws); err != nil {
+				return fmt.Errorf("core: loading records %d-%d: %w", start, start+len(raws)-1, err)
+			}
+		}
+		if encErr != nil {
+			return encErr
 		}
 	}
 	s.cluster.Balance()

@@ -189,23 +189,48 @@ func BenchmarkConfigureZones(b *testing.B) {
 	}
 }
 
-// BenchmarkDocument measures building one stored document from a
-// record with the benchmark's sixteen payload fields — the client-side
-// half of the write path (core.encode_doc_us in the traced report).
-func BenchmarkDocument(b *testing.B) {
-	s, err := Open(Config{Approach: Hil, Shards: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
+// benchRecord is the benchmark's record shape: a generated point and
+// time with sixteen int64 payload fields.
+func benchRecord() Record {
 	rec := testRecords(1)[0]
 	rec.Fields = nil
 	for i := 0; i < 16; i++ {
 		rec.Fields = append(rec.Fields, bson.Elem{Key: fmt.Sprintf("payloadField%02d", i), Value: int64(i)})
 	}
+	return rec
+}
+
+// BenchmarkDocument measures building one stored document from a
+// record with the benchmark's sixteen payload fields — the boxed
+// reference encoder (core.encode_doc_us in the traced report). Its
+// bytes come from bson.Marshal on top of this.
+func BenchmarkDocument(b *testing.B) {
+	s, err := Open(Config{Approach: Hil, Shards: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := benchRecord()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Document(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEncodeRecord measures encoding the same record straight to
+// its stored bytes — what every write path does.
+func BenchmarkEncodeRecord(b *testing.B) {
+	s, err := Open(Config{Approach: Hil, Shards: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := benchRecord()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.encode(rec); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/bson"
 	"repro/internal/sharding"
 )
 
@@ -52,12 +51,6 @@ func (s *Store) IngestStats() sharding.IngestStats {
 	return in.Stats()
 }
 
-// InsertBatch encodes docs and applies them as one idempotent client
-// batch: InsertBatchRaw on their encodings.
-func (s *Store) InsertBatch(ctx context.Context, batchID string, docs []*bson.Document) (applied int, dup bool, err error) {
-	return s.InsertBatchRaw(ctx, batchID, bson.MarshalAll(docs))
-}
-
 // InsertBatchRaw applies one idempotent client batch of encoded
 // documents (sharding.BatchInserter says what they must be; the store
 // owns them afterwards). The batch goes through the local group-commit
@@ -90,18 +83,17 @@ func (s *Store) InsertBatchRaw(ctx context.Context, batchID string, docs [][]byt
 	return applied, dup, err
 }
 
-// InsertRecords builds and encodes the approach's documents for recs
-// and applies them as one idempotent batch — the record-level
-// convenience the in-process ingest drivers (bench, chaos reference)
-// use. Each document is encoded here, once.
+// InsertRecords encodes the approach's documents for recs and applies
+// them as one idempotent batch — the record-level convenience the
+// in-process ingest drivers (bench, chaos reference) use. Each document
+// is encoded here, once.
 func (s *Store) InsertRecords(ctx context.Context, batchID string, recs []Record) (applied int, dup bool, err error) {
 	raws := make([][]byte, len(recs))
 	for i := range recs {
-		doc, err := s.Document(recs[i])
+		raws[i], err = s.encode(recs[i])
 		if err != nil {
 			return 0, false, fmt.Errorf("core: batch %q record %d: %w", batchID, i, err)
 		}
-		raws[i] = bson.Marshal(doc)
 	}
 	return s.InsertBatchRaw(ctx, batchID, raws)
 }
@@ -135,5 +127,6 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 	return &Encoder{s: s}, nil
 }
 
-// Document builds the stored document for one record.
-func (e *Encoder) Document(rec Record) (*bson.Document, error) { return e.s.Document(rec) }
+// Encode returns the stored document's bytes for one record, exactly
+// as the store's own write path encodes it.
+func (e *Encoder) Encode(rec Record) ([]byte, error) { return e.s.encode(rec) }

@@ -145,7 +145,7 @@ func TestRemoteInsertBroadcast(t *testing.T) {
 
 	// The local store applies the same batch through its own batcher;
 	// the two write paths must land on identical bytes.
-	if _, _, err := local.InsertBatch(context.Background(), "net-b1", docs); err != nil {
+	if _, _, err := local.InsertBatchRaw(context.Background(), "net-b1", bson.MarshalAll(docs)); err != nil {
 		t.Fatal(err)
 	}
 	ld, ls := local.Fingerprint()
