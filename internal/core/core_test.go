@@ -327,56 +327,6 @@ func TestSTHashLayoutAndRouting(t *testing.T) {
 	}
 }
 
-// TestPolygonQueriesAgreeAcrossApproaches exercises the future-work
-// geometry extension: every approach returns exactly the points
-// inside a concave polygon, and the result is a strict subset of the
-// bounding-rectangle query.
-func TestPolygonQueriesAgreeAcrossApproaches(t *testing.T) {
-	recs := testRecords(3000)
-	// An L-shaped region inside the test extent.
-	poly, err := geo.NewPolygon(
-		geo.Point{Lon: 23.2, Lat: 37.2},
-		geo.Point{Lon: 24.6, Lat: 37.2},
-		geo.Point{Lon: 24.6, Lat: 37.8},
-		geo.Point{Lon: 23.9, Lat: 37.8},
-		geo.Point{Lon: 23.9, Lat: 38.6},
-		geo.Point{Lon: 23.2, Lat: 38.6},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pq := STPolygonQuery{Polygon: poly, From: testStart, To: testStart.Add(30 * 24 * time.Hour)}
-	rq := STQuery{Rect: poly.BoundingRect(), From: pq.From, To: pq.To}
-	var counts []int
-	for _, a := range AllApproaches() {
-		s := openStore(t, a, 4)
-		if err := s.Load(recs); err != nil {
-			t.Fatal(err)
-		}
-		pres := s.QueryPolygon(pq)
-		rres := s.Query(rq)
-		if pres.Stats.NReturned >= rres.Stats.NReturned {
-			t.Fatalf("%s: polygon results (%d) not a strict subset of bbox results (%d)",
-				a, pres.Stats.NReturned, rres.Stats.NReturned)
-		}
-		for _, d := range pres.Docs {
-			p, _ := geo.PointFromGeoJSON(d.Get(FieldLoc))
-			if !poly.Contains(p) {
-				t.Fatalf("%s: returned point %v outside polygon", a, p)
-			}
-		}
-		counts = append(counts, pres.Stats.NReturned)
-	}
-	for i := 1; i < len(counts); i++ {
-		if counts[i] != counts[0] {
-			t.Fatalf("approaches disagree on polygon results: %v", counts)
-		}
-	}
-	if counts[0] == 0 {
-		t.Fatal("polygon query returned nothing")
-	}
-}
-
 func TestConfigureZones(t *testing.T) {
 	for _, a := range []Approach{BslST, Hil, STHash} {
 		s := openStore(t, a, 4)

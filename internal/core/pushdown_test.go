@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/bson"
-	"repro/internal/geo"
 	"repro/internal/sharding"
 )
 
@@ -183,18 +182,11 @@ func TestQueryStatsPlanCacheCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := pushdownQuery()
-	r := q.Rect
-	poly, err := geo.NewPolygon(r.Min, geo.Point{Lon: r.Max.Lon, Lat: r.Min.Lat}, r.Max, geo.Point{Lon: r.Min.Lon, Lat: r.Max.Lat})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pq := STPolygonQuery{Polygon: poly, From: q.From, To: q.To}
 	for _, entry := range []struct {
 		name string
 		run  func() *QueryResult
 	}{
 		{"Query", func() *QueryResult { return s.Query(q) }},
-		{"QueryPolygon", func() *QueryResult { return s.QueryPolygon(pq) }},
 	} {
 		name, run := entry.name, entry.run
 		first := run()

@@ -396,37 +396,3 @@ func (s *Store) Explain(q STQuery) (shards []int, exps []*query.Explanation) {
 	f, _, _ := s.Filter(q)
 	return s.cluster.Explain(f)
 }
-
-// STPolygonQuery is a spatio-temporal range query over an arbitrary
-// simple polygon (the paper's future-work geometry extension). Index
-// bounds and routing derive from the polygon's bounding rectangle;
-// the exact ring containment runs during refinement.
-type STPolygonQuery struct {
-	Polygon *geo.Polygon
-	From    time.Time
-	To      time.Time
-}
-
-// PolygonFilter builds the approach's filter for a polygon query.
-func (s *Store) PolygonFilter(q STPolygonQuery) (query.Filter, sfc.RangeStats, time.Duration) {
-	rectQ := STQuery{Rect: q.Polygon.BoundingRect(), From: q.From, To: q.To}
-	f, st, coverTime := s.Filter(rectQ)
-	// Swap the rectangle predicate for the exact polygon predicate;
-	// everything derived from the bounding rectangle (Hilbert cover,
-	// stHash cover) stays.
-	and := f.(query.And)
-	for i, c := range and.Children {
-		if gw, ok := c.(query.GeoWithin); ok && gw.Field == FieldLoc {
-			and.Children[i] = query.GeoWithinPolygon{Field: FieldLoc, Polygon: q.Polygon}
-		}
-	}
-	return and, st, coverTime
-}
-
-// QueryPolygon executes the polygon query and reports the same
-// metrics as Query.
-func (s *Store) QueryPolygon(q STPolygonQuery) *QueryResult {
-	var p planned
-	p.f, p.cover, p.coverTime = s.PolygonFilter(q)
-	return s.run(p)
-}

@@ -2,6 +2,7 @@ package netconn
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -291,77 +292,136 @@ func TestAggregateIsOneFrameEachWay(t *testing.T) {
 	// The tap is not vacuous: shipping the documents streams frames.
 	reqBefore, repBefore := tap.snapshot()
 	res := router.Query(core.STQuery{Rect: testRect, From: testStart, To: week})
+	docReq, docRep := tap.since(reqBefore, repBefore)
 	if len(res.Docs) < 2 {
 		t.Fatalf("document query returned %d docs", len(res.Docs))
 	}
-	req, rep := tap.since(reqBefore, repBefore)
-	if req[wire.OpQuery] != res.Stats.Nodes || len(req) != 1 {
-		t.Fatalf("%d nodes: document query sent requests %v, want one query frame per node", res.Stats.Nodes, req)
+	if docReq[wire.OpQuery] != res.Stats.Nodes || len(docReq) != 1 {
+		t.Fatalf("%d nodes: document query sent requests %v, want one query frame per node", res.Stats.Nodes, docReq)
 	}
-	if rep[wire.OpQueryReply] <= res.Stats.Nodes || len(rep) != 1 {
-		t.Fatalf("%d nodes: document query at frame size 1 got replies %v, want more than one query reply per node", res.Stats.Nodes, rep)
+	if docRep[wire.OpQueryReply] <= res.Stats.Nodes || len(docRep) != 1 {
+		t.Fatalf("%d nodes: document query at frame size 1 got replies %v, want more than one query reply per node", res.Stats.Nodes, docRep)
+	}
+
+	// The router hop: a routed aggregate is one STQuery frame in and one
+	// reply frame out, like an answer of up to DefaultBatchSize
+	// documents; a larger answer streams.
+	rs := NewRouterServer(router, AdmitOptions{})
+	raddr, err := rs.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rtap := newFrameTap(t, raddr)
+	t.Cleanup(rtap.wg.Wait)
+	t.Cleanup(func() { rtap.ln.Close() })
+	t.Cleanup(rs.Close)
+	cl, err := DialRouter(rtap.ln.Addr().String(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	for _, tc := range []struct {
+		q       core.STQuery
+		replies int
+	}{
+		{core.STQuery{Rect: testRect, From: testStart, To: week, HeatmapBits: 6}, 1},
+		{core.STQuery{Rect: testRect, From: testStart, To: week, Limit: DefaultBatchSize}, 1},
+		{core.STQuery{Rect: testExtent, From: testStart, To: week}, 6}, // 3 000 documents
+	} {
+		reqBefore, repBefore := rtap.snapshot()
+		if _, err := cl.Query(tc.q); err != nil {
+			t.Fatal(err)
+		}
+		req, rep := rtap.since(reqBefore, repBefore)
+		if req[wire.OpSTQuery] != 1 || len(req) != 1 || rep[wire.OpQueryReply] != tc.replies || len(rep) != 1 {
+			t.Fatalf("routed %+v sent requests %v, got replies %v, want one STQuery and %d QueryReply frames", tc.q, req, rep, tc.replies)
+		}
 	}
 }
 
 // TestPreviousVersionPeerRefused: the handshake refuses a peer
-// speaking the previous protocol version in both directions, with an
-// error that names both versions.
+// speaking the previous protocol version in both directions, on both
+// hops, with an error that names both versions.
 func TestPreviousVersionPeerRefused(t *testing.T) {
 	const old = wire.ProtocolVersion - 1
 	store := openStore(t, core.Hil, 2, 100)
 	addrs := startServers(t, store, 1, ServerOptions{})
-
-	// An old client against this server: a structured error frame.
-	nc, err := net.Dial("tcp", addrs[0])
+	rs := NewRouterServer(store, AdmitOptions{})
+	raddr, err := rs.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nc.Close()
-	_ = nc.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := wire.WriteFrame(nc, wire.OpHello, wire.Hello{Version: old, Nonce: wire.NewAuthNonce()}.Encode(nil)); err != nil {
-		t.Fatal(err)
-	}
-	op, body, err := wire.ReadFrame(nc)
-	if err != nil || op != wire.OpError {
-		t.Fatalf("old client got op %d err %v, want an error frame", op, err)
-	}
-	er, err := wire.DecodeErrorReply(body)
-	if err != nil || er.Transient || !strings.Contains(er.Message, "protocol version 5 not supported (want 6)") {
-		t.Fatalf("old client refusal = %+v (%v)", er, err)
-	}
+	t.Cleanup(rs.Close)
 
-	// This client against an old server, which either answers the
-	// handshake with its own version or refuses ours the same way.
-	for want, answer := range map[string]func(net.Conn){
-		"speaks protocol 5, want 6": func(c net.Conn) {
-			_ = wire.WriteFrame(c, wire.OpHelloReply, wire.HelloReply{Version: old}.Encode(nil))
-		},
-		"refused connection: protocol version 6 not supported (want 5)": func(c net.Conn) {
-			_ = wire.WriteFrame(c, wire.OpError, wire.ErrorReply{Shard: -1,
-				Message: "protocol version 6 not supported (want 5)"}.Encode(nil))
-		},
-	} {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+	// An old client against this shard server or router: a structured
+	// error frame.
+	refusal := fmt.Sprintf("protocol version %d not supported (want %d)", old, wire.ProtocolVersion)
+	for server, addr := range map[string]string{"shard server": addrs[0], "router": raddr} {
+		nc, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			c, err := ln.Accept()
+		defer nc.Close()
+		_ = nc.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := wire.WriteFrame(nc, wire.OpHello, wire.Hello{Version: old, Nonce: wire.NewAuthNonce()}.Encode(nil)); err != nil {
+			t.Fatal(err)
+		}
+		op, body, err := wire.ReadFrame(nc)
+		if err != nil || op != wire.OpError {
+			t.Fatalf("old client against the %s got op %d err %v, want an error frame", server, op, err)
+		}
+		er, err := wire.DecodeErrorReply(body)
+		if err != nil || er.Transient || !strings.Contains(er.Message, refusal) {
+			t.Fatalf("old client refusal by the %s = %+v (%v)", server, er, err)
+		}
+	}
+
+	// This client, dialling shard servers or a router, against an old
+	// server, which either answers the handshake with its own version or
+	// refuses ours the same way.
+	answers := map[string]func(net.Conn){
+		fmt.Sprintf("speaks protocol %d, want %d", old, wire.ProtocolVersion): func(c net.Conn) {
+			_ = wire.WriteFrame(c, wire.OpHelloReply, wire.HelloReply{Version: old}.Encode(nil))
+		},
+		fmt.Sprintf("refused connection: protocol version %d not supported (want %d)", wire.ProtocolVersion, old): func(c net.Conn) {
+			_ = wire.WriteFrame(c, wire.OpError, wire.ErrorReply{Shard: -1,
+				Message: fmt.Sprintf("protocol version %d not supported (want %d)", wire.ProtocolVersion, old)}.Encode(nil))
+		},
+	}
+	dialers := map[string]func(addr string) error{
+		"Connect": func(addr string) error {
+			_, err := Connect([]string{addr}, Options{})
+			return err
+		},
+		"DialRouter": func(addr string) error {
+			_, err := DialRouter(addr, Options{})
+			return err
+		},
+	}
+	for name, dial := range dialers {
+		for want, answer := range answers {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
-				return
+				t.Fatal(err)
 			}
-			defer c.Close()
-			if _, _, err := wire.ReadFrame(c); err == nil {
-				answer(c)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer c.Close()
+				if _, _, err := wire.ReadFrame(c); err == nil {
+					answer(c)
+				}
+			}()
+			err = dial(ln.Addr().String())
+			ln.Close()
+			<-done
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s to an old server: %v, want %q", name, err, want)
 			}
-		}()
-		_, err = Connect([]string{ln.Addr().String()}, Options{})
-		ln.Close()
-		<-done
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("connecting to an old server: %v, want %q", err, want)
 		}
 	}
 }

@@ -48,7 +48,8 @@ type Options struct {
 }
 
 // DefaultBatchSize is the documents a RemoteConn asks a shard server
-// to put in each reply frame of an answer.
+// to put in each reply frame of an answer, and the documents a
+// RouterServer puts in each frame of its own.
 const DefaultBatchSize = 512
 
 // The transport's fixed tuning.

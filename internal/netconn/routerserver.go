@@ -99,13 +99,7 @@ func (s *RouterServer) handleOp(h *connHandler, op byte, body []byte) bool {
 			if res.Err != nil {
 				return h.replyErr(-1, false, res.Err)
 			}
-			reply := stReplyToWire(res)
-			// An answer no client could read is refused before it is
-			// encoded; the connection stays in sync.
-			if err := reply.CheckSize(); err != nil {
-				return h.replyErr(-1, false, err)
-			}
-			return h.reply(wire.OpSTQueryReply, reply.Encode(nil))
+			return h.writeAnswer(-1, routedReply(res), res.Docs, nil, DefaultBatchSize)
 		})
 	case wire.OpInsert:
 		// The store's write path: the local group-commit batcher first,
@@ -147,32 +141,28 @@ func stQueryFromWire(m wire.STQuery) core.STQuery {
 	return q
 }
 
-func stReplyToWire(res *core.QueryResult) wire.STQueryReply {
-	reply := wire.STQueryReply{
-		Nodes:           int32(res.Stats.Nodes),
-		MaxKeysExamined: int64(res.Stats.MaxKeysExamined),
-		MaxDocsExamined: int64(res.Stats.MaxDocsExamined),
-		DurationNS:      int64(res.Stats.Duration),
-		Broadcast:       res.Stats.Broadcast,
-		Partial:         res.Stats.Partial,
-		HasAgg:          res.Agg != nil,
-		Agg:             res.Agg,
-		ShardsPruned:    int32(res.Stats.ShardsPruned),
-		CacheHit:        res.Stats.CacheHit,
+// routedReply is the first frame of a routed answer, without its
+// documents: the routed maxima and duration in the execution stats,
+// and the observables only a router has in the routed section.
+func routedReply(res *core.QueryResult) wire.QueryReply {
+	rt := &wire.Routed{
+		Nodes:        int32(res.Stats.Nodes),
+		Broadcast:    res.Stats.Broadcast,
+		Partial:      res.Stats.Partial,
+		ShardsPruned: int32(res.Stats.ShardsPruned),
+		CacheHit:     res.Stats.CacheHit,
 	}
-	if n := len(res.Stats.FailedShards); n > 0 {
-		reply.FailedShards = make([]int32, n)
-		for i, id := range res.Stats.FailedShards {
-			reply.FailedShards[i] = int32(id)
-		}
+	for _, id := range res.Stats.FailedShards {
+		rt.FailedShards = append(rt.FailedShards, int32(id))
 	}
-	if n := len(res.Docs); n > 0 {
-		reply.Docs = make([][]byte, n)
-		for i, doc := range res.Docs {
-			reply.Docs[i] = doc
-		}
+	return wire.QueryReply{
+		KeysExamined: int64(res.Stats.MaxKeysExamined),
+		DocsExamined: int64(res.Stats.MaxDocsExamined),
+		NReturned:    int64(res.Stats.NReturned),
+		DurationNS:   int64(res.Stats.Duration),
+		Routed:       rt,
+		Agg:          res.Agg,
 	}
-	return reply
 }
 
 // Client is the thin driver for a RouterServer: one pooled-connection
@@ -202,22 +192,34 @@ func (cl *Client) Fingerprint() (docs int, checksum uint64) {
 // Close closes the pooled connections.
 func (cl *Client) Close() { cl.pool.close() }
 
-// call runs one request/reply exchange with the router. It is the one
-// place a failed exchange enters the thin client's error vocabulary:
-// transport and protocol failures come back as plain errors, a
-// structured error frame as *ServerError with its code and retry hint.
-func call[T any](cl *Client, op byte, body []byte, want byte, decode func([]byte) (T, error)) (T, error) {
-	var zero T
+// call runs one exchange with the router: the request frame, then
+// reply frames until more reports the last one (nil more means a
+// single reply) or the router answers with a structured error. It is
+// the one place a failed exchange enters the thin client's error
+// vocabulary: transport and protocol failures come back as plain
+// errors, a structured error frame as *ServerError with its code and
+// retry hint.
+func call[T any](cl *Client, op byte, body []byte, want byte, decode func([]byte) (T, error), more func(T) bool) (T, error) {
+	var (
+		zero, reply T
+		er          *wire.ErrorReply
+		derr        error
+	)
 	c, err := cl.pool.get()
 	if err != nil {
 		return zero, err
 	}
 	defer cl.pool.put(c)
-	rop, rbody, err := c.roundTrip(op, body)
+	err = c.exchange(context.Background(), op, body, func(rop byte, rbody []byte) bool {
+		reply, er, derr = decodeReply(c, rop, rbody, want, decode)
+		return derr == nil && er == nil && more != nil && more(reply)
+	})
+	if err == nil {
+		err = derr
+	}
 	if err != nil {
 		return zero, err
 	}
-	reply, er, err := decodeReply(c, rop, rbody, want, decode)
 	if er != nil {
 		return zero, &ServerError{
 			Code:       er.Code,
@@ -226,14 +228,15 @@ func call[T any](cl *Client, op byte, body []byte, want byte, decode func([]byte
 			Message:    er.Message,
 		}
 	}
-	return reply, err
+	return reply, nil
 }
 
 // Query executes one spatio-temporal query on the router and returns
-// the routed result. Stats fields that only exist router-side (cover
-// timings, plan-cache counters) are zero. The returned documents are
-// views of the reply frame, which nothing else holds: a caller that
-// keeps one document keeps the whole frame alive.
+// the routed result, read from the router's reply frames in one
+// exchange. Stats fields that only exist router-side (cover timings,
+// plan-cache counters, the winning indexes) are zero. The returned
+// documents are views of the reply frames, which nothing else holds: a
+// caller that keeps one document keeps its whole frame alive.
 func (cl *Client) Query(q core.STQuery) (*core.QueryResult, error) {
 	msg := wire.STQuery{
 		MinLon: q.Rect.Min.Lon, MinLat: q.Rect.Min.Lat,
@@ -252,33 +255,33 @@ func (cl *Client) Query(q core.STQuery) (*core.QueryResult, error) {
 		msg.AggKind = uint8(query.AggCellHist)
 		msg.AggBits = uint8(q.HeatmapBits)
 	}
-	reply, err := call(cl, wire.OpSTQuery, msg.Encode(nil), wire.OpSTQueryReply, wire.DecodeSTQueryReply)
+	var res *core.QueryResult
+	_, err := call(cl, wire.OpSTQuery, msg.Encode(nil), wire.OpQueryReply, wire.DecodeQueryReply, func(reply wire.QueryReply) bool {
+		if res == nil { // the first frame: stats, aggregate, routed section
+			res = &core.QueryResult{Agg: reply.Agg}
+			res.Stats.MaxKeysExamined = int(reply.KeysExamined)
+			res.Stats.MaxDocsExamined = int(reply.DocsExamined)
+			res.Stats.Duration = time.Duration(reply.DurationNS)
+			if rt := reply.Routed; rt != nil {
+				res.Stats.Nodes = int(rt.Nodes)
+				res.Stats.Broadcast = rt.Broadcast
+				res.Stats.Partial = rt.Partial
+				res.Stats.ShardsPruned = int(rt.ShardsPruned)
+				res.Stats.CacheHit = rt.CacheHit
+				for _, id := range rt.FailedShards {
+					res.Stats.FailedShards = append(res.Stats.FailedShards, int(id))
+				}
+			}
+		}
+		for _, doc := range reply.Docs {
+			res.Docs = append(res.Docs, bson.Raw(doc))
+		}
+		return reply.More
+	})
 	if err != nil {
 		return nil, err
 	}
-	res := &core.QueryResult{}
-	res.Stats.Nodes = int(reply.Nodes)
-	res.Stats.MaxKeysExamined = int(reply.MaxKeysExamined)
-	res.Stats.MaxDocsExamined = int(reply.MaxDocsExamined)
-	res.Stats.NReturned = len(reply.Docs)
-	res.Stats.Duration = time.Duration(reply.DurationNS)
-	res.Stats.Broadcast = reply.Broadcast
-	res.Stats.Partial = reply.Partial
-	res.Stats.ShardsPruned = int(reply.ShardsPruned)
-	res.Stats.CacheHit = reply.CacheHit
-	res.Agg = reply.Agg
-	if n := len(reply.FailedShards); n > 0 {
-		res.Stats.FailedShards = make([]int, n)
-		for i, id := range reply.FailedShards {
-			res.Stats.FailedShards[i] = int(id)
-		}
-	}
-	if n := len(reply.Docs); n > 0 {
-		res.Docs = make([]bson.Raw, n)
-		for i, doc := range reply.Docs {
-			res.Docs[i] = doc
-		}
-	}
+	res.Stats.NReturned = len(res.Docs)
 	return res, nil
 }
 
@@ -290,7 +293,7 @@ func (cl *Client) Query(q core.STQuery) (*core.QueryResult, error) {
 // fingerprint changes with every acked batch).
 func (cl *Client) Insert(batchID string, docs [][]byte) (wire.InsertReply, error) {
 	body := wire.Insert{BatchID: batchID, Docs: docs}.Encode(nil)
-	return call(cl, wire.OpInsert, body, wire.OpInsertReply, wire.DecodeInsertReply)
+	return call(cl, wire.OpInsert, body, wire.OpInsertReply, wire.DecodeInsertReply, nil)
 }
 
 // ServerError is a structured error frame surfaced to a router

@@ -283,12 +283,9 @@ func frameDocs(n uint32) int {
 }
 
 // runQuery executes the filter through the server's conn boundary and
-// streams the answer back as consecutive reply frames of at most the
-// requested batch size, written back to back under the admission slot
-// the query took; the last frame has More unset. The first frame
-// carries the execution stats. An aggregate execution returns no
-// documents, so its whole answer — the shard's partial aggregate — is
-// that one frame.
+// streams the answer back with writeAnswer, at most the requested
+// batch size per frame. An aggregate execution returns no documents,
+// so its whole answer — the shard's partial aggregate — is one frame.
 func (s *ShardServer) runQuery(h *connHandler, q wire.Query) bool {
 	shard := s.shards[int(q.Shard)]
 	if shard == nil {
@@ -317,10 +314,6 @@ func (s *ShardServer) runQuery(h *connHandler, q wire.Query) bool {
 		// A per-attempt deadline expiry is retryable by convention.
 		return h.replyErr(q.Shard, errors.Is(err, context.DeadlineExceeded), err)
 	}
-	docs := make([][]byte, len(res.Docs))
-	for i, d := range res.Docs {
-		docs[i] = d
-	}
 	reply := wire.QueryReply{
 		KeysExamined: int64(res.Stats.KeysExamined),
 		DocsExamined: int64(res.Stats.DocsExamined),
@@ -329,15 +322,33 @@ func (s *ShardServer) runQuery(h *connHandler, q wire.Query) bool {
 		IndexUsed:    res.Stats.IndexUsed,
 		Agg:          res.Agg,
 	}
-	n := frameDocs(q.BatchSize)
+	return h.writeAnswer(q.Shard, reply, res.Docs, res.Keys, frameDocs(q.BatchSize))
+}
+
+// writeAnswer streams an answer — a shard's or a router's — as
+// consecutive QueryReply frames written back to back, under the
+// admission slot the request took. The first frame carries reply's
+// stats, aggregate and routed section; the last has More unset. A
+// frame holds at most n documents, fewer when the next would take it
+// past wire.MaxFrameBody. An answer holding a document that no frame
+// can carry is refused before its first frame with a structured,
+// non-transient error naming shard; the connection stays in sync.
+func (h *connHandler) writeAnswer(shard int32, reply wire.QueryReply, docs []bson.Raw, keys [][]byte, n int) bool {
+	raw := make([][]byte, len(docs))
+	for i, d := range docs {
+		raw[i] = d
+	}
+	if err := wire.DocsFit(raw, keys); err != nil {
+		return h.replyErr(shard, false, err)
+	}
 	var body []byte
-	for pos := 0; ; {
-		end := min(pos+n, len(docs))
-		reply.Docs = docs[pos:end]
-		if res.Keys != nil {
-			reply.Keys = res.Keys[pos:end]
+	for {
+		k := reply.Fill(raw, keys, n)
+		raw = raw[k:]
+		if keys != nil {
+			keys = keys[k:]
 		}
-		reply.More = end < len(docs)
+		reply.More = len(raw) > 0
 		body = reply.Encode(body[:0])
 		if wire.WriteFrame(h.bw, wire.OpQueryReply, body) != nil {
 			return false
@@ -345,7 +356,6 @@ func (s *ShardServer) runQuery(h *connHandler, q wire.Query) bool {
 		if !reply.More {
 			return h.bw.Flush() == nil
 		}
-		pos = end
 		reply = wire.QueryReply{}
 	}
 }

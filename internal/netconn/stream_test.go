@@ -157,6 +157,57 @@ func TestCtxCancelMidStream(t *testing.T) {
 	assertSameDocs(t, "query after a cancelled stream", want.Docs, got.Docs)
 }
 
+// TestRouterClientDropMidStream: a client that stalls on a
+// multi-frame routed answer and then drops its connection costs the
+// router nothing: the query's admission slot is released, the
+// router's handler for the conn exits, and the next query answers
+// byte-identically to the embedded store.
+func TestRouterClientDropMidStream(t *testing.T) {
+	leakcheck.Check(t)
+	store := openStore(t, core.Hil, 2, 1500)
+	all := core.STQuery{Rect: testExtent, From: testStart, To: testStart.Add(7 * 24 * time.Hour)}
+	want := store.Query(all)
+	if len(want.Docs) <= DefaultBatchSize {
+		t.Fatalf("answer of %d documents is not multi-frame", len(want.Docs))
+	}
+	rs := NewRouterServer(store, AdmitOptions{})
+	addr, err := rs.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rs.Close)
+	tap := newFrameTap(t, addr)
+	t.Cleanup(tap.wg.Wait)
+	t.Cleanup(func() { tap.ln.Close() })
+	cl, err := DialRouter(tap.ln.Addr().String(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+
+	// The query checks out the one pooled conn; once its first reply
+	// frame has arrived the client hangs up.
+	nc := cl.pool.idle[0].nc
+	tap.stallAfter(wire.OpQueryReply, func() { nc.Close() })
+	if _, err := cl.Query(all); err == nil {
+		t.Fatal("a dropped stream returned an answer")
+	}
+	if n := len(cl.pool.idle); n != 0 {
+		t.Fatalf("%d idle conns after a dropped stream, want the conn discarded", n)
+	}
+	waitFor(t, "the router to release the slot and drop the conn", func() bool {
+		rs.lst.mu.Lock()
+		defer rs.lst.mu.Unlock()
+		return len(rs.lst.conns) == 0 && rs.gate.inFlight() == 0
+	})
+
+	got, err := cl.Query(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameDocs(t, "query after a dropped stream", want.Docs, got.Docs)
+}
+
 // holdConn executes in process, but lets a test decide who holds a
 // server's admission slot: an execution on shard 0 reports on ran and
 // then waits for contended, one on shard 1 waits for release.
@@ -380,53 +431,132 @@ func TestRouterDaemonDifferential(t *testing.T) {
 	}
 }
 
-// TestRouterRefusesOversizedAnswer: an answer larger than one frame
-// can carry comes back as a structured error, not a frame the client
-// cannot read, and the same connection then serves the next query.
-func TestRouterRefusesOversizedAnswer(t *testing.T) {
-	const blob = 7 << 20
-	recs := testRecords(6)
+// blobStore opens a store of the given shard count holding n test
+// records, each padded with a blob of the given size, plus the extra
+// records.
+func blobStore(t *testing.T, shards, n, blob int, extra ...core.Record) *core.Store {
+	t.Helper()
+	recs := testRecords(n)
 	for i := range recs {
 		recs[i].Fields = append(recs[i].Fields, bson.Elem{Key: "blob", Value: strings.Repeat(string(rune('a'+i)), blob)})
 	}
-	store, err := core.Open(core.Config{Approach: core.Hil, Shards: 2, DataExtent: testExtent})
+	store, err := core.Open(core.Config{Approach: core.Hil, Shards: shards, DataExtent: testExtent})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Load(recs); err != nil {
+	if err := store.Load(append(recs, extra...)); err != nil {
 		t.Fatal(err)
 	}
+	return store
+}
+
+// largeWindow matches blobStore's n padded records (they are one
+// minute apart from testStart) and nothing an hour later.
+var largeWindow = core.STQuery{Rect: testExtent, From: testStart, To: testStart.Add(time.Hour)}
+
+// TestShardHopSplitsLargeAnswer: a shard's answer of 6 × 7 MiB — 512
+// documents per frame would make one 42 MiB frame that no reader
+// accepts — travels ShardServer → RemoteConn byte-identical to
+// LocalConn, in frames cut by bytes.
+func TestShardHopSplitsLargeAnswer(t *testing.T) {
+	store := blobStore(t, 1, 6, 7<<20)
+	shard := store.Cluster().Shards()[0]
+	f, _, _ := store.Filter(largeWindow)
+	want, err := sharding.LocalConn{}.Query(context.Background(), shard, f, store.Cluster().Options().QueryConfig, query.Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Docs) != 6 {
+		t.Fatalf("local answer has %d documents, want 6", len(want.Docs))
+	}
+	_, addr := startOneServer(t, store, ServerOptions{})
+	rc := connectRemote(t, store, []string{addr}, Options{})
+	got, err := rc.Query(context.Background(), shard, f, nil, query.Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameDocs(t, "42 MiB shard answer", want.Docs, got.Docs)
+	if got.Stats.KeysExamined != want.Stats.KeysExamined || got.Stats.DocsExamined != want.Stats.DocsExamined {
+		t.Fatalf("stats diverge: %+v vs %+v", got.Stats, want.Stats)
+	}
+}
+
+// TestRouterStreamsLargeAnswer: a routed answer of 6 × 7 MiB travels
+// Client → RouterServer → RemoteConn → ShardServer byte-identical to
+// the embedded store's, and the same pooled connection then serves
+// the next query. A document too large for any frame is refused with
+// a structured, non-transient error before any frame, and the
+// connection stays usable.
+func TestRouterStreamsLargeAnswer(t *testing.T) {
+	store := blobStore(t, 1, 6, 7<<20)
+	one := core.STQuery{Rect: testExtent, From: testStart, To: testStart.Add(time.Hour), Limit: 1, Sort: core.SortDateDesc}
+	want, wantOne := store.Query(largeWindow), store.Query(one)
+	if len(want.Docs) != 6 {
+		t.Fatalf("embedded answer has %d documents, want 6", len(want.Docs))
+	}
+	// The store is its own shard server: its router's executions cross
+	// the shard hop to the same data.
+	_, saddr := startOneServer(t, store, ServerOptions{})
+	store.Cluster().SetConn(connectRemote(t, store, []string{saddr}, Options{}))
+	defer store.Cluster().SetConn(nil)
+	cl := dialRouterServer(t, store)
+	pooled := cl.pool.idle[0]
+
+	got, err := cl.Query(largeWindow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameDocs(t, "42 MiB routed answer", want.Docs, got.Docs)
+	if got.Stats.Nodes != want.Stats.Nodes || got.Stats.MaxDocsExamined != want.Stats.MaxDocsExamined || got.Stats.Partial {
+		t.Fatalf("stats diverge: %+v vs %+v", got.Stats, want.Stats)
+	}
+	if n := len(cl.pool.idle); n != 1 || cl.pool.idle[0] != pooled {
+		t.Fatalf("%d idle connections after the answer, want the one that carried it", n)
+	}
+	next, err := cl.Query(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameDocs(t, "after the large answer", wantOne.Docs, next.Docs)
+
+	// One document over what a frame can carry, beside small ones.
+	huge := testRecords(1)[0]
+	huge.Time = testStart.Add(2 * time.Hour)
+	huge.Fields = append(huge.Fields, bson.Elem{Key: "blob", Value: strings.Repeat("z", wire.MaxFrameBody)})
+	over := blobStore(t, 1, 3, 16, huge)
+	ocl := dialRouterServer(t, over)
+	_, err = ocl.Query(core.STQuery{Rect: testExtent, From: testStart, To: testStart.Add(3 * time.Hour)})
+	var se *ServerError
+	if !errors.As(err, &se) || se.Transient || !strings.Contains(se.Message, " of 4 encodes to ") {
+		t.Fatalf("oversized document: %v, want a non-transient *ServerError naming the document", err)
+	}
+	if n := len(ocl.pool.idle); n != 1 {
+		t.Fatalf("%d idle connections after the refusal, want the one that carried it", n)
+	}
+	small := core.STQuery{Rect: testExtent, From: testStart, To: testStart.Add(time.Hour)}
+	got, err = ocl.Query(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameDocs(t, "after the refusal", over.Query(small).Docs, got.Docs)
+}
+
+// dialRouterServer serves the store through a RouterServer and dials
+// it.
+func dialRouterServer(t *testing.T, store *core.Store) *Client {
+	t.Helper()
 	rs := NewRouterServer(store, AdmitOptions{})
 	addr, err := rs.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rs.Close()
+	t.Cleanup(rs.Close)
 	cl, err := DialRouter(addr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-
-	all := core.STQuery{Rect: testExtent, From: testStart, To: testStart.Add(time.Hour)}
-	_, err = cl.Query(all)
-	var se *ServerError
-	if !errors.As(err, &se) || errors.Is(err, wire.ErrBadFrame) || !strings.Contains(se.Message, "6 documents") {
-		t.Fatalf("oversized answer: %v, want a *ServerError naming 6 documents", err)
-	}
-	if n := len(cl.pool.idle); n != 1 {
-		t.Fatalf("%d idle connections after the refusal, want the one that carried it", n)
-	}
-
-	one := core.STQuery{Rect: testExtent, From: testStart, To: testStart.Add(time.Hour), Limit: 1, Sort: core.SortDateAsc}
-	got, err := cl.Query(one)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameDocs(t, "after the refusal", store.Query(one).Docs, got.Docs)
-	if len(got.Docs) != 1 || len(got.Docs[0]) < blob {
-		t.Fatalf("small query returned %d docs", len(got.Docs))
-	}
+	t.Cleanup(cl.Close)
+	return cl
 }
 
 // TestConnectRejectsMismatchedFingerprints: servers constructed from

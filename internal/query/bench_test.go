@@ -58,21 +58,14 @@ var benchSink bool
 // BenchmarkRefineRaw measures refining one fetched document with the
 // residual predicates the planner leaves: the Hilbert approach's (the
 // rectangle alone — cell ranges and dates are covered by the index
-// bounds), the bslST baseline's (rectangle and both date comparisons)
-// and a polygon. "scan" hands the filter the executor's *bson.Raw;
+// bounds) and the bslST baseline's (rectangle and both date
+// comparisons). "scan" hands the filter the executor's *bson.Raw;
 // "boxed" converts each document to bson.Doc the way an outside caller
 // (benchmark/trace.go's bson.match_ns_per_doc) does, which costs the
 // one allocation shown.
 func BenchmarkRefineRaw(b *testing.B) {
 	docs := benchRawDocs(1024)
 	rect := geo.NewRect(23.7, 37.7, 24.3, 38.3)
-	poly, err := geo.NewPolygon(
-		geo.Point{Lon: 23.7, Lat: 37.7}, geo.Point{Lon: 24.3, Lat: 37.8},
-		geo.Point{Lon: 24.1, Lat: 38.3}, geo.Point{Lon: 23.8, Lat: 38.2},
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
 	dates := TimeRangeFilter("date", baseTime.Add(2*time.Hour), baseTime.Add(12*time.Hour))
 	residuals := []struct {
 		name string
@@ -80,7 +73,6 @@ func BenchmarkRefineRaw(b *testing.B) {
 	}{
 		{"hil", NewAnd(GeoWithin{Field: "location", Rect: rect})},
 		{"bslST", NewAnd(GeoWithin{Field: "location", Rect: rect}, dates)},
-		{"polygon", NewAnd(GeoWithinPolygon{Field: "location", Polygon: poly})},
 	}
 	for _, r := range residuals {
 		f := compile(r.f)

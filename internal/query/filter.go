@@ -241,26 +241,6 @@ func (g GeoWithin) String() string {
 		g.Field, geo.GeoJSONPolygonFromRect(g.Rect))
 }
 
-// GeoWithinPolygon matches documents whose GeoJSON point field lies
-// inside (or on the border of) an arbitrary simple polygon — the
-// complex-geometry extension the paper lists as future work. Index
-// planning uses the polygon's bounding rectangle; the exact ring test
-// runs during refinement.
-type GeoWithinPolygon struct {
-	Field   string
-	Polygon *geo.Polygon
-}
-
-// Matches implements Filter.
-func (g GeoWithinPolygon) Matches(doc bson.Doc) bool {
-	p, ok := pointAt(doc, g.Field)
-	return ok && g.Polygon.Contains(p)
-}
-
-func (g GeoWithinPolygon) String() string {
-	return fmt.Sprintf("{%s: {$geoWithin: {$geometry: %s}}}", g.Field, g.Polygon.GeoJSON())
-}
-
 // compile returns the filter with every comparison constant classified
 // once (Cmp.k, In.ks), so that matching a document reads no constant
 // through an interface. The result is the same filter: same types,

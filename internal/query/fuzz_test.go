@@ -54,9 +54,6 @@ func refMatches(f Filter, doc bson.Doc) bool {
 	case GeoWithin:
 		p, ok := refPoint(doc, t.Field)
 		return ok && t.Rect.Contains(p)
-	case GeoWithinPolygon:
-		p, ok := refPoint(doc, t.Field)
-		return ok && t.Polygon.Contains(p)
 	case And:
 		for _, c := range t.Children {
 			if !refMatches(c, doc) {
@@ -124,12 +121,6 @@ func fuzzFilters(field string, num float64, n int64, s string, lon, lat, span fl
 		In{Field: field},
 		GeoWithin{Field: field, Rect: rect},
 	)
-	if poly, err := geo.NewPolygon(
-		geo.Point{Lon: lon, Lat: lat}, geo.Point{Lon: lon + span, Lat: lat},
-		geo.Point{Lon: lon + span/2, Lat: lat + span},
-	); err == nil {
-		fs = append(fs, GeoWithinPolygon{Field: field, Polygon: poly})
-	}
 	// Composites, and through them And/Or over compiled children.
 	return append(fs,
 		NewAnd(fs[0], fs[len(fs)-1]),

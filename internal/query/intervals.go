@@ -343,10 +343,6 @@ func (b *bounds) addConjunct(f Filter) {
 		b.constrain(t.Field, set, true)
 	case GeoWithin:
 		b.constrainGeo(t.Field, t.Rect)
-	case GeoWithinPolygon:
-		// Bounds planning sees the polygon's MBR; the ring itself is
-		// always re-checked by the residual filter.
-		b.constrainGeo(t.Field, t.Polygon.BoundingRect())
 	case Or:
 		if field, ok := singleField(t); ok {
 			set, strict := appendIntervals(nil, t)

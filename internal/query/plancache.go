@@ -38,9 +38,6 @@ func appendShape(b []byte, f Filter) []byte {
 		// for the per-query optimizer choices of Table 7.
 		b = append(append(b, t.Field...), ":$geoWithin["...)
 		return append(appendRect(b, t.Rect), ']')
-	case GeoWithinPolygon:
-		b = append(append(b, t.Field...), ":$geoWithin:poly["...)
-		return append(appendRect(b, t.Polygon.BoundingRect()), ']')
 	case And:
 		b = append(b, "and("...)
 		for i, c := range t.Children {

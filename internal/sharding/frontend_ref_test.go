@@ -230,10 +230,6 @@ func (b *refBounds) addConjunct(f query.Filter) {
 		b.constrain(t.Field, set, true)
 	case query.GeoWithin:
 		b.constrainGeo(t.Field, t.Rect)
-	case query.GeoWithinPolygon:
-		// Bounds planning sees the polygon's MBR; the ring itself is
-		// always re-checked by the residual filter.
-		b.constrainGeo(t.Field, t.Polygon.BoundingRect())
 	case query.Or:
 		if field, set, strict, ok := refSingleFieldIntervals(t); ok {
 			b.constrain(field, set, strict)
@@ -354,9 +350,6 @@ func refAppendShape(b []byte, f query.Filter) []byte {
 		// for the per-query optimizer choices of Table 7.
 		b = append(append(b, t.Field...), ":$geoWithin["...)
 		return append(refAppendRect(b, t.Rect), ']')
-	case query.GeoWithinPolygon:
-		b = append(append(b, t.Field...), ":$geoWithin:poly["...)
-		return append(refAppendRect(b, t.Polygon.BoundingRect()), ']')
 	case query.And:
 		b = append(b, "and("...)
 		for i, c := range t.Children {

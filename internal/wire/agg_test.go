@@ -54,13 +54,14 @@ func TestQueryCarriesAggregate(t *testing.T) {
 	}
 }
 
-// TestV6GoldenBytes pins the version-6 encoding of the one read
-// request and its reply, with and without an aggregate. Any change to
+// TestV7GoldenBytes pins the version-7 encoding of the one read
+// request and its reply on both hops: a shard's, with and without an
+// aggregate, and a router's, with the routed section. Any change to
 // these bytes is an incompatible codec change and must bump
-// ProtocolVersion. The request bytes are version 5's; the reply's
-// leading cursor id became the one-byte More flag.
-func TestV6GoldenBytes(t *testing.T) {
-	if ProtocolVersion != 6 {
+// ProtocolVersion. The request bytes are version 6's; a shard's reply
+// gained the routed section's zero byte after the index name.
+func TestV7GoldenBytes(t *testing.T) {
+	if ProtocolVersion != 7 {
 		t.Fatalf("ProtocolVersion = %d: re-pin these bytes for the new version", ProtocolVersion)
 	}
 	f := query.Cmp{Field: "h", Op: query.OpGTE, Value: int64(7)}
@@ -93,19 +94,28 @@ func TestV6GoldenBytes(t *testing.T) {
 		Docs: [][]byte{[]byte("d1"), []byte("d2")}, Keys: [][]byte{[]byte("k1"), []byte("k2")}}
 	part := QueryReply{KeysExamined: 4, DocsExamined: 3, DurationNS: 1, IndexUsed: "ix",
 		Agg: &query.AggResult{Kind: query.AggCellHist, Count: 5, Cells: []query.CellCount{{Cell: 1, Count: 2}, {Cell: 9, Count: 3}}}}
+	routed := QueryReply{More: true, KeysExamined: 4, DocsExamined: 3, NReturned: 2, DurationNS: 1,
+		Routed: &Routed{Nodes: 2, Broadcast: true, Partial: true, FailedShards: []int32{5}, ShardsPruned: 1, CacheHit: true},
+		Docs:   [][]byte{[]byte("d1"), []byte("d2")}}
 	for _, tc := range []struct {
 		name string
 		msg  QueryReply
 		want string
 	}{
 		{"reply", docs, "01" + stats + "0200000000000000" + "0100000000000000" + "02000000" + "6978" +
+			"00" + // not routed
 			"02000000" + "02000000" + "6431" + "02000000" + "6432" + // docs
 			"01" + "02000000" + "6b31" + "02000000" + "6b32" + // keys
 			"00"}, // no aggregate
 		{"reply+agg", part, "00" + stats + "0000000000000000" + "0100000000000000" + "02000000" + "6978" +
+			"00" + // not routed
 			"00000000" + "00" + // no docs, no keys
 			"01" + "03" + "0500000000000000" + "00000000" + // aggregate: kind, count, no distincts
 			"02000000" + "0100000000000000" + "0200000000000000" + "0900000000000000" + "0300000000000000"},
+		{"routed reply", routed, "01" + stats + "0200000000000000" + "0100000000000000" + "00000000" + // no index name
+			"01" + "02000000" + "01" + "01" + "01000000" + "05000000" + "01000000" + "01" + // nodes, broadcast, partial, failed [5], pruned, cache hit
+			"02000000" + "02000000" + "6431" + "02000000" + "6432" + // docs
+			"00" + "00"}, // no keys, no aggregate
 	} {
 		if got := tc.msg.Encode(nil); hex.EncodeToString(got) != tc.want {
 			t.Errorf("%s:\n got %x\nwant %s", tc.name, got, tc.want)
@@ -148,15 +158,13 @@ func TestSTQueryAggFieldsRoundTrip(t *testing.T) {
 	if got != m {
 		t.Fatalf("mismatch: %+v vs %+v", got, m)
 	}
-	r := STQueryReply{Nodes: 2, HasAgg: true,
-		Agg:          &query.AggResult{Kind: query.AggCount, Count: 9},
-		ShardsPruned: 3, CacheHit: true,
-		FailedShards: []int32{}, Docs: [][]byte{}}
-	gr, err := DecodeSTQueryReply(r.Encode(nil))
+	r := QueryReply{Routed: &Routed{Nodes: 2, ShardsPruned: 3, CacheHit: true},
+		Agg: &query.AggResult{Kind: query.AggCount, Count: 9}}
+	gr, err := DecodeQueryReply(r.Encode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gr.HasAgg || !gr.Agg.Equal(r.Agg) || gr.ShardsPruned != 3 || !gr.CacheHit {
+	if gr.Agg == nil || !gr.Agg.Equal(r.Agg) || gr.Routed == nil || gr.Routed.ShardsPruned != 3 || !gr.Routed.CacheHit {
 		t.Fatalf("reply mismatch: %+v", gr)
 	}
 }

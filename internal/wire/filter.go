@@ -22,7 +22,7 @@ const (
 	ftAnd
 	ftOr
 	ftGeoWithin
-	ftGeoPolygon
+	_ // 6: the polygon predicate, retired in version 7; refused like any unknown tag
 )
 
 // Value tags (the closed set of constant types filters carry).
@@ -109,16 +109,6 @@ func AppendFilter(buf []byte, f query.Filter) ([]byte, error) {
 		buf = appendU8(buf, ftGeoWithin)
 		buf = appendString(buf, f.Field)
 		return appendRect(buf, f.Rect), nil
-	case query.GeoWithinPolygon:
-		buf = appendU8(buf, ftGeoPolygon)
-		buf = appendString(buf, f.Field)
-		ring := f.Polygon.Vertices()
-		buf = appendU32(buf, uint32(len(ring)))
-		for _, p := range ring {
-			buf = appendF64(buf, p.Lon)
-			buf = appendF64(buf, p.Lat)
-		}
-		return buf, nil
 	case *query.Prepared:
 		// Planning state is per process; the filter is what travels.
 		return AppendFilter(buf, f.Filter())
@@ -183,22 +173,6 @@ func decodeFilter(d *dec, depth int) query.Filter {
 		return query.Or{Children: decodeChildren(d, depth)}
 	case ftGeoWithin:
 		return query.GeoWithin{Field: d.string("geo field"), Rect: decodeRect(d)}
-	case ftGeoPolygon:
-		field := d.string("polygon field")
-		n := d.count(16, "polygon vertices")
-		ring := make([]geo.Point, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			ring = append(ring, geo.Point{Lon: d.f64("vertex lon"), Lat: d.f64("vertex lat")})
-		}
-		if d.err != nil {
-			return nil
-		}
-		poly, err := geo.NewPolygon(ring...)
-		if err != nil {
-			d.fail("polygon ring: " + err.Error())
-			return nil
-		}
-		return query.GeoWithinPolygon{Field: field, Polygon: poly}
 	default:
 		d.fail(fmt.Sprintf("filter tag %d", tag))
 		return nil

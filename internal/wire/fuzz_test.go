@@ -20,9 +20,9 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(AppendFrame(nil, OpQueryReply, QueryReply{Docs: [][]byte{[]byte("e")}, Keys: [][]byte{[]byte("k")}}.Encode(nil)))
 	f.Add(AppendFrame(nil, OpError, ErrorReply{Shard: 1, Transient: true, Message: "x"}.Encode(nil)))
 	f.Add(AppendFrame(nil, OpSTQuery, STQuery{MinLon: 1, MaxLon: 2, Limit: 5}.Encode(nil)))
-	f.Add(AppendFrame(nil, OpSTQueryReply, STQueryReply{Nodes: 2, Partial: true, FailedShards: []int32{3},
-		Docs: [][]byte{[]byte("d1"), {}}, HasAgg: true,
-		Agg: &query.AggResult{Kind: query.AggCellHist, Count: 2, Cells: []query.CellCount{{Cell: 5, Count: 2}}}}.Encode(nil)))
+	f.Add(AppendFrame(nil, OpQueryReply, QueryReply{Routed: &Routed{Nodes: 2, Partial: true, FailedShards: []int32{3}, CacheHit: true},
+		Docs: [][]byte{[]byte("d1"), {}},
+		Agg:  &query.AggResult{Kind: query.AggCellHist, Count: 2, Cells: []query.CellCount{{Cell: 5, Count: 2}}}}.Encode(nil)))
 	f.Add(AppendFrame(nil, OpInsert, Insert{BatchID: "b1", Docs: [][]byte{[]byte("doc")}}.Encode(nil)))
 	// Corrupt variants: flipped payload byte, truncated tail, huge length.
 	good := AppendFrame(nil, OpQuery, []byte("payload"))
@@ -74,12 +74,6 @@ func FuzzFrameDecode(f *testing.F) {
 		DecodeStatsReply(msgBody)
 		DecodeErrorReply(msgBody)
 		DecodeSTQuery(msgBody)
-		if m, err := DecodeSTQueryReply(msgBody); err == nil {
-			checkViews(t, "STQueryReply doc", m.Docs)
-			if n := len(m.Encode(nil)); n != m.size() {
-				t.Fatalf("STQueryReply re-encodes to %d bytes, size() %d", n, m.size())
-			}
-		}
 		DecodeFilter(msgBody)
 		DecodeAggResult(msgBody)
 	})

@@ -229,8 +229,9 @@ func (m Query) Opts() query.Opts {
 	return query.Opts{Limit: int(m.Limit), OrderBy: m.OrderBy, Desc: m.Desc, Agg: m.Agg}
 }
 
-// QueryReply carries one frame of a shard's answer. The server sends
-// the frames of one answer back to back; the first also carries the
+// QueryReply carries one frame of an answer, on both hops: a shard's
+// answer to Query and a router's to STQuery. The server sends the
+// frames of one answer back to back; the first also carries the
 // execution stats (they are complete once the scan ran — the answer
 // is already limit/top-k-bounded), later ones leave them zero. More is
 // set on every frame but the last.
@@ -241,20 +242,40 @@ type QueryReply struct {
 	NReturned    int64
 	DurationNS   int64
 	IndexUsed    string
-	Docs         [][]byte
+	// Routed is present only on the first frame of a router's answer.
+	Routed *Routed
+	Docs   [][]byte
 	// Keys are the encoded sort keys, index-aligned with Docs; present
 	// only for ordered executions (the router's k-way merge needs
 	// them).
 	Keys [][]byte
-	// Agg is the shard's partial aggregate, present only when the query
-	// pushed one down (such a reply is a single frame with no Docs and
-	// no Keys).
+	// Agg is the partial aggregate, present only when the query pushed
+	// one down (such a reply is a single frame with no Docs and no
+	// Keys).
 	Agg *query.AggResult
+}
+
+// Routed is the router's observables of a routed answer, which the
+// shard hop has no use for: the nodes the query was sent to, whether
+// routing broadcast, the shards that failed a partial answer, the
+// targeted shards pruning skipped, and whether the result cache
+// answered. On a routed reply KeysExamined, DocsExamined and
+// DurationNS carry the per-node maxima and the scatter-gather time.
+type Routed struct {
+	Nodes        int32
+	Broadcast    bool
+	Partial      bool
+	FailedShards []int32
+	ShardsPruned int32
+	CacheHit     bool
 }
 
 // size is the exact length Encode appends.
 func (m QueryReply) size() int {
-	n := 1 + 4*8 + 4 + len(m.IndexUsed) + 4 + bytesListSize(m.Docs) + 1
+	n := 1 + 4*8 + 4 + len(m.IndexUsed) + 1 + 4 + bytesListSize(m.Docs) + 1
+	if m.Routed != nil {
+		n += 4 + 2 + 4 + 4*len(m.Routed.FailedShards) + 4 + 1
+	}
 	if m.Keys != nil {
 		n += bytesListSize(m.Keys)
 	}
@@ -274,6 +295,19 @@ func (m QueryReply) Encode(buf []byte) []byte {
 	buf = appendI64(buf, m.NReturned)
 	buf = appendI64(buf, m.DurationNS)
 	buf = appendString(buf, m.IndexUsed)
+	// The routed section costs a shard's reply one zero byte.
+	buf = appendBool(buf, m.Routed != nil)
+	if r := m.Routed; r != nil {
+		buf = appendU32(buf, uint32(r.Nodes))
+		buf = appendBool(buf, r.Broadcast)
+		buf = appendBool(buf, r.Partial)
+		buf = appendU32(buf, uint32(len(r.FailedShards)))
+		for _, id := range r.FailedShards {
+			buf = appendU32(buf, uint32(id))
+		}
+		buf = appendU32(buf, uint32(r.ShardsPruned))
+		buf = appendBool(buf, r.CacheHit)
+	}
 	buf = appendU32(buf, uint32(len(m.Docs)))
 	for _, doc := range m.Docs {
 		buf = appendBytes(buf, doc)
@@ -291,6 +325,48 @@ func (m QueryReply) Encode(buf []byte) []byte {
 	return buf
 }
 
+// Fill sets m.Docs, and m.Keys when keys is not nil, to the longest
+// prefix of docs that keeps the frame within n documents and within
+// MaxFrameBody bytes beside m's other fields, and returns its length.
+func (m *QueryReply) Fill(docs, keys [][]byte, n int) int {
+	m.Docs, m.Keys = nil, nil
+	size, k := m.size(), 0
+	for ; k < len(docs) && k < n; k++ {
+		d := 4 + len(docs[k])
+		if keys != nil {
+			d += 4 + len(keys[k])
+		}
+		if size+d > MaxFrameBody {
+			break
+		}
+		size += d
+	}
+	m.Docs = docs[:k]
+	if keys != nil {
+		m.Keys = keys[:k]
+	}
+	return k
+}
+
+// DocsFit returns nil when every document, with its key, fits in a
+// reply frame that carries nothing else — so Fill takes at least one
+// document into every frame after the first — and otherwise an error
+// naming the first that does not.
+func DocsFit(docs, keys [][]byte) error {
+	room := MaxFrameBody - QueryReply{}.size()
+	for i, doc := range docs {
+		n := 4 + len(doc)
+		if keys != nil {
+			n += 4 + len(keys[i])
+		}
+		if n > room {
+			return fmt.Errorf("wire: document %d of %d encodes to %d bytes, over the %d bytes a reply frame can carry",
+				i, len(docs), n, room)
+		}
+	}
+	return nil
+}
+
 // DecodeQueryReply decodes a QueryReply body.
 func DecodeQueryReply(b []byte) (QueryReply, error) {
 	d := &dec{b: b}
@@ -301,6 +377,21 @@ func DecodeQueryReply(b []byte) (QueryReply, error) {
 		NReturned:    d.i64("n returned"),
 		DurationNS:   d.i64("duration"),
 		IndexUsed:    d.string("index used"),
+	}
+	if d.bool("has routed") && d.err == nil {
+		r := &Routed{
+			Nodes:     int32(d.u32("nodes")),
+			Broadcast: d.bool("broadcast"),
+			Partial:   d.bool("partial"),
+		}
+		nf := d.count(4, "failed shards")
+		r.FailedShards = make([]int32, 0, nf)
+		for i := 0; i < nf && d.err == nil; i++ {
+			r.FailedShards = append(r.FailedShards, int32(d.u32("failed shard")))
+		}
+		r.ShardsPruned = int32(d.u32("shards pruned"))
+		r.CacheHit = d.bool("cache hit")
+		m.Routed = r
 	}
 	n := d.count(4, "docs")
 	m.Docs = make([][]byte, 0, n)
@@ -417,7 +508,9 @@ func DecodeErrorReply(b []byte) (ErrorReply, error) {
 // STQuery is the router daemon's client-facing operation: one
 // spatio-temporal range query (rectangle, closed time interval,
 // optional limit and date ordering), routed and scatter-gathered by
-// the daemon exactly as the embedded router would.
+// the daemon exactly as the embedded router would. It is answered
+// like Query, by a stream of QueryReply frames; the first carries the
+// routed section.
 type STQuery struct {
 	MinLon, MinLat float64
 	MaxLon, MaxLat float64
@@ -462,100 +555,5 @@ func DecodeSTQuery(b []byte) (STQuery, error) {
 	m.AggKind = d.u8("agg kind")
 	m.AggField = d.string("agg field")
 	m.AggBits = d.u8("agg bits")
-	return m, d.finish()
-}
-
-// STQueryReply is the routed query's answer: the merged documents and
-// the routing/execution metrics a client needs to print the paper's
-// observables.
-type STQueryReply struct {
-	Nodes           int32
-	MaxKeysExamined int64
-	MaxDocsExamined int64
-	DurationNS      int64
-	Broadcast       bool
-	Partial         bool
-	FailedShards    []int32
-	Docs            [][]byte
-	// Version 4: the merged aggregate (when the query pushed one
-	// down), plus the router's pruning/caching observables.
-	HasAgg       bool
-	Agg          *query.AggResult
-	ShardsPruned int32
-	CacheHit     bool
-}
-
-// size is the exact length Encode appends.
-func (m STQueryReply) size() int {
-	n := 4 + 3*8 + 2 + 4 + 4*len(m.FailedShards) + 4 + bytesListSize(m.Docs) + 1
-	if m.HasAgg {
-		n += aggResultSize(m.Agg)
-	}
-	return n + 4 + 1
-}
-
-// CheckSize returns nil when the encoded reply fits in one frame, and
-// otherwise an error giving its document count and size — without
-// encoding it. No peer's ReadFrame accepts a larger frame.
-func (m STQueryReply) CheckSize() error {
-	if n := m.size(); n > MaxFrameBody {
-		return fmt.Errorf("wire: reply too large for one frame: %d documents encode to %d bytes, over the %d-byte limit",
-			len(m.Docs), n, MaxFrameBody)
-	}
-	return nil
-}
-
-// Encode appends the message body to buf, growing it at most once.
-func (m STQueryReply) Encode(buf []byte) []byte {
-	buf = grow(buf, m.size())
-	buf = appendU32(buf, uint32(m.Nodes))
-	buf = appendI64(buf, m.MaxKeysExamined)
-	buf = appendI64(buf, m.MaxDocsExamined)
-	buf = appendI64(buf, m.DurationNS)
-	buf = appendBool(buf, m.Broadcast)
-	buf = appendBool(buf, m.Partial)
-	buf = appendU32(buf, uint32(len(m.FailedShards)))
-	for _, id := range m.FailedShards {
-		buf = appendU32(buf, uint32(id))
-	}
-	buf = appendU32(buf, uint32(len(m.Docs)))
-	for _, doc := range m.Docs {
-		buf = appendBytes(buf, doc)
-	}
-	buf = appendBool(buf, m.HasAgg)
-	if m.HasAgg {
-		buf = AppendAggResult(buf, m.Agg)
-	}
-	buf = appendU32(buf, uint32(m.ShardsPruned))
-	return appendBool(buf, m.CacheHit)
-}
-
-// DecodeSTQueryReply decodes an STQueryReply body.
-func DecodeSTQueryReply(b []byte) (STQueryReply, error) {
-	d := &dec{b: b}
-	m := STQueryReply{
-		Nodes:           int32(d.u32("nodes")),
-		MaxKeysExamined: d.i64("max keys"),
-		MaxDocsExamined: d.i64("max docs"),
-		DurationNS:      d.i64("duration"),
-		Broadcast:       d.bool("broadcast"),
-		Partial:         d.bool("partial"),
-	}
-	nf := d.count(4, "failed shards")
-	m.FailedShards = make([]int32, 0, nf)
-	for i := 0; i < nf && d.err == nil; i++ {
-		m.FailedShards = append(m.FailedShards, int32(d.u32("failed shard")))
-	}
-	nd := d.count(4, "docs")
-	m.Docs = make([][]byte, 0, nd)
-	for i := 0; i < nd && d.err == nil; i++ {
-		m.Docs = append(m.Docs, d.view("doc"))
-	}
-	m.HasAgg = d.bool("has agg")
-	if m.HasAgg && d.err == nil {
-		m.Agg = decodeAggResult(d)
-	}
-	m.ShardsPruned = int32(d.u32("shards pruned"))
-	m.CacheHit = d.bool("cache hit")
 	return m, d.finish()
 }

@@ -40,7 +40,7 @@ import (
 // ErrCodeUnauthorized).
 //
 // Version 4 added aggregation pushdown to the router-facing op (the
-// aggregate fields appended to STQuery/STQueryReply).
+// aggregate fields appended to STQuery and to its reply).
 //
 // Version 5 made the shard-facing read one op: Query carries the
 // aggregate spec among its pushed-down options and QueryReply carries
@@ -52,13 +52,20 @@ import (
 // flag replaced the cursor id. The three cursor op codes, 5–7, stay
 // reserved, so every other op keeps its number and a version-5 peer
 // still reads the handshake refusal as OpError.
-const ProtocolVersion = 6
+//
+// Version 7 made the router hop answer in the shard hop's format: a
+// router streams its merged answer as QueryReply frames, whose first
+// carries the routed observables in an optional section (one zero byte
+// on a shard's reply). The single-frame router reply's op code, 11,
+// stays reserved.
+const ProtocolVersion = 7
 
-// MaxFrameBody bounds a single frame body. A shard's answer is split
-// into frames of a bounded document count, so real frames stay far
-// below this; the
-// cap exists so a corrupt or hostile length field cannot make a
-// reader attempt a giant allocation.
+// MaxFrameBody bounds a single frame body, so that a corrupt or
+// hostile length field cannot make a reader attempt a giant
+// allocation. A server cuts an answer into frames by document count
+// and by bytes: a frame takes no document that would carry it past
+// this bound, and an answer holding a document no frame can carry is
+// refused with an error before its first frame.
 const MaxFrameBody = 32 << 20
 
 // frameHeaderSize is the length + crc prefix.
@@ -76,7 +83,7 @@ const (
 	OpStats
 	OpStatsReply
 	OpSTQuery
-	OpSTQueryReply
+	_ // 11: the router's single-frame reply, retired in version 7
 	OpPing
 	OpPong
 	OpError

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -187,14 +188,6 @@ func TestQueryRoundTrip(t *testing.T) {
 }
 
 func TestFilterRoundTrip(t *testing.T) {
-	poly, err := geo.NewPolygon(
-		geo.Point{Lon: 23, Lat: 37},
-		geo.Point{Lon: 25, Lat: 37},
-		geo.Point{Lon: 24, Lat: 39},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
 	filters := []query.Filter{
 		query.Cmp{Field: "a", Op: query.OpEQ, Value: int64(7)},
 		query.Cmp{Field: "b", Op: query.OpEQ, Value: "text"},
@@ -206,7 +199,7 @@ func TestFilterRoundTrip(t *testing.T) {
 			query.Cmp{Field: "x", Op: query.OpEQ, Value: int64(1)},
 			query.And{Children: []query.Filter{
 				query.Cmp{Field: "y", Op: query.OpGT, Value: int64(2)},
-				query.GeoWithinPolygon{Field: "location", Polygon: poly},
+				query.GeoWithin{Field: "location", Rect: geo.NewRect(23, 37, 25, 39)},
 			}},
 		}},
 		query.GeoWithin{Field: "location", Rect: geo.NewRect(-10, -20, 10, 20)},
@@ -227,6 +220,20 @@ func TestFilterRoundTrip(t *testing.T) {
 		if prep, err := AppendFilter(nil, query.Prepare(f)); err != nil || !bytes.Equal(prep, enc) {
 			t.Fatalf("%T prepared encodes as %x (%v), bare as %x", f, prep, err, enc)
 		}
+	}
+}
+
+// TestFilterRefusesRetiredTag: tag 6 carried the polygon predicate
+// until version 7; the decoder refuses it as it refuses any unknown
+// tag.
+func TestFilterRefusesRetiredTag(t *testing.T) {
+	enc, err := AppendFilter(nil, query.GeoWithin{Field: "location", Rect: geo.NewRect(23, 37, 25, 39)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc[0] = ftGeoWithin + 1
+	if _, err := DecodeFilter(enc); !errors.Is(err, ErrBadMessage) || !strings.Contains(err.Error(), "filter tag 6") {
+		t.Fatalf("retired tag: %v, want ErrBadMessage naming filter tag 6", err)
 	}
 }
 
@@ -311,19 +318,20 @@ func TestSTQueryRoundTrip(t *testing.T) {
 		t.Fatalf("STQuery: %+v, %v", out, err)
 	}
 
-	reply := STQueryReply{
-		Nodes:           3,
-		MaxKeysExamined: 100,
-		MaxDocsExamined: 90,
-		DurationNS:      5555,
-		Broadcast:       true,
-		Partial:         true,
-		FailedShards:    []int32{2},
-		Docs:            [][]byte{[]byte("d1"), []byte("d2")},
+	// Its answer is QueryReply frames; the first carries the routed
+	// section.
+	reply := QueryReply{
+		More:         true,
+		KeysExamined: 100,
+		DocsExamined: 90,
+		NReturned:    2,
+		DurationNS:   5555,
+		Routed:       &Routed{Nodes: 3, Broadcast: true, Partial: true, FailedShards: []int32{2}, ShardsPruned: 1},
+		Docs:         [][]byte{[]byte("d1"), []byte("d2")},
 	}
-	out, err := DecodeSTQueryReply(reply.Encode(nil))
+	out, err := DecodeQueryReply(reply.Encode(nil))
 	if err != nil || !reflect.DeepEqual(out, reply) {
-		t.Fatalf("STQueryReply: %+v, %v", out, err)
+		t.Fatalf("routed QueryReply: %+v, %v", out, err)
 	}
 }
 
@@ -348,7 +356,7 @@ func TestDecodeRejectsHostileCounts(t *testing.T) {
 	}
 }
 
-// TestReplyEncodersSizeOnce holds both reply encoders to their size:
+// TestReplyEncodersSizeOnce holds the reply encoder, on both hops, to its size:
 // Encode appends exactly size() bytes into a buffer of exactly that
 // capacity, in one allocation.
 func TestReplyEncodersSizeOnce(t *testing.T) {
@@ -367,10 +375,10 @@ func TestReplyEncodersSizeOnce(t *testing.T) {
 		{"reply docs", QueryReply{More: true, NReturned: 3, IndexUsed: "ix", Docs: docs}},
 		{"reply docs+keys", QueryReply{KeysExamined: 9, IndexUsed: "ix", Docs: docs, Keys: keys}},
 		{"reply agg", QueryReply{IndexUsed: "ix", Agg: agg}},
-		{"st failed shards", STQueryReply{Nodes: 3, Partial: true, FailedShards: []int32{1, 4}}},
-		{"st docs", STQueryReply{Nodes: 2, Docs: docs, ShardsPruned: 1, CacheHit: true}},
-		{"st agg", STQueryReply{Nodes: 2, HasAgg: true, Agg: agg}},
-		{"st agg nil", STQueryReply{HasAgg: true}},
+		{"routed failed shards", QueryReply{Routed: &Routed{Nodes: 3, Partial: true, FailedShards: []int32{1, 4}}}},
+		{"routed docs", QueryReply{More: true, NReturned: 3, Routed: &Routed{Nodes: 2, ShardsPruned: 1, CacheHit: true}, Docs: docs}},
+		{"routed agg", QueryReply{Routed: &Routed{Nodes: 2}, Agg: agg}},
+		{"routed empty", QueryReply{Routed: &Routed{}}},
 	} {
 		b := tc.msg.Encode(nil)
 		if len(b) != tc.msg.size() || cap(b) != len(b) {
@@ -392,13 +400,13 @@ func TestReplyDocsAreCappedViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := DecodeSTQueryReply(STQueryReply{Docs: docs}.Encode(nil))
+	routed, err := DecodeQueryReply(QueryReply{Routed: &Routed{Nodes: 2, FailedShards: []int32{1}}, Docs: docs}.Encode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkViews(t, "QueryReply doc", qr.Docs)
 	checkViews(t, "QueryReply key", qr.Keys)
-	checkViews(t, "STQueryReply doc", st.Docs)
+	checkViews(t, "routed QueryReply doc", routed.Docs)
 	_ = append(qr.Docs[0], 'X')
 	if !bytes.Equal(qr.Docs[1], []byte("d2")) {
 		t.Fatalf("appending to doc 0 overwrote doc 1: %q", qr.Docs[1])
@@ -406,5 +414,41 @@ func TestReplyDocsAreCappedViews(t *testing.T) {
 	body[bytes.Index(body, []byte("d1"))] = 'z'
 	if string(qr.Docs[0]) != "z1" {
 		t.Fatalf("doc 0 = %q: not a view of its frame", qr.Docs[0])
+	}
+}
+
+// TestFillCutsByCountAndBytes: a frame takes at most n documents, and
+// no document that would carry its body past MaxFrameBody; DocsFit
+// refuses only a document too large for a frame of its own.
+func TestFillCutsByCountAndBytes(t *testing.T) {
+	big := make([]byte, 7<<20) // shared: the sizes matter, not the bytes
+	docs := [][]byte{big, big, big, big, big, big}
+	keys := [][]byte{[]byte("k0"), []byte("k1"), []byte("k2"), []byte("k3"), []byte("k4"), []byte("k5")}
+	first := QueryReply{KeysExamined: 6, IndexUsed: "ix", Routed: &Routed{Nodes: 1}}
+	if k := first.Fill(docs, keys, 512); k != 4 || len(first.Docs) != 4 || len(first.Keys) != 4 || first.size() > MaxFrameBody {
+		t.Fatalf("7 MiB documents: first frame takes %d (%d bytes), want 4 within %d", k, first.size(), MaxFrameBody)
+	}
+	if k := first.Fill(docs, keys, 3); k != 3 {
+		t.Fatalf("count cut: frame takes %d, want 3", k)
+	}
+	var rest QueryReply
+	if k := rest.Fill(docs[4:], nil, 512); k != 2 || rest.Keys != nil {
+		t.Fatalf("unordered tail: frame takes %d, keys %v", k, rest.Keys)
+	}
+	if err := DocsFit(docs, keys); err != nil {
+		t.Fatal(err)
+	}
+
+	room := MaxFrameBody - QueryReply{}.size()
+	exact := make([]byte, room-4)
+	if err := DocsFit([][]byte{exact}, nil); err != nil {
+		t.Fatalf("a document filling a frame exactly: %v", err)
+	}
+	if k := rest.Fill([][]byte{exact}, nil, 512); k != 1 || rest.size() != MaxFrameBody {
+		t.Fatalf("exact fit: frame takes %d at %d bytes", k, rest.size())
+	}
+	err := DocsFit([][]byte{{}, exact}, [][]byte{{}, {}})
+	if err == nil || !strings.Contains(err.Error(), "document 1 of 2") {
+		t.Fatalf("a document one key too large: %v, want an error naming document 1 of 2", err)
 	}
 }
