@@ -181,6 +181,16 @@ func (c *Collection) RestoreRaw(id storage.RecordID, raw []byte) error {
 	if _, err := bson.Validate(raw); err != nil {
 		return fmt.Errorf("collection %s: restoring record %d: %w", c.name, id, err)
 	}
+	return c.InsertRawAt(id, raw)
+}
+
+// InsertRawAt stores an encoded document under a record id the caller
+// chose and adds it to every index: InsertRaw without the id counter,
+// for callers that reproduce ids decided elsewhere (a snapshot restore,
+// a bulk load). The id must be free; the counter advances past it
+// (storage.Store.PutRaw). The bytes are trusted like InsertRaw's, and
+// the collection owns them afterwards.
+func (c *Collection) InsertRawAt(id storage.RecordID, raw []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.store.PutRaw(id, raw); err != nil {
@@ -188,8 +198,25 @@ func (c *Collection) RestoreRaw(id storage.RecordID, raw []byte) error {
 	}
 	for _, ix := range c.indexes {
 		if err := ix.InsertRaw(raw, id); err != nil {
-			return fmt.Errorf("collection %s: restoring record %d into %q: %w",
+			return fmt.Errorf("collection %s: storing record %d into %q: %w",
 				c.name, id, ix.Def().Name, err)
+		}
+	}
+	return nil
+}
+
+// CheckRaw reports the error InsertRaw would return for the encoded
+// document, storing nothing: a missing _id, or a key an index cannot
+// build from it.
+func (c *Collection) CheckRaw(raw []byte) error {
+	if _, ok := bson.Raw(raw).LookupRaw("_id"); !ok {
+		return fmt.Errorf("collection %s: document missing _id", c.name)
+	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for _, ix := range c.indexes {
+		if err := ix.CheckRaw(raw); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -371,42 +371,87 @@ func (s *Store) Insert(rec Record) error {
 	return err
 }
 
-// loadSlice is how many records Load encodes before applying them as
-// one batch: one cluster lock acquisition (and, on a durable store, one
-// journal record) per slice instead of per record.
-const loadSlice = 256
-
 // Load bulk-inserts records and runs a final balancing round, like
 // the paper's loading procedure (bulk insertion through the query
-// routers with the balancer running in the background). Documents are
-// applied one at a time in record order, so splits and balancing
-// rounds fall where inserting each record alone would put them. A
-// record that fails to encode stops the load after the records before
-// it are applied.
+// routers with the balancer running in the background): the store
+// ends as if each record had been inserted alone, in record order, and
+// then balanced, with the same ObjectIDs and, durably, the same
+// journal (sharding.Cluster.Load). Every record is checked before any
+// is applied: a record that cannot be encoded refuses the whole load,
+// and the store, ObjectID sequence included, stays as it was.
+//
+// The records are encoded across the cluster's worker width
+// (Config.Parallel); a store that has never held a document places
+// them all on their keys first and then stores each once, in its final
+// shard.
 func (s *Store) Load(recs []Record) error {
-	raws := make([][]byte, 0, min(loadSlice, len(recs)))
-	for start := 0; start < len(recs); start += loadSlice {
-		raws = raws[:0]
-		var encErr error
-		for i := start; i < min(start+loadSlice, len(recs)); i++ {
-			raw, err := s.encode(recs[i])
-			if err != nil {
-				encErr = fmt.Errorf("core: loading record %d: %w", i, err)
-				break
+	raws, err := s.encodeAll(recs)
+	if err != nil {
+		return err
+	}
+	if err := s.cluster.Load(raws); err != nil {
+		return fmt.Errorf("core: loading: %w", err)
+	}
+	return nil
+}
+
+// encodeAll checks every record, then draws the ObjectIDs in record
+// order and encodes the records; checking and encoding run on
+// contiguous blocks of records across the cluster's worker width. A
+// refused record draws no ObjectID at all. The encodings share
+// buffers of loadBuffer bytes: Cluster.Load stores copies, so the
+// buffers die whole after it.
+func (s *Store) encodeAll(recs []Record) ([][]byte, error) {
+	workers := min(s.cluster.Options().Parallel, max(len(recs), 1))
+	errs := make([]error, workers)
+	inBlocks(len(recs), workers, func(w, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if err := s.checkRecord(recs[i]); err != nil {
+				errs[w] = fmt.Errorf("core: loading record %d: %w", i, err)
+				return
 			}
-			raws = append(raws, raw)
 		}
-		if len(raws) > 0 {
-			if _, _, err := s.cluster.InsertBatchRaw("", raws); err != nil {
-				return fmt.Errorf("core: loading records %d-%d: %w", start, start+len(raws)-1, err)
-			}
-		}
-		if encErr != nil {
-			return encErr
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err // the lowest block's first refusal
 		}
 	}
-	s.cluster.Balance()
-	return nil
+	ids := make([]bson.ObjectID, len(recs))
+	for i := range recs {
+		ids[i] = s.idGen.New(recs[i].Time)
+	}
+	raws := make([][]byte, len(recs))
+	inBlocks(len(recs), workers, func(_, lo, hi int) {
+		var buf []byte
+		for i := lo; i < hi; i++ {
+			l := s.layout(recs[i])
+			if cap(buf)-len(buf) < l.size {
+				buf = make([]byte, 0, max(l.size, loadBuffer))
+			}
+			start := len(buf)
+			buf = s.appendRecord(buf, recs[i], ids[i], l)
+			raws[i] = buf[start:len(buf):len(buf)]
+		}
+	})
+	return raws, nil
+}
+
+// loadBuffer is the size of the buffers Load encodes records into.
+const loadBuffer = 64 << 10
+
+// inBlocks splits [0, n) into workers contiguous blocks and runs fn on
+// each, block w on its own goroutine, returning when all are done.
+func inBlocks(n, workers int, fn func(w, lo, hi int)) {
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(w, n*w/workers, n*(w+1)/workers)
+		}()
+	}
+	wg.Wait()
 }
 
 // ConfigureZones derives one zone per shard with $bucketAuto-style

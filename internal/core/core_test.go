@@ -470,3 +470,69 @@ func TestLoadBalancesCluster(t *testing.T) {
 		t.Fatalf("%d empty shards after load", empty)
 	}
 }
+
+// TestLoadRefusesBeforeApplying: a record Load cannot encode refuses
+// the whole load — on a fresh store (the bulk path), a durable one and
+// one already holding documents (the per-slice path) alike. Nothing is
+// stored or journaled and no ObjectID is drawn: loading the good
+// records afterwards gives the store a fresh load of them gives.
+func TestLoadRefusesBeforeApplying(t *testing.T) {
+	const bad = 1700
+	recs := testRecords(3000)
+	good := append(append([]Record(nil), recs[:bad]...), recs[bad+1:]...)
+	badRecs := append([]Record(nil), recs...)
+	badRecs[bad].Point = geo.Point{Lon: 200, Lat: 0}
+
+	for _, c := range []struct {
+		name    string
+		durable bool
+		prior   int // records loaded before the refused load
+	}{
+		{name: "fresh"}, {name: "durable", durable: true}, {name: "holding", prior: 500},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			open := func() *Store {
+				cfg := Config{Approach: Hil, Shards: 4, ChunkMaxBytes: 8 << 10, AutoBalanceEvery: 256}
+				if c.durable {
+					cfg.Dir = t.TempDir()
+				}
+				s, err := Open(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { s.Close() })
+				if c.prior > 0 {
+					if err := s.Load(good[len(good)-c.prior:]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return s
+			}
+			s, want := open(), open()
+			docs, sum := s.Fingerprint()
+			lsn := s.Cluster().LSN()
+			err := s.Load(badRecs)
+			if err == nil || !strings.Contains(err.Error(), "record 1700:") {
+				t.Fatalf("Load: err = %v, want one naming record %d", err, bad)
+			}
+			if gd, gs := s.Fingerprint(); gd != docs || gs != sum {
+				t.Fatalf("the refused load changed the content: %d/%016x, was %d/%016x", gd, gs, docs, sum)
+			}
+			if got := s.Cluster().LSN(); got != lsn {
+				t.Fatalf("the refused load journaled up to lsn %d, was %d", got, lsn)
+			}
+			if err := s.Load(good); err != nil {
+				t.Fatal(err)
+			}
+			if err := want.Load(good); err != nil {
+				t.Fatal(err)
+			}
+			gd, gs := s.Fingerprint()
+			wd, ws := want.Fingerprint()
+			if gd != wd || gs != ws {
+				t.Fatalf("after the refusal the good records load to %d/%016x, a store that never saw it to %d/%016x",
+					gd, gs, wd, ws)
+			}
+		})
+	}
+}

@@ -68,6 +68,21 @@ func (s *Store) encode(rec Record) ([]byte, error) {
 	if err := s.checkRecord(rec); err != nil {
 		return nil, err
 	}
+	l := s.layout(rec)
+	return s.appendRecord(make([]byte, 0, l.size), rec, s.idGen.New(rec.Time), l), nil
+}
+
+// recordLayout is what encoding a record works out before it writes:
+// the encoding's size, the payload after bson.Document.Set's rule for
+// repeated keys, and the ST-Hash string.
+type recordLayout struct {
+	size   int
+	fields bson.D
+	sth    string
+}
+
+// layout sizes the encoding of a record checkRecord accepted.
+func (s *Store) layout(rec Record) recordLayout {
 	fields := rec.Fields
 	if hasDuplicateKey(fields) {
 		fields = dedupe(fields)
@@ -88,10 +103,13 @@ func (s *Store) encode(rec Record) ([]byte, error) {
 	for _, e := range fields {
 		n += 1 + len(e.Key) + 1 + bson.ValueSize(e.Value)
 	}
+	return recordLayout{size: n, fields: fields, sth: sth}
+}
 
-	id := s.idGen.New(rec.Time)
-	b := make([]byte, 0, n)
-	b = binary.LittleEndian.AppendUint32(b, uint32(n))
+// appendRecord appends the encoding of a record checkRecord accepted,
+// as layout sized it, under an ObjectID already drawn.
+func (s *Store) appendRecord(b []byte, rec Record, id bson.ObjectID, l recordLayout) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(l.size))
 	b = appendKey(b, tagObjectID, FieldID)
 	b = append(b, id[:]...)
 	b = appendKey(b, tagDocument, FieldLoc)
@@ -108,14 +126,14 @@ func (s *Store) encode(rec Record) ([]byte, error) {
 	}
 	if s.sth != nil {
 		b = appendKey(b, tagString, FieldSTHash)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(sth)+1))
-		b = append(b, sth...)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(l.sth)+1))
+		b = append(b, l.sth...)
 		b = append(b, 0)
 	}
-	for _, e := range fields {
+	for _, e := range l.fields {
 		b = bson.AppendElement(b, e.Key, e.Value)
 	}
-	return append(b, 0), nil
+	return append(b, 0)
 }
 
 // appendKey appends an element's tag and NUL-terminated key.

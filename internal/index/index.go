@@ -181,17 +181,42 @@ func (ix *Index) appendEntryKeyRaw(dst []byte, raw bson.Raw, id storage.RecordID
 		// null — how missing fields index.
 		v, found := raw.LookupRaw(f.Name)
 		if found && f.Kind == Geo2DSphere {
-			lon, lat, ok := v.GeoPoint()
-			if !ok {
-				return nil, fmt.Errorf("index %s: field %q is not a GeoJSON point", ix.def.Name, f.Name)
+			hash, err := ix.geoKey(f, v)
+			if err != nil {
+				return nil, err
 			}
-			hash := geohash.EncodeBits(geo.Point{Lon: lon, Lat: lat}, ix.def.geoBits())
-			dst = keyenc.AppendNumber(dst, float64(int64(hash)))
+			dst = keyenc.AppendNumber(dst, float64(hash))
 			continue
 		}
 		dst, _ = keyenc.AppendRaw(dst, v)
 	}
 	return binary.BigEndian.AppendUint64(dst, uint64(id)), nil
+}
+
+// geoKey is the key value of a present 2dsphere component: the
+// geohash of its point, or an error when it is not a GeoJSON point.
+func (ix *Index) geoKey(f Field, v bson.RawValue) (int64, error) {
+	lon, lat, ok := v.GeoPoint()
+	if !ok {
+		return 0, fmt.Errorf("index %s: field %q is not a GeoJSON point", ix.def.Name, f.Name)
+	}
+	return int64(geohash.EncodeBits(geo.Point{Lon: lon, Lat: lat}, ix.def.geoBits())), nil
+}
+
+// CheckRaw reports the error InsertRaw would return for the encoded
+// document, storing nothing: only a 2dsphere component can refuse one.
+func (ix *Index) CheckRaw(raw bson.Raw) error {
+	for _, f := range ix.def.Fields {
+		if f.Kind != Geo2DSphere {
+			continue
+		}
+		if v, found := raw.LookupRaw(f.Name); found {
+			if _, err := ix.geoKey(f, v); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // KeyPrefix strips the record-id suffix from a full tree key,

@@ -2,11 +2,9 @@ package sharding
 
 import (
 	"bytes"
-	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/bson"
@@ -154,13 +152,7 @@ type Cluster struct {
 
 	sharded bool
 	key     ShardKey
-	chunks  []*Chunk // sorted by Min
-	zones   []Zone   // sorted by Min; may be empty
-
-	sinceBalance int
-	splits       int
-	migrations   int
-	jumbo        int
+	chunkMap
 
 	// conn is the per-shard execution boundary (Options.Conn,
 	// defaulted to LocalConn) and breakers the per-shard circuit
@@ -200,6 +192,11 @@ type Cluster struct {
 func NewCluster(opts Options) *Cluster {
 	opts = opts.withDefaults()
 	c := &Cluster{opts: opts, conn: opts.Conn, dedup: newDedupWindow(dedupWindowSize)}
+	c.chunkMap = chunkMap{
+		shards:       opts.Shards,
+		maxBytes:     opts.ChunkMaxBytes,
+		balanceEvery: opts.AutoBalanceEvery,
+	}
 	c.epochs = make([]uint64, opts.Shards)
 	if opts.ResultCacheBytes > 0 {
 		c.rcache = newResultCache(opts.ResultCacheBytes)
@@ -387,34 +384,10 @@ func (c *Cluster) insertRawLocked(raw []byte) error {
 	}
 	c.fpDocs++
 	c.fpSum += docChecksum(raw)
-	ch.Docs++
-	ch.Bytes += int64(len(raw))
 	c.bumpEpochLocked(ch.Shard)
 	c.summaryAddLocked(ch, raw)
-	if ch.Bytes > c.opts.ChunkMaxBytes {
-		c.splitChunkLocked(ci)
-	}
-	if c.opts.AutoBalanceEvery > 0 {
-		c.sinceBalance++
-		if c.sinceBalance >= c.opts.AutoBalanceEvery {
-			c.sinceBalance = 0
-			c.balanceLocked()
-		}
-	}
+	c.placed(ci, len(raw), c)
 	return nil
-}
-
-// findChunk returns the index of the chunk containing the tuple, or
-// -1. Chunks tile the key space, so a valid tuple always lands.
-func (c *Cluster) findChunk(tuple []byte) int {
-	// First chunk whose Max > tuple.
-	i := sort.Search(len(c.chunks), func(i int) bool {
-		return bytes.Compare(c.chunks[i].Max, tuple) > 0
-	})
-	if i < len(c.chunks) && c.chunks[i].Contains(tuple) {
-		return i
-	}
-	return -1
 }
 
 // chunkInterval is the chunk's range of the shard-key index.
@@ -480,78 +453,13 @@ func (c *Cluster) chunkRecords(ch *Chunk) []storage.RecordID {
 	return ids
 }
 
-// splitPoint picks where a chunk holding n documents splits: the
-// median tuple — or, when the median equals the lowest tuple, the
-// first tuple above it, so both halves are non-empty — and how many
-// documents sort below it. each visits the chunk's tuples in sorted
-// order with borrowed slices that stay valid for the whole visit (the
-// index is not mutated meanwhile); the chosen tuple is the only one
-// copied. ok is false when every document shares one tuple.
-func splitPoint(n int, each func(visit func(tuple []byte) bool)) (split []byte, leftDocs int, ok bool) {
-	var run []byte // the tuple of the run of equal tuples being visited
-	runStart, i := 0, 0
-	each(func(tuple []byte) bool {
-		if i == 0 || !bytes.Equal(tuple, run) {
-			if i > n/2 {
-				// The median's run began at the low end; this is the
-				// first tuple above it.
-				split, leftDocs, ok = bytes.Clone(tuple), i, true
-				return false
-			}
-			run, runStart = tuple, i
-		}
-		if i == n/2 && runStart > 0 {
-			split, leftDocs, ok = bytes.Clone(tuple), runStart, true
-			return false
-		}
-		i++
-		return true
-	})
-	return split, leftDocs, ok
-}
-
-// splitChunkLocked splits chunk ci at the median shard-key value. A
-// chunk whose documents all share one tuple cannot be split — the
-// "jumbo" case the paper discusses for skewed Hilbert values (the
-// compound (hilbertIndex, date) key avoids it because dates have high
-// cardinality). It takes two passes over the chunk's tuples — count,
-// then walk to the median.
-func (c *Cluster) splitChunkLocked(ci int) {
-	ch := c.chunks[ci]
-	each := c.chunkTuples(ch)
-	n := 0
-	each(func([]byte) bool {
-		n++
-		return true
-	})
-	if n < 2 {
-		return
-	}
-	split, leftDocs, ok := splitPoint(n, each)
-	if !ok {
-		c.jumbo++
-		return
-	}
-	perDoc := ch.Bytes / int64(max(ch.Docs, 1))
-	right := &Chunk{
-		Min:   split,
-		Max:   ch.Max,
-		Shard: ch.Shard,
-		Docs:  n - leftDocs,
-		Bytes: perDoc * int64(n-leftDocs),
-	}
-	ch.Max = split
-	ch.Docs = leftDocs
-	ch.Bytes = perDoc * int64(leftDocs)
-	c.chunks = append(c.chunks, nil)
-	copy(c.chunks[ci+2:], c.chunks[ci+1:])
-	c.chunks[ci+1] = right
-	c.splits++
-	// Both halves rebuild their sketches from the data: the parent's
-	// sketch cannot be divided. The shard's content did not change, but
-	// its chunk map did — bump the epoch so cached routes re-validate.
-	c.bumpEpochLocked(ch.Shard)
-	c.rebuildChunkSummaryLocked(ch)
+// afterSplit rebuilds both halves' sketches from the data — the
+// parent's sketch cannot be divided. The shard's content did not
+// change, but its chunk map did: bump the epoch so cached routes
+// re-validate.
+func (c *Cluster) afterSplit(left, right *Chunk) {
+	c.bumpEpochLocked(left.Shard)
+	c.rebuildChunkSummaryLocked(left)
 	c.rebuildChunkSummaryLocked(right)
 }
 
@@ -669,81 +577,17 @@ func (c *Cluster) Balance() {
 }
 
 func (c *Cluster) balanceLocked() {
-	if !c.sharded {
-		return
-	}
-	for moved := true; moved; {
-		moved = false
-		counts := c.chunkCountsLocked()
-		// Consider donors from most to least loaded.
-		order := make([]int, len(c.shards))
-		for i := range order {
-			order[i] = i
-		}
-		slices.SortFunc(order, func(a, b int) int { return cmp.Compare(counts[b], counts[a]) })
-		for _, donor := range order {
-			if counts[donor] == 0 {
-				break
-			}
-			// Move the donor's lowest-range movable chunk. For a
-			// monotonically increasing shard key (date), inserts hit
-			// the top chunk, so the donor sheds its oldest ranges in
-			// contiguous runs — the real balancer's behaviour, and the
-			// reason the paper's short-window queries touch few nodes.
-			for ci := 0; ci < len(c.chunks); ci++ {
-				ch := c.chunks[ci]
-				if ch.Shard != donor {
-					continue
-				}
-				recipient := c.bestRecipientLocked(ch, counts)
-				if recipient < 0 || counts[donor]-counts[recipient] <= 1 {
-					continue
-				}
-				c.moveChunkLocked(ch, recipient)
-				moved = true
-				break
-			}
-			if moved {
-				break
-			}
-		}
+	if c.sharded {
+		c.balance(c)
 	}
 }
 
-// bestRecipientLocked returns the allowed shard with the fewest
-// chunks, or -1.
-func (c *Cluster) bestRecipientLocked(ch *Chunk, counts []int) int {
-	zoneShard := c.zoneShardFor(ch)
-	if zoneShard >= 0 {
-		if zoneShard == ch.Shard {
-			return -1
-		}
-		return zoneShard
-	}
-	best := -1
-	for i := range c.shards {
-		if i == ch.Shard {
-			continue
-		}
-		// A chunk outside every zone must not move onto a shard in a
-		// way that violates zone homing; any shard is fine in this
-		// simulator.
-		if best < 0 || counts[i] < counts[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// moveChunkLocked migrates the chunk's documents — stored bytes in,
-// stored bytes out, index keys read from them on both sides — and
-// reassigns ownership. Nothing is journaled: replay re-derives
-// migrations from the balance, zone and insert records that caused them.
-func (c *Cluster) moveChunkLocked(ch *Chunk, to int) {
+// moveDocs migrates the chunk's documents — stored bytes in, stored
+// bytes out, index keys read from them on both sides. Nothing is
+// journaled: replay re-derives migrations from the balance, zone and
+// insert records that caused them.
+func (c *Cluster) moveDocs(ch *Chunk, to int) {
 	from := ch.Shard
-	if from == to {
-		return
-	}
 	ids := c.chunkRecords(ch)
 	src, dst := c.shards[from].Coll, c.shards[to].Coll
 	for _, id := range ids {
@@ -762,20 +606,10 @@ func (c *Cluster) moveChunkLocked(ch *Chunk, to int) {
 		}
 		_ = src.Delete(id)
 	}
-	ch.Shard = to
-	c.migrations++
 	// The sketch moves with the chunk (content unchanged — that is the
 	// point of per-chunk granularity); both shards' contents changed.
 	c.bumpEpochLocked(from)
 	c.bumpEpochLocked(to)
-}
-
-func (c *Cluster) chunkCountsLocked() []int {
-	counts := make([]int, len(c.shards))
-	for _, ch := range c.chunks {
-		counts[ch.Shard]++
-	}
-	return counts
 }
 
 // Chunks returns a snapshot of the chunk metadata.

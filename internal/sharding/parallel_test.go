@@ -357,7 +357,7 @@ func TestConcurrentQueryExplainMigrationStress(t *testing.T) {
 	}
 
 	// Interleave chunk migrations: toggle between the two zone
-	// layouts, forcing moveChunkLocked traffic, plus balancer passes.
+	// layouts, forcing migration traffic, plus balancer passes.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

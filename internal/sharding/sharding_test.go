@@ -308,6 +308,51 @@ func TestZonesHomeChunksAndPreserveData(t *testing.T) {
 	}
 }
 
+// TestZoneSplitKeepsSketchesExact: a zone boundary that splits a chunk
+// must leave both halves with sketches of their own documents. A right
+// half without one got a fresh sketch at its next insert that held that
+// one document yet claimed to be exact, so the router pruned the
+// chunk's shard for every older document in it.
+func TestZoneSplitKeepsSketchesExact(t *testing.T) {
+	opts := smallOpts()
+	opts.SummaryShift = 4
+	c, ref := loadCluster(t, 2000, hilbertDateKey(), opts)
+	if err := c.SetZones(ZonesFromSplits("hilbertIndex", []any{int64(2001)}, 4)); err != nil {
+		t.Fatal(err)
+	}
+	doc := stDoc(bson.NewObjectIDGen(2), geo.Point{Lon: 23.5, Lat: 37.5}, baseTime, 2001)
+	if err := c.Insert(doc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Insert(doc.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []query.Filter{hilbertRange(2017, 2032), hilbertRange(1990, 2100), hilbertRange(0, 4096)} {
+		want := query.Execute(ref, f, nil).Stats.NReturned
+		res := c.Query(f)
+		if res.Err != nil || res.Partial || res.TotalReturned != want {
+			t.Fatalf("%s: %d documents (pruned %d shards, partial %v, err %v), want %d",
+				f, res.TotalReturned, res.ShardsPruned, res.Partial, res.Err, want)
+		}
+	}
+	// Every sketch that claims to be exact holds the cell of every
+	// document in its chunk.
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for _, ch := range c.chunks {
+		if ch.sum == nil || !ch.sumExact {
+			t.Fatalf("chunk [%x, %x) has no exact sketch", ch.Min, ch.Max)
+		}
+		store := c.shards[ch.Shard].Coll.Store()
+		for _, id := range c.chunkRecords(ch) {
+			raw, _ := store.FetchRaw(id)
+			if cell, _ := c.summaryCellLocked(raw); !ch.sum.MayContain(cell) {
+				t.Fatalf("chunk [%x, %x): the sketch misses cell %d of record %d", ch.Min, ch.Max, cell, id)
+			}
+		}
+	}
+}
+
 func TestZonesImproveLocalityVersusDefault(t *testing.T) {
 	key := hilbertDateKey()
 	cDefault, _ := loadCluster(t, 3000, key, smallOpts())

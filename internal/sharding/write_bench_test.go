@@ -92,7 +92,7 @@ func BenchmarkMoveChunk(b *testing.B) {
 	ch := c.chunks[0]
 	perDoc(b, b.N*chunkDocs, func() {
 		for i := 0; i < b.N; i++ {
-			c.moveChunkLocked(ch, 1-ch.Shard)
+			c.move(ch, 1-ch.Shard, c)
 		}
 	})
 	if got := c.shards[ch.Shard].Coll.Len(); got != chunkDocs {
@@ -108,7 +108,7 @@ func BenchmarkSplitChunk(b *testing.B) {
 	whole := *c.chunks[0]
 	perDoc(b, b.N*chunkDocs, func() {
 		for i := 0; i < b.N; i++ {
-			c.splitChunkLocked(0)
+			c.splitChunk(0, c)
 			if len(c.chunks) != 2 {
 				b.Fatalf("split left %d chunks", len(c.chunks))
 			}

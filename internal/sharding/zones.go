@@ -60,7 +60,7 @@ func (c *Cluster) SetZones(zones []Zone) error {
 	// Home every zoned chunk.
 	for _, ch := range c.chunks {
 		if home := c.zoneShardFor(ch); home >= 0 && home != ch.Shard {
-			c.moveChunkLocked(ch, home)
+			c.move(ch, home, c)
 		}
 	}
 	// The homing migrations above are not journaled; replaying this one
@@ -77,43 +77,15 @@ func (c *Cluster) Zones() []Zone {
 	return out
 }
 
-// zoneShardFor returns the shard a chunk is pinned to, or -1 when the
-// chunk lies outside every zone. Chunks are split at zone borders, so
-// testing Min suffices.
-func (c *Cluster) zoneShardFor(ch *Chunk) int {
-	for _, z := range c.zones {
-		if z.Contains(ch.Min) {
-			return z.Shard
-		}
-	}
-	return -1
-}
-
 // splitAtLocked splits the chunk straddling the boundary (if any) so
-// that the boundary becomes a chunk edge.
+// that the boundary becomes a chunk edge, through the size split's own
+// body: both halves get their share of the bytes and a sketch rebuilt
+// from their documents.
 func (c *Cluster) splitAtLocked(boundary []byte) {
 	for ci, ch := range c.chunks {
 		if bytes.Compare(ch.Min, boundary) < 0 && bytes.Compare(boundary, ch.Max) < 0 {
-			// Count the docs below the boundary to apportion stats.
 			leftDocs := c.countRangeLocked(ch, ch.Min, boundary)
-			perDoc := int64(0)
-			if ch.Docs > 0 {
-				perDoc = ch.Bytes / int64(ch.Docs)
-			}
-			right := &Chunk{
-				Min:   bytes.Clone(boundary),
-				Max:   ch.Max,
-				Shard: ch.Shard,
-				Docs:  ch.Docs - leftDocs,
-				Bytes: perDoc * int64(ch.Docs-leftDocs),
-			}
-			ch.Max = bytes.Clone(boundary)
-			ch.Docs = leftDocs
-			ch.Bytes = perDoc * int64(leftDocs)
-			c.chunks = append(c.chunks, nil)
-			copy(c.chunks[ci+2:], c.chunks[ci+1:])
-			c.chunks[ci+1] = right
-			c.splits++
+			c.splitAt(ci, bytes.Clone(boundary), leftDocs, ch.Docs, c)
 			return
 		}
 	}
