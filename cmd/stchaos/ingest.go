@@ -6,9 +6,9 @@ package main
 // strouterd take a stream of idempotent client batches from concurrent
 // workers while the orchestrator SIGKILLs a shard daemon every cycle —
 // mid-ingest, with batches in flight — restarts it from its directory,
-// and keeps writing. Overload bursts fire 4x the router's ingest queue
-// at once and must shed with structured retry hints while admitted
-// writes stay bounded.
+// and keeps writing. Overload bursts fire many times the router's
+// admission slots at once and must shed with structured retry hints
+// while admitted writes stay bounded.
 //
 // The truth is an in-process reference store that applies exactly the
 // batches the cluster acknowledged — the same encoded documents that
@@ -71,6 +71,13 @@ type ingestCfg struct {
 	drain      time.Duration
 	secret     string
 }
+
+// routerSlots is the router's in-flight cap in the soak: one slot per
+// steady-state worker (at least two), so the workers' writes reach the
+// daemons as concurrent broadcasts and a SIGKILL can land on a group
+// commit of several batches, while a burst of many times the slots
+// must shed.
+func (cfg ingestCfg) routerSlots() int { return max(2, cfg.workers) }
 
 // ingestBatch is one pre-encoded idempotent client batch: the same
 // bytes go to the wire and, on ack, into the reference store — the
@@ -200,11 +207,10 @@ func runIngestSoak(cfg ingestCfg) int {
 	}
 
 	// Both daemons recover from their own durable directories. The
-	// router takes the writes: a one-batch
-	// ingest queue plus an effectively-zero admission wait (1ns; the
-	// flag maps <=0 to the 100ms default) mean a full queue sheds
-	// immediately, so while one admitted batch group-commits the rest
-	// of a 16-batch burst must shed.
+	// router takes the writes: an admission gate of routerSlots plus an
+	// effectively-zero admission wait (1ns; the flag maps <=0 to the
+	// 100ms default) mean a full gate sheds immediately, so while the
+	// admitted batches commit the rest of a burst must shed.
 	authArgs := []string{}
 	if cfg.secret != "" {
 		authArgs = []string{"-auth-secret", cfg.secret}
@@ -247,8 +253,8 @@ func runIngestSoak(cfg ingestCfg) int {
 			"-addrs", is.daemons[0].addr + "," + is.daemons[1].addr,
 			"-dir", dirs[2],
 			"-writes",
-			"-ingest-queue", fmt.Sprint(ingestBatchDocs),
-			"-ingest-wait", "1ns",
+			"-max-inflight", fmt.Sprint(cfg.routerSlots()),
+			"-admission-wait", "1ns",
 			"-drain", cfg.drain.String(),
 		}, authArgs...)}
 	if err := is.router.start(); err != nil {
@@ -426,7 +432,7 @@ func (is *ingestSoak) runIngestCycle(cycle int, routerAddr string) {
 	time.Sleep(time.Duration(50+is.rng.Intn(100)) * time.Millisecond)
 }
 
-// writeBurst fires 4x the router's ingest queue capacity (in batches)
+// writeBurst fires -burst x 4 batches per router admission slot
 // concurrently, one attempt each: admitted batches must ack within a
 // bounded latency, the rest must shed with a structured transient
 // overload error carrying a retry hint. Shed batches stay claimed and
@@ -440,10 +446,12 @@ func (is *ingestSoak) writeBurst(cycle int, routerAddr string) {
 		return
 	}
 	defer cl.Close()
-	// TCP smears arrivals, so overrunning a one-batch queue takes real
-	// concurrency: 16x the burst factor keeps enough inserts landing
-	// inside each group-commit window that some must find it full.
-	n := is.cfg.burst * 16
+	// TCP smears arrivals, so overrunning the gate takes real
+	// concurrency: 4x the burst factor per slot keeps enough inserts
+	// landing while the admitted ones commit that most must find the
+	// gate full, yet leaves the batch stream to the steady workers for
+	// most cycles.
+	n := is.cfg.burst * 4 * is.cfg.routerSlots()
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		b := is.claim()

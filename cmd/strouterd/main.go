@@ -43,16 +43,13 @@ func main() {
 		waitReady = flag.Duration("wait-ready", 10*time.Second, "keep re-dialing refused shard servers for this long")
 
 		maxConns      = flag.Int("max-conns", netconn.DefaultMaxConns, "cap on concurrently open client connections")
-		maxInFlight   = flag.Int("max-inflight", 0, "cap on concurrently executing queries (0 = 4x GOMAXPROCS)")
-		admissionWait = flag.Duration("admission-wait", netconn.DefaultAdmissionWait, "how long a query may queue for an in-flight slot before being shed")
+		maxInFlight   = flag.Int("max-inflight", 0, "cap on concurrently executing requests, queries and insert batches alike (0 = 4x GOMAXPROCS)")
+		admissionWait = flag.Duration("admission-wait", netconn.DefaultAdmissionWait, "how long a request may queue for an in-flight slot before being shed")
 		retryAfter    = flag.Duration("retry-after", netconn.DefaultRetryAfterHint, "backoff hint carried in overload errors")
-		memWatermark  = flag.Uint64("mem-watermark", 0, "shed new queries while heap-in-use exceeds this many bytes (0 = off)")
+		memWatermark  = flag.Uint64("mem-watermark", 0, "shed new requests while heap-in-use exceeds this many bytes (0 = off)")
 		drainBudget   = flag.Duration("drain", netconn.DefaultDrainTimeout, "graceful-drain budget on SIGTERM/SIGINT")
 		authSecret    = flag.String("auth-secret", "", "shared secret for the handshake HMAC challenge, used both toward shard servers and toward clients (empty = no authentication)")
 		writes        = flag.Bool("writes", false, "accept the insert op and broadcast batches to every shard server; relaxes the startup fingerprint equality checks (daemons may be mid-convergence after a crash)")
-		ingestBatch   = flag.Int("ingest-batch", 0, "documents coalesced per ingest group commit (0 = default)")
-		ingestQueue   = flag.Int("ingest-queue", 0, "ingest queue bound in documents; full queues shed with overload (0 = default)")
-		ingestWait    = flag.Duration("ingest-wait", 0, "how long an ingest enqueue may wait for queue space before being shed with overload (0 = default)")
 	)
 	flag.Parse()
 	if *addrs == "" {
@@ -87,11 +84,6 @@ func main() {
 			docs, sum, rdocs, rsum)
 	}
 	s.Cluster().SetConn(rc)
-	s.SetIngestOptions(sharding.IngestOptions{
-		MaxBatchDocs:  *ingestBatch,
-		QueueDocs:     *ingestQueue,
-		AdmissionWait: *ingestWait,
-	})
 	// Network legs fail differently from in-process ones; retry through
 	// the existing resilience machinery and tolerate a lost shard with
 	// partial results rather than failing the whole query.

@@ -45,7 +45,7 @@ func main() {
 		dir      = flag.String("dir", "", "reopen a durable store directory instead of loading")
 
 		maxConns      = flag.Int("max-conns", netconn.DefaultMaxConns, "cap on concurrently open connections")
-		maxInFlight   = flag.Int("max-inflight", 0, "cap on concurrently executing requests (0 = 4x GOMAXPROCS)")
+		maxInFlight   = flag.Int("max-inflight", 0, "cap on concurrently executing requests, queries and insert batches alike (0 = 4x GOMAXPROCS)")
 		admissionWait = flag.Duration("admission-wait", netconn.DefaultAdmissionWait, "how long a request may queue for an in-flight slot before being shed")
 		retryAfter    = flag.Duration("retry-after", netconn.DefaultRetryAfterHint, "backoff hint carried in overload errors")
 		memWatermark  = flag.Uint64("mem-watermark", 0, "shed new requests while heap-in-use exceeds this many bytes (0 = off)")
@@ -53,9 +53,6 @@ func main() {
 		drainBudget   = flag.Duration("drain", netconn.DefaultDrainTimeout, "graceful-drain budget on SIGTERM/SIGINT")
 		chaosLatency  = flag.Duration("chaos-latency", 0, "inject this much execution latency into every shard op (chaos-testing hook; 0 = off)")
 		authSecret    = flag.String("auth-secret", "", "shared secret for the handshake HMAC challenge (empty = no authentication)")
-		ingestBatch   = flag.Int("ingest-batch", 0, "documents coalesced per ingest group commit (0 = default)")
-		ingestQueue   = flag.Int("ingest-queue", 0, "ingest queue bound in documents; full queues shed with overload (0 = default)")
-		ingestWait    = flag.Duration("ingest-wait", 0, "how long an ingest enqueue may wait for queue space before being shed with overload (0 = default)")
 	)
 	flag.Parse()
 
@@ -81,11 +78,6 @@ func main() {
 	srv, err := netconn.NewShardServer(s.Cluster(), ids, netconn.ServerOptions{
 		Conn:       conn,
 		AuthSecret: secretBytes(*authSecret),
-		Ingest: sharding.IngestOptions{
-			MaxBatchDocs:  *ingestBatch,
-			QueueDocs:     *ingestQueue,
-			AdmissionWait: *ingestWait,
-		},
 		Admit: netconn.AdmitOptions{
 			MaxConns:       *maxConns,
 			MaxInFlight:    *maxInFlight,

@@ -186,9 +186,8 @@ type Store struct {
 
 	// Continuous-ingest state (see ingest.go): the lazily-started
 	// group-commit batcher.
-	ingestMu   sync.Mutex
-	ingester   *sharding.Ingester
-	ingestOpts sharding.IngestOptions
+	ingestMu sync.Mutex
+	ingester *sharding.Ingester
 }
 
 // Open creates the cluster, shards the collection and creates the

@@ -17,24 +17,13 @@ import (
 	"repro/internal/sharding"
 )
 
-// SetIngestOptions bounds the store's group-commit batcher. It must be
-// called before the first write through the batcher; later calls are
-// ignored (the batcher is already running).
-func (s *Store) SetIngestOptions(opts sharding.IngestOptions) {
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	if s.ingester == nil {
-		s.ingestOpts = opts
-	}
-}
-
 // Ingester returns the store's group-commit batcher, starting it on
 // first use.
 func (s *Store) Ingester() *sharding.Ingester {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
 	if s.ingester == nil {
-		s.ingester = sharding.NewIngester(s.cluster, s.ingestOpts)
+		s.ingester = sharding.NewIngester(s.cluster)
 	}
 	return s.ingester
 }

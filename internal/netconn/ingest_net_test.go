@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -233,12 +234,10 @@ func TestRouterInsertEndToEnd(t *testing.T) {
 	}
 }
 
-// TestWireInsertOverloadSheds: a shard daemon over a deliberately
-// slow journal sheds excess write load with the structured transient
-// overload error — RetryAfter crosses the wire intact.
-func TestWireInsertOverloadSheds(t *testing.T) {
-	leakcheck.Check(t)
-	dir := t.TempDir()
+// slowJournalFS is a durable store's filesystem whose journal writes
+// each take 2ms: an insert then holds its admission slot long enough for
+// a flood of concurrent inserts to find the gate full.
+func slowJournalFS(dir string) wal.FS {
 	ffs := wal.NewFaultFS(wal.NewOSFS(dir))
 	ffs.Before(func(op wal.Op, _ string) error {
 		if op == wal.OpWrite {
@@ -246,9 +245,48 @@ func TestWireInsertOverloadSheds(t *testing.T) {
 		}
 		return nil
 	})
+	return ffs
+}
+
+// writeGate is a one-slot admission gate with a short wait: the bound
+// on writes the insert overload tests flood.
+var writeGate = AdmitOptions{MaxInFlight: 1, AdmissionWait: 2 * time.Millisecond, RetryAfterHint: 35 * time.Millisecond}
+
+// floodInserts runs 16 writers of 4 four-document batches each through
+// insert and returns the errors they met.
+func floodInserts(insert func(batchID string, raw [][]byte) error, mkBatch func(n int) [][]byte) []error {
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		errs []error
+	)
+	for w := 0; w < 16; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for b := 0; b < 4; b++ {
+				if err := insert(fmt.Sprintf("ov%d/%d", w, b), mkBatch(4)); err != nil {
+					mu.Lock()
+					errs = append(errs, err)
+					mu.Unlock()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	return errs
+}
+
+// TestWireInsertOverloadSheds: a shard daemon over a deliberately
+// slow journal sheds excess write load at its admission gate with the
+// structured transient overload error — RetryAfter crosses the wire
+// intact.
+func TestWireInsertOverloadSheds(t *testing.T) {
+	leakcheck.Check(t)
+	dir := t.TempDir()
 	cluster, err := sharding.OpenCluster(sharding.Options{
 		Shards: 3, ChunkMaxBytes: 16 << 10, Parallel: 1,
-		Dir: dir, FS: ffs, Sync: wal.SyncNever,
+		Dir: dir, FS: slowJournalFS(dir), Sync: wal.SyncNever,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -257,14 +295,7 @@ func TestWireInsertOverloadSheds(t *testing.T) {
 	if err := cluster.ShardCollection(sharding.ShardKey{Fields: []string{"hilbertIndex", "date"}}); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewShardServer(cluster, nil, ServerOptions{
-		Ingest: sharding.IngestOptions{
-			MaxBatchDocs:  4,
-			QueueDocs:     8,
-			AdmissionWait: 2 * time.Millisecond,
-			RetryAfter:    35 * time.Millisecond,
-		},
-	})
+	srv, err := NewShardServer(cluster, nil, ServerOptions{Admit: writeGate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +312,7 @@ func TestWireInsertOverloadSheds(t *testing.T) {
 
 	gen := bson.NewObjectIDGen(99)
 	var mu sync.Mutex
-	mkBatch := func(n int) []*bson.Document {
+	mkBatch := func(n int) [][]byte {
 		mu.Lock()
 		defer mu.Unlock()
 		docs := make([]*bson.Document, n)
@@ -293,46 +324,161 @@ func TestWireInsertOverloadSheds(t *testing.T) {
 				{Key: "hilbertIndex", Value: int64(i * 37 % 4096)},
 			})
 		}
-		return docs
+		return bson.MarshalAll(docs)
 	}
 
-	// A batch larger than the queue is refused outright (permanent).
-	_, _, err = rc.InsertBatchRaw(context.Background(), "too-big", bson.MarshalAll(mkBatch(9)))
-	var se *sharding.ShardError
-	if !errors.As(err, &se) || se.Transient {
-		t.Fatalf("oversized batch over the wire: %v", err)
-	}
-
-	var wg sync.WaitGroup
-	sheds := make(chan *sharding.ShardError, 128)
-	for w := 0; w < 16; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for b := 0; b < 4; b++ {
-				_, _, err := rc.InsertBatchRaw(context.Background(), fmt.Sprintf("ov%d/%d", w, b), bson.MarshalAll(mkBatch(4)))
-				if err != nil {
-					var se *sharding.ShardError
-					if !errors.As(err, &se) {
-						t.Errorf("ov%d/%d: unstructured error: %v", w, b, err)
-						return
-					}
-					sheds <- se
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(sheds)
-	n := 0
-	for se := range sheds {
-		n++
+	errs := floodInserts(func(batchID string, raw [][]byte) error {
+		_, _, err := rc.InsertBatchRaw(context.Background(), batchID, raw)
+		return err
+	}, mkBatch)
+	for _, err := range errs {
+		var se *sharding.ShardError
+		if !errors.As(err, &se) {
+			t.Fatalf("unstructured error: %v", err)
+		}
 		if !se.Transient || se.RetryAfter != 35*time.Millisecond {
 			t.Fatalf("shed lost structure over the wire: %+v", se)
 		}
 	}
-	if n == 0 {
+	if len(errs) == 0 {
 		t.Fatal("flood produced no sheds")
+	}
+}
+
+// TestRouterInsertOverloadSheds: the router twin, through Client.Insert
+// — the path continuous ingest takes. A flood against a one-slot gate
+// over a slow journal sheds with a *ServerError carrying the overload
+// code and the gate's retry-after hint.
+func TestRouterInsertOverloadSheds(t *testing.T) {
+	leakcheck.Check(t)
+	dir := t.TempDir()
+	router, err := core.Open(core.Config{
+		Approach: core.Hil, Shards: 3, ChunkMaxBytes: 16 << 10, DataExtent: testExtent,
+		Dir: dir, FS: slowJournalFS(dir), Sync: wal.SyncNever,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	rs := NewRouterServer(router, writeGate)
+	addr, err := rs.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	cl, err := DialRouter(addr, Options{Mutable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	raws := bson.MarshalAll(mustDocs(t, router, ingestRecords(75, 16*4*4)))
+	var next atomic.Int64
+	mkBatch := func(n int) [][]byte {
+		i := int(next.Add(int64(n))) - n
+		return raws[i : i+n]
+	}
+	errs := floodInserts(func(batchID string, raw [][]byte) error {
+		_, err := cl.Insert(batchID, raw)
+		return err
+	}, mkBatch)
+	for _, err := range errs {
+		var se *ServerError
+		if !errors.As(err, &se) {
+			t.Fatalf("unstructured error: %v", err)
+		}
+		if se.Code != wire.ErrCodeOverload || !se.Transient || se.RetryAfter != 35*time.Millisecond {
+			t.Fatalf("shed lost structure over the wire: %+v", se)
+		}
+	}
+	if len(errs) == 0 {
+		t.Fatal("flood produced no sheds")
+	}
+}
+
+// TestWireInsertRefusesOversizedBatch: a batch that fits in a wire
+// frame but whose journal record would not fit in a journal frame is
+// refused, permanently, before it is journaled. Had it been applied
+// and acknowledged, recovery would read its record as a torn tail and
+// cut the journal there, dropping it and every acknowledged write
+// after it; the reopen proves nothing of the sort happened.
+func TestWireInsertRefusesOversizedBatch(t *testing.T) {
+	leakcheck.Check(t)
+	dir := t.TempDir()
+	opts := sharding.Options{Shards: 2, ChunkMaxBytes: 16 << 10, Parallel: 1, Dir: dir}
+	cluster, err := sharding.OpenCluster(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.ShardCollection(sharding.ShardKey{Fields: []string{"hilbertIndex", "date"}}); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewShardServer(cluster, nil, ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := Connect([]string{addr}, Options{Mutable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	gen := bson.NewObjectIDGen(7)
+	next := 0
+	mkBatch := func(n, pad int) [][]byte {
+		docs := make([]*bson.Document, n)
+		for i := range docs {
+			at := testStart.Add(time.Duration(next) * time.Minute)
+			next++
+			docs[i] = bson.FromD(bson.D{
+				{Key: "_id", Value: gen.New(at)},
+				{Key: "date", Value: at},
+				{Key: "hilbertIndex", Value: int64(next * 37 % 4096)},
+				{Key: "pad", Value: strings.Repeat("x", pad)},
+			})
+		}
+		return bson.MarshalAll(docs)
+	}
+	insert := func(batchID string, raw [][]byte) error {
+		applied, _, err := rc.InsertBatchRaw(context.Background(), batchID, raw)
+		if err == nil && applied != len(raw) {
+			t.Fatalf("batch %s: applied %d of %d", batchID, applied, len(raw))
+		}
+		return err
+	}
+
+	if err := insert("before", mkBatch(4, 10)); err != nil {
+		t.Fatal(err)
+	}
+	big := mkBatch(17, 1<<20) // 17 MiB: under wire.MaxFrameBody, over wal.MaxFrameBody
+	err = insert("big", big)
+	var se *sharding.ShardError
+	if !errors.As(err, &se) || se.Transient || !strings.Contains(se.Error(), "too large for one journal record") {
+		t.Fatalf("oversized batch: %v, want a permanent refusal", err)
+	}
+	if err := insert("after", mkBatch(4, 10)); err != nil {
+		t.Fatal(err)
+	}
+	wantDocs, wantSum := cluster.ContentFingerprint()
+	if wantDocs != 8 {
+		t.Fatalf("cluster holds %d docs, want the 8 acknowledged", wantDocs)
+	}
+	rc.Close()
+	srv.Close()
+	if err := cluster.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, err := sharding.OpenCluster(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if docs, sum := reopened.ContentFingerprint(); docs != wantDocs || sum != wantSum {
+		t.Fatalf("reopen holds (%d, %016x), want (%d, %016x)", docs, sum, wantDocs, wantSum)
 	}
 }
 

@@ -107,7 +107,7 @@ func (s *RouterServer) handleOp(h *connHandler, op byte, body []byte) bool {
 		// is a RemoteConn. The client's batch ID makes the whole pipeline
 		// retry-safe end to end.
 		return gated(s.gate, h, body, wire.DecodeInsert, func(ins wire.Insert) bool {
-			return h.runInsert(context.Background(), s.gate, s.store, s.store.Cluster(), ins)
+			return h.runInsert(context.Background(), s.store, s.store.Cluster(), ins)
 		})
 	case wire.OpStats:
 		reply := wire.StatsReply{

@@ -31,8 +31,6 @@ type ServerOptions struct {
 	// client returns a valid proof over the server's nonce (a wrong or
 	// missing proof gets a structured unauthorized ErrorReply).
 	AuthSecret []byte
-	// Ingest bounds the server's group-commit write batcher.
-	Ingest sharding.IngestOptions
 }
 
 // maxFrameDocs caps the documents per reply frame a client may ask
@@ -88,7 +86,7 @@ func NewShardServer(cluster *sharding.Cluster, serve []int, opts ServerOptions) 
 	}
 	s.gate = newGate(s.opts.Admit)
 	s.opts.Admit = s.gate.opts
-	s.ingest = sharding.NewIngester(cluster, s.opts.Ingest)
+	s.ingest = sharding.NewIngester(cluster)
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	return s, nil
 }
@@ -209,7 +207,7 @@ func (s *ShardServer) handleOp(h *connHandler, op byte, body []byte) bool {
 		// subset-scoped), so every daemon that receives the same broadcast
 		// applies it identically and their fingerprints stay converged.
 		return gated(s.gate, h, body, wire.DecodeInsert, func(ins wire.Insert) bool {
-			return h.runInsert(s.ctx, s.gate, s.ingest, s.cluster, ins)
+			return h.runInsert(s.ctx, s.ingest, s.cluster, ins)
 		})
 	case wire.OpStats:
 		reply := wire.StatsReply{
@@ -230,9 +228,9 @@ func (s *ShardServer) handleOp(h *connHandler, op byte, body []byte) bool {
 
 // runInsert applies one idempotent client batch through w (a server's
 // group-commit batcher, or a router's whole write path) and answers
-// with the journal LSN the ack rests on. An ingest-queue shed crosses
-// the wire as a structured overload error with its retry-after hint.
-func (h *connHandler) runInsert(ctx context.Context, g *gate, w sharding.BatchInserter, cluster *sharding.Cluster, ins wire.Insert) bool {
+// with the journal LSN the ack rests on. Overload is shed before this,
+// by the admission gate the insert passed.
+func (h *connHandler) runInsert(ctx context.Context, w sharding.BatchInserter, cluster *sharding.Cluster, ins wire.Insert) bool {
 	// This is the edge where documents enter: validate each once, then
 	// hand the bytes on — the frame decoder gave ins.Docs their own
 	// copies, which the stores will own. A well-formed document from an
@@ -249,16 +247,16 @@ func (h *connHandler) runInsert(ctx context.Context, g *gate, w sharding.BatchIn
 			ins.Docs[i] = bson.Marshal(doc)
 		}
 	}
+	// Refused here whether or not this process journals, so an
+	// in-memory router and its durable daemons answer a batch alike.
+	if err := sharding.CheckBatchRecord(ins.BatchID, ins.Docs); err != nil {
+		return h.replyErr(-1, false, err)
+	}
 	applied, dup, err := w.InsertBatchRaw(ctx, ins.BatchID, ins.Docs)
 	if err != nil {
 		var se *sharding.ShardError
 		if errors.As(err, &se) {
-			code := wire.ErrCodeGeneric
-			if errors.Is(err, sharding.ErrIngestOverload) {
-				code = wire.ErrCodeOverload
-				g.shed.Add(1)
-			}
-			return h.replyErrCode(int32(se.Shard), se.Transient, code, se.RetryAfter, se.Err)
+			return h.replyErrCode(int32(se.Shard), se.Transient, wire.ErrCodeGeneric, se.RetryAfter, se.Err)
 		}
 		// A drain that cancelled the server ctx mid-commit is transient:
 		// the client retries against the restarted daemon and dedups.
@@ -267,9 +265,6 @@ func (h *connHandler) runInsert(ctx context.Context, g *gate, w sharding.BatchIn
 	reply := wire.InsertReply{Applied: uint32(applied), Dup: dup, LastLSN: cluster.LSN()}
 	return h.reply(wire.OpInsertReply, reply.Encode(nil))
 }
-
-// IngestStats snapshots the write batcher's counters.
-func (s *ShardServer) IngestStats() sharding.IngestStats { return s.ingest.Stats() }
 
 // frameDocs resolves a query's requested documents per reply frame.
 func frameDocs(n uint32) int {

@@ -40,15 +40,26 @@ const loadSlice = 256
 // those of InsertBatchRaw on each 256-document slice followed by
 // Balance, so splits and migrations fall where inserting the documents
 // one at a time puts them. A document an insert would refuse (no _id,
-// a key an index cannot build) refuses the whole load before anything
+// a key an index cannot build), or on a durable cluster a slice too
+// large for one journal record, refuses the whole load before anything
 // is applied. The cluster stores copies: docs stay the caller's.
 //
 // A sharded cluster that has never stored a document takes the bulk
 // path: it places every document on keys alone first and then stores
 // each once, in its final shard. Any other cluster applies the slices
-// one by one.
+// one by one. A closed cluster refuses the load with ErrClosed.
 func (c *Cluster) Load(docs [][]byte) error {
 	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return ErrClosed
+	}
+	for start := 0; c.dur != nil && start < len(docs); start += loadSlice {
+		if err := CheckBatchRecord("", docs[start:min(start+loadSlice, len(docs))]); err != nil {
+			c.mu.Unlock()
+			return fmt.Errorf("sharding: loading documents from %d: %w", start, err)
+		}
+	}
 	if len(docs) == 0 || !c.neverStoredLocked() {
 		c.mu.Unlock()
 		return c.loadSlices(docs)

@@ -164,6 +164,10 @@ type Cluster struct {
 	// durability.go); nil for in-memory clusters.
 	dur *durability
 
+	// closed is set by Close: every later write is refused with
+	// ErrClosed before anything of it is journaled or applied.
+	closed bool
+
 	// dedup is the bounded window of recently applied ingest batch
 	// IDs (see ingest.go); always non-nil.
 	dedup *dedupWindow
@@ -467,10 +471,13 @@ func (c *Cluster) afterSplit(left, right *Chunk) {
 // chunk metadata accurate, and returns the number deleted. Each removed
 // document is one opDelete journal record; the write lock is held
 // throughout, so deletes never interleave with splits, migrations or
-// queries.
+// queries. A closed cluster refuses the delete with ErrClosed.
 func (c *Cluster) Delete(f query.Filter) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed {
+		return 0, ErrClosed
+	}
 	deleted, err := c.deleteMatchingLocked(f)
 	return deleted, c.finishWriteLocked(err)
 }

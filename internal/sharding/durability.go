@@ -235,11 +235,16 @@ func (c *Cluster) Sync() error {
 	return c.dur.j.Sync()
 }
 
-// Close syncs and closes the journal. The cluster remains usable for
-// reads; further writes on a closed durable cluster fail.
+// Close marks the cluster closed and syncs and closes the journal. The
+// cluster remains usable for reads; inserts, loads and deletes are
+// refused with ErrClosed. A second Close returns nil.
 func (c *Cluster) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed {
+		return nil
+	}
+	c.closed = true
 	if c.dur == nil {
 		return nil
 	}

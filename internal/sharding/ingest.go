@@ -21,37 +21,28 @@ package sharding
 //     once.
 //
 //   - Ingester coalesces concurrent InsertBatchRaw callers into
-//     bounded groups: one cluster write-lock acquisition and one
-//     journal group commit per coalesced group. Its queue is bounded
-//     in documents; when full, callers wait at most AdmissionWait and
-//     are then shed with a structured transient ShardError carrying a
-//     RetryAfter hint — the same overload semantics the network
-//     admission gate uses — so sustained overload degrades into
-//     backpressure, not unbounded memory growth.
+//     groups of at most maxBatchDocs documents: one cluster write-lock
+//     acquisition and one journal group commit per group, run by a
+//     single committer goroutine. It has no queue bound of its own:
+//     over the wire the server's admission gate (netconn) bounds the
+//     writes in flight, and an in-process caller holds its own batch
+//     until the commit answers.
 
 import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/bson"
+	"repro/internal/wal"
 )
 
-// ErrIngestOverload marks an ingest shed: the batcher's queue stayed
-// full past the admission wait. It travels inside a transient
-// ShardError whose RetryAfter is the backoff hint.
-var ErrIngestOverload = errors.New("ingest queue full")
-
-// ErrIngesterClosed rejects writes enqueued after Close.
-var ErrIngesterClosed = errors.New("ingester closed")
-
-// ErrBatchTooLarge rejects a single batch larger than the whole
-// queue: it could never be admitted, so failing it is the only honest
-// answer (and it is not transient — a retry cannot succeed either).
-var ErrBatchTooLarge = errors.New("batch exceeds ingest queue capacity")
+// ErrClosed refuses a write to a cluster, or through an Ingester, that
+// was closed: nothing of the write is journaled or applied.
+var ErrClosed = errors.New("sharding: cluster closed")
 
 // dedupWindowSize is the number of recent batch IDs remembered for
 // idempotent retries: the retry horizon of a client batch.
@@ -147,6 +138,12 @@ func (c *Cluster) InsertBatchRaw(batchID string, docs [][]byte) (applied int, du
 func (c *Cluster) commitIngest(reqs []*ingestReq) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed {
+		for _, r := range reqs {
+			r.err = ErrClosed
+		}
+		return
+	}
 	for _, r := range reqs {
 		r.applied, r.dup, r.err = c.insertBatchLocked(r.batchID, r.docs)
 	}
@@ -166,6 +163,9 @@ func (c *Cluster) insertBatchLocked(batchID string, docs [][]byte) (applied int,
 		return 0, true, nil
 	}
 	if c.dur != nil && len(docs) > 0 {
+		if err := CheckBatchRecord(batchID, docs); err != nil {
+			return 0, false, err
+		}
 		c.journal(opInsertBatch, encodeInsertBatch(batchID, docs))
 	}
 	for _, raw := range docs {
@@ -183,14 +183,46 @@ func (c *Cluster) insertBatchLocked(batchID string, docs [][]byte) (applied int,
 	return applied, false, err
 }
 
+// errBatchRecordTooLarge refuses a batch whose journal record would
+// not fit in one journal frame (wal.MaxFrameBody): recovery would read
+// such a record as a torn tail and cut the journal there, losing the
+// batch and every write after it.
+var errBatchRecordTooLarge = errors.New("batch too large for one journal record")
+
+// CheckBatchRecord refuses a batch whose opInsertBatch record would
+// exceed wal.MaxFrameBody. The refusal is permanent: a retry of the
+// same batch cannot fit either. A durable cluster checks every batch,
+// and every slice of a Load, before anything is journaled or applied;
+// the network servers check every insert they receive, durable or not,
+// so that each replica of a broadcast batch gives the same answer.
+func CheckBatchRecord(batchID string, docs [][]byte) error {
+	if n := insertBatchSize(batchID, docs); n > wal.MaxFrameBody {
+		return fmt.Errorf("sharding: batch %q: %w (%d bytes, limit %d)", batchID, errBatchRecordTooLarge, n, wal.MaxFrameBody)
+	}
+	return nil
+}
+
+// insertBatchSize is the exact length of encodeInsertBatch's record.
+func insertBatchSize(batchID string, docs [][]byte) int {
+	n := uvarintLen(len(batchID)) + len(batchID) + uvarintLen(len(docs))
+	for _, raw := range docs {
+		n += uvarintLen(len(raw)) + len(raw)
+	}
+	return n
+}
+
+func uvarintLen(x int) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
 // encodeInsertBatch frames the batch ID and each document's bytes —
 // the very bytes the stores keep.
 func encodeInsertBatch(batchID string, docs [][]byte) []byte {
-	size := len(batchID) + 2*binary.MaxVarintLen64
-	for _, raw := range docs {
-		size += len(raw) + binary.MaxVarintLen32
-	}
-	b := make([]byte, 0, size)
+	b := make([]byte, 0, insertBatchSize(batchID, docs))
 	b = appendString(b, batchID)
 	b = binary.AppendUvarint(b, uint64(len(docs)))
 	for _, raw := range docs {
@@ -225,46 +257,18 @@ func decodeInsertBatch(body []byte) (batchID string, docs [][]byte, err error) {
 
 // --- the group-commit batcher ----------------------------------------
 
-// IngestOptions bound the batcher.
-type IngestOptions struct {
-	// MaxBatchDocs caps the documents coalesced into one commit
-	// (default 256). A single oversized request still commits alone.
-	MaxBatchDocs int
-	// QueueDocs bounds the total documents queued but not yet
-	// committed (default 4096) — the batcher's whole memory footprint.
-	QueueDocs int
-	// AdmissionWait is how long an enqueue waits for queue space
-	// before being shed (default 100ms).
-	AdmissionWait time.Duration
-	// RetryAfter is the backoff hint attached to sheds (default 25ms).
-	RetryAfter time.Duration
-}
-
-func (o IngestOptions) withDefaults() IngestOptions {
-	if o.MaxBatchDocs <= 0 {
-		o.MaxBatchDocs = 256
-	}
-	if o.QueueDocs <= 0 {
-		o.QueueDocs = 4096
-	}
-	if o.AdmissionWait <= 0 {
-		o.AdmissionWait = 100 * time.Millisecond
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = 25 * time.Millisecond
-	}
-	return o
-}
+// maxBatchDocs caps the documents coalesced into one group commit. A
+// single larger batch still commits alone.
+const maxBatchDocs = 256
 
 // IngestStats is a point-in-time snapshot of the batcher's counters.
 type IngestStats struct {
-	Enqueued uint64 `json:"enqueued"` // documents admitted to the queue
-	Applied  uint64 `json:"applied"`  // documents stored
-	Dups     uint64 `json:"dups"`     // batches answered from the dedup window
-	Batches  uint64 `json:"batches"`  // client batches committed
-	Commits  uint64 `json:"commits"`  // coalesced group commits
-	Sheds    uint64 `json:"sheds"`    // enqueues shed on a full queue
-	Queued   int    `json:"queued"`   // documents queued right now
+	Applied uint64 `json:"applied"` // documents stored
+	Dups    uint64 `json:"dups"`    // batches answered from the dedup window
+	Batches uint64 `json:"batches"` // client batches committed
+	Commits uint64 `json:"commits"` // coalesced group commits
+	Sheds   uint64 `json:"sheds"`   // always 0: the batcher never sheds (the admission gate does)
+	Queued  int    `json:"queued"`  // documents waiting for the committer right now
 }
 
 // ingestReq is one client batch waiting for its group commit.
@@ -279,31 +283,25 @@ type ingestReq struct {
 
 // Ingester coalesces concurrent writers into group commits against
 // one cluster. Start with NewIngester, stop with Close (which drains
-// what was already admitted).
+// what was already enqueued).
 type Ingester struct {
-	c    *Cluster
-	opts IngestOptions
+	c *Cluster
 
 	mu      sync.Mutex
 	pending []*ingestReq
-	queued  int             // documents admitted but not yet committed
-	waiters []chan struct{} // enqueuers blocked on a full queue
 	closing bool
 
 	kick chan struct{} // committer wakeup, capacity 1
-	stop chan struct{} // closed by Close: unblocks waiters
 	done chan struct{} // closed when the committer exits
 
-	enq, applied, dups, batches, commits, sheds atomic.Uint64
+	applied, dups, batches, commits atomic.Uint64
 }
 
 // NewIngester starts the committer goroutine.
-func NewIngester(c *Cluster, opts IngestOptions) *Ingester {
+func NewIngester(c *Cluster) *Ingester {
 	in := &Ingester{
 		c:    c,
-		opts: opts.withDefaults(),
 		kick: make(chan struct{}, 1),
-		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
 	go in.run()
@@ -312,17 +310,14 @@ func NewIngester(c *Cluster, opts IngestOptions) *Ingester {
 
 // InsertBatchRaw enqueues a client batch of encoded documents (see
 // BatchInserter for what they must be) and waits for its commit. On ctx
-// cancellation the call returns early but the admitted batch still
+// cancellation the call returns early but the enqueued batch still
 // commits; a retry with the same batchID is deduplicated.
 func (in *Ingester) InsertBatchRaw(ctx context.Context, batchID string, docs [][]byte) (applied int, dup bool, err error) {
 	if len(docs) == 0 {
 		return 0, false, nil
 	}
-	if len(docs) > in.opts.QueueDocs {
-		return 0, false, &ShardError{Shard: -1, Err: ErrBatchTooLarge}
-	}
 	req := &ingestReq{batchID: batchID, docs: docs, done: make(chan struct{})}
-	if err := in.enqueue(ctx, req); err != nil {
+	if err := in.enqueue(req); err != nil {
 		return 0, false, err
 	}
 	select {
@@ -333,62 +328,31 @@ func (in *Ingester) InsertBatchRaw(ctx context.Context, batchID string, docs [][
 	}
 }
 
-// enqueue admits the request into the bounded queue, waiting at most
-// AdmissionWait for space before shedding.
-func (in *Ingester) enqueue(ctx context.Context, req *ingestReq) error {
-	n := len(req.docs)
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
+// enqueue hands the request to the committer.
+func (in *Ingester) enqueue(req *ingestReq) error {
 	in.mu.Lock()
-	for {
-		if in.closing {
-			in.mu.Unlock()
-			return ErrIngesterClosed
-		}
-		if in.queued+n <= in.opts.QueueDocs {
-			break
-		}
-		w := make(chan struct{})
-		in.waiters = append(in.waiters, w)
+	if in.closing {
 		in.mu.Unlock()
-		if timer == nil {
-			timer = time.NewTimer(in.opts.AdmissionWait)
-		}
-		select {
-		case <-w:
-			in.mu.Lock()
-		case <-timer.C:
-			in.sheds.Add(1)
-			return &ShardError{
-				Shard:      -1,
-				Transient:  true,
-				RetryAfter: in.opts.RetryAfter,
-				Err:        ErrIngestOverload,
-			}
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-in.stop:
-			return ErrIngesterClosed
-		}
+		return ErrClosed
 	}
-	in.queued += n
 	in.pending = append(in.pending, req)
-	in.enq.Add(uint64(n))
 	in.mu.Unlock()
+	in.wake()
+	return nil
+}
+
+// wake kicks the committer without blocking: one pending kick is
+// enough for it to see everything enqueued before it runs.
+func (in *Ingester) wake() {
 	select {
 	case in.kick <- struct{}{}:
 	default:
 	}
-	return nil
 }
 
 // run is the committer loop: take everything pending up to
-// MaxBatchDocs, commit it under one write-lock acquisition, ack the
-// requests, release queue space, repeat.
+// maxBatchDocs, commit it under one write-lock acquisition, ack the
+// requests, repeat.
 func (in *Ingester) run() {
 	defer close(in.done)
 	for {
@@ -399,17 +363,14 @@ func (in *Ingester) run() {
 			if closing {
 				return
 			}
-			select {
-			case <-in.kick:
-			case <-in.stop:
-			}
+			<-in.kick
 			in.mu.Lock()
 		}
 		var take []*ingestReq
 		docs := 0
 		for len(in.pending) > 0 {
 			r := in.pending[0]
-			if len(take) > 0 && docs+len(r.docs) > in.opts.MaxBatchDocs {
+			if len(take) > 0 && docs+len(r.docs) > maxBatchDocs {
 				break
 			}
 			take = append(take, r)
@@ -417,12 +378,12 @@ func (in *Ingester) run() {
 			in.pending = in.pending[1:]
 		}
 		in.mu.Unlock()
-		in.commitGroup(take, docs)
+		in.commitGroup(take)
 	}
 }
 
-// commitGroup runs one coalesced commit and wakes whoever it unblocks.
-func (in *Ingester) commitGroup(reqs []*ingestReq, docs int) {
+// commitGroup runs one coalesced commit and acks its requests.
+func (in *Ingester) commitGroup(reqs []*ingestReq) {
 	in.c.commitIngest(reqs)
 	in.commits.Add(1)
 	in.batches.Add(uint64(len(reqs)))
@@ -433,14 +394,6 @@ func (in *Ingester) commitGroup(reqs []*ingestReq, docs int) {
 			in.applied.Add(uint64(r.applied))
 		}
 	}
-	in.mu.Lock()
-	in.queued -= docs
-	ws := in.waiters
-	in.waiters = nil
-	in.mu.Unlock()
-	for _, w := range ws {
-		close(w)
-	}
 	for _, r := range reqs {
 		close(r.done)
 	}
@@ -449,21 +402,22 @@ func (in *Ingester) commitGroup(reqs []*ingestReq, docs int) {
 // Stats snapshots the batcher's counters.
 func (in *Ingester) Stats() IngestStats {
 	in.mu.Lock()
-	queued := in.queued
+	queued := 0
+	for _, r := range in.pending {
+		queued += len(r.docs)
+	}
 	in.mu.Unlock()
 	return IngestStats{
-		Enqueued: in.enq.Load(),
-		Applied:  in.applied.Load(),
-		Dups:     in.dups.Load(),
-		Batches:  in.batches.Load(),
-		Commits:  in.commits.Load(),
-		Sheds:    in.sheds.Load(),
-		Queued:   queued,
+		Applied: in.applied.Load(),
+		Dups:    in.dups.Load(),
+		Batches: in.batches.Load(),
+		Commits: in.commits.Load(),
+		Queued:  queued,
 	}
 }
 
-// Close rejects new enqueues, commits everything already admitted,
-// and waits for the committer goroutine to exit.
+// Close refuses new enqueues with ErrClosed, commits everything already
+// enqueued, and waits for the committer goroutine to exit.
 func (in *Ingester) Close() error {
 	in.mu.Lock()
 	if in.closing {
@@ -473,11 +427,7 @@ func (in *Ingester) Close() error {
 	}
 	in.closing = true
 	in.mu.Unlock()
-	close(in.stop)
-	select {
-	case in.kick <- struct{}{}:
-	default:
-	}
+	in.wake()
 	<-in.done
 	return nil
 }

@@ -200,7 +200,7 @@ func TestIngesterCrashConvergence(t *testing.T) {
 	if err := c.ShardCollection(hilbertDateKey()); err != nil {
 		t.Fatal(err)
 	}
-	in := NewIngester(c, IngestOptions{MaxBatchDocs: 64})
+	in := NewIngester(c)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -221,7 +221,7 @@ func TestIngesterCrashConvergence(t *testing.T) {
 	// — acked ones dedup, torn/lost ones apply.
 	r := openDurable(t, durOpts(dir, nil))
 	defer r.Close()
-	rin := NewIngester(r, IngestOptions{MaxBatchDocs: 64})
+	rin := NewIngester(r)
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -240,7 +240,7 @@ func TestIngesterCrashConvergence(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if err := rin.Close(); err != nil && !errors.Is(err, ErrIngesterClosed) {
+	if err := rin.Close(); err != nil && !errors.Is(err, ErrClosed) {
 		t.Fatal(err)
 	}
 

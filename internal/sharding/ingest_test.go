@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +13,7 @@ import (
 	"repro/internal/bson"
 	"repro/internal/geo"
 	"repro/internal/leakcheck"
-	"repro/internal/wal"
+	"repro/internal/query"
 )
 
 // ingestDocs generates n deterministic spatio-temporal documents with
@@ -154,7 +155,7 @@ func TestInsertBatchDurable(t *testing.T) {
 func TestIngesterGroupCommit(t *testing.T) {
 	leakcheck.Check(t)
 	c := shardedCluster(t, smallOpts())
-	in := NewIngester(c, IngestOptions{MaxBatchDocs: 64})
+	in := NewIngester(c)
 	defer in.Close()
 
 	ref := shardedCluster(t, smallOpts())
@@ -228,81 +229,6 @@ func TestIngesterGroupCommit(t *testing.T) {
 	}
 }
 
-// TestIngesterOverloadSheds: a full queue sheds with the structured
-// transient overload error carrying the retry-after hint.
-func TestIngesterOverloadSheds(t *testing.T) {
-	leakcheck.Check(t)
-	// A durable cluster whose journal writes are artificially slow:
-	// group commits then take milliseconds, the queue backs up, and
-	// admission control has something real to push back on.
-	dir := t.TempDir()
-	ffs := wal.NewFaultFS(wal.NewOSFS(dir))
-	ffs.Before(func(op wal.Op, _ string) error {
-		if op == wal.OpWrite {
-			time.Sleep(2 * time.Millisecond)
-		}
-		return nil
-	})
-	c := openDurable(t, durOpts(dir, ffs))
-	defer c.Close()
-	if err := c.ShardCollection(hilbertDateKey()); err != nil {
-		t.Fatal(err)
-	}
-	in := NewIngester(c, IngestOptions{
-		MaxBatchDocs:  4,
-		QueueDocs:     8,
-		AdmissionWait: 5 * time.Millisecond,
-		RetryAfter:    40 * time.Millisecond,
-	})
-	defer in.Close()
-
-	// A batch larger than the whole queue can never be admitted.
-	_, _, err := insertDocs(context.Background(), in, "huge", ingestDocs(200, 9))
-	if !errors.Is(err, ErrBatchTooLarge) {
-		t.Fatalf("oversized batch: %v", err)
-	}
-	var se *ShardError
-	if !errors.As(err, &se) || se.Transient {
-		t.Fatalf("oversized batch should be a permanent ShardError: %+v", err)
-	}
-
-	// Flood from many goroutines; with an 8-doc queue and a 5ms
-	// admission wait some enqueues must shed. Shed errors must be
-	// transient, overload-tagged and carry the hint.
-	var wg sync.WaitGroup
-	shed := make(chan error, 64)
-	for w := 0; w < 16; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for b := 0; b < 4; b++ {
-				docs := ingestDocs(int64(300+w*4+b), 4)
-				_, _, err := insertDocs(context.Background(), in, fmt.Sprintf("o%d/%d", w, b), docs)
-				if err != nil {
-					shed <- err
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(shed)
-	for err := range shed {
-		if !errors.Is(err, ErrIngestOverload) {
-			t.Fatalf("unexpected ingest error: %v", err)
-		}
-		var se *ShardError
-		if !errors.As(err, &se) || !se.Transient || se.RetryAfter != 40*time.Millisecond {
-			t.Fatalf("shed error malformed: %+v", err)
-		}
-	}
-	if in.Stats().Sheds == 0 {
-		// Not strictly guaranteed by timing, but with a 32×4-doc flood
-		// against an 8-doc queue it would take a pathological scheduler
-		// to admit everything; treat it as a real failure.
-		t.Fatal("flood produced no sheds")
-	}
-}
-
 // TestIngesterCancelMidBatch: cancelling the enqueue context returns
 // the caller early, leaks nothing, and leaves the cluster consistent
 // — the admitted batch still commits, so a retry under the same ID
@@ -310,7 +236,7 @@ func TestIngesterOverloadSheds(t *testing.T) {
 func TestIngesterCancelMidBatch(t *testing.T) {
 	leakcheck.Check(t)
 	c := shardedCluster(t, smallOpts())
-	in := NewIngester(c, IngestOptions{MaxBatchDocs: 16, QueueDocs: 32})
+	in := NewIngester(c)
 
 	docs := ingestDocs(400, 16)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -340,8 +266,104 @@ func TestIngesterCancelMidBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Writes after Close are refused.
-	if _, _, err := insertDocs(context.Background(), in, "late", docs); !errors.Is(err, ErrIngesterClosed) {
+	if _, _, err := insertDocs(context.Background(), in, "late", docs); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close enqueue: %v", err)
+	}
+}
+
+// TestClosedClusterRefusesWrites: after Close, a durable cluster refuses
+// an insert batch, a group commit, a load and a delete with ErrClosed
+// before any of it is journaled or applied — the fingerprint is the one Close saw,
+// and so is a reopen's. A second Close returns nil.
+func TestClosedClusterRefusesWrites(t *testing.T) {
+	leakcheck.Check(t)
+	dir := t.TempDir()
+	c := openDurable(t, durOpts(dir, nil))
+	if err := c.ShardCollection(hilbertDateKey()); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.InsertBatch("early", ingestDocs(600, 5)); err != nil {
+		t.Fatal(err)
+	}
+	wantDocs, wantSum := c.ContentFingerprint()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if applied, _, err := c.InsertBatch("late", ingestDocs(610, 5)); !errors.Is(err, ErrClosed) || applied != 0 {
+		t.Fatalf("insert after Close: applied=%d err=%v, want 0 and ErrClosed", applied, err)
+	}
+	in := NewIngester(c)
+	if applied, _, err := insertDocs(context.Background(), in, "late-group", ingestDocs(620, 5)); !errors.Is(err, ErrClosed) || applied != 0 {
+		t.Fatalf("group commit after Close: applied=%d err=%v, want 0 and ErrClosed", applied, err)
+	}
+	if err := in.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Load(bson.MarshalAll(ingestDocs(630, 5))); !errors.Is(err, ErrClosed) {
+		t.Fatalf("load after Close: %v, want ErrClosed", err)
+	}
+	if n, err := c.Delete(query.Cmp{Field: "hilbertIndex", Op: query.OpGTE, Value: int64(0)}); !errors.Is(err, ErrClosed) || n != 0 {
+		t.Fatalf("delete after Close: deleted=%d err=%v, want 0 and ErrClosed", n, err)
+	}
+	if docs, sum := c.ContentFingerprint(); docs != wantDocs || sum != wantSum {
+		t.Fatalf("closed cluster holds (%d, %016x), want (%d, %016x)", docs, sum, wantDocs, wantSum)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+
+	r := openDurable(t, durOpts(dir, nil))
+	defer r.Close()
+	if docs, sum := r.ContentFingerprint(); docs != wantDocs || sum != wantSum {
+		t.Fatalf("reopen holds (%d, %016x), want (%d, %016x)", docs, sum, wantDocs, wantSum)
+	}
+}
+
+// TestOversizedRecordRefusedBeforeApplying: on a durable cluster a
+// batch, or a slice of a load, whose journal record would exceed
+// wal.MaxFrameBody is refused permanently before anything is journaled
+// or applied; an in-memory cluster, which journals nothing, takes both.
+func TestOversizedRecordRefusedBeforeApplying(t *testing.T) {
+	docs := ingestDocs(640, 17)
+	for _, d := range docs {
+		d.Set("pad", strings.Repeat("x", 1<<20))
+	}
+	raw := bson.MarshalAll(docs)
+
+	dir := t.TempDir()
+	c := openDurable(t, durOpts(dir, nil))
+	if err := c.ShardCollection(hilbertDateKey()); err != nil {
+		t.Fatal(err)
+	}
+	applied, _, err := c.InsertBatchRaw("big", raw)
+	if !errors.Is(err, errBatchRecordTooLarge) || IsTransient(err) || applied != 0 {
+		t.Fatalf("oversized batch: applied=%d err=%v, want 0 and a permanent refusal", applied, err)
+	}
+	if err := c.Load(raw); !errors.Is(err, errBatchRecordTooLarge) {
+		t.Fatalf("oversized load slice: %v, want a refusal", err)
+	}
+	if n, _ := c.ContentFingerprint(); n != 0 {
+		t.Fatalf("refused writes stored %d docs", n)
+	}
+	// The batch ID did not enter the dedup window: a smaller batch
+	// under the same ID still applies, and survives a reopen.
+	if applied, dup, err := c.InsertBatchRaw("big", raw[:2]); err != nil || dup || applied != 2 {
+		t.Fatalf("retry after refusal: applied=%d dup=%v err=%v", applied, dup, err)
+	}
+	wantDocs, wantSum := c.ContentFingerprint()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := openDurable(t, durOpts(dir, nil))
+	defer r.Close()
+	if docs, sum := r.ContentFingerprint(); docs != wantDocs || sum != wantSum {
+		t.Fatalf("reopen holds (%d, %016x), want (%d, %016x)", docs, sum, wantDocs, wantSum)
+	}
+
+	mem := shardedCluster(t, smallOpts())
+	if applied, _, err := mem.InsertBatchRaw("big", raw); err != nil || applied != len(raw) {
+		t.Fatalf("in-memory batch: applied=%d err=%v", applied, err)
 	}
 }
 
@@ -353,7 +375,7 @@ func TestIngesterCancelDuringSplitPressure(t *testing.T) {
 	opts := smallOpts()
 	opts.ChunkMaxBytes = 4 << 10 // split eagerly
 	c := shardedCluster(t, opts)
-	in := NewIngester(c, IngestOptions{MaxBatchDocs: 32, QueueDocs: 64})
+	in := NewIngester(c)
 	defer in.Close()
 
 	stop := make(chan struct{})
@@ -378,7 +400,7 @@ func TestIngesterCancelDuringSplitPressure(t *testing.T) {
 				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(b%3)*time.Millisecond)
 				_, _, err := insertDocs(ctx, in, fmt.Sprintf("s%d/%d", w, b), ingestDocs(int64(500+w*20+b), 16))
 				cancel()
-				if err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) && !errors.Is(err, ErrIngestOverload) {
+				if err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
 					t.Errorf("s%d/%d: %v", w, b, err)
 					return
 				}

@@ -217,7 +217,7 @@ func TestBalanceConcurrentWithIngestAndQueries(t *testing.T) {
 		baseSet[id] = struct{}{}
 	}
 
-	in := NewIngester(c, IngestOptions{MaxBatchDocs: 64})
+	in := NewIngester(c)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 

@@ -7,7 +7,7 @@
 # router (HMAC-authenticated handshakes throughout), stream idempotent
 # client batches through the router from concurrent workers, and run
 # CYCLES rounds of SIGKILL-mid-ingest/restart-from-directory plus
-# 16x-concurrency write bursts against a one-batch ingest queue.
+# 16x-concurrency write bursts against a one-slot admission gate.
 # stchaos -ingest exits non-zero on any invariant violation: a batch
 # that never converges, a restarted or SIGTERM'd daemon whose content
 # fingerprint disagrees with the in-process reference, a whole-replica
