@@ -27,6 +27,7 @@ import (
 	"repro/internal/bson"
 	"repro/internal/geo"
 	"repro/internal/index"
+	"repro/internal/query"
 	"repro/internal/sfc"
 	"repro/internal/sharding"
 	"repro/internal/sthash"
@@ -204,16 +205,28 @@ func Open(cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.cluster = sharding.NewCluster(cfg.clusterOptions())
+	s.cluster = sharding.NewCluster(s.clusterOptions())
 	if err := s.createDDL(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// clusterOptions maps the config onto the sharding layer's options.
-func (c Config) clusterOptions() sharding.Options {
+// clusterOptions maps the store's config onto the sharding layer's
+// options. A Hilbert store writes every document's hilbertIndex from its
+// location, and its wire edge refuses documents encoded otherwise, so a
+// count or heatmap may take a document in a cell strictly inside the
+// query rectangle from its index key (query.Containment).
+func (s *Store) clusterOptions() sharding.Options {
+	c := s.cfg
+	var qc *query.Config
+	if s.grid != nil {
+		qc = &query.Config{Contain: &query.Containment{
+			Leading: FieldHilbert, Geo: FieldLoc, Cell: s.grid.Encode, Interior: s.grid.Interior,
+		}}
+	}
 	return sharding.Options{
+		QueryConfig:      qc,
 		Shards:           c.Shards,
 		ChunkMaxBytes:    c.ChunkMaxBytes,
 		SummaryShift:     c.summaryShift(),

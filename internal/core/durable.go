@@ -122,7 +122,7 @@ func openDurable(cfg Config) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		if s.cluster, err = sharding.OpenCluster(mcfg.clusterOptions()); err != nil {
+		if s.cluster, err = sharding.OpenCluster(s.clusterOptions()); err != nil {
 			return nil, err
 		}
 		if _, sharded := s.cluster.ShardKeyOf(); !sharded {
@@ -147,7 +147,7 @@ func openDurable(cfg Config) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		if s.cluster, err = sharding.OpenCluster(cfg.clusterOptions()); err != nil {
+		if s.cluster, err = sharding.OpenCluster(s.clusterOptions()); err != nil {
 			return nil, err
 		}
 		if _, sharded := s.cluster.ShardKeyOf(); !sharded {

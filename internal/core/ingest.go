@@ -42,7 +42,10 @@ func (s *Store) IngestStats() sharding.IngestStats {
 
 // InsertBatchRaw applies one idempotent client batch of encoded
 // documents (sharding.BatchInserter says what they must be; the store
-// owns them afterwards). The batch goes through the local group-commit
+// owns them afterwards). A Hilbert store's documents must also carry
+// their location's cell as hilbertIndex, as Encoder writes it: the wire
+// edge refuses others (query.Containment.Check), and in-process callers
+// pass the store's own encoding. The batch goes through the local group-commit
 // batcher first (journal + dedup window live there), then — when the
 // cluster's execution boundary is a write-capable transport
 // (netconn.RemoteConn) — the same bytes are broadcast to every daemon

@@ -160,6 +160,22 @@ func AppendNumber(dst []byte, f float64) []byte {
 	return binary.BigEndian.AppendUint64(dst, bits)
 }
 
+// Number decodes the numeric component a key begins with: the value
+// AppendNumber (or AppendValue, for any numeric kind) encoded. ok is
+// false when the key does not begin with a numeric component.
+func Number(k []byte) (float64, bool) {
+	if len(k) < 9 || k[0] != classNumber {
+		return 0, false
+	}
+	bits := binary.BigEndian.Uint64(k[1:9])
+	if bits>>63 == 1 {
+		bits &^= 1 << 63
+	} else {
+		bits = ^bits
+	}
+	return math.Float64frombits(bits), true
+}
+
 // appendOrderedInt64 encodes an int64 with the sign bit flipped so
 // unsigned bytewise order equals signed order. Used for datetimes,
 // which must keep full 64-bit precision.

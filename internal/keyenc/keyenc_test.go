@@ -57,6 +57,34 @@ func TestEncodeNumberOrderProperty(t *testing.T) {
 	}
 }
 
+// TestNumberDecodesEncoding: Number reads back what AppendNumber wrote
+// at the head of a composite key, and refuses every other class.
+func TestNumberDecodesEncoding(t *testing.T) {
+	f := func(v float64, tail int64) bool {
+		if math.IsNaN(v) {
+			return true
+		}
+		got, ok := Number(EncodeComposite(v, tail))
+		return ok && (got == v || v == 0 && got == 0)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	for _, v := range []int64{0, 1, -1, 1 << 52, -(1 << 40)} {
+		if got, ok := Number(Encode(v)); !ok || int64(got) != v {
+			t.Errorf("Number(Encode(%d)) = %v, %v", v, got, ok)
+		}
+	}
+	for _, v := range []any{nil, "7", time.UnixMilli(7), true, bson.ObjectID{1}} {
+		if _, ok := Number(Encode(v)); ok {
+			t.Errorf("Number decoded the non-numeric key of %v", bson.FormatValue(v))
+		}
+	}
+	if _, ok := Number(Encode(int64(3))[:8]); ok {
+		t.Error("Number decoded a truncated key")
+	}
+}
+
 func TestEncodeStringOrderProperty(t *testing.T) {
 	f := func(a, b string) bool {
 		return sgn(bytes.Compare(Encode(a), Encode(b))) == sgn(bson.Compare(a, b))

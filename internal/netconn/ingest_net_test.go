@@ -234,6 +234,83 @@ func TestRouterInsertEndToEnd(t *testing.T) {
 	}
 }
 
+// TestWireInsertRefusesForeignCell: a Hilbert store answers counts
+// from its index keys, so its wire edge refuses, permanently, a document
+// whose hilbertIndex is not the cell of its location — encoded over
+// another extent, forged, missing, of another type, or without a point
+// — on the router's hop and on a shard daemon's alike, and stores
+// nothing of the batch that carries it.
+func TestWireInsertRefusesForeignCell(t *testing.T) {
+	leakcheck.Check(t)
+	router := openStore(t, core.Hil, 3, 300)
+	backend := openStore(t, core.Hil, 3, 300)
+	addrs := startServers(t, backend, 2, ServerOptions{})
+	rc := connectRemote(t, router, addrs, Options{Mutable: true})
+	router.Cluster().SetConn(rc)
+	defer router.Cluster().SetConn(nil)
+	rs := NewRouterServer(router, AdmitOptions{})
+	addr, err := rs.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	cl, err := DialRouter(addr, Options{Mutable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	recs := ingestRecords(81, 8)
+	good := bson.MarshalAll(mustDocs(t, router, recs))
+	star, err := core.NewEncoder(core.Config{Approach: core.HilStar, Shards: 3, DataExtent: testExtent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherExtent, err := star.Encode(recs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit := func(key string, value any) []byte {
+		doc := mustDocs(t, router, recs[:1])[0]
+		if value == nil {
+			doc.Delete(key)
+		} else {
+			doc.Set(key, value)
+		}
+		return bson.Marshal(doc)
+	}
+	cell := int64(router.Grid().Encode(recs[0].Point))
+	bad := map[string][]byte{
+		"other extent": otherExtent,
+		"forged":       edit(core.FieldHilbert, cell+1),
+		"missing":      edit(core.FieldHilbert, nil),
+		"float":        edit(core.FieldHilbert, float64(cell)),
+		"no point":     edit(core.FieldLoc, nil),
+	}
+	wantDocs, wantSum := backend.Fingerprint()
+	for name, doc := range bad {
+		batch := append(append([][]byte{}, good[:4]...), doc)
+		_, err := cl.Insert("bad-"+name, batch)
+		var se *ServerError
+		if !errors.As(err, &se) || se.Transient || IsOverload(err) {
+			t.Fatalf("%s through the router: %v, want a permanent refusal", name, err)
+		}
+		_, _, err = rc.InsertBatchRaw(context.Background(), "bad-"+name, batch)
+		var she *sharding.ShardError
+		if !errors.As(err, &she) || she.Transient {
+			t.Fatalf("%s to the daemons: %v, want a permanent refusal", name, err)
+		}
+		for _, s := range []*core.Store{router, backend} {
+			if d, sum := s.Fingerprint(); d != wantDocs || sum != wantSum {
+				t.Fatalf("%s: a refused batch changed a store: %d/%016x, want %d/%016x", name, d, sum, wantDocs, wantSum)
+			}
+		}
+	}
+	if reply, err := cl.Insert("good", good); err != nil || int(reply.Applied) != len(good) {
+		t.Fatalf("a well-encoded batch after the refusals: %+v, %v", reply, err)
+	}
+}
+
 // slowJournalFS is a durable store's filesystem whose journal writes
 // each take 2ms: an insert then holds its admission slot long enough for
 // a flood of concurrent inserts to find the gate full.
@@ -396,6 +473,63 @@ func TestRouterInsertOverloadSheds(t *testing.T) {
 	}
 }
 
+// TestRouterForwardsShardOverload: a shard daemon's gate shed of a
+// router's broadcast reaches the router's client as an overload with
+// the shard's retry-after hint — not as a generic error that happens to
+// carry one — so the client backs off by the hint. The router's own
+// gate is the default one; only the daemon behind it sheds.
+func TestRouterForwardsShardOverload(t *testing.T) {
+	leakcheck.Check(t)
+	dir := t.TempDir()
+	cfg := core.Config{Approach: core.Hil, Shards: 3, ChunkMaxBytes: 16 << 10, DataExtent: testExtent, Sync: wal.SyncNever}
+	router, err := core.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	cfg.Dir, cfg.FS = dir, slowJournalFS(dir)
+	backend, err := core.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backend.Close()
+	addrs := startServers(t, backend, 1, ServerOptions{Admit: writeGate})
+	router.Cluster().SetConn(connectRemote(t, router, addrs, Options{Mutable: true}))
+	defer router.Cluster().SetConn(nil)
+
+	rs := NewRouterServer(router, AdmitOptions{})
+	addr, err := rs.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	cl, err := DialRouter(addr, Options{Mutable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	raws := bson.MarshalAll(mustDocs(t, router, ingestRecords(76, 16*4*4)))
+	var next atomic.Int64
+	mkBatch := func(n int) [][]byte {
+		i := int(next.Add(int64(n))) - n
+		return raws[i : i+n]
+	}
+	errs := floodInserts(func(batchID string, raw [][]byte) error {
+		_, err := cl.Insert(batchID, raw)
+		return err
+	}, mkBatch)
+	for _, err := range errs {
+		var se *ServerError
+		if !IsOverload(err) || !errors.As(err, &se) || se.RetryAfter != writeGate.RetryAfterHint {
+			t.Fatalf("a shard's shed reached the router's client as %v", err)
+		}
+	}
+	if len(errs) == 0 {
+		t.Fatal("flood produced no sheds")
+	}
+}
+
 // TestWireInsertRefusesOversizedBatch: a batch that fits in a wire
 // frame but whose journal record would not fit in a journal frame is
 // refused, permanently, before it is journaled. Had it been applied
@@ -537,9 +671,11 @@ func TestInsertHandlerOwnsItsBytes(t *testing.T) {
 	defer srv.Close()
 
 	docs := bson.MarshalAll(mustDocs(t, backend, ingestRecords(73, 8)))
+	at := testExtent.Center()
 	liberal := bson.Marshal(bson.FromD(bson.D{
 		{Key: "_id", Value: int64(7001)},
-		{Key: "hilbertIndex", Value: int64(5)},
+		{Key: "location", Value: geo.GeoJSONPoint(at)},
+		{Key: "hilbertIndex", Value: int64(backend.Grid().Encode(at))},
 		{Key: "date", Value: testStart},
 		{Key: "flag", Value: true},
 		{Key: "arr", Value: bson.A{nil}},

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/bson"
+	"repro/internal/query"
 	"repro/internal/sharding"
 	"repro/internal/wire"
 )
@@ -236,7 +237,14 @@ func (h *connHandler) runInsert(ctx context.Context, w sharding.BatchInserter, c
 	// copies, which the stores will own. A well-formed document from an
 	// encoder more liberal than ours (a bool byte other than 0/1, array
 	// keys other than "0".."n-1") is re-encoded, so that what is stored
-	// is always exactly Marshal's output.
+	// is always exactly Marshal's output. A store whose counts trust an
+	// index key's cell (query.Containment) refuses, for good, a document
+	// whose cell is not its point's: the client encoded it over another
+	// extent, or forged it.
+	var contain *query.Containment
+	if qc := cluster.Options().QueryConfig; qc != nil {
+		contain = qc.Contain
+	}
 	for i, raw := range ins.Docs {
 		canonical, err := bson.Validate(raw)
 		if err != nil {
@@ -245,6 +253,11 @@ func (h *connHandler) runInsert(ctx context.Context, w sharding.BatchInserter, c
 		if !canonical {
 			doc, _ := bson.Unmarshal(raw) // Validate passed: it decodes
 			ins.Docs[i] = bson.Marshal(doc)
+		}
+		if contain != nil {
+			if err := contain.Check(ins.Docs[i]); err != nil {
+				return h.replyErr(-1, false, fmt.Errorf("batch %q doc %d: %w", ins.BatchID, i, err))
+			}
 		}
 	}
 	// Refused here whether or not this process journals, so an
@@ -256,7 +269,13 @@ func (h *connHandler) runInsert(ctx context.Context, w sharding.BatchInserter, c
 	if err != nil {
 		var se *sharding.ShardError
 		if errors.As(err, &se) {
-			return h.replyErrCode(int32(se.Shard), se.Transient, wire.ErrCodeGeneric, se.RetryAfter, se.Err)
+			// A shard's shed (a retry-after hint) stays an overload on
+			// this hop too, so a router's client backs off by the hint.
+			code := wire.ErrCodeGeneric
+			if se.RetryAfter > 0 {
+				code = wire.ErrCodeOverload
+			}
+			return h.replyErrCode(int32(se.Shard), se.Transient, code, se.RetryAfter, se.Err)
 		}
 		// A drain that cancelled the server ctx mid-commit is transient:
 		// the client retries against the restarted daemon and dedups.

@@ -190,11 +190,16 @@ func (a *aggAcc) accumulate(doc bson.Raw, spec AggSpec) {
 		if !ok {
 			return
 		}
-		if a.cells == nil {
-			a.cells = make(map[uint64]int64)
-		}
-		a.cells[uint64(iv)>>spec.Shift]++
+		a.addCell(uint64(iv) >> spec.Shift)
 	}
+}
+
+// addCell counts one document in the histogram bucket of cell.
+func (a *aggAcc) addCell(cell uint64) {
+	if a.cells == nil {
+		a.cells = make(map[uint64]int64)
+	}
+	a.cells[cell]++
 }
 
 // result materializes the accumulator into a canonical owned

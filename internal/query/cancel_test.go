@@ -6,6 +6,9 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/geo"
+	"repro/internal/sfc"
 )
 
 // TestExecuteCtxCancelledBeforeStart: a context cancelled before the
@@ -89,5 +92,69 @@ func TestExecuteCtxCollScanCancel(t *testing.T) {
 	}
 	if res != nil {
 		t.Fatal("cancelled collscan returned a result")
+	}
+}
+
+// everyCellInterior is a containment that calls every hilbertIndex
+// value interior: a scan under it answers a count from its keys alone
+// and never fetches a document.
+var everyCellInterior = &Containment{
+	Leading: "hilbertIndex", Geo: "location",
+	Interior: func(geo.Rect) []sfc.Range { return []sfc.Range{{Lo: 0, Hi: 1 << 40}} },
+}
+
+// TestKeyOnlyScanCancels: a scan that answers every key from the index
+// fetches no document, so the document counter never reaches a context
+// check; it still checks the context every cancelCheckWorks keys and
+// stops at the first check that reports cancelled, and ExecuteCtx
+// returns the context's error rather than a completed count.
+func TestKeyOnlyScanCancels(t *testing.T) {
+	c := newCollWithIndexes(t, 5000)
+	f := NewAnd(
+		GeoWithin{Field: "location", Rect: geo.NewRect(0, 0, 90, 90)},
+		Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(0)},
+		TimeRangeFilter("date", baseTime, baseTime.Add(60*24*time.Hour)),
+	)
+	p := Prepare(f)
+	var plan *Plan
+	for _, cand := range CandidatePlans(c, p) {
+		if cand.Name() == "{hilbertIndex: 1, date: 1}" {
+			plan = cand
+		}
+	}
+	if plan == nil {
+		t.Fatal("no plan through the {hilbertIndex, date} index")
+	}
+	count := Opts{Agg: AggSpec{Kind: AggCount}}
+	for checks := 1; checks <= 3; checks++ {
+		s := getScratch()
+		e := exec{ctx: &countdownCtx{Context: context.Background(), left: checks - 1}, coll: c, p: plan, collect: true, opts: count, s: s}
+		e.contain(&Config{Contain: everyCellInterior}, p)
+		if e.in == nil {
+			t.Fatal("the count is not answered from the keys")
+		}
+		completed := e.run()
+		if completed || !errors.Is(e.ctxErr, context.Canceled) {
+			t.Fatalf("check %d: completed=%v err=%v, want a cancelled scan", checks, completed, e.ctxErr)
+		}
+		if e.keyOnlyN != checks*cancelCheckWorks || e.stats.DocsExamined != 0 {
+			t.Fatalf("check %d: stopped after %d keys and %d documents, want %d keys and none",
+				checks, e.keyOnlyN, e.stats.DocsExamined, checks*cancelCheckWorks)
+		}
+		putScratch(s)
+		if s.batch.n != 0 {
+			t.Fatalf("the cancelled scan left %d entries queued", s.batch.n)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if res, err := ExecuteOptsCtx(ctx, c, f, &Config{Contain: everyCellInterior}, count); !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("cancelled key-only count: res=%v err=%v, want context.Canceled", res, err)
+	}
+	res := ExecuteOpts(c, f, &Config{Contain: everyCellInterior}, count)
+	if res.Stats.DocsExamined != 0 || res.Agg.Count != 5000 {
+		t.Fatalf("uncancelled key-only count: %d, %d documents examined, want 5000 and none",
+			res.Agg.Count, res.Stats.DocsExamined)
 	}
 }

@@ -2,8 +2,13 @@ package query
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/geo"
+	"repro/internal/index"
+	"repro/internal/sfc"
 )
 
 // TestConcurrentExecuteSameShape hammers one collection with
@@ -139,5 +144,61 @@ func TestEvictPlanIsConditional(t *testing.T) {
 	evictPlan(c, f, cur)
 	if _, ok := c.PlanCache.Load(ShapeOf(f)); ok {
 		t.Fatal("matching eviction left the entry in place")
+	}
+}
+
+// TestConcurrentContainedExecutions runs one Prepared from many
+// goroutines under a containment, the way a scatter's shard executions
+// share it: the interior ranges are computed once, and every execution
+// returns what a sequential one does. Run under -race.
+func TestConcurrentContainedExecutions(t *testing.T) {
+	c := buildCollection(t, 2000)
+	mustIndex(t, c, index.Definition{Name: "hd", Fields: []index.Field{
+		{Name: "hilbertIndex", Kind: index.Ascending},
+		{Name: "date", Kind: index.Ascending},
+	}})
+	var calls atomic.Int32
+	contain := &Containment{
+		Leading: "hilbertIndex", Geo: "location",
+		Interior: func(geo.Rect) []sfc.Range {
+			calls.Add(1)
+			return []sfc.Range{{Lo: 20000, Hi: 40000}, {Lo: 55000, Hi: 56000}}
+		},
+	}
+	cfg := &Config{Contain: contain}
+	mk := func() *Prepared {
+		return Prepare(NewAnd(
+			GeoWithin{Field: "location", Rect: geo.NewRect(23.2, 37.2, 23.8, 37.8)},
+			Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(10000)},
+			Cmp{Field: "hilbertIndex", Op: OpLTE, Value: int64(70000)},
+			TimeRangeFilter("date", baseTime, baseTime.Add(20*24*time.Hour)),
+		))
+	}
+	count := Opts{Agg: AggSpec{Kind: AggCount}}
+	wantDocs := ExecuteOpts(c, mk(), cfg, Opts{}).Stats.NReturned
+	wantCount := ExecuteOpts(c, mk(), cfg, count).Agg.Count
+	calls.Store(0)
+	p := mk()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if (g+i)%2 == 0 {
+					if n := ExecuteOpts(c, p, cfg, Opts{}).Stats.NReturned; n != wantDocs {
+						t.Errorf("goroutine %d: %d documents, want %d", g, n, wantDocs)
+						return
+					}
+				} else if n := ExecuteOpts(c, p, cfg, count).Agg.Count; n != wantCount {
+					t.Errorf("goroutine %d: count %d, want %d", g, n, wantCount)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("the interior ranges were computed %d times for one Prepared", n)
 	}
 }

@@ -107,6 +107,7 @@ func ExecuteOptsCtx(ctx context.Context, coll *collection.Collection, f Filter, 
 	defer putScratch(s)
 	if plan, budget, entry, ok := cachedPlan(coll, p); ok {
 		e := exec{ctx: ctx, coll: coll, p: plan, maxWorks: budget, collect: true, opts: opts, s: s}
+		e.contain(cfg, p)
 		completed := e.run()
 		if e.ctxErr != nil {
 			return nil, e.ctxErr
@@ -129,6 +130,7 @@ func ExecuteOptsCtx(ctx context.Context, coll *collection.Collection, f Filter, 
 	}
 	plan, trials := ChoosePlan(coll, p, cfg)
 	e := exec{ctx: ctx, coll: coll, p: plan, collect: true, opts: opts, s: s}
+	e.contain(cfg, p)
 	e.run()
 	if e.ctxErr != nil {
 		return nil, e.ctxErr
@@ -208,6 +210,27 @@ type exec struct {
 	stats    ExecStats
 	ctxErr   error
 	hitLimit bool
+	// in, when non-nil, classifies scanned keys as interior (see
+	// Containment), and an interior key is answered from the key
+	// alone; inAt is its forward cursor. keyOnlyN counts the keys so
+	// answered for the context check, which they never reach through
+	// the document counter.
+	in       *interior
+	inAt     int
+	keyOnlyN int
+}
+
+// contain turns on interior classification for a count, or a cell
+// histogram over the containment's leading field, whose plan residual
+// a key in an interior cell proves: such a key carries the document's
+// whole contribution.
+func (e *exec) contain(cfg *Config, p *Prepared) {
+	if cfg == nil || cfg.Contain == nil || e.p.Index == nil || !e.collect || e.ids != nil {
+		return
+	}
+	if agg := e.opts.Agg; agg.Kind == AggCount || agg.Kind == AggCellHist && agg.Field == cfg.Contain.Leading {
+		e.in = p.interiorFor(e.p, cfg.Contain)
+	}
 }
 
 // run executes the plan. It reports whether the plan ran to
@@ -314,13 +337,40 @@ func (e *exec) scanSegment(seg Segment) {
 
 // push queues the iterator's current entry — its record id and the
 // examined count as of its key — and processes the batch once it is
-// full. It returns false to stop the scan.
+// full. An interior key is answered on the spot instead. It returns
+// false to stop the scan.
 func (e *exec) push(it *btree.Iterator) bool {
+	if e.in != nil && e.in.contains(&e.inAt, it.Key()) {
+		return e.fromKey(it.Key())
+	}
 	b := &e.s.batch
 	b.ids[b.n] = storage.RecordID(it.Value())
 	b.seen[b.n] = it.Examined()
 	b.n++
 	return b.n < fetchBatch || e.flush()
+}
+
+// fromKey folds an interior key into a count or cell histogram without
+// fetching its document: the key proves the document matches, and its
+// leading value is the document's cell. Aggregates are order-free, so
+// answering it ahead of the batch still queued changes nothing; a scan
+// this stops discards its partial aggregate.
+func (e *exec) fromKey(key []byte) bool {
+	e.stats.NReturned++
+	e.s.agg.count++
+	if e.opts.Agg.Kind == AggCellHist {
+		// contains parsed the key's leading component as a number.
+		v, _ := keyenc.Number(key)
+		e.s.agg.addCell(uint64(int64(v)) >> e.opts.Agg.Shift)
+	}
+	if e.keyOnlyN++; e.keyOnlyN%cancelCheckWorks == 0 {
+		if err := e.ctx.Err(); err != nil {
+			e.ctxErr = err
+			e.s.batch.n = 0 // the queued entries die with the scan
+			return false
+		}
+	}
+	return true
 }
 
 // flush processes the queued entries in three passes: look every record

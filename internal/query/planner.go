@@ -15,6 +15,10 @@ type Config struct {
 	// fetched) each candidate plan gets during the plan-selection
 	// trial. 0 means DefaultTrialWorks.
 	TrialWorks int
+	// Contain, when set, lets index scans accept documents in interior
+	// cells without refining their $geoWithin (see Containment). Plan
+	// trials and explain always refine.
+	Contain *Containment
 }
 
 // DefaultTrialWorks is Config.TrialWorks's default.

@@ -45,6 +45,11 @@ type accessPath struct {
 	segments []Segment
 	residual Filter
 	usable   bool
+
+	// interior classifies the path's keys under contain (see
+	// interiorFor); both are set on the first contained execution.
+	contain  *Containment
+	interior *interior
 }
 
 // Prepare derives the filter's planning state; preparing a Prepared

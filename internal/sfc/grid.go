@@ -111,3 +111,24 @@ func (g *Grid) Cover(query geo.Rect) []Range {
 	// rectangle, so no correction is needed for the inclusive cover.
 	return g.curve.Cover(x0, y0, x1, y1)
 }
+
+// Interior returns the merged curve ranges of the cells strictly
+// between the clipped query rectangle's corner cells: every point whose
+// cell is among them lies strictly inside the rectangle. CellOf is
+// monotone in each coordinate, so a point whose column exceeds the
+// min corner's lies east of the min corner (and likewise for the other
+// three sides); clamping only ever yields border cells, which are
+// never interior. The result is nil when the rectangle spans fewer than
+// three cells in either dimension.
+func (g *Grid) Interior(query geo.Rect) []Range {
+	clipped, ok := query.Intersection(g.extent)
+	if !ok {
+		return nil
+	}
+	x0, y0 := g.CellOf(clipped.Min)
+	x1, y1 := g.CellOf(clipped.Max)
+	if x1 < x0+2 || y1 < y0+2 {
+		return nil
+	}
+	return g.curve.Cover(x0+1, y0+1, x1-1, y1-1)
+}

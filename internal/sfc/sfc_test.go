@@ -1,6 +1,7 @@
 package sfc
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -348,5 +349,99 @@ func TestNewGridValidation(t *testing.T) {
 	}
 	if _, err := NewGrid(h, geo.Rect{Min: geo.Point{Lon: 500}, Max: geo.Point{Lon: 600}}); err == nil {
 		t.Error("invalid extent accepted")
+	}
+}
+
+// TestGridInteriorCellsLieInside: a point whose cell is among a
+// rectangle's interior cells lies strictly inside the rectangle — for
+// rectangles whose edges sit exactly on cell edges, one ulp off them,
+// or anywhere, clipped by the extent or not, and for points on every
+// cell edge, on the rectangle's edges and one ulp either side of them.
+// Interior cells are covered cells, and a rectangle spanning fewer than
+// three cells in either dimension has none.
+func TestGridInteriorCellsLieInside(t *testing.T) {
+	h, _ := NewHilbert(5)
+	z, _ := NewZOrder(5)
+	rng := rand.New(rand.NewSource(31))
+	for _, curve := range []Curve{h, z} {
+		for _, extent := range []geo.Rect{geo.NewRect(23, 37, 25, 39), geo.World} {
+			g, _ := NewGrid(curve, extent)
+			n := float64(curve.Cells())
+			cw, ch := extent.Width()/n, extent.Height()/n
+			// edge returns a coordinate at cell edge k (k may lie
+			// outside the grid), nudged as the mode says.
+			edge := func(min, size float64, k int, mode int) float64 {
+				v := min + float64(k)*size
+				switch mode {
+				case 1:
+					return math.Nextafter(v, math.Inf(1))
+				case 2:
+					return math.Nextafter(v, math.Inf(-1))
+				case 3:
+					return v + rng.Float64()*size
+				}
+				return v
+			}
+			interiors := 0
+			for i := 0; i < 400; i++ {
+				kx, ky := rng.Intn(36)-2, rng.Intn(36)-2
+				query := geo.Rect{
+					Min: geo.Point{Lon: edge(extent.Min.Lon, cw, kx, rng.Intn(4)), Lat: edge(extent.Min.Lat, ch, ky, rng.Intn(4))},
+					Max: geo.Point{Lon: edge(extent.Min.Lon, cw, kx+1+rng.Intn(4), rng.Intn(4)), Lat: edge(extent.Min.Lat, ch, ky+1+rng.Intn(4), rng.Intn(4))},
+				}
+				interior := g.Interior(query)
+				cover := g.Cover(query)
+				in := func(rs []Range, d uint64) bool {
+					for _, r := range rs {
+						if r.Contains(d) {
+							return true
+						}
+					}
+					return false
+				}
+				for _, r := range interior {
+					for d := r.Lo; d <= r.Hi; d++ {
+						if !in(cover, d) {
+							t.Fatalf("%T %v: interior cell %d outside the cover", curve, query, d)
+						}
+					}
+				}
+				if clipped, ok := query.Intersection(extent); ok {
+					x0, y0 := g.CellOf(clipped.Min)
+					x1, y1 := g.CellOf(clipped.Max)
+					if wide := x1 >= x0+2 && y1 >= y0+2; wide != (len(interior) > 0) {
+						t.Fatalf("%T %v: spans cells %d..%d x %d..%d, interior %v", curve, query, x0, x1, y0, y1, interior)
+					}
+				}
+				if len(interior) > 0 {
+					interiors++
+				}
+				var lons, lats []float64
+				for k := kx - 1; k <= kx+6; k++ {
+					for _, mode := range []int{0, 1, 2, 3} {
+						lons = append(lons, edge(extent.Min.Lon, cw, k, mode))
+						lats = append(lats, edge(extent.Min.Lat, ch, ky+k-kx, mode))
+					}
+				}
+				for _, v := range []float64{query.Min.Lon, query.Max.Lon} {
+					lons = append(lons, v, math.Nextafter(v, math.Inf(1)), math.Nextafter(v, math.Inf(-1)))
+				}
+				for _, v := range []float64{query.Min.Lat, query.Max.Lat} {
+					lats = append(lats, v, math.Nextafter(v, math.Inf(1)), math.Nextafter(v, math.Inf(-1)))
+				}
+				for _, lon := range lons {
+					for _, lat := range lats {
+						p := geo.Point{Lon: lon, Lat: lat}
+						if in(interior, g.Encode(p)) &&
+							!(p.Lon > query.Min.Lon && p.Lon < query.Max.Lon && p.Lat > query.Min.Lat && p.Lat < query.Max.Lat) {
+							t.Fatalf("%T %v: point %v has interior cell %d but is not strictly inside", curve, query, p, g.Encode(p))
+						}
+					}
+				}
+			}
+			if interiors < 50 {
+				t.Fatalf("%T over %v: only %d of 400 rectangles had an interior", curve, extent, interiors)
+			}
+		}
 	}
 }

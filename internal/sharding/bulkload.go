@@ -108,8 +108,7 @@ func (c *Cluster) loadSlices(docs [][]byte) error {
 			return fmt.Errorf("sharding: loading documents %d-%d: %w", start, end-1, err)
 		}
 	}
-	c.Balance()
-	return nil
+	return c.Balance()
 }
 
 // journalLoadLocked writes the records the per-document path would:
@@ -279,7 +278,7 @@ func (c *Cluster) planLoadLocked(docs [][]byte) (*loadModel, error) {
 		ch := m.chunks[ci]
 		m.assign(ch.Shard, int32(i))
 		m.add(m.docsOf(ch), int32(i))
-		m.placed(ci, len(raw), m)
+		m.placed(ci, len(raw), tuple, m)
 	}
 	m.balance(m)
 	return m, nil

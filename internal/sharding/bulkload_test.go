@@ -192,6 +192,9 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 					}
 				}
 				requireSamePlacement(t, "after the batches", bulk, ref)
+				if st := ref.ClusterStats(); st.Jumbo > st.Chunks {
+					t.Fatalf("%d jumbo findings over %d chunks: a jumbo chunk was counted per insert", st.Jumbo, st.Chunks)
+				}
 				jumbo += ref.ClusterStats().Jumbo
 
 				if opts.Dir != "" {

@@ -30,6 +30,10 @@ type Chunk struct {
 	// chunk — only then may the router prune on it. See summary.go.
 	sum      *sketch.Summary
 	sumExact bool
+	// single is the one shard-key tuple every document of the chunk
+	// shares, set when a size split found it unsplittable (jumbo): the
+	// split is retried only when a document with another tuple arrives.
+	single []byte
 }
 
 // Contains reports whether the tuple falls in the chunk.
@@ -308,6 +312,9 @@ func (c *Cluster) ShardCollection(key ShardKey) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed {
+		return ErrClosed
+	}
 	if c.sharded {
 		return fmt.Errorf("sharding: collection already sharded")
 	}
@@ -339,6 +346,9 @@ func (c *Cluster) ShardKeyOf() (ShardKey, bool) {
 func (c *Cluster) CreateIndex(def index.Definition) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed {
+		return ErrClosed
+	}
 	for _, s := range c.shards {
 		if _, err := s.Coll.CreateIndex(def); err != nil {
 			return err
@@ -378,7 +388,8 @@ func (c *Cluster) insertRawLocked(raw []byte) error {
 		return nil
 	}
 	var buf tupleBuf
-	ci := c.findChunk(c.key.AppendTupleRaw(buf[:0], raw))
+	tuple := c.key.AppendTupleRaw(buf[:0], raw)
+	ci := c.findChunk(tuple)
 	if ci < 0 {
 		return fmt.Errorf("sharding: no chunk for tuple (shard key %s)", c.key)
 	}
@@ -390,7 +401,7 @@ func (c *Cluster) insertRawLocked(raw []byte) error {
 	c.fpSum += docChecksum(raw)
 	c.bumpEpochLocked(ch.Shard)
 	c.summaryAddLocked(ch, raw)
-	c.placed(ci, len(raw), c)
+	c.placed(ci, len(raw), tuple, c)
 	return nil
 }
 
@@ -573,14 +584,19 @@ func (c *Cluster) ResultCacheStats() (hits, misses int64) {
 // Balance runs the balancer until the chunk counts are even (or no
 // legal move remains): repeatedly move a chunk from the
 // most-chunk-loaded shard to the least-loaded shard that may accept
-// it (zones constrain the legal destinations).
-func (c *Cluster) Balance() {
+// it (zones constrain the legal destinations). A closed cluster
+// refuses with ErrClosed before moving anything; otherwise the error is
+// the journal commit's.
+func (c *Cluster) Balance() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed {
+		return ErrClosed
+	}
 	c.balanceLocked()
 	// One journal record re-derives the whole run during replay; the
 	// individual migrations are not journaled.
-	_ = c.journalCommit(opBalance, nil)
+	return c.journalCommit(opBalance, nil)
 }
 
 func (c *Cluster) balanceLocked() {

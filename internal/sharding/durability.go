@@ -236,8 +236,9 @@ func (c *Cluster) Sync() error {
 }
 
 // Close marks the cluster closed and syncs and closes the journal. The
-// cluster remains usable for reads; inserts, loads and deletes are
-// refused with ErrClosed. A second Close returns nil.
+// cluster remains usable for reads; inserts, loads, deletes, balancing
+// and DDL are refused with ErrClosed before anything of them is applied.
+// A second Close returns nil.
 func (c *Cluster) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -313,7 +314,9 @@ func (c *Cluster) replay(recs []wal.Record) error {
 				return fmt.Errorf("sharding: replay lsn %d: %w", rec.LSN, err)
 			}
 		case opBalance:
-			c.Balance()
+			if err := c.Balance(); err != nil {
+				return fmt.Errorf("sharding: replay lsn %d: %w", rec.LSN, err)
+			}
 		case opInsert:
 			return fmt.Errorf("sharding: replay lsn %d: %w", rec.LSN, errOldLayout)
 		case opDelete:
@@ -543,6 +546,7 @@ func clusterFromSnapshot(payload []byte, caller Options) (*Cluster, error) {
 	if d.err != nil {
 		return nil, fmt.Errorf("sharding: corrupt snapshot: %w", d.err)
 	}
+	c.refindJumbo(c)
 	return c, nil
 }
 

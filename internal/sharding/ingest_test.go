@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,8 @@ import (
 
 	"repro/internal/bson"
 	"repro/internal/geo"
+	"repro/internal/index"
+	"repro/internal/keyenc"
 	"repro/internal/leakcheck"
 	"repro/internal/query"
 )
@@ -317,6 +320,69 @@ func TestClosedClusterRefusesWrites(t *testing.T) {
 	defer r.Close()
 	if docs, sum := r.ContentFingerprint(); docs != wantDocs || sum != wantSum {
 		t.Fatalf("reopen holds (%d, %016x), want (%d, %016x)", docs, sum, wantDocs, wantSum)
+	}
+}
+
+// TestClosedClusterRefusesBalanceAndDDL: after Close, Balance and the
+// DDL calls return ErrClosed before they apply anything, so the closed
+// cluster's chunk map stays the one a reopen recovers. With the
+// balancer never run, every chunk of the loaded cluster is on shard 0,
+// and a Balance that applied in memory would spread them.
+func TestClosedClusterRefusesBalanceAndDDL(t *testing.T) {
+	leakcheck.Check(t)
+	dir := t.TempDir()
+	opts := durOpts(dir, nil)
+	opts.AutoBalanceEvery = -1
+	c := openDurable(t, opts)
+	if err := c.ShardCollection(hilbertDateKey()); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.InsertBatch("load", ingestDocs(650, 2000)); err != nil {
+		t.Fatal(err)
+	}
+	placement := func(c *Cluster) []int {
+		var shards []int
+		for _, ch := range c.Chunks() {
+			shards = append(shards, ch.Shard)
+		}
+		return shards
+	}
+	want, indexes := placement(c), len(c.Shards()[0].Coll.Indexes())
+	if len(want) < 2 || slices.ContainsFunc(want, func(s int) bool { return s != 0 }) {
+		t.Fatalf("loaded placement %v, want several chunks, all on shard 0", want)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := c.Balance(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Balance after Close: %v, want ErrClosed", err)
+	}
+	if err := c.ShardCollection(hilbertDateKey()); !errors.Is(err, ErrClosed) {
+		t.Fatalf("ShardCollection after Close: %v, want ErrClosed", err)
+	}
+	def := index.Definition{Name: "date_1", Fields: []index.Field{{Name: "date", Kind: index.Ascending}}}
+	if err := c.CreateIndex(def); !errors.Is(err, ErrClosed) {
+		t.Fatalf("CreateIndex after Close: %v, want ErrClosed", err)
+	}
+	zone := Zone{Name: "z", Min: keyenc.EncodeComposite(int64(0)), Max: keyenc.EncodeComposite(int64(1 << 20)), Shard: 1}
+	if err := c.SetZones([]Zone{zone}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("SetZones after Close: %v, want ErrClosed", err)
+	}
+	if got := placement(c); !slices.Equal(got, want) {
+		t.Fatalf("closed cluster's placement %v, want %v", got, want)
+	}
+	if n := len(c.Shards()[0].Coll.Indexes()); n != indexes {
+		t.Fatalf("closed cluster holds %d indexes per shard, want %d", n, indexes)
+	}
+	if len(c.Zones()) != 0 {
+		t.Fatal("closed cluster installed zones")
+	}
+
+	r := openDurable(t, opts)
+	defer r.Close()
+	if got := placement(r); !slices.Equal(got, want) {
+		t.Fatalf("reopened placement %v, want %v", got, want)
 	}
 }
 

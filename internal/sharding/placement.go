@@ -62,14 +62,19 @@ func (m *chunkMap) findChunk(tuple []byte) int {
 	return -1
 }
 
-// placed accounts one newly stored document of size bytes to chunk ci
-// and takes the decisions an insert triggers: a size split of that
-// chunk, then the auto-balance cadence.
-func (m *chunkMap) placed(ci, size int, st chunkStore) {
+// placed accounts one newly stored document of size bytes and shard-key
+// tuple to chunk ci and takes the decisions an insert triggers: a size
+// split of that chunk, then the auto-balance cadence. A jumbo chunk is
+// walked again only when the document's tuple is not the one all its
+// documents share — no walk could split it otherwise.
+func (m *chunkMap) placed(ci, size int, tuple []byte, st chunkStore) {
 	ch := m.chunks[ci]
 	ch.Docs++
 	ch.Bytes += int64(size)
-	if ch.Bytes > m.maxBytes {
+	if ch.single != nil && !bytes.Equal(tuple, ch.single) {
+		ch.single = nil
+	}
+	if ch.Bytes > m.maxBytes && ch.single == nil {
 		m.splitChunk(ci, st)
 	}
 	if m.balanceEvery > 0 {
@@ -85,24 +90,60 @@ func (m *chunkMap) placed(ci, size int, st chunkStore) {
 // whose documents all share one tuple cannot be split — the "jumbo"
 // case the paper discusses for skewed Hilbert values (the compound
 // (hilbertIndex, date) key avoids it because dates have high
-// cardinality). It takes two passes over the chunk's tuples — count,
-// then walk to the median.
+// cardinality): it is counted once and remembers its tuple. It takes
+// two passes over the chunk's tuples — count, then walk to the median.
 func (m *chunkMap) splitChunk(ci int, st chunkStore) {
-	each := st.chunkTuples(m.chunks[ci])
-	n := 0
-	each(func([]byte) bool {
-		n++
-		return true
-	})
+	ch := m.chunks[ci]
+	each := st.chunkTuples(ch)
+	n := countTuples(each)
 	if n < 2 {
 		return
 	}
 	split, leftDocs, ok := splitPoint(n, each)
 	if !ok {
 		m.jumbo++
+		ch.single = singleTuple(each)
 		return
 	}
 	m.splitAt(ci, split, leftDocs, n, st)
+}
+
+func countTuples(each func(visit func(tuple []byte) bool)) int {
+	n := 0
+	each(func([]byte) bool {
+		n++
+		return true
+	})
+	return n
+}
+
+// singleTuple copies the first tuple each visits — for a jumbo chunk,
+// the one tuple of all its documents.
+func singleTuple(each func(visit func(tuple []byte) bool)) []byte {
+	var out []byte
+	each(func(tuple []byte) bool {
+		out = bytes.Clone(tuple)
+		return false
+	})
+	return out
+}
+
+// refindJumbo marks the jumbo chunks of a restored chunk map, whose
+// snapshot keeps the jumbo count but not which chunks are jumbo: those
+// over the split threshold whose two or more documents share one tuple.
+// Nothing is counted again.
+func (m *chunkMap) refindJumbo(st chunkStore) {
+	for _, ch := range m.chunks {
+		if ch.Bytes <= m.maxBytes {
+			continue
+		}
+		each := st.chunkTuples(ch)
+		if n := countTuples(each); n >= 2 {
+			if _, _, ok := splitPoint(n, each); !ok {
+				ch.single = singleTuple(each)
+			}
+		}
+	}
 }
 
 // splitPoint picks where a chunk holding n documents splits: the
@@ -152,6 +193,11 @@ func (m *chunkMap) splitAt(ci int, split []byte, leftDocs, n int, st chunkStore)
 	ch.Max = split
 	ch.Docs = leftDocs
 	ch.Bytes = perDoc * int64(leftDocs)
+	if ch.single != nil && right.Contains(ch.single) {
+		// A jumbo chunk cut at a zone edge: its documents are all on
+		// the right.
+		right.single, ch.single = ch.single, nil
+	}
 	m.chunks = slices.Insert(m.chunks, ci+1, right)
 	m.splits++
 	st.afterSplit(ch, right)

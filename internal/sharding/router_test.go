@@ -8,6 +8,7 @@ import (
 	"repro/internal/bson"
 	"repro/internal/geo"
 	"repro/internal/query"
+	"repro/internal/wal"
 )
 
 // TestRoutingNeverLosesResults is the router's core safety property:
@@ -54,7 +55,7 @@ func TestRoutingNeverLosesResults(t *testing.T) {
 
 // TestJumboChunkSingleKeyValue forces every document onto one shard
 // key value: the chunk cannot split (jumbo) and the cluster must
-// stay correct.
+// stay correct. The one chunk is found jumbo once, not on every insert.
 func TestJumboChunkSingleKeyValue(t *testing.T) {
 	c := NewCluster(Options{Shards: 3, ChunkMaxBytes: 4 << 10, AutoBalanceEvery: 128})
 	if err := c.ShardCollection(ShardKey{Fields: []string{"hilbertIndex"}}); err != nil {
@@ -68,12 +69,46 @@ func TestJumboChunkSingleKeyValue(t *testing.T) {
 		}
 	}
 	st := c.ClusterStats()
-	if st.Jumbo == 0 {
-		t.Fatal("no jumbo chunk recorded for a single-valued shard key")
+	if st.Jumbo != 1 || st.Chunks != 1 {
+		t.Fatalf("%d jumbo findings over %d chunks, want one jumbo chunk", st.Jumbo, st.Chunks)
 	}
 	res := c.Query(query.Cmp{Field: "hilbertIndex", Op: query.OpEQ, Value: int64(777)})
 	if res.TotalReturned != 800 {
 		t.Fatalf("jumbo cluster returned %d docs", res.TotalReturned)
+	}
+}
+
+// TestJumboChunkSurvivesCheckpoint: a snapshot keeps the jumbo count,
+// and reopening finds the jumbo chunk again without counting it, so
+// inserts of its one tuple after the restart count nothing either.
+func TestJumboChunkSurvivesCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Shards: 3, ChunkMaxBytes: 4 << 10, AutoBalanceEvery: 128, Dir: dir, Sync: wal.SyncNever}
+	c := openDurable(t, opts)
+	if err := c.ShardCollection(ShardKey{Fields: []string{"hilbertIndex"}}); err != nil {
+		t.Fatal(err)
+	}
+	gen := bson.NewObjectIDGen(6)
+	insert := func(c *Cluster, from, n int) {
+		for i := from; i < from+n; i++ {
+			doc := stDoc(gen, geo.Point{Lon: 23.76, Lat: 37.99}, baseTime.Add(time.Duration(i)*time.Minute), 777)
+			if err := c.Insert(doc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	insert(c, 0, 200)
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := openDurable(t, opts)
+	defer r.Close()
+	insert(r, 200, 50)
+	if st := r.ClusterStats(); st.Jumbo != 1 {
+		t.Fatalf("reopened cluster counts %d jumbo findings, want 1", st.Jumbo)
 	}
 }
 

@@ -34,6 +34,9 @@ func (z Zone) Contains(tuple []byte) bool {
 func (c *Cluster) SetZones(zones []Zone) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed {
+		return ErrClosed
+	}
 	if !c.sharded {
 		return fmt.Errorf("sharding: collection is not sharded")
 	}
