@@ -22,9 +22,12 @@
 // same document shape) and ships them as idempotent batches over the
 // wire: every batch carries a client-assigned ID, overload sheds are
 // retried after the server's hint, and an ack is only counted once the
-// whole deployment applied the batch. The flags mirror the paper's
-// load-through-the-router procedure, running forever-shaped instead of
-// load-then-stop.
+// whole deployment applied the batch. A permanent refusal (a malformed
+// or oversized batch, a document a Hilbert deployment refuses because
+// it was encoded over another extent), like a failed dial, stops every
+// worker: stload prints the summary, then the error, and exits 1. The
+// flags mirror the paper's load-through-the-router procedure, running
+// forever-shaped instead of load-then-stop.
 package main
 
 import (
@@ -229,6 +232,12 @@ func runFollow(cfg followConfig) {
 		interval = time.Duration(float64(time.Second) * float64(cfg.batch) * float64(cfg.workers) / float64(cfg.rate))
 	}
 
+	// The first worker to fail stops the others.
+	ctx, stop := context.WithCancel(ctx)
+	defer stop()
+	var failOnce sync.Once
+	var failed error
+
 	st := &followStats{}
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -237,7 +246,8 @@ func runFollow(cfg followConfig) {
 		go func(w int) {
 			defer wg.Done()
 			if err := followWorker(ctx, w, cfg, a, extent, recs, interval, secret, st); err != nil {
-				fmt.Fprintf(os.Stderr, "stload: worker %d: %v\n", w, err)
+				failOnce.Do(func() { failed = fmt.Errorf("worker %d: %w", w, err) })
+				stop()
 			}
 		}(w)
 	}
@@ -258,11 +268,15 @@ func runFollow(cfg followConfig) {
 			lats[len(lats)*99/100].Round(time.Microsecond),
 			lats[len(lats)-1].Round(time.Microsecond))
 	}
+	if failed != nil {
+		fatal("stload: %v", failed)
+	}
 }
 
 // followWorker is one ingest client: encode a batch, send it under a
 // stable batch ID, retry until acked (overload sheds honour the
-// server's retry-after hint), repeat.
+// server's retry-after hint), repeat. A permanent refusal ends it with
+// the refusal: retrying would only be refused again.
 func followWorker(ctx context.Context, w int, cfg followConfig, a core.Approach, extent geo.Rect, recs []core.Record, interval time.Duration, secret []byte, st *followStats) error {
 	enc, err := core.NewEncoder(core.Config{
 		Approach:   a,
@@ -316,11 +330,15 @@ func followWorker(ctx context.Context, w int, cfg followConfig, a core.Approach,
 				break
 			}
 			// Overload sheds carry the server's backoff hint; anything
-			// else (daemon restarting, torn conn) backs off briefly and
-			// retries under the same batch ID — the idempotent core of
-			// the client protocol.
+			// else transient (daemon restarting, torn conn) backs off
+			// briefly and retries under the same batch ID — the
+			// idempotent core of the client protocol.
+			se, ok := errAsServerError(err)
+			if ok && !se.Transient {
+				return fmt.Errorf("batch %s refused: %w", batchID, err)
+			}
 			wait := 25 * time.Millisecond
-			if se, ok := errAsServerError(err); ok && netconn.IsOverload(err) {
+			if ok && netconn.IsOverload(err) {
 				st.sheds.Add(1)
 				if se.RetryAfter > 0 {
 					wait = se.RetryAfter

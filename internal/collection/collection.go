@@ -102,14 +102,12 @@ func (c *Collection) CreateIndex(def index.Definition) (*index.Index, error) {
 	return ix, nil
 }
 
-// Indexes returns the current indexes; the slice must not be
-// modified.
+// Indexes returns the current indexes, as a view no later CreateIndex
+// changes; the slice must not be modified.
 func (c *Collection) Indexes() []*index.Index {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := make([]*index.Index, len(c.indexes))
-	copy(out, c.indexes)
-	return out
+	return c.indexes[:len(c.indexes):len(c.indexes)]
 }
 
 // Index returns the index with the given name, or nil.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -11,15 +12,20 @@ import (
 )
 
 // BenchmarkQueryApproaches measures one spatio-temporal query
-// end-to-end (routing, per-shard planning with a warm plan cache,
-// scan, refinement, merge) under each approach on identical data.
+// end-to-end (routing, per-shard planning, scan, refinement, merge)
+// under each approach on identical data: "range" repeats one 0.5° × 0.5°,
+// 24 h query over a warm plan cache; "point" cycles through 4 096
+// distinct point queries — the benchmark's 0.0095° × 0.0057° rectangle
+// around a stored record, with a window of 1–24 h — so its planning is
+// per query, as in the benchmark's point stream.
 func BenchmarkQueryApproaches(b *testing.B) {
 	recs := testRecords(20000)
-	q := STQuery{
+	rangeQ := STQuery{
 		Rect: geo.NewRect(23.4, 37.4, 23.9, 37.9),
 		From: testStart,
 		To:   testStart.Add(24 * time.Hour),
 	}
+	points := pointQueries(recs, 4096)
 	for _, a := range Approaches() {
 		b.Run(a.String(), func(b *testing.B) {
 			s, err := Open(Config{
@@ -35,14 +41,43 @@ func BenchmarkQueryApproaches(b *testing.B) {
 			if err := s.Load(recs); err != nil {
 				b.Fatal(err)
 			}
-			s.Query(q) // warm the plan caches
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = s.Query(q)
-			}
+			b.Run("range", func(b *testing.B) {
+				s.Query(rangeQ) // warm the plan caches
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_ = s.Query(rangeQ)
+				}
+			})
+			b.Run("point", func(b *testing.B) {
+				for _, q := range points {
+					s.Query(q) // warm whatever per-shape state there is
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_ = s.Query(points[i%len(points)])
+				}
+			})
 		})
 	}
+}
+
+// pointQueries draws n point queries: the benchmark's small rectangle
+// placed around a random record, over a window of 1–24 h that holds
+// the record's time.
+func pointQueries(recs []Record, n int) []STQuery {
+	const w, h = 0.0095, 0.0057
+	rng := rand.New(rand.NewSource(7))
+	qs := make([]STQuery, n)
+	for i := range qs {
+		a := recs[rng.Intn(len(recs))]
+		window := time.Hour + time.Duration(rng.Int63n(int64(23*time.Hour)))
+		lon, lat := a.Point.Lon-rng.Float64()*w, a.Point.Lat-rng.Float64()*h
+		from := a.Time.Add(-time.Duration(rng.Float64() * float64(window)))
+		qs[i] = STQuery{Rect: geo.NewRect(lon, lat, lon+w, lat+h), From: from, To: from.Add(window)}
+	}
+	return qs
 }
 
 // BenchmarkInsert measures the loading path per approach (document
@@ -99,13 +134,19 @@ var stageQueries = []struct {
 
 // openStageStore loads the stage-budget store for one approach.
 func openStageStore(tb testing.TB, a Approach) *Store {
+	return openStageStoreWith(tb, a, 12, 1<<20)
+}
+
+// openStageStoreWith loads the stage-budget store's data over the given
+// shards, with a result cache of the given size (0: none).
+func openStageStoreWith(tb testing.TB, a Approach, shards int, cacheBytes int64) *Store {
 	tb.Helper()
 	s, err := Open(Config{
 		Approach:         a,
-		Shards:           12,
+		Shards:           shards,
 		ChunkMaxBytes:    stageChunkBytes,
 		DataExtent:       testExtent,
-		ResultCacheBytes: 1 << 20,
+		ResultCacheBytes: cacheBytes,
 	})
 	if err != nil {
 		tb.Fatal(err)

@@ -188,9 +188,13 @@ func TestFilterShapes(t *testing.T) {
 
 func TestHilbertConstraintShape(t *testing.T) {
 	f := HilbertConstraint([]sfc.Range{{Lo: 5, Hi: 5}, {Lo: 10, Hi: 20}, {Lo: 30, Hi: 30}})
-	or, ok := f.(query.Or)
+	k, ok := f.(query.KeyRanges)
 	if !ok {
 		t.Fatalf("constraint = %T", f)
+	}
+	or, ok := k.Or().(query.Or)
+	if !ok {
+		t.Fatalf("constraint means %T", k.Or())
 	}
 	var ins, ranges int
 	for _, arm := range or.Children {

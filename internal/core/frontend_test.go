@@ -2,27 +2,41 @@ package core
 
 import (
 	"bytes"
-	"math/rand"
+	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/bson"
+	"repro/internal/btree"
 	"repro/internal/geo"
 	"repro/internal/query"
 	"repro/internal/sfc"
+	"repro/internal/sharding"
 	"repro/internal/wire"
 )
 
-// TestFrontEndAllocsIndependentOfCoverSize guards the router's
-// per-query front end on the stage-budget hil store. Preparing a
-// filter, routing it and probing the result cache must allocate the
-// same whether its cover has 2, 12 or 60 ranges: the bounds, the tuple
-// keys and the cache key each live in one buffer. And a warm cache hit
-// of a Q^b-sized rectangle through Store.Query — cover, filter and the
-// result included — stays under 150 allocations.
+// TestFrontEndAllocsIndependentOfCoverSize guards the per-query front
+// end on the stage-budget hil store. Preparing a filter, routing it and
+// probing the result cache must allocate the same whether its cover has
+// 2, 12 or 60 ranges: the bounds, the tuple keys and the cache key each
+// live in one buffer. And a warm cache hit of a Q^b-sized rectangle
+// through Store.Query — cover, filter and the result included — stays
+// under 150 allocations.
+//
+// The whole miss path — cover, filter, plan, route and execution — is
+// held to the same: a warm document query through Store.Query on a
+// one-shard store (so that every cover runs on one shard) allocates the
+// same over the three covers. And a warm point query on the stage store
+// without a result cache, the benchmark's point stream, allocates at
+// most 30 objects; it took 61 when the cover was an $or and every
+// shard consulted its plan cache.
 func TestFrontEndAllocsIndependentOfCoverSize(t *testing.T) {
 	s := openStageStore(t, Hil)
-	var allocs []float64
+	one := openStageStoreWith(t, Hil, 1, 0)
+	var allocs, misses []float64
 	var hit STQuery
 	for _, tc := range []struct {
 		rect   geo.Rect
@@ -51,10 +65,23 @@ func TestFrontEndAllocsIndependentOfCoverSize(t *testing.T) {
 		if tc.lo == 10 {
 			hit = q
 		}
+		// The documents of the whole data set's span: every query
+		// returns some, and none classifies interior cells.
+		miss := STQuery{Rect: tc.rect, From: testStart, To: testStart.Add(15 * 24 * time.Hour)}
+		if r := one.Query(miss); r.Stats.Nodes != 1 || r.Stats.NReturned == 0 {
+			t.Fatalf("%v returned %d documents from %d shards of the one-shard store", tc.rect, r.Stats.NReturned, r.Stats.Nodes)
+		}
+		n = testing.AllocsPerRun(100, func() { one.Query(miss) })
+		t.Logf("%d ranges: %.1f allocations for a warm miss through Store.Query", p.cover.Ranges, n)
+		misses = append(misses, n)
 	}
-	for _, n := range allocs[1:] {
-		if d := n - allocs[0]; d > 4 || d < -4 {
+	for i := range allocs[1:] {
+		if d := allocs[i+1] - allocs[0]; d > 4 || d < -4 {
 			t.Errorf("prepare, route and probe allocate %v over covers of 2, 12 and 60 ranges: not independent of the cover", allocs)
+		}
+		// A miss takes pooled scratch, which the race detector drops.
+		if d := misses[i+1] - misses[0]; !raceEnabled && (d > 2 || d < -2) {
+			t.Errorf("a warm miss allocates %v over covers of 2, 12 and 60 ranges: not independent of the cover", misses)
 		}
 	}
 	n := testing.AllocsPerRun(200, func() { s.Query(hit) })
@@ -62,10 +89,24 @@ func TestFrontEndAllocsIndependentOfCoverSize(t *testing.T) {
 	if n > 150 {
 		t.Errorf("a warm result-cache hit allocates %.0f objects, want at most 150", n)
 	}
+
+	stage := openStageStoreWith(t, Hil, 12, 0)
+	point := pointQueries(testRecords(stageRecords), 1)[0]
+	if r := stage.Query(point); r.Stats.NReturned == 0 {
+		t.Fatal("the point query returns nothing")
+	}
+	n = testing.AllocsPerRun(200, func() { stage.Query(point) })
+	t.Logf("warm point query through Store.Query: %.1f allocations", n)
+	if n > 30 && !raceEnabled {
+		t.Errorf("a warm point query allocates %.0f objects, want at most 30 (half of 61)", n)
+	}
 }
 
-// refHilbertConstraint is HilbertConstraint as it was built node by
-// node: the reference its shared-array construction is held to.
+// refHilbertConstraint is the $or the Hilbert approaches' constraint
+// stands for (Section 4.2.2), built node by node: a $gte/$lte pair per
+// range of more than one cell, one $in of the single cells, and an
+// impossible point pair for an empty cover. It is what HilbertConstraint
+// built before the constraint became a query.KeyRanges.
 func refHilbertConstraint(ranges []sfc.Range) query.Filter {
 	var arms []query.Filter
 	var singles []any
@@ -91,32 +132,195 @@ func refHilbertConstraint(ranges []sfc.Range) query.Filter {
 	return query.NewOr(arms...)
 }
 
-// TestHilbertConstraintTreeUnchanged: the constraint of any cover — hil
-// and hil* grids, random rectangles, the empty cover — is the same tree
-// as the reference's, node for node, so its String() and wire bytes are
-// too.
-func TestHilbertConstraintTreeUnchanged(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	covers := [][]sfc.Range{nil, {{Lo: 7, Hi: 7}}, {{Lo: 1, Hi: 4}}}
-	for _, a := range []Approach{Hil, HilStar} {
-		g := openStore(t, a, 2).Grid()
-		for i := 0; i < 300; i++ {
-			lon, lat := 22.5+3*rng.Float64(), 36.5+3*rng.Float64()
-			w, h := rng.Float64()*rng.Float64(), rng.Float64()*rng.Float64()
-			covers = append(covers, g.Cover(geo.NewRect(lon, lat, lon+w, lat+h)))
+// keyRangesInput draws choices from the fuzzer's bytes, zeros once
+// spent.
+type keyRangesInput struct{ b []byte }
+
+func (in *keyRangesInput) intn(n int) int {
+	if len(in.b) == 0 {
+		return 0
+	}
+	c := in.b[0]
+	in.b = in.b[1:]
+	return int(c) % n
+}
+
+func (in *keyRangesInput) unit() float64 { return float64(in.intn(256)<<8|in.intn(256)) / 65536 }
+
+// probeValues are hilbertIndex values around the cover's ends, of every
+// numeric kind and of others, for Matches to disagree on if it can.
+func (in *keyRangesInput) probeValues(ranges []sfc.Range) []any {
+	out := []any{math.NaN(), math.Inf(1), math.Inf(-1), "7", true, nil, bson.A{int64(1)}, -0.0}
+	for i := 0; i < 6; i++ {
+		v := int64(in.intn(1 << 8))
+		if len(ranges) > 0 {
+			r := ranges[in.intn(len(ranges))]
+			v = [...]int64{int64(r.Lo) - 1, int64(r.Lo), int64(r.Hi), int64(r.Hi) + 1}[in.intn(4)]
+		}
+		out = append(out, v, int32(v), float64(v), float64(v)+0.5, float64(v)-0.5)
+	}
+	return out
+}
+
+// sameIntervals compares interval sets end for end: same types, same
+// values (NaN included), same inclusivity.
+func sameIntervals(a, b []query.ValueInterval) bool {
+	same := func(x, y any) bool { return fmt.Sprintf("%T %#v", x, x) == fmt.Sprintf("%T %#v", y, y) }
+	return slices.EqualFunc(a, b, func(x, y query.ValueInterval) bool {
+		return same(x.Lo, y.Lo) && same(x.Hi, y.Hi) && x.LoIncl == y.LoIncl && x.HiIncl == y.HiIncl
+	})
+}
+
+func sameSegments(a, b []query.Segment) bool {
+	bound := func(x, y btree.Bound) bool {
+		return x.Inclusive == y.Inclusive && x.Unbounded == y.Unbounded && bytes.Equal(x.Key, y.Key)
+	}
+	return slices.EqualFunc(a, b, func(x, y query.Segment) bool {
+		return bound(x.Interval.Low, y.Interval.Low) && bound(x.Interval.High, y.Interval.High) &&
+			bytes.Equal(x.SubLo, y.SubLo) && bytes.Equal(x.SubHiUpper, y.SubHiUpper)
+	})
+}
+
+// sameRouted compares two routed results but for their durations.
+func sameRouted(a, b *sharding.RoutedResult) bool {
+	a, b = ptrCopy(a), ptrCopy(b)
+	a.Duration, b.Duration = 0, 0
+	for _, r := range []*sharding.RoutedResult{a, b} {
+		r.PerShard = slices.Clone(r.PerShard)
+		for i := range r.PerShard {
+			r.PerShard[i].Duration = 0
 		}
 	}
-	for i, ranges := range covers {
-		got, want := HilbertConstraint(ranges), refHilbertConstraint(ranges)
-		if !reflect.DeepEqual(got, want) || got.String() != want.String() {
-			t.Fatalf("cover %d (%d ranges): tree differs:\n got %s\nwant %s", i, len(ranges), got, want)
+	return reflect.DeepEqual(a, b)
+}
+
+func ptrCopy[T any](p *T) *T { c := *p; return &c }
+
+// FuzzKeyRanges is the differential fuzz of the Hilbert approaches'
+// query.KeyRanges constraint against the $or it stands for
+// (refHilbertConstraint), on hil and hil* stores: covers of random
+// rectangles, coalesced or not, and empty ones. Byte for byte, it
+// checks Matches on documents, raw and decoded, whose hilbertIndex is
+// missing or of any kind; the rendering and shape; the bounds; every
+// shard's candidate plans, segments and residual; the route; the
+// results and their counters; Explain; and the wire round trip.
+func FuzzKeyRanges(f *testing.F) {
+	stores := []*Store{openStore(f, Hil, 3), openStore(f, HilStar, 3)}
+	for _, s := range stores {
+		if err := s.Load(testRecords(3000)); err != nil {
+			f.Fatal(err)
 		}
-		gotWire, err := wire.AppendFilter(nil, got)
+	}
+	for _, seed := range [][]byte{
+		{},
+		{0, 0, 100, 100, 10, 10, 3},
+		{1, 0, 120, 90, 200, 180, 40, 1, 5},
+		{0, 2, 30, 200, 255, 255, 100, 0},
+		{1, 1, 10, 10, 1, 1, 20},
+		{0, 3, 50, 50, 5, 250, 60, 2, 1},
+		[]byte("110000000"), // a two-range cover with a gap: the wire's deltas
+		[]byte("00000001"),  // a coalesced cover routed over pruned shards
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := &keyRangesInput{b: data}
+		s := stores[in.intn(len(stores))]
+		var rect geo.Rect
+		switch in.intn(4) {
+		case 0: // outside the data: an empty cover on hil*, none stored on hil
+			rect = geo.NewRect(10, 10, 10+in.unit(), 10+in.unit())
+		default:
+			lon, lat := 22.8+2.4*in.unit(), 36.8+2.4*in.unit()
+			rect = geo.NewRect(lon, lat, lon+in.unit()*in.unit(), lat+in.unit()*in.unit())
+		}
+		ranges := s.Grid().Cover(rect)
+		coalesced := in.intn(3) == 0
+		if coalesced {
+			ranges = sfc.CoalesceRanges(ranges, 1+in.intn(8))
+		}
+		from := testStart.Add(time.Duration(in.intn(14*24)) * time.Hour)
+		to := from.Add(time.Duration(1+in.intn(72)) * time.Hour)
+
+		typed, ref := HilbertConstraint(ranges), refHilbertConstraint(ranges)
+		if _, ok := typed.(query.KeyRanges); ok != (len(ranges) > 0) {
+			t.Fatalf("%d ranges: constraint is a %T", len(ranges), typed)
+		}
+		if typed.String() != ref.String() || query.ShapeOf(typed) != query.ShapeOf(ref) {
+			t.Fatalf("constraint renders\n %s (%s)\nwant %s (%s)", typed, query.ShapeOf(typed), ref, query.ShapeOf(ref))
+		}
+		for _, v := range in.probeValues(ranges) {
+			d := bson.D{{Key: "other", Value: int64(1)}}
+			if v != nil || in.intn(2) == 0 {
+				d = append(d, bson.Elem{Key: FieldHilbert, Value: v})
+			}
+			doc := bson.FromD(d)
+			for _, probe := range []bson.Doc{doc, bson.Raw(bson.Marshal(doc))} {
+				if got, want := typed.Matches(probe), ref.Matches(probe); got != want {
+					t.Fatalf("%v (%T) in %s: Matches %v, $or %v", v, v, ref, got, want)
+				}
+			}
+		}
+
+		ft := query.NewAnd(query.GeoWithin{Field: FieldLoc, Rect: rect}, query.TimeRangeFilter(FieldDate, from, to), typed)
+		fr := query.NewAnd(query.GeoWithin{Field: FieldLoc, Rect: rect}, query.TimeRangeFilter(FieldDate, from, to), ref)
+		if got, _, _ := s.Filter(STQuery{Rect: rect, From: from, To: to}); !coalesced && !reflect.DeepEqual(got, ft) {
+			t.Fatalf("Store.Filter built %s, want %s", got, ft)
+		}
+		bt, br := query.BoundsOf(ft), query.BoundsOf(fr)
+		if bt.Impossible() != br.Impossible() {
+			t.Fatalf("impossible %v, $or %v", bt.Impossible(), br.Impossible())
+		}
+		for _, field := range []string{FieldHilbert, FieldDate, FieldLoc} {
+			ti, tok := bt.Intervals(field)
+			ri, rok := br.Intervals(field)
+			tr, tg := bt.GeoRect(field)
+			rr, rg := br.GeoRect(field)
+			if tok != rok || !sameIntervals(ti, ri) || bt.Exact(field) != br.Exact(field) || tg != rg || tr != rr {
+				t.Fatalf("%s bounds %v (%v, exact %v), $or %v (%v, exact %v)", field, ti, tok, bt.Exact(field), ri, rok, br.Exact(field))
+			}
+		}
+		for _, sh := range s.Cluster().Shards() {
+			pt, pr := query.CandidatePlans(sh.Coll, ft), query.CandidatePlans(sh.Coll, fr)
+			if len(pt) != len(pr) {
+				t.Fatalf("%d candidate plans, $or %d", len(pt), len(pr))
+			}
+			for i := range pt {
+				if pt[i].Name() != pr[i].Name() || !sameSegments(pt[i].Segments, pr[i].Segments) ||
+					pt[i].Filter.String() != pr[i].Filter.String() {
+					t.Fatalf("plan %s over %d segments refining %s; $or: %s over %d refining %s",
+						pt[i].Name(), len(pt[i].Segments), pt[i].Filter, pr[i].Name(), len(pr[i].Segments), pr[i].Filter)
+				}
+			}
+		}
+		c := s.Cluster()
+		tt, tb, tp := c.Route(ft)
+		rt, rb, rp := c.Route(fr)
+		if !slices.Equal(tt, rt) || tb != rb || !slices.Equal(tp, rp) {
+			t.Fatalf("routed to %v (%v, pruned %v), $or to %v (%v, %v)", tt, tb, tp, rt, rb, rp)
+		}
+		body, err := wire.AppendFilter(nil, ft)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wantWire, _ := wire.AppendFilter(nil, want); !bytes.Equal(gotWire, wantWire) {
-			t.Fatalf("cover %d: wire bytes differ", i)
+		decoded, err := wire.DecodeFilter(body)
+		if err != nil || decoded.String() != ft.String() {
+			t.Fatalf("wire round trip: %v\n got %v\nwant %s", err, decoded, ft)
 		}
-	}
+		want := c.Query(fr)
+		for _, g := range []query.Filter{ft, decoded} {
+			if got := c.Query(g); !sameRouted(got, want) {
+				t.Fatalf("%s returned %d docs from %v, $or %d from %v", g, got.TotalReturned, got.TargetedShards,
+					want.TotalReturned, want.TargetedShards)
+			}
+		}
+		_, et := c.Explain(ft)
+		_, er := c.Explain(fr)
+		for i := range et {
+			et[i].Execution.Duration, er[i].Execution.Duration = 0, 0
+		}
+		if !reflect.DeepEqual(et, er) {
+			t.Fatalf("explain differs:\n%v\n$or:\n%v", et, er)
+		}
+	})
 }

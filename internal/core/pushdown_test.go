@@ -175,9 +175,11 @@ func TestStoreBatchMatchesSingles(t *testing.T) {
 
 // TestQueryStatsPlanCacheCounters: core.QueryStats must surface the
 // cluster-wide plan-cache counters from every read entry point, and
-// repeated identical queries must turn into pure hits.
+// repeated identical queries must turn into pure hits. BslST's shards
+// have two indexes to choose between; a Hilbert shard has one plan and
+// no plan cache to count.
 func TestQueryStatsPlanCacheCounters(t *testing.T) {
-	s := openStore(t, Hil, 4)
+	s := openStore(t, BslST, 4)
 	if err := s.Load(testRecords(1500)); err != nil {
 		t.Fatal(err)
 	}
@@ -202,5 +204,13 @@ func TestQueryStatsPlanCacheCounters(t *testing.T) {
 			t.Fatalf("%s: warm query added misses: %d -> %d", name,
 				first.Stats.PlanCacheMisses, second.Stats.PlanCacheMisses)
 		}
+	}
+	h := openStore(t, Hil, 4)
+	if err := h.Load(testRecords(1500)); err != nil {
+		t.Fatal(err)
+	}
+	h.Query(q)
+	if st := h.Query(q).Stats; st.Nodes == 0 || st.PlanCacheHits != 0 || st.PlanCacheMisses != 0 {
+		t.Fatalf("hil over %d nodes: %d plan-cache hits, %d misses, want none", st.Nodes, st.PlanCacheHits, st.PlanCacheMisses)
 	}
 }

@@ -191,15 +191,19 @@ func (s *Store) Aggregate(q STQuery) (*QueryResult, error) {
 
 // Filter builds the approach's query filter. For the baselines it is
 // the plain $geoWithin + date-range conjunction; for the Hilbert
-// approaches it additionally constrains hilbertIndex with a $or of
-// $gte/$lte ranges plus an $in of the isolated cells, exactly the
-// document shape shown in Section 4.2.2. The returned cover stats and
-// duration feed Table 8.
+// approaches it additionally constrains hilbertIndex with the cover's
+// ranges (HilbertConstraint), which mean and render as the $or of
+// $gte/$lte ranges plus an $in of the isolated cells shown in Section
+// 4.2.2. The returned cover stats and duration feed Table 8.
 func (s *Store) Filter(q STQuery) (query.Filter, sfc.RangeStats, time.Duration) {
-	base := []query.Filter{
+	conjuncts := []query.Filter{
 		query.GeoWithin{Field: FieldLoc, Rect: q.Rect},
-		query.TimeRangeFilter(FieldDate, q.From.UTC(), q.To.UTC()),
+		query.Cmp{Field: FieldDate, Op: query.OpGTE, Value: q.From.UTC()},
+		query.Cmp{Field: FieldDate, Op: query.OpLTE, Value: q.To.UTC()},
+		nil, // the approach's key constraint, if any
 	}
+	var st sfc.RangeStats
+	var coverTime time.Duration
 	switch {
 	case s.grid != nil:
 		start := time.Now()
@@ -207,19 +211,20 @@ func (s *Store) Filter(q STQuery) (query.Filter, sfc.RangeStats, time.Duration) 
 		if s.cfg.MaxQueryRanges > 0 {
 			ranges = sfc.CoalesceRanges(ranges, s.cfg.MaxQueryRanges)
 		}
-		coverTime := time.Since(start)
-		base = append(base, HilbertConstraint(ranges))
-		return query.NewAnd(base...), sfc.StatsOf(ranges), coverTime
+		coverTime = time.Since(start)
+		conjuncts[3], st = HilbertConstraint(ranges), sfc.StatsOf(ranges)
 	case s.sth != nil:
 		start := time.Now()
 		ranges := s.sth.Cover(q.Rect, q.From, q.To, 0)
-		coverTime := time.Since(start)
-		base = append(base, STHashConstraint(ranges))
-		st := sfc.RangeStats{Ranges: len(ranges)}
-		return query.NewAnd(base...), st, coverTime
-	default:
-		return query.NewAnd(base...), sfc.RangeStats{}, 0
+		coverTime = time.Since(start)
+		conjuncts[3], st = STHashConstraint(ranges), sfc.RangeStats{Ranges: len(ranges)}
 	}
+	// NewAnd drops a missing constraint and flattens a conjunction (an
+	// empty cover's impossible pair); any other keeps the slice as is.
+	if _, nested := conjuncts[3].(query.And); conjuncts[3] == nil || nested {
+		return query.NewAnd(conjuncts...), st, coverTime
+	}
+	return query.And{Children: conjuncts}, st, coverTime
 }
 
 // STHashConstraint translates ST-Hash key ranges into the disjunctive
@@ -241,44 +246,16 @@ func STHashConstraint(ranges []sthash.Range) query.Filter {
 	return query.NewOr(arms...)
 }
 
-// HilbertConstraint translates curve ranges into the disjunctive
-// hilbertIndex constraint: consecutive values become $gte/$lte pairs,
-// single cells collect into one $in.
+// HilbertConstraint translates curve ranges into the hilbertIndex
+// constraint: a query.KeyRanges, or its $or for the covers a KeyRanges
+// cannot hold — an empty one (the impossible pair, which a conjunction
+// flattens) and one reaching 2^53 (a curve of order 27 or more).
 func HilbertConstraint(ranges []sfc.Range) query.Filter {
-	if len(ranges) == 0 {
-		// An empty cover matches nothing: an impossible point pair.
-		return query.NewAnd(
-			query.Cmp{Field: FieldHilbert, Op: query.OpGT, Value: int64(0)},
-			query.Cmp{Field: FieldHilbert, Op: query.OpLT, Value: int64(0)},
-		)
+	k := query.KeyRanges{Field: FieldHilbert, Ranges: ranges}
+	if len(ranges) == 0 || ranges[len(ranges)-1].Hi >= 1<<53 {
+		return k.Or()
 	}
-	singles := 0
-	for _, r := range ranges {
-		if r.Lo == r.Hi {
-			singles++
-		}
-	}
-	pairs := len(ranges) - singles
-	// One backing array holds the arms and, after them, each range
-	// arm's two comparisons.
-	nodes := make([]query.Filter, pairs+1+2*pairs)
-	arms, cmps := nodes[:0:pairs+1], nodes[pairs+1:]
-	in := make([]any, 0, singles)
-	for _, r := range ranges {
-		if r.Lo == r.Hi {
-			in = append(in, int64(r.Lo))
-			continue
-		}
-		pair := cmps[:2:2]
-		cmps = cmps[2:]
-		pair[0] = query.Cmp{Field: FieldHilbert, Op: query.OpGTE, Value: int64(r.Lo)}
-		pair[1] = query.Cmp{Field: FieldHilbert, Op: query.OpLTE, Value: int64(r.Hi)}
-		arms = append(arms, query.And{Children: pair})
-	}
-	if singles > 0 {
-		arms = append(arms, query.In{Field: FieldHilbert, Values: in})
-	}
-	return query.Or{Children: arms}
+	return k
 }
 
 // planned is one query resolved into what the cluster executes, plus

@@ -265,6 +265,13 @@ func (b *Buf) Append(prefix []byte, v any) []byte {
 	return (*b)[start:len(*b):len(*b)]
 }
 
+// AppendNumber is Append of a number, unboxed.
+func (b *Buf) AppendNumber(prefix []byte, f float64) []byte {
+	start := len(*b)
+	*b = AppendNumber(append(*b, prefix...), f)
+	return (*b)[start:len(*b):len(*b)]
+}
+
 // Compare is bytes.Compare, re-exported so callers of this package do
 // not need to also import bytes for key comparisons.
 func Compare(a, b []byte) int { return bytes.Compare(a, b) }

@@ -129,12 +129,14 @@ func benchHilbertColl(b testing.TB, docs []bson.Raw) *collection.Collection {
 var benchPlan *Plan
 
 // BenchmarkWarmPlan measures one shard's plan-cache hit for a 13-range
-// cover: "bare" is an execution handed the plain filter (shape, bounds,
+// cover on a collection whose {date} index gives trials a choice:
+// "bare" is an execution handed the plain filter (shape, bounds,
 // segments and residual derived on the spot — what every shard did
 // before the scatter prepared its filter), "prepared" is the second
 // and later shards of a scatter.
 func BenchmarkWarmPlan(b *testing.B) {
 	c := benchHilbertColl(b, benchRawDocs(2048))
+	mustIndex(b, c, index.Definition{Name: "date", Fields: []index.Field{{Name: "date", Kind: index.Ascending}}})
 	f := hilbertCover(geo.NewRect(23.7, 37.7, 24.3, 38.3), baseTime, baseTime.Add(24*time.Hour))
 	Execute(c, f, nil) // remember the winner
 	b.Run("bare", func(b *testing.B) {

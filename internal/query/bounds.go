@@ -1,6 +1,9 @@
 package query
 
-import "repro/internal/geo"
+import (
+	"repro/internal/geo"
+	"repro/internal/sfc"
+)
 
 // FieldBounds is the exported view of the constraints a filter puts
 // on individual fields. The shard router uses it to decide which
@@ -27,6 +30,11 @@ func (fb FieldBounds) Impossible() bool { return fb.b.impossible }
 func (fb FieldBounds) Intervals(field string) ([]ValueInterval, bool) {
 	return fb.b.set(field)
 }
+
+// KeyRanges returns the field's interval set as closed integer ranges,
+// unboxed, when a KeyRanges is all that constrains the field; nil
+// otherwise (Intervals has the set then).
+func (fb FieldBounds) KeyRanges(field string) []sfc.Range { return fb.b.keyRanges(field) }
 
 // Exact reports whether the field's interval set represents every
 // predicate on the field precisely — an index scan over it needs no

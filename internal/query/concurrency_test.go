@@ -121,9 +121,12 @@ func TestConcurrentReplanEviction(t *testing.T) {
 // that replaced it.
 func TestEvictPlanIsConditional(t *testing.T) {
 	c := newCollWithIndexes(t, 200)
+	// Both the {hilbertIndex, date} and the {date} index serve it, so
+	// its winner is cached.
 	f := Prepare(NewAnd(
 		Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(0)},
 		Cmp{Field: "hilbertIndex", Op: OpLTE, Value: int64(1000)},
+		TimeRangeFilter("date", baseTime, baseTime.Add(24*time.Hour)),
 	))
 	Execute(c, f, nil)
 	plan, _, stale, ok := cachedPlan(c, f)

@@ -100,51 +100,59 @@ func ExecuteOpts(coll *collection.Collection, f Filter, cfg *Config, opts Opts) 
 // scan runs to completion. Either way the returned documents are
 // byte-identical to running the query unlimited and truncating: plan
 // selection ignores the options, so the scan order is the same.
+//
+// A filter with one candidate plan runs it directly: the plan cache
+// serves only where a trial chose between plans.
 func ExecuteOptsCtx(ctx context.Context, coll *collection.Collection, f Filter, cfg *Config, opts Opts) (*Result, error) {
 	start := time.Now()
 	p := Prepare(f)
 	s := getScratch()
 	defer putScratch(s)
-	if plan, budget, entry, ok := cachedPlan(coll, p); ok {
-		e := exec{ctx: ctx, coll: coll, p: plan, maxWorks: budget, collect: true, opts: opts, s: s}
-		e.contain(cfg, p)
-		completed := e.run()
-		if e.ctxErr != nil {
-			return nil, e.ctxErr
-		}
-		if completed {
-			res := s.buildResult(opts)
-			if !opts.Agg.Active() {
-				e.stats.NReturned = len(res.Docs)
+	e := exec{ctx: ctx, coll: coll, p: &s.only, collect: true, opts: opts, s: s}
+	var trials []TrialResult
+	choice := !onlyPlan(coll, p, &s.only)
+	if choice {
+		if plan, budget, entry, ok := cachedPlan(coll, p); ok {
+			e.p, e.maxWorks = plan, budget
+			e.contain(cfg, p)
+			completed := e.run()
+			if e.ctxErr != nil {
+				return nil, e.ctxErr
 			}
-			e.stats.Duration = time.Since(start)
-			e.stats.IndexUsed = plan.Name()
-			res.Stats = e.stats
-			return res, nil
+			if completed {
+				return e.result(start, nil), nil
+			}
+			// The cached plan blew its works budget: evict and replan,
+			// like the server. The eviction is conditional on the entry
+			// we ran with, so concurrent trials of the same shape never
+			// evict each other's fresh winners.
+			evictPlan(coll, p, entry)
+			e = exec{ctx: ctx, coll: coll, collect: true, opts: opts, s: s}
 		}
-		// The cached plan blew its works budget: evict and replan,
-		// like the server. The eviction is conditional on the entry we
-		// ran with, so concurrent trials of the same shape never evict
-		// each other's fresh winners.
-		evictPlan(coll, p, entry)
+		e.p, trials = ChoosePlan(coll, p, cfg)
 	}
-	plan, trials := ChoosePlan(coll, p, cfg)
-	e := exec{ctx: ctx, coll: coll, p: plan, collect: true, opts: opts, s: s}
 	e.contain(cfg, p)
 	e.run()
 	if e.ctxErr != nil {
 		return nil, e.ctxErr
 	}
-	rememberPlan(coll, p, plan, e.stats.KeysExamined+e.stats.DocsExamined)
-	res := s.buildResult(opts)
-	if !opts.Agg.Active() {
+	if choice {
+		rememberPlan(coll, p, e.p, e.stats.KeysExamined+e.stats.DocsExamined)
+	}
+	return e.result(start, trials), nil
+}
+
+// result is the completed execution's answer.
+func (e *exec) result(start time.Time, trials []TrialResult) *Result {
+	res := e.s.buildResult(e.opts)
+	if !e.opts.Agg.Active() {
 		e.stats.NReturned = len(res.Docs)
 	}
 	e.stats.Duration = time.Since(start)
-	e.stats.IndexUsed = plan.Name()
+	e.stats.IndexUsed = e.p.Name()
 	res.Stats = e.stats
 	res.Trials = trials
-	return res, nil
+	return res
 }
 
 // MatchingRecords plans and runs the filter, returning the record ids
@@ -168,12 +176,7 @@ func ExecutePlan(coll *collection.Collection, plan *Plan) *Result {
 	defer putScratch(s)
 	e := exec{ctx: context.Background(), coll: coll, p: plan, collect: true, s: s}
 	e.run()
-	res := s.buildResult(Opts{})
-	e.stats.NReturned = len(res.Docs)
-	e.stats.Duration = time.Since(start)
-	e.stats.IndexUsed = plan.Name()
-	res.Stats = e.stats
-	return res
+	return e.result(start, nil)
 }
 
 // cancelCheckWorks is how many work units (keys examined + documents

@@ -87,18 +87,21 @@ func Explain(coll *collection.Collection, f Filter, cfg *Config) *Explanation {
 		ex.CacheHits = coll.PlanCacheHits.Load()
 		ex.CacheMisses = coll.PlanCacheMisses.Load()
 	}()
-	if plan, budget, entry, ok := cachedPlan(coll, p); ok {
-		start := time.Now()
-		stats, completed := runPlan(coll, plan, budget)
-		if completed {
-			ex.CacheHit = true
-			ex.Winning = explainPlan(plan)
-			stats.IndexUsed = plan.Name()
-			stats.Duration = time.Since(start)
-			ex.Execution = stats
-			return ex
+	choice := !onlyPlan(coll, p, new(Plan))
+	if choice {
+		if plan, budget, entry, ok := cachedPlan(coll, p); ok {
+			start := time.Now()
+			stats, completed := runPlan(coll, plan, budget)
+			if completed {
+				ex.CacheHit = true
+				ex.Winning = explainPlan(plan)
+				stats.IndexUsed = plan.Name()
+				stats.Duration = time.Since(start)
+				ex.Execution = stats
+				return ex
+			}
+			evictPlan(coll, p, entry)
 		}
-		evictPlan(coll, p, entry)
 	}
 	start := time.Now()
 	plan, trials := ChoosePlan(coll, p, cfg)
@@ -111,7 +114,9 @@ func Explain(coll *collection.Collection, f Filter, cfg *Config) *Explanation {
 	}
 	ex.Winning = explainPlan(plan)
 	stats, _ := runPlan(coll, plan, 0)
-	rememberPlan(coll, p, plan, stats.KeysExamined+stats.DocsExamined)
+	if choice {
+		rememberPlan(coll, p, plan, stats.KeysExamined+stats.DocsExamined)
+	}
 	stats.Duration = time.Since(start)
 	stats.IndexUsed = plan.Name()
 	ex.Execution = stats

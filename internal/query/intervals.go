@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bson"
 	"repro/internal/geo"
+	"repro/internal/sfc"
 )
 
 // ValueInterval is an interval over document values in canonical
@@ -137,11 +138,8 @@ func compareLo(a, b ValueInterval) int {
 	}
 }
 
-// normalizeIntervals sorts the intervals and merges overlapping or
-// touching ones, dropping empty intervals. It sorts in place, and
-// skips the sort when the lower ends already ascend strictly — then
-// every sort leaves the order as it is, and only then: equal lower
-// ends keep whatever order the sort gives them, as they always have.
+// normalizeIntervals sorts the intervals (in place) and merges
+// overlapping or touching ones, dropping empty intervals.
 func normalizeIntervals(ivs []ValueInterval) []ValueInterval {
 	live := ivs[:0]
 	for _, iv := range ivs {
@@ -152,12 +150,7 @@ func normalizeIntervals(ivs []ValueInterval) []ValueInterval {
 	if len(live) <= 1 {
 		return live
 	}
-	for i := 1; i < len(live); i++ {
-		if compareLo(live[i-1], live[i]) >= 0 {
-			slices.SortFunc(live, compareLo)
-			break
-		}
-	}
+	slices.SortFunc(live, compareLo)
 	out := live[:1]
 	for _, iv := range live[1:] {
 		last := &out[len(out)-1]
@@ -245,10 +238,14 @@ type bounds struct {
 // whether the set represents every contributing predicate precisely,
 // which is the precondition for treating those predicates as covered by
 // the index bounds and dropping them from the residual filter.
+//
+// While a KeyRanges is the field's only constraint, its ranges stand
+// for the set unboxed, and set is nil.
 type fieldBounds struct {
-	field string
-	set   []ValueInterval
-	exact bool
+	field  string
+	set    []ValueInterval
+	exact  bool
+	ranges []sfc.Range
 }
 
 type geoBounds struct {
@@ -265,12 +262,38 @@ func (b *bounds) lookup(field string) *fieldBounds {
 	return nil
 }
 
+// intervals is the field's set, boxed.
+func (fb *fieldBounds) intervals() []ValueInterval {
+	if fb.ranges != nil {
+		return KeyRanges{Ranges: fb.ranges}.appendIntervals(nil)
+	}
+	return fb.set
+}
+
+// boxed is lookup with the field's set boxed, to be narrowed.
+func (b *bounds) boxed(field string) *fieldBounds {
+	fb := b.lookup(field)
+	if fb != nil {
+		fb.set, fb.ranges = fb.intervals(), nil
+	}
+	return fb
+}
+
 // set returns the field's interval set, and whether it is constrained.
 func (b *bounds) set(field string) ([]ValueInterval, bool) {
 	if fb := b.lookup(field); fb != nil {
-		return fb.set, true
+		return fb.intervals(), true
 	}
 	return nil, false
+}
+
+// keyRanges returns the field's set unboxed, when a KeyRanges alone
+// constrains it.
+func (b *bounds) keyRanges(field string) []sfc.Range {
+	if fb := b.lookup(field); fb != nil {
+		return fb.ranges
+	}
+	return nil
 }
 
 // isExact reports whether the field's interval set is exact.
@@ -303,7 +326,7 @@ func extractBounds(f Filter) bounds {
 
 func (b *bounds) constrain(field string, set []ValueInterval, strict bool) {
 	set = normalizeIntervals(set)
-	if fb := b.lookup(field); fb != nil {
+	if fb := b.boxed(field); fb != nil {
 		fb.set = intersectSets(fb.set, set)
 		fb.exact = fb.exact && strict
 		set = fb.set
@@ -317,7 +340,7 @@ func (b *bounds) constrain(field string, set []ValueInterval, strict bool) {
 
 // constrainOne is constrain with the one-interval set of a comparison.
 func (b *bounds) constrainOne(field string, iv ValueInterval, strict bool) {
-	fb := b.lookup(field)
+	fb := b.boxed(field)
 	if fb == nil {
 		b.constrain(field, []ValueInterval{iv}, strict)
 		return
@@ -341,6 +364,12 @@ func (b *bounds) addConjunct(f Filter) {
 	case In:
 		set, _ := appendIntervals(nil, t)
 		b.constrain(t.Field, set, true)
+	case KeyRanges:
+		if len(t.Ranges) > 0 && b.lookup(t.Field) == nil {
+			b.fields = append(b.fields, fieldBounds{field: t.Field, exact: true, ranges: t.Ranges})
+		} else {
+			b.constrain(t.Field, t.appendIntervals(nil), true)
+		}
 	case GeoWithin:
 		b.constrainGeo(t.Field, t.Rect)
 	case Or:
@@ -376,6 +405,8 @@ func singleField(f Filter) (string, bool) {
 	case Cmp:
 		return t.Field, true
 	case In:
+		return t.Field, true
+	case KeyRanges:
 		return t.Field, true
 	case And:
 		return commonField(t.Children)
@@ -419,27 +450,30 @@ func appendIntervals(dst []ValueInterval, f Filter) ([]ValueInterval, bool) {
 			dst = append(dst, PointInterval(v))
 		}
 		return dst, true
+	case KeyRanges:
+		return t.appendIntervals(dst), true
 	case And:
-		if iv, strict, empty, ok := cmpRange(t.Children); ok {
-			if !empty {
-				dst = append(dst, iv)
-			}
-			return dst, strict
-		}
-		// A conjunct is not a comparison: intersect the conjuncts'
-		// sets.
-		strict := true
+		// Intersect the conjuncts' sets. Comparisons against one class
+		// whose intersection closed both ends represent the conjunction
+		// exactly even for classes without bracketing sentinels (e.g.
+		// {s: {$gte: "a", $lte: "m"}}): only values of that class can
+		// lie between two real same-class endpoints.
+		strict, oneClass := true, true
 		set := []ValueInterval{FullInterval()}
 		for _, c := range t.Children {
 			cset, cstrict := appendIntervals(nil, c)
 			strict = strict && cstrict
+			cmp, ok := c.(Cmp)
+			first, _ := t.Children[0].(Cmp)
+			oneClass = oneClass && ok && bson.CanonicalClass(cmp.Value) == bson.CanonicalClass(first.Value)
 			set = intersectSets(normalizeIntervals(set), normalizeIntervals(cset))
+		}
+		if !strict && oneClass && len(set) == 1 && realSameClassEnds(set[0]) {
+			strict = true
 		}
 		return append(dst, set...), strict
 	case Or:
-		// The arms' intervals collect into one set, sized up front.
 		start := len(dst)
-		dst = slices.Grow(dst, intervalCount(t))
 		strict := true
 		for _, c := range t.Children {
 			var cstrict bool
@@ -449,63 +483,4 @@ func appendIntervals(dst []ValueInterval, f Filter) ([]ValueInterval, bool) {
 		return dst[:start+len(normalizeIntervals(dst[start:]))], strict
 	}
 	return dst, false
-}
-
-// cmpRange folds a conjunction of comparisons into its one interval:
-// what the general conjunction path derives with a set per conjunct,
-// normalized and intersected, without the sets. ok is false when a
-// conjunct is not a comparison.
-func cmpRange(children []Filter) (iv ValueInterval, strict, empty, ok bool) {
-	strict = true
-	sameClass, class := true, -1
-	for i, c := range children {
-		cmp, isCmp := c.(Cmp)
-		if !isCmp {
-			return iv, false, false, false
-		}
-		civ, cstrict := intervalFromCmp(cmp)
-		strict = strict && cstrict
-		if cl := bson.CanonicalClass(cmp.Value); class == -1 {
-			class = cl
-		} else if class != cl {
-			sameClass = false
-		}
-		switch {
-		case empty:
-		case civ.Empty():
-			empty = true
-		case i == 0:
-			// The full interval intersected with civ is civ.
-			iv = civ
-		default:
-			iv = intersectInterval(iv, civ)
-			empty = iv.Empty()
-		}
-	}
-	if !strict && sameClass && !empty && realSameClassEnds(iv) {
-		// A conjunction of comparisons against one class whose
-		// intersection closed both ends represents the predicate
-		// exactly even for classes without bracketing sentinels
-		// (e.g. {s: {$gte: "a", $lte: "m"}}): only values of that
-		// class can lie between two real same-class endpoints.
-		strict = true
-	}
-	return iv, strict, empty, true
-}
-
-// intervalCount is how many intervals appendIntervals appends for f
-// before normalizing: exact for comparisons, $in and conjunctions of
-// comparisons, an estimate otherwise.
-func intervalCount(f Filter) int {
-	switch t := f.(type) {
-	case In:
-		return len(t.Values)
-	case Or:
-		n := 0
-		for _, c := range t.Children {
-			n += intervalCount(c)
-		}
-		return n
-	}
-	return 1
 }

@@ -1,15 +1,12 @@
 package query
 
 import (
-	"math"
-	"math/bits"
 	"reflect"
 	"slices"
 	"strconv"
 
 	"repro/internal/bson"
 	"repro/internal/collection"
-	"repro/internal/geo"
 )
 
 // The plan cache mirrors the server's: after a multi-plan trial, the
@@ -30,6 +27,8 @@ func appendShape(b []byte, f Filter) []byte {
 		return strconv.AppendInt(b, int64(bson.CanonicalClass(t.Value)), 10)
 	case In:
 		return append(append(b, t.Field...), ":$in"...)
+	case KeyRanges:
+		return appendShape(b, t.Or())
 	case GeoWithin:
 		// Geo predicates are not parameterized: the geometry is part
 		// of the cache key (as on the server, where geo queries are
@@ -37,7 +36,7 @@ func appendShape(b []byte, f Filter) []byte {
 		// rectangles therefore plan independently — the precondition
 		// for the per-query optimizer choices of Table 7.
 		b = append(append(b, t.Field...), ":$geoWithin["...)
-		return append(appendRect(b, t.Rect), ']')
+		return append(append(b, t.Rect.String()...), ']')
 	case And:
 		b = append(b, "and("...)
 		for i, c := range t.Children {
@@ -81,51 +80,6 @@ func appendShape(b []byte, f Filter) []byte {
 	default:
 		return append(b, reflect.TypeOf(f).String()...)
 	}
-}
-
-// appendRect renders a rectangle the way geo.Rect.String does — six
-// decimals per coordinate — which is what the cache key always held.
-func appendRect(b []byte, r geo.Rect) []byte {
-	b = append(b, "[("...)
-	b = appendCoord(b, r.Min.Lon)
-	b = append(b, ", "...)
-	b = appendCoord(b, r.Min.Lat)
-	b = append(b, "), ("...)
-	b = appendCoord(b, r.Max.Lon)
-	b = append(b, ", "...)
-	b = appendCoord(b, r.Max.Lat)
-	return append(b, ")]"...)
-}
-
-// appendCoord appends strconv.AppendFloat(b, x, 'f', 6, 64), which
-// takes strconv's multiprecision path for every value. For
-// 2⁻¹¹ ≤ |x| < 2⁴² — every coordinate but those within 0.0005 of zero
-// — it computes the same digits exactly in integers instead: x is
-// m·2⁻ˢ with 11 ≤ s ≤ 63, so x·10⁶ rounded half to even is the 73-bit
-// product m·10⁶ shifted right by s with its remainder rounding.
-func appendCoord(b []byte, x float64) []byte {
-	xb := math.Float64bits(x)
-	shift := 1075 - int(xb>>52&0x7FF)
-	if shift < 11 || shift > 63 {
-		return strconv.AppendFloat(b, x, 'f', 6, 64)
-	}
-	hi, lo := bits.Mul64(xb&(1<<52-1)|1<<52, 1e6)
-	q := hi<<(64-shift) | lo>>shift
-	rem, half := lo&(1<<shift-1), uint64(1)<<(shift-1)
-	if rem > half || rem == half && q&1 == 1 {
-		q++
-	}
-	if xb>>63 == 1 {
-		b = append(b, '-')
-	}
-	b = strconv.AppendUint(b, q/1e6, 10)
-	frac := q % 1e6
-	b = append(b, '.', 0, 0, 0, 0, 0, 0)
-	for i := len(b) - 1; i > len(b)-7; i-- {
-		b[i] = byte('0' + frac%10)
-		frac /= 10
-	}
-	return b
 }
 
 // cacheEntry is a remembered winner plus the work it took to win,
@@ -186,25 +140,8 @@ func cachedPlan(coll *collection.Collection, p *Prepared) (*Plan, int, cacheEntr
 // filter. It yields exactly the plan CandidatePlans would list under
 // that name.
 func planByName(coll *collection.Collection, p *Prepared, name string) *Plan {
-	if p.bounds.impossible {
-		plan := emptyPlan(coll, p)
-		if plan.Name() != name {
-			return nil
-		}
-		return plan
-	}
-	if name == CollScanName {
-		// A collection scan is a candidate only while no index is
-		// usable; usability depends on which fields are constrained
-		// (the shape), so a cached COLLSCAN stays valid unless an
-		// index was created since.
-		for _, ix := range coll.Indexes() {
-			if p.path(ix).usable {
-				return nil
-			}
-		}
-		return &Plan{Filter: p.whole()}
-	}
+	// Only a choice between indexes is ever cached: an impossible
+	// filter, or one no index serves, has one plan (onlyPlan).
 	ix := coll.IndexBySpec(name)
 	if ix == nil {
 		return nil
@@ -216,10 +153,16 @@ func planByName(coll *collection.Collection, p *Prepared, name string) *Plan {
 	return &Plan{Index: ix, Segments: ap.segments, Filter: ap.residual}
 }
 
-// emptyPlan is the plan of a provably unsatisfiable filter: an index
-// scan over no segments.
-func emptyPlan(coll *collection.Collection, p *Prepared) *Plan {
-	return &Plan{Index: coll.Index(collection.IDIndexName), Filter: p.filter}
+// onlyPlan sets *plan to the filter's one candidate plan, or reports
+// false when CandidatePlans lists several: only then has a trial, and
+// so the plan cache, anything to decide.
+func onlyPlan(coll *collection.Collection, p *Prepared, plan *Plan) bool {
+	var two [2]Plan
+	if c := candidates(coll, p, two[:0], 2); len(c) == 1 {
+		*plan = c[0]
+		return true
+	}
+	return false
 }
 
 // minReplanBudget keeps trivial cached runs (decision works near

@@ -2,11 +2,13 @@ package query
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/collection"
 	"repro/internal/geohash"
 	"repro/internal/index"
 	"repro/internal/keyenc"
+	"repro/internal/sfc"
 )
 
 // Config tunes planning and execution.
@@ -82,60 +84,67 @@ func (p *Plan) Name() string {
 // one plan per index whose leading field is constrained, plus a
 // collection scan when none is.
 func CandidatePlans(coll *collection.Collection, f Filter) []*Plan {
-	p := Prepare(f)
-	if p.bounds.impossible {
-		// A provably empty result: an empty index-scan plan.
-		return []*Plan{emptyPlan(coll, p)}
+	plans := candidates(coll, Prepare(f), nil, 0)
+	out := make([]*Plan, len(plans))
+	for i := range plans {
+		out[i] = &plans[i]
 	}
-	var plans []*Plan
-	for _, ix := range coll.Indexes() {
-		ap := p.path(ix)
-		if !ap.usable {
-			continue
-		}
-		plans = append(plans, &Plan{Index: ix, Segments: ap.segments, Filter: ap.residual})
-	}
-	if len(plans) == 0 {
-		plans = append(plans, &Plan{Filter: p.whole()})
-	}
-	return plans
+	return out
 }
 
-// residualFilter removes the top-level conjuncts whose field is fully
-// enforced by the plan's index bounds (covered predicates), the way
-// the server's FETCH stage only re-checks what the IXSCAN could not
-// guarantee. Dropping the Hilbert approach's large $or here is what
-// keeps refinement linear in the matched documents rather than in the
-// cover size.
-func residualFilter(f Filter, covered map[string]bool) Filter {
+// candidates appends the filter's candidate plans to dst, at most max
+// of them (0: all).
+func candidates(coll *collection.Collection, p *Prepared, dst []Plan, max int) []Plan {
+	if p.bounds.impossible {
+		// A provably empty result: an index scan over no segments.
+		return append(dst, Plan{Index: coll.Index(collection.IDIndexName), Filter: p.filter})
+	}
+	n := len(dst)
+	for _, ix := range coll.Indexes() {
+		if ap := p.path(ix); ap.usable && (max == 0 || len(dst)-n < max) {
+			dst = append(dst, Plan{Index: ix, Segments: ap.segments, Filter: ap.residual})
+		}
+	}
+	if len(dst) == n {
+		dst = append(dst, Plan{Filter: compile(p.filter)})
+	}
+	return dst
+}
+
+// residualFilter removes the top-level conjuncts whose field is one of
+// the covered index fields, fully enforced by the plan's index bounds
+// (covered predicates), the way the server's FETCH stage only re-checks
+// what the IXSCAN could not guarantee, and compiles what is left.
+// Dropping the Hilbert approach's cell constraint here is what keeps
+// refinement linear in the matched documents rather than in the cover
+// size.
+func residualFilter(f Filter, covered []index.Field) Filter {
 	if len(covered) == 0 {
-		return f
+		return compile(f)
 	}
 	droppable := func(c Filter) bool {
 		field, ok := singleField(c)
-		return ok && covered[field]
+		return ok && slices.ContainsFunc(covered, func(cf index.Field) bool { return cf.Name == field })
 	}
 	and, isAnd := f.(And)
 	if !isAnd {
 		if droppable(f) {
 			return And{}
 		}
-		return f
+		return compile(f)
 	}
 	kept := make([]Filter, 0, len(and.Children))
 	for _, c := range and.Children {
 		if !droppable(c) {
-			kept = append(kept, c)
+			kept = append(kept, compile(c))
 		}
-	}
-	if len(kept) == len(and.Children) {
-		return f
 	}
 	return And{Children: kept}
 }
 
 // planSegments builds the scan segments of one index for the
-// extracted bounds. usable is false when the index's leading field is
+// extracted bounds, and reports how many of its leading fields they
+// cover. usable is false when the index's leading field is
 // unconstrained.
 //
 // Point constraints on a field compose with the next field's bounds
@@ -144,15 +153,23 @@ func residualFilter(f Filter, covered map[string]bool) Filter {
 // sub-bounds. A 2dsphere component's cell ranges scan flat, without
 // trailing-field pruning — the behaviour the paper observes for the
 // baseline's built-in spatial index.
-func planSegments(ix *index.Index, b bounds) (segs []Segment, covered map[string]bool, usable bool) {
+func planSegments(ix *index.Index, b bounds) (segs []Segment, covered int, usable bool) {
 	fields := ix.Def().Fields
-	set0 := fieldIntervalSet(ix, fields[0], b)
-	if set0 == nil {
-		return nil, nil, false
+	// A KeyRanges on an Ascending leading field is read unboxed.
+	var ranges []sfc.Range
+	if fields[0].Kind == index.Ascending {
+		ranges = b.keyRanges(fields[0].Name)
+	}
+	var set0 []ValueInterval
+	if ranges == nil {
+		if set0 = fieldIntervalSet(ix, fields[0], b); set0 == nil {
+			return nil, 0, false
+		}
 	}
 	// Every key below is a window of one buffer, sized for a pair of
-	// numeric or date keys per interval.
-	keys := make(keyenc.Buf, 0, 32*(len(set0)+1))
+	// numeric or date keys per interval, or per range and its
+	// composition with one date interval.
+	keys := make(keyenc.Buf, 0, 32*(len(set0)+1)+64*len(ranges))
 	// Skip-scan sub-bounds apply when the leading field is Ascending
 	// and the second field is a constrained Ascending field.
 	var subLo, subHiUpper []byte
@@ -170,44 +187,51 @@ func planSegments(ix *index.Index, b bounds) (segs []Segment, covered map[string
 			subExact = len(nextSet) == 1 && lo.LoIncl && hi.HiIncl
 		}
 	}
-	out := make([]Segment, 0, len(set0))
+	out := make([]Segment, 0, len(set0)+len(ranges))
 	anyRangeSegments := false
 	var compose func(fieldIdx int, prefix []byte, set []ValueInterval)
-	compose = func(fieldIdx int, prefix []byte, set []ValueInterval) {
-		next := fieldIdx + 1
-		for _, iv := range set {
-			if iv.IsPoint() && next < len(fields) {
-				if nextSet := fieldIntervalSet(ix, fields[next], b); nextSet != nil {
-					compose(next, keys.Append(prefix, iv.Lo), nextSet)
-					continue
-				}
+	// emit adds the segment of an interval given by its encoded ends.
+	emit := func(fieldIdx int, lo, hi []byte, loIncl, hiIncl, point bool) {
+		if next := fieldIdx + 1; point && next < len(fields) {
+			if nextSet := fieldIntervalSet(ix, fields[next], b); nextSet != nil {
+				compose(next, lo, nextSet)
+				return
 			}
-			kiv, ok := byteInterval(&keys, prefix, iv)
-			if !ok {
-				continue
-			}
-			seg := Segment{Interval: kiv}
-			if fieldIdx == 0 && !iv.IsPoint() {
-				anyRangeSegments = true
-				if subLo != nil && subHiUpper != nil {
-					seg.SubLo, seg.SubHiUpper = subLo, subHiUpper
-				}
-			}
-			out = append(out, seg)
 		}
+		kiv, ok := keyInterval(lo, hi, loIncl, hiIncl)
+		if !ok {
+			return
+		}
+		seg := Segment{Interval: kiv}
+		if fieldIdx == 0 && !point {
+			anyRangeSegments = true
+			if subLo != nil && subHiUpper != nil {
+				seg.SubLo, seg.SubHiUpper = subLo, subHiUpper
+			}
+		}
+		out = append(out, seg)
+	}
+	compose = func(fieldIdx int, prefix []byte, set []ValueInterval) {
+		for _, iv := range set {
+			lo := keys.Append(prefix, iv.Lo)
+			emit(fieldIdx, lo, keys.Append(prefix, iv.Hi), iv.LoIncl, iv.HiIncl, iv.IsPoint())
+		}
+	}
+	for _, r := range ranges {
+		lo := keys.AppendNumber(nil, float64(r.Lo))
+		emit(0, lo, keys.AppendNumber(nil, float64(r.Hi)), true, true, r.Lo == r.Hi)
 	}
 	compose(0, nil, set0)
 	// Covered predicates: the leading Ascending field's bounds encode
 	// its (strict) interval set exactly; the second field is covered
 	// when every range segment enforced an exact sub-bound and every
-	// point composition encoded its full set (which compose does by
+	// point composition encoded its full set (which emit does by
 	// construction).
-	covered = make(map[string]bool)
 	if fields[0].Kind == index.Ascending && b.isExact(fields[0].Name) {
-		covered[fields[0].Name] = true
+		covered = 1
 		if len(fields) > 1 && fields[1].Kind == index.Ascending && b.isExact(fields[1].Name) {
 			if !anyRangeSegments || (subLo != nil && subExact) {
-				covered[fields[1].Name] = true
+				covered = 2
 			}
 		}
 	}
@@ -243,20 +267,18 @@ func fieldIntervalSet(ix *index.Index, f index.Field, b bounds) []ValueInterval 
 	return set
 }
 
-// byteInterval translates a value interval under a tuple prefix into
-// encoded-key scan bounds, written into keys. ok is false when the
-// interval is unsatisfiable in key space.
-func byteInterval(keys *keyenc.Buf, prefix []byte, iv ValueInterval) (index.Interval, bool) {
+// keyInterval translates a value interval, given as its encoded ends
+// (which it may rewrite in place), into scan bounds. ok is false when
+// the interval is unsatisfiable in key space.
+func keyInterval(loKey, hiKey []byte, loIncl, hiIncl bool) (index.Interval, bool) {
 	var out index.Interval
-	loKey := keys.Append(prefix, iv.Lo)
-	if !iv.LoIncl {
+	if !loIncl {
 		if loKey = keyenc.AppendPrefixUpperBound(loKey[:0], loKey); loKey == nil {
 			return out, false
 		}
 	}
 	out.Low = index.IntervalFromTuples(loKey, nil).Low
-	hiKey := keys.Append(prefix, iv.Hi)
-	if iv.HiIncl {
+	if hiIncl {
 		// Every key extending hi: below its prefix upper bound, or
 		// unbounded when there is none.
 		hiKey = keyenc.AppendPrefixUpperBound(hiKey[:0], hiKey)

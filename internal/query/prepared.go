@@ -12,8 +12,8 @@ import (
 // index definition, identical on every shard of a cluster — the scan
 // segments and residual predicate of the access path through that
 // index. A scatter prepares its filter once and hands the same value
-// to every shard execution, so on a plan-cache hit a shard does one
-// cache load, one index lookup and builds one Plan.
+// to every shard execution, so a shard only assembles its Plan: the
+// filter's one candidate, or the plan cache's winner among several.
 //
 // A Prepared is itself a Filter and answers like the filter it wraps;
 // every planning and execution entry point accepts either. It is safe
@@ -31,9 +31,13 @@ type Prepared struct {
 
 	mu    sync.Mutex
 	paths []accessPath
-	// compiled is the whole filter compiled: what a collection scan
-	// refines with.
-	compiled Filter
+
+	// Room for a typical query's bounds, and for its access paths
+	// through a shard's _id index and one more: preparing it allocates
+	// the Prepared alone.
+	fieldArr [4]fieldBounds
+	geoArr   [1]geoBounds
+	pathArr  [2]accessPath
 }
 
 // accessPath is the shard-independent part of a plan through one
@@ -58,7 +62,11 @@ func Prepare(f Filter) *Prepared {
 	if p, ok := f.(*Prepared); ok {
 		return p
 	}
-	return &Prepared{filter: f, bounds: extractBounds(f)}
+	p := &Prepared{filter: f}
+	p.bounds = bounds{fields: p.fieldArr[:0], geoRects: p.geoArr[:0]}
+	p.bounds.addConjunct(f)
+	p.paths = p.pathArr[:0]
+	return p
 }
 
 // cacheKey returns the filter's plan-cache key, its boxed shape.
@@ -88,21 +96,11 @@ func (p *Prepared) path(ix *index.Index) accessPath {
 		}
 	}
 	ap := accessPath{spec: spec, geoBits: geoBits}
-	var covered map[string]bool
+	var covered int
 	ap.segments, covered, ap.usable = planSegments(ix, p.bounds)
 	if ap.usable {
-		ap.residual = compile(residualFilter(p.filter, covered))
+		ap.residual = residualFilter(p.filter, ix.Def().Fields[:covered])
 	}
 	p.paths = append(p.paths, ap)
 	return ap
-}
-
-// whole returns the entire filter, compiled.
-func (p *Prepared) whole() Filter {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.compiled == nil {
-		p.compiled = compile(p.filter)
-	}
-	return p.compiled
 }

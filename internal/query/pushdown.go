@@ -187,6 +187,7 @@ type scratch struct {
 	top    topK
 	keyBuf []byte
 	agg    aggAcc
+	only   Plan // the filter's one candidate plan (onlyPlan)
 }
 
 // batch is the scan's queue of examined-but-unprocessed index entries
@@ -213,6 +214,7 @@ func putScratch(s *scratch) {
 	s.docs = s.docs[:0]
 	s.top.reset(0, false)
 	s.agg.reset()
+	s.only = Plan{}
 	scratchPool.Put(s)
 }
 

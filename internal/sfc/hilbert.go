@@ -7,7 +7,10 @@
 // $gte/$lte ranges plus an $in list, as in Section 4.2 of the paper).
 package sfc
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // MaxOrder is the largest supported curve order (bits per dimension).
 // 2*MaxOrder bits must fit in uint64 with room for arithmetic.
@@ -128,9 +131,21 @@ func (h *Hilbert) Cover(x0, y0, x1, y1 uint32) []Range {
 	if x0 > x1 || y0 > y1 {
 		return nil
 	}
-	var out []Range
-	h.coverRec(h.order, box{x0, y0, x1, y1}, 0, &out)
-	return MergeRanges(out)
+	// The recursion merges as it emits, into a buffer that holds a
+	// small cover on the stack; the cover is then copied out at its
+	// size, one allocation whatever its length.
+	var buf [64]Range
+	return slices.Clone(h.coverRec(h.order, box{x0, y0, x1, y1}, 0, buf[:0]))
+}
+
+// emit appends [lo, hi] to the ascending cover, merged into its last
+// range when adjacent.
+func emit(out []Range, lo, hi uint64) []Range {
+	if n := len(out); n > 0 && out[n-1].Hi+1 == lo {
+		out[n-1].Hi = hi
+		return out
+	}
+	return append(out, Range{Lo: lo, Hi: hi})
 }
 
 func clip(v, max uint32) uint32 {
@@ -143,13 +158,12 @@ func clip(v, max uint32) uint32 {
 // box is an inclusive cell rectangle in the current recursion frame.
 type box struct{ x0, y0, x1, y1 uint32 }
 
-// coverRec emits ranges for the part of the query box lying in the
-// current frame of size 2^order, whose curve positions start at d0.
-// Quadrants are visited in curve order, so emission is ascending.
-func (h *Hilbert) coverRec(order uint, q box, d0 uint64, out *[]Range) {
+// coverRec appends to out the ranges of the part of the query box lying
+// in the current frame of size 2^order, whose curve positions start at
+// d0. Quadrants are visited in curve order, so emission is ascending.
+func (h *Hilbert) coverRec(order uint, q box, d0 uint64, out []Range) []Range {
 	if order == 0 {
-		*out = append(*out, Range{Lo: d0, Hi: d0})
-		return
+		return emit(out, d0, d0)
 	}
 	s := uint32(1) << (order - 1)
 	area := uint64(s) * uint64(s)
@@ -164,7 +178,7 @@ func (h *Hilbert) coverRec(order uint, q box, d0 uint64, out *[]Range) {
 		base := d0 + digit*area
 		if ix0 == qb.x0 && iy0 == qb.y0 && ix1 == qb.x1 && iy1 == qb.y1 {
 			// Quadrant fully covered: one contiguous range.
-			*out = append(*out, Range{Lo: base, Hi: base + area - 1})
+			out = emit(out, base, base+area-1)
 			continue
 		}
 		// Transform the clipped box into the child frame: translate,
@@ -176,8 +190,9 @@ func (h *Hilbert) coverRec(order uint, q box, d0 uint64, out *[]Range) {
 			}
 			cb = box{cb.y0, cb.x0, cb.y1, cb.x1}
 		}
-		h.coverRec(order-1, cb, base, out)
+		out = h.coverRec(order-1, cb, base, out)
 	}
+	return out
 }
 
 func maxU32(a, b uint32) uint32 {

@@ -187,6 +187,8 @@ type scatterQuery struct {
 	outcomes []shardOutcome
 	first    int
 	cacheKey string
+	// one holds the outcome of a query routed to a single shard.
+	one [1]shardOutcome
 }
 
 // scatterGather is the one scatter/fold body behind every query entry
@@ -202,8 +204,6 @@ type scatterQuery struct {
 func (c *Cluster) scatterGather(ctx context.Context, qs []scatterQuery, cached bool) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	qctx, abort := context.WithCancel(ctx)
-	defer abort()
 
 	tasks := 0
 	for i := range qs {
@@ -233,11 +233,21 @@ func (c *Cluster) scatterGather(ctx context.Context, qs []scatterQuery, cached b
 			Broadcast:      broadcast,
 			ShardsPruned:   len(pruned),
 		}
-		q.outcomes = make([]shardOutcome, len(targets))
+		q.outcomes = q.one[:]
+		if len(targets) != 1 {
+			q.outcomes = make([]shardOutcome, len(targets))
+		}
 		tasks += len(targets)
 	}
 
 	failFast := c.opts.Resilience.Policy == FailFast
+	// A FailFast failure cancels the sibling executions in flight; a
+	// lone task has none.
+	qctx, abort := ctx, context.CancelFunc(func() {})
+	if failFast && tasks > 1 {
+		qctx, abort = context.WithCancel(ctx)
+	}
+	defer abort()
 	c.scatterLocked(tasks, func(i int) {
 		// Task i belongs to the last query whose first task is <= i; a
 		// query without tasks (cache hit, empty route) shares its
@@ -390,20 +400,21 @@ func (c *Cluster) scatterLocked(n int, fn func(i int)) {
 		return
 	}
 	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
+		}
+	}
+	// The calling goroutine is one of the workers.
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 }
 
@@ -418,7 +429,8 @@ func (c *Cluster) scatterLocked(n int, fn func(i int)) {
 // router's own merge time — order-independent, so identical at every
 // completion order.
 func mergeLocked(res *RoutedResult, outcomes []shardOutcome, width int, opts query.Opts) {
-	durs := make([]time.Duration, 0, len(outcomes))
+	var stack [16]time.Duration
+	durs := stack[:0]
 	total := 0
 	for _, o := range outcomes {
 		r := o.res
@@ -705,15 +717,26 @@ func (c *Cluster) routeLocked(f query.Filter) (shards []int, broadcast bool, pru
 	var cells []cellRange
 	consult := false
 	if c.summariesOnLocked() {
-		if set, ok := b.Intervals(c.key.Fields[0]); ok && len(set) > 0 {
+		if kr := b.KeyRanges(c.key.Fields[0]); kr != nil {
+			cells, consult = make([]cellRange, len(kr)), true
+			for i, r := range kr {
+				cells[i] = cellRange{Lo: r.Lo >> c.opts.SummaryShift, Hi: r.Hi >> c.opts.SummaryShift}
+			}
+		} else if set, ok := b.Intervals(c.key.Fields[0]); ok && len(set) > 0 {
 			cells, consult = c.pruneCellRangesLocked(set)
 		}
 	}
 	if !slices.IsSortedFunc(ranges, compareLo) {
 		slices.SortFunc(ranges, compareLo)
 	}
+	// Chunks whose Max is at or below the lowest range's Lo overlap no
+	// range: start at the first one above it.
+	first := 0
+	if lo := ranges[0].Lo; lo != nil {
+		first = sort.Search(len(c.chunks), func(i int) bool { return bytes.Compare(c.chunks[i].Max, lo) > 0 })
+	}
 	j := 0
-	for _, ch := range c.chunks {
+	for _, ch := range c.chunks[first:] {
 		// A range that ends at or before this chunk's Min ends before
 		// every later chunk's too. The first range still open decides:
 		// if it starts at or past this chunk's Max, so does every later
@@ -766,15 +789,21 @@ func compareLo(a, b tupleRange) int { return bytes.Compare(a.Lo, b.Lo) }
 
 // shardKeyRanges translates the filter bounds into tuple ranges; nil
 // means the shard key is unconstrained (broadcast). Every tuple key is
-// a window of one buffer.
+// a window of one buffer. A leading KeyRanges is read unboxed.
 func (c *Cluster) shardKeyRanges(b query.FieldBounds) []tupleRange {
-	set, ok := b.Intervals(c.key.Fields[0])
-	if !ok || len(set) == 0 {
-		return nil
+	kr := b.KeyRanges(c.key.Fields[0])
+	var set []query.ValueInterval
+	if kr == nil || c.key.Strategy == HashedSharding {
+		var ok bool
+		if set, ok = b.Intervals(c.key.Fields[0]); !ok || len(set) == 0 {
+			return nil
+		}
+		kr = nil
 	}
-	// Sized for a pair of numeric keys per interval.
-	keys := make(keyenc.Buf, 0, 20*len(set))
-	out := make([]tupleRange, 0, len(set))
+	// Sized for a pair of numeric keys per interval, or per range and
+	// its composition with one date interval.
+	keys := make(keyenc.Buf, 0, 20*len(set)+64*len(kr))
+	out := make([]tupleRange, 0, len(set)+len(kr))
 	if c.key.Strategy == HashedSharding {
 		// Only equality predicates route under hashed sharding; any
 		// range forces a broadcast. Each point covers every tuple
@@ -789,19 +818,28 @@ func (c *Cluster) shardKeyRanges(b query.FieldBounds) []tupleRange {
 		}
 		return out
 	}
-	for _, iv := range set {
-		// For a point on the leading field, the next field's bounds
-		// can narrow the range further (compound shard keys).
-		if iv.IsPoint() && len(c.key.Fields) > 1 {
-			if nextSet, ok := b.Intervals(c.key.Fields[1]); ok && len(nextSet) > 0 {
-				prefix := keys.Append(nil, iv.Lo)
-				for _, niv := range nextSet {
-					out = append(out, composeRange(&keys, prefix, niv))
-				}
-				continue
+	// For a point on the leading field, the next field's bounds can
+	// narrow the range further (compound shard keys).
+	var nextSet []query.ValueInterval
+	if len(c.key.Fields) > 1 {
+		nextSet, _ = b.Intervals(c.key.Fields[1])
+	}
+	add := func(lo, hi []byte, loIncl, hiIncl, point bool) {
+		if point && len(nextSet) > 0 {
+			for _, niv := range nextSet {
+				out = append(out, composeRange(&keys, lo, niv))
 			}
+			return
 		}
-		out = append(out, composeRange(&keys, nil, iv))
+		out = append(out, encodedRange(lo, hi, loIncl, hiIncl))
+	}
+	for _, r := range kr {
+		lo := keys.AppendNumber(nil, float64(r.Lo))
+		add(lo, keys.AppendNumber(nil, float64(r.Hi)), true, true, r.Lo == r.Hi)
+	}
+	for _, iv := range set {
+		lo := keys.Append(nil, iv.Lo)
+		add(lo, keys.Append(nil, iv.Hi), iv.LoIncl, iv.HiIncl, iv.IsPoint())
 	}
 	return out
 }
@@ -809,12 +847,18 @@ func (c *Cluster) shardKeyRanges(b query.FieldBounds) []tupleRange {
 // composeRange builds the [Lo, Hi) byte range of one value interval
 // under an encoded tuple prefix, writing its keys into keys.
 func composeRange(keys *keyenc.Buf, prefix []byte, iv query.ValueInterval) tupleRange {
-	r := tupleRange{Lo: keys.Append(prefix, iv.Lo), Hi: keys.Append(prefix, iv.Hi)}
-	if !iv.LoIncl {
-		r.Lo = keyenc.AppendPrefixUpperBound(r.Lo[:0], r.Lo)
+	lo := keys.Append(prefix, iv.Lo)
+	return encodedRange(lo, keys.Append(prefix, iv.Hi), iv.LoIncl, iv.HiIncl)
+}
+
+// encodedRange is the [Lo, Hi) byte range of an interval given by its
+// encoded ends, which it may rewrite in place.
+func encodedRange(lo, hi []byte, loIncl, hiIncl bool) tupleRange {
+	if !loIncl {
+		lo = keyenc.AppendPrefixUpperBound(lo[:0], lo)
 	}
-	if iv.HiIncl {
-		r.Hi = keyenc.AppendPrefixUpperBound(r.Hi[:0], r.Hi)
+	if hiIncl {
+		hi = keyenc.AppendPrefixUpperBound(hi[:0], hi)
 	}
-	return r
+	return tupleRange{Lo: lo, Hi: hi}
 }

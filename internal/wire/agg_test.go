@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/query"
+	"repro/internal/sfc"
 )
 
 // TestQueryCarriesAggregate: the aggregate spec rides the one read
@@ -54,20 +55,22 @@ func TestQueryCarriesAggregate(t *testing.T) {
 	}
 }
 
-// TestV7GoldenBytes pins the version-7 encoding of the one read
+// TestV8GoldenBytes pins the version-8 encoding of the one read
 // request and its reply on both hops: a shard's, with and without an
 // aggregate, and a router's, with the routed section. Any change to
 // these bytes is an incompatible codec change and must bump
-// ProtocolVersion. The request bytes are version 6's; a shard's reply
-// gained the routed section's zero byte after the index name.
-func TestV7GoldenBytes(t *testing.T) {
-	if ProtocolVersion != 7 {
+// ProtocolVersion. The bytes are version 7's, and version 8 adds the
+// KeyRanges filter node: ascending ranges as delta varints.
+func TestV8GoldenBytes(t *testing.T) {
+	if ProtocolVersion != 8 {
 		t.Fatalf("ProtocolVersion = %d: re-pin these bytes for the new version", ProtocolVersion)
 	}
 	f := query.Cmp{Field: "h", Op: query.OpGTE, Value: int64(7)}
 	plain := Query{Shard: 3, BatchSize: 512, Limit: 10, OrderBy: "date", Desc: true, Filter: f}
 	agg := plain
 	agg.Agg = query.AggSpec{Kind: query.AggCellHist, Field: "h", Shift: 12}
+	ranges := plain
+	ranges.Filter = query.KeyRanges{Field: "h", Ranges: []sfc.Range{{Lo: 3, Hi: 5}, {Lo: 9, Hi: 9}, {Lo: 300, Hi: 301}}}
 	const (
 		head = "03000000" + "00020000" + "0a00000000000000" + "04000000" + "64617465" + "01"
 		tail = "01" + "02" + "01000000" + "68" + "02" + "0700000000000000" // Cmp h >= int64(7)
@@ -79,6 +82,8 @@ func TestV7GoldenBytes(t *testing.T) {
 	}{
 		{"query", plain, head + "00" + tail},
 		{"query+agg", agg, head + "03" + "01000000" + "68" + "0c" + tail},
+		{"key ranges", ranges, head + "00" + "07" + "01000000" + "68" + "03000000" + // KeyRanges h, 3 ranges:
+			"03" + "02" + "03" + "00" + "a202" + "01"}, // gap, span: [3,5] [9,9] [300,301]
 	} {
 		got, err := tc.msg.Encode(nil)
 		if err != nil {

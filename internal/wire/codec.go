@@ -122,6 +122,16 @@ func (d *dec) u64(what string) uint64 {
 	return binary.LittleEndian.Uint64(v)
 }
 
+func (d *dec) uvarint(what string) uint64 {
+	v, n := binary.Uvarint(d.b[d.off:])
+	if n <= 0 {
+		d.fail(what)
+		return 0
+	}
+	d.off += n
+	return v
+}
+
 func (d *dec) i64(what string) int64   { return int64(d.u64(what)) }
 func (d *dec) f64(what string) float64 { return math.Float64frombits(d.u64(what)) }
 

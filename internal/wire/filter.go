@@ -1,12 +1,14 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
 	"repro/internal/bson"
 	"repro/internal/geo"
 	"repro/internal/query"
+	"repro/internal/sfc"
 )
 
 // Filter codec: a tagged tree mirroring the query package's filter
@@ -23,6 +25,7 @@ const (
 	ftOr
 	ftGeoWithin
 	_ // 6: the polygon predicate, retired in version 7; refused like any unknown tag
+	ftKeyRanges
 )
 
 // Value tags (the closed set of constant types filters carry).
@@ -109,6 +112,19 @@ func AppendFilter(buf []byte, f query.Filter) ([]byte, error) {
 		buf = appendU8(buf, ftGeoWithin)
 		buf = appendString(buf, f.Field)
 		return appendRect(buf, f.Rect), nil
+	case query.KeyRanges:
+		// Ascending ranges as delta varints: each range's gap above the
+		// previous one, then its span.
+		buf = appendU32(appendString(appendU8(buf, ftKeyRanges), f.Field), uint32(len(f.Ranges)))
+		next := uint64(0)
+		for _, r := range f.Ranges {
+			if r.Lo < next || r.Hi < r.Lo || r.Hi >= 1<<53 {
+				return nil, fmt.Errorf("wire: key ranges not ascending below 2^53 at %v", r)
+			}
+			buf = binary.AppendUvarint(binary.AppendUvarint(buf, r.Lo-next), r.Hi-r.Lo)
+			next = r.Hi + 1
+		}
+		return buf, nil
 	case *query.Prepared:
 		// Planning state is per process; the filter is what travels.
 		return AppendFilter(buf, f.Filter())
@@ -173,6 +189,8 @@ func decodeFilter(d *dec, depth int) query.Filter {
 		return query.Or{Children: decodeChildren(d, depth)}
 	case ftGeoWithin:
 		return query.GeoWithin{Field: d.string("geo field"), Rect: decodeRect(d)}
+	case ftKeyRanges:
+		return decodeKeyRanges(d)
 	default:
 		d.fail(fmt.Sprintf("filter tag %d", tag))
 		return nil
@@ -188,6 +206,26 @@ func decodeChildren(d *dec, depth int) []query.Filter {
 		}
 	}
 	return children
+}
+
+// decodeKeyRanges refuses ranges reaching 2^53, past which a
+// KeyRanges is not defined.
+func decodeKeyRanges(d *dec) query.Filter {
+	k := query.KeyRanges{Field: d.string("key ranges field")}
+	n := d.count(2, "key ranges")
+	k.Ranges = make([]sfc.Range, 0, n)
+	next := uint64(0)
+	for i := 0; i < n && d.err == nil; i++ {
+		lo := next + d.uvarint("key range gap")
+		hi := lo + d.uvarint("key range span")
+		if lo < next || hi < lo || hi >= 1<<53 {
+			d.fail("key range bounds")
+			return nil
+		}
+		k.Ranges = append(k.Ranges, sfc.Range{Lo: lo, Hi: hi})
+		next = hi + 1
+	}
+	return k
 }
 
 func decodeRect(d *dec) geo.Rect {

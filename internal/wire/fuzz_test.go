@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/query"
+	"repro/internal/sfc"
 )
 
 // FuzzFrameDecode throws arbitrary bytes at the frame and message
@@ -31,6 +32,14 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(flipped)
 	f.Add(good[:len(good)-2])
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 1})
+	// Key ranges: a query frame, and bare filter bodies (one with a gap
+	// that overflows).
+	kr := query.KeyRanges{Field: "hilbertIndex", Ranges: []sfc.Range{{Lo: 3, Hi: 5}, {Lo: 9, Hi: 9}, {Lo: 300, Hi: 4000}}}
+	krQuery, _ := Query{Shard: 2, Filter: query.NewAnd(query.GeoWithin{Field: "location"}, kr)}.Encode(nil)
+	f.Add(AppendFrame(nil, OpQuery, krQuery))
+	krBody, _ := AppendFilter(nil, kr)
+	f.Add(krBody)
+	f.Add([]byte{ftKeyRanges, 1, 0, 0, 0, 'h', 2, 0, 0, 0, 1, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		op, body, size, ok := DecodeFrame(data)

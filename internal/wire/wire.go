@@ -58,7 +58,11 @@ import (
 // carries the routed observables in an optional section (one zero byte
 // on a shard's reply). The single-frame router reply's op code, 11,
 // stays reserved.
-const ProtocolVersion = 7
+//
+// Version 8 added the KeyRanges filter node (tag 7): the Hilbert
+// approaches' cell constraint travels as its ranges, in delta varints,
+// instead of an $or of comparison pairs and an $in.
+const ProtocolVersion = 8
 
 // MaxFrameBody bounds a single frame body, so that a corrupt or
 // hostile length field cannot make a reader attempt a giant

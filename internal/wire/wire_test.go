@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/query"
+	"repro/internal/sfc"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -203,6 +205,8 @@ func TestFilterRoundTrip(t *testing.T) {
 			}},
 		}},
 		query.GeoWithin{Field: "location", Rect: geo.NewRect(-10, -20, 10, 20)},
+		query.KeyRanges{Field: "h", Ranges: []sfc.Range{{Lo: 0, Hi: 0}, {Lo: 2, Hi: 9}, {Lo: 1<<53 - 2, Hi: 1<<53 - 1}}},
+		query.KeyRanges{Field: "h", Ranges: []sfc.Range{}},
 	}
 	for _, f := range filters {
 		enc, err := AppendFilter(nil, f)
@@ -219,6 +223,30 @@ func TestFilterRoundTrip(t *testing.T) {
 		// A prepared filter travels as the filter inside it.
 		if prep, err := AppendFilter(nil, query.Prepare(f)); err != nil || !bytes.Equal(prep, enc) {
 			t.Fatalf("%T prepared encodes as %x (%v), bare as %x", f, prep, err, enc)
+		}
+	}
+}
+
+// TestKeyRangesRefusedOutOfOrder: key ranges travel only ascending,
+// disjoint and below 2^53 — the encoder refuses others, and the
+// decoder refuses a gap or span that reaches 2^53 or wraps.
+func TestKeyRangesRefusedOutOfOrder(t *testing.T) {
+	for _, rs := range [][]sfc.Range{
+		{{Lo: 5, Hi: 9}, {Lo: 9, Hi: 12}},
+		{{Lo: 5, Hi: 4}},
+		{{Lo: 1 << 53, Hi: 1 << 53}},
+	} {
+		if _, err := AppendFilter(nil, query.KeyRanges{Field: "h", Ranges: rs}); err == nil {
+			t.Errorf("%v encoded", rs)
+		}
+	}
+	for _, tail := range [][]byte{
+		binary.AppendUvarint([]byte{0}, 1<<53),                      // [0, 2^53]
+		binary.AppendUvarint(binary.AppendUvarint(nil, 1), 1<<64-1), // span wraps
+	} {
+		body := append([]byte{ftKeyRanges, 1, 0, 0, 0, 'h', 1, 0, 0, 0}, tail...)
+		if f, err := DecodeFilter(body); err == nil {
+			t.Errorf("%x decoded to %v", body, f)
 		}
 	}
 }

@@ -48,7 +48,7 @@ RACE_PKGS="./internal/sharding/... ./internal/query/... ./internal/storage/... .
 # implementation it replaced answers. The bytes every write path stores,
 # appended straight from the record, are byte for byte what marshalling
 # the boxed reference document gives, and both refuse the same records.
-FUZZ_TARGETS="bson:FuzzDocumentRoundTrip bson:FuzzValidate keyenc:FuzzKeyOrdering wal:FuzzFrameRecover btree:FuzzTreeOps btree:FuzzIteratorSeek wire:FuzzFrameDecode wire:FuzzInsertDecode wire:FuzzAggregateDecode sketch:FuzzSketch query:FuzzRawMatch index:FuzzEntryKeyRaw sharding:FuzzShardKeyRaw sharding:FuzzFrontEnd core:FuzzEncodeRecord core:FuzzContainedCells"
+FUZZ_TARGETS="bson:FuzzDocumentRoundTrip bson:FuzzValidate keyenc:FuzzKeyOrdering wal:FuzzFrameRecover btree:FuzzTreeOps btree:FuzzIteratorSeek wire:FuzzFrameDecode wire:FuzzInsertDecode wire:FuzzAggregateDecode sketch:FuzzSketch query:FuzzRawMatch index:FuzzEntryKeyRaw sharding:FuzzShardKeyRaw sharding:FuzzFrontEnd core:FuzzEncodeRecord core:FuzzContainedCells core:FuzzKeyRanges"
 
 step() {
     case "$1" in
