@@ -6,9 +6,11 @@ package main
 // strouterd take a stream of idempotent client batches from concurrent
 // workers while the orchestrator SIGKILLs a shard daemon every cycle —
 // mid-ingest, with batches in flight — restarts it from its directory,
-// and keeps writing. Overload bursts fire many times the router's
-// admission slots at once and must shed with structured retry hints
-// while admitted writes stay bounded.
+// and keeps writing. The workers are paced: each cycle releases them
+// its share of the stream just before the kill, so the stream lasts
+// every cycle and no kill lands on an idle cluster. Overload bursts
+// fire many times the router's admission slots at once and must shed
+// with structured retry hints while admitted writes stay bounded.
 //
 // The truth is an in-process reference store that applies exactly the
 // batches the cluster acknowledged — the same encoded documents that
@@ -23,6 +25,7 @@ package main
 //   - the routed query set answers content-identical to the reference
 //     (order-independent digests: balance histories legitimately
 //     diverge across processes, content must not);
+//   - every SIGKILL landed while workers held claimed, unacked batches;
 //   - bursts shed (backpressure engaged) and admitted burst writes
 //     answered within a bounded latency;
 //   - a final SIGTERM drains every process cleanly and the
@@ -91,12 +94,16 @@ type ingestBatch struct {
 }
 
 type ingestSoak struct {
-	cfg     ingestCfg
-	rng     *rand.Rand
-	ref     *core.Store
-	extent  geo.Rect
-	stream  []*ingestBatch
-	next    atomic.Int64
+	cfg    ingestCfg
+	rng    *rand.Rand
+	ref    *core.Store
+	extent geo.Rect
+	stream []*ingestBatch
+	next   atomic.Int64 // batches claimed so far
+	// allow is how far into the stream the workers may claim; held
+	// counts the batches they have claimed and not yet seen acked.
+	allow   atomic.Int64
+	held    atomic.Int64
 	daemons []*daemon
 	router  *daemon
 	secret  []byte
@@ -108,6 +115,8 @@ type ingestSoak struct {
 	acked, dups, sheds, errored atomic.Int64
 	burstAcked, burstShed       atomic.Int64
 	burstMaxNS                  atomic.Int64
+	// minHeld is the fewest batches in flight at any SIGKILL.
+	minHeld int64
 
 	mu         sync.Mutex
 	violations []string
@@ -266,7 +275,11 @@ func runIngestSoak(cfg ingestCfg) int {
 	fmt.Fprintf(os.Stderr, "stchaos: ingest cluster up (router %s), %d cycles, %d stream batches, seed %d\n",
 		routerAddr, cfg.cycles, len(is.stream), cfg.seed)
 
-	// Continuous ingest workers for the whole soak.
+	// Continuous ingest workers for the whole soak, paced: each cycle
+	// releases the share of the stream the bursts leave, spread over the
+	// cycles and the drain after them.
+	share := max(1, (len(is.stream)-cfg.cycles*is.burstSize())/(cfg.cycles+1))
+	is.minHeld = -1
 	loadCtx, stopLoad := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.workers; w++ {
@@ -278,11 +291,21 @@ func runIngestSoak(cfg ingestCfg) int {
 	}
 
 	for cycle := 0; cycle < cfg.cycles; cycle++ {
+		is.allow.Store(is.next.Load() + int64(share))
 		is.runIngestCycle(cycle, routerAddr)
 	}
 
+	// Release the rest of the stream and let the workers drain it.
+	is.allow.Store(int64(len(is.stream)))
+	drained := make(chan struct{})
+	go func() { wg.Wait(); close(drained) }()
+	select {
+	case <-drained:
+	case <-time.After(60 * time.Second):
+		is.violate("the workers did not drain the stream within 60s")
+	}
 	stopLoad()
-	wg.Wait()
+	<-drained
 
 	// Drive every claimed batch to an ack: a batch interrupted by a
 	// kill may sit applied on some processes only, and the idempotent
@@ -312,8 +335,8 @@ func runIngestSoak(cfg ingestCfg) int {
 	}
 
 	fmt.Fprintf(os.Stderr,
-		"stchaos: ingest done: %d cycles, batches acked=%d dup=%d shed=%d errored=%d; burst acked=%d shed=%d (max admitted ack %v)\n",
-		cfg.cycles, is.acked.Load(), is.dups.Load(), is.sheds.Load(), is.errored.Load(),
+		"stchaos: ingest done: %d cycles (fewest batches in flight at a kill: %d), batches acked=%d dup=%d shed=%d errored=%d; burst acked=%d shed=%d (max admitted ack %v)\n",
+		cfg.cycles, is.minHeld, is.acked.Load(), is.dups.Load(), is.sheds.Load(), is.errored.Load(),
 		is.burstAcked.Load(), is.burstShed.Load(), time.Duration(is.burstMaxNS.Load()))
 	if len(is.violations) > 0 {
 		fmt.Fprintf(os.Stderr, "stchaos: %d INVARIANT VIOLATIONS:\n", len(is.violations))
@@ -334,13 +357,19 @@ func runIngestSoak(cfg ingestCfg) int {
 	return 0
 }
 
-// claim hands out the next unclaimed stream batch, nil when drained.
-func (is *ingestSoak) claim() *ingestBatch {
-	i := int(is.next.Add(1) - 1)
-	if i >= len(is.stream) {
-		return nil
+// claim hands out the next unclaimed stream batch below limit, nil
+// when there is none.
+func (is *ingestSoak) claim(limit int64) *ingestBatch {
+	limit = min(limit, int64(len(is.stream)))
+	for {
+		i := is.next.Load()
+		if i >= limit {
+			return nil
+		}
+		if is.next.CompareAndSwap(i, i+1) {
+			return is.stream[i]
+		}
 	}
-	return is.stream[i]
 }
 
 // ack applies an acknowledged batch to the reference exactly once —
@@ -361,10 +390,11 @@ func (is *ingestSoak) ack(b *ingestBatch) {
 	is.acked.Add(1)
 }
 
-// ingestWorker streams batches through the router: claim, insert,
-// retry the same idempotent ID on shed (after its hint) or error until
-// acked, then claim the next. A batch in flight when the soak stops
-// stays claimed-unacked for resolvePending.
+// ingestWorker streams batches through the router: claim (waiting for
+// the cycle's release), insert, retry the same idempotent ID on shed
+// (after its hint) or error until acked, then claim the next; it
+// returns once the stream is drained. A batch in flight when the soak
+// stops stays claimed-unacked for resolvePending.
 func (is *ingestSoak) ingestWorker(ctx context.Context, routerAddr string) {
 	cl, err := netconn.DialRouter(routerAddr, netconn.Options{
 		WaitReady: 20 * time.Second, Mutable: true, AuthSecret: is.secret,
@@ -375,10 +405,15 @@ func (is *ingestSoak) ingestWorker(ctx context.Context, routerAddr string) {
 	}
 	defer cl.Close()
 	for ctx.Err() == nil {
-		b := is.claim()
+		b := is.claim(is.allow.Load())
 		if b == nil {
-			return // stream drained
+			if is.next.Load() >= int64(len(is.stream)) {
+				return // stream drained
+			}
+			time.Sleep(2 * time.Millisecond)
+			continue
 		}
+		is.held.Add(1)
 		for ctx.Err() == nil {
 			reply, err := cl.Insert(b.id, b.raw)
 			if err == nil {
@@ -404,15 +439,29 @@ func (is *ingestSoak) ingestWorker(ctx context.Context, routerAddr string) {
 			vlog("worker error on %s: %v", b.id, err)
 			time.Sleep(25 * time.Millisecond)
 		}
+		is.held.Add(-1)
 	}
 }
 
-// runIngestCycle: SIGKILL one shard daemon mid-ingest, restart it from
-// its durable directory, wait for it to serve again, then fire an
-// overload burst of writes at the router.
+// runIngestCycle: SIGKILL one shard daemon mid-ingest — once the
+// workers hold batches of the share just released, and counting them —
+// restart it from its durable directory, wait for it to serve again,
+// then fire an overload burst of writes at the router. A kill that
+// finds no batch in flight proves nothing about recovery under load
+// and is a violation.
 func (is *ingestSoak) runIngestCycle(cycle int, routerAddr string) {
 	d := is.daemons[is.rng.Intn(len(is.daemons))]
-	vlog("cycle %d: SIGKILL %s (batches in flight)", cycle, d.name)
+	for deadline := time.Now().Add(10 * time.Second); is.held.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	held := is.held.Load()
+	if held == 0 {
+		is.violate("cycle %d: SIGKILL of %s landed with no batch in flight", cycle, d.name)
+	}
+	if is.minHeld < 0 || held < is.minHeld {
+		is.minHeld = held
+	}
+	vlog("cycle %d: SIGKILL %s (%d batches in flight)", cycle, d.name, held)
 	if err := d.stop(syscall.SIGKILL, 10*time.Second); err != nil {
 		is.violate("cycle %d: kill %s: %v", cycle, d.name, err)
 	}
@@ -446,15 +495,9 @@ func (is *ingestSoak) writeBurst(cycle int, routerAddr string) {
 		return
 	}
 	defer cl.Close()
-	// TCP smears arrivals, so overrunning the gate takes real
-	// concurrency: 4x the burst factor per slot keeps enough inserts
-	// landing while the admitted ones commit that most must find the
-	// gate full, yet leaves the batch stream to the steady workers for
-	// most cycles.
-	n := is.cfg.burst * 4 * is.cfg.routerSlots()
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		b := is.claim()
+	for i := 0; i < is.burstSize(); i++ {
+		b := is.claim(int64(len(is.stream)))
 		if b == nil {
 			break
 		}
@@ -495,6 +538,12 @@ func (is *ingestSoak) writeBurst(cycle int, routerAddr string) {
 	}
 	wg.Wait()
 }
+
+// burstSize is the batches one burst fires. TCP smears arrivals, so
+// overrunning the gate takes real concurrency: 4x the burst factor per
+// slot keeps enough inserts landing while the admitted ones commit
+// that most must find the gate full.
+func (is *ingestSoak) burstSize() int { return is.cfg.burst * 4 * is.cfg.routerSlots() }
 
 // resolvePending retries every claimed-but-unacked batch until the
 // cluster acknowledges it — the convergence pass that turns "applied

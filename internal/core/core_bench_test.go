@@ -14,10 +14,12 @@ import (
 // BenchmarkQueryApproaches measures one spatio-temporal query
 // end-to-end (routing, per-shard planning, scan, refinement, merge)
 // under each approach on identical data: "range" repeats one 0.5° × 0.5°,
-// 24 h query over a warm plan cache; "point" cycles through 4 096
-// distinct point queries — the benchmark's 0.0095° × 0.0057° rectangle
-// around a stored record, with a window of 1–24 h — so its planning is
-// per query, as in the benchmark's point stream.
+// 24 h query over a warm plan cache; "topk" is the same query ordered
+// newest first and limited to 100, and reports docs/op, the documents
+// the shards fetched per query; "point" cycles through 4 096 distinct
+// point queries — the benchmark's 0.0095° × 0.0057° rectangle around a
+// stored record, with a window of 1–24 h — so its planning is per
+// query, as in the benchmark's point stream.
 func BenchmarkQueryApproaches(b *testing.B) {
 	recs := testRecords(20000)
 	rangeQ := STQuery{
@@ -26,7 +28,7 @@ func BenchmarkQueryApproaches(b *testing.B) {
 		To:   testStart.Add(24 * time.Hour),
 	}
 	points := pointQueries(recs, 4096)
-	for _, a := range Approaches() {
+	for _, a := range AllApproaches() {
 		b.Run(a.String(), func(b *testing.B) {
 			s, err := Open(Config{
 				Approach:         a,
@@ -48,6 +50,24 @@ func BenchmarkQueryApproaches(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					_ = s.Query(rangeQ)
 				}
+			})
+			b.Run("topk", func(b *testing.B) {
+				topk := rangeQ
+				topk.Limit, topk.Sort = 100, SortDateDesc
+				p, err := s.plan(topk)
+				if err != nil {
+					b.Fatal(err)
+				}
+				docs := 0
+				for _, st := range s.Cluster().QueryOpts(p.f, p.opts).PerShard {
+					docs += st.DocsExamined
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_ = s.Query(topk)
+				}
+				b.ReportMetric(float64(docs), "docs/op")
 			})
 			b.Run("point", func(b *testing.B) {
 				for _, q := range points {

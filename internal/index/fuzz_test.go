@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/bson"
+	"repro/internal/keyenc"
 	"repro/internal/storage"
 )
 
@@ -50,7 +51,9 @@ func fuzzIndexes(t testing.TB) []*Index {
 // decoding reference: for any document that decodes, the key read from
 // the encoded bytes equals the key built from the decoded document,
 // byte for byte, and fails exactly when it fails; bytes that do not
-// decode must not panic it.
+// decode must not panic it. Every Ascending component cut from the key
+// is also the document's sort key (sortKey), which is what lets an
+// ordered execution order candidates by their keys alone.
 func FuzzEntryKeyRaw(f *testing.F) {
 	point := func(coords ...any) *bson.Document {
 		return bson.FromD(bson.D{{Key: "type", Value: "Point"}, {Key: "coordinates", Value: bson.A(coords)}})
@@ -109,6 +112,18 @@ func FuzzEntryKeyRaw(f *testing.F) {
 			if wantErr != nil {
 				continue
 			}
+			comps := KeyPrefix(got)
+			for _, fld := range ix.Def().Fields {
+				n, err := keyenc.ComponentLen(comps)
+				if err != nil {
+					t.Fatalf("index %s: key %x does not split into components: %v", ix.Def().Name, got, err)
+				}
+				if fld.Kind == Ascending && !bytes.Equal(comps[:n], sortKey(data, fld.Name)) {
+					t.Fatalf("index %s: component %x of %q, sort key %x\ninput: %x",
+						ix.Def().Name, comps[:n], fld.Name, sortKey(data, fld.Name), data)
+				}
+				comps = comps[n:]
+			}
 			// The maintenance entry points build the same key.
 			if err := ix.InsertRaw(data, id); err != nil {
 				t.Fatalf("index %s: InsertRaw: %v", ix.Def().Name, err)
@@ -121,6 +136,18 @@ func FuzzEntryKeyRaw(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sortKey is how an ordered execution encodes a document's order-by
+// field: the query package's appendSortKey, which imports this package
+// and so cannot be called from it.
+func sortKey(raw bson.Raw, field string) []byte {
+	if v, ok := raw.LookupRaw(field); ok {
+		if out, ok := keyenc.AppendRaw(nil, v); ok {
+			return out
+		}
+	}
+	return keyenc.AppendValue(nil, nil)
 }
 
 // TestIndexMaintenanceDoesNotAllocate: keys are built in a stack buffer

@@ -9,8 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bson"
+	"repro/internal/btree"
 	"repro/internal/collection"
 	"repro/internal/geo"
+	"repro/internal/index"
 	"repro/internal/keyenc"
 	"repro/internal/storage"
 )
@@ -21,13 +24,18 @@ import (
 // budgetLeft and runCollScan with the product, so what it pins is
 // exactly what batching could get wrong: which documents are processed,
 // in what order, and what the counters read when the scan stops.
+// Ordered executions have their own reference, refRunOrdered.
 
 func refRun(e *exec) bool {
+	e.sortAt = -1
 	if e.collect {
 		clear(e.s.docs)
 		e.s.docs = e.s.docs[:0]
-		e.s.top.reset(e.opts.Limit, e.opts.Desc)
+		e.s.rank.reset(e.opts.Limit, e.opts.Desc)
 		e.s.agg.reset()
+		if e.opts.ordered() && !e.opts.Agg.Active() {
+			return refRunOrdered(e)
+		}
 	}
 	if e.p.Index == nil {
 		return e.runCollScan()
@@ -96,7 +104,146 @@ func refEmitID(e *exec, id storage.RecordID) bool {
 	if !ok {
 		return e.budgetLeft()
 	}
-	return e.emitRaw(id, raw)
+	return e.emitRaw(id, raw, nil)
+}
+
+// refRunOrdered is the reference of an ordered execution, written out
+// one key and one document at a time, sharing only budgetLeft, the
+// ranking's keep and keyComponent with the product.
+//
+// When the plan's index has an Ascending component on the order-by
+// field, the execution is key-first. A first pass walks every segment
+// (the same skip-scan as refScanSegment) and keeps each in-bounds
+// key's record id and sort component, fetching nothing. That pass
+// checks the context at every cancelCheckWorks-th candidate and stops
+// once the keys examined so far reach the works budget, charging the
+// keys as of the candidate that stopped it; between segments the
+// usual budgetLeft gate runs. The candidates are then stable-sorted by
+// key (reversed for Desc) and fetched one at a time in that order:
+// each counts as a document examined, and the fetch stops when Limit
+// documents have matched, or at the budget or context gate after each.
+// So KeysExamined is the unordered scan's, and DocsExamined counts
+// only the documents fetched.
+//
+// Otherwise (COLLSCAN, or a field the index lacks) the execution
+// refines every match in scan order, with the counters of an unordered
+// full scan; the answer is its matches stable-sorted by appendSortKey
+// and truncated.
+func refRunOrdered(e *exec) bool {
+	opts := e.opts
+	sortAt := -1
+	if e.p.Index != nil {
+		for i, f := range e.p.Index.Def().Fields {
+			if f.Name == opts.OrderBy && f.Kind == index.Ascending {
+				sortAt = i
+			}
+		}
+	}
+	if sortAt < 0 {
+		e.opts = Opts{}
+		completed := refRun(e)
+		e.opts = opts
+		keys := make([][]byte, len(e.s.docs))
+		for i, d := range e.s.docs {
+			keys[i] = appendSortKey(nil, d, opts.OrderBy)
+		}
+		refKeep(e, e.s.docs, keys)
+		return completed
+	}
+	type cand struct {
+		id  storage.RecordID
+		key []byte
+	}
+	var cands []cand
+	keep := func(it *btree.Iterator) bool {
+		cands = append(cands, cand{storage.RecordID(it.Value()), keyComponent(it.Key(), sortAt)})
+		if len(cands)%cancelCheckWorks == 0 {
+			if err := e.ctx.Err(); err != nil {
+				e.ctxErr = err
+				return false
+			}
+		}
+		return e.maxWorks == 0 || e.stats.KeysExamined+it.Examined() < e.maxWorks
+	}
+	for _, seg := range e.p.Segments {
+		it := &e.s.it
+		e.p.Index.IterInit(it, seg.Interval)
+		for it.Next() {
+			if seg.SubLo != nil {
+				key := it.Key()
+				compLen, err := keyenc.ComponentLen(key)
+				if err == nil && len(key) >= compLen+8 {
+					rest := key[compLen : len(key)-8]
+					if keyenc.Compare(rest, seg.SubLo) < 0 {
+						it.Seek(append(append([]byte{}, key[:compLen]...), seg.SubLo...))
+						continue
+					}
+					if keyenc.Compare(rest, seg.SubHiUpper) >= 0 {
+						ub := keyenc.PrefixUpperBound(key[:compLen])
+						if ub == nil {
+							break
+						}
+						it.Seek(ub)
+						continue
+					}
+				}
+			}
+			if !keep(it) {
+				break
+			}
+		}
+		e.stats.KeysExamined += it.Examined()
+		if e.ctxErr != nil || !e.budgetLeft() {
+			return false
+		}
+	}
+	slices.SortStableFunc(cands, func(a, b cand) int {
+		if opts.Desc {
+			return bytes.Compare(b.key, a.key)
+		}
+		return bytes.Compare(a.key, b.key)
+	})
+	for _, c := range cands {
+		e.stats.DocsExamined++
+		raw, ok := e.coll.Store().FetchRaw(c.id)
+		if ok {
+			e.s.doc = raw
+		}
+		if ok && (e.p.Filter == nil || e.p.Filter.Matches(&e.s.doc)) {
+			e.stats.NReturned++
+			e.s.rank.keep(raw, c.key)
+			if opts.Limit > 0 && e.s.rank.n == opts.Limit {
+				e.hitLimit = true
+				return true
+			}
+		}
+		if !e.budgetLeft() {
+			return false
+		}
+	}
+	return true
+}
+
+// refKeep leaves docs, stable-sorted by their keys and truncated, as
+// the ranking's answer.
+func refKeep(e *exec, docs []bson.Raw, keys [][]byte) {
+	order := make([]int, len(docs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		if e.opts.Desc {
+			return bytes.Compare(keys[b], keys[a])
+		}
+		return bytes.Compare(keys[a], keys[b])
+	})
+	if e.opts.Limit > 0 && len(order) > e.opts.Limit {
+		order = order[:e.opts.Limit]
+	}
+	e.s.rank.reset(e.opts.Limit, e.opts.Desc)
+	for _, i := range order {
+		e.s.rank.keep(docs[i], keys[i])
+	}
 }
 
 // countdownCtx reports cancellation from its n-th Err call on, so a
@@ -241,6 +388,22 @@ func batchCases() []execCase {
 	for n := 1; n <= 3; n++ {
 		cases = append(cases, execCase{name: fmt.Sprintf("cancel-at-check-%d", n), collect: true, cancelAt: n})
 	}
+	// Ordered limits around the fetch batch, both ways; the same top-k
+	// under the budgets of a cached plan and under cancellation, which
+	// the key pass of a key-first execution meets before any document.
+	topk := Opts{Limit: 10, OrderBy: "date", Desc: true}
+	for _, limit := range []int{1, fetchBatch - 1, fetchBatch, fetchBatch + 1} {
+		cases = append(cases,
+			execCase{name: fmt.Sprintf("top-%d-asc", limit), collect: true, opts: Opts{Limit: limit, OrderBy: "date"}},
+			execCase{name: fmt.Sprintf("top-%d-desc", limit), collect: true, opts: Opts{Limit: limit, OrderBy: "date", Desc: true}},
+		)
+	}
+	for _, works := range []int{1, 17, fetchBatch, cancelCheckWorks + 1, 700} {
+		cases = append(cases, execCase{name: fmt.Sprintf("cached-budget-%d-top-k", works), collect: true, maxWorks: works, opts: topk})
+	}
+	for n := 1; n <= 3; n++ {
+		cases = append(cases, execCase{name: fmt.Sprintf("cancel-at-check-%d-top-k", n), collect: true, cancelAt: n, opts: topk})
+	}
 	return cases
 }
 
@@ -253,6 +416,12 @@ func batchCases() []execCase {
 // paper's tables are built from. The second collection has a tenth of
 // its records deleted from the store but not from the indexes: the
 // scan must skip them and still count them as examined.
+//
+// Ordered executions are held to refRunOrdered, which states their
+// counting rule: a key-first one examines every key of the unordered
+// scan but only the documents it fetches in key order until the limit
+// is met, and under a works budget its key pass charges keys as it goes
+// and checks the context every cancelCheckWorks keys it keeps.
 func TestBatchedScanMatchesOneAtATime(t *testing.T) {
 	intact := newCollWithIndexes(t, 4000)
 	holed := newCollWithIndexes(t, 4000)
@@ -274,6 +443,12 @@ func TestBatchedScanMatchesOneAtATime(t *testing.T) {
 							collName, fi, p.Name(), len(p.Segments), tc.name, d)
 					}
 					switch {
+					case tc.opts.ordered() && want.err != nil && want.docs == 0:
+						stopped["key pass cancelled"]++
+					case tc.opts.ordered() && !want.completed && want.err == nil && want.docs == 0:
+						stopped["key pass budget"]++
+					case tc.opts.ordered() && want.hitLimit:
+						stopped["ordered limit"]++
 					case want.err != nil:
 						stopped["cancelled"]++
 					case want.hitLimit:
@@ -288,7 +463,7 @@ func TestBatchedScanMatchesOneAtATime(t *testing.T) {
 		}
 	}
 	// The matrix must actually have exercised every stopping condition.
-	for _, why := range []string{"cancelled", "limit", "budget", "skipped"} {
+	for _, why := range []string{"cancelled", "limit", "budget", "skipped", "key pass cancelled", "key pass budget", "ordered limit"} {
 		if stopped[why] == 0 {
 			t.Errorf("no case stopped by %q: the differential did not cover it", why)
 		}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bson"
 	"repro/internal/btree"
 	"repro/internal/collection"
+	"repro/internal/index"
 	"repro/internal/keyenc"
 	"repro/internal/storage"
 )
@@ -96,9 +97,11 @@ func ExecuteOpts(coll *collection.Collection, f Filter, cfg *Config, opts Opts) 
 
 // ExecuteOptsCtx executes the filter with pushed-down options. A
 // natural-order limit stops the index scan as soon as the quota is
-// met; an ordered limit retains the top k in a bounded heap while the
-// scan runs to completion. Either way the returned documents are
-// byte-identical to running the query unlimited and truncating: plan
+// met. An ordered one scans every key, and when the plan's index holds
+// the order-by field it fetches documents in key order until the quota
+// is met (see fetchSorted); otherwise it refines every match and keeps
+// the best k. Either way the returned documents are byte-identical to
+// running the query unlimited, stable-sorting and truncating: plan
 // selection ignores the options, so the scan order is the same.
 //
 // A filter with one candidate plan runs it directly: the plan cache
@@ -221,6 +224,10 @@ type exec struct {
 	in       *interior
 	inAt     int
 	keyOnlyN int
+	// sortAt is, in a key-first ordered execution, the position of the
+	// order-by field among the plan index's components; -1 otherwise
+	// (see sortComponent). run sets it.
+	sortAt int
 }
 
 // contain turns on interior classification for a count, or a cell
@@ -245,12 +252,15 @@ func (e *exec) run() bool {
 	if e.collect {
 		clear(e.s.docs)
 		e.s.docs = e.s.docs[:0]
-		e.s.top.reset(e.opts.Limit, e.opts.Desc)
+		e.s.rank.reset(e.opts.Limit, e.opts.Desc)
 		e.s.agg.reset()
+		e.s.keyFirst.reset()
 	}
 	if e.p.Index == nil {
+		e.sortAt = -1
 		return e.runCollScan()
 	}
+	e.sortAt = e.sortComponent()
 	for _, seg := range e.p.Segments {
 		e.scanSegment(seg)
 		if e.ctxErr != nil {
@@ -263,7 +273,28 @@ func (e *exec) run() bool {
 			return false
 		}
 	}
+	if e.sortAt >= 0 {
+		return e.fetchSorted()
+	}
 	return true
+}
+
+// sortComponent is the position of the order-by field among the plan
+// index's components when an ordered document execution can take its
+// sort keys from the index — the field is an Ascending component, so
+// its key component is the document's sort key (appendSortKey) — and
+// -1 otherwise: unordered, aggregating or id-collecting executions, and
+// a field the index lacks or holds only as a 2dsphere cell.
+func (e *exec) sortComponent() int {
+	if !e.collect || e.ids != nil || e.opts.Agg.Active() || !e.opts.ordered() {
+		return -1
+	}
+	for i, f := range e.p.Index.Def().Fields {
+		if f.Name == e.opts.OrderBy && f.Kind == index.Ascending {
+			return i
+		}
+	}
+	return -1
 }
 
 // budgetLeft is the per-work-unit gate: an occasional context check
@@ -330,7 +361,7 @@ func (e *exec) scanSegment(seg Segment) {
 			}
 		}
 		if !e.push(it) {
-			return // flush charged the keys up to the one that stopped it
+			return // push charged the keys up to the one that stopped it
 		}
 	}
 	if e.flush() {
@@ -340,11 +371,15 @@ func (e *exec) scanSegment(seg Segment) {
 
 // push queues the iterator's current entry — its record id and the
 // examined count as of its key — and processes the batch once it is
-// full. An interior key is answered on the spot instead. It returns
-// false to stop the scan.
+// full. An interior key is answered on the spot instead, and a
+// key-first execution's key becomes a candidate. It returns false to
+// stop the scan.
 func (e *exec) push(it *btree.Iterator) bool {
 	if e.in != nil && e.in.contains(&e.inAt, it.Key()) {
 		return e.fromKey(it.Key())
+	}
+	if e.sortAt >= 0 {
+		return e.queueKey(it)
 	}
 	b := &e.s.batch
 	b.ids[b.n] = storage.RecordID(it.Value())
@@ -374,6 +409,70 @@ func (e *exec) fromKey(key []byte) bool {
 		}
 	}
 	return true
+}
+
+// queueKey keeps the iterator's current entry as a candidate of a
+// key-first ordered execution: its record id, and its key's sort
+// component copied into the scratch. No document is fetched before
+// every key has been seen (fetchSorted), so this pass charges the keys
+// against the works budget as it goes — as of each candidate's key —
+// and checks the context every cancelCheckWorks candidates. When it
+// stops the scan it charges the segment's keys itself.
+func (e *exec) queueKey(it *btree.Iterator) bool {
+	kf := &e.s.keyFirst
+	kf.add(storage.RecordID(it.Value()), keyComponent(it.Key(), e.sortAt))
+	if len(kf.cands)%cancelCheckWorks == 0 {
+		if err := e.ctx.Err(); err != nil {
+			e.ctxErr = err
+			e.stats.KeysExamined += it.Examined()
+			return false
+		}
+	}
+	if e.maxWorks > 0 && e.stats.KeysExamined+it.Examined()+e.stats.DocsExamined >= e.maxWorks {
+		e.stats.KeysExamined += it.Examined()
+		return false
+	}
+	return true
+}
+
+// keyComponent cuts component n out of an index entry key (the encoded
+// tuple before the 8-byte record id). Every key the index built has it;
+// a key without it yields an empty sort key, which sorts first.
+func keyComponent(key []byte, n int) []byte {
+	if len(key) < 8 {
+		return nil
+	}
+	key = key[:len(key)-8]
+	for {
+		l, err := keyenc.ComponentLen(key)
+		if err != nil {
+			return nil
+		}
+		if n == 0 {
+			return key[:l]
+		}
+		key, n = key[l:], n-1
+	}
+}
+
+// fetchSorted is the second pass of a key-first ordered execution: it
+// orders the candidates by (sort key under Desc, scan position) — the
+// order a stable sort of the matches by key takes — and fetches and
+// refines them in that order through the batch until Limit documents
+// match, so a top-k examines the documents that can make the answer
+// and few more. The first pass charged every key, so a stop here
+// charges none.
+func (e *exec) fetchSorted() bool {
+	kf := &e.s.keyFirst
+	kf.order(e.opts.Desc)
+	b := &e.s.batch
+	for i, ok := kf.next(); ok; i, ok = kf.next() {
+		b.ids[b.n], b.seen[b.n], b.keys[b.n] = kf.cands[i].id, 0, kf.key(i)
+		if b.n++; b.n == fetchBatch && !e.flush() {
+			return e.hitLimit
+		}
+	}
+	return e.flush() || e.hitLimit
 }
 
 // flush processes the queued entries in three passes: look every record
@@ -410,7 +509,7 @@ func (e *exec) flush() bool {
 			// concurrent delete; skip it like the server does.
 			more = e.budgetLeft()
 		} else {
-			more = e.emitRaw(b.ids[i], raw)
+			more = e.emitRaw(b.ids[i], raw, b.keys[i])
 		}
 		if !more {
 			e.stats.KeysExamined += b.seen[i]
@@ -420,10 +519,11 @@ func (e *exec) flush() bool {
 	return true
 }
 
-// emitRaw matches one document and accumulates it. The stored bytes
-// are immutable, so matching and collection alias them without
-// copying.
-func (e *exec) emitRaw(id storage.RecordID, raw []byte) bool {
+// emitRaw matches one document and accumulates it; in a key-first
+// fetch pass, key is its sort key, read from its index entry. The
+// stored bytes are immutable, so matching and collection alias them
+// without copying.
+func (e *exec) emitRaw(id storage.RecordID, raw, key []byte) bool {
 	// The filter sees the document through the scratch's *bson.Raw:
 	// converting the slice itself to bson.Doc would allocate per
 	// document.
@@ -437,9 +537,17 @@ func (e *exec) emitRaw(id storage.RecordID, raw []byte) bool {
 			// Aggregation: fold the document and keep scanning. Limit
 			// does not apply — an aggregate covers every match.
 			e.s.agg.accumulate(bson.Raw(raw), e.opts.Agg)
+		case e.sortAt >= 0:
+			// Key-first: documents arrive in the final order, so the
+			// first Limit matches are the answer.
+			e.s.rank.keep(bson.Raw(raw), key)
+			if e.opts.Limit > 0 && e.s.rank.n >= e.opts.Limit {
+				e.hitLimit = true
+				return false
+			}
 		case e.collect && e.opts.ordered():
 			e.s.keyBuf = appendSortKey(e.s.keyBuf[:0], bson.Raw(raw), e.opts.OrderBy)
-			e.s.top.offer(bson.Raw(raw), e.s.keyBuf)
+			e.s.rank.offer(bson.Raw(raw), e.s.keyBuf)
 		case e.collect:
 			e.s.docs = append(e.s.docs, bson.Raw(raw))
 			if e.opts.Limit > 0 && len(e.s.docs) >= e.opts.Limit {
@@ -456,7 +564,7 @@ func (e *exec) runCollScan() bool {
 	completed := true
 	e.coll.Store().Walk(func(id storage.RecordID, raw []byte) bool {
 		e.stats.DocsExamined++
-		if !e.emitRaw(id, raw) {
+		if !e.emitRaw(id, raw, nil) {
 			completed = e.hitLimit
 			return false
 		}

@@ -12,11 +12,12 @@ import (
 	"repro/internal/keyenc"
 )
 
-// TestTopKHeapRandomized pins the bounded heap against a plain
-// sort-and-truncate over random duplicate-heavy values, both
-// directions — the property the executor-level differential tests
-// rely on, checked in isolation.
-func TestTopKHeapRandomized(t *testing.T) {
+// TestRankingRandomized pins the ranking a scan-order stream is
+// offered to (pruned back to the limit at twice the limit) against a
+// plain sort-and-truncate over random duplicate-heavy values, both
+// directions — the property the executor-level differential tests rely
+// on, checked in isolation.
+func TestRankingRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 500; trial++ {
 		n := 1 + rng.Intn(60)
@@ -26,12 +27,12 @@ func TestTopKHeapRandomized(t *testing.T) {
 		for i := range vals {
 			vals[i] = int64(rng.Intn(30)) // many ties
 		}
-		var tk topK
-		tk.reset(limit, desc)
+		var r ranking
+		r.reset(limit, desc)
 		for _, v := range vals {
-			tk.offer(nil, keyenc.AppendValue(nil, v))
+			r.offer(nil, keyenc.AppendValue(nil, v))
 		}
-		live := tk.finish()
+		live := r.finish()
 		want := append([]int64{}, vals...)
 		slices.SortStableFunc(want, func(a, b int64) int {
 			if desc {
@@ -56,6 +57,61 @@ func TestTopKHeapRandomized(t *testing.T) {
 				t.Fatalf("trial %d (n=%d limit=%d desc=%v): item %d out of order",
 					trial, n, limit, desc, i)
 			}
+		}
+	}
+}
+
+// TestSortCandsRandomized pins the key-first fetch order against a
+// stable sort of the candidates by key, both directions, over keys that
+// tie, share long prefixes, differ only past their eighth byte, or are
+// shorter than eight bytes, or are the extremes, and over counts that
+// leave the packed words room for the whole head or not.
+func TestSortCandsRandomized(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	prefixes := []string{"", "p", "prefix-longer-than-eight-"}
+	var kf keyFirst
+	for trial := 0; trial < 400; trial++ {
+		n := rng.Intn(1 << (1 + rng.Intn(11)))
+		desc := rng.Intn(2) == 1
+		kf.reset()
+		var keys [][]byte
+		for i := 0; i < n; i++ {
+			var k []byte
+			switch rng.Intn(5) {
+			case 4:
+				// The extremes fill the first and last buckets.
+				k = keyenc.AppendValue(nil, []any{bson.MinKey, bson.MaxKey}[rng.Intn(2)])
+			case 0:
+				k = keyenc.AppendValue(nil, baseTime.Add(time.Duration(rng.Intn(2000))*time.Millisecond))
+			case 1:
+				k = keyenc.AppendValue(nil, prefixes[rng.Intn(3)]+string(rune('a'+rng.Intn(4))))
+			case 2:
+				k = keyenc.AppendValue(nil, int64(rng.Intn(5)))
+			default:
+				k = keyenc.AppendValue(nil, nil)
+			}
+			kf.add(0, k)
+			keys = append(keys, k)
+		}
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i
+		}
+		slices.SortStableFunc(want, func(a, b int) int {
+			if desc {
+				return bytes.Compare(keys[b], keys[a])
+			}
+			return bytes.Compare(keys[a], keys[b])
+		})
+		kf.order(desc)
+		for i := range want {
+			if got, ok := kf.next(); !ok || got != want[i] {
+				t.Fatalf("trial %d (n=%d desc=%v): position %d holds candidate %d (%v), want %d",
+					trial, n, desc, i, got, ok, want[i])
+			}
+		}
+		if got, ok := kf.next(); ok {
+			t.Fatalf("trial %d: candidate %d handed out past the end", trial, got)
 		}
 	}
 }
@@ -130,7 +186,7 @@ func stableSortByDate(t *testing.T, docs []bson.Raw, desc bool) []bson.Raw {
 // TestTopKMatchesSortThenTruncate: an ordered (and limited) execution
 // must be byte-identical to stable-sorting the unlimited natural
 // result by the order-by field and truncating — the invariant that
-// makes the bounded top-k heap transparent.
+// makes key-first top-k transparent.
 func TestTopKMatchesSortThenTruncate(t *testing.T) {
 	c := newCollWithIndexes(t, 2000)
 	for qi, f := range pushdownQueries() {

@@ -36,7 +36,9 @@ RACE_PKGS="./internal/sharding/... ./internal/query/... ./internal/storage/... .
 # sketch never reports a false negative against an exact-set oracle,
 # the executor's typed reads of stored bytes — predicates, top-k
 # sort keys, aggregate keys — never panic on damaged documents and
-# answer exactly what decoding the document first answers, and the
+# answer exactly what decoding the document first answers, an ordered
+# execution — sort keys read from the index or from the document —
+# answers exactly what stable-sorting its unordered matches does, and the
 # write path, which never decodes either, rests on the same footing:
 # bson.Validate (all that stands between wire or journal bytes and the
 # store) accepts exactly what Unmarshal accepts and knows Marshal's form
@@ -48,7 +50,7 @@ RACE_PKGS="./internal/sharding/... ./internal/query/... ./internal/storage/... .
 # implementation it replaced answers. The bytes every write path stores,
 # appended straight from the record, are byte for byte what marshalling
 # the boxed reference document gives, and both refuse the same records.
-FUZZ_TARGETS="bson:FuzzDocumentRoundTrip bson:FuzzValidate keyenc:FuzzKeyOrdering wal:FuzzFrameRecover btree:FuzzTreeOps btree:FuzzIteratorSeek wire:FuzzFrameDecode wire:FuzzInsertDecode wire:FuzzAggregateDecode sketch:FuzzSketch query:FuzzRawMatch index:FuzzEntryKeyRaw sharding:FuzzShardKeyRaw sharding:FuzzFrontEnd core:FuzzEncodeRecord core:FuzzContainedCells core:FuzzKeyRanges"
+FUZZ_TARGETS="bson:FuzzDocumentRoundTrip bson:FuzzValidate keyenc:FuzzKeyOrdering wal:FuzzFrameRecover btree:FuzzTreeOps btree:FuzzIteratorSeek wire:FuzzFrameDecode wire:FuzzInsertDecode wire:FuzzAggregateDecode sketch:FuzzSketch query:FuzzRawMatch query:FuzzOrderedExecution index:FuzzEntryKeyRaw sharding:FuzzShardKeyRaw sharding:FuzzFrontEnd core:FuzzEncodeRecord core:FuzzContainedCells core:FuzzKeyRanges"
 
 step() {
     case "$1" in

@@ -8,12 +8,13 @@
 # client batches through the router from concurrent workers, and run
 # CYCLES rounds of SIGKILL-mid-ingest/restart-from-directory plus
 # 16x-concurrency write bursts against a one-slot admission gate.
-# stchaos -ingest exits non-zero on any invariant violation: a batch
-# that never converges, a restarted or SIGTERM'd daemon whose content
-# fingerprint disagrees with the in-process reference, a whole-replica
-# read that is not byte-identical to the reference, an unbounded
-# admitted write, a burst that never sheds, a dirty daemon exit, or
-# leaked goroutines in the orchestrator.
+# stchaos -ingest exits non-zero on any invariant violation: a SIGKILL
+# that finds no batch in flight, a batch that never converges, a
+# restarted or SIGTERM'd daemon whose content fingerprint disagrees
+# with the in-process reference, a whole-replica read that is not
+# byte-identical to the reference, an unbounded admitted write, a burst
+# that never sheds, a dirty daemon exit, or leaked goroutines in the
+# orchestrator.
 #
 # The whole schedule derives from SEED, so a failure replays exactly;
 # override SEED/CYCLES/RECORDS/INGEST_RECORDS/SHARDS/PORT to vary.
