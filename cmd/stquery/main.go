@@ -433,6 +433,9 @@ func printResult(name string, res *core.QueryResult) {
 	if st.ShardsPruned > 0 {
 		fmt.Printf(" pruned=%d", st.ShardsPruned)
 	}
+	if st.ShardsSkipped > 0 {
+		fmt.Printf(" skipped=%d", st.ShardsSkipped)
+	}
 	if st.CacheHit {
 		fmt.Printf(" CACHED")
 	}

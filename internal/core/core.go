@@ -215,14 +215,16 @@ func Open(cfg Config) (*Store, error) {
 // clusterOptions maps the store's config onto the sharding layer's
 // options. A Hilbert store writes every document's hilbertIndex from its
 // location, and its wire edge refuses documents encoded otherwise, so a
-// count or heatmap may take a document in a cell strictly inside the
-// query rectangle from its index key (query.Containment).
+// query may trust the index key of a document in a cell strictly inside
+// its rectangle (query.Containment): a count or heatmap takes the
+// document from the key, and a document query keeps it unrefined.
 func (s *Store) clusterOptions() sharding.Options {
 	c := s.cfg
 	var qc *query.Config
 	if s.grid != nil {
 		qc = &query.Config{Contain: &query.Containment{
-			Leading: FieldHilbert, Geo: FieldLoc, Cell: s.grid.Encode, Interior: s.grid.Interior,
+			Leading: FieldHilbert, Geo: FieldLoc, Cell: s.grid.Encode,
+			Interior: s.grid.InteriorBox, XY: s.grid.Curve().D2XY,
 		}}
 	}
 	return sharding.Options{

@@ -15,7 +15,9 @@ import (
 // end-to-end (routing, per-shard planning, scan, refinement, merge)
 // under each approach on identical data: "range" repeats one 0.5° × 0.5°,
 // 24 h query over a warm plan cache; "topk" is the same query ordered
-// newest first and limited to 100, and reports docs/op, the documents
+// newest first and limited to 100, which its ~94 matches never reach;
+// "limit" and "topk10" limit it to 10, in natural order and newest
+// first, so the limit binds. The three report docs/op, the documents
 // the shards fetched per query; "point" cycles through 4 096 distinct
 // point queries — the benchmark's 0.0095° × 0.0057° rectangle around a
 // stored record, with a window of 1–24 h — so its planning is per
@@ -51,24 +53,17 @@ func BenchmarkQueryApproaches(b *testing.B) {
 					_ = s.Query(rangeQ)
 				}
 			})
-			b.Run("topk", func(b *testing.B) {
-				topk := rangeQ
-				topk.Limit, topk.Sort = 100, SortDateDesc
-				p, err := s.plan(topk)
-				if err != nil {
-					b.Fatal(err)
-				}
-				docs := 0
-				for _, st := range s.Cluster().QueryOpts(p.f, p.opts).PerShard {
-					docs += st.DocsExamined
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					_ = s.Query(topk)
-				}
-				b.ReportMetric(float64(docs), "docs/op")
-			})
+			for _, lim := range []struct {
+				name  string
+				limit int
+				sort  SortOrder
+			}{{"topk", 100, SortDateDesc}, {"limit", 10, SortNone}, {"topk10", 10, SortDateDesc}} {
+				b.Run(lim.name, func(b *testing.B) {
+					q := rangeQ
+					q.Limit, q.Sort = lim.limit, lim.sort
+					benchLimited(b, s, q)
+				})
+			}
 			b.Run("point", func(b *testing.B) {
 				for _, q := range points {
 					s.Query(q) // warm whatever per-shape state there is
@@ -81,6 +76,25 @@ func BenchmarkQueryApproaches(b *testing.B) {
 			})
 		})
 	}
+}
+
+// benchLimited runs one limited query and reports docs/op, the
+// documents its shards fetched.
+func benchLimited(b *testing.B, s *Store, q STQuery) {
+	p, err := s.plan(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	docs := 0
+	for _, st := range s.Cluster().QueryOpts(p.f, p.opts).PerShard {
+		docs += st.DocsExamined
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = s.Query(q)
+	}
+	b.ReportMetric(float64(docs), "docs/op")
 }
 
 // pointQueries draws n point queries: the benchmark's small rectangle

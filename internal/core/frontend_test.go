@@ -66,7 +66,9 @@ func TestFrontEndAllocsIndependentOfCoverSize(t *testing.T) {
 			hit = q
 		}
 		// The documents of the whole data set's span: every query
-		// returns some, and none classifies interior cells.
+		// returns some, and the two wider rectangles have interior
+		// cells, which a document query and a count classify their keys
+		// against without allocating.
 		miss := STQuery{Rect: tc.rect, From: testStart, To: testStart.Add(15 * 24 * time.Hour)}
 		if r := one.Query(miss); r.Stats.Nodes != 1 || r.Stats.NReturned == 0 {
 			t.Fatalf("%v returned %d documents from %d shards of the one-shard store", tc.rect, r.Stats.NReturned, r.Stats.Nodes)
@@ -74,6 +76,21 @@ func TestFrontEndAllocsIndependentOfCoverSize(t *testing.T) {
 		n = testing.AllocsPerRun(100, func() { one.Query(miss) })
 		t.Logf("%d ranges: %.1f allocations for a warm miss through Store.Query", p.cover.Ranges, n)
 		misses = append(misses, n)
+		// Classifying keys allocates nothing, so a count miss allocates
+		// no more than a document miss at any cover size, and a heatmap
+		// miss at most two more, for the cells its answer carries.
+		count, heat := miss, miss
+		count.Count, heat.HeatmapBits = true, 6
+		for _, agg := range []struct {
+			q     STQuery
+			extra float64
+		}{{count, 0}, {heat, 2}} {
+			a := testing.AllocsPerRun(100, func() { one.Query(agg.q) })
+			t.Logf("%d ranges: %.1f allocations for a warm aggregate miss (count %v) through Store.Query", p.cover.Ranges, a, agg.q.Count)
+			if a > n+agg.extra && !raceEnabled {
+				t.Errorf("%d ranges: an aggregate miss (count %v) allocates %.1f objects, a document miss %.1f", p.cover.Ranges, agg.q.Count, a, n)
+			}
+		}
 	}
 	for i := range allocs[1:] {
 		if d := allocs[i+1] - allocs[0]; d > 4 || d < -4 {

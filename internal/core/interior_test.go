@@ -107,8 +107,8 @@ func containedVariants(q STQuery, limit int) []STQuery {
 // checkContained runs the query on every shard twice — skipping what
 // interior keys prove, and refining every document — and requires
 // byte-identical answers and counters, except that the skipping run may
-// fetch fewer documents. It returns how many fewer.
-func checkContained(t *testing.T, s *Store, q STQuery) (saved int) {
+// fetch and refine fewer documents. It returns how many fewer.
+func checkContained(t *testing.T, s *Store, q STQuery) (saved, unrefined int) {
 	t.Helper()
 	p, err := s.plan(q)
 	if err != nil {
@@ -125,8 +125,31 @@ func checkContained(t *testing.T, s *Store, q STQuery) (saved int) {
 			t.Fatalf("%s shard %d, %+v: %s", s.cfg.Approach, sh.ID, q, d)
 		}
 		saved += want.Stats.DocsExamined - got.Stats.DocsExamined
+		unrefined += want.Stats.DocsRefined - got.Stats.DocsRefined
 	}
-	return saved
+	return saved, unrefined
+}
+
+// checkInteriorBox holds the containment's box classification of every
+// cell of the store's grid to membership in Grid.Interior's ranges for
+// the rectangle.
+func checkInteriorBox(t *testing.T, s *Store, rect geo.Rect) {
+	t.Helper()
+	contain := s.Cluster().Options().QueryConfig.Contain
+	box, ok := contain.Interior(rect)
+	ranges := s.Grid().Interior(rect)
+	if ok != (len(ranges) > 0) {
+		t.Fatalf("%v: the box exists %v, but Grid.Interior has %d ranges", rect, ok, len(ranges))
+	}
+	for d := uint64(0); d < s.Grid().Curve().Positions(); d++ {
+		inRanges := false
+		for _, r := range ranges {
+			inRanges = inRanges || r.Contains(d)
+		}
+		if inBox := ok && box.Contains(contain.XY(d)); inBox != inRanges {
+			t.Fatalf("%v: cell %d in the box %v, in Grid.Interior's ranges %v", rect, d, inBox, inRanges)
+		}
+	}
 }
 
 func resultDiff(got, want *query.Result) string {
@@ -158,7 +181,9 @@ func resultDiff(got, want *query.Result) string {
 // always-refine execution on hil and hil*, for documents, limit, top-k,
 // count, distinct and heatmap, over rectangles whose edges sit on cell
 // edges (or one ulp off them), 1-3 cells wide, some clipped by the grid
-// extent, over documents that lie on cell edges too.
+// extent, over documents that lie on cell edges too; and the
+// containment's box classification of every cell to Grid.Interior's
+// ranges.
 func FuzzContainedCells(f *testing.F) {
 	for i := 0; i < 24; i++ {
 		// Every store, edge mode and width; the block's corner cells.
@@ -171,6 +196,7 @@ func FuzzContainedCells(f *testing.F) {
 		r := &fuzzBytes{data: data}
 		cs := stores[r.byte()%2]
 		q := cs.query(r)
+		checkInteriorBox(t, cs.s, q.Rect)
 		for _, v := range containedVariants(q, 1+int(r.byte()%40)) {
 			checkContained(t, cs.s, v)
 		}
@@ -179,8 +205,9 @@ func FuzzContainedCells(f *testing.F) {
 
 // TestContainedCellsSkipRefines: on rectangles three cells wide with
 // edges on cell edges, the differential sees interior documents — the
-// fuzz's seeds are not vacuous — and the aggregates that take their
-// answer from the key fetch fewer documents than the refining run.
+// fuzz's seeds are not vacuous — every execution refines fewer
+// documents than the refining run, and only the aggregates that take
+// their answer from the key fetch fewer.
 func TestContainedCellsSkipRefines(t *testing.T) {
 	for _, a := range []Approach{Hil, HilStar} {
 		cs := openContainedStore(t, a)
@@ -193,9 +220,9 @@ func TestContainedCellsSkipRefines(t *testing.T) {
 			From: testStart, To: testStart.Add(48 * time.Hour),
 		}
 		for _, v := range containedVariants(q, 7) {
-			saved := checkContained(t, cs.s, v)
-			if keyOnly := v.Count || v.HeatmapBits > 0; keyOnly != (saved > 0) {
-				t.Errorf("%s %+v: %d fewer documents examined", a, v, saved)
+			saved, unrefined := checkContained(t, cs.s, v)
+			if keyOnly := v.Count || v.HeatmapBits > 0; keyOnly != (saved > 0) || unrefined <= 0 {
+				t.Errorf("%s %+v: %d fewer documents examined, %d fewer refined", a, v, saved, unrefined)
 			}
 		}
 	}

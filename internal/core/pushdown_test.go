@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"repro/internal/bson"
+	"repro/internal/geo"
+	"repro/internal/query"
 	"repro/internal/sharding"
 )
 
@@ -115,34 +117,116 @@ func TestStoreTopKMatchesSortedPrefix(t *testing.T) {
 }
 
 // TestStoreLimitUnderFaults: with a downed shard under allow-partial,
-// the limited partial result must still be the prefix of the unlimited
-// partial result (same fault).
+// a limited query walks its shards in turn, so its answer is partial
+// exactly when the walk asked the downed shard — which the healthy
+// cluster's walk shows, since the shards before it answer alike. A
+// partial answer is the prefix of the unlimited partial answer (same
+// fault); a complete one equals the healthy cluster's. The downed
+// shard is once the first the walk asks, once the last.
 func TestStoreLimitUnderFaults(t *testing.T) {
 	s := openStore(t, Hil, 6)
 	if err := s.Load(testRecords(3000)); err != nil {
 		t.Fatal(err)
 	}
 	q := pushdownQuery()
-	if n := s.Query(q).Stats.Nodes; n < 3 {
-		t.Fatalf("query targets %d shards; need >=3", n)
+	f, _, _ := s.Filter(q)
+	targets, _, _ := s.Cluster().Route(f)
+	if len(targets) < 3 {
+		t.Fatalf("query targets %d shards; need >=3", len(targets))
 	}
-
-	fc := sharding.NewFaultConn(nil, 1)
-	fc.SetFault(1, sharding.FaultSpec{Down: true})
-	s.Cluster().SetConn(fc)
-	s.Cluster().SetResilience(sharding.Resilience{Policy: sharding.AllowPartial})
-	partialFull := s.Query(q)
-	if !partialFull.Stats.Partial {
-		t.Fatal("down shard not marked partial")
-	}
-	for _, limit := range []int{1, 10, partialFull.Stats.NReturned + 5} {
+	limits := []int{1, 10, s.Query(q).Stats.NReturned + 5}
+	healthy := map[int]*QueryResult{}
+	for _, limit := range limits {
 		lq := q
 		lq.Limit = limit
-		res := s.Query(lq)
-		if !res.Stats.Partial {
-			t.Fatalf("limit=%d: partiality lost", limit)
+		healthy[limit] = s.Query(lq)
+	}
+	for pos, down := range map[int]int{0: targets[0], len(targets) - 1: targets[len(targets)-1]} {
+		fc := sharding.NewFaultConn(nil, 1)
+		fc.SetFault(down, sharding.FaultSpec{Down: true})
+		s.Cluster().SetConn(fc)
+		s.Cluster().SetResilience(sharding.Resilience{Policy: sharding.AllowPartial})
+		partialFull := s.Query(q)
+		if !partialFull.Stats.Partial {
+			t.Fatal("down shard not marked partial")
 		}
-		mustBePrefix(t, "faulted", res.Docs, partialFull.Docs, limit)
+		for _, limit := range limits {
+			lq := q
+			lq.Limit = limit
+			res := s.Query(lq)
+			asked := healthy[limit].Stats.IndexesUsed[pos] != ""
+			if res.Stats.Partial != asked {
+				t.Fatalf("down shard %d, limit=%d: partial=%v, but the walk asked it: %v", down, limit, res.Stats.Partial, asked)
+			}
+			if asked {
+				mustBePrefix(t, "faulted", res.Docs, partialFull.Docs, limit)
+			} else {
+				mustBePrefix(t, "complete", res.Docs, healthy[limit].Docs, 0)
+			}
+		}
+		// The first shard is asked by every walk; the last only by a
+		// limit the shards before it cannot fill.
+		if first := pos == 0; s.Query(STQuery{Rect: q.Rect, From: q.From, To: q.To, Limit: 1}).Stats.Partial != first {
+			t.Fatalf("down shard %d at walk position %d: limit=1 partial=%v", down, pos, !first)
+		}
+	}
+}
+
+// TestLimitedWalkFetchesLess: on a 12-shard hil store, against what a
+// scatter that asks every targeted shard in full would do — each shard's
+// own limited execution, refining every document — a limited query's
+// walk asks fewer shards, fetches fewer documents and refines fewer,
+// natural order and top-k alike; a plain query fetches exactly as many
+// documents and refines fewer, since documents in interior cells skip
+// the refine.
+func TestLimitedWalkFetchesLess(t *testing.T) {
+	s := openStore(t, Hil, 12)
+	if err := s.Load(testRecords(12000)); err != nil {
+		t.Fatal(err)
+	}
+	type counts struct{ asked, fetched, refined int }
+	for _, tc := range []struct {
+		name  string
+		limit int
+		sort  SortOrder
+	}{{"plain", 0, SortNone}, {"limit", 25, SortNone}, {"top-k", 25, SortDateDesc}} {
+		var walk, scatter counts
+		for i := 0; i < 8; i++ {
+			lon, lat := 23.1+0.2*float64(i), 37.2+0.15*float64(i)
+			q := STQuery{Rect: geo.NewRect(lon, lat, lon+0.6, lat+0.6), From: testStart.Add(time.Duration(i) * 24 * time.Hour),
+				To: testStart.Add(time.Duration(i+4) * 24 * time.Hour), Limit: tc.limit, Sort: tc.sort}
+			p, err := s.plan(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := s.Cluster().QueryOpts(p.f, p.opts)
+			for k, st := range res.PerShard {
+				if st.IndexUsed != "" {
+					walk.asked++
+				}
+				walk.fetched += st.DocsExamined
+				walk.refined += st.DocsRefined
+				full := query.ExecuteOpts(s.Cluster().Shards()[res.TargetedShards[k]].Coll, p.f, nil, p.opts)
+				scatter.asked++
+				scatter.fetched += full.Stats.DocsExamined
+				scatter.refined += full.Stats.DocsRefined
+			}
+		}
+		t.Logf("%s: walk %+v, every shard in full %+v", tc.name, walk, scatter)
+		if walk.refined >= scatter.refined || walk.refined == 0 {
+			t.Errorf("%s: the walk refined %d documents, every shard in full %d", tc.name, walk.refined, scatter.refined)
+		}
+		if tc.limit == 0 {
+			if walk.fetched != scatter.fetched || walk.asked != scatter.asked {
+				t.Errorf("%s: fetched %d documents from %d shards, every shard in full %d from %d",
+					tc.name, walk.fetched, walk.asked, scatter.fetched, scatter.asked)
+			}
+			continue
+		}
+		if walk.fetched >= scatter.fetched || tc.sort == SortNone && walk.asked >= scatter.asked {
+			t.Errorf("%s: the walk fetched %d documents from %d shards, every shard in full %d from %d",
+				tc.name, walk.fetched, walk.asked, scatter.fetched, scatter.asked)
+		}
 	}
 }
 

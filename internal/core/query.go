@@ -58,6 +58,9 @@ type QueryStats struct {
 	// per-chunk sketch summaries proved empty for this query, so the
 	// scatter skipped them.
 	ShardsPruned int
+	// ShardsSkipped counts targeted shards a limited query never asked:
+	// the shards before them in its walk already filled the quota.
+	ShardsSkipped int
 	// CacheHit reports the whole result came from the router's
 	// epoch-invalidated result cache without touching any shard.
 	CacheHit bool
@@ -302,6 +305,7 @@ func (s *Store) result(p planned, routed *sharding.RoutedResult) *QueryResult {
 		Partial:         routed.Partial,
 		FailedShards:    routed.FailedShards,
 		ShardsPruned:    routed.ShardsPruned,
+		ShardsSkipped:   routed.ShardsSkipped,
 		CacheHit:        routed.CacheHit,
 	}
 	for _, st := range routed.PerShard {

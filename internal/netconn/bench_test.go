@@ -76,7 +76,9 @@ func BenchmarkRemoteQuery(b *testing.B) {
 
 // BenchmarkRouterQuery is one Client.Query through the router hop:
 // Client → RouterServer → RemoteConn → two ShardServers, all on
-// loopback, for a 1 000-document answer.
+// loopback: "full" for a 1 000-document answer, and "topk" for its
+// newest 100, whose walk asks the shards one after another, each hop
+// carrying the bound the shards before it left.
 func BenchmarkRouterQuery(b *testing.B) {
 	const docs = 1000
 	router := openStore(b, core.Hil, 2, 2*docs)
@@ -95,19 +97,29 @@ func BenchmarkRouterQuery(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Cleanup(cl.Close)
-	q := core.STQuery{Rect: testExtent, From: testStart, To: testStart.Add(docs*time.Minute - time.Second)}
-	res, err := cl.Query(q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(res.Docs) != docs {
-		b.Fatalf("answer holds %d docs, want %d", len(res.Docs), docs)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cl.Query(q); err != nil {
-			b.Fatal(err)
-		}
+	full := core.STQuery{Rect: testExtent, From: testStart, To: testStart.Add(docs*time.Minute - time.Second)}
+	topk := full
+	topk.Limit, topk.Sort = 100, core.SortDateDesc
+	for _, tc := range []struct {
+		name string
+		q    core.STQuery
+		want int
+	}{{"full", full, docs}, {"topk", topk, 100}} {
+		b.Run(tc.name, func(b *testing.B) {
+			res, err := cl.Query(tc.q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(res.Docs) != tc.want {
+				b.Fatalf("answer holds %d docs, want %d", len(res.Docs), tc.want)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := cl.Query(tc.q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

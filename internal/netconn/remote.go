@@ -183,7 +183,7 @@ func shardCall[T any](ctx context.Context, c *conn, shard int, op byte, body []b
 }
 
 // Query implements sharding.ShardConn. The filter and the pushed-down
-// options — limit, ordering, aggregate — are serialized to the shard's
+// options — limit, ordering, bound, aggregate — are serialized to the shard's
 // server, which streams its answer back as reply frames in the same
 // exchange (an aggregate's answer is one frame with no documents).
 // The ctx watchdog covers the whole exchange: a cancellation mid-stream
@@ -202,6 +202,7 @@ func (rc *RemoteConn) Query(ctx context.Context, shard *sharding.Shard, f query.
 		Limit:     int64(opts.Limit),
 		OrderBy:   opts.OrderBy,
 		Desc:      opts.Desc,
+		Bound:     opts.Bound,
 		Agg:       opts.Agg,
 		Filter:    f,
 	}.Encode(nil)

@@ -146,11 +146,12 @@ func stQueryFromWire(m wire.STQuery) core.STQuery {
 // and the observables only a router has in the routed section.
 func routedReply(res *core.QueryResult) wire.QueryReply {
 	rt := &wire.Routed{
-		Nodes:        int32(res.Stats.Nodes),
-		Broadcast:    res.Stats.Broadcast,
-		Partial:      res.Stats.Partial,
-		ShardsPruned: int32(res.Stats.ShardsPruned),
-		CacheHit:     res.Stats.CacheHit,
+		Nodes:         int32(res.Stats.Nodes),
+		Broadcast:     res.Stats.Broadcast,
+		Partial:       res.Stats.Partial,
+		ShardsPruned:  int32(res.Stats.ShardsPruned),
+		ShardsSkipped: int32(res.Stats.ShardsSkipped),
+		CacheHit:      res.Stats.CacheHit,
 	}
 	for _, id := range res.Stats.FailedShards {
 		rt.FailedShards = append(rt.FailedShards, int32(id))
@@ -267,6 +268,7 @@ func (cl *Client) Query(q core.STQuery) (*core.QueryResult, error) {
 				res.Stats.Broadcast = rt.Broadcast
 				res.Stats.Partial = rt.Partial
 				res.Stats.ShardsPruned = int(rt.ShardsPruned)
+				res.Stats.ShardsSkipped = int(rt.ShardsSkipped)
 				res.Stats.CacheHit = rt.CacheHit
 				for _, id := range rt.FailedShards {
 					res.Stats.FailedShards = append(res.Stats.FailedShards, int(id))

@@ -331,6 +331,7 @@ func (s *ShardServer) runQuery(h *connHandler, q wire.Query) bool {
 	reply := wire.QueryReply{
 		KeysExamined: int64(res.Stats.KeysExamined),
 		DocsExamined: int64(res.Stats.DocsExamined),
+		DocsRefined:  int64(res.Stats.DocsRefined),
 		NReturned:    int64(res.Stats.NReturned),
 		DurationNS:   int64(res.Stats.Duration),
 		IndexUsed:    res.Stats.IndexUsed,

@@ -31,7 +31,7 @@ func refRun(e *exec) bool {
 	if e.collect {
 		clear(e.s.docs)
 		e.s.docs = e.s.docs[:0]
-		e.s.rank.reset(e.opts.Limit, e.opts.Desc)
+		e.s.rank.reset(e.opts.Limit, e.opts.Desc, nil)
 		e.s.agg.reset()
 		if e.opts.ordered() && !e.opts.Agg.Active() {
 			return refRunOrdered(e)
@@ -104,7 +104,7 @@ func refEmitID(e *exec, id storage.RecordID) bool {
 	if !ok {
 		return e.budgetLeft()
 	}
-	return e.emitRaw(id, raw, nil)
+	return e.emitRaw(id, raw, nil, false)
 }
 
 // refRunOrdered is the reference of an ordered execution, written out
@@ -240,7 +240,7 @@ func refKeep(e *exec, docs []bson.Raw, keys [][]byte) {
 	if e.opts.Limit > 0 && len(order) > e.opts.Limit {
 		order = order[:e.opts.Limit]
 	}
-	e.s.rank.reset(e.opts.Limit, e.opts.Desc)
+	e.s.rank.reset(e.opts.Limit, e.opts.Desc, nil)
 	for _, i := range order {
 		e.s.rank.keep(docs[i], keys[i])
 	}

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bson"
 	"repro/internal/geo"
+	"repro/internal/index"
 	"repro/internal/sfc"
 )
 
@@ -100,7 +102,8 @@ func TestExecuteCtxCollScanCancel(t *testing.T) {
 // and never fetches a document.
 var everyCellInterior = &Containment{
 	Leading: "hilbertIndex", Geo: "location",
-	Interior: func(geo.Rect) []sfc.Range { return []sfc.Range{{Lo: 0, Hi: 1 << 40}} },
+	Interior: func(geo.Rect) (sfc.Box, bool) { return sfc.Box{X1: 1}, true },
+	XY:       func(uint64) (uint32, uint32) { return 0, 0 },
 }
 
 // TestKeyOnlyScanCancels: a scan that answers every key from the index
@@ -130,7 +133,7 @@ func TestKeyOnlyScanCancels(t *testing.T) {
 		s := getScratch()
 		e := exec{ctx: &countdownCtx{Context: context.Background(), left: checks - 1}, coll: c, p: plan, collect: true, opts: count, s: s}
 		e.contain(&Config{Contain: everyCellInterior}, p)
-		if e.in == nil {
+		if !e.in.ok || !e.keyOnly {
 			t.Fatal("the count is not answered from the keys")
 		}
 		completed := e.run()
@@ -156,5 +159,41 @@ func TestKeyOnlyScanCancels(t *testing.T) {
 	if res.Stats.DocsExamined != 0 || res.Agg.Count != 5000 {
 		t.Fatalf("uncancelled key-only count: %d, %d documents examined, want 5000 and none",
 			res.Agg.Count, res.Stats.DocsExamined)
+	}
+}
+
+// TestInteriorSkipNeverReachesDeletes: under a containment that lies —
+// it calls every cell interior — a find keeps documents outside the
+// rectangle unrefined, which shows the skip ran, while MatchingRecords,
+// the lookup behind deletes, refines every document and returns only
+// the true matches.
+func TestInteriorSkipNeverReachesDeletes(t *testing.T) {
+	c := buildCollection(t, 2000)
+	mustIndex(t, c, index.Definition{Name: "hd", Fields: []index.Field{
+		{Name: "hilbertIndex", Kind: index.Ascending},
+		{Name: "date", Kind: index.Ascending},
+	}})
+	f := NewAnd(
+		GeoWithin{Field: "location", Rect: geo.NewRect(23.2, 37.2, 23.5, 37.5)},
+		Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(0)},
+		TimeRangeFilter("date", baseTime, baseTime.Add(10*24*time.Hour)),
+	)
+	cfg := &Config{Contain: everyCellInterior}
+	truth := ExecuteOpts(c, f, nil, Opts{})
+	lied := ExecuteOpts(c, f, cfg, Opts{})
+	if lied.Stats.NReturned <= truth.Stats.NReturned || lied.Stats.DocsRefined != 0 {
+		t.Fatalf("a find under the lying containment returned %d documents (%d refined), the truth %d: the skip did not run",
+			lied.Stats.NReturned, lied.Stats.DocsRefined, truth.Stats.NReturned)
+	}
+	ids := MatchingRecords(c, f, cfg)
+	if len(ids) != truth.Stats.NReturned {
+		t.Fatalf("MatchingRecords under the lying containment found %d records, the truth is %d", len(ids), truth.Stats.NReturned)
+	}
+	for _, id := range ids {
+		raw, _ := c.Store().FetchRaw(id)
+		doc := bson.Raw(raw)
+		if !f.Matches(&doc) {
+			t.Fatalf("MatchingRecords returned record %d, which does not match", id)
+		}
 	}
 }

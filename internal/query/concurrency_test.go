@@ -152,7 +152,7 @@ func TestEvictPlanIsConditional(t *testing.T) {
 
 // TestConcurrentContainedExecutions runs one Prepared from many
 // goroutines under a containment, the way a scatter's shard executions
-// share it: the interior ranges are computed once, and every execution
+// share it: the interior box is computed once, and every execution
 // returns what a sequential one does. Run under -race.
 func TestConcurrentContainedExecutions(t *testing.T) {
 	c := buildCollection(t, 2000)
@@ -163,10 +163,11 @@ func TestConcurrentContainedExecutions(t *testing.T) {
 	var calls atomic.Int32
 	contain := &Containment{
 		Leading: "hilbertIndex", Geo: "location",
-		Interior: func(geo.Rect) []sfc.Range {
+		Interior: func(geo.Rect) (sfc.Box, bool) {
 			calls.Add(1)
-			return []sfc.Range{{Lo: 20000, Hi: 40000}, {Lo: 55000, Hi: 56000}}
+			return sfc.Box{X0: 20000, X1: 40000}, true
 		},
+		XY: func(d uint64) (uint32, uint32) { return uint32(d), 0 },
 	}
 	cfg := &Config{Contain: contain}
 	mk := func() *Prepared {
@@ -202,6 +203,6 @@ func TestConcurrentContainedExecutions(t *testing.T) {
 	}
 	wg.Wait()
 	if n := calls.Load(); n != 1 {
-		t.Fatalf("the interior ranges were computed %d times for one Prepared", n)
+		t.Fatalf("the interior box was computed %d times for one Prepared", n)
 	}
 }

@@ -21,6 +21,10 @@ type ExecStats struct {
 	// DocsExamined counts documents fetched from storage, the
 	// server's totalDocsExamined.
 	DocsExamined int
+	// DocsRefined counts the fetched documents checked against the
+	// plan's residual predicate. A document whose index key lies in an
+	// interior cell (see Containment) is fetched but not refined.
+	DocsRefined int
 	// NReturned counts documents returned to the caller.
 	NReturned int
 	// IndexUsed names the winning access path (or COLLSCAN).
@@ -34,6 +38,7 @@ type ExecStats struct {
 func (s *ExecStats) Add(o ExecStats) {
 	s.KeysExamined += o.KeysExamined
 	s.DocsExamined += o.DocsExamined
+	s.DocsRefined += o.DocsRefined
 	s.NReturned += o.NReturned
 	if o.Duration > s.Duration {
 		s.Duration = o.Duration
@@ -216,13 +221,14 @@ type exec struct {
 	stats    ExecStats
 	ctxErr   error
 	hitLimit bool
-	// in, when non-nil, classifies scanned keys as interior (see
-	// Containment), and an interior key is answered from the key
-	// alone; inAt is its forward cursor. keyOnlyN counts the keys so
-	// answered for the context check, which they never reach through
-	// the document counter.
-	in       *interior
-	inAt     int
+	// in classifies scanned keys as interior (see Containment): a key
+	// in an interior cell proves its document matches. keyOnly answers
+	// such a key from the key alone; otherwise its document is fetched
+	// and kept without the refine. keyOnlyN counts the keys the scan
+	// handles without fetching their documents, for the context check,
+	// which they never reach through the document counter.
+	in       interior
+	keyOnly  bool
 	keyOnlyN int
 	// sortAt is, in a key-first ordered execution, the position of the
 	// order-by field among the plan index's components; -1 otherwise
@@ -230,17 +236,19 @@ type exec struct {
 	sortAt int
 }
 
-// contain turns on interior classification for a count, or a cell
-// histogram over the containment's leading field, whose plan residual
-// a key in an interior cell proves: such a key carries the document's
-// whole contribution.
+// contain turns on interior classification for a document or
+// aggregate execution whose plan residual a key in an interior cell
+// proves. A count, or a cell histogram over the containment's leading
+// field, takes such a key's whole contribution from the key. An
+// execution that collects record ids for a write never classifies, so
+// a delete refines every document it removes.
 func (e *exec) contain(cfg *Config, p *Prepared) {
 	if cfg == nil || cfg.Contain == nil || e.p.Index == nil || !e.collect || e.ids != nil {
 		return
 	}
-	if agg := e.opts.Agg; agg.Kind == AggCount || agg.Kind == AggCellHist && agg.Field == cfg.Contain.Leading {
-		e.in = p.interiorFor(e.p, cfg.Contain)
-	}
+	e.in = p.interiorFor(e.p, cfg.Contain)
+	agg := e.opts.Agg
+	e.keyOnly = agg.Kind == AggCount || agg.Kind == AggCellHist && agg.Field == cfg.Contain.Leading
 }
 
 // run executes the plan. It reports whether the plan ran to
@@ -252,7 +260,7 @@ func (e *exec) run() bool {
 	if e.collect {
 		clear(e.s.docs)
 		e.s.docs = e.s.docs[:0]
-		e.s.rank.reset(e.opts.Limit, e.opts.Desc)
+		e.s.rank.reset(e.opts.Limit, e.opts.Desc, e.opts.Bound)
 		e.s.agg.reset()
 		e.s.keyFirst.reset()
 	}
@@ -369,21 +377,24 @@ func (e *exec) scanSegment(seg Segment) {
 	}
 }
 
-// push queues the iterator's current entry — its record id and the
-// examined count as of its key — and processes the batch once it is
-// full. An interior key is answered on the spot instead, and a
+// push queues the iterator's current entry — its record id, the
+// examined count as of its key, and whether the key lies in an interior
+// cell — and processes the batch once it is full. A key-only
+// execution answers an interior key on the spot instead, and a
 // key-first execution's key becomes a candidate. It returns false to
 // stop the scan.
 func (e *exec) push(it *btree.Iterator) bool {
-	if e.in != nil && e.in.contains(&e.inAt, it.Key()) {
+	inside := e.in.ok && e.in.contains(it.Key())
+	if inside && e.keyOnly {
 		return e.fromKey(it.Key())
 	}
 	if e.sortAt >= 0 {
-		return e.queueKey(it)
+		return e.queueKey(it, inside)
 	}
 	b := &e.s.batch
 	b.ids[b.n] = storage.RecordID(it.Value())
 	b.seen[b.n] = it.Examined()
+	b.inside[b.n] = inside
 	b.n++
 	return b.n < fetchBatch || e.flush()
 }
@@ -412,16 +423,19 @@ func (e *exec) fromKey(key []byte) bool {
 }
 
 // queueKey keeps the iterator's current entry as a candidate of a
-// key-first ordered execution: its record id, and its key's sort
-// component copied into the scratch. No document is fetched before
-// every key has been seen (fetchSorted), so this pass charges the keys
-// against the works budget as it goes — as of each candidate's key —
-// and checks the context every cancelCheckWorks candidates. When it
-// stops the scan it charges the segment's keys itself.
-func (e *exec) queueKey(it *btree.Iterator) bool {
-	kf := &e.s.keyFirst
-	kf.add(storage.RecordID(it.Value()), keyComponent(it.Key(), e.sortAt))
-	if len(kf.cands)%cancelCheckWorks == 0 {
+// key-first ordered execution: its record id, its key's sort component
+// copied into the scratch, and whether the key is interior. A key
+// strictly worse than the bound (Opts.Bound) cannot make the answer and
+// is not kept. No document is fetched before every key has been seen
+// (fetchSorted), so this pass charges the keys against the works budget
+// as it goes — as of each candidate's key — and checks the context
+// every cancelCheckWorks keys. When it stops the scan it charges the
+// segment's keys itself.
+func (e *exec) queueKey(it *btree.Iterator, inside bool) bool {
+	if key := keyComponent(it.Key(), e.sortAt); !worse(key, e.opts.Bound, e.opts.Desc) {
+		e.s.keyFirst.add(storage.RecordID(it.Value()), key, inside)
+	}
+	if e.keyOnlyN++; e.keyOnlyN%cancelCheckWorks == 0 {
 		if err := e.ctx.Err(); err != nil {
 			e.ctxErr = err
 			e.stats.KeysExamined += it.Examined()
@@ -467,7 +481,7 @@ func (e *exec) fetchSorted() bool {
 	kf.order(e.opts.Desc)
 	b := &e.s.batch
 	for i, ok := kf.next(); ok; i, ok = kf.next() {
-		b.ids[b.n], b.seen[b.n], b.keys[b.n] = kf.cands[i].id, 0, kf.key(i)
+		b.ids[b.n], b.seen[b.n], b.keys[b.n], b.inside[b.n] = kf.cands[i].id, 0, kf.key(i), kf.cands[i].inside
 		if b.n++; b.n == fetchBatch && !e.flush() {
 			return e.hitLimit
 		}
@@ -509,7 +523,7 @@ func (e *exec) flush() bool {
 			// concurrent delete; skip it like the server does.
 			more = e.budgetLeft()
 		} else {
-			more = e.emitRaw(b.ids[i], raw, b.keys[i])
+			more = e.emitRaw(b.ids[i], raw, b.keys[i], b.inside[i])
 		}
 		if !more {
 			e.stats.KeysExamined += b.seen[i]
@@ -520,15 +534,16 @@ func (e *exec) flush() bool {
 }
 
 // emitRaw matches one document and accumulates it; in a key-first
-// fetch pass, key is its sort key, read from its index entry. The
-// stored bytes are immutable, so matching and collection alias them
-// without copying.
-func (e *exec) emitRaw(id storage.RecordID, raw, key []byte) bool {
+// fetch pass, key is its sort key, read from its index entry. A
+// document whose key lies in an interior cell (inside) matches without
+// the refine. The stored bytes are immutable, so matching and
+// collection alias them without copying.
+func (e *exec) emitRaw(id storage.RecordID, raw, key []byte, inside bool) bool {
 	// The filter sees the document through the scratch's *bson.Raw:
 	// converting the slice itself to bson.Doc would allocate per
 	// document.
 	e.s.doc = raw
-	if e.p.Filter == nil || e.p.Filter.Matches(&e.s.doc) {
+	if inside || e.refine() {
 		e.stats.NReturned++
 		switch {
 		case e.ids != nil:
@@ -559,12 +574,21 @@ func (e *exec) emitRaw(id storage.RecordID, raw, key []byte) bool {
 	return e.budgetLeft()
 }
 
+// refine checks the document in e.s.doc against the plan's residual.
+func (e *exec) refine() bool {
+	if e.p.Filter == nil {
+		return true
+	}
+	e.stats.DocsRefined++
+	return e.p.Filter.Matches(&e.s.doc)
+}
+
 // runCollScan walks the store when no index is usable.
 func (e *exec) runCollScan() bool {
 	completed := true
 	e.coll.Store().Walk(func(id storage.RecordID, raw []byte) bool {
 		e.stats.DocsExamined++
-		if !e.emitRaw(id, raw, nil) {
+		if !e.emitRaw(id, raw, nil, false) {
 			completed = e.hitLimit
 			return false
 		}

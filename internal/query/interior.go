@@ -3,6 +3,7 @@ package query
 import (
 	"bytes"
 	"fmt"
+	"math"
 
 	"repro/internal/bson"
 	"repro/internal/geo"
@@ -13,13 +14,15 @@ import (
 
 // Containment is what a store that derives an index's leading field
 // from a point field knows about the pair: every document's Leading
-// value is Cell of its Geo point, and Interior maps a rectangle to the
-// ascending, disjoint curve ranges whose cells lie strictly inside it.
-// A count, or a cell histogram over Leading, whose residual predicate
-// is just a $geoWithin on Geo then classifies each key it scans: a key
-// leading with an interior cell proves the document matches, so the
-// execution takes the document's contribution from the key without
-// fetching it.
+// value is Cell of its Geo point, Interior maps a rectangle to the box
+// of grid cells strictly inside it, and XY maps a cell to its column
+// and row in that grid. An execution whose residual predicate is just a
+// $geoWithin on Geo then classifies each key it scans: a key leading
+// with a cell in the box proves the document matches. A count, or a
+// cell histogram over Leading, takes the document's contribution from
+// the key without fetching it; any other document execution fetches it
+// and keeps it without the refine. An execution that collects record
+// ids for a write (MatchingRecords) never classifies.
 //
 // The proof holds only while every stored document keeps the
 // invariant: a store that supplies a Containment through Config writes
@@ -29,7 +32,8 @@ type Containment struct {
 	Leading  string
 	Geo      string
 	Cell     func(geo.Point) uint64
-	Interior func(geo.Rect) []sfc.Range
+	Interior func(geo.Rect) (sfc.Box, bool)
+	XY       func(cell uint64) (x, y uint32)
 }
 
 // Check reports why a document breaks the invariant: its Geo field is
@@ -58,25 +62,32 @@ func (c *Containment) Check(doc bson.Raw) error {
 	return nil
 }
 
-// interior is the classification of one access path's keys: the
-// interior curve ranges, each as its inclusive bounds lo then hi,
-// encoded like the index's leading component in boundLen bytes each.
-// The ranges ascend.
+// interior is the classification of one access path's keys: the box
+// of interior cells, and the grid mapping a key's cell into it. ok is
+// false when no key can answer for its document. lead and inside
+// memoize the last leading value classified: keys of one cell arrive
+// together, so an execution maps each cell once.
 type interior struct {
-	bounds []byte
+	ok     bool
+	box    sfc.Box
+	xy     func(uint64) (x, y uint32)
+	memo   bool
+	inside bool
+	lead   [numberLen]byte
 }
 
-// boundLen is the length of an encoded number: its class byte and
+// numberLen is the length of an encoded number: its class byte and
 // eight ordered bytes.
-const boundLen = 9
+const numberLen = 9
 
-// interiorFor returns the classification of the plan's keys under c,
-// or nil when a key cannot answer for its document: the index does not
-// lead with c.Leading, the residual is not exactly one $geoWithin on
-// c.Geo, or the rectangle has no interior cell. It is derived at most
-// once per access path and containment, beside the path's residual,
-// and only when a shard executes: a result-cache hit never pays for it.
-func (p *Prepared) interiorFor(plan *Plan, c *Containment) *interior {
+// interiorFor returns the classification of the plan's keys under c;
+// it is not ok when a key cannot answer for its document: the index
+// does not lead with c.Leading, the residual is not exactly one
+// $geoWithin on c.Geo, or the rectangle has no interior cell. It is
+// derived at most once per access path and containment, beside the
+// path's residual, and only when a shard executes: a result-cache hit
+// never pays for it.
+func (p *Prepared) interiorFor(plan *Plan, c *Containment) interior {
 	spec, geoBits := plan.Index.Spec(), plan.Index.Def().GeoBits
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -90,48 +101,42 @@ func (p *Prepared) interiorFor(plan *Plan, c *Containment) *interior {
 		}
 		return ap.interior
 	}
-	return nil
+	return interior{}
 }
 
-func buildInterior(ix *index.Index, residual Filter, c *Containment) *interior {
+func buildInterior(ix *index.Index, residual Filter, c *Containment) interior {
 	lead := ix.Def().Fields[0]
 	if lead.Name != c.Leading || lead.Kind != index.Ascending {
-		return nil
+		return interior{}
 	}
 	if and, ok := residual.(And); ok && len(and.Children) == 1 {
 		residual = and.Children[0]
 	}
 	g, ok := residual.(GeoWithin)
 	if !ok || g.Field != c.Geo {
-		return nil
+		return interior{}
 	}
-	ranges := c.Interior(g.Rect)
-	// Index keys hold numbers as float64: past 2^53 neighbouring cells
-	// share a key, which then cannot tell an interior cell from the
-	// boundary cell beside it.
-	if len(ranges) == 0 || ranges[len(ranges)-1].Hi > 1<<53 {
-		return nil
-	}
-	in := &interior{bounds: make([]byte, 0, 2*boundLen*len(ranges))}
-	for _, r := range ranges {
-		in.bounds = keyenc.AppendNumber(in.bounds, float64(r.Lo))
-		in.bounds = keyenc.AppendNumber(in.bounds, float64(r.Hi))
-	}
-	return in
+	box, ok := c.Interior(g.Rect)
+	return interior{ok: ok, box: box, xy: c.XY}
 }
 
-// contains reports whether the key's leading value lies in an interior
-// range. Keys arrive in ascending order within an execution, so *at —
-// the offset of the first range whose upper bound the keys have not
-// passed — only moves forward.
-func (in *interior) contains(at *int, key []byte) bool {
-	n, err := keyenc.ComponentLen(key)
-	if err != nil {
+// contains reports whether the key's leading value is a cell in the
+// box. Index keys hold numbers as float64, exact only below 2^53: past
+// it neighbouring cells share a key, which then cannot tell an interior
+// cell from the boundary cell beside it, so such a key, like one that
+// is not a whole non-negative number, is never interior.
+func (in *interior) contains(key []byte) bool {
+	if len(key) < numberLen {
 		return false
 	}
-	lead := key[:n]
-	for *at < len(in.bounds) && bytes.Compare(lead, in.bounds[*at+boundLen:*at+2*boundLen]) > 0 {
-		*at += 2 * boundLen
+	lead := key[:numberLen]
+	if in.memo && bytes.Equal(lead, in.lead[:]) {
+		return in.inside
 	}
-	return *at < len(in.bounds) && bytes.Compare(lead, in.bounds[*at:*at+boundLen]) >= 0
+	copy(in.lead[:], lead)
+	in.memo, in.inside = true, false
+	if v, ok := keyenc.Number(lead); ok && v >= 0 && v < 1<<53 && v == math.Trunc(v) {
+		in.inside = in.box.Contains(in.xy(uint64(v)))
+	}
+	return in.inside
 }

@@ -78,15 +78,32 @@ func orderedCollection(t *testing.T, data []byte) *collection.Collection {
 // batch; the keys examined are the unordered scan's and the documents
 // examined never more. A cancelled execution must report the context's
 // error and not completion; one the cancellation never reached must
-// still be exact.
+// still be exact. Under a bound (Opts.Bound: a matching document's sort
+// key) the answer must be the unbounded one minus exactly the documents
+// whose keys are strictly worse, examining no more documents.
 func FuzzOrderedExecution(f *testing.F) {
-	f.Add([]byte{0, 5, 1, 1, 13, 2, 2, 21, 3, 3, 29, 4, 4, 37, 5, 5, 45, 6}, uint8(0), uint16(0), uint8(0))
-	f.Add([]byte{0, 0, 0xf0, 1, 1, 7, 2, 2, 0xe0, 3, 3, 11, 4, 4, 0x30, 5, 5, 9, 9, 6, 2}, uint8(1), uint16(0x1f1), uint8(1))
-	f.Add(bytes.Repeat([]byte{3, 77, 0x5a, 4, 141, 0x23, 5, 200, 0xc1}, 24), uint8(2), uint16(0x2a2), uint8(3))
-	f.Add(bytes.Repeat([]byte{1, 37, 200, 2, 45, 17}, 48), uint8(3), uint16(0x3c), uint8(2))
-	f.Add(bytes.Repeat([]byte{5, 6, 7, 11, 12, 13}, 48), uint8(4), uint16(0x155), uint8(0))
-	f.Add(bytes.Repeat([]byte{9, 61, 3}, 96), uint8(5), uint16(0x7e), uint8(4))
-	f.Fuzz(func(t *testing.T, data []byte, limitSel uint8, flags uint16, cancel uint8) {
+	f.Add([]byte{0, 5, 1, 1, 13, 2, 2, 21, 3, 3, 29, 4, 4, 37, 5, 5, 45, 6}, uint8(0), uint16(0), uint8(0), uint8(0))
+	f.Add([]byte{0, 0, 0xf0, 1, 1, 7, 2, 2, 0xe0, 3, 3, 11, 4, 4, 0x30, 5, 5, 9, 9, 6, 2}, uint8(1), uint16(0x1f1), uint8(1), uint8(3))
+	f.Add(bytes.Repeat([]byte{3, 77, 0x5a, 4, 141, 0x23, 5, 200, 0xc1}, 24), uint8(2), uint16(0x2a2), uint8(3), uint8(9))
+	f.Add(bytes.Repeat([]byte{1, 37, 200, 2, 45, 17}, 48), uint8(3), uint16(0x3c), uint8(2), uint8(1))
+	f.Add(bytes.Repeat([]byte{5, 6, 7, 11, 12, 13}, 48), uint8(4), uint16(0x155), uint8(0), uint8(40))
+	f.Add(bytes.Repeat([]byte{9, 61, 3}, 96), uint8(5), uint16(0x7e), uint8(4), uint8(0))
+	// One leading value whose dates arrive in key order — inserted
+	// ascending or descending, two or three documents a date — so the
+	// key-first pass hands them out without sorting, both ways.
+	var asc, desc []byte
+	for i := 0; i < 30; i++ {
+		asc = append(asc, 0, byte(5+8*(i/3)), byte(i))
+		desc = append(desc, 0, byte(5+8*((29-i)/2)), byte(i))
+	}
+	for _, stream := range [][]byte{asc, desc} {
+		for _, flags := range []uint16{0, 8} {
+			f.Add(stream, uint8(1), flags, uint8(0), uint8(0))
+			f.Add(stream, uint8(3), flags, uint8(0), uint8(17))
+			f.Add(stream, uint8(0), flags, uint8(2), uint8(60))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, limitSel uint8, flags uint16, cancel, boundSel uint8) {
 		if len(data) > 3*96 {
 			data = data[:3*96]
 		}
@@ -128,6 +145,25 @@ func FuzzOrderedExecution(f *testing.F) {
 			if got.keys != plain.keys || got.docs > plain.docs || got.nret < len(want) {
 				t.Fatalf("plan %s, %+v: keys/docs/nReturned %d/%d/%d, unordered %d/%d with %d of them wanted",
 					p.Name(), opts, got.keys, got.docs, got.nret, plain.keys, plain.docs, len(want))
+			}
+			if boundSel > 0 && len(plain.res.Docs) > 0 {
+				bopts := opts
+				bopts.Bound = appendSortKey(nil, plain.res.Docs[int(boundSel-1)%len(plain.res.Docs)], field)
+				var kept []bson.Raw
+				for _, d := range want {
+					c := bytes.Compare(appendSortKey(nil, d, field), bopts.Bound)
+					if c == 0 || (c < 0) != bopts.Desc {
+						kept = append(kept, d)
+					}
+				}
+				bounded := runCase((*exec).run, c, p, execCase{collect: true, opts: bopts})
+				if d := orderedDiff(bounded, kept, field); d != "" {
+					t.Fatalf("plan %s, %+v bound %x: %s", p.Name(), opts, bopts.Bound, d)
+				}
+				if bounded.keys != plain.keys || bounded.docs > got.docs {
+					t.Fatalf("plan %s, %+v bound %x: keys/docs %d/%d, unbounded %d/%d",
+						p.Name(), opts, bopts.Bound, bounded.keys, bounded.docs, got.keys, got.docs)
+				}
 			}
 			if cancel == 0 {
 				continue

@@ -53,7 +53,7 @@ type accessPath struct {
 	// interior classifies the path's keys under contain (see
 	// interiorFor); both are set on the first contained execution.
 	contain  *Containment
-	interior *interior
+	interior interior
 }
 
 // Prepare derives the filter's planning state; preparing a Prepared

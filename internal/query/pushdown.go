@@ -34,6 +34,12 @@ type Opts struct {
 	OrderBy string
 	// Desc reverses the OrderBy order.
 	Desc bool
+	// Bound, when not empty, is a sort key that Limit results the caller
+	// already holds are at least as good as: an ordered walk's Limit-th
+	// best key over the shards it asked before. A match strictly worse
+	// than it cannot make the answer, so the key pass and the ranking
+	// drop it; ties are kept. Only an ordered execution reads it.
+	Bound []byte
 	// Agg, when active, turns the execution into an aggregation: the
 	// scan visits every match (Limit and OrderBy are ignored — an
 	// aggregate must see the whole result set) and the Result carries
@@ -44,6 +50,19 @@ type Opts struct {
 // ordered reports whether results are sorted rather than in scan
 // order.
 func (o Opts) ordered() bool { return o.OrderBy != "" }
+
+// worse reports whether key sorts strictly after bound under desc; an
+// empty bound bounds nothing.
+func worse(key, bound []byte, desc bool) bool {
+	if len(bound) == 0 {
+		return false
+	}
+	c := bytes.Compare(key, bound)
+	if desc {
+		c = -c
+	}
+	return c > 0
+}
 
 // appendSortKey encodes the ordering field of a document the way
 // index keys are encoded (missing fields as null, sorting first), so
@@ -62,10 +81,13 @@ func appendSortKey(dst []byte, doc bson.Raw, field string) []byte {
 }
 
 // candidate is one in-bounds key of a key-first ordered execution: the
-// record it points at and the span of its sort key in keyFirst.keys.
+// record it points at, the span of its sort key in keyFirst.keys, and
+// whether the key lies in an interior cell (its document is kept
+// without the refine).
 type candidate struct {
 	id       storage.RecordID
 	off, end int32
+	inside   bool
 }
 
 // keyFirst holds a key-first ordered execution's candidates (see
@@ -84,6 +106,11 @@ type candidate struct {
 // A top-k needs only the front of the order, so the words are first
 // distributed by their top 8 head bits into 256 buckets (one counting
 // pass), and a bucket is sorted only when the fetch pass reaches it.
+//
+// Candidates that arrive in key order already — an index whose leading
+// component is the order-by field yields them so — skip all of that:
+// they are handed out forward, or under Desc run by run from the last,
+// each run of equal keys in scan order.
 type keyFirst struct {
 	cands []candidate
 	keys  []byte
@@ -96,18 +123,27 @@ type keyFirst struct {
 	bucket, pos  int
 	mask         uint64 // the index bits of a word
 	desc         bool
+	// inOrder records that every candidate's key is at least the one
+	// before it; lo and hi then bound the run of equal keys a Desc
+	// order is handing out.
+	inOrder bool
+	lo, hi  int
 }
 
 // reset empties the candidate buffer.
 func (k *keyFirst) reset() {
 	k.cands, k.keys, k.words = k.cands[:0], k.keys[:0], k.words[:0]
+	k.inOrder = true
 }
 
 // add keeps one candidate; key is copied.
-func (k *keyFirst) add(id storage.RecordID, key []byte) {
+func (k *keyFirst) add(id storage.RecordID, key []byte, inside bool) {
+	if k.inOrder && len(k.cands) > 0 && bytes.Compare(key, k.key(len(k.cands)-1)) < 0 {
+		k.inOrder = false
+	}
 	off := int32(len(k.keys))
 	k.keys = append(k.keys, key...)
-	k.cands = append(k.cands, candidate{id: id, off: off, end: int32(len(k.keys))})
+	k.cands = append(k.cands, candidate{id: id, off: off, end: int32(len(k.keys)), inside: inside})
 }
 
 // key is candidate i's sort key.
@@ -120,6 +156,14 @@ func (k *keyFirst) key(i int) []byte {
 // buckets; next then hands the candidates out in order.
 func (k *keyFirst) order(desc bool) {
 	n := len(k.cands)
+	k.desc = desc
+	if k.inOrder {
+		k.at, k.lo, k.hi = 0, n, n
+		if desc {
+			k.at = n
+		}
+		return
+	}
 	k.spill = k.spill[:0]
 	var diff uint64
 	for i := range k.cands {
@@ -131,7 +175,7 @@ func (k *keyFirst) order(desc bool) {
 		diff |= h ^ k.spill[0]
 	}
 	shared := bits.LeadingZeros64(diff)
-	k.pos, k.desc, k.bucket, k.at, k.sorted = bits.Len(uint(n)), desc, 0, 0, 0
+	k.pos, k.bucket, k.at, k.sorted = bits.Len(uint(n)), 0, 0, 0
 	k.mask = 1<<k.pos - 1
 	kept := min(64-shared, 64-k.pos)
 	// A bucket is a function of the head bits alone, so a run never
@@ -169,11 +213,39 @@ func head(key []byte) uint64 {
 // next is the index of the next candidate in order, or false when all
 // have been handed out.
 func (k *keyFirst) next() (int, bool) {
+	if k.inOrder {
+		return k.nextInOrder()
+	}
 	if k.at == k.sorted && !k.sortBucket() {
 		return 0, false
 	}
 	k.at++
 	return int(k.words[k.at-1] & k.mask), true
+}
+
+// nextInOrder is next over candidates that arrived in key order:
+// forward, or under Desc the runs of equal keys from the last, each in
+// scan order.
+func (k *keyFirst) nextInOrder() (int, bool) {
+	if !k.desc {
+		if k.at == len(k.cands) {
+			return 0, false
+		}
+		k.at++
+		return k.at - 1, true
+	}
+	if k.at == k.hi {
+		if k.lo == 0 {
+			return 0, false
+		}
+		k.hi, k.lo = k.lo, k.lo-1
+		for k.lo > 0 && bytes.Equal(k.key(k.lo-1), k.key(k.hi-1)) {
+			k.lo--
+		}
+		k.at = k.lo
+	}
+	k.at++
+	return k.at - 1, true
 }
 
 // sortBucket sorts the next bucket that holds words, or reports false
@@ -232,8 +304,9 @@ type rankItem struct {
 // prefix of a stable sort over everything it was given. A key-first
 // execution keeps matches that arrive in that order already; any other
 // offers them in scan order, and the ranking prunes itself back to the
-// best limit each time it holds twice that, so it stays O(limit).
-// limit 0 keeps everything (a full sort).
+// best limit each time it holds twice that, so it stays O(limit); an
+// offered match strictly worse than the bound (Opts.Bound) is dropped
+// at once. limit 0 keeps everything (a full sort).
 //
 // Key buffers are owned by the slots and recycled across resets, so a
 // warm ordered scan allocates only when a key outgrows its slot.
@@ -242,14 +315,15 @@ type ranking struct {
 	n     int // live items in items[:n]
 	limit int
 	desc  bool
+	bound []byte
 	seq   int
 	// offered is set once an item arrived through offer, out of order.
 	offered bool
 }
 
-func (r *ranking) reset(limit int, desc bool) {
+func (r *ranking) reset(limit int, desc bool, bound []byte) {
 	r.drop(0)
-	r.limit, r.desc, r.seq, r.offered = limit, desc, 0, false
+	r.limit, r.desc, r.bound, r.seq, r.offered = limit, desc, bound, 0, false
 }
 
 // drop releases the items from i on, so no document stays pinned by a
@@ -274,9 +348,13 @@ func (r *ranking) keep(doc bson.Raw, key []byte) {
 	r.seq++
 }
 
-// offer keeps one match of a scan-order stream, pruning to the best
-// limit once twice that many are held.
+// offer keeps one match of a scan-order stream, unless it is worse
+// than the bound, pruning to the best limit once twice that many are
+// held.
 func (r *ranking) offer(doc bson.Raw, key []byte) {
+	if worse(key, r.bound, r.desc) {
+		return
+	}
 	r.keep(doc, key)
 	r.offered = true
 	if r.limit > 0 && r.n == 2*r.limit {
@@ -343,8 +421,10 @@ type batch struct {
 	// keys are the entries' sort keys in a key-first fetch pass (see
 	// exec.fetchSorted); unused otherwise.
 	keys [fetchBatch][]byte
-	raws [fetchBatch][]byte
-	sink byte // where the touch pass's loads land
+	// inside marks the entries whose keys lie in interior cells.
+	inside [fetchBatch]bool
+	raws   [fetchBatch][]byte
+	sink   byte // where the touch pass's loads land
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -358,7 +438,7 @@ func putScratch(s *scratch) {
 	clear(s.batch.raws[:])
 	clear(s.docs)
 	s.docs = s.docs[:0]
-	s.rank.reset(0, false)
+	s.rank.reset(0, false, nil)
 	s.agg.reset()
 	s.only = Plan{}
 	scratchPool.Put(s)

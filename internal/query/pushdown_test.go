@@ -28,7 +28,7 @@ func TestRankingRandomized(t *testing.T) {
 			vals[i] = int64(rng.Intn(30)) // many ties
 		}
 		var r ranking
-		r.reset(limit, desc)
+		r.reset(limit, desc, nil)
 		for _, v := range vals {
 			r.offer(nil, keyenc.AppendValue(nil, v))
 		}
@@ -65,7 +65,9 @@ func TestRankingRandomized(t *testing.T) {
 // stable sort of the candidates by key, both directions, over keys that
 // tie, share long prefixes, differ only past their eighth byte, or are
 // shorter than eight bytes, or are the extremes, and over counts that
-// leave the packed words room for the whole head or not.
+// leave the packed words room for the whole head or not; a third of the
+// trials add their keys already in order, which takes the run-by-run
+// path.
 func TestSortCandsRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	prefixes := []string{"", "p", "prefix-longer-than-eight-"}
@@ -90,8 +92,17 @@ func TestSortCandsRandomized(t *testing.T) {
 			default:
 				k = keyenc.AppendValue(nil, nil)
 			}
-			kf.add(0, k)
 			keys = append(keys, k)
+		}
+		inOrder := rng.Intn(3) == 0
+		if inOrder {
+			slices.SortStableFunc(keys, bytes.Compare)
+		}
+		for _, k := range keys {
+			kf.add(0, k, false)
+		}
+		if inOrder && !kf.inOrder {
+			t.Fatalf("trial %d: keys added in order not noted as in order", trial)
 		}
 		want := make([]int, n)
 		for i := range want {

@@ -112,23 +112,42 @@ func (g *Grid) Cover(query geo.Rect) []Range {
 	return g.curve.Cover(x0, y0, x1, y1)
 }
 
-// Interior returns the merged curve ranges of the cells strictly
-// between the clipped query rectangle's corner cells: every point whose
-// cell is among them lies strictly inside the rectangle. CellOf is
-// monotone in each coordinate, so a point whose column exceeds the
-// min corner's lies east of the min corner (and likewise for the other
-// three sides); clamping only ever yields border cells, which are
-// never interior. The result is nil when the rectangle spans fewer than
-// three cells in either dimension.
-func (g *Grid) Interior(query geo.Rect) []Range {
+// Box is an inclusive rectangle of grid cells: columns X0..X1, rows
+// Y0..Y1.
+type Box struct{ X0, Y0, X1, Y1 uint32 }
+
+// Contains reports whether the cell at column x, row y lies in the box.
+func (b Box) Contains(x, y uint32) bool {
+	return x >= b.X0 && x <= b.X1 && y >= b.Y0 && y <= b.Y1
+}
+
+// InteriorBox returns the box of cells strictly between the clipped
+// query rectangle's corner cells: every point whose cell is among them
+// lies strictly inside the rectangle. CellOf is monotone in each
+// coordinate, so a point whose column exceeds the min corner's lies
+// east of the min corner (and likewise for the other three sides);
+// clamping only ever yields border cells, which are never interior. ok
+// is false when the rectangle spans fewer than three cells in either
+// dimension.
+func (g *Grid) InteriorBox(query geo.Rect) (b Box, ok bool) {
 	clipped, ok := query.Intersection(g.extent)
 	if !ok {
-		return nil
+		return Box{}, false
 	}
 	x0, y0 := g.CellOf(clipped.Min)
 	x1, y1 := g.CellOf(clipped.Max)
 	if x1 < x0+2 || y1 < y0+2 {
+		return Box{}, false
+	}
+	return Box{X0: x0 + 1, Y0: y0 + 1, X1: x1 - 1, Y1: y1 - 1}, true
+}
+
+// Interior returns the merged curve ranges of InteriorBox's cells, nil
+// when it has none.
+func (g *Grid) Interior(query geo.Rect) []Range {
+	b, ok := g.InteriorBox(query)
+	if !ok {
 		return nil
 	}
-	return g.curve.Cover(x0+1, y0+1, x1-1, y1-1)
+	return g.curve.Cover(b.X0, b.Y0, b.X1, b.Y1)
 }

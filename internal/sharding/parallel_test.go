@@ -67,34 +67,34 @@ func idSetOf(res *RoutedResult) []string {
 
 // TestParallelQueryIdenticalToSequential: at every pool width the
 // merged docs (order included), per-shard stats and all paper metrics
-// must be byte-identical to the parallel=1 execution.
+// must be byte-identical to the parallel=1 execution — for plain
+// queries, and for the limited ones, whose walk asks the same shards
+// for the same quota or bound at every width.
 func TestParallelQueryIdenticalToSequential(t *testing.T) {
 	c, _ := loadCluster(t, 3000, hilbertDateKey(), smallOpts())
-	for _, f := range stressFilters() {
-		c.SetParallel(1)
-		seq := c.Query(f)
-		for _, width := range []int{2, 4, 8} {
-			c.SetParallel(width)
-			par := c.Query(f)
-			if !reflect.DeepEqual(par.Docs, seq.Docs) {
-				t.Fatalf("parallel=%d: doc stream differs from sequential for %s", width, f)
-			}
-			if par.TotalReturned != seq.TotalReturned ||
-				par.MaxKeysExamined != seq.MaxKeysExamined ||
-				par.MaxDocsExamined != seq.MaxDocsExamined ||
-				par.ShardsTargeted != seq.ShardsTargeted ||
-				par.Broadcast != seq.Broadcast ||
-				!reflect.DeepEqual(par.TargetedShards, seq.TargetedShards) {
-				t.Fatalf("parallel=%d: metrics differ from sequential for %s", width, f)
-			}
-			if len(par.PerShard) != len(seq.PerShard) {
-				t.Fatalf("parallel=%d: PerShard length differs", width)
-			}
-			for i := range par.PerShard {
-				p, s := par.PerShard[i], seq.PerShard[i]
-				if p.KeysExamined != s.KeysExamined || p.DocsExamined != s.DocsExamined ||
-					p.NReturned != s.NReturned || p.IndexUsed != s.IndexUsed {
-					t.Fatalf("parallel=%d: per-shard stats differ at %d", width, i)
+	sets := pushdownOptSets()
+	for _, name := range []string{"plain", "limit", "top-k", "top-k-rev"} {
+		o := sets[name]
+		for _, f := range stressFilters() {
+			c.SetParallel(1)
+			seq := c.QueryOpts(f, o)
+			for _, width := range []int{2, 4, 8} {
+				c.SetParallel(width)
+				par := c.QueryOpts(f, o)
+				if !reflect.DeepEqual(par.Docs, seq.Docs) {
+					t.Fatalf("%s parallel=%d: doc stream differs from sequential for %s", name, width, f)
+				}
+				if par.TotalReturned != seq.TotalReturned ||
+					par.MaxKeysExamined != seq.MaxKeysExamined ||
+					par.MaxDocsExamined != seq.MaxDocsExamined ||
+					par.ShardsTargeted != seq.ShardsTargeted ||
+					par.ShardsSkipped != seq.ShardsSkipped ||
+					par.Broadcast != seq.Broadcast ||
+					!reflect.DeepEqual(par.TargetedShards, seq.TargetedShards) {
+					t.Fatalf("%s parallel=%d: metrics differ from sequential for %s", name, width, f)
+				}
+				if !reflect.DeepEqual(stripDurations(par.PerShard), stripDurations(seq.PerShard)) {
+					t.Fatalf("%s parallel=%d: per-shard stats differ for %s: %+v vs %+v", name, width, f, par.PerShard, seq.PerShard)
 				}
 			}
 		}

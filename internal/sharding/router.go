@@ -26,8 +26,9 @@ type RoutedResult struct {
 	// TargetedShards lists the shard ids, ascending.
 	TargetedShards []int
 	// PerShard holds each targeted shard's execution stats, in
-	// TargetedShards order. A shard that failed (see FailedShards)
-	// contributes a zero entry with IndexUsed "".
+	// TargetedShards order. A shard that failed (see FailedShards), or
+	// that a limited walk never asked (see ShardsSkipped), contributes a
+	// zero entry with IndexUsed "".
 	PerShard []query.ExecStats
 	// MaxKeysExamined and MaxDocsExamined are the maxima over the
 	// targeted shards — the paper's "keys examined" and "documents
@@ -42,7 +43,9 @@ type RoutedResult struct {
 	// TargetedShards order — with a pool at least as wide as the
 	// target list this is the slowest shard, the paper's
 	// dedicated-node model; narrower pools execute in waves and the
-	// model accounts for them), plus the router's merge time.
+	// model accounts for them), plus the router's merge time. A
+	// limited walk asks its shards one after another, so its model is
+	// the sum of the asked shards' times.
 	Duration time.Duration
 	// Broadcast reports whether the router could not constrain the
 	// shard key and had to target every shard owning chunks.
@@ -55,8 +58,8 @@ type RoutedResult struct {
 	// Retries counts the retry attempts (beyond the first try) over
 	// all targeted shards; 0 on the healthy path.
 	Retries int
-	// Partial reports a degraded answer: at least one targeted shard
-	// failed. Under Policy AllowPartial the merged Docs hold every
+	// Partial reports a degraded answer: at least one shard the query
+	// asked failed. Under Policy AllowPartial the merged Docs hold every
 	// healthy shard's results; under FailFast Docs are dropped and
 	// Err is set — the result is never silently short.
 	Partial bool
@@ -74,6 +77,10 @@ type RoutedResult struct {
 	// chunks' sketches proved them empty over the query's cell ranges —
 	// shards a range-only router would have visited. See summary.go.
 	ShardsPruned int
+	// ShardsSkipped counts targeted shards a limited walk never asked:
+	// the shards before them filled a natural-order quota, or one of
+	// them failed under FailFast.
+	ShardsSkipped int
 	// CacheHit reports that the whole result was served from the
 	// router's epoch-validated result cache without touching a shard.
 	CacheHit bool
@@ -120,11 +127,13 @@ func (c *Cluster) QueryOpts(f query.Filter, opts query.Opts) *RoutedResult {
 // travel through the ShardConn boundary, so every shard stops early,
 // top-k-bounds its scan or computes its partial aggregate, and the
 // router merge is bounded by the limit instead of materializing every
-// shard's full result. The per-shard executions fan out over a bounded
-// worker pool of Options.Parallel goroutines (1 = sequential); each
-// shard execution gets per-attempt deadlines, retries with capped
-// exponential backoff on transient failures, and a per-shard circuit
-// breaker. ctx bounds the whole scatter-gather and cancels
+// shard's full result. A limited document query walks its shards one
+// after another, each asked only for what the shards before it left
+// open (see walkLocked). Every other query's per-shard executions fan
+// out over a bounded worker pool of Options.Parallel goroutines
+// (1 = sequential). Each shard execution gets per-attempt deadlines,
+// retries with capped exponential backoff on transient failures, and a
+// per-shard circuit breaker. ctx bounds the whole scatter-gather and cancels
 // cooperatively mid-scan. A shard that stays failed is handled per
 // Resilience.Policy: FailFast aborts the query (non-nil error, Docs
 // dropped), AllowPartial returns the healthy shards' merge with
@@ -147,9 +156,10 @@ func (c *Cluster) QueryBatchOpts(fs []query.Filter, opts []query.Opts) []*Routed
 
 // QueryBatchCtx routes and executes independent filters through one
 // routing pass and one shared worker pool: every (query, shard)
-// execution is a pool task, so a batch of single-shard queries and a
-// single broadcast query parallelise equally well. opts must be nil
-// (no pushdown) or aligned with fs. Results are in input order; each
+// execution is a pool task, and so is every limited query's walk, so a
+// batch of single-shard queries and a single broadcast query
+// parallelise equally well. opts must be nil (no pushdown) or aligned
+// with fs. Results are in input order; each
 // entry is merged deterministically exactly like QueryOptsCtx's, but
 // batches are throughput-oriented one-shot scans and do not consult
 // the result cache. cmd/stquery -f drives this.
@@ -178,14 +188,16 @@ func (c *Cluster) QueryBatchCtx(ctx context.Context, fs []query.Filter, opts []q
 // scatterQuery is one filter's slot in a scatter-gather: the request,
 // its routed result, the per-shard outcomes the scatter fills (aligned
 // with res.TargetedShards), the index of its first task in the
-// scatter's flat task numbering, and the result-cache key to fill on a
-// complete answer ("" when the query bypasses the cache).
+// scatter's flat task numbering, whether it is one walk task rather
+// than a task per shard, and the result-cache key to fill on a complete
+// answer ("" when the query bypasses the cache).
 type scatterQuery struct {
 	f        query.Filter
 	opts     query.Opts
 	res      *RoutedResult
 	outcomes []shardOutcome
 	first    int
+	walk     bool
 	cacheKey string
 	// one holds the outcome of a query routed to a single shard.
 	one [1]shardOutcome
@@ -237,7 +249,13 @@ func (c *Cluster) scatterGather(ctx context.Context, qs []scatterQuery, cached b
 		if len(targets) != 1 {
 			q.outcomes = make([]shardOutcome, len(targets))
 		}
-		tasks += len(targets)
+		// A limited document query over several shards is one task, its
+		// walk.
+		if q.walk = q.opts.Limit > 0 && !q.opts.Agg.Active() && len(targets) > 1; q.walk {
+			tasks++
+		} else {
+			tasks += len(targets)
+		}
 	}
 
 	failFast := c.opts.Resilience.Policy == FailFast
@@ -253,6 +271,12 @@ func (c *Cluster) scatterGather(ctx context.Context, qs []scatterQuery, cached b
 		// query without tasks (cache hit, empty route) shares its
 		// successor's first and so is never that one.
 		q := &qs[sort.Search(len(qs), func(k int) bool { return qs[k].first > i })-1]
+		if q.walk {
+			if c.walkLocked(qctx, q, failFast) && failFast {
+				abort()
+			}
+			return
+		}
 		ti := i - q.first
 		q.outcomes[ti] = c.runShard(qctx, q.res.TargetedShards[ti], q.f, q.opts)
 		if q.outcomes[ti].err != nil && failFast {
@@ -266,7 +290,11 @@ func (c *Cluster) scatterGather(ctx context.Context, qs []scatterQuery, cached b
 		if q.res.CacheHit {
 			continue
 		}
-		c.foldLocked(q.res, q.outcomes, q.opts)
+		width := c.opts.Parallel
+		if q.walk {
+			width = 1
+		}
+		c.foldLocked(q.res, q.outcomes, q.opts, width)
 		// Cache only complete answers.
 		if q.cacheKey != "" && q.res.Err == nil && !q.res.Partial && ctx.Err() == nil {
 			c.rcache.put(q.cacheKey, q.res.TargetedShards, c.epochsOfLocked(nil, q.res.TargetedShards), q.res)
@@ -278,11 +306,104 @@ func (c *Cluster) scatterGather(ctx context.Context, qs []scatterQuery, cached b
 	return firstErr
 }
 
-// shardOutcome is one shard's fate within a scatter.
+// shardOutcome is one shard's fate within a scatter. A skipped shard
+// is one a limited walk never asked.
 type shardOutcome struct {
 	res     *query.Result
 	retries int
 	err     error
+	skipped bool
+}
+
+// walkLocked runs a limited document query as one task of the scatter:
+// it asks the targets one after another, in TargetedShards order, each
+// for what the shards before it left open.
+//
+//   - Natural order: each shard is asked for the quota the shards
+//     before it left unmet, and once the quota is met the rest are
+//     never asked. A shard's limited answer is a prefix of its
+//     unlimited one, so the merge is the prefix of the concatenation.
+//   - Ordered: once the walk holds Limit documents, each shard is asked
+//     with the Limit-th best sort key held so far as its bound
+//     (query.Opts.Bound), and drops what is strictly worse: such a
+//     match ranks after Limit documents the walk already holds, so the
+//     merge keeps the same documents.
+//
+// What a shard is asked depends only on the shards before it, so
+// answers, per-shard stats and errors are the same at every pool
+// width. A failed shard leaves the quota and the bound as they were;
+// under FailFast it ends the walk. It reports whether a shard failed.
+func (c *Cluster) walkLocked(ctx context.Context, q *scatterQuery, failFast bool) (failed bool) {
+	opts, limit := q.opts, q.opts.Limit
+	held := 0
+	// Ordered: once the walk holds limit documents, the best limit keys
+	// held, in order, and the buffer the next merge fills.
+	var best, spare [][]byte
+	for ti, sid := range q.res.TargetedShards {
+		if opts.OrderBy == "" {
+			if opts.Limit = limit - held; opts.Limit <= 0 {
+				q.skipFrom(ti)
+				return failed
+			}
+		} else if len(best) == limit {
+			opts.Bound = best[limit-1]
+		}
+		o := c.runShard(ctx, sid, q.f, opts)
+		q.outcomes[ti] = o
+		switch {
+		case o.err != nil:
+			failed = true
+			if failFast {
+				q.skipFrom(ti + 1)
+				return failed
+			}
+		case opts.OrderBy == "":
+			held += len(o.res.Docs)
+		case best != nil:
+			best, spare = mergeBest(spare, best, o.res.Keys, limit, opts.Desc), best
+		default:
+			if held += len(o.res.Keys); held < limit {
+				continue
+			}
+			buf := make([][]byte, 2*limit)
+			best, spare = buf[:0:limit], buf[limit:limit:2*limit]
+			for _, prev := range q.outcomes[:ti+1] {
+				if prev.res != nil {
+					best, spare = mergeBest(spare, best, prev.res.Keys, limit, opts.Desc), best
+				}
+			}
+		}
+	}
+	return failed
+}
+
+// mergeBest merges two key lists, each in order under desc, into dst
+// and keeps the first limit.
+func mergeBest(dst, a, b [][]byte, limit int, desc bool) [][]byte {
+	dst = dst[:0]
+	for len(dst) < limit && len(a)+len(b) > 0 {
+		c := -1
+		if len(a) == 0 {
+			c = 1
+		} else if len(b) > 0 {
+			if c = bytes.Compare(a[0], b[0]); desc {
+				c = -c
+			}
+		}
+		if c <= 0 {
+			dst, a = append(dst, a[0]), a[1:]
+		} else {
+			dst, b = append(dst, b[0]), b[1:]
+		}
+	}
+	return dst
+}
+
+// skipFrom marks the targets from ti on as never asked.
+func (q *scatterQuery) skipFrom(ti int) {
+	for i := ti; i < len(q.outcomes); i++ {
+		q.outcomes[i].skipped = true
+	}
 }
 
 // runShard executes the filter on one shard through the fault
@@ -339,16 +460,20 @@ func (c *Cluster) runShard(ctx context.Context, sid int, f query.Filter, opts qu
 
 // foldLocked turns the per-shard outcomes into the routed result:
 // failure bookkeeping (FailedShards, Retries, Partial, Err per the
-// policy) followed by the deterministic merge of the healthy results.
-func (c *Cluster) foldLocked(res *RoutedResult, outcomes []shardOutcome, opts query.Opts) {
+// policy), the shards a walk skipped, and the deterministic merge of the
+// healthy results, its Duration modelled on a pool of width workers.
+func (c *Cluster) foldLocked(res *RoutedResult, outcomes []shardOutcome, opts query.Opts, width int) {
 	for i, o := range outcomes {
 		if o.err != nil {
 			outcomes[i].res = nil
 			res.FailedShards = append(res.FailedShards, res.TargetedShards[i])
 		}
+		if o.skipped {
+			res.ShardsSkipped++
+		}
 		res.Retries += o.retries
 	}
-	mergeLocked(res, outcomes, c.opts.Parallel, opts)
+	mergeLocked(res, outcomes, width, opts)
 	if len(res.FailedShards) == 0 {
 		return
 	}
@@ -419,12 +544,11 @@ func (c *Cluster) scatterLocked(n int, fn func(i int)) {
 }
 
 // mergeLocked folds the per-shard results into res in TargetedShards
-// order; a nil result is a failed shard (zero stats, no docs). The
-// merge is bounded by the pushed-down options: a natural-order limit
-// concatenates only until the quota is met, and an ordered query runs
-// a k-way heap merge over the per-shard sorted streams, so a small
-// limit over a wide broadcast never materializes more than
-// limit-many documents. The modelled Duration is the pool makespan
+// order; a nil result is a failed or skipped shard (zero stats, no
+// docs). A natural-order answer is the concatenation — a limited one's
+// walk asked each shard only for the quota left, so it holds at most
+// the limit — and an ordered query runs a k-way heap merge over the
+// per-shard sorted streams, bounded by the limit. The modelled Duration is the pool makespan
 // of the per-shard execution times at the given width plus the
 // router's own merge time — order-independent, so identical at every
 // completion order.
@@ -481,22 +605,9 @@ func mergeLocked(res *RoutedResult, outcomes []shardOutcome, width int, opts que
 		if opts.OrderBy != "" {
 			mergeOrdered(res, outcomes, opts, total)
 		} else {
-			// Natural order: concatenate in TargetedShards order and
-			// stop at the quota — byte-identical to concatenating
-			// everything and truncating, since truncation only ever
-			// keeps a prefix of the concatenation.
 			for _, o := range outcomes {
-				r := o.res
-				if r == nil {
-					continue
-				}
-				take := len(r.Docs)
-				if rem := total - len(res.Docs); take > rem {
-					take = rem
-				}
-				res.Docs = append(res.Docs, r.Docs[:take]...)
-				if len(res.Docs) == total {
-					break
+				if o.res != nil {
+					res.Docs = append(res.Docs, o.res.Docs...)
 				}
 			}
 		}

@@ -55,14 +55,18 @@ func TestQueryCarriesAggregate(t *testing.T) {
 	}
 }
 
-// TestV8GoldenBytes pins the version-8 encoding of the one read
+// TestV9GoldenBytes pins the version-9 encoding of the one read
 // request and its reply on both hops: a shard's, with and without an
 // aggregate, and a router's, with the routed section. Any change to
 // these bytes is an incompatible codec change and must bump
-// ProtocolVersion. The bytes are version 7's, and version 8 adds the
-// KeyRanges filter node: ascending ranges as delta varints.
-func TestV8GoldenBytes(t *testing.T) {
-	if ProtocolVersion != 8 {
+// ProtocolVersion. The bytes are version 8's — which added the
+// KeyRanges filter node, ascending ranges as delta varints — plus
+// version 9's three fields: the request's bound (a length-prefixed
+// key, empty when there is none), the reply's documents refined after
+// its documents examined, and the routed section's shards skipped
+// after its shards pruned.
+func TestV9GoldenBytes(t *testing.T) {
+	if ProtocolVersion != 9 {
 		t.Fatalf("ProtocolVersion = %d: re-pin these bytes for the new version", ProtocolVersion)
 	}
 	f := query.Cmp{Field: "h", Op: query.OpGTE, Value: int64(7)}
@@ -71,6 +75,8 @@ func TestV8GoldenBytes(t *testing.T) {
 	agg.Agg = query.AggSpec{Kind: query.AggCellHist, Field: "h", Shift: 12}
 	ranges := plain
 	ranges.Filter = query.KeyRanges{Field: "h", Ranges: []sfc.Range{{Lo: 3, Hi: 5}, {Lo: 9, Hi: 9}, {Lo: 300, Hi: 301}}}
+	bounded := plain
+	bounded.Bound = []byte("b1")
 	const (
 		head = "03000000" + "00020000" + "0a00000000000000" + "04000000" + "64617465" + "01"
 		tail = "01" + "02" + "01000000" + "68" + "02" + "0700000000000000" // Cmp h >= int64(7)
@@ -80,9 +86,10 @@ func TestV8GoldenBytes(t *testing.T) {
 		msg  Query
 		want string
 	}{
-		{"query", plain, head + "00" + tail},
-		{"query+agg", agg, head + "03" + "01000000" + "68" + "0c" + tail},
-		{"key ranges", ranges, head + "00" + "07" + "01000000" + "68" + "03000000" + // KeyRanges h, 3 ranges:
+		{"query", plain, head + "00000000" + "00" + tail},
+		{"query+bound", bounded, head + "02000000" + "6231" + "00" + tail},
+		{"query+agg", agg, head + "00000000" + "03" + "01000000" + "68" + "0c" + tail},
+		{"key ranges", ranges, head + "00000000" + "00" + "07" + "01000000" + "68" + "03000000" + // KeyRanges h, 3 ranges:
 			"03" + "02" + "03" + "00" + "a202" + "01"}, // gap, span: [3,5] [9,9] [300,301]
 	} {
 		got, err := tc.msg.Encode(nil)
@@ -94,13 +101,13 @@ func TestV8GoldenBytes(t *testing.T) {
 		}
 	}
 
-	const stats = "0400000000000000" + "0300000000000000" // keys, docs examined
-	docs := QueryReply{More: true, KeysExamined: 4, DocsExamined: 3, NReturned: 2, DurationNS: 1, IndexUsed: "ix",
+	const stats = "0400000000000000" + "0300000000000000" + "0100000000000000" // keys, docs examined, docs refined
+	docs := QueryReply{More: true, KeysExamined: 4, DocsExamined: 3, DocsRefined: 1, NReturned: 2, DurationNS: 1, IndexUsed: "ix",
 		Docs: [][]byte{[]byte("d1"), []byte("d2")}, Keys: [][]byte{[]byte("k1"), []byte("k2")}}
-	part := QueryReply{KeysExamined: 4, DocsExamined: 3, DurationNS: 1, IndexUsed: "ix",
+	part := QueryReply{KeysExamined: 4, DocsExamined: 3, DocsRefined: 1, DurationNS: 1, IndexUsed: "ix",
 		Agg: &query.AggResult{Kind: query.AggCellHist, Count: 5, Cells: []query.CellCount{{Cell: 1, Count: 2}, {Cell: 9, Count: 3}}}}
-	routed := QueryReply{More: true, KeysExamined: 4, DocsExamined: 3, NReturned: 2, DurationNS: 1,
-		Routed: &Routed{Nodes: 2, Broadcast: true, Partial: true, FailedShards: []int32{5}, ShardsPruned: 1, CacheHit: true},
+	routed := QueryReply{More: true, KeysExamined: 4, DocsExamined: 3, DocsRefined: 1, NReturned: 2, DurationNS: 1,
+		Routed: &Routed{Nodes: 2, Broadcast: true, Partial: true, FailedShards: []int32{5}, ShardsPruned: 1, ShardsSkipped: 6, CacheHit: true},
 		Docs:   [][]byte{[]byte("d1"), []byte("d2")}}
 	for _, tc := range []struct {
 		name string
@@ -118,7 +125,7 @@ func TestV8GoldenBytes(t *testing.T) {
 			"01" + "03" + "0500000000000000" + "00000000" + // aggregate: kind, count, no distincts
 			"02000000" + "0100000000000000" + "0200000000000000" + "0900000000000000" + "0300000000000000"},
 		{"routed reply", routed, "01" + stats + "0200000000000000" + "0100000000000000" + "00000000" + // no index name
-			"01" + "02000000" + "01" + "01" + "01000000" + "05000000" + "01000000" + "01" + // nodes, broadcast, partial, failed [5], pruned, cache hit
+			"01" + "02000000" + "01" + "01" + "01000000" + "05000000" + "01000000" + "06000000" + "01" + // nodes, broadcast, partial, failed [5], pruned, skipped, cache hit
 			"02000000" + "02000000" + "6431" + "02000000" + "6432" + // docs
 			"00" + "00"}, // no keys, no aggregate
 	} {

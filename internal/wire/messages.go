@@ -165,9 +165,9 @@ func DecodeInsertReply(b []byte) (InsertReply, error) {
 }
 
 // Query is the one shard-facing read request: execute a filter on one
-// shard under the pushed-down options — limit, ordering, aggregate —
-// so the shard bounds its scan exactly as the in-process executor
-// would. BatchSize caps the documents per reply frame of a document
+// shard under the pushed-down options — limit, ordering, an ordered
+// walk's bound, aggregate — so the shard bounds its scan exactly as the
+// in-process executor would. BatchSize caps the documents per reply frame of a document
 // query's answer; an aggregate query (Agg active) is answered by a
 // single reply frame carrying the shard's partial aggregate and no
 // documents.
@@ -177,8 +177,11 @@ type Query struct {
 	Limit     int64
 	OrderBy   string
 	Desc      bool
-	Agg       query.AggSpec
-	Filter    query.Filter
+	// Bound is query.Opts.Bound: empty, or the sort key an ordered
+	// walk's shard drops every strictly worse match against.
+	Bound  []byte
+	Agg    query.AggSpec
+	Filter query.Filter
 }
 
 // Encode appends the message body to buf. Filter encoding can fail on
@@ -189,6 +192,7 @@ func (m Query) Encode(buf []byte) ([]byte, error) {
 	buf = appendI64(buf, m.Limit)
 	buf = appendString(buf, m.OrderBy)
 	buf = appendBool(buf, m.Desc)
+	buf = appendBytes(buf, m.Bound)
 	// The aggregate spec costs a document query one zero byte.
 	buf = appendU8(buf, uint8(m.Agg.Kind))
 	if m.Agg.Active() {
@@ -208,6 +212,7 @@ func DecodeQuery(b []byte) (Query, error) {
 		OrderBy:   d.string("order by"),
 		Desc:      d.bool("desc"),
 	}
+	m.Bound = d.bytes("bound")
 	m.Agg.Kind = query.AggKind(d.u8("agg kind"))
 	if m.Agg.Active() {
 		m.Agg.Field = d.string("agg field")
@@ -226,7 +231,7 @@ func DecodeQuery(b []byte) (Query, error) {
 
 // Opts translates the pushed-down options into the executor's form.
 func (m Query) Opts() query.Opts {
-	return query.Opts{Limit: int(m.Limit), OrderBy: m.OrderBy, Desc: m.Desc, Agg: m.Agg}
+	return query.Opts{Limit: int(m.Limit), OrderBy: m.OrderBy, Desc: m.Desc, Bound: m.Bound, Agg: m.Agg}
 }
 
 // QueryReply carries one frame of an answer, on both hops: a shard's
@@ -239,6 +244,7 @@ type QueryReply struct {
 	More         bool
 	KeysExamined int64
 	DocsExamined int64
+	DocsRefined  int64
 	NReturned    int64
 	DurationNS   int64
 	IndexUsed    string
@@ -258,23 +264,24 @@ type QueryReply struct {
 // Routed is the router's observables of a routed answer, which the
 // shard hop has no use for: the nodes the query was sent to, whether
 // routing broadcast, the shards that failed a partial answer, the
-// targeted shards pruning skipped, and whether the result cache
-// answered. On a routed reply KeysExamined, DocsExamined and
+// targeted shards pruning skipped, the targeted shards a limited walk
+// never asked, and whether the result cache answered. On a routed reply KeysExamined, DocsExamined and
 // DurationNS carry the per-node maxima and the scatter-gather time.
 type Routed struct {
-	Nodes        int32
-	Broadcast    bool
-	Partial      bool
-	FailedShards []int32
-	ShardsPruned int32
-	CacheHit     bool
+	Nodes         int32
+	Broadcast     bool
+	Partial       bool
+	FailedShards  []int32
+	ShardsPruned  int32
+	ShardsSkipped int32
+	CacheHit      bool
 }
 
 // size is the exact length Encode appends.
 func (m QueryReply) size() int {
-	n := 1 + 4*8 + 4 + len(m.IndexUsed) + 1 + 4 + bytesListSize(m.Docs) + 1
+	n := 1 + 5*8 + 4 + len(m.IndexUsed) + 1 + 4 + bytesListSize(m.Docs) + 1
 	if m.Routed != nil {
-		n += 4 + 2 + 4 + 4*len(m.Routed.FailedShards) + 4 + 1
+		n += 4 + 2 + 4 + 4*len(m.Routed.FailedShards) + 4 + 4 + 1
 	}
 	if m.Keys != nil {
 		n += bytesListSize(m.Keys)
@@ -292,6 +299,7 @@ func (m QueryReply) Encode(buf []byte) []byte {
 	buf = appendBool(buf, m.More)
 	buf = appendI64(buf, m.KeysExamined)
 	buf = appendI64(buf, m.DocsExamined)
+	buf = appendI64(buf, m.DocsRefined)
 	buf = appendI64(buf, m.NReturned)
 	buf = appendI64(buf, m.DurationNS)
 	buf = appendString(buf, m.IndexUsed)
@@ -306,6 +314,7 @@ func (m QueryReply) Encode(buf []byte) []byte {
 			buf = appendU32(buf, uint32(id))
 		}
 		buf = appendU32(buf, uint32(r.ShardsPruned))
+		buf = appendU32(buf, uint32(r.ShardsSkipped))
 		buf = appendBool(buf, r.CacheHit)
 	}
 	buf = appendU32(buf, uint32(len(m.Docs)))
@@ -374,6 +383,7 @@ func DecodeQueryReply(b []byte) (QueryReply, error) {
 		More:         d.bool("more"),
 		KeysExamined: d.i64("keys examined"),
 		DocsExamined: d.i64("docs examined"),
+		DocsRefined:  d.i64("docs refined"),
 		NReturned:    d.i64("n returned"),
 		DurationNS:   d.i64("duration"),
 		IndexUsed:    d.string("index used"),
@@ -390,6 +400,7 @@ func DecodeQueryReply(b []byte) (QueryReply, error) {
 			r.FailedShards = append(r.FailedShards, int32(d.u32("failed shard")))
 		}
 		r.ShardsPruned = int32(d.u32("shards pruned"))
+		r.ShardsSkipped = int32(d.u32("shards skipped"))
 		r.CacheHit = d.bool("cache hit")
 		m.Routed = r
 	}
@@ -415,6 +426,7 @@ func (m QueryReply) Stats() query.ExecStats {
 	return query.ExecStats{
 		KeysExamined: int(m.KeysExamined),
 		DocsExamined: int(m.DocsExamined),
+		DocsRefined:  int(m.DocsRefined),
 		NReturned:    int(m.NReturned),
 		IndexUsed:    m.IndexUsed,
 		Duration:     time.Duration(m.DurationNS),

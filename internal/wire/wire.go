@@ -62,7 +62,11 @@ import (
 // Version 8 added the KeyRanges filter node (tag 7): the Hilbert
 // approaches' cell constraint travels as its ranges, in delta varints,
 // instead of an $or of comparison pairs and an $in.
-const ProtocolVersion = 8
+//
+// Version 9 added an ordered walk's bound to Query, the documents a
+// shard refined to QueryReply, and the shards a limited walk never
+// asked to the routed section.
+const ProtocolVersion = 9
 
 // MaxFrameBody bounds a single frame body, so that a corrupt or
 // hostile length field cannot make a reader attempt a giant

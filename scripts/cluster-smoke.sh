@@ -6,7 +6,8 @@
 # three ways — in-process, through the network shard boundary
 # (stquery -addrs), and through the router daemon (stquery -router) —
 # and requires the -digest output (result count + SHA-256 over the
-# returned documents) to be byte-identical across all three.
+# returned documents) to be byte-identical across all three — plain,
+# limited and ordered, and for the pushed-down aggregates.
 #
 # Scale is kept small so the whole thing finishes in seconds;
 # override with RECORDS/SHARDS/PORT.
@@ -82,6 +83,25 @@ for AGG in "-count" "-heatmap 6"; do
     [ "$(wc -l <"$TMP/agg-local.out")" -eq 8 ]
     awk '{ for (i = 1; i <= NF; i++) if ($i ~ /^n=/) { sub("n=", "", $i); if ($i + 0 > 0) found = 1 } }
          END { exit !found }' "$TMP/agg-local.out"
+done
+
+# The limited differential: a limited query walks its shards one after
+# another — a natural-order quota, or an ordered bound carried in each
+# Query frame — and its answer must be byte-identical in process,
+# across the shard daemons and behind the router daemon.
+for LIM in "-limit 25" "-limit 25 -sort date" "-limit 25 -sort -date"; do
+    # shellcheck disable=SC2086
+    "$TMP/stquery" -records "$RECORDS" -shards "$SHARDS" $LIM -digest >"$TMP/lim-local.out" 2>>"$TMP/local.log"
+    # shellcheck disable=SC2086
+    "$TMP/stquery" -records "$RECORDS" -shards "$SHARDS" -addrs "$ADDR1,$ADDR2" $LIM -digest >"$TMP/lim-addrs.out" 2>>"$TMP/addrs.log"
+    # shellcheck disable=SC2086
+    "$TMP/stquery" -router "$RADDR" $LIM -digest >"$TMP/lim-router.out" 2>>"$TMP/thin.log"
+    echo "limited $LIM: local vs -addrs vs -router:"
+    diff "$TMP/lim-local.out" "$TMP/lim-addrs.out"
+    diff "$TMP/lim-local.out" "$TMP/lim-router.out"
+    [ "$(wc -l <"$TMP/lim-local.out")" -eq 8 ]
+    awk '{ for (i = 1; i <= NF; i++) if ($i ~ /^n=/) { sub("n=", "", $i); if ($i + 0 > 0) found = 1 } }
+         END { exit !found }' "$TMP/lim-local.out"
 done
 
 # Guard against a vacuous pass: all eight queries must have run and at
