@@ -243,12 +243,12 @@ func (s *Store) clusterOptions() sharding.Options {
 	}
 }
 
-// summaryShift is the shift of the per-chunk coarse-cell sketch
-// summaries that let the router skip provably-empty shards. The
-// Hilbert approaches, whose leading shard-key field is the integer
-// curve value the sketches need, group the 2·order-bit curve values
-// into roughly 2^16 coarse cells; the rest (string or time shard keys
-// the sketches cannot cell) keep no summaries.
+// summaryShift is the shift of the per-chunk occupied coarse cells
+// that let the router skip provably-empty shards. The Hilbert
+// approaches, whose leading shard-key field is the integer curve value
+// the cells need, group the 2·order-bit curve values into roughly 2^16
+// coarse cells; the rest (string or time shard keys that have no cells)
+// keep no summaries.
 func (c Config) summaryShift() int {
 	switch c.Approach {
 	case Hil, HilStar:

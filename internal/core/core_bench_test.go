@@ -201,7 +201,7 @@ var (
 // BenchmarkFilterBuild is the router's per-query front end, stage by
 // stage, for a point and a scan rectangle under each approach: filter
 // (the curve cover and the filter around it, Table 8's cost), prepare
-// (bounds extraction), route (shard targeting and sketch pruning over
+// (bounds extraction), route (shard targeting and cell pruning over
 // the chunk map) and hit (a warm result-cache hit through Store.Query:
 // every stage above plus the cache probe, with no shard visited).
 func BenchmarkFilterBuild(b *testing.B) {

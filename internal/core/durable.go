@@ -71,7 +71,7 @@ func manifestOf(cfg Config) (manifest, error) {
 
 // config overwrites the caller's Config with every field the manifest
 // records; the rest — Parallel, Resilience, Conn, ResultCacheBytes,
-// Dir, Sync, FS — stay the caller's. The sketch summaries are not
+// Dir, Sync, FS — stay the caller's. The chunks' cells are not
 // recorded either: recovery rebuilds them from the recovered data.
 func (m manifest) config(cfg Config) (Config, error) {
 	cfg.Shards = m.Shards

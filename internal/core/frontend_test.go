@@ -22,7 +22,8 @@ import (
 // end on the stage-budget hil store. Preparing a filter, routing it and
 // probing the result cache must allocate the same whether its cover has
 // 2, 12 or 60 ranges: the bounds, the tuple keys and the cache key each
-// live in one buffer. And a warm cache hit of a Q^b-sized rectangle
+// live in one buffer, and pruning reads the cover's ranges in place, so
+// the three take at most 8 objects. And a warm cache hit of a Q^b-sized rectangle
 // through Store.Query — cover, filter and the result included — stays
 // under 150 allocations.
 //
@@ -61,6 +62,9 @@ func TestFrontEndAllocsIndependentOfCoverSize(t *testing.T) {
 			}
 		})
 		t.Logf("%d ranges: %.1f allocations to prepare, route and probe", p.cover.Ranges, n)
+		if n > 8 && !raceEnabled {
+			t.Errorf("%d ranges: prepare, route and probe allocate %.0f objects, want at most 8", p.cover.Ranges, n)
+		}
 		allocs = append(allocs, n)
 		if tc.lo == 10 {
 			hit = q
@@ -219,8 +223,9 @@ func ptrCopy[T any](p *T) *T { c := *p; return &c }
 // rectangles, coalesced or not, and empty ones. Byte for byte, it
 // checks Matches on documents, raw and decoded, whose hilbertIndex is
 // missing or of any kind; the rendering and shape; the bounds; every
-// shard's candidate plans, segments and residual; the route; the
-// results and their counters; Explain; and the wire round trip.
+// shard's candidate plans, segments and residual; the wire round trip;
+// and, but for the shards only a KeyRanges prunes, the route, the
+// results and their counters, and Explain.
 func FuzzKeyRanges(f *testing.F) {
 	stores := []*Store{openStore(f, Hil, 3), openStore(f, HilStar, 3)}
 	for _, s := range stores {
@@ -310,10 +315,14 @@ func FuzzKeyRanges(f *testing.F) {
 				}
 			}
 		}
+		// The router prunes on a KeyRanges only: the shards the $or
+		// targets are the typed query's, targeted or pruned.
 		c := s.Cluster()
 		tt, tb, tp := c.Route(ft)
 		rt, rb, rp := c.Route(fr)
-		if !slices.Equal(tt, rt) || tb != rb || !slices.Equal(tp, rp) {
+		all := append(slices.Clone(tt), tp...)
+		slices.Sort(all)
+		if !slices.Equal(slices.Compact(all), rt) || len(all) != len(tt)+len(tp) || tb != rb || rp != nil {
 			t.Fatalf("routed to %v (%v, pruned %v), $or to %v (%v, %v)", tt, tb, tp, rt, rb, rp)
 		}
 		body, err := wire.AppendFilter(nil, ft)
@@ -324,20 +333,45 @@ func FuzzKeyRanges(f *testing.F) {
 		if err != nil || decoded.String() != ft.String() {
 			t.Fatalf("wire round trip: %v\n got %v\nwant %s", err, decoded, ft)
 		}
+		// The typed query's result is the $or's without the shards it
+		// pruned, none of which found a document.
 		want := c.Query(fr)
+		perShard := want.PerShard
+		want.PerShard, want.MaxKeysExamined, want.MaxDocsExamined = nil, 0, 0
+		for i, sid := range want.TargetedShards {
+			st := perShard[i]
+			if slices.Contains(tp, sid) {
+				if st.NReturned != 0 || st.DocsExamined != 0 {
+					t.Fatalf("pruned shard %d returned %d docs, examined %d under the $or", sid, st.NReturned, st.DocsExamined)
+				}
+				continue
+			}
+			want.PerShard = append(want.PerShard, st)
+			want.MaxKeysExamined = max(want.MaxKeysExamined, st.KeysExamined)
+			want.MaxDocsExamined = max(want.MaxDocsExamined, st.DocsExamined)
+		}
+		want.TargetedShards, want.ShardsTargeted, want.ShardsPruned = tt, len(tt), len(tp)
 		for _, g := range []query.Filter{ft, decoded} {
 			if got := c.Query(g); !sameRouted(got, want) {
 				t.Fatalf("%s returned %d docs from %v, $or %d from %v", g, got.TotalReturned, got.TargetedShards,
 					want.TotalReturned, want.TargetedShards)
 			}
 		}
+		// Explain lists the typed query's targets, then its pruned
+		// shards marked as such, each explained as under the $or.
 		_, et := c.Explain(ft)
-		_, er := c.Explain(fr)
-		for i := range et {
-			et[i].Execution.Duration, er[i].Execution.Duration = 0, 0
+		targets, er := c.Explain(fr)
+		var wantExp []*query.Explanation
+		for k, sid := range append(slices.Clone(tt), tp...) {
+			e := *er[slices.Index(targets, sid)]
+			e.Pruned = k >= len(tt)
+			wantExp = append(wantExp, &e)
 		}
-		if !reflect.DeepEqual(et, er) {
-			t.Fatalf("explain differs:\n%v\n$or:\n%v", et, er)
+		for i := range et {
+			et[i].Execution.Duration, wantExp[i].Execution.Duration = 0, 0
+		}
+		if !reflect.DeepEqual(et, wantExp) {
+			t.Fatalf("explain differs:\n%v\n$or:\n%v", et, wantExp)
 		}
 	})
 }

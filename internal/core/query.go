@@ -55,7 +55,7 @@ type QueryStats struct {
 	PlanCacheHits   int64
 	PlanCacheMisses int64
 	// ShardsPruned counts shards the chunk map targeted but the
-	// per-chunk sketch summaries proved empty for this query, so the
+	// chunks' occupied cells proved empty for this query, so the
 	// scatter skipped them.
 	ShardsPruned int
 	// ShardsSkipped counts targeted shards a limited query never asked:

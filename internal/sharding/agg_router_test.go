@@ -12,6 +12,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/keyenc"
 	"repro/internal/query"
+	"repro/internal/sfc"
 	"repro/internal/wire"
 )
 
@@ -20,6 +21,12 @@ func hilbertRange(lo, hi int64) query.Filter {
 		query.Cmp{Field: "hilbertIndex", Op: query.OpGTE, Value: lo},
 		query.Cmp{Field: "hilbertIndex", Op: query.OpLTE, Value: hi},
 	)
+}
+
+// hilbertCells is the same constraint as the store sends it, a
+// query.KeyRanges of one range: the form the router prunes on.
+func hilbertCells(lo, hi uint64) query.Filter {
+	return query.KeyRanges{Field: "hilbertIndex", Ranges: []sfc.Range{{Lo: lo, Hi: hi}}}
 }
 
 // TestAggregatePushdownDifferential: every aggregate kind, computed by
@@ -82,13 +89,13 @@ func TestAggregateDistinctSecondField(t *testing.T) {
 	}
 }
 
-// TestSketchPruningSkipsProvablyEmptyShards loads two well-separated
-// hilbert clusters so the balancer spreads their chunks, then queries a
-// hole between them: range routing alone targets shards (chunk ranges
-// tile the whole key space), the sketches prove them empty.
-func TestSketchPruningSkipsProvablyEmptyShards(t *testing.T) {
-	opts := smallOpts()
-	opts.SummaryShift = 4
+// twoHilbertClusters builds a cluster sharded on {hilbertIndex, date}
+// over two well-separated hilbert clusters of 2 000 documents each —
+// hilbertIndex in [0, 256) and [100000, 100256), cells 0..15 and
+// 6250..6265 at shift 4 — and balances it, so its chunks spread over
+// the shards and one of them spans the gap between the clusters.
+func twoHilbertClusters(t *testing.T, opts Options) *Cluster {
+	t.Helper()
 	c := NewCluster(opts)
 	if err := c.ShardCollection(hilbertDateKey()); err != nil {
 		t.Fatal(err)
@@ -103,15 +110,25 @@ func TestSketchPruningSkipsProvablyEmptyShards(t *testing.T) {
 		}
 	}
 	for i := 0; i < 2000; i++ {
-		insert(int64(rng.Intn(256))) // low cluster: cells 0..15 at shift 4
+		insert(int64(rng.Intn(256))) // low cluster
 	}
 	for i := 0; i < 2000; i++ {
 		insert(int64(100000 + rng.Intn(256))) // high cluster
 	}
 	c.Balance()
+	return c
+}
+
+// TestCellPruningSkipsEmptyShards queries a hole between two hilbert
+// clusters: range routing alone targets shards (chunk ranges tile the
+// whole key space), the chunks' cells prove them empty.
+func TestCellPruningSkipsEmptyShards(t *testing.T) {
+	opts := smallOpts()
+	opts.SummaryShift = 4
+	c := twoHilbertClusters(t, opts)
 
 	// The hole: overlaps chunks spanning the gap, holds no documents.
-	hole := hilbertRange(50000, 50100)
+	hole := hilbertCells(50000, 50100)
 	res := c.Query(hole)
 	if res.Err != nil {
 		t.Fatal(res.Err)
@@ -123,36 +140,17 @@ func TestSketchPruningSkipsProvablyEmptyShards(t *testing.T) {
 		t.Fatal("hole query overlapped no chunks at all — test data does not exercise pruning")
 	}
 	if res.ShardsPruned == 0 {
-		t.Fatalf("no shards pruned (targeted %d) — sketches not consulted", res.ShardsTargeted)
+		t.Fatalf("no shards pruned (targeted %d) — cells not consulted", res.ShardsTargeted)
 	}
 
 	// Differential: pruning must never change any answer. Compare
 	// against the same cluster with summaries disabled.
-	ref := NewCluster(smallOpts())
-	if err := ref.ShardCollection(hilbertDateKey()); err != nil {
-		t.Fatal(err)
-	}
-	gen2 := bson.NewObjectIDGen(1)
-	rng2 := rand.New(rand.NewSource(11))
-	insertRef := func(hv int64) {
-		p := geo.Point{Lon: 23 + rng2.Float64(), Lat: 37 + rng2.Float64()}
-		at := baseTime.Add(time.Duration(rng2.Int63n(int64(24 * time.Hour))))
-		if err := ref.Insert(stDoc(gen2, p, at, hv)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 2000; i++ {
-		insertRef(int64(rng2.Intn(256)))
-	}
-	for i := 0; i < 2000; i++ {
-		insertRef(int64(100000 + rng2.Intn(256)))
-	}
-	ref.Balance()
+	ref := twoHilbertClusters(t, smallOpts())
 	for _, f := range []query.Filter{
 		hole,
-		hilbertRange(0, 64),
-		hilbertRange(200, 100050),
-		hilbertRange(99990, 100300),
+		hilbertCells(0, 64),
+		hilbertCells(200, 100050),
+		hilbertCells(99990, 100300),
 	} {
 		a, b := c.Query(f), ref.Query(f)
 		if a.Err != nil || b.Err != nil {
@@ -165,14 +163,33 @@ func TestSketchPruningSkipsProvablyEmptyShards(t *testing.T) {
 	}
 }
 
-// TestPruningSurvivesDeletes: after deleting every document
-// of a cell range, queries over it still answer correctly (the counting
-// filter may over-approximate, never under-approximate).
-func TestPruningSurvivesDeletes(t *testing.T) {
+// TestWideEmptyCoverIsPruned: a range spanning thousands of empty
+// coarse cells inside the chunks around the gap between two hilbert
+// clusters is pruned on every shard — the cells are proved empty with
+// one binary search per chunk, however many the range spans.
+func TestWideEmptyCoverIsPruned(t *testing.T) {
+	opts := smallOpts()
+	opts.SummaryShift = 4
+	c := twoHilbertClusters(t, opts)
+	f := hilbertCells(300, 90000) // cells 18..5625, none occupied
+	res := c.Query(f)
+	if res.Err != nil || len(res.Docs) != 0 {
+		t.Fatalf("the gap returned %d docs, err %v", len(res.Docs), res.Err)
+	}
+	if res.ShardsPruned == 0 || res.ShardsTargeted != 0 {
+		t.Fatalf("the gap targeted %v and pruned %d shards, want none targeted and some pruned",
+			res.TargetedShards, res.ShardsPruned)
+	}
+}
+
+// TestCellPruningSurvivesDeletes: after deleting every document of a
+// cell range, queries over it and its neighbours still answer
+// correctly (the deletes must not make a live cell look empty).
+func TestCellPruningSurvivesDeletes(t *testing.T) {
 	opts := smallOpts()
 	opts.SummaryShift = 4
 	c, ref := loadCluster(t, 2000, hilbertDateKey(), opts)
-	f := hilbertRange(1000, 2000)
+	f := hilbertCells(1000, 2000)
 	if _, err := c.Delete(f); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +199,7 @@ func TestPruningSurvivesDeletes(t *testing.T) {
 	}
 	// Neighbouring ranges still answer exactly (the deletes must not
 	// have made any live cell look empty).
-	for _, g := range []query.Filter{hilbertRange(0, 999), hilbertRange(2001, 4096)} {
+	for _, g := range []query.Filter{hilbertCells(0, 999), hilbertCells(2001, 4096)} {
 		got := c.Query(g)
 		if got.Err != nil {
 			t.Fatal(got.Err)
@@ -437,7 +454,7 @@ func TestExplainReportsPruningAndCache(t *testing.T) {
 		}
 	}
 	c.Balance()
-	hole := hilbertRange(100000, 100050)
+	hole := hilbertCells(100000, 100050)
 
 	targets, exps := c.Explain(hole)
 	if len(targets) != len(exps) {

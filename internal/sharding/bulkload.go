@@ -12,9 +12,10 @@ package sharding
 // tuple and size and never a collection (pass 1), and only then stores
 // every survivor at the record id the model gave it, shards in
 // parallel (pass 2). The result — chunk map, counters, record ids,
-// index key sequences, sketches, fingerprint — equals the
+// index key sequences, chunk cells, fingerprint — equals the
 // per-document path's (TestBulkLoadMatchesIncremental); what differs is
-// that no document is stored and then moved, and no sketch is rebuilt.
+// that no document is stored and then moved, and no chunk's cells are
+// rebuilt.
 
 import (
 	"bytes"
@@ -227,6 +228,9 @@ func (m *loadModel) afterSplit(left, right *Chunk) {
 	})
 	m.members[right] = &chunkDocs{docs: slices.Clone(cd.docs[k:]), sorted: len(cd.docs) - k}
 	cd.docs, cd.sorted = cd.docs[:k], k
+	// No document is stored yet: the right half's cells are empty,
+	// and exact, until pass 2 adds its documents to them.
+	right.sumExact = true
 }
 
 // moveDocs renumbers the chunk's documents on the recipient in the
@@ -333,7 +337,7 @@ func parallel(workers, n int, fn func(i int)) {
 
 // storeLoadLocked is pass 2: every shard stores its documents at the
 // model's record ids, in ascending id order — their order of arrival
-// on that shard — indexes them, and adds each to its chunk's sketch
+// on that shard — indexes them, and adds each to its chunk's cells
 // once; shards run in parallel on Options.Parallel workers. Each
 // document is stored as a copy made in that order, so a shard's
 // records are allocated together in id order — a migrated chunk's in
@@ -359,7 +363,7 @@ func (c *Cluster) storeLoadLocked(m *loadModel) error {
 }
 
 // storeShardLocked stores shard s's documents and adds them to the
-// sketches of the chunks they end in (every one on s), returning the
+// cells of the chunks they end in (every one on s), returning the
 // fingerprint terms it added.
 func (c *Cluster) storeShardLocked(m *loadModel, s int) (sum uint64, err error) {
 	coll := c.shards[s].Coll

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -21,7 +22,7 @@ import (
 )
 
 // loadShape is one of the store's approaches as this layer sees it:
-// the shard key, the secondary index, whether chunks keep sketches and
+// the shard key, the secondary index, whether chunks keep cells and
 // how the leading key field is drawn.
 type loadShape struct {
 	name    string
@@ -142,7 +143,7 @@ func newShapeCluster(t testing.TB, sh loadShape, opts Options) *Cluster {
 // slice, then Balance — over every approach's shard key, several seeds
 // and balance cadences, hashed sharding, and zones installed before
 // the load; then keeps applying 64-document batches to both, so the
-// counters and the balance cadence carry over. Chunk maps, sketches,
+// counters and the balance cadence carry over. Chunk maps, chunk cells,
 // counters, record ids, stored bytes and every index's key sequence
 // must be equal throughout, and a durable bulk load must recover to
 // the same state from its journal.
@@ -236,8 +237,8 @@ func requireSamePlacement(t *testing.T, label string, got, want *Cluster) {
 	}
 	for i, ch := range got.chunks {
 		w := want.chunks[i]
-		if ch.sumExact != w.sumExact || !reflect.DeepEqual(ch.sum, w.sum) {
-			t.Fatalf("%s: chunk %d's sketch (exact %v) differs from the reference's (exact %v)",
+		if ch.sumExact != w.sumExact || !slices.Equal(ch.cells, w.cells) {
+			t.Fatalf("%s: chunk %d's cells (exact %v) differ from the reference's (exact %v)",
 				label, i, ch.sumExact, w.sumExact)
 		}
 	}
@@ -286,9 +287,9 @@ func indexEntries(ix *index.Index) string {
 
 // BenchmarkLoadPasses times Load's two placement passes apart on the
 // benchmark's set-up shape at 40 000 documents: twelve shards, chunks
-// of 9 bytes per document, the Hilbert key with sketches, ≈ 440-byte
+// of 9 bytes per document, the Hilbert key with chunk cells, ≈ 440-byte
 // documents. plan is pass 1 (check, tuples, the key model); store is
-// pass 2 (every shard's records, indexes and sketches). Per-document
+// pass 2 (every shard's records, indexes and chunk cells). Per-document
 // time and heap objects cover the timed pass only.
 func BenchmarkLoadPasses(b *testing.B) {
 	const n = 40000

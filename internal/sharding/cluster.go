@@ -11,7 +11,6 @@ import (
 	"repro/internal/collection"
 	"repro/internal/index"
 	"repro/internal/query"
-	"repro/internal/sketch"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -25,10 +24,11 @@ type Chunk struct {
 	Docs  int
 	Bytes int64
 
-	// sum is the chunk's coarse-cell sketch (nil when summaries are
-	// disabled); sumExact reports that it covers every document in the
-	// chunk — only then may the router prune on it. See summary.go.
-	sum      *sketch.Summary
+	// cells are the coarse cells the chunk's documents occupy, sorted,
+	// each with its document count (empty when summaries are disabled);
+	// sumExact reports that they cover every document in the chunk —
+	// only then may the router prune on them. See summary.go.
+	cells    []cellCount
 	sumExact bool
 	// single is the one shard-key tuple every document of the chunk
 	// shares, set when a size split found it unsplittable (jumbo): the
@@ -98,7 +98,7 @@ type Options struct {
 	// Sync is the journal fsync policy (default wal.SyncBatch, group
 	// commit at wal.DefaultBatchBytes).
 	Sync wal.SyncPolicy
-	// SummaryShift enables per-chunk coarse-cell sketches when > 0:
+	// SummaryShift enables per-chunk occupied coarse cells when > 0:
 	// each document's leading shard-key value (which must be a
 	// non-negative integer, e.g. a Hilbert d-value) is right-shifted by
 	// this many bits to its summary cell, and the router prunes shards
@@ -329,7 +329,7 @@ func (c *Cluster) ShardCollection(key ShardKey) error {
 		}
 	}
 	c.key = key
-	c.chunks = []*Chunk{{Min: key.MinTuple(), Max: key.MaxTuple(), Shard: 0}}
+	c.chunks = []*Chunk{{Min: key.MinTuple(), Max: key.MaxTuple(), Shard: 0, sumExact: true}}
 	c.sharded = true
 	return c.journalCommit(opShardCollection, encodeShardKey(key))
 }
@@ -373,7 +373,7 @@ type tupleBuf [48]byte
 
 // insertRawLocked routes and stores one encoded document, maintaining
 // chunk statistics, splits and the auto-balance cadence. Everything it
-// needs — the shard-key tuple, the index keys, the sketch cell, the
+// needs — the shard-key tuple, the index keys, the summary cell, the
 // size — is read from the bytes; the owning shard's store keeps the
 // slice itself. It neither journals nor commits — commitIngest
 // (ingest.go) does that once per write operation.
@@ -468,10 +468,9 @@ func (c *Cluster) chunkRecords(ch *Chunk) []storage.RecordID {
 	return ids
 }
 
-// afterSplit rebuilds both halves' sketches from the data — the
-// parent's sketch cannot be divided. The shard's content did not
-// change, but its chunk map did: bump the epoch so cached routes
-// re-validate.
+// afterSplit rebuilds both halves' cells from the data. The shard's
+// content did not change, but its chunk map did: bump the epoch so
+// cached routes re-validate.
 func (c *Cluster) afterSplit(left, right *Chunk) {
 	c.bumpEpochLocked(left.Shard)
 	c.rebuildChunkSummaryLocked(left)
@@ -629,7 +628,7 @@ func (c *Cluster) moveDocs(ch *Chunk, to int) {
 		}
 		_ = src.Delete(id)
 	}
-	// The sketch moves with the chunk (content unchanged — that is the
+	// The cells move with the chunk (content unchanged — that is the
 	// point of per-chunk granularity); both shards' contents changed.
 	c.bumpEpochLocked(from)
 	c.bumpEpochLocked(to)
@@ -642,9 +641,9 @@ func (c *Cluster) Chunks() []Chunk {
 	out := make([]Chunk, len(c.chunks))
 	for i, ch := range c.chunks {
 		out[i] = *ch
-		// The sketch stays with the live chunk: a snapshot must not
-		// alias a structure the write path keeps mutating.
-		out[i].sum = nil
+		// The cells stay with the live chunk: a snapshot must not
+		// alias a slice the write path keeps mutating.
+		out[i].cells = nil
 		out[i].sumExact = false
 	}
 	return out

@@ -200,7 +200,7 @@ func OpenCluster(opts Options) (*Cluster, error) {
 	}
 	c.dur = &durability{fs: fs, j: j, lsn: res.NextLSN - 1}
 	// Snapshot restore loads documents without going through the insert
-	// path, so the per-chunk sketches are rebuilt from the recovered
+	// path, so the per-chunk cells are rebuilt from the recovered
 	// data in one pass.
 	if opts.SummaryShift > 0 {
 		c.mu.Lock()

@@ -15,18 +15,70 @@ import (
 	"repro/internal/index"
 	"repro/internal/query"
 	"repro/internal/sfc"
+	"repro/internal/storage"
 )
 
 // frontEndFixture is what FuzzFrontEnd plans and routes against: a
 // collection carrying the store's index shapes (plus a string-led
 // compound one), and three loaded clusters — range-sharded on
-// {hilbertIndex, date} with sketch summaries, range-sharded on {date},
-// and hash-sharded on hilbertIndex — over documents whose hilbertIndex
-// lies in [0, 4096).
+// {hilbertIndex, date} with chunk cells, range-sharded on {date}, and
+// hash-sharded on hilbertIndex — over documents whose hilbertIndex
+// lies in [0, 4096). docs holds each cluster's stored documents,
+// decoded once, for the reference's pruning scan.
 type frontEndFixture struct {
 	coll     *collection.Collection
 	clusters []*Cluster
+	docs     [][]scannedDoc
 	grids    []*sfc.Grid
+}
+
+// scannedDoc is one stored document as the pruning scan sees it: its
+// shard, its decoded shard-key tuple and its coarse cell (ok false when
+// it has none).
+type scannedDoc struct {
+	shard int
+	tuple []byte
+	cell  uint64
+	ok    bool
+}
+
+// scanDocs decodes every document the cluster stores.
+func scanDocs(tb testing.TB, c *Cluster) []scannedDoc {
+	var out []scannedDoc
+	for sid, s := range c.Shards() {
+		s.Coll.Store().Walk(func(_ storage.RecordID, raw []byte) bool {
+			doc, err := bson.Unmarshal(raw)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			cell, ok := refSummaryCell(doc, c.key.Fields[0], c.opts.SummaryShift)
+			out = append(out, scannedDoc{shard: sid, tuple: c.key.TupleOf(doc), cell: cell, ok: ok})
+			return true
+		})
+	}
+	return out
+}
+
+// occupiedBy reports, by a scan of the documents, whether the chunk
+// holds a document in the coarse cells of the ranges, or one without a
+// cell.
+func occupiedBy(docs []scannedDoc, ranges []sfc.Range, shift int) func(*Chunk) bool {
+	return func(ch *Chunk) bool {
+		for _, d := range docs {
+			if d.shard != ch.Shard || !ch.Contains(d.tuple) {
+				continue
+			}
+			if !d.ok {
+				return true
+			}
+			for _, r := range ranges {
+				if r.Lo>>shift <= d.cell && d.cell <= r.Hi>>shift {
+					return true
+				}
+			}
+		}
+		return false
+	}
 }
 
 func newFrontEndFixture(tb testing.TB) *frontEndFixture {
@@ -53,6 +105,7 @@ func newFrontEndFixture(tb testing.TB) *frontEndFixture {
 	} {
 		c, _ := loadCluster(tb, 1500, tc.key, tc.opts)
 		fx.clusters = append(fx.clusters, c)
+		fx.docs = append(fx.docs, scanDocs(tb, c))
 	}
 	hil6, err := sfc.NewHilbert(6)
 	if err != nil {
@@ -208,26 +261,41 @@ func coverFilter(rect geo.Rect, from, to time.Time, ranges []sfc.Range) query.Fi
 // frontEndFilter decodes one fuzz input into a filter: a random tree, a
 // conjunction of random leaves, or a Hilbert cover of a random
 // rectangle (on the fixture's data, a hil* extent or the paper's
-// curve; coalesced or not).
-func (fx *frontEndFixture) frontEndFilter(in *fuzzInput) query.Filter {
+// curve; coalesced or not), its constraint an $or or, as the store
+// sends it, a query.KeyRanges. ref is the filter in the reference's
+// terms, the KeyRanges written as its $or; ranges are the KeyRanges'
+// (nil when there is none), the only constraint the router prunes on.
+func (fx *frontEndFixture) frontEndFilter(in *fuzzInput) (f, ref query.Filter, ranges []sfc.Range) {
 	fields := frontEndFields[:1+in.intn(len(frontEndFields))]
 	switch in.intn(3) {
 	case 0:
-		return in.filter(fields, 0)
+		f = in.filter(fields, 0)
+		return f, f, nil
 	case 1:
 		children := make([]query.Filter, 1+in.intn(5))
 		for i := range children {
 			children[i] = in.filter(fields, 2)
 		}
-		return query.NewAnd(children...)
+		f = query.NewAnd(children...)
+		return f, f, nil
 	default:
 		rect := in.rect()
-		ranges := fx.grids[in.intn(len(fx.grids))].Cover(rect)
+		ranges = fx.grids[in.intn(len(fx.grids))].Cover(rect)
 		if in.intn(3) == 0 {
 			ranges = sfc.CoalesceRanges(ranges, 1+in.intn(16))
 		}
 		from := baseTime.Add(time.Duration(in.intn(30*24)) * time.Hour)
-		return coverFilter(rect, from, from.Add(time.Duration(in.intn(10*24))*time.Hour), ranges)
+		to := from.Add(time.Duration(in.intn(10*24)) * time.Hour)
+		ref = coverFilter(rect, from, to, ranges)
+		if len(ranges) == 0 || in.intn(2) == 0 {
+			return ref, ref, nil
+		}
+		f = query.NewAnd(
+			query.GeoWithin{Field: "location", Rect: rect},
+			query.TimeRangeFilter("date", from, to),
+			query.KeyRanges{Field: "hilbertIndex", Ranges: ranges},
+		)
+		return f, ref, ranges
 	}
 }
 
@@ -254,11 +322,15 @@ func sameSegments(a, b []query.Segment) bool {
 }
 
 // checkFrontEnd holds the router front end to the reference on one
-// filter: bounds (intervals, exactness, rectangles, impossibility),
-// plan-cache shape, every index's segments and residual, and each
-// cluster's targets, broadcast flag and pruned shards.
-func (fx *frontEndFixture) checkFrontEnd(t *testing.T, f query.Filter) {
-	ref := refExtractBounds(f)
+// filter, f, written in the reference's terms as fr: bounds (intervals,
+// exactness, rectangles, impossibility), plan-cache shape, every
+// index's segments and residual, and each cluster's targets, broadcast
+// flag and pruned shards. A shard is pruned exactly when the overlap
+// test targets it, f's leading shard-key constraint is the KeyRanges
+// ranges of a cluster keeping chunk cells, and no overlapping chunk of
+// it holds a document in the ranges' coarse cells, by a scan.
+func (fx *frontEndFixture) checkFrontEnd(t *testing.T, f, fr query.Filter, ranges []sfc.Range) {
+	ref := refExtractBounds(fr)
 	got := query.BoundsOf(f)
 	if got.Impossible() != ref.impossible {
 		t.Fatalf("%s: impossible = %v, reference %v", f, got.Impossible(), ref.impossible)
@@ -279,7 +351,7 @@ func (fx *frontEndFixture) checkFrontEnd(t *testing.T, f query.Filter) {
 		}
 	}
 
-	want := refShapeOf(f)
+	want := refShapeOf(fr)
 	if got := query.ShapeOf(f); got != want {
 		t.Fatalf("shape\n got %s\nwant %s", got, want)
 	}
@@ -301,11 +373,11 @@ func (fx *frontEndFixture) checkFrontEnd(t *testing.T, f query.Filter) {
 		var wantPlans []refPlan
 		for _, ix := range fx.coll.Indexes() {
 			if segs, covered, usable := refPlanSegments(ix, ref); usable {
-				wantPlans = append(wantPlans, refPlan{ix.Spec(), segs, refResidualFilter(f, covered).String()})
+				wantPlans = append(wantPlans, refPlan{ix.Spec(), segs, refResidualFilter(fr, covered).String()})
 			}
 		}
 		if len(wantPlans) == 0 {
-			wantPlans = append(wantPlans, refPlan{query.CollScanName, nil, f.String()})
+			wantPlans = append(wantPlans, refPlan{query.CollScanName, nil, fr.String()})
 		}
 		if len(plans) != len(wantPlans) {
 			t.Fatalf("%s: %d candidate plans, reference %d", f, len(plans), len(wantPlans))
@@ -321,7 +393,11 @@ func (fx *frontEndFixture) checkFrontEnd(t *testing.T, f query.Filter) {
 
 	for ci, c := range fx.clusters {
 		c.mu.RLock()
-		wantT, wantB, wantP := c.refRouteLocked(f)
+		var occupied func(*Chunk) bool
+		if ranges != nil && c.summariesOnLocked() && c.key.Fields[0] == "hilbertIndex" {
+			occupied = occupiedBy(fx.docs[ci], ranges, c.opts.SummaryShift)
+		}
+		wantT, wantB, wantP := c.refRouteLocked(fr, occupied)
 		c.mu.RUnlock()
 		for _, q := range []query.Filter{f, query.Prepare(f)} {
 			gotT, gotB, gotP := c.Route(q)
@@ -337,9 +413,10 @@ func (fx *frontEndFixture) checkFrontEnd(t *testing.T, f query.Filter) {
 // end against the implementation it replaced (frontend_ref_test.go):
 // random comparison/$in conjunctions and disjunctions over one to three
 // fields with mixed classes and open or closed ends, and Hilbert covers
-// of random rectangles (hil and hil* grids, empty covers included),
-// planned against every index shape and routed over range- and
-// hash-sharded clusters.
+// of random rectangles (hil and hil* grids, empty covers included) as
+// $or and as KeyRanges, planned against every index shape and routed
+// over range- and hash-sharded clusters, the pruned shards held to a
+// scan of the documents.
 func FuzzFrontEnd(f *testing.F) {
 	fx := newFrontEndFixture(f)
 	for _, seed := range [][]byte{
@@ -356,7 +433,7 @@ func FuzzFrontEnd(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		in := &fuzzInput{b: data}
-		fx.checkFrontEnd(t, fx.frontEndFilter(in))
+		f, fr, ranges := fx.frontEndFilter(&fuzzInput{b: data})
+		fx.checkFrontEnd(t, f, fr, ranges)
 	})
 }

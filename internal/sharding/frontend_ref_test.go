@@ -4,7 +4,9 @@ package sharding
 // paths and route were rewritten for speed: the parent implementations,
 // kept verbatim apart from package qualifiers and a ref prefix, as the
 // reference FuzzFrontEnd holds the rewrite to. refRouteLocked runs on
-// refExtractBounds, so the whole reference path is the old one.
+// refExtractBounds, so the whole reference path is the old one, but for
+// pruning: which overlapping chunks hold a document in the query's
+// cells is now the caller's to say, from a scan of the documents.
 
 import (
 	"math"
@@ -588,14 +590,13 @@ func refCloneBytes(b []byte) []byte {
 // becomes a broadcast (Section 4.1.2: "broadcast operations occur if
 // a query's field constraints are not found in the shard key").
 //
-// On top of the range overlap, the per-chunk sketches prune chunks
-// that provably hold no document in the query's coarse-cell ranges —
-// chunk byte-ranges tile the whole key space, so overlap alone visits
-// shards that own only empty stretches of it. pruned lists the shards
-// (ascending) the overlap test targeted but every overlapping chunk
-// of which proved empty; pruning is prove-empty only, so a pruned
-// shard could not have contributed a document.
-func (c *Cluster) refRouteLocked(f query.Filter) (shards []int, broadcast bool, pruned []int) {
+// On top of the range overlap, a non-nil occupied prunes the chunks it
+// reports holding no document in the query's coarse cells — chunk
+// byte-ranges tile the whole key space, so overlap alone visits shards
+// that own only empty stretches of it. pruned lists the shards
+// (ascending) the overlap test targeted but every overlapping chunk of
+// which held none.
+func (c *Cluster) refRouteLocked(f query.Filter, occupied func(*Chunk) bool) (shards []int, broadcast bool, pruned []int) {
 	if !c.sharded {
 		return []int{0}, false, nil
 	}
@@ -613,13 +614,7 @@ func (c *Cluster) refRouteLocked(f query.Filter) (shards []int, broadcast bool, 
 			}
 		}
 	} else {
-		var cells []cellRange
-		consult := false
-		if c.summariesOnLocked() {
-			if set, ok := b.intervals[c.key.Fields[0]]; ok && len(set) > 0 {
-				cells, consult = c.pruneCellRangesLocked(set)
-			}
-		}
+		consult := occupied != nil
 		var candidate map[int]bool
 		if consult {
 			candidate = make(map[int]bool)
@@ -634,7 +629,7 @@ func (c *Cluster) refRouteLocked(f query.Filter) (shards []int, broadcast bool, 
 				}
 				if consult {
 					candidate[ch.Shard] = true
-					if !chunkMayMatchLocked(ch, cells) {
+					if !occupied(ch) {
 						break
 					}
 				}

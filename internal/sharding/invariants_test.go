@@ -15,12 +15,77 @@ import (
 	"repro/internal/geo"
 	"repro/internal/keyenc"
 	"repro/internal/query"
+	"repro/internal/storage"
 )
+
+// decodedChunkCells is every chunk's coarse cells as a scan of the
+// decoded documents finds them: each stored document unmarshalled,
+// placed in its chunk by its decoded tuple and counted in its cell by
+// the decoded rule (refSummaryCell), sorted by cell. exact[i] is false
+// when chunk i holds a document without a cell, and docs[i] counts the
+// documents found in chunk i; a document on another shard than its
+// chunk's fails the test. The caller holds the cluster lock.
+func decodedChunkCells(t *testing.T, c *Cluster) (cells [][]cellCount, exact []bool, docs []int) {
+	t.Helper()
+	counts := make([]map[uint64]int, len(c.chunks))
+	exact, docs = make([]bool, len(c.chunks)), make([]int, len(c.chunks))
+	for i := range counts {
+		counts[i], exact[i] = map[uint64]int{}, true
+	}
+	for sid, s := range c.shards {
+		s.Coll.Store().Walk(func(_ storage.RecordID, raw []byte) bool {
+			doc, err := bson.Unmarshal(raw)
+			if err != nil {
+				t.Fatalf("stored document does not decode: %v", err)
+			}
+			ci := c.findChunk(c.key.TupleOf(doc))
+			if ci < 0 || c.chunks[ci].Shard != sid {
+				t.Fatalf("shard %d holds a document of chunk %d", sid, ci)
+			}
+			docs[ci]++
+			if cell, ok := refSummaryCell(doc, c.key.Fields[0], c.opts.SummaryShift); ok {
+				counts[ci][cell]++
+			} else {
+				exact[ci] = false
+			}
+			return true
+		})
+	}
+	cells = make([][]cellCount, len(c.chunks))
+	for i, m := range counts {
+		for cell, n := range m {
+			cells[i] = append(cells[i], cellCount{cell: cell, n: n})
+		}
+		slices.SortFunc(cells[i], func(a, b cellCount) int { return compareCell(a, b.cell) })
+	}
+	return cells, exact, docs
+}
+
+// checkChunkCells holds every chunk's maintained cells to a scan of
+// its decoded documents: with summaries on, the same (cell, count)
+// list and the same exactness; with them off, no cells at all.
+func checkChunkCells(t *testing.T, label string, c *Cluster) {
+	t.Helper()
+	cells, exact, _ := decodedChunkCells(t, c)
+	for i, ch := range c.chunks {
+		if !c.summariesOnLocked() {
+			if len(ch.cells) != 0 {
+				t.Fatalf("%s: chunk %d keeps %d cells with summaries off", label, i, len(ch.cells))
+			}
+			continue
+		}
+		if ch.sumExact != exact[i] || !slices.Equal(ch.cells, cells[i]) {
+			t.Fatalf("%s: chunk %d keeps cells %v (exact %v), its documents occupy %v (exact %v)",
+				label, i, ch.cells, ch.sumExact, cells[i], exact[i])
+		}
+	}
+}
 
 // checkInvariants verifies the cluster's metadata against its actual
 // data: chunks tile the key space, every chunk's documents live on
-// its shard, chunk doc counts are accurate, and no document exists
-// outside its chunk.
+// its shard, chunk doc counts are accurate, no document exists
+// outside its chunk, and every chunk's cells are exactly those its
+// documents occupy.
 func checkInvariants(t *testing.T, c *Cluster) {
 	t.Helper()
 	c.mu.RLock()
@@ -65,17 +130,24 @@ func checkInvariants(t *testing.T, c *Cluster) {
 			t.Fatalf("invariant: chunk on shard %d but zoned to %d", ch.Shard, home)
 		}
 	}
+	checkChunkCells(t, "invariant", c)
 }
 
 // TestClusterInvariantsUnderRandomOperations drives a cluster with a
-// random mix of inserts, explicit balances and zone reconfigurations,
-// checking the metadata invariants throughout.
+// random mix of inserts, deletes, explicit balances and zone
+// reconfigurations, checking the metadata invariants throughout. The
+// first two seeds keep chunk cells, so their exactness is checked
+// after every insert, delete, split and move; the third keeps none.
 func TestClusterInvariantsUnderRandomOperations(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			c := NewCluster(Options{Shards: 4, ChunkMaxBytes: 8 << 10, AutoBalanceEvery: 200})
+			opts := Options{Shards: 4, ChunkMaxBytes: 8 << 10, AutoBalanceEvery: 200}
+			if seed < 3 {
+				opts.SummaryShift = 4
+			}
+			c := NewCluster(opts)
 			if err := c.ShardCollection(hilbertDateKey()); err != nil {
 				t.Fatal(err)
 			}
@@ -83,6 +155,14 @@ func TestClusterInvariantsUnderRandomOperations(t *testing.T) {
 			inserted := 0
 			for step := 0; step < 30; step++ {
 				switch rng.Intn(10) {
+				case 7:
+					// Delete a random stretch of cells.
+					lo := int64(rng.Intn(4096))
+					n, err := c.Delete(hilbertRange(lo, lo+int64(rng.Intn(300))))
+					if err != nil {
+						t.Fatal(err)
+					}
+					inserted -= n
 				case 8:
 					c.Balance()
 				case 9:

@@ -15,12 +15,10 @@ import (
 
 	"repro/internal/bson"
 	"repro/internal/geo"
-	"repro/internal/sketch"
-	"repro/internal/storage"
 	"repro/internal/wal"
 )
 
-// refSummaryCell is the sketch cell as it was derived from a decoded
+// refSummaryCell is the summary cell as it was derived from a decoded
 // document: the leading shard-key value, when it is a non-negative
 // int64.
 func refSummaryCell(doc *bson.Document, field string, shift int) (uint64, bool) {
@@ -36,7 +34,7 @@ func refSummaryCell(doc *bson.Document, field string, shift int) (uint64, bool) 
 }
 
 // FuzzShardKeyRaw: for any document that decodes, the shard-key tuple
-// (range and hashed) and the sketch cell read from the encoded bytes
+// (range and hashed) and the summary cell read from the encoded bytes
 // equal the ones derived from the decoded document; bytes that do not
 // decode must not panic either reader.
 func FuzzShardKeyRaw(f *testing.F) {
@@ -136,9 +134,9 @@ func TestSplitPointMatchesSortedReference(t *testing.T) {
 // TestSketchesMatchDecodedRebuild drives a durable cluster through a
 // bulk load, a balance, idempotent batches across further splits and
 // migrations, deletes and a crash-free reopen, and then checks what the
-// byte-reading maintenance left behind: every chunk's sketch answers
-// exactly like one rebuilt from fully decoded documents, and the chunk
-// map accounts for every stored document.
+// byte-reading maintenance left behind: every chunk's (cell, count)
+// list equals the one a scan of its fully decoded documents gives, and
+// the chunk map accounts for every stored document.
 func TestSketchesMatchDecodedRebuild(t *testing.T) {
 	opts := Options{
 		Shards: 4, ChunkMaxBytes: 16 << 10, AutoBalanceEvery: 256,
@@ -170,67 +168,38 @@ func TestSketchesMatchDecodedRebuild(t *testing.T) {
 	if _, err := c.Delete(durProbes[0]); err != nil {
 		t.Fatal(err)
 	}
-	checkSketchesAndAccounting(t, "live", c)
+	checkCellsAndAccounting(t, "live", c)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	checkSketchesAndAccounting(t, "recovered", openDurable(t, opts))
+	checkCellsAndAccounting(t, "recovered", openDurable(t, opts))
 }
 
-func checkSketchesAndAccounting(t *testing.T, label string, c *Cluster) {
+func checkCellsAndAccounting(t *testing.T, label string, c *Cluster) {
 	t.Helper()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	// Each chunk's sketch as the decoding path would have rebuilt it.
-	refs := make([]*sketch.Summary, len(c.chunks))
-	inChunk := make([]int, len(c.chunks))
-	for i := range refs {
-		refs[i] = sketch.New(summaryExpectedCells)
-	}
+	// Each chunk's cells as a scan of its decoded documents finds them.
+	cells, _, inChunk := decodedChunkCells(t, c)
 	storeDocs, storeBytes := 0, int64(0)
-	for sid, s := range c.shards {
+	for _, s := range c.shards {
 		storeDocs += s.Coll.Store().Len()
 		storeBytes += s.Coll.Store().Bytes()
-		s.Coll.Store().Walk(func(_ storage.RecordID, raw []byte) bool {
-			doc, err := bson.Unmarshal(raw)
-			if err != nil {
-				t.Fatalf("%s: stored document does not decode: %v", label, err)
-			}
-			ci := c.findChunk(c.key.TupleOf(doc))
-			if ci < 0 || c.chunks[ci].Shard != sid {
-				t.Fatalf("%s: shard %d holds a document of chunk %d", label, sid, ci)
-			}
-			cell, ok := refSummaryCell(doc, c.key.Fields[0], c.opts.SummaryShift)
-			if !ok {
-				t.Fatalf("%s: document without a cell in chunk %d", label, ci)
-			}
-			refs[ci].Add(cell)
-			inChunk[ci]++
-			return true
-		})
 	}
 	chunkDocs, chunkBytes := 0, int64(0)
-	maxCell := uint64(1<<20) >> uint(c.opts.SummaryShift)
 	for i, ch := range c.chunks {
 		chunkDocs += ch.Docs
 		chunkBytes += ch.Bytes
-		if ch.sum == nil || !ch.sumExact {
-			t.Fatalf("%s: chunk %d has no exact sketch", label, i)
+		if !ch.sumExact {
+			t.Fatalf("%s: chunk %d has no exact cells", label, i)
 		}
 		if inChunk[i] != ch.Docs {
 			t.Fatalf("%s: chunk %d counts %d documents, its shard holds %d in range", label, i, ch.Docs, inChunk[i])
 		}
-		// A sketch that lived through deletes may over-approximate but
-		// never under-approximates; one rebuilt since answers identically.
-		for lo := uint64(0); lo <= maxCell; lo += 97 {
-			hi := lo + 40
-			got, want := ch.sum.MayContainRange(lo, hi, summaryMaxProbe), refs[i].MayContainRange(lo, hi, summaryMaxProbe)
-			if want && !got {
-				t.Fatalf("%s: chunk %d sketch denies cells [%d,%d] that a decoded rebuild holds", label, i, lo, hi)
-			}
-			if label == "recovered" && got != want {
-				t.Fatalf("%s: chunk %d sketch answers %v for [%d,%d], decoded rebuild %v", label, i, got, lo, hi, want)
-			}
+		// Maintained through inserts, splits, migrations and deletes or
+		// rebuilt by recovery, the list is the decoded documents' own.
+		if !slices.Equal(ch.cells, cells[i]) {
+			t.Fatalf("%s: chunk %d keeps cells %v, its decoded documents occupy %v", label, i, ch.cells, cells[i])
 		}
 	}
 	if chunkDocs != storeDocs {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/bson"
 	"repro/internal/keyenc"
 	"repro/internal/query"
+	"repro/internal/sfc"
 )
 
 // RoutedResult is the outcome of a cluster query: the merged
@@ -74,7 +75,7 @@ type RoutedResult struct {
 	// empty for such queries; that is the point.
 	Agg *query.AggResult
 	// ShardsPruned counts shards the router excluded because their
-	// chunks' sketches proved them empty over the query's cell ranges —
+	// chunks hold no document in the query's coarse cells —
 	// shards a range-only router would have visited. See summary.go.
 	ShardsPruned int
 	// ShardsSkipped counts targeted shards a limited walk never asked:
@@ -728,7 +729,7 @@ func poolMakespan(durs []time.Duration, width int) time.Duration {
 
 // Explain routes the filter and returns each targeted shard's full
 // plan explanation, in TargetedShards order, followed by one entry per
-// sketch-pruned shard (Pruned = true) so the plan shows what the
+// pruned shard (Pruned = true) so the plan shows what the
 // summaries saved. Every entry also carries the router's result-cache
 // view: whether this exact query would hit, and the cumulative
 // hit/miss counters.
@@ -772,7 +773,7 @@ func (c *Cluster) ExplainOpts(f query.Filter, opts query.Opts) (targets []int, e
 
 // Route returns the routing decision a scatter-gather makes for the
 // filter, without executing anything: the target shards, whether the
-// route is a broadcast, and the sketch-pruned shards (both ascending).
+// route is a broadcast, and the pruned shards (both ascending).
 func (c *Cluster) Route(f query.Filter) (targets []int, broadcast bool, pruned []int) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -787,13 +788,13 @@ func (c *Cluster) Route(f query.Filter) (targets []int, broadcast bool, pruned [
 // becomes a broadcast (Section 4.1.2: "broadcast operations occur if
 // a query's field constraints are not found in the shard key").
 //
-// On top of the range overlap, the per-chunk sketches prune chunks
-// that provably hold no document in the query's coarse-cell ranges —
-// chunk byte-ranges tile the whole key space, so overlap alone visits
-// shards that own only empty stretches of it. pruned lists the shards
-// (ascending) the overlap test targeted but every overlapping chunk
-// of which proved empty; pruning is prove-empty only, so a pruned
-// shard could not have contributed a document.
+// On top of the range overlap, a KeyRanges constraint on the leading
+// field prunes chunks whose occupied cells hold none of the ranges'
+// coarse cells — chunk byte-ranges tile the whole key space, so overlap
+// alone visits shards that own only empty stretches of it. pruned lists
+// the shards (ascending) the overlap test targeted but every
+// overlapping chunk of which proved empty; pruning is prove-empty only,
+// so a pruned shard could not have contributed a document.
 //
 // The overlap test is one merge walk over the chunk map, ascending by
 // Min, and the tuple ranges, ascending by Lo: O(chunks + ranges).
@@ -806,7 +807,7 @@ func (c *Cluster) routeLocked(f query.Filter) (shards []int, broadcast bool, pru
 		return nil, false, nil
 	}
 	// marks holds, per shard id, what the walk found: an overlapping
-	// chunk (routeCandidate) and one the sketches could not rule out
+	// chunk (routeCandidate) and one its cells could not rule out
 	// (routeTarget).
 	var stack [64]uint8
 	marks := stack[:0]
@@ -825,18 +826,11 @@ func (c *Cluster) routeLocked(f query.Filter) (shards []int, broadcast bool, pru
 		}
 		return markedShards(marks, routeTarget, 0), broadcast, nil
 	}
-	var cells []cellRange
-	consult := false
+	var kr []sfc.Range
 	if c.summariesOnLocked() {
-		if kr := b.KeyRanges(c.key.Fields[0]); kr != nil {
-			cells, consult = make([]cellRange, len(kr)), true
-			for i, r := range kr {
-				cells[i] = cellRange{Lo: r.Lo >> c.opts.SummaryShift, Hi: r.Hi >> c.opts.SummaryShift}
-			}
-		} else if set, ok := b.Intervals(c.key.Fields[0]); ok && len(set) > 0 {
-			cells, consult = c.pruneCellRangesLocked(set)
-		}
+		kr = b.KeyRanges(c.key.Fields[0])
 	}
+	shift := uint(c.opts.SummaryShift)
 	if !slices.IsSortedFunc(ranges, compareLo) {
 		slices.SortFunc(ranges, compareLo)
 	}
@@ -862,7 +856,7 @@ func (c *Cluster) routeLocked(f query.Filter) (shards []int, broadcast bool, pru
 			continue
 		}
 		marks[ch.Shard] |= routeCandidate
-		if !consult || chunkMayMatchLocked(ch, cells) {
+		if kr == nil || chunkMayMatch(ch, kr, shift) {
 			marks[ch.Shard] |= routeTarget
 		}
 	}

@@ -3,6 +3,7 @@ package sharding
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -308,12 +309,12 @@ func TestZonesHomeChunksAndPreserveData(t *testing.T) {
 	}
 }
 
-// TestZoneSplitKeepsSketchesExact: a zone boundary that splits a chunk
-// must leave both halves with sketches of their own documents. A right
-// half without one got a fresh sketch at its next insert that held that
-// one document yet claimed to be exact, so the router pruned the
-// chunk's shard for every older document in it.
-func TestZoneSplitKeepsSketchesExact(t *testing.T) {
+// TestZoneSplitKeepsCellsExact: a zone boundary that splits a chunk
+// must leave both halves with the cells of their own documents. A
+// right half without them once got fresh ones at its next insert that
+// held that one document yet claimed to be exact, so the router pruned
+// the chunk's shard for every older document in it.
+func TestZoneSplitKeepsCellsExact(t *testing.T) {
 	opts := smallOpts()
 	opts.SummaryShift = 4
 	c, ref := loadCluster(t, 2000, hilbertDateKey(), opts)
@@ -327,7 +328,7 @@ func TestZoneSplitKeepsSketchesExact(t *testing.T) {
 	if _, err := ref.Insert(doc.Clone()); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []query.Filter{hilbertRange(2017, 2032), hilbertRange(1990, 2100), hilbertRange(0, 4096)} {
+	for _, f := range []query.Filter{hilbertCells(2017, 2032), hilbertCells(1990, 2100), hilbertCells(0, 4096)} {
 		want := query.Execute(ref, f, nil).Stats.NReturned
 		res := c.Query(f)
 		if res.Err != nil || res.Partial || res.TotalReturned != want {
@@ -335,22 +336,24 @@ func TestZoneSplitKeepsSketchesExact(t *testing.T) {
 				f, res.TotalReturned, res.ShardsPruned, res.Partial, res.Err, want)
 		}
 	}
-	// Every sketch that claims to be exact holds the cell of every
-	// document in its chunk.
+	// Every chunk's cells are exact and hold the cell of every
+	// document in it.
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	for _, ch := range c.chunks {
-		if ch.sum == nil || !ch.sumExact {
-			t.Fatalf("chunk [%x, %x) has no exact sketch", ch.Min, ch.Max)
+		if !ch.sumExact {
+			t.Fatalf("chunk [%x, %x) has no exact cells", ch.Min, ch.Max)
 		}
 		store := c.shards[ch.Shard].Coll.Store()
 		for _, id := range c.chunkRecords(ch) {
 			raw, _ := store.FetchRaw(id)
-			if cell, _ := c.summaryCellLocked(raw); !ch.sum.MayContain(cell) {
-				t.Fatalf("chunk [%x, %x): the sketch misses cell %d of record %d", ch.Min, ch.Max, cell, id)
+			cell, _ := c.summaryCellLocked(raw)
+			if _, found := slices.BinarySearchFunc(ch.cells, cell, compareCell); !found {
+				t.Fatalf("chunk [%x, %x): the cells miss cell %d of record %d", ch.Min, ch.Max, cell, id)
 			}
 		}
 	}
+	checkChunkCells(t, "zone split", c)
 }
 
 func TestZonesImproveLocalityVersusDefault(t *testing.T) {

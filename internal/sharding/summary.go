@@ -1,51 +1,44 @@
 package sharding
 
-// Per-chunk sketch summaries: the router's prove-empty pruning layer.
+// Per-chunk occupied cells: the router's prove-empty pruning layer.
 //
-// Every chunk of a range-sharded collection carries a small sketch
-// (a counting bloom filter, internal/sketch) over the coarse
-// cells of its documents' leading shard-key values — for the paper's
-// Hilbert approaches the cell is the order-k curve cell, obtained by
-// right-shifting the d-value (Hilbert indices are hierarchical, so the
-// top bits of a d-value ARE its coarse cell). The summaries are
-// maintained incrementally on every insert and delete, move wholesale
-// with chunk migrations (ownership changes, content does not), and are
+// Every chunk of a range-sharded collection keeps the exact set of
+// coarse cells its documents' leading shard-key values fall in, with a
+// count per cell, sorted by cell. For the paper's Hilbert approaches
+// the cell is the coarse curve cell, obtained by right-shifting the
+// d-value (Hilbert indices are hierarchical, so the top bits of a
+// d-value ARE its coarse cell). Spatio-temporal data fills few cells,
+// so the list is sized by the data: a hil chunk holds about one. The
+// lists are maintained on every insert and delete, move whole with
+// chunk migrations (ownership changes, content does not), and are
 // rebuilt from the data on splits and recovery.
 //
 // The router consults them after range extraction: a chunk whose
-// byte-range overlaps the query may still be provably empty over the
-// query's cell range — chunk ranges cover the whole key space, not the
-// subset of it that holds documents. Pruning is prove-empty only:
-// bloom false positives cost a wasted shard visit, never a wrong
-// answer, and the counting filter's sticky saturation guarantees no
-// false negatives even after arbitrarily many deletes.
+// byte-range overlaps the query may still hold no document in the
+// query's cells — chunk ranges cover the whole key space, not the
+// subset of it that holds documents. A chunk is pruned only when its
+// list is exact and holds none of those cells, so a pruned shard could
+// not have contributed a document.
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/bson"
-	"repro/internal/query"
-	"repro/internal/sketch"
+	"repro/internal/sfc"
 	"repro/internal/storage"
 )
 
-// summaryExpectedCells sizes a fresh per-chunk sketch: the expected
-// number of DISTINCT coarse cells in one chunk. Chunks are bounded by
-// ChunkMaxBytes and the shift is chosen so cells are coarse, so a few
-// hundred distinct cells per chunk is generous; the sketch degrades
-// gracefully (higher FP rate, still no false negatives) beyond it.
-const summaryExpectedCells = 256
-
-// summaryMaxProbe bounds the per-chunk work of a range consultation:
-// a query cell range wider than this is answered "may contain" without
-// probing (wide ranges almost never prove empty anyway).
-const summaryMaxProbe = 64
-
-// cellRange is an inclusive [Lo, Hi] range of coarse cells derived
-// from the query's bounds on the leading shard-key field.
-type cellRange struct {
-	Lo, Hi uint64
+// cellCount is one occupied coarse cell of a chunk and the number of
+// the chunk's documents in it.
+type cellCount struct {
+	cell uint64
+	n    int
 }
 
-// summariesOnLocked reports whether per-chunk summaries are being
+func compareCell(e cellCount, cell uint64) int { return cmp.Compare(e.cell, cell) }
+
+// summariesOnLocked reports whether per-chunk cells are being
 // maintained — and so whether the router prunes on them: explicitly
 // enabled, sharded, and range-sharded (hashed tuples scatter cells, so
 // there is nothing coherent to summarise).
@@ -71,52 +64,59 @@ func (c *Cluster) summaryCellLocked(raw bson.Raw) (uint64, bool) {
 	return uint64(iv) >> uint(c.opts.SummaryShift), true
 }
 
-// summaryAddLocked folds one inserted document into its chunk's sketch.
+// summaryAddLocked counts one inserted document in its chunk's cells.
 func (c *Cluster) summaryAddLocked(ch *Chunk, raw []byte) {
 	if !c.summariesOnLocked() {
 		return
 	}
-	if ch.sum == nil {
-		ch.sum = sketch.New(summaryExpectedCells)
-		ch.sumExact = true
-	}
 	cell, ok := c.summaryCellLocked(raw)
 	if !ok {
-		// The chunk now holds a document the sketch cannot see: disable
-		// pruning for this chunk permanently (until a rebuild).
+		// The chunk now holds a document the list cannot see: disable
+		// pruning for this chunk until a rebuild.
 		ch.sumExact = false
 		return
 	}
-	ch.sum.Add(cell)
+	ch.cells = addCell(ch.cells, cell)
 }
 
-// summaryRemoveLocked reflects one deleted document in its chunk's
-// sketch. Removing from a counting bloom filter is safe: saturated
-// slots are sticky, so the sketch over-approximates but never loses a
-// present cell.
+func addCell(cells []cellCount, cell uint64) []cellCount {
+	i, found := slices.BinarySearchFunc(cells, cell, compareCell)
+	if found {
+		cells[i].n++
+		return cells
+	}
+	return slices.Insert(cells, i, cellCount{cell: cell, n: 1})
+}
+
+// summaryRemoveLocked uncounts one deleted document, dropping its cell
+// when no document of the chunk is left in it.
 func (c *Cluster) summaryRemoveLocked(ch *Chunk, raw []byte) {
-	if ch.sum == nil {
+	if len(ch.cells) == 0 {
 		return
 	}
-	if cell, ok := c.summaryCellLocked(raw); ok {
-		ch.sum.Remove(cell)
+	cell, ok := c.summaryCellLocked(raw)
+	if !ok {
+		return
+	}
+	if i, found := slices.BinarySearchFunc(ch.cells, cell, compareCell); found {
+		if ch.cells[i].n--; ch.cells[i].n == 0 {
+			ch.cells = slices.Delete(ch.cells, i, i+1)
+		}
 	}
 }
 
 // rebuildChunkSummaryLocked rescans the chunk's documents on its owning
-// shard and rebuilds the sketch from scratch — used after splits (both
+// shard and rebuilds its cells from scratch — used after splits (both
 // halves inherit nothing) and after recovery (snapshot restores bypass
 // the insert path). It reads one field of each stored document and
 // decodes none.
 func (c *Cluster) rebuildChunkSummaryLocked(ch *Chunk) {
+	ch.cells, ch.sumExact = nil, true
 	if !c.summariesOnLocked() {
-		ch.sum = nil
 		return
 	}
-	ch.sum = sketch.New(summaryExpectedCells)
-	ch.sumExact = true
-	// Summaries are range-sharding only, so the chunk is one interval
-	// of the shard-key index.
+	// Cells are range-sharding only, so the chunk is one interval of
+	// the shard-key index.
 	coll := c.shards[ch.Shard].Coll
 	store := coll.Store()
 	coll.Index(ShardKeyIndexName).ScanInterval(chunkInterval(ch), func(_ []byte, id storage.RecordID) bool {
@@ -125,7 +125,7 @@ func (c *Cluster) rebuildChunkSummaryLocked(ch *Chunk) {
 			return true
 		}
 		if cell, ok := c.summaryCellLocked(raw); ok {
-			ch.sum.Add(cell)
+			ch.cells = addCell(ch.cells, cell)
 		} else {
 			ch.sumExact = false
 		}
@@ -133,72 +133,23 @@ func (c *Cluster) rebuildChunkSummaryLocked(ch *Chunk) {
 	})
 }
 
-// rebuildSummariesLocked rebuilds every chunk's sketch (recovery).
+// rebuildSummariesLocked rebuilds every chunk's cells (recovery).
 func (c *Cluster) rebuildSummariesLocked() {
-	if !c.summariesOnLocked() {
-		for _, ch := range c.chunks {
-			ch.sum = nil
-		}
-		return
-	}
 	for _, ch := range c.chunks {
 		c.rebuildChunkSummaryLocked(ch)
 	}
 }
 
-// pruneCellRangesLocked derives the query's coarse-cell ranges from its
-// bounds on the leading shard-key field. ok is false when the bounds do
-// not translate (unbounded endpoints — bson.MinKey/MaxKey — or
-// non-integer ones): the router then skips pruning for this query.
-func (c *Cluster) pruneCellRangesLocked(set []query.ValueInterval) ([]cellRange, bool) {
-	out := make([]cellRange, 0, len(set))
-	shift := uint(c.opts.SummaryShift)
-	for _, iv := range set {
-		lo, ok := asNonNegInt64(iv.Lo)
-		if !ok {
-			return nil, false
-		}
-		hi, ok := asNonNegInt64(iv.Hi)
-		if !ok {
-			return nil, false
-		}
-		if !iv.LoIncl {
-			if lo == int64(^uint64(0)>>1) {
-				continue
-			}
-			lo++
-		}
-		if !iv.HiIncl {
-			if hi == 0 {
-				continue
-			}
-			hi--
-		}
-		if hi < lo {
-			continue
-		}
-		out = append(out, cellRange{Lo: uint64(lo) >> shift, Hi: uint64(hi) >> shift})
-	}
-	return out, true
-}
-
-func asNonNegInt64(v any) (int64, bool) {
-	iv, ok := bson.Normalize(v).(int64)
-	if !ok || iv < 0 {
-		return 0, false
-	}
-	return iv, true
-}
-
-// chunkMayMatchLocked asks a chunk's sketch whether it may hold any
-// document in the query's cell ranges. A chunk without an exact sketch
-// always may.
-func chunkMayMatchLocked(ch *Chunk, cells []cellRange) bool {
-	if ch.sum == nil || !ch.sumExact {
+// chunkMayMatch reports whether the chunk may hold a document in the
+// coarse cells of the key ranges: whether its list is inexact or holds
+// a cell in some [r.Lo >> shift, r.Hi >> shift].
+func chunkMayMatch(ch *Chunk, ranges []sfc.Range, shift uint) bool {
+	if !ch.sumExact {
 		return true
 	}
-	for _, cr := range cells {
-		if ch.sum.MayContainRange(cr.Lo, cr.Hi, summaryMaxProbe) {
+	for _, r := range ranges {
+		i, _ := slices.BinarySearchFunc(ch.cells, r.Lo>>shift, compareCell)
+		if i < len(ch.cells) && ch.cells[i].cell <= r.Hi>>shift {
 			return true
 		}
 	}

@@ -101,7 +101,7 @@ func BenchmarkMoveChunk(b *testing.B) {
 }
 
 // BenchmarkSplitChunk splits one 512-document chunk at its median
-// (both halves rebuild their sketches), then glues the metadata back.
+// (both halves rebuild their cells), then glues the metadata back.
 func BenchmarkSplitChunk(b *testing.B) {
 	const chunkDocs = 512
 	c := oneChunkCluster(b, wideDocs(4, chunkDocs))

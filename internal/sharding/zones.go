@@ -82,7 +82,7 @@ func (c *Cluster) Zones() []Zone {
 
 // splitAtLocked splits the chunk straddling the boundary (if any) so
 // that the boundary becomes a chunk edge, through the size split's own
-// body: both halves get their share of the bytes and a sketch rebuilt
+// body: both halves get their share of the bytes and cells rebuilt
 // from their documents.
 func (c *Cluster) splitAtLocked(boundary []byte) {
 	for ci, ch := range c.chunks {

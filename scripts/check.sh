@@ -19,10 +19,9 @@ set -eu
 # retry/breaker machinery from concurrent clients, the arena
 # B+tree whose borrowed-slice reads the router runs in parallel, the
 # network transport (pooled conns, streamed replies and the
-# cancellation watchdog all cross goroutines), and the shard-pruning
-# sketches (updated by writers while the router probes them); their
-# stress tests must stay race-clean.
-RACE_PKGS="./internal/sharding/... ./internal/query/... ./internal/storage/... ./internal/wal/... ./internal/core/... ./internal/btree/... ./internal/wire/... ./internal/netconn/... ./internal/sketch/..."
+# cancellation watchdog all cross goroutines); their stress tests must
+# stay race-clean.
+RACE_PKGS="./internal/sharding/... ./internal/query/... ./internal/storage/... ./internal/wal/... ./internal/core/... ./internal/btree/... ./internal/wire/... ./internal/netconn/..."
 
 # package:target. BSON decoding is total (crash recovery feeds it torn
 # and bit-flipped journal bytes), key encoding preserves the logical
@@ -32,10 +31,9 @@ RACE_PKGS="./internal/sharding/... ./internal/query/... ./internal/storage/... .
 # — Next interleaved with forward Seeks that stay in the leaf, cross to
 # the next one or descend from the root — a sorted-slice one, the wire
 # protocol's frame, message, insert and aggregate decoders never panic
-# or over-allocate on hostile network bytes, the counting-bloom
-# sketch never reports a false negative against an exact-set oracle,
-# the executor's typed reads of stored bytes — predicates, top-k
-# sort keys, aggregate keys — never panic on damaged documents and
+# or over-allocate on hostile network bytes, the executor's typed
+# reads of stored bytes — predicates, top-k sort keys, aggregate keys —
+# never panic on damaged documents and
 # answer exactly what decoding the document first answers, an ordered
 # execution — sort keys read from the index or from the document —
 # answers exactly what stable-sorting its unordered matches does, and the
@@ -43,14 +41,15 @@ RACE_PKGS="./internal/sharding/... ./internal/query/... ./internal/storage/... .
 # bson.Validate (all that stands between wire or journal bytes and the
 # store) accepts exactly what Unmarshal accepts and knows Marshal's form
 # from a liberal encoder's, and the index keys, shard-key tuples and
-# sketch cells read from stored bytes on insert, split, migration and
+# summary cells read from stored bytes on insert, split, migration and
 # delete are byte for byte the ones built from the decoded document. The
 # router's per-query front end — bounds, plan-cache shape, segments and
-# residuals, targets and pruned shards — answers exactly what the
-# implementation it replaced answers. The bytes every write path stores,
-# appended straight from the record, are byte for byte what marshalling
+# residuals, targets — answers exactly what the implementation it
+# replaced answers, and prunes exactly the shards a scan of the
+# documents finds empty in the query's cells. The bytes every write
+# path stores, appended straight from the record, are byte for byte what marshalling
 # the boxed reference document gives, and both refuse the same records.
-FUZZ_TARGETS="bson:FuzzDocumentRoundTrip bson:FuzzValidate keyenc:FuzzKeyOrdering wal:FuzzFrameRecover btree:FuzzTreeOps btree:FuzzIteratorSeek wire:FuzzFrameDecode wire:FuzzInsertDecode wire:FuzzAggregateDecode sketch:FuzzSketch query:FuzzRawMatch query:FuzzOrderedExecution index:FuzzEntryKeyRaw sharding:FuzzShardKeyRaw sharding:FuzzFrontEnd core:FuzzEncodeRecord core:FuzzContainedCells core:FuzzKeyRanges"
+FUZZ_TARGETS="bson:FuzzDocumentRoundTrip bson:FuzzValidate keyenc:FuzzKeyOrdering wal:FuzzFrameRecover btree:FuzzTreeOps btree:FuzzIteratorSeek wire:FuzzFrameDecode wire:FuzzInsertDecode wire:FuzzAggregateDecode query:FuzzRawMatch query:FuzzOrderedExecution index:FuzzEntryKeyRaw sharding:FuzzShardKeyRaw sharding:FuzzFrontEnd core:FuzzEncodeRecord core:FuzzContainedCells core:FuzzKeyRanges"
 
 step() {
     case "$1" in
