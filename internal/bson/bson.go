@@ -338,7 +338,9 @@ func CanonicalClass(v any) int { return canonicalClass(KindOf(v)) }
 func (k Kind) Class() int { return canonicalClass(k) }
 
 // NumericValue converts any numeric kind to float64 and reports
-// whether the value was numeric.
+// whether the value was numeric. The conversion, and so Compare, is
+// exact for integers up to 2^53 in magnitude; every value the store
+// produces (Hilbert cells, epoch milliseconds) is far below that.
 func NumericValue(v any) (float64, bool) {
 	switch t := v.(type) {
 	case int32:
@@ -474,14 +476,6 @@ func Equal(a, b any) bool { return Compare(a, b) == 0 }
 // SortValues sorts a slice of values in canonical order, in place.
 func SortValues(vs []any) {
 	slices.SortFunc(vs, Compare)
-}
-
-// Float64SafeInt reports whether the int64 survives a round trip
-// through float64, which the numeric comparison above relies on for
-// exactness. All values the store produces (Hilbert cells, epoch
-// milliseconds) are far below 2^53.
-func Float64SafeInt(v int64) bool {
-	return v >= -(1<<53) && v <= 1<<53 && int64(float64(v)) == v
 }
 
 // Normalize maps Go ints to int64 so that documents round-trip through

@@ -1,6 +1,7 @@
 package bson
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -236,8 +237,8 @@ func TestObjectIDLayout(t *testing.T) {
 	if id1 == id2 {
 		t.Fatal("consecutive ids equal")
 	}
-	if got := id1.Timestamp(); !got.Equal(at) {
-		t.Fatalf("Timestamp = %v, want %v", got, at)
+	if got := binary.BigEndian.Uint32(id1[0:4]); int64(got) != at.Unix() {
+		t.Fatalf("leading 4 bytes hold %d, want the generation time %d", got, at.Unix())
 	}
 	// Same generation time => 9-byte shared prefix (timestamp+random).
 	for i := 0; i < 9; i++ {
@@ -279,16 +280,5 @@ func TestRawSizeMatchesEncodedSizeForNested(t *testing.T) {
 	})
 	if got, want := len(Marshal(doc)), RawSize(doc); got != want {
 		t.Fatalf("encoded %d bytes, RawSize says %d", got, want)
-	}
-}
-
-func TestFloat64SafeInt(t *testing.T) {
-	for _, v := range []int64{0, 1, -1, 1 << 52, 1 << 53, -(1 << 53)} {
-		if !Float64SafeInt(v) {
-			t.Errorf("Float64SafeInt(%d) = false", v)
-		}
-	}
-	if Float64SafeInt(1<<53 + 1) {
-		t.Error("Float64SafeInt(2^53+1) = true")
 	}
 }

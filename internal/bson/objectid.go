@@ -55,11 +55,6 @@ func (g *ObjectIDGen) New(at time.Time) ObjectID {
 	return id
 }
 
-// Timestamp returns the generation time encoded in the id.
-func (o ObjectID) Timestamp() time.Time {
-	return time.Unix(int64(binary.BigEndian.Uint32(o[0:4])), 0).UTC()
-}
-
 // Hex returns the usual lowercase hex form of the id.
 func (o ObjectID) Hex() string { return hex.EncodeToString(o[:]) }
 

@@ -127,35 +127,3 @@ func TestChunkSizeInvariance(t *testing.T) {
 		}
 	}
 }
-
-// TestDeleteRetention ages out the oldest month and verifies every
-// approach keeps answering correctly afterwards.
-func TestDeleteRetention(t *testing.T) {
-	recs := testRecords(1500)
-	cutoff := testStart.Add(12 * 24 * time.Hour)
-	for _, a := range []Approach{BslST, Hil} {
-		s := openStore(t, a, 3)
-		if err := s.Load(recs); err != nil {
-			t.Fatal(err)
-		}
-		old := STQuery{Rect: testExtent, From: testStart.Add(-time.Hour), To: cutoff}
-		recent := STQuery{Rect: testExtent, From: cutoff.Add(time.Nanosecond), To: testStart.Add(40 * 24 * time.Hour)}
-		wantOld, wantRecent := s.Count(old), s.Count(recent)
-		deleted, err := s.Delete(old)
-		if err != nil {
-			t.Fatalf("%s: %v", a, err)
-		}
-		if deleted != wantOld {
-			t.Fatalf("%s: deleted %d, want %d", a, deleted, wantOld)
-		}
-		if got := s.Count(old); got != 0 {
-			t.Fatalf("%s: %d old records survive", a, got)
-		}
-		if got := s.Count(recent); got != wantRecent {
-			t.Fatalf("%s: recent records %d, want %d", a, got, wantRecent)
-		}
-		if got := s.Cluster().ClusterStats().Docs; got != 1500-wantOld {
-			t.Fatalf("%s: cluster holds %d docs", a, got)
-		}
-	}
-}

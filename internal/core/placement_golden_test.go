@@ -10,13 +10,11 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/btree"
 	"repro/internal/collection"
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/geo"
 	"repro/internal/index"
 	"repro/internal/sharding"
 	"repro/internal/storage"
@@ -84,8 +82,8 @@ func keySequenceDigest(ix *index.Index) string {
 
 // TestPlacementGolden pins the write path's placement decisions to a
 // golden file: a seeded bulk load and balance on six shards, 64-document
-// idempotent batches across further splits and migrations, a filtered
-// delete, then close and journal recovery. The chunk map, per-shard
+// idempotent batches across further splits and migrations, then close
+// and journal recovery. The chunk map, per-shard
 // record-id counters, content fingerprint and every index's key
 // sequence must equal the golden before the close and after recovery.
 func TestPlacementGolden(t *testing.T) {
@@ -120,14 +118,6 @@ func TestPlacementGolden(t *testing.T) {
 	after := s.Cluster().ClusterStats()
 	if splits, moves := after.Splits-before.Splits, after.Migrations-before.Migrations; splits < 20 || moves < 10 {
 		t.Fatalf("batches crossed %d splits and %d migrations, want at least 20 and 10", splits, moves)
-	}
-	deleted, err := s.Delete(core.STQuery{
-		Rect: geo.NewRect(23.70, 37.90, 23.80, 38.00),
-		From: data.RStart,
-		To:   data.RStart.Add(40 * 24 * time.Hour),
-	})
-	if err != nil || deleted == 0 {
-		t.Fatalf("delete removed %d documents, err %v", deleted, err)
 	}
 
 	live := placementOf(s)

@@ -362,14 +362,6 @@ func (s *Store) Count(q STQuery) int {
 	return s.Query(q).Stats.NReturned
 }
 
-// Delete removes every record matching the spatio-temporal query and
-// returns the number deleted — the retention operation the paper's
-// introduction motivates (fleet operators aging out historical data).
-func (s *Store) Delete(q STQuery) (int, error) {
-	f, _, _ := s.Filter(q)
-	return s.cluster.Delete(f)
-}
-
 // Explain returns the routing decision and each targeted shard's
 // plan explanation for the query — the store-level analogue of the
 // server's explain("executionStats").

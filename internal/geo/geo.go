@@ -107,18 +107,6 @@ func (r Rect) AreaKm2() float64 {
 	return math.Abs(earthRadiusKm * earthRadiusKm * lonSpan * sinLat)
 }
 
-// HaversineKm returns the great-circle distance between two points in
-// kilometres.
-func HaversineKm(a, b Point) float64 {
-	lat1 := a.Lat * math.Pi / 180
-	lat2 := b.Lat * math.Pi / 180
-	dLat := (b.Lat - a.Lat) * math.Pi / 180
-	dLon := (b.Lon - a.Lon) * math.Pi / 180
-	h := math.Sin(dLat/2)*math.Sin(dLat/2) +
-		math.Cos(lat1)*math.Cos(lat2)*math.Sin(dLon/2)*math.Sin(dLon/2)
-	return 2 * earthRadiusKm * math.Asin(math.Sqrt(h))
-}
-
 // GeoJSONPoint builds the embedded document the store keeps in the
 // location field:
 //

@@ -82,18 +82,6 @@ func TestPaperQueryRectAreas(t *testing.T) {
 	}
 }
 
-func TestHaversine(t *testing.T) {
-	athens := Point{Lon: 23.727539, Lat: 37.983810}
-	thessaloniki := Point{Lon: 22.944419, Lat: 40.640063}
-	d := HaversineKm(athens, thessaloniki)
-	if d < 290 || d > 310 { // ~300 km
-		t.Fatalf("Athens-Thessaloniki = %f km", d)
-	}
-	if HaversineKm(athens, athens) != 0 {
-		t.Fatal("distance to self != 0")
-	}
-}
-
 func TestGeoJSONPointRoundTrip(t *testing.T) {
 	p := Point{Lon: 23.727539, Lat: 37.983810}
 	doc := GeoJSONPoint(p)

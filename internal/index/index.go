@@ -79,8 +79,8 @@ func (d Definition) geoBits() uint {
 // tree walks, so concurrent readers are safe whenever no writer runs.
 // Insert/Remove mutate the tree and must be serialised against both
 // writers and readers — the collection's lock (and above it the
-// cluster's) provides exactly that: queries hold read locks, inserts,
-// deletes and chunk migrations hold write locks.
+// cluster's) provides exactly that: queries hold read locks, inserts
+// and chunk migrations hold write locks.
 type Index struct {
 	def  Definition
 	tree *btree.Tree

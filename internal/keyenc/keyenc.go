@@ -210,15 +210,6 @@ func EncodeComposite(vs ...any) []byte {
 	return dst
 }
 
-// Successor returns the smallest byte string strictly greater than k
-// under bytewise order with the "shorter sorts first" convention:
-// k + 0x00. It is used to turn inclusive bounds into exclusive ones.
-func Successor(k []byte) []byte {
-	out := make([]byte, len(k)+1)
-	copy(out, k)
-	return out
-}
-
 // PrefixUpperBound returns the smallest byte string greater than every
 // string that has prefix k, or nil when no such string exists (k is
 // all 0xFF). Range scans over "all keys with this prefix" use it as an
@@ -315,20 +306,4 @@ func need(k []byte, n int) (int, error) {
 		return 0, fmt.Errorf("keyenc: truncated component (need %d bytes, have %d)", n, len(k))
 	}
 	return n, nil
-}
-
-// CommonPrefixLen returns the length of the longest common prefix of a
-// and b; the B-tree size estimator uses it to model prefix
-// compression.
-func CommonPrefixLen(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	return n
 }

@@ -147,17 +147,6 @@ func TestStringPrefixNotConfusedAcrossComponents(t *testing.T) {
 	}
 }
 
-func TestSuccessorIsSmallestGreater(t *testing.T) {
-	k := Encode(int64(42))
-	s := Successor(k)
-	if bytes.Compare(s, k) <= 0 {
-		t.Fatal("successor not greater")
-	}
-	if got := Encode(int64(43)); bytes.Compare(s, got) >= 0 {
-		t.Fatal("successor not smaller than next encoded value")
-	}
-}
-
 func TestPrefixUpperBound(t *testing.T) {
 	p := []byte{0x20, 0x80, 0xFF}
 	ub := PrefixUpperBound(p)
@@ -184,24 +173,6 @@ func TestPrefixUpperBoundProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCommonPrefixLen(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want int
-	}{
-		{"", "", 0},
-		{"abc", "abc", 3},
-		{"abc", "abd", 2},
-		{"abc", "ab", 2},
-		{"xyz", "abc", 0},
-	}
-	for _, tc := range cases {
-		if got := CommonPrefixLen([]byte(tc.a), []byte(tc.b)); got != tc.want {
-			t.Errorf("CommonPrefixLen(%q, %q) = %d, want %d", tc.a, tc.b, got, tc.want)
-		}
 	}
 }
 

@@ -162,12 +162,13 @@ func TestKeyOnlyScanCancels(t *testing.T) {
 	}
 }
 
-// TestInteriorSkipNeverReachesDeletes: under a containment that lies —
-// it calls every cell interior — a find keeps documents outside the
-// rectangle unrefined, which shows the skip ran, while MatchingRecords,
-// the lookup behind deletes, refines every document and returns only
-// the true matches.
-func TestInteriorSkipNeverReachesDeletes(t *testing.T) {
+// TestMatchingRecordsRefinesEveryDocument: under a containment that
+// lies — it calls every cell interior — a find keeps documents outside
+// the rectangle unrefined, which shows the skip ran, while
+// MatchingRecords refines every document and returns only the true
+// matches, the id list whose fetch and refine the benchmark's trace
+// times.
+func TestMatchingRecordsRefinesEveryDocument(t *testing.T) {
 	c := buildCollection(t, 2000)
 	mustIndex(t, c, index.Definition{Name: "hd", Fields: []index.Field{
 		{Name: "hilbertIndex", Kind: index.Ascending},

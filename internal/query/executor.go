@@ -164,8 +164,8 @@ func (e *exec) result(start time.Time, trials []TrialResult) *Result {
 }
 
 // MatchingRecords plans and runs the filter, returning the record ids
-// of the matching documents (the write path's lookup step: deletes
-// and updates resolve their targets through this).
+// of the matching documents, every one refined: benchmark/trace.go
+// times its fetch and refine stages over exactly this id list.
 func MatchingRecords(coll *collection.Collection, f Filter, cfg *Config) []storage.RecordID {
 	plan, _ := ChoosePlan(coll, f, cfg)
 	s := getScratch()
@@ -216,7 +216,7 @@ type exec struct {
 	opts     Opts
 	s        *scratch
 	// ids, when non-nil, redirects collection: matching record ids
-	// are appended instead of documents (the write path's lookup).
+	// are appended instead of documents (MatchingRecords).
 	ids      *[]storage.RecordID
 	stats    ExecStats
 	ctxErr   error
@@ -240,10 +240,10 @@ type exec struct {
 // aggregate execution whose plan residual a key in an interior cell
 // proves. A count, or a cell histogram over the containment's leading
 // field, takes such a key's whole contribution from the key. An
-// execution that collects record ids for a write never classifies, so
-// a delete refines every document it removes.
+// id-collecting execution (MatchingRecords) never sets collect, so it
+// never classifies and refines every document.
 func (e *exec) contain(cfg *Config, p *Prepared) {
-	if cfg == nil || cfg.Contain == nil || e.p.Index == nil || !e.collect || e.ids != nil {
+	if cfg == nil || cfg.Contain == nil || e.p.Index == nil || !e.collect {
 		return
 	}
 	e.in = p.interiorFor(e.p, cfg.Contain)
@@ -294,7 +294,7 @@ func (e *exec) run() bool {
 // -1 otherwise: unordered, aggregating or id-collecting executions, and
 // a field the index lacks or holds only as a 2dsphere cell.
 func (e *exec) sortComponent() int {
-	if !e.collect || e.ids != nil || e.opts.Agg.Active() || !e.opts.ordered() {
+	if !e.collect || e.opts.Agg.Active() || !e.opts.ordered() {
 		return -1
 	}
 	for i, f := range e.p.Index.Def().Fields {

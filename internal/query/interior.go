@@ -22,7 +22,7 @@ import (
 // cell histogram over Leading, takes the document's contribution from
 // the key without fetching it; any other document execution fetches it
 // and keeps it without the refine. An execution that collects record
-// ids for a write (MatchingRecords) never classifies.
+// ids (MatchingRecords) never classifies: it refines every document.
 //
 // The proof holds only while every stored document keeps the
 // invariant: a store that supplies a Containment through Config writes

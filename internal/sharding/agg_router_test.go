@@ -182,40 +182,11 @@ func TestWideEmptyCoverIsPruned(t *testing.T) {
 	}
 }
 
-// TestCellPruningSurvivesDeletes: after deleting every document of a
-// cell range, queries over it and its neighbours still answer
-// correctly (the deletes must not make a live cell look empty).
-func TestCellPruningSurvivesDeletes(t *testing.T) {
-	opts := smallOpts()
-	opts.SummaryShift = 4
-	c, ref := loadCluster(t, 2000, hilbertDateKey(), opts)
-	f := hilbertCells(1000, 2000)
-	if _, err := c.Delete(f); err != nil {
-		t.Fatal(err)
-	}
-	res := c.Query(f)
-	if res.Err != nil || len(res.Docs) != 0 {
-		t.Fatalf("post-delete query: %d docs, err %v", len(res.Docs), res.Err)
-	}
-	// Neighbouring ranges still answer exactly (the deletes must not
-	// have made any live cell look empty).
-	for _, g := range []query.Filter{hilbertCells(0, 999), hilbertCells(2001, 4096)} {
-		got := c.Query(g)
-		if got.Err != nil {
-			t.Fatal(got.Err)
-		}
-		refRes := query.Execute(ref, g, nil)
-		if len(got.Docs) != len(refRes.Docs) {
-			t.Fatalf("post-delete neighbour: %d vs reference %d", len(got.Docs), len(refRes.Docs))
-		}
-	}
-}
-
 // TestResultCacheHitIsByteIdenticalAndEpochInvalidated interleaves
-// ingest batches, splits (driven by volume), deletes and retention-
-// style drops with cached queries — document and aggregate — and
-// checks that every warm answer is byte-identical to a cold execution
-// of the same query at that moment (zero stale hits).
+// ingest batches and the splits they drive with cached queries —
+// document and aggregate — and checks that every warm answer is
+// byte-identical to a cold execution of the same query at that moment
+// (zero stale hits).
 func TestResultCacheHitIsByteIdenticalAndEpochInvalidated(t *testing.T) {
 	opts := smallOpts()
 	opts.SummaryShift = 4
@@ -293,16 +264,6 @@ func TestResultCacheHitIsByteIdenticalAndEpochInvalidated(t *testing.T) {
 		}
 		check(round)
 		check(round) // second pass: same data, hits must serve
-		if round%3 == 2 {
-			del := hilbertRange(int64(round*100), int64(round*100+300))
-			if _, err := c.Delete(del); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := cold.Delete(del); err != nil {
-				t.Fatal(err)
-			}
-			check(round)
-		}
 	}
 	hits, misses := c.ResultCacheStats()
 	if hits == 0 {
@@ -342,14 +303,6 @@ func TestResultCacheInvalidation(t *testing.T) {
 	}
 	if !c.Query(f).CacheHit {
 		t.Fatal("refilled entry missed")
-	}
-
-	if _, err := c.Delete(query.Cmp{Field: "hilbertIndex", Op: query.OpEQ, Value: int64(42)}); err != nil {
-		t.Fatal(err)
-	}
-	fourth := c.Query(f)
-	if fourth.CacheHit {
-		t.Fatal("stale cache hit after delete")
 	}
 }
 

@@ -178,10 +178,10 @@ type Cluster struct {
 
 	// epochs are the per-shard content epochs, indexed by shard id:
 	// every operation that can change what a shard's queries return
-	// (insert, delete, split, migration)
-	// bumps the owning shards' entries under the write lock. The result
-	// cache validates hits against them; queries read them under the
-	// read lock, so they are stable for the whole scatter-gather.
+	// (insert, split, migration) bumps the owning shards' entries under
+	// the write lock. The result cache validates hits against them;
+	// queries read them under the read lock, so they are stable for the
+	// whole scatter-gather.
 	epochs []uint64
 
 	// rcache is the epoch-invalidated result cache (nil when
@@ -189,9 +189,9 @@ type Cluster struct {
 	rcache *resultCache
 
 	// fpDocs and fpSum are the content fingerprint (ContentFingerprint):
-	// insertRawLocked adds each stored document's docChecksum,
-	// removeLocked subtracts it, a migration changes neither, and a
-	// snapshot restore sums the restored records once.
+	// insertRawLocked adds each stored document's docChecksum, a
+	// migration changes neither, and a snapshot restore sums the
+	// restored records once.
 	fpDocs int
 	fpSum  uint64
 }
@@ -475,76 +475,6 @@ func (c *Cluster) afterSplit(left, right *Chunk) {
 	c.bumpEpochLocked(left.Shard)
 	c.rebuildChunkSummaryLocked(left)
 	c.rebuildChunkSummaryLocked(right)
-}
-
-// Delete removes every document matching the filter, keeping the
-// chunk metadata accurate, and returns the number deleted. Each removed
-// document is one opDelete journal record; the write lock is held
-// throughout, so deletes never interleave with splits, migrations or
-// queries. A closed cluster refuses the delete with ErrClosed.
-func (c *Cluster) Delete(f query.Filter) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return 0, ErrClosed
-	}
-	deleted, err := c.deleteMatchingLocked(f)
-	return deleted, c.finishWriteLocked(err)
-}
-
-func (c *Cluster) deleteMatchingLocked(f query.Filter) (int, error) {
-	deleted := 0
-	for i, s := range c.shards {
-		for _, id := range query.MatchingRecords(s.Coll, f, c.opts.QueryConfig) {
-			if err := c.deleteRecordLocked(i, id); err != nil {
-				return deleted, err
-			}
-			deleted++
-		}
-	}
-	return deleted, nil
-}
-
-// deleteRecordLocked removes one record from its shard and journals the
-// delete — Cluster.Delete's unit of work, and what replaying an opDelete
-// record re-executes (the journal is detached then).
-func (c *Cluster) deleteRecordLocked(shard int, id storage.RecordID) error {
-	if shard < 0 || shard >= len(c.shards) {
-		return fmt.Errorf("sharding: delete names unknown shard %d", shard)
-	}
-	if err := c.removeLocked(c.shards[shard].Coll, id); err != nil {
-		return err
-	}
-	c.journal(opDelete, encodeDelete(shard, id))
-	return nil
-}
-
-// removeLocked deletes one record from a shard's collection and keeps
-// the chunk metadata and the content fingerprint accurate. It is the
-// one body that drops a document (Delete and its journal replay).
-func (c *Cluster) removeLocked(coll *collection.Collection, id storage.RecordID) error {
-	raw, _ := coll.Store().FetchRaw(id) // a missing record fails the Delete below
-	if err := coll.Delete(id); err != nil {
-		return err
-	}
-	c.fpDocs--
-	c.fpSum -= docChecksum(raw)
-	if !c.sharded {
-		c.bumpEpochLocked(0)
-		return nil
-	}
-	var buf tupleBuf
-	if ci := c.findChunk(c.key.AppendTupleRaw(buf[:0], raw)); ci >= 0 {
-		ch := c.chunks[ci]
-		ch.Docs--
-		ch.Bytes -= int64(len(raw))
-		if ch.Bytes < 0 {
-			ch.Bytes = 0
-		}
-		c.bumpEpochLocked(ch.Shard)
-		c.summaryRemoveLocked(ch, raw)
-	}
-	return nil
 }
 
 // bumpEpochLocked advances one shard's content epoch, invalidating

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/bson"
 	"repro/internal/index"
-	"repro/internal/query"
 )
 
 var updateJournalGolden = flag.Bool("update-journal-golden", false,
@@ -18,8 +17,7 @@ var updateJournalGolden = flag.Bool("update-journal-golden", false,
 
 // journalBytes encodes one body of every journal op and one snapshot
 // payload from fixed inputs chosen to cross the encodings' corners:
-// multi-byte and negative varints, empty and non-empty strings, a
-// record id past one varint byte.
+// multi-byte and negative varints, empty and non-empty strings.
 func journalBytes(t *testing.T) map[string]string {
 	t.Helper()
 	opts := Options{Shards: 4, ChunkMaxBytes: 600, AutoBalanceEvery: -1, CollectionName: "golden"}
@@ -39,13 +37,12 @@ func journalBytes(t *testing.T) map[string]string {
 		"shardCollection": hex.EncodeToString(encodeShardKey(hilbertDateKey())),
 		"createIndex":     hex.EncodeToString(encodeIndexDef(geoIndex)),
 		"setZones":        hex.EncodeToString(encodeZones(zones)),
-		"delete":          hex.EncodeToString(encodeDelete(3, 300)),
 		"insertBatch":     hex.EncodeToString(encodeInsertBatch("golden/1", bson.MarshalAll(docs[:2]))),
 		"insertBatchNoID": hex.EncodeToString(encodeInsertBatch("", bson.MarshalAll(docs[2:3]))),
 	}
 
 	// The snapshot of a small durable cluster that split, moved chunks
-	// into zones, deleted, and remembers a batch id.
+	// into zones, and remembers a batch id.
 	o := durOpts(t.TempDir(), nil)
 	o.ChunkMaxBytes, o.AutoBalanceEvery = 600, 4
 	c := openDurable(t, o)
@@ -57,10 +54,6 @@ func journalBytes(t *testing.T) map[string]string {
 		func(c *Cluster) error { return c.Insert(docs[8]) },
 		func(c *Cluster) error { return c.SetZones(zones) },
 		func(c *Cluster) error { _, _, err := c.InsertBatch("golden/2", docs[9:]); return err },
-		func(c *Cluster) error {
-			_, err := c.Delete(query.Cmp{Field: "hilbertIndex", Op: query.OpLT, Value: int64(800)})
-			return err
-		},
 		func(c *Cluster) error { c.Balance(); return nil },
 	}
 	applyOps(t, c, steps)

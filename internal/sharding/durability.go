@@ -6,15 +6,15 @@ package sharding
 // recovery).
 //
 // Design. The journal records *logical cluster operations* — insert
-// batch, per-document delete, shardCollection, createIndex, setZones,
-// balance — not physical page changes. Recovery replays them through
-// the exact code paths that produced them, and
-// because routing, chunk splitting and balancing are deterministic
-// functions of the operation order, the recovered cluster's chunk map,
-// per-chunk statistics, record ids and index contents are
-// byte-identical to the pre-crash state. Record bodies for inserts are
-// the raw BSON bytes the storage layer stored, and replay stores those
-// same bytes again — validated (bson.Validate), never decoded.
+// batch, shardCollection, createIndex, setZones, balance — not physical
+// page changes. Recovery replays them through the exact code paths
+// that produced them, and because routing, chunk splitting and
+// balancing are deterministic functions of the operation order, the
+// recovered cluster's chunk map, per-chunk statistics, record ids and
+// index contents are byte-identical to the pre-crash state. Record
+// bodies for inserts are the raw BSON bytes the storage layer stored,
+// and replay stores those same bytes again — validated (bson.Validate),
+// never decoded.
 //
 // Layout: a store directory holds one journal file. Every record is
 // appended by the cluster operation that decided it, under the cluster
@@ -48,7 +48,7 @@ const (
 	opSetZones        uint8 = 4 // zone ranges
 	opBalance         uint8 = 5 // explicit balancer run
 	opInsert          uint8 = 6 // reserved: the per-shard journal layout's single insert; never written, refused on replay
-	opDelete          uint8 = 7 // shard + record id
+	opDelete          uint8 = 7 // reserved: a removed document delete (shard + record id); never written, refused on replay
 	opInsertBatch     uint8 = 8 // batch id + raw documents (see ingest.go)
 	opDropBelow       uint8 = 9 // reserved: TTL retention's drop below a shard-key prefix; never written, refused on replay
 )
@@ -64,6 +64,18 @@ var errOldLayout = errors.New("store directory uses the per-shard journal layout
 // errRetentionRecord refuses a journal holding an op-9 record: a drop
 // below a shard-key prefix, written only by the TTL retention loop.
 var errRetentionRecord = errors.New("journal holds a retention drop (op 9): this store used TTL retention, which was removed after f528198; load the data into a new directory")
+
+// errDeleteRecord refuses a journal holding an op-7 record: one
+// document removed by a delete.
+var errDeleteRecord = errors.New("journal holds a document delete (op 7): document deletes were removed after baa4aea; load the data into a new directory")
+
+// retiredOps maps each opcode this version no longer writes to the
+// error that refuses a journal holding it.
+var retiredOps = map[uint8]error{
+	opInsert:    errOldLayout,
+	opDelete:    errDeleteRecord,
+	opDropBelow: errRetentionRecord,
+}
 
 // durability is the cluster's journaling state; nil on an in-memory
 // cluster and while recovery replays.
@@ -236,8 +248,8 @@ func (c *Cluster) Sync() error {
 }
 
 // Close marks the cluster closed and syncs and closes the journal. The
-// cluster remains usable for reads; inserts, loads, deletes, balancing
-// and DDL are refused with ErrClosed before anything of them is applied.
+// cluster remains usable for reads; inserts, loads, balancing and DDL
+// are refused with ErrClosed before anything of them is applied.
 // A second Close returns nil.
 func (c *Cluster) Close() error {
 	c.mu.Lock()
@@ -317,19 +329,8 @@ func (c *Cluster) replay(recs []wal.Record) error {
 			if err := c.Balance(); err != nil {
 				return fmt.Errorf("sharding: replay lsn %d: %w", rec.LSN, err)
 			}
-		case opInsert:
-			return fmt.Errorf("sharding: replay lsn %d: %w", rec.LSN, errOldLayout)
-		case opDelete:
-			shard, id, err := decodeDelete(rec.Body)
-			if err != nil {
-				return fmt.Errorf("sharding: replay lsn %d: %w", rec.LSN, err)
-			}
-			c.mu.Lock()
-			err = c.deleteRecordLocked(shard, id)
-			c.mu.Unlock()
-			if err != nil {
-				return fmt.Errorf("sharding: replay lsn %d: %w", rec.LSN, err)
-			}
+		case opInsert, opDelete, opDropBelow:
+			return fmt.Errorf("sharding: replay lsn %d: %w", rec.LSN, retiredOps[rec.Op])
 		case opInsertBatch:
 			batchID, docs, err := decodeInsertBatch(rec.Body)
 			if err != nil {
@@ -338,8 +339,6 @@ func (c *Cluster) replay(recs []wal.Record) error {
 			// Per-document failures replay identically to the original
 			// execution; the batch's dedup mark is re-established.
 			c.commitIngest([]*ingestReq{{batchID: batchID, docs: docs}})
-		case opDropBelow:
-			return fmt.Errorf("sharding: replay lsn %d: %w", rec.LSN, errRetentionRecord)
 		default:
 			return fmt.Errorf("sharding: replay lsn %d: unknown op %d", rec.LSN, rec.Op)
 		}
@@ -352,8 +351,8 @@ func (c *Cluster) replay(recs []wal.Record) error {
 // their raw bytes. Two clusters holding the same documents fingerprint
 // identically regardless of shard placement, which makes the value a
 // dataset identity for benchmark reports, the handshake and a cheap
-// recovery check. The pair is maintained by the bodies that store and
-// drop documents, so reading it is O(1).
+// recovery check. The pair is maintained by the bodies that store
+// documents, so reading it is O(1).
 func (c *Cluster) ContentFingerprint() (docs int, checksum uint64) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -658,20 +657,6 @@ func decodeZones(body []byte) ([]Zone, error) {
 		return nil, fmt.Errorf("sharding: corrupt zones record: %w", d.err)
 	}
 	return zones, nil
-}
-
-func encodeDelete(shard int, id storage.RecordID) []byte {
-	return binary.AppendUvarint(binary.AppendUvarint(nil, uint64(shard)), uint64(id))
-}
-
-func decodeDelete(body []byte) (shard int, id storage.RecordID, err error) {
-	d := &decoder{buf: body}
-	shard = int(d.uvarint())
-	id = storage.RecordID(d.uvarint())
-	if d.err != nil {
-		return 0, 0, fmt.Errorf("sharding: corrupt delete record: %w", d.err)
-	}
-	return shard, id, nil
 }
 
 // --- little encoding helpers ---------------------------------------

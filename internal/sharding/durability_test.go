@@ -2,6 +2,7 @@ package sharding
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -47,8 +48,7 @@ func durBatch(id string, docs []*bson.Document, wantApplied int, wantDup bool) d
 
 // durWorkload builds a deterministic operation sequence that crosses
 // every record kind of the journal: the DDL first (shard key, then a
-// 2dsphere index), then single inserts with occasional range deletes
-// and batches, and — once each, at fixed fractions of n — an explicit
+// 2dsphere index), then single inserts with occasional batches, and — once each, at fixed fractions of n — an explicit
 // balance, a batch holding a document the 2dsphere index rejects (it is
 // stored, fails and rolls back inside the batch, consuming a record id;
 // this store has no unique index, so a duplicate _id would not fail), a
@@ -107,15 +107,6 @@ func durWorkload(n int, seed int64) []durOp {
 		case 2 * n / 3:
 			zones := ZonesFromSplits("hilbertIndex", []any{int64(1024), int64(2048), int64(3072)}, 4)
 			ops = append(ops, func(c *Cluster) error { return c.SetZones(zones) })
-			continue
-		}
-		if len(ops) > 10 && rng.Intn(16) == 0 {
-			lo := int64(rng.Intn(4096))
-			f := query.NewAnd(
-				query.Cmp{Field: "hilbertIndex", Op: query.OpGTE, Value: lo},
-				query.Cmp{Field: "hilbertIndex", Op: query.OpLTE, Value: lo + int64(rng.Intn(64))},
-			)
-			ops = append(ops, func(c *Cluster) error { _, err := c.Delete(f); return err })
 			continue
 		}
 		if rng.Intn(16) == 0 {
@@ -702,37 +693,54 @@ func TestOpenRefusesPerShardJournalLayout(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesRetentionRecord: a journal holding an op-9 record — a
-// drop below a shard-key prefix, which only the removed TTL retention
-// loop wrote — is refused with an error that names it, and not one byte
-// of the directory changes.
+// TestOpenRefusesRetentionRecord: a journal holding a record of a
+// retired op — an op-9 drop below a shard-key prefix, which only the
+// removed TTL retention loop wrote, or an op-7 document delete — behind
+// records a store can replay is refused with an error that names it,
+// and not one byte of the directory changes.
 func TestOpenRefusesRetentionRecord(t *testing.T) {
 	opts := durOpts("", nil).withDefaults()
-	var journal []byte
-	for _, rec := range []wal.Record{
-		{LSN: 1, Op: opInit, Body: encodeInitBody(opts)},
-		{LSN: 2, Op: opShardCollection, Body: encodeShardKey(hilbertDateKey())},
-		{LSN: 3, Op: opInsertBatch, Body: encodeInsertBatch("b1", bson.MarshalAll(ingestDocs(3, 4)))},
-		{LSN: 4, Op: opDropBelow, Body: appendBytes(nil, keyenc.Encode(int64(700)))},
+	for _, tc := range []struct {
+		name    string
+		op      uint8
+		body    []byte
+		want    error
+		message string
+	}{
+		{"retention drop", opDropBelow, appendBytes(nil, keyenc.Encode(int64(700))), errRetentionRecord, "TTL retention"},
+		// Shard 0, record 1: the first document of the batch before it.
+		{"document delete", opDelete, binary.AppendUvarint(binary.AppendUvarint(nil, 0), 1), errDeleteRecord, "document deletes"},
 	} {
-		journal = wal.AppendFrame(journal, rec)
-	}
-	journal = append(journal, 0xde, 0xad) // a torn tail a normal open would cut
-	dir := t.TempDir()
-	path := filepath.Join(dir, journalName)
-	if err := os.WriteFile(path, journal, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c, err := OpenCluster(durOpts(dir, nil))
-	if err == nil {
-		c.Close()
-		t.Fatal("OpenCluster replayed a retention drop")
-	}
-	if !errors.Is(err, errRetentionRecord) || !strings.Contains(err.Error(), "TTL retention") {
-		t.Fatalf("error does not name the retention record: %v", err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil || !bytes.Equal(got, journal) {
-		t.Fatalf("journal changed (%d bytes, was %d; err %v)", len(got), len(journal), err)
+		var journal []byte
+		for _, rec := range []wal.Record{
+			{LSN: 1, Op: opInit, Body: encodeInitBody(opts)},
+			{LSN: 2, Op: opShardCollection, Body: encodeShardKey(hilbertDateKey())},
+			{LSN: 3, Op: opInsertBatch, Body: encodeInsertBatch("b1", bson.MarshalAll(ingestDocs(3, 4)))},
+			{LSN: 4, Op: tc.op, Body: tc.body},
+		} {
+			journal = wal.AppendFrame(journal, rec)
+		}
+		journal = append(journal, 0xde, 0xad) // a torn tail a normal open would cut
+		dir := t.TempDir()
+		path := filepath.Join(dir, journalName)
+		if err := os.WriteFile(path, journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := OpenCluster(durOpts(dir, nil))
+		if err == nil {
+			c.Close()
+			t.Fatalf("%s: OpenCluster replayed the record", tc.name)
+		}
+		if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), tc.message) {
+			t.Fatalf("%s: error does not name the record: %v", tc.name, err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil || len(entries) != 1 {
+			t.Fatalf("%s: directory holds %d entries (err %v), want the journal alone", tc.name, len(entries), err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil || !bytes.Equal(got, journal) {
+			t.Fatalf("%s: journal changed (%d bytes, was %d; err %v)", tc.name, len(got), len(journal), err)
+		}
 	}
 }

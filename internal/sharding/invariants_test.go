@@ -134,10 +134,10 @@ func checkInvariants(t *testing.T, c *Cluster) {
 }
 
 // TestClusterInvariantsUnderRandomOperations drives a cluster with a
-// random mix of inserts, deletes, explicit balances and zone
-// reconfigurations, checking the metadata invariants throughout. The
-// first two seeds keep chunk cells, so their exactness is checked
-// after every insert, delete, split and move; the third keeps none.
+// random mix of inserts, explicit balances and zone reconfigurations,
+// checking the metadata invariants throughout. The first two seeds keep
+// chunk cells, so their exactness is checked after every insert, split
+// and move; the third keeps none.
 func TestClusterInvariantsUnderRandomOperations(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		seed := seed
@@ -155,14 +155,6 @@ func TestClusterInvariantsUnderRandomOperations(t *testing.T) {
 			inserted := 0
 			for step := 0; step < 30; step++ {
 				switch rng.Intn(10) {
-				case 7:
-					// Delete a random stretch of cells.
-					lo := int64(rng.Intn(4096))
-					n, err := c.Delete(hilbertRange(lo, lo+int64(rng.Intn(300))))
-					if err != nil {
-						t.Fatal(err)
-					}
-					inserted -= n
 				case 8:
 					c.Balance()
 				case 9:
@@ -465,62 +457,5 @@ func TestZonesFromSplitsCoverKeySpace(t *testing.T) {
 	// Shards assigned round-robin.
 	if zones[0].Shard != 0 || zones[1].Shard != 1 || zones[2].Shard != 2 {
 		t.Fatalf("zone shards: %d %d %d", zones[0].Shard, zones[1].Shard, zones[2].Shard)
-	}
-}
-
-// TestDeleteMaintainsChunkMetadata removes a time slice and checks
-// counts and invariants.
-func TestDeleteMaintainsChunkMetadata(t *testing.T) {
-	c, ref := loadCluster(t, 2000, hilbertDateKey(), smallOpts())
-	cutoff := baseTime.Add(10 * 24 * time.Hour)
-	f := query.Cmp{Field: "date", Op: query.OpLT, Value: cutoff}
-	want := query.Execute(ref, f, nil).Stats.NReturned
-	if want == 0 {
-		t.Fatal("vacuous: nothing to delete")
-	}
-	deleted, err := c.Delete(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if deleted != want {
-		t.Fatalf("deleted %d, want %d", deleted, want)
-	}
-	checkInvariants(t, c)
-	if got := c.ClusterStats().Docs; got != 2000-want {
-		t.Fatalf("cluster holds %d docs after delete", got)
-	}
-	// The deleted slice is gone; the rest is intact.
-	if n := c.Query(f).TotalReturned; n != 0 {
-		t.Fatalf("deleted records still returned: %d", n)
-	}
-	rest := query.Cmp{Field: "date", Op: query.OpGTE, Value: cutoff}
-	wantRest := query.Execute(ref, rest, nil).Stats.NReturned
-	if n := c.Query(rest).TotalReturned; n != wantRest {
-		t.Fatalf("remaining records: %d, want %d", n, wantRest)
-	}
-	// Deleting again is a no-op.
-	again, err := c.Delete(f)
-	if err != nil || again != 0 {
-		t.Fatalf("second delete: %d, %v", again, err)
-	}
-}
-
-// TestDeleteOnUnshardedCluster exercises the single-shard delete
-// path.
-func TestDeleteOnUnshardedCluster(t *testing.T) {
-	c := NewCluster(smallOpts())
-	gen := bson.NewObjectIDGen(3)
-	for i := 0; i < 20; i++ {
-		doc := stDoc(gen, geo.Point{Lon: 23, Lat: 37}, baseTime.Add(time.Duration(i)*time.Hour), int64(i))
-		if err := c.Insert(doc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n, err := c.Delete(query.Cmp{Field: "hilbertIndex", Op: query.OpLT, Value: int64(10)})
-	if err != nil || n != 10 {
-		t.Fatalf("Delete = %d, %v", n, err)
-	}
-	if got := c.Query(query.Cmp{Field: "hilbertIndex", Op: query.OpGTE, Value: int64(0)}).TotalReturned; got != 10 {
-		t.Fatalf("%d docs remain", got)
 	}
 }

@@ -7,8 +7,8 @@ package sharding
 // identically and two different ones never do. A hit is valid only if
 // (a) the filter still routes to the exact shard set the entry was
 // computed from and (b) none of those shards' content epochs moved;
-// every applied write batch, delete, chunk split and migration bumps
-// the owning shards' epochs under the cluster write lock, so a
+// every applied write batch, chunk split and migration bumps the
+// owning shards' epochs under the cluster write lock, so a
 // cached result can never be served across a content change (zero
 // stale hits). Only complete results are cached: partial answers and
 // failed shards bypass the cache.
@@ -154,7 +154,7 @@ func (c *resultCache) peek(key []byte, targets []int, epochs []uint64) bool {
 // targets and epochs it was computed against, and evicts from the LRU
 // tail until the shard fits its budget. Doc bytes are copied into one
 // private flat buffer: the store's arena may reuse the original memory
-// after later deletes, and a cache must outlive them.
+// once a migration removes the record, and a cache must outlive that.
 func (c *resultCache) put(key string, targets []int, epochs []uint64, res *RoutedResult) {
 	e := &rcEntry{
 		key:     key,

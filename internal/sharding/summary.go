@@ -9,9 +9,9 @@ package sharding
 // d-value (Hilbert indices are hierarchical, so the top bits of a
 // d-value ARE its coarse cell). Spatio-temporal data fills few cells,
 // so the list is sized by the data: a hil chunk holds about one. The
-// lists are maintained on every insert and delete, move whole with
-// chunk migrations (ownership changes, content does not), and are
-// rebuilt from the data on splits and recovery.
+// lists are maintained on every insert, move whole with chunk
+// migrations (ownership changes, content does not), and are rebuilt
+// from the data on splits and recovery.
 //
 // The router consults them after range extraction: a chunk whose
 // byte-range overlaps the query may still hold no document in the
@@ -86,23 +86,6 @@ func addCell(cells []cellCount, cell uint64) []cellCount {
 		return cells
 	}
 	return slices.Insert(cells, i, cellCount{cell: cell, n: 1})
-}
-
-// summaryRemoveLocked uncounts one deleted document, dropping its cell
-// when no document of the chunk is left in it.
-func (c *Cluster) summaryRemoveLocked(ch *Chunk, raw []byte) {
-	if len(ch.cells) == 0 {
-		return
-	}
-	cell, ok := c.summaryCellLocked(raw)
-	if !ok {
-		return
-	}
-	if i, found := slices.BinarySearchFunc(ch.cells, cell, compareCell); found {
-		if ch.cells[i].n--; ch.cells[i].n == 0 {
-			ch.cells = slices.Delete(ch.cells, i, i+1)
-		}
-	}
 }
 
 // rebuildChunkSummaryLocked rescans the chunk's documents on its owning

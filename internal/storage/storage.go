@@ -46,9 +46,9 @@ type page struct {
 // InsertRaw was handed. A lookup is two array indexings — no hash, no
 // bucket probe — and the pages are the only per-record overhead (one
 // slice header per id ever assigned on a live page). A page whose last
-// record is deleted is dropped, so range deletes and chunk migrations
-// hand their table memory back; PutRaw at an arbitrary id allocates
-// only the page it lands on. What the table relies on is that density:
+// record is deleted is dropped, so chunk migrations hand their table
+// memory back; PutRaw at an arbitrary id allocates only the page it
+// lands on. What the table relies on is that density:
 // the directory has one pointer per pageSlots ids up to the largest id
 // ever stored, so ids must come from the store's own counter (or from a
 // snapshot of one), never from an arbitrary 64-bit space.
@@ -218,7 +218,7 @@ func (s *Store) Bytes() int64 {
 
 // Walk visits every live record in RecordID (insertion) order,
 // stopping early if fn returns false. The deterministic order is what
-// makes collection-scan results, index backfills and delete lookups
+// makes collection-scan results, index backfills and id lookups
 // reproducible run to run — the parallel router's "same answer at
 // every pool width" guarantee builds on it. The table is already in id
 // order, so the walk allocates nothing. It holds the read lock during

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 )
 
@@ -108,24 +107,4 @@ func ScanJournal(fs FS, name string) ([]Record, ScanInfo, error) {
 		off += size
 	}
 	return recs, ScanInfo{ValidSize: int64(off)}, nil
-}
-
-// TruncateTorn cuts the journal file back to its checksum-valid
-// prefix, returning how many bytes were dropped.
-func TruncateTorn(fs FS, name string) (int64, error) {
-	_, info, err := ScanJournal(fs, name)
-	if err != nil {
-		return 0, err
-	}
-	if !info.Truncated {
-		return 0, nil
-	}
-	size, err := fs.Size(name)
-	if err != nil {
-		return 0, fmt.Errorf("wal: sizing %s: %w", name, err)
-	}
-	if err := fs.Truncate(name, info.ValidSize); err != nil {
-		return 0, fmt.Errorf("wal: truncating %s: %w", name, err)
-	}
-	return size - info.ValidSize, nil
 }

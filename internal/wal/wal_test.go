@@ -84,15 +84,22 @@ func TestScanJournalTruncatesTornTail(t *testing.T) {
 	if len(got) != len(recs)-1 {
 		t.Fatalf("got %d records, want %d", len(got), len(recs)-1)
 	}
-	dropped, err := TruncateTorn(fs, "j.wal")
+	// Recovery cuts the torn frame and keeps every complete one.
+	res, err := Recover(fs, "j.wal")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dropped == 0 {
-		t.Fatal("expected TruncateTorn to drop bytes")
+	if !res.TornTail || len(res.Records) != len(recs)-1 {
+		t.Fatalf("Recover: torn=%v records=%d; want true, %d", res.TornTail, len(res.Records), len(recs)-1)
+	}
+	if err := res.TruncateTail(fs); err != nil {
+		t.Fatal(err)
+	}
+	if size, _ := fs.Size("j.wal"); size != info.ValidSize {
+		t.Fatalf("journal holds %d bytes after TruncateTail, want the valid prefix's %d", size, info.ValidSize)
 	}
 	if _, info, _ := ScanJournal(fs, "j.wal"); info.Truncated {
-		t.Fatal("journal still torn after TruncateTorn")
+		t.Fatal("journal still torn after TruncateTail")
 	}
 }
 

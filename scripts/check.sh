@@ -41,8 +41,8 @@ RACE_PKGS="./internal/sharding/... ./internal/query/... ./internal/storage/... .
 # bson.Validate (all that stands between wire or journal bytes and the
 # store) accepts exactly what Unmarshal accepts and knows Marshal's form
 # from a liberal encoder's, and the index keys, shard-key tuples and
-# summary cells read from stored bytes on insert, split, migration and
-# delete are byte for byte the ones built from the decoded document. The
+# summary cells read from stored bytes on insert, split and migration
+# are byte for byte the ones built from the decoded document. The
 # router's per-query front end — bounds, plan-cache shape, segments and
 # residuals, targets — answers exactly what the implementation it
 # replaced answers, and prunes exactly the shards a scan of the
