@@ -132,6 +132,33 @@ func TestCoverRangesOrderedPerDay(t *testing.T) {
 	}
 }
 
+// TestCoverAscendsAndIsDisjoint: over random rectangles, spatial
+// precisions and windows of one to five days, every cover range is
+// ordered and each starts after the one before it ends. A query spec
+// relies on this instead of sorting and merging the ranges.
+func TestCoverAscendsAndIsDisjoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 400; i++ {
+		e := Encoder{SpatialChars: 1 + rng.Intn(7)}
+		lon, lat := -180+rng.Float64()*350, -90+rng.Float64()*170
+		rect := geo.NewRect(lon, lat, lon+rng.Float64()*rng.Float64()*10, lat+rng.Float64()*rng.Float64()*10)
+		from := time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(rng.Int63n(int64(3 * 365 * 24 * time.Hour))))
+		to := from.Add(time.Duration(rng.Int63n(int64(5*24*time.Hour-time.Hour))) + time.Hour)
+		ranges := e.Cover(rect, from, to, 1+rng.Intn(64))
+		if len(ranges) == 0 {
+			t.Fatalf("%v %v..%v: empty cover", rect, from, to)
+		}
+		for j, r := range ranges {
+			if r.Lo > r.Hi {
+				t.Fatalf("%v %v..%v: range %d inverted: %+v", rect, from, to, j, r)
+			}
+			if j > 0 && ranges[j-1].Hi >= r.Lo {
+				t.Fatalf("%v %v..%v: range %d %+v does not start after %+v", rect, from, to, j, r, ranges[j-1])
+			}
+		}
+	}
+}
+
 func TestSpatialCharsClamping(t *testing.T) {
 	if (Encoder{SpatialChars: -3}).spatialChars() != DefaultSpatialChars {
 		t.Fatal("negative chars not defaulted")
