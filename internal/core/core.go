@@ -112,10 +112,6 @@ type Config struct {
 	// means Hilbert (the z-order alternative exists for the
 	// ablation).
 	Curve sfc.Curve
-	// MaxQueryRanges caps the number of hilbertIndex ranges in a
-	// generated query filter; excess ranges coalesce (over-covering).
-	// 0 means unlimited, matching the paper.
-	MaxQueryRanges int
 	// Hashed switches the shard key to hashed sharding. The paper
 	// uses range sharding throughout; this exists for the ablation
 	// that shows why (hashed keys cannot route range queries).
@@ -162,6 +158,11 @@ type Config struct {
 
 // DefaultHilbertOrder is the paper's 13-bit curve precision.
 const DefaultHilbertOrder = 13
+
+// MaxCurveOrder is the finest curve a store accepts: index keys hold
+// numbers as float64 (keyenc.Number), exact only below 2^53, and a
+// cell of an order-27 curve reaches 2^54.
+const MaxCurveOrder = 26
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
@@ -285,6 +286,9 @@ func newStore(cfg Config) (*Store, error) {
 				return nil, err
 			}
 			curve = h
+		}
+		if o := curve.Order(); o > MaxCurveOrder {
+			return nil, fmt.Errorf("core: curve order %d exceeds %d: index keys hold cells as float64, exact only below 2^53", o, MaxCurveOrder)
 		}
 		grid, err := sfc.NewGrid(curve, extent)
 		if err != nil {

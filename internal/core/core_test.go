@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -186,33 +188,73 @@ func TestFilterShapes(t *testing.T) {
 	}
 }
 
+// TestHilbertConstraintShape: a Hilbert spec renders its cover as the
+// paper's $or (Section 4.2.2) — a $gte/$lte pair per range of several
+// cells, one $in of the single cells — and matches exactly the cells
+// in it; an empty cover matches nothing.
 func TestHilbertConstraintShape(t *testing.T) {
-	f := HilbertConstraint([]sfc.Range{{Lo: 5, Hi: 5}, {Lo: 10, Hi: 20}, {Lo: 30, Hi: 30}})
-	k, ok := f.(query.KeyRanges)
-	if !ok {
-		t.Fatalf("constraint = %T", f)
+	spec := &query.Spec{Rect: testExtent, From: testStart, To: testStart.Add(time.Hour), Key: query.HilbertKey,
+		Cells: []sfc.Range{{Lo: 5, Hi: 5}, {Lo: 10, Hi: 20}, {Lo: 30, Hi: 30}}}
+	want := `, {$or: [{$and: [{hilbertIndex: {$gte: 10}}, {hilbertIndex: {$lte: 20}}]}, {hilbertIndex: {$in: [5, 30]}}]}]}`
+	if s := spec.String(); !strings.HasSuffix(s, want) {
+		t.Fatalf("constraint renders %s, want the suffix %s", s, want)
 	}
-	or, ok := k.Or().(query.Or)
-	if !ok {
-		t.Fatalf("constraint means %T", k.Or())
+	doc := func(cell any) bson.Raw {
+		return bson.Marshal(bson.FromD(bson.D{
+			{Key: FieldLoc, Value: geo.GeoJSONPoint(geo.Point{Lon: 24, Lat: 38})},
+			{Key: FieldDate, Value: testStart},
+			{Key: FieldHilbert, Value: cell},
+		}))
 	}
-	var ins, ranges int
-	for _, arm := range or.Children {
-		switch arm.(type) {
-		case query.In:
-			ins++
-		case query.And:
-			ranges++
+	for cell, in := range map[any]bool{int64(5): true, int64(15): true, int32(30): true, 20.0: true,
+		int64(4): false, int64(6): false, 20.5: false, int64(31): false, "5": false} {
+		if got := spec.Matches(doc(cell)); got != in {
+			t.Errorf("cell %v (%T): matches %v, want %v", cell, cell, got, in)
 		}
 	}
-	if ins != 1 || ranges != 1 {
-		t.Fatalf("constraint arms: %d in, %d ranges (%s)", ins, ranges, f)
-	}
-	// Empty cover yields an unsatisfiable filter.
-	empty := HilbertConstraint(nil)
-	probe := bson.FromD(bson.D{{Key: FieldHilbert, Value: int64(0)}})
-	if empty.Matches(probe) {
+	// An empty cover yields an unsatisfiable spec.
+	spec.Cells = nil
+	if !spec.Impossible() || spec.Matches(doc(int64(0))) {
 		t.Fatal("empty-cover constraint matched")
+	}
+}
+
+// TestOpenRefusesCurveOrderAbove26: index keys hold cells as float64,
+// exact only below 2^53, so a curve of order 27 or more is refused,
+// whether it comes from HilbertOrder, Curve or a reopened manifest.
+func TestOpenRefusesCurveOrderAbove26(t *testing.T) {
+	if _, err := Open(Config{Approach: Hil, HilbertOrder: 26}); err != nil {
+		t.Fatalf("order 26: %v", err)
+	}
+	if _, err := Open(Config{Approach: Hil, HilbertOrder: 27}); err == nil {
+		t.Fatal("HilbertOrder 27 accepted")
+	}
+	z, err := sfc.NewZOrder(27)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(Config{Approach: HilStar, Curve: z, DataExtent: testExtent}); err == nil {
+		t.Fatal("a z-order curve of order 27 accepted")
+	}
+	dir := t.TempDir()
+	s, err := Open(Config{Approach: Hil, Shards: 2, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, ManifestName)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob = []byte(strings.Replace(string(blob), `"hilbert_order": 13`, `"hilbert_order": 27`, 1))
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenDir(dir, Config{}); err == nil {
+		t.Fatal("a manifest of order 27 reopened")
 	}
 }
 
@@ -422,36 +464,6 @@ func TestZOrderCurveOption(t *testing.T) {
 	}
 	if got, want := s.Count(q), ref.Count(q); got != want {
 		t.Fatalf("z-order store returned %d, want %d", got, want)
-	}
-}
-
-func TestMaxQueryRangesCoalesces(t *testing.T) {
-	s, err := Open(Config{
-		Approach:         Hil,
-		Shards:           2,
-		ChunkMaxBytes:    8 << 10,
-		AutoBalanceEvery: 256,
-		MaxQueryRanges:   4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := testRecords(800)
-	if err := s.Load(recs); err != nil {
-		t.Fatal(err)
-	}
-	q := STQuery{Rect: geo.NewRect(23.1, 37.1, 24.9, 38.9), From: testStart, To: testStart.Add(14 * 24 * time.Hour)}
-	_, st, _ := s.Filter(q)
-	if st.Ranges > 4 {
-		t.Fatalf("cover has %d ranges despite cap", st.Ranges)
-	}
-	// Results still correct (over-covering only).
-	ref := openStore(t, BslST, 2)
-	if err := ref.Load(recs); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := s.Count(q), ref.Count(q); got != want {
-		t.Fatalf("capped store returned %d, want %d", got, want)
 	}
 }
 

@@ -35,7 +35,6 @@ type manifest struct {
 	HilbertOrder     uint        `json:"hilbert_order,omitempty"`
 	Curve            string      `json:"curve,omitempty"`       // "hilbert" (default) or "zorder"
 	DataExtent       *[4]float64 `json:"data_extent,omitempty"` // minLon, minLat, maxLon, maxLat
-	MaxQueryRanges   int         `json:"max_query_ranges,omitempty"`
 	Hashed           bool        `json:"hashed,omitempty"`
 	AutoBalanceEvery int         `json:"auto_balance_every,omitempty"`
 	Seed             uint64      `json:"seed,omitempty"`
@@ -48,7 +47,6 @@ func manifestOf(cfg Config) (manifest, error) {
 		Shards:           cfg.Shards,
 		ChunkMaxBytes:    cfg.ChunkMaxBytes,
 		HilbertOrder:     cfg.HilbertOrder,
-		MaxQueryRanges:   cfg.MaxQueryRanges,
 		Hashed:           cfg.Hashed,
 		AutoBalanceEvery: cfg.AutoBalanceEvery,
 		Seed:             cfg.Seed,
@@ -77,7 +75,6 @@ func (m manifest) config(cfg Config) (Config, error) {
 	cfg.Shards = m.Shards
 	cfg.ChunkMaxBytes = m.ChunkMaxBytes
 	cfg.HilbertOrder = m.HilbertOrder
-	cfg.MaxQueryRanges = m.MaxQueryRanges
 	cfg.Hashed = m.Hashed
 	cfg.AutoBalanceEvery = m.AutoBalanceEvery
 	cfg.Seed = m.Seed

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -175,4 +178,44 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// TestManifestWithRetiredMaxQueryRangesReopens: a store.json written
+// while stores could coalesce their covers still carries
+// max_query_ranges. Coalescing only ever over-covered, so the store
+// reopens, ignoring the key, and answers exactly as before.
+func TestManifestWithRetiredMaxQueryRangesReopens(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Approach: Hil, Shards: 2, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Load(testRecords(800)); err != nil {
+		t.Fatal(err)
+	}
+	want := queryCounts(s, testQueries())
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, ManifestName)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob = []byte(strings.Replace(string(blob), `"shards": 2,`, `"shards": 2,
+  "max_query_ranges": 4,`, 1))
+	if !strings.Contains(string(blob), "max_query_ranges") {
+		t.Fatal("manifest has no shards line to put the retired key after")
+	}
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenDir(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := queryCounts(r, testQueries()); !equalInts(got, want) {
+		t.Fatalf("reopened store answers %v, want %v", got, want)
+	}
 }

@@ -10,11 +10,11 @@ import (
 	"time"
 
 	"repro/internal/bson"
-	"repro/internal/btree"
 	"repro/internal/geo"
+	"repro/internal/keyenc"
 	"repro/internal/query"
 	"repro/internal/sfc"
-	"repro/internal/sharding"
+	"repro/internal/storage"
 	"repro/internal/wire"
 )
 
@@ -123,36 +123,6 @@ func TestFrontEndAllocsIndependentOfCoverSize(t *testing.T) {
 	}
 }
 
-// refHilbertConstraint is the $or the Hilbert approaches' constraint
-// stands for (Section 4.2.2), built node by node: a $gte/$lte pair per
-// range of more than one cell, one $in of the single cells, and an
-// impossible point pair for an empty cover. It is what HilbertConstraint
-// built before the constraint became a query.KeyRanges.
-func refHilbertConstraint(ranges []sfc.Range) query.Filter {
-	var arms []query.Filter
-	var singles []any
-	for _, r := range ranges {
-		if r.Lo == r.Hi {
-			singles = append(singles, int64(r.Lo))
-			continue
-		}
-		arms = append(arms, query.NewAnd(
-			query.Cmp{Field: FieldHilbert, Op: query.OpGTE, Value: int64(r.Lo)},
-			query.Cmp{Field: FieldHilbert, Op: query.OpLTE, Value: int64(r.Hi)},
-		))
-	}
-	if len(singles) > 0 {
-		arms = append(arms, query.In{Field: FieldHilbert, Values: singles})
-	}
-	if len(arms) == 0 {
-		return query.NewAnd(
-			query.Cmp{Field: FieldHilbert, Op: query.OpGT, Value: int64(0)},
-			query.Cmp{Field: FieldHilbert, Op: query.OpLT, Value: int64(0)},
-		)
-	}
-	return query.NewOr(arms...)
-}
-
 // keyRangesInput draws choices from the fuzzer's bytes, zeros once
 // spent.
 type keyRangesInput struct{ b []byte }
@@ -183,49 +153,34 @@ func (in *keyRangesInput) probeValues(ranges []sfc.Range) []any {
 	return out
 }
 
-// sameIntervals compares interval sets end for end: same types, same
-// values (NaN included), same inclusivity.
-func sameIntervals(a, b []query.ValueInterval) bool {
-	same := func(x, y any) bool { return fmt.Sprintf("%T %#v", x, x) == fmt.Sprintf("%T %#v", y, y) }
-	return slices.EqualFunc(a, b, func(x, y query.ValueInterval) bool {
-		return same(x.Lo, y.Lo) && same(x.Hi, y.Hi) && x.LoIncl == y.LoIncl && x.HiIncl == y.HiIncl
-	})
+// refInCells is the $or of Section 4.2.2 on one value: a number, of
+// any numeric kind, within one of the ranges.
+func refInCells(v any, ranges []sfc.Range) bool {
+	x, ok := bson.NumericValue(v)
+	return ok && slices.ContainsFunc(ranges, func(r sfc.Range) bool { return float64(r.Lo) <= x && x <= float64(r.Hi) })
 }
 
-func sameSegments(a, b []query.Segment) bool {
-	bound := func(x, y btree.Bound) bool {
-		return x.Inclusive == y.Inclusive && x.Unbounded == y.Unbounded && bytes.Equal(x.Key, y.Key)
-	}
-	return slices.EqualFunc(a, b, func(x, y query.Segment) bool {
-		return bound(x.Interval.Low, y.Interval.Low) && bound(x.Interval.High, y.Interval.High) &&
-			bytes.Equal(x.SubLo, y.SubLo) && bytes.Equal(x.SubHiUpper, y.SubHiUpper)
-	})
+// refMatches is the spec's predicate on a decoded document, field by
+// field: a point in the rectangle, a date in the window, a cell in the
+// cover.
+func refMatches(doc *bson.Document, rect geo.Rect, from, to time.Time, ranges []sfc.Range) bool {
+	loc, _ := doc.Lookup(FieldLoc)
+	p, ok := geo.PointFromGeoJSON(loc)
+	date, _ := doc.Lookup(FieldDate)
+	at, isDate := date.(time.Time)
+	cell, _ := doc.Lookup(FieldHilbert)
+	return ok && rect.Contains(p) && isDate && !at.Before(from) && !at.After(to) && refInCells(cell, ranges)
 }
-
-// sameRouted compares two routed results but for their durations.
-func sameRouted(a, b *sharding.RoutedResult) bool {
-	a, b = ptrCopy(a), ptrCopy(b)
-	a.Duration, b.Duration = 0, 0
-	for _, r := range []*sharding.RoutedResult{a, b} {
-		r.PerShard = slices.Clone(r.PerShard)
-		for i := range r.PerShard {
-			r.PerShard[i].Duration = 0
-		}
-	}
-	return reflect.DeepEqual(a, b)
-}
-
-func ptrCopy[T any](p *T) *T { c := *p; return &c }
 
 // FuzzKeyRanges is the differential fuzz of the Hilbert approaches'
-// query.KeyRanges constraint against the $or it stands for
-// (refHilbertConstraint), on hil and hil* stores: covers of random
-// rectangles, coalesced or not, and empty ones. Byte for byte, it
-// checks Matches on documents, raw and decoded, whose hilbertIndex is
-// missing or of any kind; the rendering and shape; the bounds; every
-// shard's candidate plans, segments and residual; the wire round trip;
-// and, but for the shards only a KeyRanges prunes, the route, the
-// results and their counters, and Explain.
+// query spec on hil and hil* stores: covers of random rectangles,
+// coalesced or not, and empty ones, against the $or they stand for,
+// evaluated field by field. It checks Store.Filter's spec; Matches on
+// documents, raw and decoded, whose hilbertIndex is missing or of any
+// kind; the bounds; every shard's candidate plan, segments and
+// residual; the wire round trip; the route, pruning only shards
+// without a match; the results against a scan of every stored
+// document; and Explain's targets, then pruned shards.
 func FuzzKeyRanges(f *testing.F) {
 	stores := []*Store{openStore(f, Hil, 3), openStore(f, HilStar, 3)}
 	for _, s := range stores {
@@ -256,122 +211,121 @@ func FuzzKeyRanges(f *testing.F) {
 			lon, lat := 22.8+2.4*in.unit(), 36.8+2.4*in.unit()
 			rect = geo.NewRect(lon, lat, lon+in.unit()*in.unit(), lat+in.unit()*in.unit())
 		}
-		ranges := s.Grid().Cover(rect)
-		coalesced := in.intn(3) == 0
-		if coalesced {
-			ranges = sfc.CoalesceRanges(ranges, 1+in.intn(8))
-		}
 		from := testStart.Add(time.Duration(in.intn(14*24)) * time.Hour)
 		to := from.Add(time.Duration(1+in.intn(72)) * time.Hour)
-
-		typed, ref := HilbertConstraint(ranges), refHilbertConstraint(ranges)
-		if _, ok := typed.(query.KeyRanges); ok != (len(ranges) > 0) {
-			t.Fatalf("%d ranges: constraint is a %T", len(ranges), typed)
+		spec, _, _ := s.Filter(STQuery{Rect: rect, From: from, To: to})
+		ranges := s.Grid().Cover(rect)
+		if want := (&query.Spec{Rect: rect, From: from, To: to, Key: query.HilbertKey, Cells: ranges}); !reflect.DeepEqual(spec, want) {
+			t.Fatalf("Store.Filter built %s, want %s", spec, want)
 		}
-		if typed.String() != ref.String() || query.ShapeOf(typed) != query.ShapeOf(ref) {
-			t.Fatalf("constraint renders\n %s (%s)\nwant %s (%s)", typed, query.ShapeOf(typed), ref, query.ShapeOf(ref))
+		if in.intn(3) == 0 {
+			ranges = sfc.CoalesceRanges(ranges, 1+in.intn(8))
+			spec.Cells = ranges
+		}
+
+		inside := bson.D{
+			{Key: FieldLoc, Value: geo.GeoJSONPoint(rect.Center())},
+			{Key: FieldDate, Value: from},
 		}
 		for _, v := range in.probeValues(ranges) {
-			d := bson.D{{Key: "other", Value: int64(1)}}
+			d := append(slices.Clone(inside), bson.Elem{Key: "other", Value: int64(1)})
 			if v != nil || in.intn(2) == 0 {
 				d = append(d, bson.Elem{Key: FieldHilbert, Value: v})
 			}
 			doc := bson.FromD(d)
+			want := refMatches(doc, rect, from, to, ranges)
 			for _, probe := range []bson.Doc{doc, bson.Raw(bson.Marshal(doc))} {
-				if got, want := typed.Matches(probe), ref.Matches(probe); got != want {
-					t.Fatalf("%v (%T) in %s: Matches %v, $or %v", v, v, ref, got, want)
+				if got := spec.Matches(probe); got != want {
+					t.Fatalf("%v (%T) in %v: Matches %v, the $or %v", v, v, ranges, got, want)
 				}
 			}
 		}
 
-		ft := query.NewAnd(query.GeoWithin{Field: FieldLoc, Rect: rect}, query.TimeRangeFilter(FieldDate, from, to), typed)
-		fr := query.NewAnd(query.GeoWithin{Field: FieldLoc, Rect: rect}, query.TimeRangeFilter(FieldDate, from, to), ref)
-		if got, _, _ := s.Filter(STQuery{Rect: rect, From: from, To: to}); !coalesced && !reflect.DeepEqual(got, ft) {
-			t.Fatalf("Store.Filter built %s, want %s", got, ft)
+		if n := spec.Intervals(FieldHilbert); n != len(ranges) || spec.Impossible() != (len(ranges) == 0) {
+			t.Fatalf("%d ranges: %d intervals, impossible %v", len(ranges), n, spec.Impossible())
 		}
-		bt, br := query.BoundsOf(ft), query.BoundsOf(fr)
-		if bt.Impossible() != br.Impossible() {
-			t.Fatalf("impossible %v, $or %v", bt.Impossible(), br.Impossible())
-		}
-		for _, field := range []string{FieldHilbert, FieldDate, FieldLoc} {
-			ti, tok := bt.Intervals(field)
-			ri, rok := br.Intervals(field)
-			tr, tg := bt.GeoRect(field)
-			rr, rg := br.GeoRect(field)
-			if tok != rok || !sameIntervals(ti, ri) || bt.Exact(field) != br.Exact(field) || tg != rg || tr != rr {
-				t.Fatalf("%s bounds %v (%v, exact %v), $or %v (%v, exact %v)", field, ti, tok, bt.Exact(field), ri, rok, br.Exact(field))
+		var keys keyenc.Buf
+		for i, r := range ranges {
+			lo, hi, point := spec.AppendInterval(&keys, nil, FieldHilbert, i)
+			if !bytes.Equal(lo, keyenc.Encode(int64(r.Lo))) || !bytes.Equal(hi, keyenc.Encode(int64(r.Hi))) || point != (r.Lo == r.Hi) {
+				t.Fatalf("range %v: interval %x..%x (point %v)", r, lo, hi, point)
 			}
 		}
 		for _, sh := range s.Cluster().Shards() {
-			pt, pr := query.CandidatePlans(sh.Coll, ft), query.CandidatePlans(sh.Coll, fr)
-			if len(pt) != len(pr) {
-				t.Fatalf("%d candidate plans, $or %d", len(pt), len(pr))
+			plans := query.CandidatePlans(sh.Coll, spec)
+			if len(plans) != 1 {
+				t.Fatalf("%d candidate plans", len(plans))
 			}
-			for i := range pt {
-				if pt[i].Name() != pr[i].Name() || !sameSegments(pt[i].Segments, pr[i].Segments) ||
-					pt[i].Filter.String() != pr[i].Filter.String() {
-					t.Fatalf("plan %s over %d segments refining %s; $or: %s over %d refining %s",
-						pt[i].Name(), len(pt[i].Segments), pt[i].Filter, pr[i].Name(), len(pr[i].Segments), pr[i].Filter)
-				}
-			}
-		}
-		// The router prunes on a KeyRanges only: the shards the $or
-		// targets are the typed query's, targeted or pruned.
-		c := s.Cluster()
-		tt, tb, tp := c.Route(ft)
-		rt, rb, rp := c.Route(fr)
-		all := append(slices.Clone(tt), tp...)
-		slices.Sort(all)
-		if !slices.Equal(slices.Compact(all), rt) || len(all) != len(tt)+len(tp) || tb != rb || rp != nil {
-			t.Fatalf("routed to %v (%v, pruned %v), $or to %v (%v, %v)", tt, tb, tp, rt, rb, rp)
-		}
-		body, err := wire.AppendFilter(nil, ft)
-		if err != nil {
-			t.Fatal(err)
-		}
-		decoded, err := wire.DecodeFilter(body)
-		if err != nil || decoded.String() != ft.String() {
-			t.Fatalf("wire round trip: %v\n got %v\nwant %s", err, decoded, ft)
-		}
-		// The typed query's result is the $or's without the shards it
-		// pruned, none of which found a document.
-		want := c.Query(fr)
-		perShard := want.PerShard
-		want.PerShard, want.MaxKeysExamined, want.MaxDocsExamined = nil, 0, 0
-		for i, sid := range want.TargetedShards {
-			st := perShard[i]
-			if slices.Contains(tp, sid) {
-				if st.NReturned != 0 || st.DocsExamined != 0 {
-					t.Fatalf("pruned shard %d returned %d docs, examined %d under the $or", sid, st.NReturned, st.DocsExamined)
+			p := plans[0]
+			if len(ranges) == 0 {
+				if len(p.Segments) != 0 {
+					t.Fatalf("an empty cover plans %d segments", len(p.Segments))
 				}
 				continue
 			}
-			want.PerShard = append(want.PerShard, st)
-			want.MaxKeysExamined = max(want.MaxKeysExamined, st.KeysExamined)
-			want.MaxDocsExamined = max(want.MaxDocsExamined, st.DocsExamined)
-		}
-		want.TargetedShards, want.ShardsTargeted, want.ShardsPruned = tt, len(tt), len(tp)
-		for _, g := range []query.Filter{ft, decoded} {
-			if got := c.Query(g); !sameRouted(got, want) {
-				t.Fatalf("%s returned %d docs from %v, $or %d from %v", g, got.TotalReturned, got.TargetedShards,
-					want.TotalReturned, want.TargetedShards)
+			wantResidual := fmt.Sprintf("{$and: [{location: {$geoWithin: {$geometry: %s}}}]}", geo.GeoJSONPolygonFromRect(rect))
+			if p.Name() != "{hilbertIndex: 1, date: 1}" || len(p.Segments) != len(ranges) || p.Filter.String() != wantResidual {
+				t.Fatalf("plan %s over %d segments refining %s; want the shard key over %d refining %s",
+					p.Name(), len(p.Segments), p.Filter, len(ranges), wantResidual)
 			}
 		}
-		// Explain lists the typed query's targets, then its pruned
-		// shards marked as such, each explained as under the $or.
-		_, et := c.Explain(ft)
-		targets, er := c.Explain(fr)
-		var wantExp []*query.Explanation
-		for k, sid := range append(slices.Clone(tt), tp...) {
-			e := *er[slices.Index(targets, sid)]
-			e.Pruned = k >= len(tt)
-			wantExp = append(wantExp, &e)
+
+		body, err := wire.Query{Filter: spec}.Encode(nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range et {
-			et[i].Execution.Duration, wantExp[i].Execution.Duration = 0, 0
+		decoded, err := wire.DecodeQuery(body)
+		if err != nil || !reflect.DeepEqual(decoded.Filter, spec) {
+			t.Fatalf("wire round trip: %v\n got %v\nwant %s", err, decoded.Filter, spec)
 		}
-		if !reflect.DeepEqual(et, wantExp) {
-			t.Fatalf("explain differs:\n%v\n$or:\n%v", et, wantExp)
+
+		// The answer is every stored document the $or admits; the route
+		// targets every shard holding one and prunes none that does.
+		c := s.Cluster()
+		want := map[int]int{}
+		total := 0
+		for sid, sh := range c.Shards() {
+			sh.Coll.Store().Walk(func(_ storage.RecordID, raw []byte) bool {
+				doc, err := bson.Unmarshal(raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if refMatches(doc, rect, from, to, ranges) {
+					want[sid]++
+					total++
+				}
+				return true
+			})
+		}
+		targets, _, pruned := c.Route(spec)
+		for sid := range want {
+			if !slices.Contains(targets, sid) {
+				t.Fatalf("shard %d holds %d matches, route %v (pruned %v)", sid, want[sid], targets, pruned)
+			}
+		}
+		for _, g := range []query.Filter{spec, decoded.Filter} {
+			got := c.Query(g)
+			if got.TotalReturned != total || len(got.Docs) != total || !slices.Equal(got.TargetedShards, targets) || got.ShardsPruned != len(pruned) {
+				t.Fatalf("returned %d docs from %v (pruned %d), want %d from %v (pruned %v)",
+					got.TotalReturned, got.TargetedShards, got.ShardsPruned, total, targets, pruned)
+			}
+			for _, raw := range got.Docs {
+				doc, _ := bson.Unmarshal(raw)
+				if !refMatches(doc, rect, from, to, ranges) {
+					t.Fatalf("returned a document the $or rejects: %v", doc)
+				}
+			}
+		}
+		// Explain lists the targets, then the pruned shards marked as
+		// such; each explains the shard's share of the answer.
+		shards, exps := c.Explain(spec)
+		if !slices.Equal(shards, append(slices.Clone(targets), pruned...)) {
+			t.Fatalf("explained %v, want %v then %v", shards, targets, pruned)
+		}
+		for i, e := range exps {
+			if e.Pruned != (i >= len(targets)) || e.Execution.NReturned != want[shards[i]] {
+				t.Fatalf("shard %d: explained pruned %v returning %d, want %d", shards[i], e.Pruned, e.Execution.NReturned, want[shards[i]])
+			}
 		}
 	})
 }

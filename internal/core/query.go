@@ -9,7 +9,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/sfc"
 	"repro/internal/sharding"
-	"repro/internal/sthash"
 )
 
 // QueryStats are the paper's evaluation metrics for one query
@@ -192,85 +191,42 @@ func (s *Store) Aggregate(q STQuery) (*QueryResult, error) {
 	return res, nil
 }
 
-// Filter builds the approach's query filter. For the baselines it is
-// the plain $geoWithin + date-range conjunction; for the Hilbert
-// approaches it additionally constrains hilbertIndex with the cover's
-// ranges (HilbertConstraint), which mean and render as the $or of
-// $gte/$lte ranges plus an $in of the isolated cells shown in Section
-// 4.2.2. The returned cover stats and duration feed Table 8.
-func (s *Store) Filter(q STQuery) (query.Filter, sfc.RangeStats, time.Duration) {
-	conjuncts := []query.Filter{
-		query.GeoWithin{Field: FieldLoc, Rect: q.Rect},
-		query.Cmp{Field: FieldDate, Op: query.OpGTE, Value: q.From.UTC()},
-		query.Cmp{Field: FieldDate, Op: query.OpLTE, Value: q.To.UTC()},
-		nil, // the approach's key constraint, if any
-	}
+// Filter builds the approach's query spec: the rectangle and the
+// window and, on the Hilbert approaches, the cover's cell ranges on
+// hilbertIndex, on ST-Hash its string ranges on stHash. It renders as
+// the paper's $geoWithin and date range plus, for the Hilbert
+// approaches, the $or of $gte/$lte ranges and the $in of isolated
+// cells of Section 4.2.2. The returned cover stats and duration feed
+// Table 8.
+func (s *Store) Filter(q STQuery) (*query.Spec, sfc.RangeStats, time.Duration) {
+	spec := &query.Spec{Rect: q.Rect, From: q.From.UTC(), To: q.To.UTC()}
 	var st sfc.RangeStats
 	var coverTime time.Duration
 	switch {
 	case s.grid != nil:
 		start := time.Now()
-		ranges := s.grid.Cover(q.Rect)
-		if s.cfg.MaxQueryRanges > 0 {
-			ranges = sfc.CoalesceRanges(ranges, s.cfg.MaxQueryRanges)
-		}
+		spec.Key, spec.Cells = query.HilbertKey, s.grid.Cover(q.Rect)
 		coverTime = time.Since(start)
-		conjuncts[3], st = HilbertConstraint(ranges), sfc.StatsOf(ranges)
+		st = sfc.StatsOf(spec.Cells)
 	case s.sth != nil:
 		start := time.Now()
-		ranges := s.sth.Cover(q.Rect, q.From, q.To, 0)
+		spec.Key, spec.Strings = query.STHashKey, s.sth.Cover(q.Rect, q.From, q.To, 0)
 		coverTime = time.Since(start)
-		conjuncts[3], st = STHashConstraint(ranges), sfc.RangeStats{Ranges: len(ranges)}
+		st = sfc.RangeStats{Ranges: len(spec.Strings)}
 	}
-	// NewAnd drops a missing constraint and flattens a conjunction (an
-	// empty cover's impossible pair); any other keeps the slice as is.
-	if _, nested := conjuncts[3].(query.And); conjuncts[3] == nil || nested {
-		return query.NewAnd(conjuncts...), st, coverTime
-	}
-	return query.And{Children: conjuncts}, st, coverTime
-}
-
-// STHashConstraint translates ST-Hash key ranges into the disjunctive
-// string constraint on the stHash field.
-func STHashConstraint(ranges []sthash.Range) query.Filter {
-	if len(ranges) == 0 {
-		return query.NewAnd(
-			query.Cmp{Field: FieldSTHash, Op: query.OpGT, Value: "1"},
-			query.Cmp{Field: FieldSTHash, Op: query.OpLT, Value: "0"},
-		)
-	}
-	arms := make([]query.Filter, 0, len(ranges))
-	for _, r := range ranges {
-		arms = append(arms, query.NewAnd(
-			query.Cmp{Field: FieldSTHash, Op: query.OpGTE, Value: r.Lo},
-			query.Cmp{Field: FieldSTHash, Op: query.OpLTE, Value: r.Hi},
-		))
-	}
-	return query.NewOr(arms...)
-}
-
-// HilbertConstraint translates curve ranges into the hilbertIndex
-// constraint: a query.KeyRanges, or its $or for the covers a KeyRanges
-// cannot hold — an empty one (the impossible pair, which a conjunction
-// flattens) and one reaching 2^53 (a curve of order 27 or more).
-func HilbertConstraint(ranges []sfc.Range) query.Filter {
-	k := query.KeyRanges{Field: FieldHilbert, Ranges: ranges}
-	if len(ranges) == 0 || ranges[len(ranges)-1].Hi >= 1<<53 {
-		return k.Or()
-	}
-	return k
+	return spec, st, coverTime
 }
 
 // planned is one query resolved into what the cluster executes, plus
-// the filter-construction observables its result reports.
+// the spec-construction observables its result reports.
 type planned struct {
-	f         query.Filter
+	f         *query.Spec
 	opts      query.Opts
 	cover     sfc.RangeStats
 	coverTime time.Duration
 }
 
-// plan resolves a query's pushed-down options and builds its filter.
+// plan resolves a query's pushed-down options and builds its spec.
 func (s *Store) plan(q STQuery) (planned, error) {
 	o, err := s.opts(q)
 	if err != nil {
@@ -282,12 +238,12 @@ func (s *Store) plan(q STQuery) (planned, error) {
 }
 
 // run is the read path behind every single-query entry point: execute
-// the planned filter through the cluster and report the result.
+// the planned spec through the cluster and report the result.
 func (s *Store) run(p planned) *QueryResult {
 	return s.result(p, s.cluster.QueryOpts(p.f, p.opts))
 }
 
-// result folds a routed result plus the filter-construction
+// result folds a routed result plus the spec-construction
 // observables into the paper's per-query metrics, stamped with the
 // cluster-wide cumulative plan-cache counters.
 func (s *Store) result(p planned, routed *sharding.RoutedResult) *QueryResult {

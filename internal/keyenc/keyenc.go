@@ -60,7 +60,7 @@ func AppendValue(dst []byte, v any) []byte {
 		return AppendNumber(dst, t)
 	case string:
 		dst = append(dst, classString)
-		return appendEscaped(dst, []byte(t))
+		return appendEscaped(dst, t)
 	case time.Time:
 		dst = append(dst, classDateTime)
 		return appendOrderedInt64(dst, t.UnixMilli())
@@ -137,7 +137,7 @@ func AppendRaw(dst []byte, v bson.RawValue) (out []byte, ok bool) {
 }
 
 func appendEscapedField(dst []byte, key string) []byte {
-	return appendEscaped(dst, []byte(key))
+	return appendEscaped(dst, key)
 }
 
 // AppendNumber appends the encoding of a numeric value — what
@@ -186,9 +186,9 @@ func appendOrderedInt64(dst []byte, v int64) []byte {
 // appendEscaped appends b with 0x00 bytes escaped as {0x00,0xFF} and a
 // {0x00,0x00} terminator, so that shorter strings sort before their
 // extensions and embedded NULs keep correct order.
-func appendEscaped(dst, b []byte) []byte {
-	for _, c := range b {
-		if c == 0x00 {
+func appendEscaped[S ~string | ~[]byte](dst []byte, b S) []byte {
+	for i := 0; i < len(b); i++ {
+		if c := b[i]; c == 0x00 {
 			dst = append(dst, 0x00, 0xFF)
 		} else {
 			dst = append(dst, c)
@@ -260,6 +260,20 @@ func (b *Buf) Append(prefix []byte, v any) []byte {
 func (b *Buf) AppendNumber(prefix []byte, f float64) []byte {
 	start := len(*b)
 	*b = AppendNumber(append(*b, prefix...), f)
+	return (*b)[start:len(*b):len(*b)]
+}
+
+// AppendString is Append of a string, unboxed.
+func (b *Buf) AppendString(prefix []byte, s string) []byte {
+	start := len(*b)
+	*b = appendEscaped(append(append(*b, prefix...), classString), s)
+	return (*b)[start:len(*b):len(*b)]
+}
+
+// AppendTime is Append of a date, unboxed.
+func (b *Buf) AppendTime(prefix []byte, t time.Time) []byte {
+	start := len(*b)
+	*b = appendOrderedInt64(append(append(*b, prefix...), classDateTime), t.UnixMilli())
 	return (*b)[start:len(*b):len(*b)]
 }
 

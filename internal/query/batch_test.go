@@ -15,6 +15,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/index"
 	"repro/internal/keyenc"
+	"repro/internal/sfc"
 	"repro/internal/storage"
 )
 
@@ -337,25 +338,19 @@ func (o outcome) diff(w outcome) string {
 // batchFilters are query shapes whose candidate plans cover every scan
 // form: plain single segments (date index), skip-scans with seeks
 // (hilbertIndex range + a date window narrower than the data), the geo
-// index's many segments, a multi-range $or, and an $in of single cells.
+// index's many segments, a multi-range cover, and single cells.
 func batchFilters() []Filter {
-	week := TimeRangeFilter("date", baseTime.Add(5*24*time.Hour), baseTime.Add(12*24*time.Hour))
-	var arms []Filter
-	for i := int64(0); i < 9; i++ {
-		arms = append(arms, NewAnd(
-			Cmp{Field: "hilbertIndex", Op: OpGTE, Value: 5000 + i*9000},
-			Cmp{Field: "hilbertIndex", Op: OpLTE, Value: 5000 + i*9000 + 4000},
-		))
+	from, to := baseTime.Add(5*24*time.Hour), baseTime.Add(12*24*time.Hour)
+	cover := &Spec{Rect: geo.NewRect(23.6, 37.6, 24.4, 38.4), From: from, To: to, Key: HilbertKey,
+		Cells: []sfc.Range{{Lo: 1001, Hi: 1001}}}
+	for i := uint64(0); i < 9; i++ {
+		cover.Cells = append(cover.Cells, sfc.Range{Lo: 5000 + i*9000, Hi: 5000 + i*9000 + 4000})
 	}
-	arms = append(arms, In{Field: "hilbertIndex", Values: []any{int64(1001), int64(50050), int64(99001)}})
+	cover.Cells = append(cover.Cells, sfc.Range{Lo: 99001, Hi: 99001})
 	return append(pushdownQueries(),
-		NewAnd(
-			Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(20000)},
-			Cmp{Field: "hilbertIndex", Op: OpLT, Value: int64(70000)},
-			week,
-		),
-		NewAnd(GeoWithin{Field: "location", Rect: geo.NewRect(23.6, 37.6, 24.4, 38.4)}, week, NewOr(arms...)),
-		Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(0)},
+		cellWindow(20000, 69999, from, to),
+		cover,
+		cellRange(0, 1<<40),
 	)
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/collection"
 	"repro/internal/geo"
 	"repro/internal/index"
+	"repro/internal/sfc"
 )
 
 // The per-layer micro-benchmarks of the read path (ROADMAP item 1):
@@ -66,16 +67,16 @@ var benchSink bool
 func BenchmarkRefineRaw(b *testing.B) {
 	docs := benchRawDocs(1024)
 	rect := geo.NewRect(23.7, 37.7, 24.3, 38.3)
-	dates := TimeRangeFilter("date", baseTime.Add(2*time.Hour), baseTime.Add(12*time.Hour))
+	spec := rectWindow(rect, baseTime.Add(2*time.Hour), baseTime.Add(12*time.Hour))
 	residuals := []struct {
 		name string
 		f    Filter
 	}{
-		{"hil", NewAnd(GeoWithin{Field: "location", Rect: rect})},
-		{"bslST", NewAnd(GeoWithin{Field: "location", Rect: rect}, dates)},
+		{"hil", residual{s: spec}},
+		{"bslST", residual{s: spec, window: true}},
 	}
 	for _, r := range residuals {
-		f := compile(r.f)
+		f := r.f
 		b.Run(r.name+"/scan", func(b *testing.B) {
 			b.ReportAllocs()
 			var doc bson.Raw
@@ -93,19 +94,16 @@ func BenchmarkRefineRaw(b *testing.B) {
 	}
 }
 
-// hilbertCover is the filter shape core.Store.Filter builds for the
-// Hilbert approach: rectangle, date window, and a 13-arm $or over the
-// curve ranges (12 ranges plus one $in of single cells).
+// hilbertCover is the spec core.Store.Filter builds for the Hilbert
+// approach: rectangle, date window, and 15 curve ranges (three single
+// cells, which render as one $in, and 12 ranges).
 func hilbertCover(rect geo.Rect, from, to time.Time) Filter {
-	var arms []Filter
-	for i := int64(0); i < 12; i++ {
-		arms = append(arms, NewAnd(
-			Cmp{Field: "hilbertIndex", Op: OpGTE, Value: 1_000_000 + i*3000},
-			Cmp{Field: "hilbertIndex", Op: OpLTE, Value: 1_000_000 + i*3000 + 1500},
-		))
+	s := rectWindow(rect, from, to)
+	s.Key, s.Cells = HilbertKey, []sfc.Range{{Lo: 1, Hi: 1}, {Lo: 2, Hi: 2}, {Lo: 3, Hi: 3}}
+	for i := uint64(0); i < 12; i++ {
+		s.Cells = append(s.Cells, sfc.Range{Lo: 1_000_000 + i*3000, Hi: 1_000_000 + i*3000 + 1500})
 	}
-	arms = append(arms, In{Field: "hilbertIndex", Values: []any{int64(1), int64(2), int64(3)}})
-	return NewAnd(GeoWithin{Field: "location", Rect: rect}, TimeRangeFilter("date", from, to), NewOr(arms...))
+	return s
 }
 
 func benchHilbertColl(b testing.TB, docs []bson.Raw) *collection.Collection {
@@ -217,12 +215,8 @@ func BenchmarkScanRefine1000(b *testing.B) {
 	}
 	filters := make([]Filter, n/window)
 	for w := range filters {
-		filters[w] = NewAnd(
-			GeoWithin{Field: "location", Rect: geo.NewRect(23.7, 37.7, 24.3, 38.3)},
-			TimeRangeFilter("date", baseTime, baseTime.Add(n*time.Minute)),
-			Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(1_000_000 + w*window*37)},
-			Cmp{Field: "hilbertIndex", Op: OpLT, Value: int64(1_000_000 + (w+1)*window*37)},
-		)
+		filters[w] = &Spec{Rect: geo.NewRect(23.7, 37.7, 24.3, 38.3), From: baseTime, To: baseTime.Add(n * time.Minute),
+			Key: HilbertKey, Cells: []sfc.Range{{Lo: uint64(1_000_000 + w*window*37), Hi: uint64(1_000_000+(w+1)*window*37) - 1}}}
 		// Also remembers the winning plan for the shape.
 		st := Execute(c, filters[w], nil).Stats
 		if st.DocsExamined != window || st.NReturned == 0 || st.NReturned == window {

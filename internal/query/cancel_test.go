@@ -20,7 +20,7 @@ func TestExecuteCtxCancelledBeforeStart(t *testing.T) {
 	c := newCollWithIndexes(t, 2000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := ExecuteCtx(ctx, c, Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(0)}, nil)
+	res, err := ExecuteCtx(ctx, c, cellRange(0, 1<<40), nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -35,7 +35,7 @@ func TestExecuteCtxCancelledBeforeStart(t *testing.T) {
 // would examine every document returns promptly with DeadlineExceeded.
 func TestExecuteCtxDeadlineStopsMidScan(t *testing.T) {
 	c := newCollWithIndexes(t, 5000)
-	wide := Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(0)}
+	wide := cellRange(0, 1<<40)
 	// Warm the plan cache so the cancellation exercises the cached-plan
 	// path the router hits in steady state.
 	if res := Execute(c, wide, nil); res.Stats.NReturned != 5000 {
@@ -61,10 +61,7 @@ func TestExecuteCtxDeadlineStopsMidScan(t *testing.T) {
 // fault boundary costs the happy path nothing observable.
 func TestExecuteCtxBackgroundIdentity(t *testing.T) {
 	c := newCollWithIndexes(t, 2000)
-	f := NewAnd(
-		Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(10000)},
-		Cmp{Field: "hilbertIndex", Op: OpLTE, Value: int64(60000)},
-	)
+	f := cellRange(int64(10000), int64(60000))
 	base := Execute(c, f, nil)
 	res, err := ExecuteCtx(context.Background(), c, f, nil)
 	if err != nil {
@@ -88,7 +85,7 @@ func TestExecuteCtxCollScanCancel(t *testing.T) {
 	c := buildCollection(t, 3000) // no indexes: every plan is a collection scan
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := ExecuteCtx(ctx, c, Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(0)}, nil)
+	res, err := ExecuteCtx(ctx, c, cellRange(0, 1<<40), nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -113,11 +110,8 @@ var everyCellInterior = &Containment{
 // returns the context's error rather than a completed count.
 func TestKeyOnlyScanCancels(t *testing.T) {
 	c := newCollWithIndexes(t, 5000)
-	f := NewAnd(
-		GeoWithin{Field: "location", Rect: geo.NewRect(0, 0, 90, 90)},
-		Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(0)},
-		TimeRangeFilter("date", baseTime, baseTime.Add(60*24*time.Hour)),
-	)
+	f := &Spec{Rect: geo.NewRect(0, 0, 90, 90), From: baseTime, To: baseTime.Add(60 * 24 * time.Hour),
+		Key: HilbertKey, Cells: []sfc.Range{{Lo: 0, Hi: 1 << 40}}}
 	p := Prepare(f)
 	var plan *Plan
 	for _, cand := range CandidatePlans(c, p) {
@@ -174,11 +168,8 @@ func TestMatchingRecordsRefinesEveryDocument(t *testing.T) {
 		{Name: "hilbertIndex", Kind: index.Ascending},
 		{Name: "date", Kind: index.Ascending},
 	}})
-	f := NewAnd(
-		GeoWithin{Field: "location", Rect: geo.NewRect(23.2, 37.2, 23.5, 37.5)},
-		Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(0)},
-		TimeRangeFilter("date", baseTime, baseTime.Add(10*24*time.Hour)),
-	)
+	f := &Spec{Rect: geo.NewRect(23.2, 37.2, 23.5, 37.5), From: baseTime, To: baseTime.Add(10 * 24 * time.Hour),
+		Key: HilbertKey, Cells: []sfc.Range{{Lo: 0, Hi: 1 << 40}}}
 	cfg := &Config{Contain: everyCellInterior}
 	truth := ExecuteOpts(c, f, nil, Opts{})
 	lied := ExecuteOpts(c, f, cfg, Opts{})

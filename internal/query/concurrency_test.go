@@ -20,11 +20,7 @@ import (
 func TestConcurrentExecuteSameShape(t *testing.T) {
 	c := newCollWithIndexes(t, 2000)
 	mkFilter := func(lo, hi int64) Filter {
-		return NewAnd(
-			Cmp{Field: "hilbertIndex", Op: OpGTE, Value: lo},
-			Cmp{Field: "hilbertIndex", Op: OpLTE, Value: hi},
-			TimeRangeFilter("date", baseTime, baseTime.Add(20*24*time.Hour)),
-		)
+		return cellWindow(lo, hi, baseTime, baseTime.Add(20*24*time.Hour))
 	}
 	type variant struct {
 		lo, hi int64
@@ -65,16 +61,8 @@ func TestConcurrentExecuteSameShape(t *testing.T) {
 func TestConcurrentReplanEviction(t *testing.T) {
 	c := newCollWithIndexes(t, 1500)
 	cfg := &Config{TrialWorks: 4}
-	narrow := NewAnd(
-		Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(0)},
-		Cmp{Field: "hilbertIndex", Op: OpLTE, Value: int64(100)},
-		TimeRangeFilter("date", baseTime, baseTime.Add(24*time.Hour)),
-	)
-	wide := NewAnd(
-		Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(0)},
-		Cmp{Field: "hilbertIndex", Op: OpLTE, Value: int64(1 << 40)},
-		TimeRangeFilter("date", baseTime, baseTime.Add(40*24*time.Hour)),
-	)
+	narrow := cellWindow(int64(0), int64(100), baseTime, baseTime.Add(24*time.Hour))
+	wide := cellWindow(int64(0), int64(1<<40), baseTime, baseTime.Add(40*24*time.Hour))
 	wantNarrow := referenceCount(t, c, narrow)
 	wantWide := referenceCount(t, c, wide)
 	const goroutines = 8
@@ -123,11 +111,7 @@ func TestEvictPlanIsConditional(t *testing.T) {
 	c := newCollWithIndexes(t, 200)
 	// Both the {hilbertIndex, date} and the {date} index serve it, so
 	// its winner is cached.
-	f := Prepare(NewAnd(
-		Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(0)},
-		Cmp{Field: "hilbertIndex", Op: OpLTE, Value: int64(1000)},
-		TimeRangeFilter("date", baseTime, baseTime.Add(24*time.Hour)),
-	))
+	f := Prepare(cellWindow(int64(0), int64(1000), baseTime, baseTime.Add(24*time.Hour)))
 	Execute(c, f, nil)
 	plan, _, stale, ok := cachedPlan(c, f)
 	if !ok {
@@ -171,12 +155,8 @@ func TestConcurrentContainedExecutions(t *testing.T) {
 	}
 	cfg := &Config{Contain: contain}
 	mk := func() *Prepared {
-		return Prepare(NewAnd(
-			GeoWithin{Field: "location", Rect: geo.NewRect(23.2, 37.2, 23.8, 37.8)},
-			Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(10000)},
-			Cmp{Field: "hilbertIndex", Op: OpLTE, Value: int64(70000)},
-			TimeRangeFilter("date", baseTime, baseTime.Add(20*24*time.Hour)),
-		))
+		return Prepare(&Spec{Rect: geo.NewRect(23.2, 37.2, 23.8, 37.8), From: baseTime, To: baseTime.Add(20 * 24 * time.Hour),
+			Key: HilbertKey, Cells: []sfc.Range{{Lo: 10000, Hi: 70000}}})
 	}
 	count := Opts{Agg: AggSpec{Kind: AggCount}}
 	wantDocs := ExecuteOpts(c, mk(), cfg, Opts{}).Stats.NReturned

@@ -10,10 +10,7 @@ import (
 
 func TestExplainReportsWinnerAndCandidates(t *testing.T) {
 	c := newCollWithIndexes(t, 1500)
-	f := NewAnd(
-		GeoWithin{Field: "location", Rect: geo.NewRect(23.6, 37.8, 23.9, 38.1)},
-		TimeRangeFilter("date", baseTime, baseTime.Add(24*time.Hour)),
-	)
+	f := rectWindow(geo.NewRect(23.6, 37.8, 23.9, 38.1), baseTime, baseTime.Add(24*time.Hour))
 	ex := Explain(c, f, nil)
 	if ex.CacheHit {
 		t.Fatal("first explain hit the cache")
@@ -50,11 +47,7 @@ func TestExplainSkipScanVisible(t *testing.T) {
 	c := newCollWithIndexes(t, 500)
 	// Narrow hilbert range over a wide date window: the compound
 	// index wins and must skip-scan the dates inside the range.
-	f := NewAnd(
-		Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(10000)},
-		Cmp{Field: "hilbertIndex", Op: OpLTE, Value: int64(20000)},
-		TimeRangeFilter("date", baseTime, baseTime.Add(10*24*time.Hour)),
-	)
+	f := cellWindow(int64(10000), int64(20000), baseTime, baseTime.Add(10*24*time.Hour))
 	ex := Explain(c, f, nil)
 	if ex.Winning.IndexName != "{hilbertIndex: 1, date: 1}" {
 		t.Fatalf("winner = %s", ex.Winning.IndexName)
@@ -66,7 +59,7 @@ func TestExplainSkipScanVisible(t *testing.T) {
 
 func TestExplainCollscan(t *testing.T) {
 	c := buildCollection(t, 100)
-	ex := Explain(c, Cmp{Field: "vehicle", Op: OpEQ, Value: "GRC-B"}, nil)
+	ex := Explain(c, window(baseTime, baseTime.Add(24*time.Hour)), nil)
 	if ex.Winning.IndexName != CollScanName {
 		t.Fatalf("winner = %s", ex.Winning.IndexName)
 	}

@@ -3,81 +3,58 @@ package query
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/bson"
 	"repro/internal/geo"
 	"repro/internal/keyenc"
+	"repro/internal/sfc"
+	"repro/internal/sthash"
 )
 
-// The reference matchers below are the predicates as they were before
-// the raw read layer: look the field up (decoding it), normalise, and
-// compare boxed values with bson.Compare. FuzzRawMatch holds the typed
-// matchers to them on every input, decodable or not.
-
+// refMatches is the spec's predicate as a decode-then-compare
+// reference: each field looked up decoded, its kind checked, its value
+// compared. FuzzRawMatch holds the raw readers to it on every input,
+// decodable or not.
 func refMatches(f Filter, doc bson.Doc) bool {
+	var s *Spec
+	window, key := true, true
 	switch t := f.(type) {
-	case Cmp:
-		v, ok := doc.Lookup(t.Field)
-		if !ok {
-			return false
-		}
-		v = bson.Normalize(v)
-		if bson.CanonicalClass(v) != bson.CanonicalClass(bson.Normalize(t.Value)) {
-			return false
-		}
-		cmp := bson.Compare(v, t.Value)
-		switch t.Op {
-		case OpEQ:
-			return cmp == 0
-		case OpGT:
-			return cmp > 0
-		case OpGTE:
-			return cmp >= 0
-		case OpLT:
-			return cmp < 0
-		default:
-			return cmp <= 0
-		}
-	case In:
-		v, ok := doc.Lookup(t.Field)
-		if !ok {
-			return false
-		}
-		for _, want := range t.Values {
-			if bson.Compare(bson.Normalize(v), bson.Normalize(want)) == 0 {
-				return true
-			}
-		}
+	case *Spec:
+		s = t
+	case *Prepared:
+		s = t.Spec()
+	case residual:
+		s, window, key = t.s, t.window, t.key
+	default:
+		panic("refMatches: unknown filter")
+	}
+	loc, _ := doc.Lookup("location")
+	if p, ok := geo.PointFromGeoJSON(loc); !ok || !s.Rect.Contains(p) {
 		return false
-	case GeoWithin:
-		p, ok := refPoint(doc, t.Field)
-		return ok && t.Rect.Contains(p)
-	case And:
-		for _, c := range t.Children {
-			if !refMatches(c, doc) {
-				return false
-			}
+	}
+	if date, _ := doc.Lookup("date"); window {
+		at, ok := date.(time.Time)
+		if !ok || at.Before(s.From) || at.After(s.To) {
+			return false
 		}
+	}
+	if !key {
 		return true
-	case Or:
-		for _, c := range t.Children {
-			if refMatches(c, doc) {
-				return true
-			}
-		}
-		return false
 	}
-	panic("refMatches: unknown filter")
-}
-
-func refPoint(doc bson.Doc, field string) (geo.Point, bool) {
-	v, ok := doc.Lookup(field)
-	if !ok {
-		return geo.Point{}, false
+	switch s.Key {
+	case HilbertKey:
+		v, _ := doc.Lookup("hilbertIndex")
+		x, ok := bson.NumericValue(v)
+		return ok && slices.ContainsFunc(s.Cells, func(r sfc.Range) bool { return float64(r.Lo) <= x && x <= float64(r.Hi) })
+	case STHashKey:
+		v, _ := doc.Lookup("stHash")
+		str, ok := v.(string)
+		return ok && slices.ContainsFunc(s.Strings, func(r sthash.Range) bool { return r.Lo <= str && str <= r.Hi })
 	}
-	return geo.PointFromGeoJSON(v)
+	return true
 }
 
 // refKey is the sort/distinct key as it was encoded before: from the
@@ -95,39 +72,36 @@ func refKey(raw bson.Raw, field string) ([]byte, bool) {
 // mutation, populate wrongly), plus ones they never have.
 var fuzzFields = []string{
 	"num", "i32", "i64", "s", "date", "ok", "id", "nul", "location",
-	"n.x", "n.loc", "n.x.y", "arr", "sub", "missing", "",
+	"n.x", "n.loc", "n.x.y", "arr", "sub", "missing", "", "hilbertIndex", "stHash",
 }
 
-// fuzzFilters is every predicate over one field, each constant kind
-// and each operator, plus composites.
-func fuzzFilters(field string, num float64, n int64, s string, lon, lat, span float64) []Filter {
-	var oid bson.ObjectID
-	copy(oid[:], s)
-	constants := []any{
-		num, n, int32(n), int(n), s, n%2 == 0, nil, oid,
-		time.UnixMilli(n), time.Unix(0, n), // whole and fractional milliseconds
-		bson.A{num, s}, bson.FromD(bson.D{{Key: "y", Value: n}}),
-		bson.MinKey, bson.MaxKey,
-	}
+// fuzzSpecs is every kind of spec over the fuzz constants — without a
+// key constraint, with a Hilbert cover, with an ST-Hash cover, and with
+// empty covers — each over the constants' rectangle and a window from
+// n milliseconds, an inverted one and an unbounded one; plus each
+// residual a plan can leave of them, and a prepared spec.
+func fuzzSpecs(num float64, n int64, s string, lon, lat, span float64) []Filter {
 	rect := geo.NewRect(lon, lat, lon+span, lat+span)
-	var fs []Filter
-	for _, k := range constants {
-		for op := OpEQ; op <= OpLTE; op++ {
-			fs = append(fs, Cmp{Field: field, Op: op, Value: k})
+	at := time.UnixMilli(n)
+	cell := uint64(n) % (1 << 52)
+	width := uint64(math.Abs(num)) % 1000
+	cells := []sfc.Range{{Lo: cell, Hi: cell + width}}
+	if cell > 6 {
+		cells = append([]sfc.Range{{Lo: 0, Hi: 5}}, cells...)
+	}
+	var out []Filter
+	for _, w := range [][2]time.Time{{at, at.Add(time.Hour)}, {at.Add(time.Millisecond), at}, {time.UnixMilli(-1 << 50), time.UnixMilli(1 << 50)}} {
+		for _, sp := range []*Spec{
+			{Rect: rect, From: w[0], To: w[1]},
+			{Rect: rect, From: w[0], To: w[1], Key: HilbertKey, Cells: cells},
+			{Rect: rect, From: w[0], To: w[1], Key: HilbertKey},
+			{Rect: rect, From: w[0], To: w[1], Key: STHashKey, Strings: []sthash.Range{{Lo: "a", Hi: "b"}, {Lo: s, Hi: s + "~"}}[min(len(s), 1):]},
+			{Rect: rect, From: w[0], To: w[1], Key: STHashKey},
+		} {
+			out = append(out, sp, Prepare(sp), residual{s: sp}, residual{s: sp, window: true}, residual{s: sp, key: true})
 		}
 	}
-	fs = append(fs,
-		In{Field: field, Values: constants},
-		In{Field: field},
-		GeoWithin{Field: field, Rect: rect},
-	)
-	// Composites, and through them And/Or over compiled children.
-	return append(fs,
-		NewAnd(fs[0], fs[len(fs)-1]),
-		NewOr(fs[1], fs[len(fs)/2]),
-		NewAnd(GeoWithin{Field: "location", Rect: rect}, TimeRangeFilter("date", time.UnixMilli(n), time.UnixMilli(n).Add(time.Hour))),
-		And{}, Or{},
-	)
+	return out
 }
 
 // fuzzSeedDocs are the layouts the raw readers must agree with the
@@ -145,6 +119,7 @@ func fuzzSeedDocs() [][]byte {
 			{Key: "date", Value: at},
 			{Key: "num", Value: 23.72}, {Key: "i32", Value: int32(-5)}, {Key: "i64", Value: int64(1) << 40},
 			{Key: "s", Value: "αθήνα\x00nul"}, {Key: "ok", Value: true}, {Key: "nul", Value: nil},
+			{Key: "hilbertIndex", Value: int64(1_531_000_000_123)}, {Key: "stHash", Value: "αθήνα\x00nul"},
 			{Key: "n", Value: bson.FromD(bson.D{
 				{Key: "x", Value: int64(7)},
 				{Key: "loc", Value: point(bson.A{int32(23), int64(38)})},
@@ -229,14 +204,14 @@ func fuzzPointSeeds() [][]byte {
 }
 
 // FuzzRawMatch is the differential behind the raw read layer. For any
-// bytes, any of the probed fields and any predicate constants:
+// bytes, any of the probed fields and any spec constants:
 //
 //   - no matcher, sort-key or aggregate encoder panics;
-//   - every filter answers the same for the bytes as bson.Raw, as the
-//     executor's *bson.Raw, compiled or not, and equals the reference
-//     (decode-then-compare) matcher on the same bytes;
-//   - when the bytes decode, the filter answers the same for the
-//     decoded document;
+//   - every spec, prepared spec and residual answers the same for the
+//     bytes as bson.Raw and as the executor's *bson.Raw, and equals the
+//     reference (decode-then-compare) matcher on the same bytes;
+//   - when the bytes decode, it answers the same for the decoded
+//     document;
 //   - the raw sort-key and aggregate encoders produce the bytes
 //     keyenc.AppendValue(bson.Normalize(Lookup(field))) produces.
 func FuzzRawMatch(f *testing.F) {
@@ -257,25 +232,17 @@ func FuzzRawMatch(f *testing.F) {
 		doc, err := bson.Unmarshal(data)
 		decodes := err == nil
 		field := fuzzFields[int(fieldSel)%len(fuzzFields)]
-		for _, flt := range fuzzFilters(field, num, n, s, lon, lat, span) {
+		for _, flt := range fuzzSpecs(num, n, s, lon, lat, span) {
 			want := refMatches(flt, raw)
-			compiled := compile(flt)
-			for name, got := range map[string]bool{
-				"Matches(bson.Raw)":           flt.Matches(raw),
-				"Matches(*bson.Raw)":          flt.Matches(&raw),
-				"compiled Matches(bson.Raw)":  compiled.Matches(raw),
-				"compiled Matches(*bson.Raw)": compiled.Matches(&raw),
-			} {
-				if got != want {
-					t.Fatalf("%s: %s = %v, reference %v\ndoc %x", flt, name, got, want, data)
-				}
+			if got := flt.Matches(raw); got != want {
+				t.Fatalf("%s: Matches(bson.Raw) = %v, reference %v\ndoc %x", flt, got, want, data)
+			}
+			if got := flt.Matches(&raw); got != want {
+				t.Fatalf("%s: Matches(*bson.Raw) = %v, reference %v\ndoc %x", flt, got, want, data)
 			}
 			if decodes {
 				if got := flt.Matches(doc); got != want {
 					t.Fatalf("%s: decoded document matches %v, its bytes %v\ndoc %x", flt, got, want, data)
-				}
-				if got := compiled.Matches(doc); got != want {
-					t.Fatalf("%s: compiled filter matches the decoded document %v, its bytes %v\ndoc %x", flt, got, want, data)
 				}
 			}
 		}

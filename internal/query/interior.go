@@ -104,19 +104,16 @@ func (p *Prepared) interiorFor(plan *Plan, c *Containment) interior {
 	return interior{}
 }
 
-func buildInterior(ix *index.Index, residual Filter, c *Containment) interior {
+func buildInterior(ix *index.Index, res Filter, c *Containment) interior {
 	lead := ix.Def().Fields[0]
-	if lead.Name != c.Leading || lead.Kind != index.Ascending {
+	if lead.Name != c.Leading || lead.Kind != index.Ascending || c.Geo != FieldLoc {
 		return interior{}
 	}
-	if and, ok := residual.(And); ok && len(and.Children) == 1 {
-		residual = and.Children[0]
-	}
-	g, ok := residual.(GeoWithin)
-	if !ok || g.Field != c.Geo {
+	r, ok := res.(residual)
+	if !ok || !r.geoOnly() {
 		return interior{}
 	}
-	box, ok := c.Interior(g.Rect)
+	box, ok := c.Interior(r.s.Rect)
 	return interior{ok: ok, box: box, xy: c.XY}
 }
 

@@ -10,7 +10,9 @@ import (
 
 	"repro/internal/bson"
 	"repro/internal/collection"
+	"repro/internal/geo"
 	"repro/internal/index"
+	"repro/internal/sfc"
 )
 
 // orderedValue is the sort field value a fuzz byte selects: absent
@@ -35,27 +37,29 @@ func orderedValue(b byte) (any, bool) {
 }
 
 // orderedCollection builds the fuzz collection: four documents per
-// input triple — a leading value g (six of them), the sort field s and
-// a residual field x — under an index with s following g, one with s
-// leading and one without s; every triple's top bits delete some of
-// its records from the store but not from the indexes (holes).
+// input triple — a leading cell g (six of them) in hilbertIndex, the
+// sort field s in date (of any kind, or absent) and a residual x in
+// the location's longitude — under an index with s following g, one
+// with s leading and one without s; every triple's top bits delete
+// some of its records from the store but not from the indexes (holes).
 func orderedCollection(t *testing.T, data []byte) *collection.Collection {
 	c := collection.New("ordered")
 	for _, def := range []index.Definition{
-		{Name: "gs", Fields: []index.Field{{Name: "g"}, {Name: "s"}}},
-		{Name: "s", Fields: []index.Field{{Name: "s"}}},
-		{Name: "g", Fields: []index.Field{{Name: "g"}}},
+		{Name: "gs", Fields: []index.Field{{Name: FieldHilbert}, {Name: FieldDate}}},
+		{Name: "s", Fields: []index.Field{{Name: FieldDate}}},
+		{Name: "g", Fields: []index.Field{{Name: FieldHilbert}}},
 	} {
 		mustIndex(t, c, def)
 	}
 	n := int64(0)
 	for i := 0; i+3 <= len(data); i += 3 {
 		for k := byte(0); k < 4; k++ {
-			d := bson.D{{Key: "_id", Value: n}, {Key: "g", Value: int64((data[i] + k) % 6)}}
+			d := bson.D{{Key: "_id", Value: n}, {Key: FieldHilbert, Value: int64((data[i] + k) % 6)}}
 			if v, ok := orderedValue(data[i+1] + 8*k); ok {
-				d = append(d, bson.Elem{Key: "s", Value: v})
+				d = append(d, bson.Elem{Key: FieldDate, Value: v})
 			}
-			d = append(d, bson.Elem{Key: "x", Value: int64((data[i+2] + k) % 8)})
+			x := float64((data[i+2] + k) % 8)
+			d = append(d, bson.Elem{Key: FieldLoc, Value: geo.GeoJSONPoint(geo.Point{Lon: 20 + x, Lat: 37})})
 			n++
 			id, err := c.Insert(bson.FromD(d))
 			if err != nil {
@@ -108,26 +112,30 @@ func FuzzOrderedExecution(f *testing.F) {
 			data = data[:3*96]
 		}
 		c := orderedCollection(t, data)
-		lo := int64(flags>>4) % 6
-		onG := []Filter{
-			Cmp{Field: "g", Op: OpGTE, Value: lo},
-			Cmp{Field: "g", Op: OpLTE, Value: lo + int64(flags>>7)%6},
+		lo := uint64(flags>>4) % 6
+		// The residual: a longitude below x+1.
+		f := &Spec{Rect: geo.NewRect(19.5, 36, 20.5+float64(flags>>13), 38)}
+		onG := func() { f.Key, f.Cells = HilbertKey, []sfc.Range{{Lo: lo, Hi: lo + uint64(flags>>7)%6}} }
+		f.From, f.To = anyFrom, anyTo
+		onS := func() {
+			f.From = baseTime.Add(time.Duration(flags>>10%3) * time.Second)
+			f.To = baseTime.Add(time.Duration(2+flags>>12%3) * time.Second)
 		}
-		onS := []Filter{
-			Cmp{Field: "s", Op: OpGTE, Value: baseTime.Add(time.Duration(flags>>10%3) * time.Second)},
-			Cmp{Field: "s", Op: OpLTE, Value: baseTime.Add(time.Duration(2+flags>>12%3) * time.Second)},
+		// The sort field's window open (the gs index skip-scans every
+		// date), alone in the spec (the s index), and narrowed under a
+		// skip-scan of gs.
+		switch flags % 3 {
+		case 0:
+			onG()
+		case 1:
+			onS()
+		default:
+			onG()
+			onS()
 		}
-		residual := Cmp{Field: "x", Op: OpLT, Value: int64(flags>>13) + 1}
-		// The sort field absent from the filter (the gs index scans
-		// flat), alone in it (the s index), and under a skip-scan of gs.
-		f := [3]Filter{
-			NewAnd(append(onG, residual)...),
-			NewAnd(append(onS, residual)...),
-			NewAnd(append(append(onG, onS...), residual)...),
-		}[flags%3]
-		field := "s"
+		field := FieldDate
 		if flags&4 != 0 {
-			field = "g"
+			field = FieldHilbert
 		}
 		opts := Opts{
 			Limit:   []int{0, 1, fetchBatch - 1, fetchBatch, fetchBatch + 1, 1000}[limitSel%6],

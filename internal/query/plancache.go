@@ -1,13 +1,6 @@
 package query
 
-import (
-	"reflect"
-	"slices"
-	"strconv"
-
-	"repro/internal/bson"
-	"repro/internal/collection"
-)
+import "repro/internal/collection"
 
 // The plan cache mirrors the server's: after a multi-plan trial, the
 // winning access path is remembered for the query's *shape* (its
@@ -15,71 +8,16 @@ import (
 // values), so repeated queries skip the trials. This is what makes
 // the paper's warm-state measurements reflect pure execution time.
 
-// ShapeOf renders the structural shape of a filter: operators, field
-// names and value type classes, but not the values.
-func ShapeOf(f Filter) string { return string(appendShape(nil, f)) }
+// ShapeOf renders the structural shape of a query: its key field and
+// its rectangle, but not its window or its cover. The rectangle is not
+// parameterized (as on the server, where geo queries are excluded from
+// auto-parameterization), so distinct query rectangles plan
+// independently — the precondition for the per-query optimizer
+// choices of Table 7.
+func ShapeOf(f Filter) string { return Prepare(f).spec.shape() }
 
-func appendShape(b []byte, f Filter) []byte {
-	switch t := f.(type) {
-	case Cmp:
-		b = append(append(b, t.Field...), ':')
-		b = append(append(b, t.Op.String()...), ':')
-		return strconv.AppendInt(b, int64(bson.CanonicalClass(t.Value)), 10)
-	case In:
-		return append(append(b, t.Field...), ":$in"...)
-	case KeyRanges:
-		return appendShape(b, t.Or())
-	case GeoWithin:
-		// Geo predicates are not parameterized: the geometry is part
-		// of the cache key (as on the server, where geo queries are
-		// excluded from auto-parameterization). Distinct query
-		// rectangles therefore plan independently — the precondition
-		// for the per-query optimizer choices of Table 7.
-		b = append(append(b, t.Field...), ":$geoWithin["...)
-		return append(append(b, t.Rect.String()...), ']')
-	case And:
-		b = append(b, "and("...)
-		for i, c := range t.Children {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendShape(b, c)
-		}
-		return append(b, ')')
-	case Or:
-		// Disjunction arm counts vary with constant values (e.g. the
-		// Hilbert cell ranges), so the shape keeps only the set of
-		// distinct arm shapes, in a deterministic order. Each arm is
-		// rendered at the tail of b and kept only if new.
-		mark := len(b)
-		var arms []string
-		for _, c := range t.Children {
-			b = appendShape(b, c)
-			seen := false
-			for _, arm := range arms {
-				seen = seen || arm == string(b[mark:])
-			}
-			if !seen {
-				arms = append(arms, string(b[mark:]))
-			}
-			b = b[:mark]
-		}
-		slices.Sort(arms)
-		b = append(b, "or("...)
-		for i, arm := range arms {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, arm...)
-		}
-		return append(b, ')')
-	case *Prepared:
-		return append(b, t.cacheKey().(string)...)
-	case nil:
-		return append(b, "<nil>"...)
-	default:
-		return append(b, reflect.TypeOf(f).String()...)
-	}
+func (s *Spec) shape() string {
+	return s.keyField() + "$geoWithin[" + s.Rect.String() + "]"
 }
 
 // cacheEntry is a remembered winner plus the work it took to win,
@@ -109,7 +47,7 @@ const replanFactor = 10
 // re-trial on its next execution and nothing else.
 const planCacheCap = 4096
 
-// cachedPlan looks up the remembered winner for the prepared filter's
+// cachedPlan looks up the remembered winner for the prepared spec's
 // shape and assembles its plan from the prepared access path: a cache
 // load, an index lookup by spec, one Plan. The losing candidates are
 // never built. The returned budget is the works allowance before the
@@ -137,11 +75,11 @@ func cachedPlan(coll *collection.Collection, p *Prepared) (*Plan, int, cacheEntr
 
 // planByName builds the single candidate plan with the given name, or
 // nil when the name no longer denotes a usable access path for this
-// filter. It yields exactly the plan CandidatePlans would list under
+// spec. It yields exactly the plan CandidatePlans would list under
 // that name.
 func planByName(coll *collection.Collection, p *Prepared, name string) *Plan {
 	// Only a choice between indexes is ever cached: an impossible
-	// filter, or one no index serves, has one plan (onlyPlan).
+	// spec, or one no index serves, has one plan (onlyPlan).
 	ix := coll.IndexBySpec(name)
 	if ix == nil {
 		return nil
@@ -153,7 +91,7 @@ func planByName(coll *collection.Collection, p *Prepared, name string) *Plan {
 	return &Plan{Index: ix, Segments: ap.segments, Filter: ap.residual}
 }
 
-// onlyPlan sets *plan to the filter's one candidate plan, or reports
+// onlyPlan sets *plan to the spec's one candidate plan, or reports
 // false when CandidatePlans lists several: only then has a trial, and
 // so the plan cache, anything to decide.
 func onlyPlan(coll *collection.Collection, p *Prepared, plan *Plan) bool {
@@ -169,7 +107,7 @@ func onlyPlan(coll *collection.Collection, p *Prepared, plan *Plan) bool {
 // zero) from thrashing the planner.
 const minReplanBudget = 200
 
-// rememberPlan stores the winner for the filter shape along with the
+// rememberPlan stores the winner for the spec's shape along with the
 // works its winning execution consumed. Concurrent replans of the
 // same shape race last-writer-wins, which is safe: every writer
 // stores a winner it just validated against the live data, so any of
@@ -182,7 +120,7 @@ func rememberPlan(coll *collection.Collection, p *Prepared, plan *Plan, works in
 	}
 }
 
-// evictPlan drops the cached winner for the filter shape, but only if
+// evictPlan drops the cached winner for the spec's shape, but only if
 // it is still the entry the caller's execution ran with — a plain
 // Delete here could throw away the fresh winner a concurrently
 // replanning execution just remembered.

@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/collection"
 	"repro/internal/geohash"
@@ -80,7 +79,7 @@ func (p *Plan) Name() string {
 	return p.Index.Spec()
 }
 
-// CandidatePlans enumerates every usable access path for the filter:
+// CandidatePlans enumerates every usable access path for the spec:
 // one plan per index whose leading field is constrained, plus a
 // collection scan when none is.
 func CandidatePlans(coll *collection.Collection, f Filter) []*Plan {
@@ -92,12 +91,12 @@ func CandidatePlans(coll *collection.Collection, f Filter) []*Plan {
 	return out
 }
 
-// candidates appends the filter's candidate plans to dst, at most max
+// candidates appends the spec's candidate plans to dst, at most max
 // of them (0: all).
 func candidates(coll *collection.Collection, p *Prepared, dst []Plan, max int) []Plan {
-	if p.bounds.impossible {
+	if p.spec.Impossible() {
 		// A provably empty result: an index scan over no segments.
-		return append(dst, Plan{Index: coll.Index(collection.IDIndexName), Filter: p.filter})
+		return append(dst, Plan{Index: coll.Index(collection.IDIndexName), Filter: p.spec})
 	}
 	n := len(dst)
 	for _, ix := range coll.Indexes() {
@@ -106,46 +105,76 @@ func candidates(coll *collection.Collection, p *Prepared, dst []Plan, max int) [
 		}
 	}
 	if len(dst) == n {
-		dst = append(dst, Plan{Filter: compile(p.filter)})
+		dst = append(dst, Plan{Filter: p.spec})
 	}
 	return dst
 }
 
-// residualFilter removes the top-level conjuncts whose field is one of
-// the covered index fields, fully enforced by the plan's index bounds
-// (covered predicates), the way the server's FETCH stage only re-checks
-// what the IXSCAN could not guarantee, and compiles what is left.
-// Dropping the Hilbert approach's cell constraint here is what keeps
-// refinement linear in the matched documents rather than in the cover
-// size.
-func residualFilter(f Filter, covered []index.Field) Filter {
-	if len(covered) == 0 {
-		return compile(f)
-	}
-	droppable := func(c Filter) bool {
-		field, ok := singleField(c)
-		return ok && slices.ContainsFunc(covered, func(cf index.Field) bool { return cf.Name == field })
-	}
-	and, isAnd := f.(And)
-	if !isAnd {
-		if droppable(f) {
-			return And{}
-		}
-		return compile(f)
-	}
-	kept := make([]Filter, 0, len(and.Children))
-	for _, c := range and.Children {
-		if !droppable(c) {
-			kept = append(kept, compile(c))
+// residualFilter is the spec less the predicates the covered index
+// fields fully enforce (covered predicates), the way the server's FETCH
+// stage only re-checks what the IXSCAN could not guarantee. Dropping
+// the Hilbert approach's cell constraint here is what keeps refinement
+// linear in the matched documents rather than in the cover size.
+func residualFilter(s *Spec, covered []index.Field) residual {
+	r := residual{s: s, window: true, key: s.Key != NoKey}
+	for _, f := range covered {
+		switch f.Name {
+		case FieldDate:
+			r.window = false
+		case s.keyField():
+			r.key = false
 		}
 	}
-	return And{Children: kept}
+	return r
 }
 
-// planSegments builds the scan segments of one index for the
-// extracted bounds, and reports how many of its leading fields they
-// cover. usable is false when the index's leading field is
-// unconstrained.
+// fieldSet is the closed intervals a spec puts on one index field: the
+// geohash cells covering its rectangle on a 2dsphere location, what
+// Spec.Intervals lists on an ascending field. ok is false when the
+// spec leaves the field unconstrained; derived that the set is built.
+type fieldSet struct {
+	s       *Spec
+	field   string
+	cells   []sfc.Range
+	n       int
+	ok      bool
+	derived bool
+}
+
+func fieldSetOf(ix *index.Index, f index.Field, s *Spec) fieldSet {
+	if f.Kind == index.Geo2DSphere {
+		if f.Name != FieldLoc {
+			return fieldSet{}
+		}
+		bits := ix.Def().GeoBits
+		if bits == 0 {
+			bits = geohash.DefaultBits
+		}
+		// The depth-first cover ascends and is disjoint.
+		cover := geohash.Cover(s.Rect, bits, geoCoverMaxCells)
+		cells := make([]sfc.Range, len(cover))
+		for i, c := range cover {
+			cells[i].Lo, cells[i].Hi = c.Range(bits)
+		}
+		return fieldSet{cells: cells, n: len(cells), ok: true}
+	}
+	n := s.Intervals(f.Name)
+	return fieldSet{s: s, field: f.Name, n: n, ok: n > 0}
+}
+
+// appendInterval appends the encoded ends of the set's i-th interval
+// after prefix, and reports whether it holds one value.
+func (fs *fieldSet) appendInterval(keys *keyenc.Buf, prefix []byte, i int) (lo, hi []byte, point bool) {
+	if fs.s == nil {
+		r := fs.cells[i]
+		return keys.AppendNumber(prefix, float64(r.Lo)), keys.AppendNumber(prefix, float64(r.Hi)), r.Lo == r.Hi
+	}
+	return fs.s.AppendInterval(keys, prefix, fs.field, i)
+}
+
+// planSegments builds the scan segments of one index for the spec, and
+// reports how many of its leading fields they cover. usable is false
+// when the index's leading field is unconstrained.
 //
 // Point constraints on a field compose with the next field's bounds
 // by key-prefix extension. A *range* on an Ascending leading field
@@ -153,83 +182,75 @@ func residualFilter(f Filter, covered []index.Field) Filter {
 // sub-bounds. A 2dsphere component's cell ranges scan flat, without
 // trailing-field pruning — the behaviour the paper observes for the
 // baseline's built-in spatial index.
-func planSegments(ix *index.Index, b bounds) (segs []Segment, covered int, usable bool) {
+func planSegments(ix *index.Index, s *Spec) (segs []Segment, covered int, usable bool) {
 	fields := ix.Def().Fields
-	// A KeyRanges on an Ascending leading field is read unboxed.
-	var ranges []sfc.Range
-	if fields[0].Kind == index.Ascending {
-		ranges = b.keyRanges(fields[0].Name)
+	// Each field's set is derived when first needed: a 2dsphere set
+	// costs a geohash cover.
+	var arr [4]fieldSet
+	sets := arr[:0]
+	if len(fields) > len(arr) {
+		sets = make([]fieldSet, 0, len(fields))
 	}
-	var set0 []ValueInterval
-	if ranges == nil {
-		if set0 = fieldIntervalSet(ix, fields[0], b); set0 == nil {
-			return nil, 0, false
+	sets = sets[:len(fields)]
+	set := func(i int) *fieldSet {
+		if !sets[i].derived {
+			sets[i] = fieldSetOf(ix, fields[i], s)
+			sets[i].derived = true
 		}
+		return &sets[i]
+	}
+	if !set(0).ok {
+		return nil, 0, false
 	}
 	// Every key below is a window of one buffer, sized for a pair of
-	// numeric or date keys per interval, or per range and its
-	// composition with one date interval.
-	keys := make(keyenc.Buf, 0, 32*(len(set0)+1)+64*len(ranges))
+	// keys per interval, and for a cell range's composition with one
+	// date interval.
+	size := 32 * (sets[0].n + 1)
+	if fields[0].Name == FieldHilbert {
+		size = 32 + 64*sets[0].n
+	}
+	keys := make(keyenc.Buf, 0, size)
 	// Skip-scan sub-bounds apply when the leading field is Ascending
 	// and the second field is a constrained Ascending field.
 	var subLo, subHiUpper []byte
 	subExact := false
-	if len(fields) > 1 && fields[0].Kind == index.Ascending && fields[1].Kind == index.Ascending {
-		if nextSet := fieldIntervalSet(ix, fields[1], b); len(nextSet) > 0 {
-			// Bound by the set's envelope, widened to inclusive. The
-			// envelope equals the set when there is a single
-			// inclusive interval, in which case the bound is exact.
-			lo := nextSet[0]
-			hi := nextSet[len(nextSet)-1]
-			subLo = keys.Append(nil, lo.Lo)
-			subHiUpper = keys.Append(nil, hi.Hi)
-			subHiUpper = keyenc.AppendPrefixUpperBound(subHiUpper[:0], subHiUpper)
-			subExact = len(nextSet) == 1 && lo.LoIncl && hi.HiIncl
-		}
+	if len(fields) > 1 && fields[0].Kind == index.Ascending && fields[1].Kind == index.Ascending && set(1).ok {
+		// Bound by the set's envelope, widened to inclusive. The
+		// envelope equals the set when it is a single interval, in
+		// which case the bound is exact.
+		subLo, _, _ = sets[1].appendInterval(&keys, nil, 0)
+		_, subHiUpper, _ = sets[1].appendInterval(&keys, nil, sets[1].n-1)
+		subHiUpper = keyenc.AppendPrefixUpperBound(subHiUpper[:0], subHiUpper)
+		subExact = sets[1].n == 1
 	}
-	out := make([]Segment, 0, len(set0)+len(ranges))
+	out := make([]Segment, 0, sets[0].n)
 	anyRangeSegments := false
-	var compose func(fieldIdx int, prefix []byte, set []ValueInterval)
-	// emit adds the segment of an interval given by its encoded ends.
-	emit := func(fieldIdx int, lo, hi []byte, loIncl, hiIncl, point bool) {
-		if next := fieldIdx + 1; point && next < len(fields) {
-			if nextSet := fieldIntervalSet(ix, fields[next], b); nextSet != nil {
-				compose(next, lo, nextSet)
-				return
+	var compose func(fieldIdx int, prefix []byte)
+	compose = func(fieldIdx int, prefix []byte) {
+		fs := &sets[fieldIdx]
+		for i := 0; i < fs.n; i++ {
+			lo, hi, point := fs.appendInterval(&keys, prefix, i)
+			if next := fieldIdx + 1; point && next < len(fields) && set(next).ok {
+				compose(next, lo)
+				continue
 			}
-		}
-		kiv, ok := keyInterval(lo, hi, loIncl, hiIncl)
-		if !ok {
-			return
-		}
-		seg := Segment{Interval: kiv}
-		if fieldIdx == 0 && !point {
-			anyRangeSegments = true
-			if subLo != nil && subHiUpper != nil {
+			seg := Segment{Interval: keyInterval(lo, hi)}
+			if fieldIdx == 0 && !point {
+				anyRangeSegments = true
 				seg.SubLo, seg.SubHiUpper = subLo, subHiUpper
 			}
-		}
-		out = append(out, seg)
-	}
-	compose = func(fieldIdx int, prefix []byte, set []ValueInterval) {
-		for _, iv := range set {
-			lo := keys.Append(prefix, iv.Lo)
-			emit(fieldIdx, lo, keys.Append(prefix, iv.Hi), iv.LoIncl, iv.HiIncl, iv.IsPoint())
+			out = append(out, seg)
 		}
 	}
-	for _, r := range ranges {
-		lo := keys.AppendNumber(nil, float64(r.Lo))
-		emit(0, lo, keys.AppendNumber(nil, float64(r.Hi)), true, true, r.Lo == r.Hi)
-	}
-	compose(0, nil, set0)
-	// Covered predicates: the leading Ascending field's bounds encode
-	// its (strict) interval set exactly; the second field is covered
-	// when every range segment enforced an exact sub-bound and every
-	// point composition encoded its full set (which emit does by
-	// construction).
-	if fields[0].Kind == index.Ascending && b.isExact(fields[0].Name) {
+	compose(0, nil)
+	// Covered predicates: a spec's intervals on an Ascending field
+	// represent its predicate exactly, so the leading Ascending field's
+	// bounds cover it; the second field is covered when every range
+	// segment enforced an exact sub-bound and every point composition
+	// encoded its full set (which compose does by construction).
+	if fields[0].Kind == index.Ascending {
 		covered = 1
-		if len(fields) > 1 && fields[1].Kind == index.Ascending && b.isExact(fields[1].Name) {
+		if len(fields) > 1 && fields[1].Kind == index.Ascending && set(1).ok {
 			if !anyRangeSegments || (subLo != nil && subExact) {
 				covered = 2
 			}
@@ -238,53 +259,14 @@ func planSegments(ix *index.Index, b bounds) (segs []Segment, covered int, usabl
 	return out, covered, true
 }
 
-// fieldIntervalSet returns the disjunctive interval set constraining
-// one index field, or nil when the field is unconstrained. Geo fields
-// translate their rectangle into geohash cell ranges over the indexed
-// hash values.
-func fieldIntervalSet(ix *index.Index, f index.Field, b bounds) []ValueInterval {
-	if f.Kind == index.Geo2DSphere {
-		rect, ok := b.rect(f.Name)
-		if !ok {
-			return nil
-		}
-		bits := ix.Def().GeoBits
-		if bits == 0 {
-			bits = geohash.DefaultBits
-		}
-		cells := geohash.Cover(rect, bits, geoCoverMaxCells)
-		set := make([]ValueInterval, 0, len(cells))
-		for _, c := range cells {
-			lo, hi := c.Range(bits)
-			set = append(set, ValueInterval{
-				Lo: int64(lo), LoIncl: true,
-				Hi: int64(hi), HiIncl: true,
-			})
-		}
-		return normalizeIntervals(set)
+// keyInterval translates a closed interval, given as its encoded ends
+// (it rewrites hi in place), into scan bounds: every key extending an
+// end lies inside.
+func keyInterval(loKey, hiKey []byte) index.Interval {
+	return index.Interval{
+		Low:  index.IntervalFromTuples(loKey, nil).Low,
+		High: index.UpperBoundExclusive(keyenc.AppendPrefixUpperBound(hiKey[:0], hiKey)),
 	}
-	set, _ := b.set(f.Name)
-	return set
-}
-
-// keyInterval translates a value interval, given as its encoded ends
-// (which it may rewrite in place), into scan bounds. ok is false when
-// the interval is unsatisfiable in key space.
-func keyInterval(loKey, hiKey []byte, loIncl, hiIncl bool) (index.Interval, bool) {
-	var out index.Interval
-	if !loIncl {
-		if loKey = keyenc.AppendPrefixUpperBound(loKey[:0], loKey); loKey == nil {
-			return out, false
-		}
-	}
-	out.Low = index.IntervalFromTuples(loKey, nil).Low
-	if hiIncl {
-		// Every key extending hi: below its prefix upper bound, or
-		// unbounded when there is none.
-		hiKey = keyenc.AppendPrefixUpperBound(hiKey[:0], hiKey)
-	}
-	out.High = index.UpperBoundExclusive(hiKey)
-	return out, true
 }
 
 // TrialResult records how one candidate performed during plan
@@ -306,7 +288,7 @@ func (t TrialResult) String() string {
 		t.PlanName, t.Advanced, t.Works, t.Completed, mark)
 }
 
-// ChoosePlan ranks the candidates. With one candidate it returns it
+// ChoosePlan ranks the spec's candidates. With one candidate it returns it
 // immediately; otherwise every candidate runs with a bounded work
 // budget (the server's multi-planner) and the most productive one
 // wins: a completed trial beats any unfinished one; among completed

@@ -2,6 +2,7 @@ package query
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/index"
 	"repro/internal/sfc"
+	"repro/internal/sthash"
 )
 
 // TestSkipScanEquivalentToFlatScan drives the same compound-index
@@ -26,6 +28,7 @@ func TestSkipScanEquivalentToFlatScan(t *testing.T) {
 	for i := int64(0); i < 3000; i++ {
 		doc := bson.FromD(bson.D{
 			{Key: "_id", Value: i},
+			{Key: "location", Value: geo.GeoJSONPoint(geo.Point{Lon: 23.7, Lat: 37.9})},
 			{Key: "hilbertIndex", Value: int64(rng.Intn(50))}, // heavy duplication
 			{Key: "date", Value: baseTime.Add(time.Duration(rng.Int63n(int64(100 * 24 * time.Hour))))},
 		})
@@ -33,11 +36,7 @@ func TestSkipScanEquivalentToFlatScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f := NewAnd(
-		Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(10)},
-		Cmp{Field: "hilbertIndex", Op: OpLTE, Value: int64(30)},
-		TimeRangeFilter("date", baseTime.Add(24*time.Hour), baseTime.Add(48*time.Hour)),
-	)
+	f := cellWindow(10, 30, baseTime.Add(24*time.Hour), baseTime.Add(48*time.Hour))
 	plans := CandidatePlans(c, f)
 	if len(plans) != 1 {
 		t.Fatalf("got %d plans", len(plans))
@@ -73,15 +72,16 @@ func TestSkipScanEquivalentToFlatScan(t *testing.T) {
 func TestSkipScanRandomizedAgainstReference(t *testing.T) {
 	c := collection.New("t")
 	mustIndex(t, c, index.Definition{Name: "hd", Fields: []index.Field{
-		{Name: "a", Kind: index.Ascending},
-		{Name: "b", Kind: index.Ascending},
+		{Name: "hilbertIndex", Kind: index.Ascending},
+		{Name: "date", Kind: index.Ascending},
 	}})
 	rng := rand.New(rand.NewSource(11))
 	for i := int64(0); i < 2000; i++ {
 		doc := bson.FromD(bson.D{
 			{Key: "_id", Value: i},
-			{Key: "a", Value: int64(rng.Intn(40))},
-			{Key: "b", Value: int64(rng.Intn(1000))},
+			{Key: "location", Value: geo.GeoJSONPoint(geo.Point{Lon: 23.7, Lat: 37.9})},
+			{Key: "hilbertIndex", Value: int64(rng.Intn(40))},
+			{Key: "date", Value: baseTime.Add(time.Duration(rng.Intn(1000)) * time.Minute)},
 		})
 		if _, err := c.Insert(doc); err != nil {
 			t.Fatal(err)
@@ -92,16 +92,11 @@ func TestSkipScanRandomizedAgainstReference(t *testing.T) {
 		if alo > ahi {
 			alo, ahi = ahi, alo
 		}
-		blo, bhi := int64(b0%1000), int64(b1%1000)
+		blo, bhi := time.Duration(b0%1000)*time.Minute, time.Duration(b1%1000)*time.Minute
 		if blo > bhi {
 			blo, bhi = bhi, blo
 		}
-		flt := NewAnd(
-			Cmp{Field: "a", Op: OpGTE, Value: alo},
-			Cmp{Field: "a", Op: OpLTE, Value: ahi},
-			Cmp{Field: "b", Op: OpGTE, Value: blo},
-			Cmp{Field: "b", Op: OpLTE, Value: bhi},
-		)
+		flt := cellWindow(alo, ahi, baseTime.Add(blo), baseTime.Add(bhi))
 		want := ExecutePlan(c, &Plan{Filter: flt}).Stats.NReturned
 		got := Execute(c, flt, nil).Stats.NReturned
 		return got == want
@@ -115,76 +110,63 @@ func TestSkipScanRandomizedAgainstReference(t *testing.T) {
 // the matching conjuncts from the residual filter.
 func TestCoveredPredicatesDropped(t *testing.T) {
 	c := newCollWithIndexes(t, 200)
-	f := NewAnd(
-		GeoWithin{Field: "location", Rect: geo.NewRect(23.6, 37.8, 23.9, 38.1)},
-		TimeRangeFilter("date", baseTime, baseTime.Add(24*time.Hour)),
-		NewOr(
-			NewAnd(
-				Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(0)},
-				Cmp{Field: "hilbertIndex", Op: OpLTE, Value: int64(10000)},
-			),
-			In{Field: "hilbertIndex", Values: []any{int64(70000)}},
-		),
-	)
+	f := &Spec{Rect: geo.NewRect(23.6, 37.8, 23.9, 38.1), From: baseTime, To: baseTime.Add(24 * time.Hour), Key: HilbertKey,
+		Cells: []sfc.Range{{Lo: 0, Hi: 10000}, {Lo: 70000, Hi: 70000}}}
+	seen := 0
 	for _, p := range CandidatePlans(c, f) {
-		res, ok := p.Filter.(And)
+		res, ok := p.Filter.(residual)
 		if !ok {
-			continue
+			t.Fatalf("%s refines a %T", p.Name(), p.Filter)
 		}
 		switch p.Name() {
 		case "{hilbertIndex: 1, date: 1}":
 			// Both fields covered: only the geo predicate remains.
-			if len(res.Children) != 1 {
+			if !res.geoOnly() || strings.Contains(res.String(), "date") {
 				t.Fatalf("hd residual = %s", p.Filter)
-			}
-			if _, isGeo := res.Children[0].(GeoWithin); !isGeo {
-				t.Fatalf("hd residual kept %s", res.Children[0])
 			}
 		case "{date: 1}":
 			// The date range is covered; geo and hilbert constraints
 			// remain.
-			for _, child := range res.Children {
-				if cmp, isCmp := child.(Cmp); isCmp && cmp.Field == "date" {
-					t.Fatalf("date residual kept %s", child)
-				}
+			if res.window || !res.key || strings.Contains(res.String(), "date") {
+				t.Fatalf("date residual = %s", p.Filter)
 			}
 		case "{location: 2dsphere, date: 1}":
 			// Geo bounds over-cover; everything stays.
-			if len(res.Children) != len(f.Children) {
+			if res.String() != f.String() {
 				t.Fatalf("geo plan dropped conjuncts: %s", p.Filter)
 			}
 		}
+		seen++
+	}
+	if seen != 3 {
+		t.Fatalf("%d candidate plans, want 3", seen)
 	}
 }
 
-// TestCoveredPredicatesRespectTypeBracketing: an open range on a
-// string field must NOT be treated as covered (its bounds extend to
-// the class sentinels), so mixed-type collections stay correct.
+// TestCoveredPredicatesRespectTypeBracketing: the window is covered by
+// a date index because its bounds stay within the date class, so a
+// collection whose date field holds numbers, strings and booleans too
+// stays correct.
 func TestCoveredPredicatesRespectTypeBracketing(t *testing.T) {
 	c := collection.New("t")
-	mustIndex(t, c, index.Definition{Name: "v", Fields: []index.Field{{Name: "v", Kind: index.Ascending}}})
-	vals := []any{int64(1), int64(9), "alpha", "zulu", true, time.Now()}
+	mustIndex(t, c, index.Definition{Name: "date", Fields: []index.Field{{Name: "date", Kind: index.Ascending}}})
+	vals := []any{int64(1), int64(9), "alpha", "zulu", true, nil, baseTime.Add(time.Hour), baseTime.Add(48 * time.Hour)}
 	for i, v := range vals {
-		doc := bson.FromD(bson.D{{Key: "_id", Value: int64(i)}, {Key: "v", Value: v}})
+		doc := bson.FromD(bson.D{{Key: "_id", Value: int64(i)}, {Key: "location", Value: geo.GeoJSONPoint(geo.Point{Lon: 23.7, Lat: 37.9})}, {Key: "date", Value: v}})
 		if _, err := c.Insert(doc); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// {$gt: "m"} must match only "zulu", not the datetime or bool that
-	// sort above strings.
-	f := Cmp{Field: "v", Op: OpGT, Value: "m"}
+	f := window(baseTime, baseTime.Add(24*time.Hour))
 	res := Execute(c, f, nil)
-	if res.Stats.NReturned != 1 {
-		t.Fatalf("string range returned %d docs", res.Stats.NReturned)
+	if res.Stats.IndexUsed != "{date: 1}" || !CandidatePlans(c, f)[0].Filter.(residual).geoOnly() {
+		t.Fatalf("the window is not covered by the date index (%s)", res.Stats.IndexUsed)
 	}
-	if res.Docs[0].Get("v") != "zulu" {
-		t.Fatalf("string range returned %v", res.Docs[0])
+	if res.Stats.NReturned != 1 || res.Stats.KeysExamined > 2 {
+		t.Fatalf("date range returned %d docs over %d keys", res.Stats.NReturned, res.Stats.KeysExamined)
 	}
-	// Numeric open range: covered but still correct across classes.
-	f2 := Cmp{Field: "v", Op: OpGTE, Value: int64(5)}
-	res2 := Execute(c, f2, nil)
-	if res2.Stats.NReturned != 1 || res2.Docs[0].Get("v") != int64(9) {
-		t.Fatalf("numeric range returned %v", res2.Docs)
+	if got := res.Docs[0].Get("date"); got != baseTime.Add(time.Hour) {
+		t.Fatalf("date range returned %v", res.Docs[0])
 	}
 }
 
@@ -193,11 +175,7 @@ func TestPlanCacheHitAndReplan(t *testing.T) {
 	// Constrains both hilbertIndex and date so at least two indexes
 	// compete and a trial runs.
 	shapeA := func(lo, hi int64) Filter {
-		return NewAnd(
-			Cmp{Field: "hilbertIndex", Op: OpGTE, Value: lo},
-			Cmp{Field: "hilbertIndex", Op: OpLTE, Value: hi},
-			TimeRangeFilter("date", baseTime, baseTime.Add(20*24*time.Hour)),
-		)
+		return cellWindow(lo, hi, baseTime, baseTime.Add(20*24*time.Hour))
 	}
 	// First execution trials and caches.
 	r1 := Execute(c, shapeA(100, 200), nil)
@@ -214,10 +192,7 @@ func TestPlanCacheHitAndReplan(t *testing.T) {
 	}
 	// A different shape (geo + date constrains two other indexes)
 	// misses the cache and trials again.
-	r3 := Execute(c, NewAnd(
-		GeoWithin{Field: "location", Rect: testArea},
-		TimeRangeFilter("date", baseTime, baseTime.Add(time.Hour)),
-	), nil)
+	r3 := Execute(c, rectWindow(testArea, baseTime, baseTime.Add(time.Hour)), nil)
 	if len(r3.Trials) == 0 {
 		t.Fatal("different shape hit the cache")
 	}
@@ -229,64 +204,38 @@ func TestPlanCacheHitAndReplan(t *testing.T) {
 }
 
 func TestShapeOfIgnoresConstants(t *testing.T) {
-	// Ordinary comparisons are parameterized: only the value class is
-	// part of the shape.
-	f1 := NewAnd(
-		GeoWithin{Field: "location", Rect: geo.NewRect(0, 0, 1, 1)},
-		Cmp{Field: "date", Op: OpGTE, Value: baseTime},
-	)
-	f1b := NewAnd(
-		GeoWithin{Field: "location", Rect: geo.NewRect(0, 0, 1, 1)},
-		Cmp{Field: "date", Op: OpGTE, Value: baseTime.Add(99 * time.Hour)},
-	)
+	// The window and the cover are parameterized: only the key field
+	// and the rectangle are part of the shape.
+	rect := geo.NewRect(0, 0, 1, 1)
+	f1 := rectWindow(rect, baseTime, baseTime.Add(time.Hour))
+	f1b := rectWindow(rect, baseTime.Add(99*time.Hour), baseTime.Add(100*time.Hour))
 	if ShapeOf(f1) != ShapeOf(f1b) {
 		t.Fatalf("date constants leaked into shape:\n%s\n%s", ShapeOf(f1), ShapeOf(f1b))
 	}
 	// Geo predicates are NOT parameterized (as on the server):
 	// distinct rectangles are distinct shapes.
-	f2 := NewAnd(
-		GeoWithin{Field: "location", Rect: geo.NewRect(50, 50, 60, 60)},
-		Cmp{Field: "date", Op: OpGTE, Value: baseTime.Add(time.Hour)},
-	)
-	if ShapeOf(f1) == ShapeOf(f2) {
+	if ShapeOf(f1) == ShapeOf(rectWindow(geo.NewRect(50, 50, 60, 60), baseTime, baseTime.Add(time.Hour))) {
 		t.Fatal("different geo rectangles share a shape")
 	}
-	// Different arm counts of the same single-field $or share a shape
-	// (the Hilbert cover varies per query rectangle).
-	or1 := NewOr(
-		NewAnd(Cmp{Field: "h", Op: OpGTE, Value: int64(1)}, Cmp{Field: "h", Op: OpLTE, Value: int64(2)}),
-	)
-	or2 := NewOr(
-		NewAnd(Cmp{Field: "h", Op: OpGTE, Value: int64(5)}, Cmp{Field: "h", Op: OpLTE, Value: int64(9)}),
-		NewAnd(Cmp{Field: "h", Op: OpGTE, Value: int64(20)}, Cmp{Field: "h", Op: OpLTE, Value: int64(30)}),
-		In{Field: "h", Values: []any{int64(77)}},
-	)
-	s1 := ShapeOf(NewAnd(or1, Cmp{Field: "date", Op: OpGTE, Value: baseTime}))
-	s2 := ShapeOf(NewAnd(or2, NewAnd(Cmp{Field: "date", Op: OpGTE, Value: baseTime})))
-	_ = s2
-	// or1 lacks the $in arm, so shapes may differ; what must hold is
-	// that identical structure with different constants is equal:
-	or3 := NewOr(
-		NewAnd(Cmp{Field: "h", Op: OpGTE, Value: int64(100)}, Cmp{Field: "h", Op: OpLTE, Value: int64(200)}),
-		NewAnd(Cmp{Field: "h", Op: OpGTE, Value: int64(300)}, Cmp{Field: "h", Op: OpLTE, Value: int64(400)}),
-		In{Field: "h", Values: []any{int64(55), int64(66)}},
-	)
-	s3 := ShapeOf(NewAnd(or2, Cmp{Field: "date", Op: OpGTE, Value: baseTime}))
-	s4 := ShapeOf(NewAnd(or3, Cmp{Field: "date", Op: OpGTE, Value: baseTime}))
-	if s3 != s4 {
-		t.Fatalf("or shapes with same arm structure differ:\n%s\n%s", s3, s4)
+	// Covers of any size share a shape (the Hilbert cover varies per
+	// query rectangle); the key field does not.
+	h1 := &Spec{Rect: rect, From: baseTime, To: baseTime, Key: HilbertKey, Cells: []sfc.Range{{Lo: 1, Hi: 2}}}
+	h2 := &Spec{Rect: rect, From: baseTime, To: baseTime, Key: HilbertKey,
+		Cells: []sfc.Range{{Lo: 5, Hi: 9}, {Lo: 20, Hi: 30}, {Lo: 77, Hi: 77}}}
+	if ShapeOf(h1) != ShapeOf(h2) {
+		t.Fatalf("covers of different sizes differ in shape:\n%s\n%s", ShapeOf(h1), ShapeOf(h2))
 	}
-	_ = s1
+	st := &Spec{Rect: rect, From: baseTime, To: baseTime, Key: STHashKey, Strings: []sthash.Range{{Lo: "1", Hi: "2"}}}
+	if ShapeOf(h1) == ShapeOf(f1) || ShapeOf(h1) == ShapeOf(st) || ShapeOf(st) == ShapeOf(f1) {
+		t.Fatalf("key fields share a shape: %s, %s, %s", ShapeOf(f1), ShapeOf(h1), ShapeOf(st))
+	}
 }
 
 // TestTrialRespectsBudget ensures trials stop near the configured
 // work budget instead of running plans to completion.
 func TestTrialRespectsBudget(t *testing.T) {
 	c := newCollWithIndexes(t, 5000)
-	f := NewAnd(
-		GeoWithin{Field: "location", Rect: testArea},
-		TimeRangeFilter("date", baseTime, baseTime.Add(30*24*time.Hour)),
-	)
+	f := rectWindow(testArea, baseTime, baseTime.Add(30*24*time.Hour))
 	cfg := &Config{TrialWorks: 50}
 	_, trials := ChoosePlan(c, f, cfg)
 	for _, tr := range trials {
@@ -298,11 +247,7 @@ func TestTrialRespectsBudget(t *testing.T) {
 
 func TestCandidatePlanForEachUsableIndex(t *testing.T) {
 	c := newCollWithIndexes(t, 100)
-	f := NewAnd(
-		GeoWithin{Field: "location", Rect: testArea},
-		TimeRangeFilter("date", baseTime, baseTime.Add(time.Hour)),
-		Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(0)},
-	)
+	f := &Spec{Rect: testArea, From: baseTime, To: baseTime.Add(time.Hour), Key: HilbertKey, Cells: []sfc.Range{{Lo: 0, Hi: 1 << 40}}}
 	plans := CandidatePlans(c, f)
 	names := map[string]bool{}
 	for _, p := range plans {
@@ -331,41 +276,38 @@ func TestSegmentStringAndPlanName(t *testing.T) {
 
 func TestExecuteOnEmptyCollection(t *testing.T) {
 	c := collection.New("empty")
-	mustIndex(t, c, index.Definition{Name: "v", Fields: []index.Field{{Name: "v", Kind: index.Ascending}}})
-	res := Execute(c, Cmp{Field: "v", Op: OpGTE, Value: int64(0)}, nil)
+	mustIndex(t, c, index.Definition{Name: "date", Fields: []index.Field{{Name: "date", Kind: index.Ascending}}})
+	res := Execute(c, window(anyFrom, anyTo), nil)
 	if res.Stats.NReturned != 0 || res.Stats.KeysExamined != 0 {
 		t.Fatalf("empty collection stats: %+v", res.Stats)
 	}
 }
 
 // TestThreeFieldCompoundComposition checks point-chaining through a
-// three-field index: equality on the first two fields composes into a
-// prefix, the third field scans as a range.
+// three-field index: a single-cell cover and a one-instant window
+// compose into a prefix, the location's geohash cells scan as ranges.
 func TestThreeFieldCompoundComposition(t *testing.T) {
 	c := collection.New("t")
-	mustIndex(t, c, index.Definition{Name: "abc", Fields: []index.Field{
-		{Name: "a", Kind: index.Ascending},
-		{Name: "b", Kind: index.Ascending},
-		{Name: "c", Kind: index.Ascending},
+	mustIndex(t, c, index.Definition{Name: "hdl", Fields: []index.Field{
+		{Name: "hilbertIndex", Kind: index.Ascending},
+		{Name: "date", Kind: index.Ascending},
+		{Name: "location", Kind: index.Geo2DSphere},
 	}})
 	rng := rand.New(rand.NewSource(21))
 	for i := int64(0); i < 3000; i++ {
+		p := geo.Point{Lon: testArea.Min.Lon + rng.Float64()*testArea.Width(), Lat: testArea.Min.Lat + rng.Float64()*testArea.Height()}
 		doc := bson.FromD(bson.D{
 			{Key: "_id", Value: i},
-			{Key: "a", Value: int64(rng.Intn(5))},
-			{Key: "b", Value: int64(rng.Intn(10))},
-			{Key: "c", Value: int64(rng.Intn(1000))},
+			{Key: "hilbertIndex", Value: int64(rng.Intn(5))},
+			{Key: "date", Value: baseTime.Add(time.Duration(rng.Intn(10)) * time.Hour)},
+			{Key: "location", Value: geo.GeoJSONPoint(p)},
 		})
 		if _, err := c.Insert(doc); err != nil {
 			t.Fatal(err)
 		}
 	}
-	f := NewAnd(
-		Cmp{Field: "a", Op: OpEQ, Value: int64(2)},
-		Cmp{Field: "b", Op: OpEQ, Value: int64(7)},
-		Cmp{Field: "c", Op: OpGTE, Value: int64(100)},
-		Cmp{Field: "c", Op: OpLTE, Value: int64(300)},
-	)
+	at := baseTime.Add(7 * time.Hour)
+	f := &Spec{Rect: testArea, From: at, To: at, Key: HilbertKey, Cells: []sfc.Range{{Lo: 2, Hi: 2}}}
 	want := ExecutePlan(c, &Plan{Filter: f}).Stats.NReturned
 	res := Execute(c, f, nil)
 	if res.Stats.NReturned != want {
@@ -374,53 +316,39 @@ func TestThreeFieldCompoundComposition(t *testing.T) {
 	if want == 0 {
 		t.Fatal("vacuous")
 	}
-	// The composed plan must be tight: keys examined close to results.
-	if res.Stats.KeysExamined > want+2 {
-		t.Fatalf("three-field composition loose: %d keys for %d results",
-			res.Stats.KeysExamined, want)
+	// The composed plan must be tight: keys examined are the results
+	// plus at most the one key past each geohash segment's end.
+	segs := len(CandidatePlans(c, f)[0].Segments)
+	if res.Stats.KeysExamined > want+segs {
+		t.Fatalf("three-field composition loose: %d keys for %d results over %d segments",
+			res.Stats.KeysExamined, want, segs)
 	}
-	// $in on the leading field fans out across prefixes.
-	f2 := NewAnd(
-		In{Field: "a", Values: []any{int64(1), int64(3)}},
-		Cmp{Field: "b", Op: OpEQ, Value: int64(2)},
-		Cmp{Field: "c", Op: OpLTE, Value: int64(500)},
-	)
+	// Several single cells on the leading field fan out across
+	// prefixes.
+	f2 := &Spec{Rect: geo.NewRect(23.6, 37.6, 24.2, 38.2), From: at, To: at, Key: HilbertKey,
+		Cells: []sfc.Range{{Lo: 1, Hi: 1}, {Lo: 3, Hi: 3}}}
 	want2 := ExecutePlan(c, &Plan{Filter: f2}).Stats.NReturned
-	if got := Execute(c, f2, nil).Stats.NReturned; got != want2 {
-		t.Fatalf("$in fan-out returned %d, want %d", got, want2)
+	if got := Execute(c, f2, nil).Stats.NReturned; got != want2 || want2 == 0 {
+		t.Fatalf("cell fan-out returned %d, want %d", got, want2)
 	}
 }
 
-type customFilter struct{ And }
-
-// TestShapeOfGolden pins the plan-cache keys byte for byte: they were
-// rendered through fmt before and are appended by hand now, and a
-// daemon's cache (and every explain output) must not notice.
+// TestShapeOfGolden pins the plan-cache keys byte for byte: a
+// daemon's cache must not notice a change of how they are built.
 func TestShapeOfGolden(t *testing.T) {
+	rect := geo.NewRect(23.606039, 38.023982, 24.0327544, 38.3539265)
 	for _, tc := range []struct {
 		f    Filter
 		want string
 	}{
-		{NewAnd(
-			GeoWithin{Field: "location", Rect: geo.NewRect(23.606039, 38.023982, 24.0327544, 38.3539265)},
-			TimeRangeFilter("date", baseTime, baseTime.Add(time.Hour)),
-			NewOr(
-				NewAnd(Cmp{Field: "h", Op: OpGTE, Value: int64(5)}, Cmp{Field: "h", Op: OpLTE, Value: int64(9)}),
-				NewAnd(Cmp{Field: "h", Op: OpGTE, Value: int64(20)}, Cmp{Field: "h", Op: OpLTE, Value: int64(30)}),
-				In{Field: "h", Values: []any{int64(77)}},
-			),
-		), "and(location:$geoWithin[[(23.606039, 38.023982), (24.032754, 38.353927)]],date:$gte:8,date:$lte:8,or(and(h:$gte:2,h:$lte:2),h:$in))"},
-		{Cmp{Field: "s", Op: OpEQ, Value: "x"}, "s:$eq:3"},
-		{NewAnd(Cmp{Field: "n", Op: OpGT, Value: 5}, Cmp{Field: "b", Op: OpLT, Value: true}, Cmp{Field: "z", Op: OpEQ, Value: nil}),
-			"and(n:$gt:2,b:$lt:7,z:$eq:1)"},
-		{NewOr(), "or()"},
-		{NewAnd(), "and()"},
-		{GeoWithin{Field: "g", Rect: geo.NewRect(-179.9999999, -89.5, 0.0000004, 1e-7)},
-			"g:$geoWithin[[(-180.000000, -89.500000), (0.000000, 0.000000)]]"},
-		{customFilter{}, "query.customFilter"},
-		{NewOr(In{Field: "b", Values: nil}, Cmp{Field: "a", Op: OpLTE, Value: 1.5}, In{Field: "b", Values: nil}), "or(a:$lte:2,b:$in)"},
-		{KeyRanges{Field: "h", Ranges: []sfc.Range{{Lo: 5, Hi: 9}, {Lo: 20, Hi: 30}, {Lo: 77, Hi: 77}}}, "or(and(h:$gte:2,h:$lte:2),h:$in)"},
-		{KeyRanges{Field: "h"}, "and(h:$gt:2,h:$lt:2)"},
+		{&Spec{Rect: rect, From: baseTime, To: baseTime.Add(time.Hour), Key: HilbertKey,
+			Cells: []sfc.Range{{Lo: 5, Hi: 9}, {Lo: 20, Hi: 30}, {Lo: 77, Hi: 77}}},
+			"hilbertIndex$geoWithin[[(23.606039, 38.023982), (24.032754, 38.353927)]]"},
+		{&Spec{Rect: rect, Key: HilbertKey}, "hilbertIndex$geoWithin[[(23.606039, 38.023982), (24.032754, 38.353927)]]"},
+		{&Spec{Rect: rect, Key: STHashKey, Strings: []sthash.Range{{Lo: "a", Hi: "b"}}},
+			"stHash$geoWithin[[(23.606039, 38.023982), (24.032754, 38.353927)]]"},
+		{rectWindow(geo.NewRect(-179.9999999, -89.5, 0.0000004, 1e-7), baseTime, baseTime),
+			"$geoWithin[[(-180.000000, -89.500000), (0.000000, 0.000000)]]"},
 	} {
 		if got := ShapeOf(tc.f); got != tc.want {
 			t.Errorf("ShapeOf(%s)\n got %s\nwant %s", tc.f, got, tc.want)
@@ -448,10 +376,7 @@ func TestPlanCacheIsCapped(t *testing.T) {
 	c, fresh := newCollWithIndexes(t, 60), newCollWithIndexes(t, 60)
 	rectFilter := func(i int) Filter {
 		lon := 23.5 + float64(i)*1e-5
-		return NewAnd(
-			GeoWithin{Field: "location", Rect: geo.NewRect(lon, 37.6, lon+0.4, 38.2)},
-			TimeRangeFilter("date", baseTime, baseTime.Add(10*24*time.Hour)),
-		)
+		return rectWindow(geo.NewRect(lon, 37.6, lon+0.4, 38.2), baseTime, baseTime.Add(10*24*time.Hour))
 	}
 	const distinct = 10 * planCacheCap
 	for i := 0; i < distinct; i++ {
@@ -554,11 +479,8 @@ func TestOnePlanSkipsPlanCache(t *testing.T) {
 	c := benchHilbertColl(t, benchRawDocs(256))
 	for _, f := range []Filter{
 		hilbertCover(geo.NewRect(23.7, 37.7, 24.3, 38.3), baseTime, baseTime.Add(24*time.Hour)),
-		GeoWithin{Field: "location", Rect: geo.NewRect(23.7, 37.7, 24.3, 38.3)},
-		NewAnd(
-			Cmp{Field: "hilbertIndex", Op: OpGT, Value: int64(0)},
-			Cmp{Field: "hilbertIndex", Op: OpLT, Value: int64(0)},
-		),
+		rectSpec(geo.NewRect(23.7, 37.7, 24.3, 38.3)),
+		cells(),
 	} {
 		if n := len(CandidatePlans(c, f)); n != 1 {
 			t.Fatalf("%s: %d candidate plans, want 1", f, n)

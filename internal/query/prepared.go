@@ -1,28 +1,28 @@
 package query
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/bson"
 	"repro/internal/index"
 )
 
-// Prepared is a filter together with everything planning derives from
-// it alone: its plan-cache shape, its per-field bounds, and — per
-// index definition, identical on every shard of a cluster — the scan
-// segments and residual predicate of the access path through that
-// index. A scatter prepares its filter once and hands the same value
-// to every shard execution, so a shard only assembles its Plan: the
-// filter's one candidate, or the plan cache's winner among several.
+// Prepared is a spec together with everything planning derives from
+// it alone: its plan-cache shape and — per index definition, identical
+// on every shard of a cluster — the scan segments and residual
+// predicate of the access path through that index. A scatter prepares
+// its spec once and hands the same value to every shard execution, so
+// a shard only assembles its Plan: the spec's one candidate, or the
+// plan cache's winner among several.
 //
-// A Prepared is itself a Filter and answers like the filter it wraps;
+// A Prepared is itself a Filter and answers like the spec it wraps;
 // every planning and execution entry point accepts either. It is safe
 // for the concurrent executions of one scatter.
 type Prepared struct {
-	filter Filter
-	bounds bounds
+	spec *Spec
 
-	// shape is ShapeOf(filter), boxed once (the plan cache is a
+	// shape is ShapeOf(spec), boxed once (the plan cache is a
 	// sync.Map, and boxing the key per load would allocate) and only
 	// when a shard first consults its plan cache: a query the router
 	// answers from its result cache never renders it.
@@ -32,12 +32,9 @@ type Prepared struct {
 	mu    sync.Mutex
 	paths []accessPath
 
-	// Room for a typical query's bounds, and for its access paths
-	// through a shard's _id index and one more: preparing it allocates
-	// the Prepared alone.
-	fieldArr [4]fieldBounds
-	geoArr   [1]geoBounds
-	pathArr  [2]accessPath
+	// Room for the access paths through a shard's _id index and one
+	// more: preparing a spec allocates the Prepared alone.
+	pathArr [2]accessPath
 }
 
 // accessPath is the shard-independent part of a plan through one
@@ -56,33 +53,43 @@ type accessPath struct {
 	interior interior
 }
 
-// Prepare derives the filter's planning state; preparing a Prepared
-// returns it unchanged.
+// Prepare derives the spec's planning state; preparing a Prepared
+// returns it unchanged. f must be a *Spec or a *Prepared (see SpecOf).
 func Prepare(f Filter) *Prepared {
 	if p, ok := f.(*Prepared); ok {
 		return p
 	}
-	p := &Prepared{filter: f}
-	p.bounds = bounds{fields: p.fieldArr[:0], geoRects: p.geoArr[:0]}
-	p.bounds.addConjunct(f)
+	p := &Prepared{spec: SpecOf(f)}
 	p.paths = p.pathArr[:0]
 	return p
 }
 
-// cacheKey returns the filter's plan-cache key, its boxed shape.
+// SpecOf returns the query a *Spec or a *Prepared holds. Any other
+// filter panics: a spec is the only query there is.
+func SpecOf(f Filter) *Spec {
+	switch t := f.(type) {
+	case *Spec:
+		return t
+	case *Prepared:
+		return t.spec
+	}
+	panic(fmt.Sprintf("query: a %T is not a query spec", f))
+}
+
+// cacheKey returns the spec's plan-cache key, its boxed shape.
 func (p *Prepared) cacheKey() any {
-	p.shapeOnce.Do(func() { p.shape = ShapeOf(p.filter) })
+	p.shapeOnce.Do(func() { p.shape = p.spec.shape() })
 	return p.shape
 }
 
-// Filter returns the filter that was prepared.
-func (p *Prepared) Filter() Filter { return p.filter }
+// Spec returns the spec that was prepared.
+func (p *Prepared) Spec() *Spec { return p.spec }
 
 // Matches implements Filter.
-func (p *Prepared) Matches(doc bson.Doc) bool { return p.filter.Matches(doc) }
+func (p *Prepared) Matches(doc bson.Doc) bool { return p.spec.Matches(doc) }
 
 // String implements Filter.
-func (p *Prepared) String() string { return p.filter.String() }
+func (p *Prepared) String() string { return p.spec.String() }
 
 // path returns the access path through the index, deriving it on
 // first use.
@@ -97,9 +104,9 @@ func (p *Prepared) path(ix *index.Index) accessPath {
 	}
 	ap := accessPath{spec: spec, geoBits: geoBits}
 	var covered int
-	ap.segments, covered, ap.usable = planSegments(ix, p.bounds)
+	ap.segments, covered, ap.usable = planSegments(ix, p.spec)
 	if ap.usable {
-		ap.residual = residualFilter(p.filter, ix.Def().Fields[:covered])
+		ap.residual = residualFilter(p.spec, ix.Def().Fields[:covered])
 	}
 	p.paths = append(p.paths, ap)
 	return ap

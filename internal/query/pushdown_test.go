@@ -129,16 +129,9 @@ func TestSortCandsRandomized(t *testing.T) {
 
 func pushdownQueries() []Filter {
 	return []Filter{
-		NewAnd(
-			GeoWithin{Field: "location", Rect: geo.NewRect(23.6, 37.8, 23.9, 38.1)},
-			TimeRangeFilter("date", baseTime, baseTime.Add(15*24*time.Hour)),
-		),
-		NewAnd(
-			Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(10000)},
-			Cmp{Field: "hilbertIndex", Op: OpLTE, Value: int64(60000)},
-			TimeRangeFilter("date", baseTime, baseTime.Add(20*24*time.Hour)),
-		),
-		TimeRangeFilter("date", baseTime.Add(24*time.Hour), baseTime.Add(6*24*time.Hour)),
+		rectWindow(geo.NewRect(23.6, 37.8, 23.9, 38.1), baseTime, baseTime.Add(15*24*time.Hour)),
+		cellWindow(int64(10000), int64(60000), baseTime, baseTime.Add(20*24*time.Hour)),
+		window(baseTime.Add(24*time.Hour), baseTime.Add(6*24*time.Hour)),
 	}
 }
 
@@ -277,11 +270,7 @@ func TestExplainReportsCacheCounters(t *testing.T) {
 // the width of its hilbertIndex range: the date window spans all the
 // data, so every scanned document is examined and returned.
 func scanSizedFilter(hiCell int64) Filter {
-	return NewAnd(
-		Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(10000)},
-		Cmp{Field: "hilbertIndex", Op: OpLT, Value: hiCell},
-		TimeRangeFilter("date", baseTime, baseTime.Add(31*24*time.Hour)),
-	)
+	return cellWindow(10000, hiCell-1, baseTime, baseTime.Add(31*24*time.Hour))
 }
 
 // TestWarmPathAllocsIndependentOfScanSize guards "O(result), never

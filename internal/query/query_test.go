@@ -1,7 +1,9 @@
 package query
 
 import (
+	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,6 +11,9 @@ import (
 	"repro/internal/collection"
 	"repro/internal/geo"
 	"repro/internal/index"
+	"repro/internal/keyenc"
+	"repro/internal/sfc"
+	"repro/internal/sthash"
 )
 
 var (
@@ -48,163 +53,212 @@ func buildCollection(t testing.TB, n int) *collection.Collection {
 	return c
 }
 
+// Specs over the test documents: anyWhere and the window anyFrom to
+// anyTo leave place and time open.
+var (
+	anyWhere = geo.World
+	anyFrom  = baseTime.AddDate(-1, 0, 0)
+	anyTo    = baseTime.AddDate(1, 0, 0)
+)
+
+// rectWindow selects the documents in the rectangle dated from..to.
+func rectWindow(r geo.Rect, from, to time.Time) *Spec { return &Spec{Rect: r, From: from, To: to} }
+
+// window selects the documents dated from..to, any place.
+func window(from, to time.Time) *Spec { return rectWindow(anyWhere, from, to) }
+
+// rectSpec selects the documents in the rectangle, any time.
+func rectSpec(r geo.Rect) *Spec { return rectWindow(r, anyFrom, anyTo) }
+
+// cells selects the documents whose hilbertIndex lies in one of the
+// ranges, any place, any time; without ranges it is an empty cover.
+func cells(ranges ...sfc.Range) *Spec {
+	return &Spec{Rect: anyWhere, From: anyFrom, To: anyTo, Key: HilbertKey, Cells: ranges}
+}
+
+// cellRange is cells of the one range [lo, hi], or of none when it is
+// empty.
+func cellRange(lo, hi int64) *Spec {
+	if hi < lo {
+		return cells()
+	}
+	return cells(sfc.Range{Lo: uint64(lo), Hi: uint64(hi)})
+}
+
+// cellWindow is cellRange within the window from..to.
+func cellWindow(lo, hi int64, from, to time.Time) *Spec {
+	s := cellRange(lo, hi)
+	s.From, s.To = from, to
+	return s
+}
+
 func TestFilterMatching(t *testing.T) {
 	at := baseTime.Add(3 * time.Hour)
 	doc := stDoc(1, geo.Point{Lon: 23.7, Lat: 37.9}, at, 55)
+	sth := &Spec{Rect: anyWhere, From: anyFrom, To: anyTo, Key: STHashKey, Strings: []sthash.Range{{Lo: "a", Hi: "z"}}}
 	cases := []struct {
 		f    Filter
 		want bool
 	}{
-		{Cmp{Field: "hilbertIndex", Op: OpEQ, Value: int64(55)}, true},
-		{Cmp{Field: "hilbertIndex", Op: OpEQ, Value: int64(56)}, false},
-		{Cmp{Field: "hilbertIndex", Op: OpGT, Value: int64(54)}, true},
-		{Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(55)}, true},
-		{Cmp{Field: "hilbertIndex", Op: OpLT, Value: int64(55)}, false},
-		{Cmp{Field: "hilbertIndex", Op: OpLTE, Value: int64(55)}, true},
-		// Type bracketing: a string bound never matches a number.
-		{Cmp{Field: "hilbertIndex", Op: OpGT, Value: "0"}, false},
-		{Cmp{Field: "missing", Op: OpGT, Value: int64(0)}, false},
-		{Cmp{Field: "date", Op: OpGTE, Value: baseTime}, true},
-		{Cmp{Field: "date", Op: OpLT, Value: baseTime}, false},
-		{In{Field: "hilbertIndex", Values: []any{int64(1), int64(55)}}, true},
-		{In{Field: "hilbertIndex", Values: []any{int64(1), int64(2)}}, false},
-		{In{Field: "missing", Values: []any{int64(1)}}, false},
-		{GeoWithin{Field: "location", Rect: geo.NewRect(23, 37, 24, 38)}, true},
-		{GeoWithin{Field: "location", Rect: geo.NewRect(0, 0, 1, 1)}, false},
-		{GeoWithin{Field: "vehicle", Rect: geo.NewRect(0, 0, 1, 1)}, false},
-		{NewAnd(
-			Cmp{Field: "hilbertIndex", Op: OpEQ, Value: int64(55)},
-			GeoWithin{Field: "location", Rect: geo.NewRect(23, 37, 24, 38)},
-		), true},
-		{NewAnd(), true},
-		{NewOr(
-			Cmp{Field: "hilbertIndex", Op: OpEQ, Value: int64(1)},
-			Cmp{Field: "hilbertIndex", Op: OpEQ, Value: int64(55)},
-		), true},
-		{NewOr(), false},
-		{TimeRangeFilter("date", baseTime, baseTime.Add(24*time.Hour)), true},
-		{TimeRangeFilter("date", baseTime.Add(4*time.Hour), baseTime.Add(5*time.Hour)), false},
+		{cellRange(55, 55), true},
+		{cellRange(56, 56), false},
+		{cellRange(54, 1<<40), true},
+		{cellRange(55, 60), true},
+		{cellRange(0, 54), false},
+		{cells(sfc.Range{Lo: 1, Hi: 1}, sfc.Range{Lo: 55, Hi: 55}), true},
+		{cells(sfc.Range{Lo: 1, Hi: 1}, sfc.Range{Lo: 2, Hi: 2}), false},
+		{cells(), false},
+		// No stHash at all.
+		{sth, false},
+		{rectSpec(geo.NewRect(23, 37, 24, 38)), true},
+		{rectSpec(geo.NewRect(0, 0, 1, 1)), false},
+		{window(baseTime, baseTime.Add(24*time.Hour)), true},
+		{window(at, at), true},
+		{window(baseTime.Add(4*time.Hour), baseTime.Add(5*time.Hour)), false},
+		{cellWindow(55, 55, baseTime, at), true},
+		{cellWindow(55, 55, baseTime, at.Add(-time.Millisecond)), false},
+		{&Spec{Rect: geo.NewRect(23, 37, 24, 38), From: at, To: at, Key: HilbertKey, Cells: []sfc.Range{{Lo: 55, Hi: 55}}}, true},
 	}
 	for i, tc := range cases {
-		if got := tc.f.Matches(doc); got != tc.want {
-			t.Errorf("case %d (%s): Matches = %v, want %v", i, tc.f, got, tc.want)
+		raw := bson.Raw(bson.Marshal(doc))
+		for _, d := range []bson.Doc{doc, raw, &raw} {
+			if got := tc.f.Matches(d); got != tc.want {
+				t.Errorf("case %d (%s) on a %T: Matches = %v, want %v", i, tc.f, d, got, tc.want)
+			}
+		}
+	}
+	// Type bracketing: a point, a date, a cell or an ST-Hash of the
+	// wrong kind is outside every rectangle, window and cover.
+	for _, tc := range []struct {
+		field string
+		value any
+		f     *Spec
+	}{
+		{"location", "23.7,37.9", rectSpec(anyWhere)},
+		{"date", at.UnixMilli(), window(anyFrom, anyTo)},
+		{"hilbertIndex", "55", cellRange(0, 1<<40)},
+		{"stHash", int64(5), sth},
+	} {
+		d := doc.Clone()
+		d.Set(tc.field, tc.value)
+		raw := bson.Raw(bson.Marshal(d))
+		if tc.f.Matches(d) || tc.f.Matches(raw) {
+			t.Errorf("%s matches a %s of %T", tc.f, tc.field, tc.value)
 		}
 	}
 }
 
+// TestNewAndFlattens: an empty cover renders as the impossible pair
+// flattened into the spec's one conjunction, as the store always
+// printed it, never as a nested $and.
 func TestNewAndFlattens(t *testing.T) {
-	inner := NewAnd(Cmp{Field: "a", Op: OpEQ, Value: int64(1)})
-	outer := NewAnd(inner, Cmp{Field: "b", Op: OpEQ, Value: int64(2)})
-	if len(outer.Children) != 2 {
-		t.Fatalf("flattened children = %d", len(outer.Children))
+	for _, tc := range []struct {
+		s    *Spec
+		pair string
+	}{
+		{cells(), `{hilbertIndex: {$gt: 0}}, {hilbertIndex: {$lt: 0}}]}`},
+		{&Spec{Rect: anyWhere, From: anyFrom, To: anyTo, Key: STHashKey}, `{stHash: {$gt: "1"}}, {stHash: {$lt: "0"}}]}`},
+	} {
+		s := tc.s.String()
+		if strings.Count(s, "$and") != 1 || !strings.HasSuffix(s, ", "+tc.pair) {
+			t.Fatalf("empty cover renders %s, want one $and ending in %s", s, tc.pair)
+		}
 	}
 }
 
+// TestIntervalAlgebra: a spec's bounds are closed intervals read from
+// its fields — the window on the date, one per range on the key field
+// — encoded as the index encodes the values; a 2dsphere field's are the
+// geohash cells covering the rectangle, ascending and disjoint.
 func TestIntervalAlgebra(t *testing.T) {
-	iv, strict := intervalFromCmp(Cmp{Op: OpGTE, Value: int64(5)})
-	if iv.Empty() || !iv.LoIncl {
-		t.Fatalf("gte interval: %v", iv)
+	s := cellWindow(5, 9, baseTime, baseTime.Add(time.Hour))
+	s.Cells = append(s.Cells, sfc.Range{Lo: 12, Hi: 12})
+	var keys keyenc.Buf
+	for i, want := range []struct {
+		lo, hi any
+		point  bool
+	}{{int64(5), int64(9), false}, {int64(12), int64(12), true}} {
+		lo, hi, point := s.AppendInterval(&keys, nil, FieldHilbert, i)
+		if !bytes.Equal(lo, keyenc.Encode(want.lo)) || !bytes.Equal(hi, keyenc.Encode(want.hi)) || point != want.point {
+			t.Fatalf("cell interval %d: %x..%x (point %v)", i, lo, hi, point)
+		}
 	}
-	if !strict {
-		t.Fatal("numeric range not bracketed")
+	lo, hi, point := s.AppendInterval(&keys, []byte{7}, FieldDate, 0)
+	if !bytes.Equal(lo, append([]byte{7}, keyenc.Encode(baseTime)...)) || !bytes.Equal(hi, append([]byte{7}, keyenc.Encode(baseTime.Add(time.Hour))...)) || point {
+		t.Fatalf("date interval under a prefix: %x..%x (point %v)", lo, hi, point)
 	}
-	if _, strict := intervalFromCmp(Cmp{Op: OpGT, Value: "abc"}); strict {
-		t.Fatal("string range claimed bracketed")
+	if _, _, point := window(baseTime, baseTime).AppendInterval(&keys, nil, FieldDate, 0); !point {
+		t.Fatal("a one-instant window is not a point")
 	}
-	if !PointInterval(int64(3)).IsPoint() {
-		t.Fatal("point interval not a point")
+	ix := newCollWithIndexes(t, 10).Index("st")
+	fs := fieldSetOf(ix, ix.Def().Fields[0], rectSpec(geo.NewRect(23.6, 37.8, 24.1, 38.2)))
+	if !fs.ok || fs.n == 0 {
+		t.Fatal("a rectangle constrains no geohash cell")
 	}
-	if !(ValueInterval{Lo: int64(5), Hi: int64(3), LoIncl: true, HiIncl: true}).Empty() {
-		t.Fatal("inverted interval not empty")
-	}
-	if !(ValueInterval{Lo: int64(5), Hi: int64(5), LoIncl: true}).Empty() {
-		t.Fatal("half-open point not empty")
-	}
-	// Merge of touching intervals.
-	merged := normalizeIntervals([]ValueInterval{
-		{Lo: int64(1), Hi: int64(3), LoIncl: true, HiIncl: true},
-		{Lo: int64(3), Hi: int64(5), LoIncl: true, HiIncl: true},
-		{Lo: int64(9), Hi: int64(9), LoIncl: true, HiIncl: true},
-	})
-	if len(merged) != 2 || bson.Compare(merged[0].Hi, int64(5)) != 0 {
-		t.Fatalf("merged = %v", merged)
-	}
-	// Intersection.
-	got := intersectSets(
-		[]ValueInterval{{Lo: int64(1), Hi: int64(10), LoIncl: true, HiIncl: true}},
-		[]ValueInterval{
-			{Lo: int64(0), Hi: int64(2), LoIncl: true, HiIncl: true},
-			{Lo: int64(8), Hi: int64(20), LoIncl: true, HiIncl: true},
-		},
-	)
-	if len(got) != 2 {
-		t.Fatalf("intersection = %v", got)
-	}
-	if bson.Compare(got[0].Lo, int64(1)) != 0 || bson.Compare(got[1].Hi, int64(10)) != 0 {
-		t.Fatalf("intersection bounds = %v", got)
+	for i, r := range fs.cells {
+		if r.Hi < r.Lo || i > 0 && r.Lo <= fs.cells[i-1].Hi {
+			t.Fatalf("geohash cell range %d: %+v after %+v", i, r, fs.cells[i-1])
+		}
 	}
 }
 
 func TestExtractBoundsHilbertShape(t *testing.T) {
 	// The paper's Hilbert query: geoWithin AND date range AND
 	// ($or of hilbert ranges + $in of single cells).
-	f := NewAnd(
-		GeoWithin{Field: "location", Rect: geo.NewRect(23.6, 38.0, 24.0, 38.3)},
-		TimeRangeFilter("date", baseTime, baseTime.Add(time.Hour)),
-		NewOr(
-			NewAnd(
-				Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(100)},
-				Cmp{Field: "hilbertIndex", Op: OpLTE, Value: int64(120)},
-			),
-			NewAnd(
-				Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(200)},
-				Cmp{Field: "hilbertIndex", Op: OpLTE, Value: int64(210)},
-			),
-			In{Field: "hilbertIndex", Values: []any{int64(300), int64(305)}},
-		),
-	)
-	b := extractBounds(f)
-	if b.impossible {
+	s := &Spec{Rect: geo.NewRect(23.6, 38.0, 24.0, 38.3), From: baseTime, To: baseTime.Add(time.Hour), Key: HilbertKey,
+		Cells: []sfc.Range{{Lo: 100, Hi: 120}, {Lo: 200, Hi: 210}, {Lo: 300, Hi: 300}, {Lo: 305, Hi: 305}}}
+	if s.Impossible() {
 		t.Fatal("bounds impossible")
 	}
-	hset, _ := b.set("hilbertIndex")
-	if len(hset) != 4 {
-		t.Fatalf("hilbertIndex intervals = %v", hset)
+	if n := s.Intervals("hilbertIndex"); n != 4 {
+		t.Fatalf("hilbertIndex intervals = %d", n)
 	}
-	dset, _ := b.set("date")
-	if len(dset) != 1 || !dset[0].LoIncl || !dset[0].HiIncl {
-		t.Fatalf("date intervals = %v", dset)
+	if n := s.Intervals("date"); n != 1 {
+		t.Fatalf("date intervals = %d", n)
 	}
-	if _, ok := b.rect("location"); !ok {
-		t.Fatal("geo rect not extracted")
+	// The rectangle constrains only a 2dsphere field (fieldSetOf).
+	if n := s.Intervals("location"); n != 0 {
+		t.Fatalf("location intervals = %d", n)
+	}
+	if !strings.Contains(s.String(), `{hilbertIndex: {$in: [300, 305]}}`) {
+		t.Fatalf("single cells not gathered into one $in: %s", s)
 	}
 }
 
 func TestExtractBoundsImpossible(t *testing.T) {
-	f := NewAnd(
-		GeoWithin{Field: "location", Rect: geo.NewRect(0, 0, 1, 1)},
-		GeoWithin{Field: "location", Rect: geo.NewRect(50, 50, 51, 51)},
-	)
-	if !extractBounds(f).impossible {
-		t.Fatal("disjoint geo rects not detected")
+	for _, s := range []*Spec{
+		window(baseTime.Add(time.Millisecond), baseTime),
+		cells(),
+		cellRange(10, 5),
+		{Rect: anyWhere, From: anyFrom, To: anyTo, Key: STHashKey},
+	} {
+		if !s.Impossible() {
+			t.Errorf("%s not impossible", s)
+		}
 	}
-	f2 := NewAnd(
-		Cmp{Field: "v", Op: OpGT, Value: int64(10)},
-		Cmp{Field: "v", Op: OpLT, Value: int64(5)},
-	)
-	if !extractBounds(f2).impossible {
-		t.Fatal("contradictory range not detected")
+	for _, s := range []*Spec{window(baseTime, baseTime), cellRange(5, 5), rectSpec(geo.NewRect(50, 50, 50, 50))} {
+		if s.Impossible() {
+			t.Errorf("%s impossible", s)
+		}
 	}
 }
 
+// TestExtractBoundsMixedOrIgnored: a spec constrains the date and its
+// key field only; an index led by any other field is unusable, and a
+// key field of the other approach is unconstrained.
 func TestExtractBoundsMixedOrIgnored(t *testing.T) {
-	f := NewOr(
-		Cmp{Field: "a", Op: OpEQ, Value: int64(1)},
-		Cmp{Field: "b", Op: OpEQ, Value: int64(2)},
-	)
-	b := extractBounds(f)
-	if len(b.fields) != 0 {
-		t.Fatalf("multi-field $or produced bounds: %v", b.fields)
+	for field, want := range map[string]int{"a": 0, "vehicle": 0, "_id": 0, "stHash": 0, "hilbertIndex": 2, "date": 1, "": 0} {
+		if got := cells(sfc.Range{Lo: 1, Hi: 1}, sfc.Range{Lo: 3, Hi: 4}).Intervals(field); got != want {
+			t.Errorf("%q: %d intervals, want %d", field, got, want)
+		}
+	}
+	if n := window(anyFrom, anyTo).Intervals("hilbertIndex"); n != 0 {
+		t.Fatalf("a baseline spec constrains hilbertIndex with %d intervals", n)
+	}
+	c := buildCollection(t, 50)
+	mustIndex(t, c, index.Definition{Name: "v", Fields: []index.Field{{Name: "vehicle", Kind: index.Ascending}}})
+	if plans := CandidatePlans(c, cellRange(0, 1<<40)); len(plans) != 1 || plans[0].Index != nil {
+		t.Fatalf("an index on an unconstrained field planned %v", plans[0].Name())
 	}
 }
 
@@ -241,18 +295,13 @@ func referenceCount(t testing.TB, c *collection.Collection, f Filter) int {
 func TestExecuteMatchesReference(t *testing.T) {
 	c := newCollWithIndexes(t, 3000)
 	queries := []Filter{
-		NewAnd(
-			GeoWithin{Field: "location", Rect: geo.NewRect(23.6, 37.8, 23.9, 38.1)},
-			TimeRangeFilter("date", baseTime.Add(24*time.Hour), baseTime.Add(7*24*time.Hour)),
-		),
-		TimeRangeFilter("date", baseTime, baseTime.Add(12*time.Hour)),
-		Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(50000)},
-		NewAnd(
-			Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(10000)},
-			Cmp{Field: "hilbertIndex", Op: OpLTE, Value: int64(60000)},
-			TimeRangeFilter("date", baseTime, baseTime.Add(10*24*time.Hour)),
-		),
-		In{Field: "hilbertIndex", Values: []any{int64(10010), int64(20020), int64(99999)}},
+		rectWindow(geo.NewRect(23.6, 37.8, 23.9, 38.1), baseTime.Add(24*time.Hour), baseTime.Add(7*24*time.Hour)),
+		window(baseTime, baseTime.Add(12*time.Hour)),
+		cellRange(50000, 1<<40),
+		cellWindow(10000, 60000, baseTime, baseTime.Add(10*24*time.Hour)),
+		cells(sfc.Range{Lo: 10010, Hi: 10010}, sfc.Range{Lo: 20020, Hi: 20020}, sfc.Range{Lo: 99999, Hi: 99999}),
+		&Spec{Rect: geo.NewRect(23.6, 37.8, 23.9, 38.1), From: baseTime, To: baseTime.Add(10 * 24 * time.Hour), Key: HilbertKey,
+			Cells: []sfc.Range{{Lo: 10000, Hi: 30000}, {Lo: 40000, Hi: 40050}}},
 	}
 	for i, f := range queries {
 		want := referenceCount(t, c, f)
@@ -274,10 +323,7 @@ func TestExecuteMatchesReference(t *testing.T) {
 
 func TestExecuteUsesIndexNotCollscan(t *testing.T) {
 	c := newCollWithIndexes(t, 2000)
-	f := NewAnd(
-		Cmp{Field: "hilbertIndex", Op: OpGTE, Value: int64(10000)},
-		Cmp{Field: "hilbertIndex", Op: OpLTE, Value: int64(10500)},
-	)
+	f := cellRange(10000, 10500)
 	res := Execute(c, f, nil)
 	if res.Stats.IndexUsed == CollScanName {
 		t.Fatal("range on indexed field used a collection scan")
@@ -289,7 +335,7 @@ func TestExecuteUsesIndexNotCollscan(t *testing.T) {
 
 func TestExecuteCollscanWhenNoIndexApplies(t *testing.T) {
 	c := buildCollection(t, 200)
-	f := Cmp{Field: "vehicle", Op: OpEQ, Value: "GRC-B"}
+	f := window(baseTime, baseTime.Add(24*time.Hour))
 	res := Execute(c, f, nil)
 	if res.Stats.IndexUsed != CollScanName {
 		t.Fatalf("plan = %s, want COLLSCAN", res.Stats.IndexUsed)
@@ -306,10 +352,7 @@ func TestExecuteCollscanWhenNoIndexApplies(t *testing.T) {
 func TestGeoIndexPlanCorrectAndSelective(t *testing.T) {
 	c := newCollWithIndexes(t, 4000)
 	rect := geo.NewRect(23.70, 37.95, 23.75, 38.00)
-	f := NewAnd(
-		GeoWithin{Field: "location", Rect: rect},
-		TimeRangeFilter("date", baseTime, baseTime.Add(30*24*time.Hour)),
-	)
+	f := rectWindow(rect, baseTime, baseTime.Add(30*24*time.Hour))
 	want := referenceCount(t, c, f)
 	res := Execute(c, f, nil)
 	if res.Stats.NReturned != want {
@@ -327,10 +370,7 @@ func TestPlanTrialsPreferCheaperIndex(t *testing.T) {
 	c := newCollWithIndexes(t, 3000)
 	// Narrow time window, huge spatial extent: the date index should
 	// win the trial, exactly the Table 7 phenomenon.
-	f := NewAnd(
-		GeoWithin{Field: "location", Rect: testArea},
-		TimeRangeFilter("date", baseTime, baseTime.Add(2*time.Hour)),
-	)
+	f := rectWindow(testArea, baseTime, baseTime.Add(2*time.Hour))
 	res := Execute(c, f, nil)
 	if len(res.Trials) < 2 {
 		t.Fatalf("expected multiple trials, got %v", res.Trials)
@@ -351,10 +391,7 @@ func TestPlanTrialsPreferCheaperIndex(t *testing.T) {
 
 func TestImpossibleFilterReturnsEmptyFast(t *testing.T) {
 	c := newCollWithIndexes(t, 500)
-	f := NewAnd(
-		Cmp{Field: "hilbertIndex", Op: OpGT, Value: int64(100)},
-		Cmp{Field: "hilbertIndex", Op: OpLT, Value: int64(50)},
-	)
+	f := cellRange(100, 50)
 	res := Execute(c, f, nil)
 	if res.Stats.NReturned != 0 {
 		t.Fatalf("impossible filter returned %d docs", res.Stats.NReturned)

@@ -16,17 +16,9 @@ import (
 	"repro/internal/wire"
 )
 
-func hilbertRange(lo, hi int64) query.Filter {
-	return query.NewAnd(
-		query.Cmp{Field: "hilbertIndex", Op: query.OpGTE, Value: lo},
-		query.Cmp{Field: "hilbertIndex", Op: query.OpLTE, Value: hi},
-	)
-}
-
-// hilbertCells is the same constraint as the store sends it, a
-// query.KeyRanges of one range: the form the router prunes on.
+// hilbertCells is cellRange of unsigned ends.
 func hilbertCells(lo, hi uint64) query.Filter {
-	return query.KeyRanges{Field: "hilbertIndex", Ranges: []sfc.Range{{Lo: lo, Hi: hi}}}
+	return cellSpec(sfc.Range{Lo: lo, Hi: hi})
 }
 
 // TestAggregatePushdownDifferential: every aggregate kind, computed by
@@ -36,10 +28,10 @@ func hilbertCells(lo, hi uint64) query.Filter {
 func TestAggregatePushdownDifferential(t *testing.T) {
 	c, _ := loadCluster(t, 3000, hilbertDateKey(), smallOpts())
 	filters := []query.Filter{
-		hilbertRange(0, 4096),
-		hilbertRange(100, 900),
-		hilbertRange(4000, 4095),
-		query.Cmp{Field: "hilbertIndex", Op: query.OpEQ, Value: int64(7)},
+		cellRange(0, 4096),
+		cellRange(100, 900),
+		cellRange(4000, 4095),
+		cellRange(int64(7), int64(7)),
 	}
 	specs := []query.AggSpec{
 		{Kind: query.AggCount},
@@ -76,7 +68,7 @@ func TestAggregatePushdownDifferential(t *testing.T) {
 // field so the value path (keyenc-normalised dates) is covered.
 func TestAggregateDistinctSecondField(t *testing.T) {
 	c, _ := loadCluster(t, 1200, hilbertDateKey(), smallOpts())
-	f := hilbertRange(0, 2048)
+	f := cellRange(0, 2048)
 	shipped := c.Query(f)
 	spec := query.AggSpec{Kind: query.AggDistinct, Field: "date"}
 	want := query.AggregateDocs(shipped.Docs, spec)
@@ -213,9 +205,9 @@ func TestResultCacheHitIsByteIdenticalAndEpochInvalidated(t *testing.T) {
 	}
 
 	filters := []query.Filter{
-		hilbertRange(0, 4096),
-		hilbertRange(128, 512),
-		hilbertRange(3000, 3500),
+		cellRange(0, 4096),
+		cellRange(128, 512),
+		cellRange(3000, 3500),
 	}
 	optsList := []query.Opts{
 		{},
@@ -278,7 +270,7 @@ func TestResultCacheInvalidation(t *testing.T) {
 	opts := smallOpts()
 	opts.ResultCacheBytes = 16 << 20
 	c, _ := loadCluster(t, 500, hilbertDateKey(), opts)
-	f := hilbertRange(0, 4096)
+	f := cellRange(0, 4096)
 
 	first := c.Query(f)
 	if first.CacheHit {
@@ -309,7 +301,7 @@ func TestResultCacheInvalidation(t *testing.T) {
 // TestResultCacheKeyDistinguishesOpts: same filter, different pushdown
 // options must never share an entry.
 func TestResultCacheKeyDistinguishesOpts(t *testing.T) {
-	f := hilbertRange(0, 100)
+	f := query.Prepare(cellRange(0, 100))
 	keys := map[string]bool{}
 	for _, o := range []query.Opts{
 		{},
@@ -321,18 +313,15 @@ func TestResultCacheKeyDistinguishesOpts(t *testing.T) {
 		{Agg: query.AggSpec{Kind: query.AggCellHist, Field: "hilbertIndex", Shift: 6}},
 		{Agg: query.AggSpec{Kind: query.AggCellHist, Field: "hilbertIndex", Shift: 8}},
 	} {
-		k, ok := resultCacheKey(nil, f, o)
-		if !ok {
-			t.Fatalf("opts %+v: key not encodable", o)
-		}
+		k := resultCacheKey(nil, f, o)
 		if keys[string(k)] {
 			t.Fatalf("opts %+v: key collides", o)
 		}
 		keys[string(k)] = true
 	}
 	// And the same (filter, opts) twice is the same key.
-	k1, _ := resultCacheKey(nil, f, query.Opts{Limit: 5})
-	k2, _ := resultCacheKey(nil, hilbertRange(0, 100), query.Opts{Limit: 5})
+	k1 := resultCacheKey(nil, f, query.Opts{Limit: 5})
+	k2 := resultCacheKey(nil, query.Prepare(cellRange(0, 100)), query.Opts{Limit: 5})
 	if !bytes.Equal(k1, k2) {
 		t.Fatal("identical queries keyed differently")
 	}
@@ -347,7 +336,7 @@ func TestResultCacheKeyStringsAreLengthPrefixed(t *testing.T) {
 	opts := smallOpts()
 	opts.ResultCacheBytes = 16 << 20
 	c, _ := loadCluster(t, 300, hilbertDateKey(), opts)
-	f := hilbertRange(0, 4096)
+	f := cellRange(0, 4096)
 	v := strings.Repeat("v", 252)
 	docs := c.QueryOpts(f, query.Opts{OrderBy: "\x00\x01\x00\x00" + v})
 	count := c.QueryOpts(f, query.Opts{Agg: query.AggSpec{Kind: query.AggCount, Field: v + "\x00\x00\x00\x00"}})

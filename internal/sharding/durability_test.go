@@ -151,15 +151,8 @@ func durOpts(dir string, fs wal.FS) Options {
 // durProbes is a fixed query workload whose results recovered clusters
 // must reproduce exactly.
 var durProbes = []query.Filter{
-	query.NewAnd(
-		query.Cmp{Field: "hilbertIndex", Op: query.OpGTE, Value: int64(0)},
-		query.Cmp{Field: "hilbertIndex", Op: query.OpLTE, Value: int64(1024)},
-	),
-	query.NewAnd(
-		query.Cmp{Field: "hilbertIndex", Op: query.OpGTE, Value: int64(2000)},
-		query.Cmp{Field: "hilbertIndex", Op: query.OpLTE, Value: int64(2300)},
-		query.TimeRangeFilter("date", baseTime, baseTime.Add(10*24*time.Hour)),
-	),
+	cellRange(int64(0), int64(1024)),
+	cellWindow(int64(2000), int64(2300), baseTime, baseTime.Add(10*24*time.Hour)),
 }
 
 // clusterState is everything a recovered cluster must reproduce:

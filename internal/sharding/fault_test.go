@@ -56,11 +56,8 @@ func TestFaultMatrix(t *testing.T) {
 		name string
 		f    query.Filter
 	}{
-		{"targeted", query.NewAnd(
-			query.Cmp{Field: "hilbertIndex", Op: query.OpGTE, Value: int64(100)},
-			query.Cmp{Field: "hilbertIndex", Op: query.OpLTE, Value: int64(3500)},
-		)},
-		{"broadcast", query.GeoWithin{Field: "location", Rect: geo.NewRect(23.0, 37.0, 23.8, 37.8)}},
+		{"targeted", cellRange(int64(100), int64(3500))},
+		{"broadcast", rectSpec(geo.NewRect(23.0, 37.0, 23.8, 37.8))},
 	}
 	faults := []struct {
 		name        string
@@ -166,7 +163,7 @@ func TestFaultMatrix(t *testing.T) {
 func TestRetryRecoversAndCounts(t *testing.T) {
 	c, _ := loadCluster(t, 2000, hilbertDateKey(), smallOpts())
 	c.SetParallel(1)
-	f := query.GeoWithin{Field: "location", Rect: geo.NewRect(23.0, 37.0, 24.0, 38.0)}
+	f := rectSpec(geo.NewRect(23.0, 37.0, 24.0, 38.0))
 	base := c.Query(f)
 	sid := base.TargetedShards[0]
 
@@ -203,7 +200,7 @@ func TestRetryRecoversAndCounts(t *testing.T) {
 // the down shard listed.
 func TestDownShardReturnsWithinDeadline(t *testing.T) {
 	c, _ := loadCluster(t, 2000, hilbertDateKey(), smallOpts())
-	f := query.GeoWithin{Field: "location", Rect: geo.NewRect(23.0, 37.0, 24.0, 38.0)}
+	f := rectSpec(geo.NewRect(23.0, 37.0, 24.0, 38.0))
 	base := c.Query(f)
 	sid := base.TargetedShards[len(base.TargetedShards)-1]
 
@@ -239,7 +236,7 @@ func TestDownShardReturnsWithinDeadline(t *testing.T) {
 // query still answers quickly under AllowPartial.
 func TestShardTimeoutCutsStragglers(t *testing.T) {
 	c, _ := loadCluster(t, 1000, hilbertDateKey(), smallOpts())
-	f := query.GeoWithin{Field: "location", Rect: geo.NewRect(23.0, 37.0, 24.0, 38.0)}
+	f := rectSpec(geo.NewRect(23.0, 37.0, 24.0, 38.0))
 	base := c.Query(f)
 	sid := base.TargetedShards[0]
 
@@ -274,7 +271,7 @@ func TestCancelledContextAbortsScatter(t *testing.T) {
 	c, _ := loadCluster(t, 1000, hilbertDateKey(), smallOpts())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := c.QueryCtx(ctx, query.GeoWithin{Field: "location", Rect: geo.NewRect(23, 37, 24, 38)})
+	res, err := c.QueryCtx(ctx, rectSpec(geo.NewRect(23, 37, 24, 38)))
 	if err == nil {
 		t.Fatal("cancelled context produced no error")
 	}
@@ -348,7 +345,7 @@ func TestBreakerStateMachine(t *testing.T) {
 func TestBreakerStopsHammeringFailedShard(t *testing.T) {
 	c, _ := loadCluster(t, 1000, hilbertDateKey(), smallOpts())
 	c.SetParallel(1)
-	f := query.GeoWithin{Field: "location", Rect: geo.NewRect(23, 37, 24, 38)}
+	f := rectSpec(geo.NewRect(23, 37, 24, 38))
 	sid := c.Query(f).TargetedShards[0]
 
 	fc := NewFaultConn(nil, 3)
@@ -396,7 +393,7 @@ func TestBreakerStopsHammeringFailedShard(t *testing.T) {
 // attempt on a healthy shard.
 func TestBreakerProbeReleasedOnAbort(t *testing.T) {
 	c, _ := loadCluster(t, 1000, hilbertDateKey(), smallOpts())
-	f := query.GeoWithin{Field: "location", Rect: geo.NewRect(23, 37, 24, 38)}
+	f := rectSpec(geo.NewRect(23, 37, 24, 38))
 	targets := c.Query(f).TargetedShards
 	if len(targets) < 2 {
 		t.Fatalf("need two targeted shards, got %v", targets)
@@ -482,7 +479,7 @@ func (sc *shedConn) Query(ctx context.Context, shard *Shard, f query.Filter, cfg
 func TestShedIsNotABreakerFailure(t *testing.T) {
 	c, _ := loadCluster(t, 1000, hilbertDateKey(), smallOpts())
 	c.SetParallel(1)
-	f := query.GeoWithin{Field: "location", Rect: geo.NewRect(23, 37, 24, 38)}
+	f := rectSpec(geo.NewRect(23, 37, 24, 38))
 	base := c.Query(f)
 	sid := base.TargetedShards[0]
 
@@ -518,7 +515,7 @@ func TestFaultConnDeterministic(t *testing.T) {
 	run := func() []bool {
 		c, _ := loadCluster(t, 800, hilbertDateKey(), smallOpts())
 		c.SetParallel(1)
-		f := query.GeoWithin{Field: "location", Rect: geo.NewRect(23, 37, 24, 38)}
+		f := rectSpec(geo.NewRect(23, 37, 24, 38))
 		sid := c.Query(f).TargetedShards[0]
 		fc := NewFaultConn(nil, 99)
 		fc.SetFault(sid, FaultSpec{TransientRate: 0.5})

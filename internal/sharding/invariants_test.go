@@ -14,7 +14,6 @@ import (
 	"repro/internal/bson"
 	"repro/internal/geo"
 	"repro/internal/keyenc"
-	"repro/internal/query"
 	"repro/internal/storage"
 )
 
@@ -220,7 +219,7 @@ func TestBalanceConcurrentWithBroadcastQueries(t *testing.T) {
 		t.Fatalf("load did not pile chunks on shard 0: %+v", counts.PerShard)
 	}
 
-	f := query.GeoWithin{Field: "location", Rect: geo.NewRect(22.0, 36.0, 25.0, 39.0)}
+	f := rectSpec(geo.NewRect(22.0, 36.0, 25.0, 39.0))
 	want := sortedIDs(c.Query(f).Docs)
 	if len(want) != n {
 		t.Fatalf("baseline broadcast returned %d docs, want %d", len(want), n)
@@ -282,7 +281,7 @@ func TestBalanceConcurrentWithIngestAndQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f := query.GeoWithin{Field: "location", Rect: geo.NewRect(22.0, 36.0, 25.0, 39.0)}
+	f := rectSpec(geo.NewRect(22.0, 36.0, 25.0, 39.0))
 	base := sortedIDs(c.Query(f).Docs)
 	baseSet := make(map[string]struct{}, len(base))
 	for _, id := range base {
@@ -381,7 +380,7 @@ func sortedIDs(docs []bson.Raw) []string {
 // fails if any of them alias live router state.
 func TestSnapshotAccessorsAreDefensive(t *testing.T) {
 	c, _ := loadCluster(t, 1000, hilbertDateKey(), smallOpts())
-	f := query.GeoWithin{Field: "location", Rect: geo.NewRect(22.0, 36.0, 25.0, 39.0)}
+	f := rectSpec(geo.NewRect(22.0, 36.0, 25.0, 39.0))
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup

@@ -20,22 +20,12 @@ import (
 // two broadcasts (date-only and geo-only).
 func stressFilters() []query.Filter {
 	return []query.Filter{
-		query.NewAnd(
-			query.Cmp{Field: "hilbertIndex", Op: query.OpGTE, Value: int64(100)},
-			query.Cmp{Field: "hilbertIndex", Op: query.OpLTE, Value: int64(900)},
-		),
-		query.Cmp{Field: "hilbertIndex", Op: query.OpEQ, Value: int64(250)},
-		query.NewAnd(
-			query.Cmp{Field: "hilbertIndex", Op: query.OpEQ, Value: int64(250)},
-			query.TimeRangeFilter("date", baseTime, baseTime.Add(15*24*time.Hour)),
-		),
-		query.TimeRangeFilter("date", baseTime, baseTime.Add(48*time.Hour)),
-		query.GeoWithin{Field: "location", Rect: geo.NewRect(23.2, 37.2, 23.6, 37.6)},
-		query.NewAnd(
-			query.Cmp{Field: "hilbertIndex", Op: query.OpGTE, Value: int64(3000)},
-			query.Cmp{Field: "hilbertIndex", Op: query.OpLTE, Value: int64(4095)},
-			query.TimeRangeFilter("date", baseTime, baseTime.Add(10*24*time.Hour)),
-		),
+		cellRange(int64(100), int64(900)),
+		cellRange(int64(250), int64(250)),
+		cellWindow(int64(250), int64(250), baseTime, baseTime.Add(15*24*time.Hour)),
+		windowSpec(baseTime, baseTime.Add(48*time.Hour)),
+		rectSpec(geo.NewRect(23.2, 37.2, 23.6, 37.6)),
+		cellWindow(int64(3000), int64(4095), baseTime, baseTime.Add(10*24*time.Hour)),
 	}
 }
 
@@ -256,15 +246,8 @@ func TestPreparedExecutionMatchesBare(t *testing.T) {
 	// almost nothing, so the plan it leaves cached has the minimum
 	// works budget — which those filters then blow on the bigger shards.
 	narrowTwin := map[int]query.Filter{
-		0: query.NewAnd(
-			query.Cmp{Field: "hilbertIndex", Op: query.OpGTE, Value: int64(100)},
-			query.Cmp{Field: "hilbertIndex", Op: query.OpLTE, Value: int64(100)},
-		),
-		5: query.NewAnd(
-			query.Cmp{Field: "hilbertIndex", Op: query.OpGTE, Value: int64(3000)},
-			query.Cmp{Field: "hilbertIndex", Op: query.OpLTE, Value: int64(3000)},
-			query.TimeRangeFilter("date", baseTime, baseTime.Add(time.Hour)),
-		),
+		0: cellRange(int64(100), int64(100)),
+		5: cellWindow(int64(3000), int64(3000), baseTime, baseTime.Add(time.Hour)),
 	}
 	replans := int64(0)
 	for fi, f := range stressFilters() {

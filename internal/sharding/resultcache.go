@@ -72,14 +72,13 @@ func (c *resultCache) shardFor(key []byte) *rcShard {
 	return &c.shards[maphash.Bytes(c.seed, key)&(resultCacheWays-1)]
 }
 
-// resultCacheKey appends the canonical cache key for (filter, opts) to
+// resultCacheKey appends the canonical cache key for (spec, opts) to
 // dst: the encoding of the shard-facing wire.Query carrying them, with
-// its length-prefixed strings. ok is false for filters the wire codec
-// cannot encode — those queries simply bypass the cache.
-func resultCacheKey(dst []byte, f query.Filter, opts query.Opts) ([]byte, bool) {
-	msg := wire.Query{Limit: int64(opts.Limit), OrderBy: opts.OrderBy, Desc: opts.Desc, Agg: opts.Agg, Filter: f}
-	b, err := msg.Encode(dst)
-	return b, err == nil
+// its length-prefixed strings.
+func resultCacheKey(dst []byte, p *query.Prepared, opts query.Opts) []byte {
+	msg := wire.Query{Limit: int64(opts.Limit), OrderBy: opts.OrderBy, Desc: opts.Desc, Agg: opts.Agg, Filter: p}
+	b, _ := msg.Encode(dst) // a prepared spec always encodes
+	return b
 }
 
 // keyBufs recycles the buffers probe builds keys in, so a hit
@@ -89,16 +88,12 @@ var keyBufs = sync.Pool{New: func() any {
 	return &b
 }}
 
-// probe looks (f, opts) up for the current route and epochs. On a miss
-// it also returns the key a complete answer is to be put under ("" for
-// a filter the wire codec cannot encode).
-func (c *resultCache) probe(f query.Filter, opts query.Opts, targets []int, epochs []uint64) (*RoutedResult, string) {
+// probe looks (p, opts) up for the current route and epochs. On a miss
+// it also returns the key a complete answer is to be put under.
+func (c *resultCache) probe(p *query.Prepared, opts query.Opts, targets []int, epochs []uint64) (*RoutedResult, string) {
 	buf := keyBufs.Get().(*[]byte)
 	defer keyBufs.Put(buf)
-	key, ok := resultCacheKey((*buf)[:0], f, opts)
-	if !ok {
-		return nil, ""
-	}
+	key := resultCacheKey((*buf)[:0], p, opts)
 	*buf = key
 	if hit := c.get(key, targets, epochs); hit != nil {
 		return hit, ""

@@ -225,14 +225,15 @@ func (c *Cluster) scatterGather(ctx context.Context, qs []scatterQuery, cached b
 		// Shape, bounds and access paths are functions of the filter
 		// alone: derive them here once, for the route below and for
 		// every shard execution the scatter hands the filter to.
-		q.f = query.Prepare(q.f)
-		targets, broadcast, pruned := c.routeLocked(q.f)
+		p := query.Prepare(q.f)
+		q.f = p
+		targets, broadcast, pruned := c.routeLocked(p.Spec())
 		// Result cache probe: valid only if the filter still routes to
 		// the same shard set and none of those shards' content epochs
 		// moved.
 		if cached && c.rcache != nil {
 			var epochs [16]uint64
-			hit, key := c.rcache.probe(q.f, q.opts, targets, c.epochsOfLocked(epochs[:0], targets))
+			hit, key := c.rcache.probe(p, q.opts, targets, c.epochsOfLocked(epochs[:0], targets))
 			if hit != nil {
 				hit.ShardsPruned = len(pruned)
 				q.res = hit
@@ -742,13 +743,13 @@ func (c *Cluster) Explain(f query.Filter) (targets []int, exps []*query.Explanat
 func (c *Cluster) ExplainOpts(f query.Filter, opts query.Opts) (targets []int, exps []*query.Explanation) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	executed, _, pruned := c.routeLocked(f)
+	p := query.Prepare(f)
+	executed, _, pruned := c.routeLocked(p.Spec())
 	cacheState := "off"
 	var hits, misses int64
 	if c.rcache != nil {
 		cacheState = "miss"
-		if key, ok := resultCacheKey(nil, f, opts); ok &&
-			c.rcache.peek(key, executed, c.epochsOfLocked(nil, executed)) {
+		if c.rcache.peek(resultCacheKey(nil, p, opts), executed, c.epochsOfLocked(nil, executed)) {
 			cacheState = "hit"
 		}
 		hits, misses = c.rcache.stats()
@@ -777,19 +778,19 @@ func (c *Cluster) ExplainOpts(f query.Filter, opts query.Opts) (targets []int, e
 func (c *Cluster) Route(f query.Filter) (targets []int, broadcast bool, pruned []int) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.routeLocked(f)
+	return c.routeLocked(query.SpecOf(f))
 }
 
-// routeLocked computes the target shard ids for a filter; the caller
-// holds at least the cluster read-lock. It mirrors mongos: extract
-// the filter's bounds on the shard-key fields, map them to tuple
-// ranges, and collect the shards owning chunks that intersect any
-// range. A filter that does not constrain the leading shard-key field
-// becomes a broadcast (Section 4.1.2: "broadcast operations occur if
-// a query's field constraints are not found in the shard key").
+// routeLocked computes the target shard ids for a query spec; the
+// caller holds at least the cluster read-lock. It mirrors mongos: read
+// the spec's bounds on the shard-key fields, map them to tuple ranges,
+// and collect the shards owning chunks that intersect any range. A
+// spec that does not constrain the leading shard-key field becomes a
+// broadcast (Section 4.1.2: "broadcast operations occur if a query's
+// field constraints are not found in the shard key").
 //
-// On top of the range overlap, a KeyRanges constraint on the leading
-// field prunes chunks whose occupied cells hold none of the ranges'
+// On top of the range overlap, Hilbert cells on the leading field
+// prune chunks whose occupied cells hold none of the ranges'
 // coarse cells — chunk byte-ranges tile the whole key space, so overlap
 // alone visits shards that own only empty stretches of it. pruned lists
 // the shards (ascending) the overlap test targeted but every
@@ -798,12 +799,11 @@ func (c *Cluster) Route(f query.Filter) (targets []int, broadcast bool, pruned [
 //
 // The overlap test is one merge walk over the chunk map, ascending by
 // Min, and the tuple ranges, ascending by Lo: O(chunks + ranges).
-func (c *Cluster) routeLocked(f query.Filter) (shards []int, broadcast bool, pruned []int) {
+func (c *Cluster) routeLocked(spec *query.Spec) (shards []int, broadcast bool, pruned []int) {
 	if !c.sharded {
 		return []int{0}, false, nil
 	}
-	b := query.BoundsOf(f)
-	if b.Impossible() {
+	if spec.Impossible() {
 		return nil, false, nil
 	}
 	// marks holds, per shard id, what the walk found: an overlapping
@@ -816,7 +816,7 @@ func (c *Cluster) routeLocked(f query.Filter) (shards []int, broadcast bool, pru
 	} else {
 		marks = make([]uint8, n)
 	}
-	ranges := c.shardKeyRanges(b)
+	ranges := c.shardKeyRanges(spec)
 	if ranges == nil {
 		broadcast = true
 		for _, ch := range c.chunks {
@@ -827,8 +827,8 @@ func (c *Cluster) routeLocked(f query.Filter) (shards []int, broadcast bool, pru
 		return markedShards(marks, routeTarget, 0), broadcast, nil
 	}
 	var kr []sfc.Range
-	if c.summariesOnLocked() {
-		kr = b.KeyRanges(c.key.Fields[0])
+	if c.summariesOnLocked() && spec.Key == query.HilbertKey && c.key.Fields[0] == query.FieldHilbert {
+		kr = spec.Cells
 	}
 	shift := uint(c.opts.SummaryShift)
 	if !slices.IsSortedFunc(ranges, compareLo) {
@@ -892,78 +892,58 @@ func markedShards(marks []uint8, want, unwanted uint8) []int {
 
 func compareLo(a, b tupleRange) int { return bytes.Compare(a.Lo, b.Lo) }
 
-// shardKeyRanges translates the filter bounds into tuple ranges; nil
-// means the shard key is unconstrained (broadcast). Every tuple key is
-// a window of one buffer. A leading KeyRanges is read unboxed.
-func (c *Cluster) shardKeyRanges(b query.FieldBounds) []tupleRange {
-	kr := b.KeyRanges(c.key.Fields[0])
-	var set []query.ValueInterval
-	if kr == nil || c.key.Strategy == HashedSharding {
-		var ok bool
-		if set, ok = b.Intervals(c.key.Fields[0]); !ok || len(set) == 0 {
-			return nil
-		}
-		kr = nil
+// shardKeyRanges translates the spec's bounds on the shard key into
+// tuple ranges; nil means the shard key is unconstrained (broadcast).
+// Every tuple key is a window of one buffer.
+func (c *Cluster) shardKeyRanges(s *query.Spec) []tupleRange {
+	lead := c.key.Fields[0]
+	n := s.Intervals(lead)
+	if n == 0 {
+		return nil
 	}
-	// Sized for a pair of numeric keys per interval, or per range and
-	// its composition with one date interval.
-	keys := make(keyenc.Buf, 0, 20*len(set)+64*len(kr))
-	out := make([]tupleRange, 0, len(set)+len(kr))
+	// Sized for a pair of numeric keys per interval and its composition
+	// with one date interval.
+	keys := make(keyenc.Buf, 0, 64*n)
+	out := make([]tupleRange, 0, n)
 	if c.key.Strategy == HashedSharding {
-		// Only equality predicates route under hashed sharding; any
-		// range forces a broadcast. Each point covers every tuple
-		// extending its hash's encoding.
-		for _, iv := range set {
-			if !iv.IsPoint() {
+		// Only points route under hashed sharding; any range forces a
+		// broadcast. Each point covers every tuple extending its
+		// hash's encoding (HashValue hashes the point's encoding).
+		for i := 0; i < n; i++ {
+			lo, _, point := s.AppendInterval(&keys, nil, lead, i)
+			if !point {
 				return nil
 			}
-			var h any = HashValue(iv.Lo)
-			hi := keys.Append(nil, h)
-			out = append(out, tupleRange{Lo: keys.Append(nil, h), Hi: keyenc.AppendPrefixUpperBound(hi[:0], hi)})
+			h := float64(hashEncoded(lo))
+			hi := keys.AppendNumber(nil, h)
+			out = append(out, tupleRange{Lo: keys.AppendNumber(nil, h), Hi: keyenc.AppendPrefixUpperBound(hi[:0], hi)})
 		}
 		return out
 	}
 	// For a point on the leading field, the next field's bounds can
 	// narrow the range further (compound shard keys).
-	var nextSet []query.ValueInterval
+	next, nextN := "", 0
 	if len(c.key.Fields) > 1 {
-		nextSet, _ = b.Intervals(c.key.Fields[1])
+		next = c.key.Fields[1]
+		nextN = s.Intervals(next)
 	}
-	add := func(lo, hi []byte, loIncl, hiIncl, point bool) {
-		if point && len(nextSet) > 0 {
-			for _, niv := range nextSet {
-				out = append(out, composeRange(&keys, lo, niv))
-			}
-			return
+	for i := 0; i < n; i++ {
+		lo, hi, point := s.AppendInterval(&keys, nil, lead, i)
+		if !point || nextN == 0 {
+			out = append(out, encodedRange(lo, hi))
+			continue
 		}
-		out = append(out, encodedRange(lo, hi, loIncl, hiIncl))
-	}
-	for _, r := range kr {
-		lo := keys.AppendNumber(nil, float64(r.Lo))
-		add(lo, keys.AppendNumber(nil, float64(r.Hi)), true, true, r.Lo == r.Hi)
-	}
-	for _, iv := range set {
-		lo := keys.Append(nil, iv.Lo)
-		add(lo, keys.Append(nil, iv.Hi), iv.LoIncl, iv.HiIncl, iv.IsPoint())
+		for j := 0; j < nextN; j++ {
+			nlo, nhi, _ := s.AppendInterval(&keys, lo, next, j)
+			out = append(out, encodedRange(nlo, nhi))
+		}
 	}
 	return out
 }
 
-// composeRange builds the [Lo, Hi) byte range of one value interval
-// under an encoded tuple prefix, writing its keys into keys.
-func composeRange(keys *keyenc.Buf, prefix []byte, iv query.ValueInterval) tupleRange {
-	lo := keys.Append(prefix, iv.Lo)
-	return encodedRange(lo, keys.Append(prefix, iv.Hi), iv.LoIncl, iv.HiIncl)
-}
-
-// encodedRange is the [Lo, Hi) byte range of an interval given by its
-// encoded ends, which it may rewrite in place.
-func encodedRange(lo, hi []byte, loIncl, hiIncl bool) tupleRange {
-	if !loIncl {
-		lo = keyenc.AppendPrefixUpperBound(lo[:0], lo)
-	}
-	if hiIncl {
-		hi = keyenc.AppendPrefixUpperBound(hi[:0], hi)
-	}
-	return tupleRange{Lo: lo, Hi: hi}
+// encodedRange is the [Lo, Hi) byte range of a closed interval given
+// by its encoded ends: every tuple extending one lies inside. It
+// rewrites hi in place.
+func encodedRange(lo, hi []byte) tupleRange {
+	return tupleRange{Lo: lo, Hi: keyenc.AppendPrefixUpperBound(hi[:0], hi)}
 }

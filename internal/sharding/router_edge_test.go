@@ -44,7 +44,7 @@ func TestPoolMakespan(t *testing.T) {
 // never just the slowest shard (the pre-wave bug).
 func TestDurationAccountsForWaves(t *testing.T) {
 	c, _ := loadCluster(t, 3000, hilbertDateKey(), smallOpts())
-	f := query.GeoWithin{Field: "location", Rect: geo.NewRect(23, 37, 24, 38)}
+	f := rectSpec(geo.NewRect(23, 37, 24, 38))
 
 	c.SetParallel(1)
 	res := c.Query(f)
@@ -114,13 +114,7 @@ func TestRouteBoundaryValuesFindEveryDocument(t *testing.T) {
 		t.Fatalf("want a multi-chunk cluster, got %d chunks", len(c.chunks))
 	}
 	for hv := int64(0); hv < 4096; hv += 97 {
-		for _, f := range []query.Filter{
-			query.Cmp{Field: "hilbertIndex", Op: query.OpEQ, Value: hv},
-			query.NewAnd(
-				query.Cmp{Field: "hilbertIndex", Op: query.OpGTE, Value: hv},
-				query.Cmp{Field: "hilbertIndex", Op: query.OpLT, Value: hv + 1},
-			),
-		} {
+		for _, f := range []query.Filter{cellRange(hv, hv), cellWindow(hv, hv, baseTime, anyTo)} {
 			res := c.Query(f)
 			want := query.Execute(ref, f, nil).Stats.NReturned
 			if res.TotalReturned != want {
@@ -138,10 +132,7 @@ func TestRouteBoundaryValuesFindEveryDocument(t *testing.T) {
 func TestZeroShardsTargeted(t *testing.T) {
 	t.Run("impossible range", func(t *testing.T) {
 		c, _ := loadCluster(t, 500, hilbertDateKey(), smallOpts())
-		f := query.NewAnd(
-			query.Cmp{Field: "hilbertIndex", Op: query.OpGTE, Value: int64(100)},
-			query.Cmp{Field: "hilbertIndex", Op: query.OpLTE, Value: int64(50)},
-		)
+		f := cellRange(int64(100), int64(50))
 		res := c.Query(f)
 		if res.ShardsTargeted != 0 || len(res.Docs) != 0 || res.TotalReturned != 0 {
 			t.Fatalf("impossible range scattered: %+v", res)
@@ -155,7 +146,7 @@ func TestZeroShardsTargeted(t *testing.T) {
 		if err := c.ShardCollection(hilbertDateKey()); err != nil {
 			t.Fatal(err)
 		}
-		res := c.Query(query.GeoWithin{Field: "location", Rect: geo.NewRect(23, 37, 24, 38)})
+		res := c.Query(rectSpec(geo.NewRect(23, 37, 24, 38)))
 		if res.ShardsTargeted != 0 || len(res.Docs) != 0 {
 			t.Fatalf("empty cluster scattered: %+v", res)
 		}

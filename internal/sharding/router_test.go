@@ -28,16 +28,9 @@ func TestRoutingNeverLosesResults(t *testing.T) {
 			hi := lo + int64(rng.Intn(512))
 			from := baseTime.Add(time.Duration(rng.Intn(25*24)) * time.Hour)
 			to := from.Add(time.Duration(1+rng.Intn(5*24)) * time.Hour)
-			var f query.Filter = query.NewAnd(
-				query.Cmp{Field: "hilbertIndex", Op: query.OpGTE, Value: lo},
-				query.Cmp{Field: "hilbertIndex", Op: query.OpLTE, Value: hi},
-				query.TimeRangeFilter("date", from, to),
-			)
+			var f query.Filter = cellWindow(lo, hi, from, to)
 			if trial%3 == 0 { // equality point
-				f = query.NewAnd(
-					query.Cmp{Field: "hilbertIndex", Op: query.OpEQ, Value: lo},
-					query.TimeRangeFilter("date", from, to),
-				)
+				f = cellWindow(lo, lo, from, to)
 			}
 			routed := c.Query(f)
 			// Reference: run on every shard directly.
@@ -72,7 +65,7 @@ func TestJumboChunkSingleKeyValue(t *testing.T) {
 	if st.Jumbo != 1 || st.Chunks != 1 {
 		t.Fatalf("%d jumbo findings over %d chunks, want one jumbo chunk", st.Jumbo, st.Chunks)
 	}
-	res := c.Query(query.Cmp{Field: "hilbertIndex", Op: query.OpEQ, Value: int64(777)})
+	res := c.Query(cellRange(int64(777), int64(777)))
 	if res.TotalReturned != 800 {
 		t.Fatalf("jumbo cluster returned %d docs", res.TotalReturned)
 	}
@@ -175,7 +168,7 @@ func TestMigrationPreservesEveryDocument(t *testing.T) {
 		}
 	}
 	// Every original document is still queryable exactly once.
-	f := query.Cmp{Field: "hilbertIndex", Op: query.OpGTE, Value: int64(0)}
+	f := cellRange(0, 1<<40)
 	want := query.Execute(ref, f, nil).Stats.NReturned
 	if got := c.Query(f).TotalReturned; got != want {
 		t.Fatalf("after rehoming: %d docs, want %d", got, want)
@@ -235,10 +228,7 @@ func TestConcurrentQueriesDuringInserts(t *testing.T) {
 			}
 		}
 	}()
-	f := query.NewAnd(
-		query.Cmp{Field: "hilbertIndex", Op: query.OpGTE, Value: int64(0)},
-		query.Cmp{Field: "hilbertIndex", Op: query.OpLTE, Value: int64(4096)},
-	)
+	f := cellRange(int64(0), int64(4096))
 	for i := 0; i < 50; i++ {
 		res := c.Query(f)
 		if res.TotalReturned < 1000 {

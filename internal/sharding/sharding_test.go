@@ -12,9 +12,50 @@ import (
 	"repro/internal/geo"
 	"repro/internal/keyenc"
 	"repro/internal/query"
+	"repro/internal/sfc"
 )
 
 var baseTime = time.Date(2018, 7, 1, 0, 0, 0, 0, time.UTC)
+
+// A spec over the test documents with anyWhere and the window anyFrom
+// to anyTo constrains only what else it names.
+var (
+	anyWhere = geo.World
+	anyFrom  = baseTime.AddDate(-1, 0, 0)
+	anyTo    = baseTime.AddDate(1, 0, 0)
+)
+
+// cellSpec selects the documents whose hilbertIndex lies in one of the
+// ranges, any place, any time; without ranges it is an empty cover.
+func cellSpec(ranges ...sfc.Range) *query.Spec {
+	return &query.Spec{Rect: anyWhere, From: anyFrom, To: anyTo, Key: query.HilbertKey, Cells: ranges}
+}
+
+// cellRange is cellSpec of the one range [lo, hi], or of none when it
+// is empty.
+func cellRange(lo, hi int64) *query.Spec {
+	if hi < lo {
+		return cellSpec()
+	}
+	return cellSpec(sfc.Range{Lo: uint64(lo), Hi: uint64(hi)})
+}
+
+// cellWindow is cellRange within the window from..to.
+func cellWindow(lo, hi int64, from, to time.Time) *query.Spec {
+	s := cellRange(lo, hi)
+	s.From, s.To = from, to
+	return s
+}
+
+// windowSpec selects the documents dated from..to, any place.
+func windowSpec(from, to time.Time) *query.Spec {
+	return &query.Spec{Rect: anyWhere, From: from, To: to}
+}
+
+// rectSpec selects the documents in the rectangle, any time.
+func rectSpec(r geo.Rect) *query.Spec {
+	return &query.Spec{Rect: r, From: anyFrom, To: anyTo}
+}
 
 func stDoc(gen *bson.ObjectIDGen, p geo.Point, at time.Time, hv int64) *bson.Document {
 	return bson.FromD(bson.D{
@@ -148,16 +189,10 @@ func TestChunksTileKeySpace(t *testing.T) {
 func TestQueryMatchesUnshardedReference(t *testing.T) {
 	c, ref := loadCluster(t, 3000, hilbertDateKey(), smallOpts())
 	queries := []query.Filter{
-		query.NewAnd(
-			query.Cmp{Field: "hilbertIndex", Op: query.OpGTE, Value: int64(100)},
-			query.Cmp{Field: "hilbertIndex", Op: query.OpLTE, Value: int64(300)},
-		),
-		query.TimeRangeFilter("date", baseTime, baseTime.Add(48*time.Hour)),
-		query.NewAnd(
-			query.Cmp{Field: "hilbertIndex", Op: query.OpEQ, Value: int64(250)},
-			query.TimeRangeFilter("date", baseTime, baseTime.Add(15*24*time.Hour)),
-		),
-		query.GeoWithin{Field: "location", Rect: geo.NewRect(23.2, 37.2, 23.5, 37.5)},
+		cellRange(int64(100), int64(300)),
+		windowSpec(baseTime, baseTime.Add(48*time.Hour)),
+		cellWindow(int64(250), int64(250), baseTime, baseTime.Add(15*24*time.Hour)),
+		rectSpec(geo.NewRect(23.2, 37.2, 23.5, 37.5)),
 	}
 	for i, f := range queries {
 		want := query.Execute(ref, f, nil).Stats.NReturned
@@ -174,10 +209,7 @@ func TestQueryMatchesUnshardedReference(t *testing.T) {
 func TestRoutingTargetsSubsetOnShardKey(t *testing.T) {
 	c, _ := loadCluster(t, 4000, hilbertDateKey(), smallOpts())
 	// Tight range on the leading shard-key field.
-	res := c.Query(query.NewAnd(
-		query.Cmp{Field: "hilbertIndex", Op: query.OpGTE, Value: int64(10)},
-		query.Cmp{Field: "hilbertIndex", Op: query.OpLTE, Value: int64(20)},
-	))
+	res := c.Query(cellRange(int64(10), int64(20)))
 	if res.Broadcast {
 		t.Fatal("shard-key range query broadcast")
 	}
@@ -185,7 +217,7 @@ func TestRoutingTargetsSubsetOnShardKey(t *testing.T) {
 		t.Fatalf("targeted %d of %d shards", res.ShardsTargeted, len(c.Shards()))
 	}
 	// A filter with no shard-key constraint broadcasts.
-	res = c.Query(query.GeoWithin{Field: "location", Rect: geo.NewRect(23, 37, 24, 38)})
+	res = c.Query(rectSpec(geo.NewRect(23, 37, 24, 38)))
 	if !res.Broadcast {
 		t.Fatal("non-shard-key query did not broadcast")
 	}
@@ -206,10 +238,7 @@ func TestRoutingTargetsSubsetOnShardKey(t *testing.T) {
 
 func TestRoutingImpossibleFilterTargetsNothing(t *testing.T) {
 	c, _ := loadCluster(t, 500, hilbertDateKey(), smallOpts())
-	res := c.Query(query.NewAnd(
-		query.Cmp{Field: "hilbertIndex", Op: query.OpGT, Value: int64(10)},
-		query.Cmp{Field: "hilbertIndex", Op: query.OpLT, Value: int64(5)},
-	))
+	res := c.Query(cellSpec())
 	if res.ShardsTargeted != 0 || res.TotalReturned != 0 {
 		t.Fatalf("impossible query: %+v", res)
 	}
@@ -219,11 +248,8 @@ func TestCompoundShardKeyRoutingUsesSecondField(t *testing.T) {
 	c, _ := loadCluster(t, 4000, hilbertDateKey(), smallOpts())
 	// Equality on the leading field + tight date range can rule out
 	// chunks that a bare equality could not.
-	eqOnly := c.Query(query.Cmp{Field: "hilbertIndex", Op: query.OpEQ, Value: int64(100)})
-	withDate := c.Query(query.NewAnd(
-		query.Cmp{Field: "hilbertIndex", Op: query.OpEQ, Value: int64(100)},
-		query.TimeRangeFilter("date", baseTime, baseTime.Add(time.Hour)),
-	))
+	eqOnly := c.Query(cellRange(int64(100), int64(100)))
+	withDate := c.Query(cellWindow(int64(100), int64(100), baseTime, baseTime.Add(time.Hour)))
 	if withDate.ShardsTargeted > eqOnly.ShardsTargeted {
 		t.Fatalf("narrower query targeted more shards (%d > %d)",
 			withDate.ShardsTargeted, eqOnly.ShardsTargeted)
@@ -237,7 +263,7 @@ func TestUnshardedQueryGoesToShardZero(t *testing.T) {
 	if err := c.Insert(doc); err != nil {
 		t.Fatal(err)
 	}
-	res := c.Query(query.Cmp{Field: "hilbertIndex", Op: query.OpEQ, Value: int64(5)})
+	res := c.Query(cellRange(int64(5), int64(5)))
 	if res.ShardsTargeted != 1 || res.TargetedShards[0] != 0 {
 		t.Fatalf("unsharded routing: %+v", res)
 	}
@@ -294,16 +320,13 @@ func TestZonesHomeChunksAndPreserveData(t *testing.T) {
 		}
 	}
 	// Data survives the migrations.
-	f := query.Cmp{Field: "hilbertIndex", Op: query.OpGTE, Value: int64(0)}
+	f := cellRange(0, 1<<40)
 	want := query.Execute(ref, f, nil).Stats.NReturned
 	if got := c.Query(f).TotalReturned; got != want {
 		t.Fatalf("after zones: %d docs, want %d", got, want)
 	}
 	// A query inside one zone hits exactly one shard.
-	res := c.Query(query.NewAnd(
-		query.Cmp{Field: "hilbertIndex", Op: query.OpGTE, Value: int64(1100)},
-		query.Cmp{Field: "hilbertIndex", Op: query.OpLTE, Value: int64(1200)},
-	))
+	res := c.Query(cellRange(int64(1100), int64(1200)))
 	if res.ShardsTargeted != 1 || res.TargetedShards[0] != 1 {
 		t.Fatalf("zoned query targeted %v", res.TargetedShards)
 	}
@@ -371,10 +394,7 @@ func TestZonesImproveLocalityVersusDefault(t *testing.T) {
 	// Aggregate shards targeted over a sweep of leading-field ranges.
 	totalDefault, totalZoned := 0, 0
 	for lo := int64(0); lo < 4096; lo += 256 {
-		f := query.NewAnd(
-			query.Cmp{Field: "hilbertIndex", Op: query.OpGTE, Value: lo},
-			query.Cmp{Field: "hilbertIndex", Op: query.OpLTE, Value: lo + 255},
-		)
+		f := cellRange(lo, lo+255)
 		totalDefault += cDefault.Query(f).ShardsTargeted
 		totalZoned += cZoned.Query(f).ShardsTargeted
 	}
@@ -387,19 +407,16 @@ func TestHashedShardingScattersAndRoutesEquality(t *testing.T) {
 	key := ShardKey{Fields: []string{"hilbertIndex", "date"}, Strategy: HashedSharding}
 	c, ref := loadCluster(t, 3000, key, smallOpts())
 	// Equality on the hashed field routes to a strict subset.
-	eq := c.Query(query.Cmp{Field: "hilbertIndex", Op: query.OpEQ, Value: int64(77)})
+	eq := c.Query(cellRange(int64(77), int64(77)))
 	if eq.Broadcast {
 		t.Fatal("hashed equality broadcast")
 	}
-	want := query.Execute(ref, query.Cmp{Field: "hilbertIndex", Op: query.OpEQ, Value: int64(77)}, nil).Stats.NReturned
+	want := query.Execute(ref, cellRange(int64(77), int64(77)), nil).Stats.NReturned
 	if eq.TotalReturned != want {
 		t.Fatalf("hashed equality returned %d, want %d", eq.TotalReturned, want)
 	}
 	// A range on the hashed field must broadcast.
-	rg := c.Query(query.NewAnd(
-		query.Cmp{Field: "hilbertIndex", Op: query.OpGTE, Value: int64(0)},
-		query.Cmp{Field: "hilbertIndex", Op: query.OpLTE, Value: int64(100)},
-	))
+	rg := c.Query(cellRange(int64(0), int64(100)))
 	if !rg.Broadcast {
 		t.Fatal("hashed range query did not broadcast")
 	}

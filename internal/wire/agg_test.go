@@ -4,19 +4,20 @@ import (
 	"bytes"
 	"encoding/hex"
 	"testing"
+	"time"
 
+	"repro/internal/geo"
 	"repro/internal/query"
 	"repro/internal/sfc"
+	"repro/internal/sthash"
 )
 
 // TestQueryCarriesAggregate: the aggregate spec rides the one read
 // request among the other pushed-down options, and the shard's partial
 // aggregate rides the one reply.
 func TestQueryCarriesAggregate(t *testing.T) {
-	f := query.NewAnd(
-		query.Cmp{Field: "hilbertIndex", Op: query.OpGTE, Value: int64(100)},
-		query.Cmp{Field: "hilbertIndex", Op: query.OpLTE, Value: int64(900)},
-	)
+	f := &query.Spec{Rect: geo.NewRect(23, 37, 24, 38), From: time.Unix(1, 0), To: time.Unix(2, 0),
+		Key: query.HilbertKey, Cells: []sfc.Range{{Lo: 100, Hi: 900}}}
 	spec := query.AggSpec{Kind: query.AggCellHist, Field: "hilbertIndex", Shift: 12}
 	m := Query{Shard: 3, Limit: 7, Agg: spec, Filter: f}
 	body, err := m.Encode(nil)
@@ -55,31 +56,37 @@ func TestQueryCarriesAggregate(t *testing.T) {
 	}
 }
 
-// TestV9GoldenBytes pins the version-9 encoding of the one read
+// TestV10GoldenBytes pins the version-10 encoding of the one read
 // request and its reply on both hops: a shard's, with and without an
 // aggregate, and a router's, with the routed section. Any change to
 // these bytes is an incompatible codec change and must bump
-// ProtocolVersion. The bytes are version 8's — which added the
-// KeyRanges filter node, ascending ranges as delta varints — plus
-// version 9's three fields: the request's bound (a length-prefixed
-// key, empty when there is none), the reply's documents refined after
-// its documents examined, and the routed section's shards skipped
-// after its shards pruned.
-func TestV9GoldenBytes(t *testing.T) {
-	if ProtocolVersion != 9 {
+// ProtocolVersion. Version 10 carries the query spec as fixed fields
+// after version 9's request: the rectangle (four float64s), the window
+// (two int64 nanosecond times), the key kind, then a Hilbert cover's
+// ascending ranges as delta varints or an ST-Hash cover's string
+// pairs. The replies are version 9's.
+func TestV10GoldenBytes(t *testing.T) {
+	if ProtocolVersion != 10 {
 		t.Fatalf("ProtocolVersion = %d: re-pin these bytes for the new version", ProtocolVersion)
 	}
-	f := query.Cmp{Field: "h", Op: query.OpGTE, Value: int64(7)}
-	plain := Query{Shard: 3, BatchSize: 512, Limit: 10, OrderBy: "date", Desc: true, Filter: f}
+	spec := &query.Spec{Rect: geo.NewRect(1, 2, 3, 4), From: time.Unix(1, 0), To: time.Unix(2, 0)}
+	plain := Query{Shard: 3, BatchSize: 512, Limit: 10, OrderBy: "date", Desc: true, Filter: spec}
 	agg := plain
 	agg.Agg = query.AggSpec{Kind: query.AggCellHist, Field: "h", Shift: 12}
 	ranges := plain
-	ranges.Filter = query.KeyRanges{Field: "h", Ranges: []sfc.Range{{Lo: 3, Hi: 5}, {Lo: 9, Hi: 9}, {Lo: 300, Hi: 301}}}
+	ranges.Filter = &query.Spec{Rect: spec.Rect, From: spec.From, To: spec.To, Key: query.HilbertKey,
+		Cells: []sfc.Range{{Lo: 3, Hi: 5}, {Lo: 9, Hi: 9}, {Lo: 300, Hi: 301}}}
+	strs := plain
+	strs.Filter = &query.Spec{Rect: spec.Rect, From: spec.From, To: spec.To, Key: query.STHashKey,
+		Strings: []sthash.Range{{Lo: "a", Hi: "b"}}}
 	bounded := plain
 	bounded.Bound = []byte("b1")
 	const (
 		head = "03000000" + "00020000" + "0a00000000000000" + "04000000" + "64617465" + "01"
-		tail = "01" + "02" + "01000000" + "68" + "02" + "0700000000000000" // Cmp h >= int64(7)
+		// The rectangle (1, 2)–(3, 4), the window 1 s–2 s after the epoch.
+		where = "000000000000f03f" + "0000000000000040" + "0000000000000840" + "0000000000001040" +
+			"00ca9a3b00000000" + "0094357700000000"
+		tail = where + "00" // no key constraint
 	)
 	for _, tc := range []struct {
 		name string
@@ -89,8 +96,10 @@ func TestV9GoldenBytes(t *testing.T) {
 		{"query", plain, head + "00000000" + "00" + tail},
 		{"query+bound", bounded, head + "02000000" + "6231" + "00" + tail},
 		{"query+agg", agg, head + "00000000" + "03" + "01000000" + "68" + "0c" + tail},
-		{"key ranges", ranges, head + "00000000" + "00" + "07" + "01000000" + "68" + "03000000" + // KeyRanges h, 3 ranges:
+		{"hilbert cover", ranges, head + "00000000" + "00" + where + "01" + "03000000" + // 3 ranges:
 			"03" + "02" + "03" + "00" + "a202" + "01"}, // gap, span: [3,5] [9,9] [300,301]
+		{"st-hash cover", strs, head + "00000000" + "00" + where + "02" + "01000000" + // 1 range:
+			"01000000" + "61" + "01000000" + "62"}, // ["a", "b"]
 	} {
 		got, err := tc.msg.Encode(nil)
 		if err != nil {

@@ -3,9 +3,12 @@ package wire
 import (
 	"bytes"
 	"testing"
+	"time"
 
+	"repro/internal/geo"
 	"repro/internal/query"
 	"repro/internal/sfc"
+	"repro/internal/sthash"
 )
 
 // FuzzFrameDecode throws arbitrary bytes at the frame and message
@@ -32,17 +35,30 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(flipped)
 	f.Add(good[:len(good)-2])
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 1})
-	// Key ranges: a query frame, and bare filter bodies (one with a gap
-	// that overflows).
-	kr := query.KeyRanges{Field: "hilbertIndex", Ranges: []sfc.Range{{Lo: 3, Hi: 5}, {Lo: 9, Hi: 9}, {Lo: 300, Hi: 4000}}}
-	krQuery, _ := Query{Shard: 2, Filter: query.NewAnd(query.GeoWithin{Field: "location"}, kr)}.Encode(nil)
-	f.Add(AppendFrame(nil, OpQuery, krQuery))
-	krBody, _ := AppendFilter(nil, kr)
-	f.Add(krBody)
-	f.Add([]byte{ftKeyRanges, 1, 0, 0, 0, 'h', 2, 0, 0, 0, 1, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0})
+	// Specs: a Hilbert cover's query frame and its body, an ST-Hash
+	// one's, truncated ones, and hand-made bodies with ranges out of
+	// order, overlapping, wrapping or at 2^53, and an unknown key kind.
+	specAt := func(key query.KeyKind, cells []sfc.Range, strs []sthash.Range) []byte {
+		body, _ := Query{Shard: 2, Filter: &query.Spec{Rect: geo.NewRect(23, 37, 24, 38), From: time.Unix(1, 0), To: time.Unix(2, 0),
+			Key: key, Cells: cells, Strings: strs}}.Encode(nil)
+		return body
+	}
+	kr := []sfc.Range{{Lo: 3, Hi: 5}, {Lo: 9, Hi: 9}, {Lo: 300, Hi: 4000}}
+	hil := specAt(query.HilbertKey, kr, nil)
+	f.Add(AppendFrame(nil, OpQuery, hil))
+	f.Add(hil)
+	f.Add(hil[:len(hil)-3])
+	sth := specAt(query.STHashKey, nil, []sthash.Range{{Lo: "2018182sw8", Hi: "2018182sw9"}, {Lo: "2018183sw8", Hi: "2018183sw9"}})
+	f.Add(AppendFrame(nil, OpQuery, sth))
+	f.Add(sth[:len(sth)-5])
+	f.Add(specAt(query.HilbertKey, []sfc.Range{{Lo: 5, Hi: 9}, {Lo: 9, Hi: 12}}, nil))
+	f.Add(specAt(query.HilbertKey, []sfc.Range{{Lo: 1<<53 - 1, Hi: 1 << 53}}, nil))
+	f.Add(specAt(query.STHashKey, nil, []sthash.Range{{Lo: "b", Hi: "c"}, {Lo: "a", Hi: "d"}}))
+	f.Add(specAt(query.KeyKind(3), nil, nil))
 	// An ordered walk's request carries a bound; its reply counts the
 	// documents refined, and the router's the shards skipped.
-	bounded, _ := Query{Shard: 1, Limit: 100, OrderBy: "date", Desc: true, Bound: []byte{0x09, 0x80, 1, 2, 3, 4, 5, 6, 7}, Filter: kr}.Encode(nil)
+	bounded, _ := Query{Shard: 1, Limit: 100, OrderBy: "date", Desc: true, Bound: []byte{0x09, 0x80, 1, 2, 3, 4, 5, 6, 7},
+		Filter: &query.Spec{From: time.Unix(1, 0), To: time.Unix(2, 0), Key: query.HilbertKey, Cells: kr}}.Encode(nil)
 	f.Add(AppendFrame(nil, OpQuery, bounded))
 	f.Add(AppendFrame(nil, OpQuery, bounded[:len(bounded)-3]))
 	f.Add(AppendFrame(nil, OpQueryReply, QueryReply{DocsExamined: 9, DocsRefined: 2, Routed: &Routed{Nodes: 6, ShardsSkipped: 4}}.Encode(nil)))
@@ -78,7 +94,6 @@ func FuzzFrameDecode(f *testing.F) {
 		DecodeAuth(msgBody)
 		DecodeInsert(msgBody)
 		DecodeInsertReply(msgBody)
-		DecodeQuery(msgBody)
 		if m, err := DecodeQueryReply(msgBody); err == nil {
 			checkViews(t, "QueryReply doc", m.Docs)
 			checkViews(t, "QueryReply key", m.Keys)
@@ -89,9 +104,39 @@ func FuzzFrameDecode(f *testing.F) {
 		DecodeStatsReply(msgBody)
 		DecodeErrorReply(msgBody)
 		DecodeSTQuery(msgBody)
-		DecodeFilter(msgBody)
+		if m, err := DecodeQuery(msgBody); err == nil {
+			checkSpec(t, m.Filter.(*query.Spec))
+		}
 		DecodeAggResult(msgBody)
 	})
+}
+
+// checkSpec fails unless a decoded spec holds what a spec may: ranges
+// ascending and disjoint, Hilbert ones below 2^53, and re-encodes to
+// a body that decodes and re-encodes to itself.
+func checkSpec(t *testing.T, s *query.Spec) {
+	t.Helper()
+	for i, r := range s.Cells {
+		if r.Hi < r.Lo || r.Hi >= 1<<53 || i > 0 && r.Lo <= s.Cells[i-1].Hi {
+			t.Fatalf("decoded cell range %d: %+v after %+v", i, r, s.Cells[max(i-1, 0)])
+		}
+	}
+	for i, r := range s.Strings {
+		if r.Hi < r.Lo || i > 0 && r.Lo <= s.Strings[i-1].Hi {
+			t.Fatalf("decoded string range %d: %+v", i, r)
+		}
+	}
+	body, err := Query{Filter: s}.Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := DecodeQuery(body)
+	if err != nil {
+		t.Fatalf("spec %s re-encodes to a body refused: %v", s, err)
+	}
+	if re, _ := again.Encode(nil); !bytes.Equal(re, body) {
+		t.Fatalf("spec %s is not a fixed point of the codec", s)
+	}
 }
 
 // checkViews fails unless every decoded byte string's capacity is
@@ -114,7 +159,7 @@ func checkViews(t *testing.T, what string, l [][]byte) {
 // fixed point — the property the digest differential and the
 // result-cache key depend on.
 func FuzzAggregateDecode(f *testing.F) {
-	filter := query.Cmp{Field: "h", Op: query.OpGTE, Value: int64(7)}
+	filter := &query.Spec{From: time.Unix(1, 0), To: time.Unix(2, 0), Key: query.HilbertKey, Cells: []sfc.Range{{Lo: 7, Hi: 1<<53 - 1}}}
 	plainBody, _ := Query{Shard: 1, Limit: 3, Filter: filter}.Encode(nil)
 	boundBody, _ := Query{Shard: 1, Limit: 3, OrderBy: "date", Bound: []byte("k"), Filter: filter}.Encode(nil)
 	f.Add(boundBody)

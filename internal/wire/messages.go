@@ -164,8 +164,8 @@ func DecodeInsertReply(b []byte) (InsertReply, error) {
 	return m, d.finish()
 }
 
-// Query is the one shard-facing read request: execute a filter on one
-// shard under the pushed-down options — limit, ordering, an ordered
+// Query is the one shard-facing read request: execute a query spec on
+// one shard under the pushed-down options — limit, ordering, an ordered
 // walk's bound, aggregate — so the shard bounds its scan exactly as the
 // in-process executor would. BatchSize caps the documents per reply frame of a document
 // query's answer; an aggregate query (Agg active) is answered by a
@@ -179,13 +179,15 @@ type Query struct {
 	Desc      bool
 	// Bound is query.Opts.Bound: empty, or the sort key an ordered
 	// walk's shard drops every strictly worse match against.
-	Bound  []byte
-	Agg    query.AggSpec
+	Bound []byte
+	Agg   query.AggSpec
+	// Filter is the query: a *query.Spec, or a *query.Prepared one
+	// (DecodeQuery yields a *query.Spec).
 	Filter query.Filter
 }
 
-// Encode appends the message body to buf. Filter encoding can fail on
-// exotic filter types; everything else is total.
+// Encode appends the message body to buf. It fails only when Filter
+// is not a query spec (a *query.Spec or a *query.Prepared one).
 func (m Query) Encode(buf []byte) ([]byte, error) {
 	buf = appendU32(buf, uint32(m.Shard))
 	buf = appendU32(buf, m.BatchSize)
@@ -199,7 +201,14 @@ func (m Query) Encode(buf []byte) ([]byte, error) {
 		buf = appendString(buf, m.Agg.Field)
 		buf = appendU8(buf, m.Agg.Shift)
 	}
-	return AppendFilter(buf, m.Filter)
+	switch f := m.Filter.(type) {
+	case *query.Spec:
+		return appendSpec(buf, f), nil
+	case *query.Prepared:
+		// Planning state is per process; the spec is what travels.
+		return appendSpec(buf, f.Spec()), nil
+	}
+	return nil, fmt.Errorf("wire: a %T is not a query spec", m.Filter)
 }
 
 // DecodeQuery decodes a Query body.
@@ -218,14 +227,11 @@ func DecodeQuery(b []byte) (Query, error) {
 		m.Agg.Field = d.string("agg field")
 		m.Agg.Shift = d.u8("agg shift")
 	}
-	if d.err != nil {
-		return m, d.err
-	}
-	f, err := DecodeFilter(b[d.off:])
-	if err != nil {
+	s := decodeSpec(d)
+	if err := d.finish(); err != nil {
 		return m, err
 	}
-	m.Filter = f
+	m.Filter = s
 	return m, nil
 }
 

@@ -66,7 +66,11 @@ import (
 // Version 9 added an ordered walk's bound to Query, the documents a
 // shard refined to QueryReply, and the shards a limited walk never
 // asked to the routed section.
-const ProtocolVersion = 9
+//
+// Version 10 replaced Query's filter tree with the query spec's fixed
+// fields: the rectangle, the window, the key kind and the cover's
+// ranges (Hilbert ranges still as delta varints).
+const ProtocolVersion = 10
 
 // MaxFrameBody bounds a single frame body, so that a corrupt or
 // hostile length field cannot make a reader attempt a giant

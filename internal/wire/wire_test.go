@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
@@ -13,6 +12,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/query"
 	"repro/internal/sfc"
+	"repro/internal/sthash"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -166,11 +166,11 @@ func TestQueryRoundTrip(t *testing.T) {
 		Limit:     100,
 		OrderBy:   "date",
 		Desc:      true,
-		Filter: query.And{Children: []query.Filter{
-			query.GeoWithin{Field: "location", Rect: geo.NewRect(23, 37, 25, 39)},
-			query.Cmp{Field: "date", Op: query.OpGTE, Value: time.Date(2018, 7, 1, 0, 0, 0, 0, time.UTC)},
-			query.Cmp{Field: "date", Op: query.OpLTE, Value: time.Date(2018, 8, 1, 0, 0, 0, 0, time.UTC)},
-		}},
+		Filter: &query.Spec{
+			Rect: geo.NewRect(23, 37, 25, 39),
+			From: time.Date(2018, 7, 1, 0, 0, 0, 0, time.UTC),
+			To:   time.Date(2018, 8, 1, 0, 0, 0, 0, time.UTC),
+		},
 	}
 	body, err := in.Encode(nil)
 	if err != nil {
@@ -189,93 +189,94 @@ func TestQueryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFilterRoundTrip: every kind of spec travels unchanged —
+// without a key constraint, with Hilbert ranges up to 2^53 - 1 or an
+// empty Hilbert cover, with ST-Hash ranges or an empty ST-Hash cover —
+// and a prepared spec travels as the spec inside it.
 func TestFilterRoundTrip(t *testing.T) {
-	filters := []query.Filter{
-		query.Cmp{Field: "a", Op: query.OpEQ, Value: int64(7)},
-		query.Cmp{Field: "b", Op: query.OpEQ, Value: "text"},
-		query.Cmp{Field: "c", Op: query.OpGT, Value: 1.5},
-		query.Cmp{Field: "d", Op: query.OpLT, Value: nil},
-		query.Cmp{Field: "e", Op: query.OpGTE, Value: true},
-		query.In{Field: "f", Values: []any{int64(1), "two", 3.0}},
-		query.Or{Children: []query.Filter{
-			query.Cmp{Field: "x", Op: query.OpEQ, Value: int64(1)},
-			query.And{Children: []query.Filter{
-				query.Cmp{Field: "y", Op: query.OpGT, Value: int64(2)},
-				query.GeoWithin{Field: "location", Rect: geo.NewRect(23, 37, 25, 39)},
-			}},
-		}},
-		query.GeoWithin{Field: "location", Rect: geo.NewRect(-10, -20, 10, 20)},
-		query.KeyRanges{Field: "h", Ranges: []sfc.Range{{Lo: 0, Hi: 0}, {Lo: 2, Hi: 9}, {Lo: 1<<53 - 2, Hi: 1<<53 - 1}}},
-		query.KeyRanges{Field: "h", Ranges: []sfc.Range{}},
+	rect := geo.NewRect(-10, -20, 10, 20)
+	from, to := time.Date(2018, 7, 1, 0, 0, 0, 0, time.UTC), time.Date(2018, 7, 1, 3, 0, 0, 123456789, time.UTC)
+	specs := []*query.Spec{
+		{Rect: rect, From: from, To: to},
+		{Rect: rect, From: to, To: from},
+		{Rect: rect, From: from, To: to, Key: query.HilbertKey,
+			Cells: []sfc.Range{{Lo: 0, Hi: 0}, {Lo: 2, Hi: 9}, {Lo: 1<<53 - 2, Hi: 1<<53 - 1}}},
+		{Rect: rect, From: from, To: to, Key: query.HilbertKey},
+		{Rect: rect, From: from, To: to, Key: query.STHashKey,
+			Strings: []sthash.Range{{Lo: "2018182sw800", Hi: "2018182sw823"}, {Lo: "2018182sw900", Hi: "2018182sw900"}, {Lo: "2018183", Hi: "2018183\x00"}}},
+		{Rect: rect, From: from, To: to, Key: query.STHashKey},
 	}
-	for _, f := range filters {
-		enc, err := AppendFilter(nil, f)
+	for _, s := range specs {
+		enc, err := Query{Filter: s}.Encode(nil)
 		if err != nil {
-			t.Fatalf("%T: %v", f, err)
+			t.Fatalf("%s: %v", s, err)
 		}
-		dec, err := DecodeFilter(enc)
+		dec, err := DecodeQuery(enc)
 		if err != nil {
-			t.Fatalf("%T: %v", f, err)
+			t.Fatalf("%s: %v", s, err)
 		}
-		if !reflect.DeepEqual(dec, f) {
-			t.Fatalf("%T round trip mismatch:\n in: %+v\nout: %+v", f, f, dec)
+		if !reflect.DeepEqual(dec.Filter, query.Filter(s)) {
+			t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", s, dec.Filter)
 		}
-		// A prepared filter travels as the filter inside it.
-		if prep, err := AppendFilter(nil, query.Prepare(f)); err != nil || !bytes.Equal(prep, enc) {
-			t.Fatalf("%T prepared encodes as %x (%v), bare as %x", f, prep, err, enc)
+		if prep, err := (Query{Filter: query.Prepare(s)}).Encode(nil); err != nil || !bytes.Equal(prep, enc) {
+			t.Fatalf("%s prepared encodes as %x (%v), bare as %x", s, prep, err, enc)
 		}
+	}
+	if _, err := (Query{Filter: nil}).Encode(nil); err == nil {
+		t.Fatal("a query without a spec encoded")
 	}
 }
 
-// TestKeyRangesRefusedOutOfOrder: key ranges travel only ascending,
-// disjoint and below 2^53 — the encoder refuses others, and the
-// decoder refuses a gap or span that reaches 2^53 or wraps.
+// TestKeyRangesRefusedOutOfOrder: cover ranges travel only ascending
+// and disjoint, Hilbert ones below 2^53. The encoder writes what it is
+// given; the decoder refuses a gap or span that overlaps, wraps or
+// reaches 2^53, string ranges out of order, and an unknown key kind.
 func TestKeyRangesRefusedOutOfOrder(t *testing.T) {
+	var bad []*query.Spec
 	for _, rs := range [][]sfc.Range{
 		{{Lo: 5, Hi: 9}, {Lo: 9, Hi: 12}},
+		{{Lo: 5, Hi: 9}, {Lo: 2, Hi: 3}},
 		{{Lo: 5, Hi: 4}},
 		{{Lo: 1 << 53, Hi: 1 << 53}},
+		{{Lo: 7, Hi: 1<<64 - 1}},
 	} {
-		if _, err := AppendFilter(nil, query.KeyRanges{Field: "h", Ranges: rs}); err == nil {
-			t.Errorf("%v encoded", rs)
-		}
+		bad = append(bad, &query.Spec{Key: query.HilbertKey, Cells: rs})
 	}
-	for _, tail := range [][]byte{
-		binary.AppendUvarint([]byte{0}, 1<<53),                      // [0, 2^53]
-		binary.AppendUvarint(binary.AppendUvarint(nil, 1), 1<<64-1), // span wraps
+	for _, rs := range [][]sthash.Range{
+		{{Lo: "b", Hi: "c"}, {Lo: "a", Hi: "d"}},
+		{{Lo: "b", Hi: "c"}, {Lo: "c", Hi: "d"}},
+		{{Lo: "z", Hi: "a"}},
 	} {
-		body := append([]byte{ftKeyRanges, 1, 0, 0, 0, 'h', 1, 0, 0, 0}, tail...)
-		if f, err := DecodeFilter(body); err == nil {
-			t.Errorf("%x decoded to %v", body, f)
+		bad = append(bad, &query.Spec{Key: query.STHashKey, Strings: rs})
+	}
+	bad = append(bad, &query.Spec{Key: query.STHashKey + 1})
+	for _, s := range bad {
+		body, err := Query{Filter: s}.Encode(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, err := DecodeQuery(body); !errors.Is(err, ErrBadMessage) {
+			t.Errorf("%+v decoded to %v (%v)", s, m.Filter, err)
 		}
 	}
 }
 
-// TestFilterRefusesRetiredTag: tag 6 carried the polygon predicate
-// until version 7; the decoder refuses it as it refuses any unknown
-// tag.
+// TestFilterRefusesRetiredTag: version 10 retired the filter tree and
+// its tags. A version-9 request — its filter the tree of a $geoWithin
+// — is refused, not misread as a spec.
 func TestFilterRefusesRetiredTag(t *testing.T) {
-	enc, err := AppendFilter(nil, query.GeoWithin{Field: "location", Rect: geo.NewRect(23, 37, 25, 39)})
+	// The header is version 9's: everything before the spec's 49 bytes.
+	full, err := Query{Filter: &query.Spec{}}.Encode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc[0] = ftGeoWithin + 1
-	if _, err := DecodeFilter(enc); !errors.Is(err, ErrBadMessage) || !strings.Contains(err.Error(), "filter tag 6") {
-		t.Fatalf("retired tag: %v, want ErrBadMessage naming filter tag 6", err)
+	body := append(full[:len(full)-49], 5) // the retired $geoWithin tag
+	body = appendString(body, "location")
+	for _, v := range []float64{23, 37, 25, 39} {
+		body = appendF64(body, v)
 	}
-}
-
-func TestFilterDepthCap(t *testing.T) {
-	var f query.Filter = query.Cmp{Field: "a", Op: query.OpEQ, Value: int64(1)}
-	for i := 0; i < maxFilterDepth+8; i++ {
-		f = query.And{Children: []query.Filter{f}}
-	}
-	enc, err := AppendFilter(nil, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeFilter(enc); err == nil {
-		t.Fatal("expected depth-cap error for deeply nested filter")
+	if m, err := DecodeQuery(body); !errors.Is(err, ErrBadMessage) {
+		t.Fatalf("a version-9 tree decoded to %v (%v), want ErrBadMessage", m.Filter, err)
 	}
 }
 
