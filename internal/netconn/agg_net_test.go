@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -340,10 +341,10 @@ func TestAggregateIsOneFrameEachWay(t *testing.T) {
 }
 
 // TestPreviousVersionPeerRefused: the handshake refuses a peer
-// speaking the previous protocol version in both directions, on both
-// hops, with an error that names both versions.
+// speaking the previous protocol version — and a version-9 peer, the
+// last to send a filter tree instead of a query spec — in both
+// directions, on both hops, with an error that names both versions.
 func TestPreviousVersionPeerRefused(t *testing.T) {
-	const old = wire.ProtocolVersion - 1
 	store := openStore(t, core.Hil, 2, 100)
 	addrs := startServers(t, store, 1, ServerOptions{})
 	rs := NewRouterServer(store, AdmitOptions{})
@@ -353,74 +354,76 @@ func TestPreviousVersionPeerRefused(t *testing.T) {
 	}
 	t.Cleanup(rs.Close)
 
-	// An old client against this shard server or router: a structured
-	// error frame.
-	refusal := fmt.Sprintf("protocol version %d not supported (want %d)", old, wire.ProtocolVersion)
-	for server, addr := range map[string]string{"shard server": addrs[0], "router": raddr} {
-		nc, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nc.Close()
-		_ = nc.SetDeadline(time.Now().Add(5 * time.Second))
-		if err := wire.WriteFrame(nc, wire.OpHello, wire.Hello{Version: old, Nonce: wire.NewAuthNonce()}.Encode(nil)); err != nil {
-			t.Fatal(err)
-		}
-		op, body, err := wire.ReadFrame(nc)
-		if err != nil || op != wire.OpError {
-			t.Fatalf("old client against the %s got op %d err %v, want an error frame", server, op, err)
-		}
-		er, err := wire.DecodeErrorReply(body)
-		if err != nil || er.Transient || !strings.Contains(er.Message, refusal) {
-			t.Fatalf("old client refusal by the %s = %+v (%v)", server, er, err)
-		}
-	}
-
-	// This client, dialling shard servers or a router, against an old
-	// server, which either answers the handshake with its own version or
-	// refuses ours the same way.
-	answers := map[string]func(net.Conn){
-		fmt.Sprintf("speaks protocol %d, want %d", old, wire.ProtocolVersion): func(c net.Conn) {
-			_ = wire.WriteFrame(c, wire.OpHelloReply, wire.HelloReply{Version: old}.Encode(nil))
-		},
-		fmt.Sprintf("refused connection: protocol version %d not supported (want %d)", wire.ProtocolVersion, old): func(c net.Conn) {
-			_ = wire.WriteFrame(c, wire.OpError, wire.ErrorReply{Shard: -1,
-				Message: fmt.Sprintf("protocol version %d not supported (want %d)", wire.ProtocolVersion, old)}.Encode(nil))
-		},
-	}
-	dialers := map[string]func(addr string) error{
-		"Connect": func(addr string) error {
-			_, err := Connect([]string{addr}, Options{})
-			return err
-		},
-		"DialRouter": func(addr string) error {
-			_, err := DialRouter(addr, Options{})
-			return err
-		},
-	}
-	for name, dial := range dialers {
-		for want, answer := range answers {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
+	for _, old := range slices.Compact([]uint32{9, wire.ProtocolVersion - 1}) {
+		// An old client against this shard server or router: a structured
+		// error frame.
+		refusal := fmt.Sprintf("protocol version %d not supported (want %d)", old, wire.ProtocolVersion)
+		for server, addr := range map[string]string{"shard server": addrs[0], "router": raddr} {
+			nc, err := net.Dial("tcp", addr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				c, err := ln.Accept()
+			defer nc.Close()
+			_ = nc.SetDeadline(time.Now().Add(5 * time.Second))
+			if err := wire.WriteFrame(nc, wire.OpHello, wire.Hello{Version: old, Nonce: wire.NewAuthNonce()}.Encode(nil)); err != nil {
+				t.Fatal(err)
+			}
+			op, body, err := wire.ReadFrame(nc)
+			if err != nil || op != wire.OpError {
+				t.Fatalf("old client against the %s got op %d err %v, want an error frame", server, op, err)
+			}
+			er, err := wire.DecodeErrorReply(body)
+			if err != nil || er.Transient || !strings.Contains(er.Message, refusal) {
+				t.Fatalf("old client refusal by the %s = %+v (%v)", server, er, err)
+			}
+		}
+
+		// This client, dialling shard servers or a router, against an old
+		// server, which either answers the handshake with its own version or
+		// refuses ours the same way.
+		answers := map[string]func(net.Conn){
+			fmt.Sprintf("speaks protocol %d, want %d", old, wire.ProtocolVersion): func(c net.Conn) {
+				_ = wire.WriteFrame(c, wire.OpHelloReply, wire.HelloReply{Version: old}.Encode(nil))
+			},
+			fmt.Sprintf("refused connection: protocol version %d not supported (want %d)", wire.ProtocolVersion, old): func(c net.Conn) {
+				_ = wire.WriteFrame(c, wire.OpError, wire.ErrorReply{Shard: -1,
+					Message: fmt.Sprintf("protocol version %d not supported (want %d)", wire.ProtocolVersion, old)}.Encode(nil))
+			},
+		}
+		dialers := map[string]func(addr string) error{
+			"Connect": func(addr string) error {
+				_, err := Connect([]string{addr}, Options{})
+				return err
+			},
+			"DialRouter": func(addr string) error {
+				_, err := DialRouter(addr, Options{})
+				return err
+			},
+		}
+		for name, dial := range dialers {
+			for want, answer := range answers {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
 				if err != nil {
-					return
+					t.Fatal(err)
 				}
-				defer c.Close()
-				if _, _, err := wire.ReadFrame(c); err == nil {
-					answer(c)
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					c, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					defer c.Close()
+					if _, _, err := wire.ReadFrame(c); err == nil {
+						answer(c)
+					}
+				}()
+				err = dial(ln.Addr().String())
+				ln.Close()
+				<-done
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("%s to an old server: %v, want %q", name, err, want)
 				}
-			}()
-			err = dial(ln.Addr().String())
-			ln.Close()
-			<-done
-			if err == nil || !strings.Contains(err.Error(), want) {
-				t.Fatalf("%s to an old server: %v, want %q", name, err, want)
 			}
 		}
 	}

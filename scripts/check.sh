@@ -30,10 +30,10 @@ RACE_PKGS="./internal/sharding/... ./internal/query/... ./internal/storage/... .
 # sorted-map oracle under arbitrary operation streams and its iterator
 # — Next interleaved with forward Seeks that stay in the leaf, cross to
 # the next one or descend from the root — a sorted-slice one, the wire
-# protocol's frame, message, insert and aggregate decoders never panic
-# or over-allocate on hostile network bytes, the executor's typed
-# reads of stored bytes — predicates, top-k sort keys, aggregate keys —
-# never panic on damaged documents and
+# protocol's frame, message, query-spec, insert and aggregate decoders
+# never panic or over-allocate on hostile network bytes, the executor's
+# typed reads of stored bytes — the query spec's matcher and residuals,
+# top-k sort keys, aggregate keys — never panic on damaged documents and
 # answer exactly what decoding the document first answers, an ordered
 # execution — sort keys read from the index or from the document —
 # answers exactly what stable-sorting its unordered matches does, and the
@@ -43,10 +43,12 @@ RACE_PKGS="./internal/sharding/... ./internal/query/... ./internal/storage/... .
 # from a liberal encoder's, and the index keys, shard-key tuples and
 # summary cells read from stored bytes on insert, split and migration
 # are byte for byte the ones built from the decoded document. The
-# router's per-query front end — bounds, plan-cache shape, segments and
-# residuals, targets — answers exactly what the implementation it
-# replaced answers, and prunes exactly the shards a scan of the
-# documents finds empty in the query's cells. The bytes every write
+# router's per-query front end — a spec's bounds, plan-cache shape,
+# segments and residuals, targets — answers exactly what a boxed
+# reference built from the spec's fields answers, and prunes exactly the
+# shards a scan of the documents finds empty in the query's cells; a
+# Hilbert spec answers, routes and explains exactly the documents its
+# $or admits. The bytes every write
 # path stores, appended straight from the record, are byte for byte what marshalling
 # the boxed reference document gives, and both refuse the same records.
 FUZZ_TARGETS="bson:FuzzDocumentRoundTrip bson:FuzzValidate keyenc:FuzzKeyOrdering wal:FuzzFrameRecover btree:FuzzTreeOps btree:FuzzIteratorSeek wire:FuzzFrameDecode wire:FuzzInsertDecode wire:FuzzAggregateDecode query:FuzzRawMatch query:FuzzOrderedExecution index:FuzzEntryKeyRaw sharding:FuzzShardKeyRaw sharding:FuzzFrontEnd core:FuzzEncodeRecord core:FuzzContainedCells core:FuzzKeyRanges"
