@@ -13,10 +13,10 @@
 //     set's bounding rectangle (same bits, finer cells).
 //
 // A Store wraps a simulated sharded cluster, builds the approach's
-// documents and indexes on insert, generates the approach's query
-// filter (including the $or-of-ranges + $in constraint on
-// hilbertIndex described in Section 4.2.2), and reports the paper's
-// four metrics per query.
+// documents and indexes on insert, builds the approach's query spec
+// (including the cover's ranges on hilbertIndex, which render as the
+// $or-of-ranges + $in constraint of Section 4.2.2), and reports the
+// paper's four metrics per query.
 package core
 
 import (
@@ -84,13 +84,13 @@ func ParseApproach(s string) (Approach, bool) {
 	return 0, false
 }
 
-// Document field names.
+// Document field names: the query spec's, and the id.
 const (
 	FieldID      = "_id"
-	FieldLoc     = "location"
-	FieldDate    = "date"
-	FieldHilbert = "hilbertIndex"
-	FieldSTHash  = "stHash"
+	FieldLoc     = query.FieldLoc
+	FieldDate    = query.FieldDate
+	FieldHilbert = query.FieldHilbert
+	FieldSTHash  = query.FieldSTHash
 )
 
 // Config configures a Store.
