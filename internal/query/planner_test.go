@@ -170,6 +170,29 @@ func TestCoveredPredicatesRespectTypeBracketing(t *testing.T) {
 	}
 }
 
+// TestSubMillisecondWindowIsExact: a stored date is a whole
+// millisecond, so a window whose ends fall inside one admits exactly
+// the dates a collection scan admits, though an index covers it.
+func TestSubMillisecondWindowIsExact(t *testing.T) {
+	c := buildCollection(t, 500)
+	mustIndex(t, c, index.Definition{Name: "date", Fields: []index.Field{{Name: "date", Kind: index.Ascending}}})
+	for i, raw := range ExecutePlan(c, &Plan{Filter: window(anyFrom, anyTo)}).Docs {
+		at := raw.Get("date").(time.Time)
+		for _, f := range []*Spec{
+			window(at.Add(500*time.Microsecond), at.Add(time.Hour)),
+			window(at.Add(-time.Hour), at.Add(-time.Microsecond)),
+			window(at.Add(-300*time.Microsecond), at.Add(300*time.Microsecond)),
+			window(at.Add(200*time.Microsecond), at.Add(700*time.Microsecond)),
+		} {
+			idx, ref := Execute(c, f, nil), ExecutePlan(c, &Plan{Filter: f}).Stats.NReturned
+			if idx.Stats.IndexUsed != "{date: 1}" || idx.Stats.NReturned != ref {
+				t.Fatalf("document %d, window %v..%v: %s returned %d, a collection scan %d",
+					i, f.From, f.To, idx.Stats.IndexUsed, idx.Stats.NReturned, ref)
+			}
+		}
+	}
+}
+
 func TestPlanCacheHitAndReplan(t *testing.T) {
 	c := newCollWithIndexes(t, 2000)
 	// Constrains both hilbertIndex and date so at least two indexes

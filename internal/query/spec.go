@@ -93,13 +93,25 @@ func (s *Spec) Intervals(field string) int {
 func (s *Spec) AppendInterval(keys *keyenc.Buf, prefix []byte, field string, i int) (lo, hi []byte, point bool) {
 	switch {
 	case field == FieldDate:
-		return keys.AppendTime(prefix, s.From), keys.AppendTime(prefix, s.To), s.From.Equal(s.To)
+		from, to := s.windowKeys()
+		return keys.AppendTime(prefix, from), keys.AppendTime(prefix, to), from.Equal(to)
 	case s.Key == HilbertKey:
 		r := s.Cells[i]
 		return keys.AppendNumber(prefix, float64(r.Lo)), keys.AppendNumber(prefix, float64(r.Hi)), r.Lo == r.Hi
 	}
 	r := s.Strings[i]
 	return keys.AppendString(prefix, r.Lo), keys.AppendString(prefix, r.Hi), r.Lo == r.Hi
+}
+
+// windowKeys returns the first and last date the window admits as an
+// index key holds them: a stored date is a whole millisecond, so a
+// window from a fraction of one starts at the next.
+func (s *Spec) windowKeys() (from, to time.Time) {
+	from, to = s.From.Truncate(time.Millisecond), s.To.Truncate(time.Millisecond)
+	if from.Before(s.From) {
+		from = from.Add(time.Millisecond)
+	}
+	return from, to
 }
 
 // Matches implements Filter.

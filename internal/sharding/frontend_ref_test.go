@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"time"
 
 	"repro/internal/bson"
 	"repro/internal/geo"
@@ -38,7 +39,13 @@ type refBounds struct {
 }
 
 func refBoundsOf(s *query.Spec) refBounds {
-	b := refBounds{intervals: map[string][]refInterval{"date": {{s.From, s.To}}}, rect: s.Rect}
+	// Index keys hold whole milliseconds: the window's first key is
+	// From rounded up, its last To rounded down.
+	from := time.UnixMilli(s.From.UnixMilli())
+	if from.Before(s.From) {
+		from = from.Add(time.Millisecond)
+	}
+	b := refBounds{intervals: map[string][]refInterval{"date": {{from, time.UnixMilli(s.To.UnixMilli())}}}, rect: s.Rect}
 	b.impossible = s.To.Before(s.From)
 	switch s.Key {
 	case query.HilbertKey:
