@@ -222,9 +222,9 @@ func (c *Cluster) scatterGather(ctx context.Context, qs []scatterQuery, cached b
 	for i := range qs {
 		q := &qs[i]
 		q.first = tasks
-		// Shape, bounds and access paths are functions of the filter
-		// alone: derive them here once, for the route below and for
-		// every shard execution the scatter hands the filter to.
+		// Shape and access paths are functions of the spec alone:
+		// prepare it here once, for the route below and for every
+		// shard execution the scatter hands it to.
 		p := query.Prepare(q.f)
 		q.f = p
 		targets, broadcast, pruned := c.routeLocked(p.Spec())
@@ -755,14 +755,14 @@ func (c *Cluster) ExplainOpts(f query.Filter, opts query.Opts) (targets []int, e
 		hits, misses = c.rcache.stats()
 	}
 	for _, sid := range executed {
-		e := query.Explain(c.shards[sid].Coll, f, c.opts.QueryConfig)
+		e := query.Explain(c.shards[sid].Coll, p, c.opts.QueryConfig)
 		e.ResultCacheState = cacheState
 		e.ResultCacheHits = hits
 		e.ResultCacheMiss = misses
 		exps = append(exps, e)
 	}
 	for _, sid := range pruned {
-		e := query.Explain(c.shards[sid].Coll, f, c.opts.QueryConfig)
+		e := query.Explain(c.shards[sid].Coll, p, c.opts.QueryConfig)
 		e.Pruned = true
 		e.ResultCacheState = cacheState
 		e.ResultCacheHits = hits
